@@ -30,6 +30,7 @@ from .expr import (
     total_derivative,
 )
 from .calculus import deriv_op
+from .sampling import relative_residual
 
 __all__ = [
     "Generator",
@@ -189,10 +190,8 @@ def check_variational_symmetry(L, gen, sig, plan, tol=1e-9):
     expr = generator_apply(gen, L, sig)
     if sig.differential and gen.xi is not None and not _is_syntactic_zero(gen.xi):
         expr = add(expr, mul(L, total_derivative(gen.xi, sig)))
-    worst = 0.0
-    for a in plan.assignments([expr, L], sig):
-        v = evaluate(expr, a)
-        worst = max(worst, abs(v) / max(1.0, abs(evaluate(L, a))))
+    worst = relative_residual(plan.assignments([expr, L], sig),
+                              lambda a: (evaluate(expr, a), [evaluate(L, a)]))
     return SymmetryResult("invariant" if worst <= tol else "not_symmetry", worst)
 
 

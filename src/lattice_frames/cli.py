@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .calculus import euler_lagrange
 from .catalog import DEFAULT_SEED, get_example
-from .expr import ExprError, ProblemSignature, evaluate, fieldvars, to_string
+from .expr import (
+    ExprError,
+    ProblemSignature,
+    SingularEvaluationError,
+    evaluate,
+    fieldvars,
+    to_string,
+)
 from .parser import ParseError, parse
 from .sampling import SamplePlan
 from .suites import run_suite, suite_names
@@ -140,11 +148,12 @@ def cmd_euler_lagrange(args):
         print(json.dumps({f: to_string(e) for f, e in out.items()}, indent=2))
         return 0
     spots = plan.assignments(list(out.values()) or [L], sig)
+    rows = ["  ".join(f"E_{f}={evaluate(e, a):+.6e}" for f, e in out.items())
+            for a in spots]
     for f, e in out.items():
         print(f"E_{f}(L) = {to_string(e)}")
     print("\nnumeric spot checks:")
-    for k, a in enumerate(spots):
-        vals = "  ".join(f"E_{f}={evaluate(e, a):+.6e}" for f, e in out.items())
+    for k, vals in enumerate(rows):
         print(f"  point {k + 1}: {vals}")
     return 0
 
@@ -197,8 +206,7 @@ def cmd_noether(args):
                 print(f"  {lab} = {c}")
             if entry.note:
                 print(f"  note: {entry.note}")
-    worst = max(residuals.values())
-    return 0 if worst <= 1e-8 else CHECK_FAILURE
+    return 0 if all(r <= 1e-8 for r in residuals.values()) else CHECK_FAILURE
 
 
 def cmd_integrate(args):
@@ -310,7 +318,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if not hasattr(args, "seed"):
         args.seed = _default_seed()
     if not hasattr(args, "points"):
@@ -319,11 +328,18 @@ def main(argv=None):
         args.tol = None
     if not hasattr(args, "json"):
         args.json = False
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error(f"--tol must be finite and positive, got {args.tol}")
     try:
         code = COMMANDS[args.command](args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         code = USAGE_ERROR
+    except SingularEvaluationError as err:
+        print(f"singular evaluation: {err}", file=sys.stderr)
+        code = CHECK_FAILURE
     raise SystemExit(code)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "LnAbs",
     "Sqrt",
     "Assignment",
+    "stack",
     "add",
     "mul",
     "neg",
@@ -409,15 +410,37 @@ def fieldvars(e):
 
 @dataclass
 class Assignment:
-    """A point of the prolongation space: values for every variable in play."""
+    """A point of the prolongation space: values for every variable in play.
+
+    ``alt`` is the value of (-1)^(n^1+...+n^m) at the lattice base point; it
+    defaults to the parity of ``base``.  Every value may also be an array
+    with one entry per point (see :func:`stack`).
+    """
 
     values: dict
     x: float = 0.0
     params: dict = field(default_factory=dict)
     base: tuple = (0,)
+    alt: object = None
 
-    def alt_value(self):
-        return -1.0 if sum(self.base) % 2 else 1.0
+    def __post_init__(self):
+        if self.alt is None:
+            self.alt = -1.0 if sum(self.base) % 2 else 1.0
+
+
+def stack(points):
+    """One Assignment holding a non-empty point list as arrays, one entry per point.
+
+    Evaluating an expression once at the result gives its value at every
+    point, with the same IEEE arithmetic as evaluating point by point.
+    """
+    first = points[0]
+    return Assignment(
+        {fv: np.array([p.values[fv] for p in points]) for fv in first.values},
+        x=np.array([p.x for p in points]),
+        params={k: np.array([p.params[k] for p in points]) for k in first.params},
+        base=tuple(np.array(col) for col in zip(*(p.base for p in points))),
+        alt=np.array([p.alt for p in points]))
 
 
 def evaluate(e, a):
@@ -426,8 +449,11 @@ def evaluate(e, a):
     Values in ``a`` may be scalars or numpy arrays (all of one shape), so the
     same walker serves pointwise checks and whole-lattice evaluation.  Shared
     subtrees are evaluated once (expressions form DAGs after substitution).
+    A power that overflows from a finite base raises
+    :class:`SingularEvaluationError`; any other overflow gives inf quietly.
     """
     memo = {}
+    checked = False
 
     def rec(node):
         key = id(node)
@@ -443,7 +469,7 @@ def evaluate(e, a):
         elif isinstance(node, XVar):
             v = a.x
         elif isinstance(node, Alt):
-            v = a.alt_value()
+            v = a.alt
         elif isinstance(node, Var):
             try:
                 v = a.values[node.fv]
@@ -462,7 +488,12 @@ def evaluate(e, a):
             if node.exponent < 0 and np.any(base == 0):
                 raise SingularEvaluationError("zero base with negative exponent",
                                               node.base)
-            v = base ** node.exponent
+            # np.power for scalars too: Python's float ** n rounds differently
+            # in the last bit and raises OverflowError where arrays give inf
+            v = np.power(base, float(node.exponent))
+            if checked and (np.isfinite(base) & ~np.isfinite(v)).any():
+                raise SingularEvaluationError(
+                    f"non-finite value of {to_string(node)}", node)
         elif isinstance(node, Quot):
             den = rec(node.den)
             if np.any(den == 0):
@@ -485,7 +516,26 @@ def evaluate(e, a):
         memo[key] = v
         return v
 
-    return rec(e)
+    # Overflow is rare, so the first pass only watches for it.  The second
+    # pass lets inf through quietly, as Python float arithmetic does, except
+    # where a Pow overflows from a finite base; callers fail on inf and NaN.
+    try:
+        return _raising_overflow(rec, e)
+    except FloatingPointError:
+        memo.clear()
+        checked = True
+        return _quiet_overflow(rec, e)
+
+
+# Decorators, so that each error state is built once rather than per call.
+@np.errstate(over="raise", invalid="ignore")
+def _raising_overflow(fn, arg):
+    return fn(arg)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _quiet_overflow(fn, arg):
+    return fn(arg)
 
 
 def _map_nodes(e, fn):

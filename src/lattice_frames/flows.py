@@ -28,7 +28,7 @@ STABILITY_C = 0.2
 
 
 class BlowUpError(ExprError):
-    """Field norm exceeded the blow-up threshold during integration."""
+    """Field norm exceeded the blow-up threshold, or stopped being finite."""
 
 
 @dataclass
@@ -48,16 +48,7 @@ class LatticeState:
                             self.x, dict(self.params))
 
 
-class _LatticeAssignment(Assignment):
-    def __init__(self, values, x, params, n_sites):
-        super().__init__(values, x=x, params=params, base=(0,))
-        self._alt = (-1.0) ** np.arange(n_sites)
-
-    def alt_value(self):
-        return self._alt
-
-
-def _assignment_for(expr_vars, state):
+def _assignment_for(expr_vars, state, alt):
     values = {}
     for fv in expr_vars:
         if fv.deriv:
@@ -67,12 +58,12 @@ def _assignment_for(expr_vars, state):
         arr = state.fields[fv.name]
         k = fv.shift[0]
         values[fv] = np.roll(arr, -k) if k else arr
-    return _LatticeAssignment(values, state.x, state.params, state.n_sites)
+    return Assignment(values, x=state.x, params=state.params, alt=alt)
 
 
 def eval_on_lattice(e, state):
     """Evaluate ``e`` at every lattice site (periodic shifts)."""
-    a = _assignment_for(fieldvars(e), state)
+    a = _assignment_for(fieldvars(e), state, (-1.0) ** np.arange(state.n_sites))
     out = evaluate(e, a)
     if np.ndim(out) == 0:
         out = np.full(state.n_sites, float(out))
@@ -99,7 +90,8 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
     (dense output of the monitored functionals).  The stability bound
     dt <= c h^2 for the stiff difference Laplacian is checked against the
     step parameter ``h``; violating it only flags the trajectory, while a
-    field norm above ``blow_up`` raises :class:`BlowUpError`.
+    field norm above ``blow_up``, or a non-finite one, raises
+    :class:`BlowUpError`.
     """
     monitors = monitors or {}
     state = state0.copy()
@@ -113,12 +105,13 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
 
     names = list(rhs)
     rhs_vars = {f: fieldvars(e) for f, e in rhs.items()}
+    alt = (-1.0) ** np.arange(state.n_sites)
 
     def f(fields_dict, x):
         s = LatticeState(fields_dict, x, state.params)
         out = {}
         for name in names:
-            a = _assignment_for(rhs_vars[name], s)
+            a = _assignment_for(rhs_vars[name], s, alt)
             v = evaluate(rhs[name], a)
             out[name] = v if np.ndim(v) else np.full(s.n_sites, float(v))
         return out
@@ -141,9 +134,9 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
         for n in names:
             y[n] = y[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
         state.x = x0 + i * dt
-        norm = max(float(np.max(np.abs(y[n]))) for n in names)
-        if norm > blow_up:
-            raise BlowUpError(f"field norm {norm:.3e} at x = {state.x:.6g}")
+        norms = [float(np.max(np.abs(y[n]))) for n in names]
+        if not all(v <= blow_up for v in norms):  # a NaN norm fails too
+            raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {state.x:.6g}")
         record(i)
 
     return Trajectory(xs, sums, state0.copy(), state, dt, stability_ok)

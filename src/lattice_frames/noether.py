@@ -52,7 +52,7 @@ from .expr import (
     to_string,
 )
 from .frames import invariantize, mc_element
-from .sampling import identity_check, residual_stats
+from .sampling import identity_check, relative_residual, residual_stats
 
 __all__ = [
     "InvariantLagrangian",
@@ -166,12 +166,11 @@ def offshell_residual(law, el_by_field, gen, sig, plan):
     parts = [mul(gen.q_of(f), el) for f, el in el_by_field.items()]
     parts.append(law_divergence_dx(law, sig))
     expr = add(*parts)
-    worst = 0.0
-    for a in plan.assignments([expr], sig):
-        v = evaluate(expr, a)
-        scale = max(1.0, *(abs(evaluate(el, a)) for el in el_by_field.values()))
-        worst = max(worst, abs(v) / scale)
-    return worst
+
+    def residual(a):
+        return evaluate(expr, a), [evaluate(el, a) for el in el_by_field.values()]
+
+    return relative_residual(plan.assignments([expr], sig), residual)
 
 
 def compare_laws(law_a, law_b, plan, sig, tol=1e-9):
@@ -431,7 +430,7 @@ def _check_coefficients_invariant(law, plan, tol):
                 g = action.random_element(rng)
                 tv = evaluate(transform(coeff, action, g, sig), a)
                 cv = evaluate(coeff, a)
-                if abs(tv - cv) > max(tol, 1e-8) * max(1.0, abs(cv)):
+                if not abs(tv - cv) <= max(tol, 1e-8) * max(1.0, abs(cv)):
                     raise ExprError(
                         f"equivariant coefficient {cname}[{sym}] of the r="
                         f"{law.generator_index} law is not invariant "

@@ -5,16 +5,30 @@ both sides are evaluated at random points of the prolongation space drawn
 from a :class:`SamplePlan`, rejecting points that violate the registered
 chart guards (denominators and half-space constraints bounded away from
 zero).  Reports are deterministic functions of the seed.
+
+Candidates are drawn in blocks and every guard is evaluated once per block
+as a mask over it; the accepted points, the rejection count and the point
+where sampling gives up are those of drawing and testing the candidates
+one at a time.  Residuals are likewise evaluated once per point set, on
+the points stacked into arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Assignment, ExprError, SingularEvaluationError, evaluate, fieldvars
+from .expr import (
+    Assignment,
+    ExprError,
+    SingularEvaluationError,
+    evaluate,
+    fieldvars,
+    stack,
+)
 
 __all__ = [
     "Guard",
@@ -22,6 +36,7 @@ __all__ = [
     "SamplingExhaustedError",
     "CheckReport",
     "identity_check",
+    "relative_residual",
     "residual_stats",
     "prune_zero_terms",
     "DEFAULT_RANGE",
@@ -54,6 +69,18 @@ class Guard:
             return v >= self.margin
         return abs(v) >= self.margin
 
+    def mask(self, a, n):
+        """:meth:`ok` at each of the ``n`` points stacked in ``a``, as a bool array.
+
+        Raises :class:`SingularEvaluationError` when ``expr`` is singular at
+        any of the points; :meth:`ok` then decides them one by one.
+        """
+        v = evaluate(self.expr, a)
+        if self.kind != "pos":
+            v = np.abs(v)
+        ok = v >= self.margin
+        return ok if np.ndim(ok) else np.full(n, ok)
+
 
 @dataclass
 class SamplePlan:
@@ -83,7 +110,13 @@ class SamplePlan:
         return SamplePlan(**data)
 
     def assignments(self, exprs, sig, extra_vars=()):
-        """Admissible assignments covering every variable of ``exprs``."""
+        """Admissible assignments covering every variable of ``exprs``.
+
+        Each candidate takes its coordinates (sorted), then ``x``, then the
+        parameters from one ``uniform`` call, which consumes the random
+        stream exactly as one call per value does, and then one ``integers``
+        call per lattice direction for its base point.
+        """
         names = set()
         for e in exprs:
             names |= fieldvars(e)
@@ -92,30 +125,62 @@ class SamplePlan:
         names |= set(extra_vars)
         names = sorted(names, key=lambda fv: (fv.name, fv.deriv, fv.shift))
         variation_names = set(sig.variations.values())
+        ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
+                  for fv in names]
+        ranges.append(self.x_range)
+        ranges.extend(self.param_ranges.get(p, (0.5, 1.5)) for p in sig.params)
+        lows, highs = (np.array(col, dtype=float) for col in zip(*ranges))
+        offsets = np.array([
+            0.0 if fv.name in variation_names or self.offsets is None else self.offsets(fv)
+            for fv in names], dtype=float)
+        k, m = len(names), sig.lattice_dim
+        b_lo, b_hi = self.base_range
         rng = np.random.default_rng(np.random.PCG64(self.seed))
-        lo, hi = self.value_range
         out = []
-        rejected = 0
+        rejected = drawn = 0
         while len(out) < self.n_points:
-            if rejected > self.max_rejections:
-                raise SamplingExhaustedError(
-                    f"guards rejected {rejected} candidates (accepted {len(out)}/{self.n_points})")
-            values = {}
-            for fv in names:
-                if fv.name in variation_names:
-                    values[fv] = rng.uniform(*VARIATION_RANGE)
+            # scale the block by the acceptance rate so far, but draw no more
+            # candidates than can be examined before sampling gives up
+            need = self.n_points - len(out)
+            size = min(-(-need * drawn // max(len(out), 1)) if rejected else need,
+                       need + self.max_rejections + 1 - rejected)
+            rows = np.empty((size, len(lows)))
+            bases = np.empty((size, m), dtype=np.int64)
+            for i in range(size):
+                rows[i] = rng.uniform(lows, highs)
+                for d in range(m):
+                    bases[i, d] = rng.integers(b_lo, b_hi + 1)
+            drawn += size
+            coords, xs, params = rows[:, :k] + offsets, rows[:, k], rows[:, k + 1:]
+            alts = np.where(bases.sum(axis=1) % 2, -1.0, 1.0)
+            # contiguous columns, like those of stack()
+            block = Assignment(dict(zip(names, coords.T.copy())), x=xs.copy(),
+                               params=dict(zip(sig.params, params.T.copy())),
+                               base=tuple(bases.T.copy()), alt=alts)
+            cand = list(zip(coords.tolist(), xs.tolist(), params.tolist(),
+                            bases.tolist(), alts.tolist()))
+
+            def point(i):
+                c, x, p, b, alt = cand[i]
+                return Assignment(dict(zip(names, c)), x=x, params=dict(zip(sig.params, p)),
+                                  base=tuple(b), alt=alt)
+
+            try:
+                ok = np.ones(size, dtype=bool)
+                for g in self.guards:
+                    ok &= g.mask(block, size)
+            except SingularEvaluationError:
+                ok = [all(g.ok(p) for g in self.guards) for p in map(point, range(size))]
+            for i in range(size):
+                if rejected > self.max_rejections:
+                    raise SamplingExhaustedError(
+                        f"guards rejected {rejected} candidates (accepted {len(out)}/{self.n_points})")
+                if ok[i]:
+                    out.append(point(i))
+                    if len(out) == self.n_points:
+                        break
                 else:
-                    off = self.offsets(fv) if self.offsets is not None else 0.0
-                    values[fv] = off + rng.uniform(lo, hi)
-            x = rng.uniform(*self.x_range)
-            params = {p: rng.uniform(*self.param_ranges.get(p, (0.5, 1.5))) for p in sig.params}
-            base = tuple(int(rng.integers(self.base_range[0], self.base_range[1] + 1))
-                         for _ in range(sig.lattice_dim))
-            a = Assignment(values, x=x, params=params, base=base)
-            if all(g.ok(a) for g in self.guards):
-                out.append(a)
-            else:
-                rejected += 1
+                    rejected += 1
         return out
 
 
@@ -157,22 +222,42 @@ def _rel_residual(lv, rv):
     return abs(lv - rv) / scale
 
 
+def relative_residual(points, residual):
+    """Max over ``points`` of |d| / max(1, |s_1|, |s_2|, ...), evaluated once.
+
+    ``residual(a)`` returns ``(d, scales)`` at the assignment ``a`` that
+    stacks every point.  A NaN anywhere, or an empty point set, gives NaN,
+    which fails every ``<= tol`` test (Python's ``max`` would drop a NaN).
+    """
+    if not points:
+        return math.nan
+    d, scales = residual(stack(points))
+    scale = 1.0
+    for s in scales:
+        scale = np.maximum(scale, np.abs(s))
+    return float(np.max(np.abs(d) / scale))
+
+
 def residual_stats(lhs, rhs, assignments):
     """Max relative residual |lhs-rhs| / max(1,|lhs|,|rhs|) over the points."""
-    worst = 0.0
-    for a in assignments:
-        lv = evaluate(lhs, a)
-        rv = evaluate(rhs, a)
-        worst = max(worst, _rel_residual(lv, rv))
-    return worst
+
+    def residual(a):
+        lv, rv = evaluate(lhs, a), evaluate(rhs, a)
+        return lv - rv, (lv, rv)
+
+    return relative_residual(assignments, residual)
 
 
 def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity", extra_vars=()):
-    """Probabilistic identity test: pass iff the residual stays within ``tol``."""
+    """Probabilistic identity test: pass iff the residual stays within ``tol``.
+
+    An empty point set or a NaN residual fails.
+    """
     assignments = plan.assignments([lhs, rhs], sig, extra_vars=extra_vars)
     worst = residual_stats(lhs, rhs, assignments)
     status = "pass" if worst <= tol else "fail"
-    return CheckReport(check_id, status, worst, len(assignments), plan.seed)
+    return CheckReport(check_id, status, worst, len(assignments), plan.seed,
+                       note="" if assignments else "empty point set")
 
 
 def prune_zero_terms(terms, plan, sig, probe_points=20):

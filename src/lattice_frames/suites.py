@@ -41,7 +41,7 @@ from .noether import (
     offshell_residual,
 )
 from .parser import parse
-from .sampling import CheckReport, identity_check, residual_stats
+from .sampling import CheckReport, identity_check, relative_residual, residual_stats
 
 __all__ = ["SUITES", "run_suite", "suite_names"]
 
@@ -51,18 +51,23 @@ def _report(check_id, residual, tol, plan, n_points=None, note=""):
                        float(residual), n_points or plan.n_points, plan.seed, note=note)
 
 
+def _worst(residuals):
+    """Largest residual; unlike Python's ``max``, a NaN is kept and fails."""
+    return float(np.max(residuals))
+
+
 def _invariance_residual(e, action, sig, plan, n_points=20, n_group=20):
     """Max residual of e(g.z) = e(z) over n_group elements x n_points points."""
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
     pts = plan.with_(n_points=n_points).assignments([e], sig)
-    base = [evaluate(e, a) for a in pts]
-    worst = 0.0
-    for _ in range(n_group):
-        g = action.random_element(rng)
-        te = transform(e, action, g, sig)
-        for a, bv in zip(pts, base):
-            worst = max(worst, abs(evaluate(te, a) - bv) / max(1.0, abs(bv)))
-    return worst
+
+    def residual(a):
+        bv = evaluate(e, a)
+        moved = [evaluate(transform(e, action, action.random_element(rng), sig), a)
+                 for _ in range(n_group)]
+        return np.array(moved) - bv, [bv]
+
+    return relative_residual(pts, residual)
 
 
 def suite_syzygy(b, plan, tol=1e-10):
@@ -185,7 +190,7 @@ def suite_noether(b, plan, tol=1e-9):
         if r in originals:
             dv, comps = compare_laws(originals[r], law, plan, sig)
             out.append(_report(f"law-div-match:r{r}", dv, tol, plan))
-            out.append(_report(f"law-components-match:r{r}", max(comps), tol, plan,
+            out.append(_report(f"law-components-match:r{r}", _worst(comps), tol, plan,
                                note="dx-measure components agree pointwise"))
         stored = b.expected.get("laws_invariant", {}).get(r)
         if stored:
@@ -256,14 +261,14 @@ def suite_equivariance(b, plan, tol=1e-8):
                                   check_id=f"replacement-rule:{kname}"))
     for i in range(sig.lattice_dim):
         K = maurer_cartan(frame, i, sig)
-        worst = max(_invariance_residual(comp, action, sig, plan, n_points=10)
-                    for comp in K)
+        worst = _worst([_invariance_residual(comp, action, sig, plan, n_points=10)
+                        for comp in K])
         out.append(_report(f"maurer-cartan-invariance:{i+1}", worst, tol, plan))
     if sig.lattice_dim == 2:
         lhs = mc_element(frame, (1, 1), sig)
         rhs = mc_concatenated(frame, 0, 1, sig)
-        worst = max(residual_stats(l, r, plan.with_(n_points=15).assignments([l, r], sig))
-                    for l, r in zip(lhs, rhs))
+        worst = _worst([residual_stats(l, r, plan.with_(n_points=15).assignments([l, r], sig))
+                        for l, r in zip(lhs, rhs)])
         out.append(_report("maurer-cartan-concatenation", worst, tol, plan))
     if sig.differential:
         dc = frame.dcal_inv
@@ -281,7 +286,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     for r, law in invariants.items():
         eq = equivariant_form(law, plan)
         dv, comps = compare_laws(law, eq, plan, sig)
-        out.append(_report(f"equivariant-match:r{r}", max([dv] + comps), tol, plan))
+        out.append(_report(f"equivariant-match:r{r}", _worst([dv] + comps), tol, plan))
         expected = b.expected.get("equivariant_coeffs", {}).get(r)
         if expected:
             for cname, row in equivariant_coefficients(eq):
@@ -303,13 +308,14 @@ def suite_equivariance(b, plan, tol=1e-8):
                             tol=tol, check_id=f"equivariant-zero-term:r{r}:{cname}:{sym}"))
     # adjoint representation property on random elements
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 23))
-    worst = 0.0
+    gaps = []
     for _ in range(10):
         g1, g2 = action.random_element(rng), action.random_element(rng)
         A12 = adjoint_matrix(action, action.compose(g1, g2))
         prod = adjoint_matrix(action, g2) @ adjoint_matrix(action, g1)
-        worst = max(worst, float(np.max(np.abs(A12 - prod))))
-    out.append(_report("adjoint-representation-property", worst, tol, plan, n_points=10))
+        gaps.append(np.max(np.abs(A12 - prod)))
+    out.append(_report("adjoint-representation-property", _worst(gaps), tol, plan,
+                       n_points=10))
     # negative control: the raw base-point field value is never invariant
     # under the catalog actions
     from .expr import FieldVar

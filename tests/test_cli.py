@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env=None):
     import os
@@ -31,6 +33,23 @@ class TestVerify:
         r = run_cli("verify", "nope")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_usage_error(self, points):
+        r = run_cli("verify", "ex81", "--points", points)
+        assert r.returncode == 2
+        assert "--points" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_bad_tolerance_usage_error(self, tol):
+        r = run_cli("verify", "ex81", "--suite", "syzygy", f"--tol={tol}")
+        assert r.returncode == 2
+        assert "--tol" in r.stderr and "Traceback" not in r.stderr
+
+    def test_valid_tolerance_override_passes(self):
+        r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert json.loads(r.stdout)["status"] == "pass"
+
 
 class TestEulerLagrange:
     def test_toda_display(self):
@@ -55,6 +74,13 @@ class TestEulerLagrange:
     def test_parse_error_exit_2(self):
         r = run_cli("euler-lagrange", "u[0,0]*+", "--fields", "u", "--dim", "2")
         assert r.returncode == 2
+
+    def test_power_overflow_one_line_failure(self):
+        r = run_cli("euler-lagrange", "u[0]^100000")
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip().splitlines() == [
+            "singular evaluation: non-finite value of u[0]^99999"]
 
 
 class TestNoether:

@@ -157,6 +157,21 @@ class TestLatticeFlow:
         with pytest.raises(BlowUpError):
             integrate_lattice_flow(rhs, state, (0.0, 10.0), 0.05)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_blow_up_on_non_finite_data(self, nls, bad):
+        cfg = nls.integrate_config
+        state = cfg["initial_state"](16, 0.5)
+        state.fields["v"][3] = bad
+        with pytest.raises(BlowUpError):
+            integrate_lattice_flow(cfg["rhs"], state, (0.0, 0.01), 1e-3)
+
+    def test_blow_up_on_nan_without_powers(self):
+        u = Var(fv("u", 1)) - Var(fv("u", 0))
+        state = LatticeState({"u": np.array([0.0, np.nan, 1.0, 2.0])}, 0.0, {})
+        with pytest.raises(BlowUpError):
+            integrate_lattice_flow({"u": u}, state, (0.0, 0.1), 0.05)
+
     def test_constant_zero_monitor(self, nls):
         cfg = nls.integrate_config
         state0 = cfg["initial_state"](16, 0.5)
