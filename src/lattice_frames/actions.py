@@ -1,6 +1,6 @@
 """Finite-parameter Lie group actions on the prolongation space.
 
-An action is registered with closed-form transformation maps for the base
+An action is given by closed-form transformation maps for the base
 coordinates, a composition/inverse law in parameter coordinates, its
 infinitesimal generators, and a hand-coded adjoint representation matrix.
 Everything downstream (prolongation to shifted and differentiated
@@ -41,9 +41,6 @@ __all__ = [
     "SymmetryResult",
     "check_variational_symmetry",
     "adjoint_matrix",
-    "ACTIONS",
-    "register_action",
-    "get_action",
 ]
 
 
@@ -158,17 +155,12 @@ def prolong_generator(gen, fv, sig):
 def generator_apply(gen, e, sig):
     """The prolonged generator applied to ``e``: xi D(e) + sum (S_K D^j Q) dL/du."""
     parts = []
-    if gen.xi is not None and not _is_syntactic_zero(gen.xi):
+    if gen.xi is not None and gen.xi != ZERO:
         parts.append(mul(gen.xi, total_derivative(e, sig)))
     for fv in sorted(fieldvars(e), key=lambda v: (v.name, v.deriv, v.shift)):
         de = partial(e, fv)
         parts.append(mul(prolong_generator(gen, fv, sig), de))
     return add(*parts)
-
-
-def _is_syntactic_zero(e):
-    from .expr import Const
-    return isinstance(e, Const) and e.value == 0
 
 
 @dataclass
@@ -188,7 +180,7 @@ def check_variational_symmetry(L, gen, sig, plan, tol=1e-9):
     Divergence symmetries (nonzero boundary B) are not classified.
     """
     expr = generator_apply(gen, L, sig)
-    if sig.differential and gen.xi is not None and not _is_syntactic_zero(gen.xi):
+    if sig.differential and gen.xi is not None and gen.xi != ZERO:
         expr = add(expr, mul(L, total_derivative(gen.xi, sig)))
     worst = relative_residual(plan.assignments([expr, L], sig),
                               lambda a: (evaluate(expr, a), [evaluate(L, a)]))
@@ -206,18 +198,3 @@ def adjoint_matrix(action, gvalues):
         for s in range(R):
             out[r, s] = evaluate(action.adjoint_rep[r][s], a)
     return out
-
-
-ACTIONS = {}
-
-
-def register_action(action):
-    ACTIONS[action.name] = action
-    return action
-
-
-def get_action(name):
-    try:
-        return ACTIONS[name]
-    except KeyError:
-        raise ExprError(f"unknown action {name!r}; registered: {sorted(ACTIONS)}")

@@ -1,9 +1,9 @@
 """Difference and differential-difference operator algebra.
 
 A linear operator is a finite sum of terms ``coeff * S_K * D^j`` acting on
-expressions.  The module provides application, formal adjoints (standard and
-relative to an invariant volume factor), Euler-Lagrange operators,
-divergences, and summation/integration by parts.
+expressions.  The module provides application, composition, formal adjoints
+(standard, or relative to an invariant volume factor when one is given),
+Euler-Lagrange operators, divergences, and summation/integration by parts.
 
 The divergence split of ``(S_K - id) f`` for m > 1 is not unique; this
 module always uses the staircase path that exhausts direction 1 first while
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .expr import (
+    ONE,
+    ZERO,
     ExprError,
     FieldVar,
     Var,
@@ -27,7 +29,7 @@ from .expr import (
     neg,
     partial,
     shift,
-    t_derivative,
+    substitute,
     to_string,
     total_derivative,
 )
@@ -39,14 +41,11 @@ __all__ = [
     "apply_op",
     "op_compose",
     "op_adjoint",
-    "adjoint_relative",
     "euler_lagrange",
     "divergence",
     "staircase_components",
     "sum_by_parts",
     "linear_by_parts",
-    "decompose_variation",
-    "extract_linear_operator",
     "substitute_slots",
 ]
 
@@ -74,13 +73,13 @@ class LinDiffOp:
             merged[key] = add(merged[key], coeff) if key in merged else coeff
         out = []
         for (K, j), coeff in sorted(merged.items()):
-            if not _syntactic_zero(coeff):
+            if coeff != ZERO:
                 out.append((coeff, K, j))
         return LinDiffOp(tuple(out))
 
     @staticmethod
     def identity(m):
-        return LinDiffOp(((_one(), (0,) * m, 0),))
+        return LinDiffOp(((ONE, (0,) * m, 0),))
 
     @property
     def radius(self):
@@ -113,16 +112,6 @@ class LinDiffOp:
         return " + ".join(parts)
 
 
-def _one():
-    from .expr import ONE
-    return ONE
-
-
-def _syntactic_zero(e):
-    from .expr import Const
-    return isinstance(e, Const) and e.value == 0
-
-
 def apply_op(op, e, sig, dcal_inv=None):
     """Sum of coeff * S_K D^j e over the operator terms."""
     parts = []
@@ -150,29 +139,22 @@ def op_compose(op1, op2, sig, dcal_inv=None):
     return LinDiffOp.from_terms(out)
 
 
-def op_adjoint(op, sig, dcal_inv=None, relative=False):
+def op_adjoint(op, sig, dcal_inv=None):
     """Formal adjoint: term (c,K,j) maps f to (-D)^j S_{-K}(c f).
 
-    With ``relative=True`` the derivative is the invariant one (D replaced
-    by dcal_inv * D), giving the adjoint taken relative to the invariant
-    volume factor; shifts are self-adjoint-free either way.
+    With ``dcal_inv`` the derivative is the invariant one (D replaced by
+    dcal_inv * D), giving the adjoint relative to the invariant volume
+    factor; shifts are self-adjoint-free either way.
     """
-    dc = dcal_inv if relative else None
     out = []
     for coeff, K, j in op.terms:
         negK = tuple(-k for k in K)
         c = shift(coeff, negK, sig)
         sign = -1 if j % 2 else 1
         for l in range(j + 1):
-            dcoeff = deriv_op(c, sig, dc, times=l) if l else c
+            dcoeff = deriv_op(c, sig, dcal_inv, times=l) if l else c
             out.append((mul(sign * comb(j, l), dcoeff), negK, j - l))
     return LinDiffOp.from_terms(out)
-
-
-def adjoint_relative(op, sig, dcal_inv):
-    """Adjoint relative to the invariant volume form: D replaced by the
-    invariant derivative and sign (-Dcal)^j; shifts behave as usual."""
-    return op_adjoint(op, sig, dcal_inv=dcal_inv, relative=True)
 
 
 def euler_lagrange(L, field_name, sig):
@@ -204,7 +186,6 @@ class DivergenceTuple:
 
     @staticmethod
     def zero(m, with_a0=False):
-        from .expr import ZERO
         return DivergenceTuple(ZERO if with_a0 else None, (ZERO,) * m)
 
     def plus(self, other):
@@ -231,7 +212,6 @@ def _telescope(g, direction, k, sig):
     """T_k g with (S_i^k - id) = (S_i - id) T_k; T_0 = 0."""
     m = sig.lattice_dim
     if k == 0:
-        from .expr import ZERO
         return ZERO
     unit = tuple(1 if i == direction else 0 for i in range(m))
     parts = []
@@ -276,7 +256,6 @@ def linear_by_parts(e, slot_fields, sig):
     variables (linearity), which holds for every variation produced by
     t-differentiation.
     """
-    from .expr import ZERO
     m = sig.lattice_dim
     slot_fields = set(slot_fields)
     coeffs = {}
@@ -310,44 +289,12 @@ def linear_by_parts(e, slot_fields, sig):
     return coeffs, boundary
 
 
-def decompose_variation(L, sig):
-    """dL/dt = sum_alpha E_alpha(L) * slot_alpha + Div(A).
-
-    Returns (Euler expressions keyed by field, the boundary tuple with the
-    variation slot fields still symbolic, and per-field boundary operators
-    B[i][field] acting on the slots).  The signature must carry variation
-    slots for every base field.
-    """
-    slots = {sig.variations[f]: f for f in sig.base_fields}
-    coeffs, boundary = linear_by_parts(t_derivative(L, sig), slots.keys(), sig)
-    els = {slots[w]: c for w, c in coeffs.items()}
-    ops = []
-    comps = ([] if boundary.a0 is None else [boundary.a0]) + list(boundary.comps)
-    for comp in comps:
-        ops.append({slots[w]: extract_linear_operator(comp, w, sig) for w in slots})
-    return els, boundary, ops
-
-
-def extract_linear_operator(e, slot_field, sig):
-    """The operator H with e = H applied to slot_field, for e linear in it."""
-    terms = []
-    for fv in fieldvars(e):
-        if fv.name != slot_field:
-            continue
-        coeff = partial(e, fv)
-        if slot_field in {w.name for w in fieldvars(coeff)}:
-            raise ExprError(f"expression is not linear in {slot_field!r}")
-        terms.append((coeff, fv.shift, fv.deriv))
-    return LinDiffOp.from_terms(terms)
-
-
 def substitute_slots(e, targets, sig, dcal_inv=None):
     """Replace each slot variable slot_{j;K} by D^j S_K of its target expression.
 
     ``targets`` maps slot field name -> Expr; derivatives use the invariant
     derivative when ``dcal_inv`` is given.
     """
-    from .expr import substitute
     rules = {}
     for fv in fieldvars(e):
         if fv.name in targets:

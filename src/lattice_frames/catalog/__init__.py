@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..expr import ExprError
+from ..noether import InvariantLagrangian
 from ..sampling import SamplePlan
 
 __all__ = ["ExampleBundle", "GenEntry", "EXAMPLES", "register_example", "get_example"]
@@ -54,8 +55,7 @@ class ExampleBundle:
 
     @property
     def lagrangian(self):
-        from .. import noether
-        return noether.InvariantLagrangian(self.L, self.L_kappa, self.invset)
+        return InvariantLagrangian(self.L, self.L_kappa, self.invset)
 
     def generator(self, index):
         for e in self.generators:

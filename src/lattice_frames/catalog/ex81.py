@@ -8,7 +8,7 @@ conservation law pair in which the second law carries the L * xi term.
 
 from __future__ import annotations
 
-from ..actions import Generator, GroupAction, register_action
+from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
 from ..expr import (
     Const,
@@ -19,7 +19,7 @@ from ..expr import (
     XVar,
     neg,
 )
-from ..frames import Frame, InvariantSet, register_frame
+from ..frames import Frame, InvariantSet
 from ..sampling import Guard
 from . import ExampleBundle, GenEntry, register_example
 
@@ -55,7 +55,7 @@ kappa_sig = ProblemSignature(
 
 L = U(1, 0) ** 2 / (U(0, 1) - U(0, 0))
 
-scaling = register_action(GroupAction(
+scaling = GroupAction(
     name="scale-x-affine-u",
     sig=sig,
     param_names=("a", "b"),
@@ -71,16 +71,16 @@ scaling = register_action(GroupAction(
     adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
     chart_fn=lambda g: g[1] > 0,
     sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
-))
+)
 
-frame = register_frame(Frame(
+frame = Frame(
     name="ex81-scale",
     action=scaling,
     normalization=((X, 1.0), (U(0, 0), 0.0)),
     param_exprs=(neg(U(0, 0)) / X, Const(1) / X),
     dcal_inv=X,
     chart_guards=(Guard(X, "pos"), Guard(U(0, 1) - U(0, 0), "abs")),
-))
+)
 
 
 def _iota_u0(k):

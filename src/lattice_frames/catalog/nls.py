@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..actions import Generator, GroupAction, register_action
+from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
 from ..expr import (
     Const,
@@ -25,7 +25,8 @@ from ..expr import (
     shift,
     sqrt,
 )
-from ..frames import Frame, InvariantSet, register_frame
+from ..flows import LatticeState
+from ..frames import Frame, InvariantSet
 from ..sampling import Guard
 from . import ExampleBundle, GenEntry, register_example
 
@@ -81,7 +82,7 @@ L = ((VV(0, 0) * U(1, 0) - U(0, 0) * VV(1, 0)) / 2
      + (U(0, 0) ** 2 + VV(0, 0) ** 2) ** 2 / 4
      - ((U(0, 1) - U(0, 0)) ** 2 + (VV(0, 1) - VV(0, 0)) ** 2) / (2 * H ** 2))
 
-rotation = register_action(GroupAction(
+rotation = GroupAction(
     name="translate-x-rotate-uv",
     sig=sig,
     param_names=("a", "c", "s"),  # c = cos b, s = sin b
@@ -102,18 +103,18 @@ rotation = register_action(GroupAction(
     adjoint_rep=((Const(1), Const(0)), (Const(0), Const(1))),  # abelian group
     sample_fn=lambda rng: (float(rng.uniform(-1, 1)),) + (
         lambda t: (float(np.cos(t)), float(np.sin(t))))(rng.uniform(-1, 1)),
-))
+)
 
 _norm = sqrt(U(0, 0) ** 2 + VV(0, 0) ** 2)
 
-frame = register_frame(Frame(
+frame = Frame(
     name="nls-rotation",
     action=rotation,
     normalization=((X, 0.0), (VV(0, 0), 0.0)),
     param_exprs=(neg(X), U(0, 0) / _norm, VV(0, 0) / _norm),
     chart_guards=(Guard(U(0, 0), "pos"),
                   Guard(U(0, 0) * VV(0, 1) - VV(0, 0) * U(0, 1), "pos")),
-))
+)
 
 PHI = sqrt((K1(0, 0) * K1(0, 1)) ** 2 - K3(0, 0) ** 2)
 
@@ -248,20 +249,12 @@ EXPECTED = {
     },
 }
 
-_initial_n = np.arange(16)
-
-
 def _initial_state(n_sites, h):
-    from ..flows import LatticeState
     n = np.arange(n_sites)
     return LatticeState(
         {"u": np.cos(2 * np.pi * n / n_sites) / np.sqrt(n_sites),
          "v": np.sin(2 * np.pi * n / n_sites) / np.sqrt(n_sites)},
         x=0.0, params={"h": h})
-
-
-def _flow_sig():
-    return base_sig
 
 
 _cube = U(0, 0) ** 2 + VV(0, 0) ** 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from ..actions import Generator, GroupAction, register_action
+from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
 from ..expr import (
     Alt,
@@ -24,7 +24,7 @@ from ..expr import (
     neg,
     shift,
 )
-from ..frames import Frame, InvariantSet, register_frame
+from ..frames import Frame, InvariantSet
 from ..sampling import Guard
 from . import ExampleBundle, GenEntry, register_example
 
@@ -58,7 +58,7 @@ kappa_sig = ProblemSignature(
 
 L = ln_abs((U(1, 0) - U(0, 1)) / (U(1, 1) - U(0, 0)))
 
-affine = register_action(GroupAction(
+affine = GroupAction(
     name="affine-u",
     sig=sig,
     param_names=("a", "b"),
@@ -73,11 +73,11 @@ affine = register_action(GroupAction(
     adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
     chart_fn=lambda g: g[1] > 0,
     sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
-))
+)
 
 # alternating translations u -> u + a + c (-1)^(n^1+n^2): used for symmetry
 # classification and the Q = alt Noether law only
-alt_translations = register_action(GroupAction(
+alt_translations = GroupAction(
     name="affine-u-alt",
     sig=sig,
     param_names=("a", "c"),
@@ -90,15 +90,15 @@ alt_translations = register_action(GroupAction(
         Generator({"u": Alt()}, name="v4"),
     ),
     adjoint_rep=((Const(1), Const(0)), (Const(0), Const(1))),
-))
+)
 
-frame = register_frame(Frame(
+frame = Frame(
     name="toda-affine",
     action=affine,
     normalization=((U(0, 0), 0.0), (U(1, 1), 1.0)),
     param_exprs=(neg(U(0, 0)) / (U(1, 1) - U(0, 0)), Const(1) / (U(1, 1) - U(0, 0))),
     chart_guards=(Guard(U(1, 1) - U(0, 0), "pos"),),
-))
+)
 
 _RECURRENCE_BASE = {
     (0, 0): Const(0),

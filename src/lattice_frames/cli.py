@@ -13,6 +13,7 @@ import math
 import os
 import sys
 
+from .actions import check_variational_symmetry
 from .calculus import euler_lagrange
 from .catalog import DEFAULT_SEED, get_example
 from .expr import (
@@ -23,6 +24,9 @@ from .expr import (
     fieldvars,
     to_string,
 )
+from .flows import BlowUpError, integrate_lattice_flow, monitor_conserved
+from .frames import invariantize, verify_syzygy
+from .noether import equivariant_form, noether_invariant, noether_original, offshell_residual
 from .parser import ParseError, parse
 from .sampling import SamplePlan
 from .suites import run_suite, suite_names
@@ -159,8 +163,6 @@ def cmd_euler_lagrange(args):
 
 
 def _forms_for(b, entry, plan):
-    from .noether import (equivariant_form, noether_invariant, noether_original,
-                          offshell_residual)
     sig = b.sig
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
     laws = [noether_original(b.L, entry.gen, entry.index, sig, plan, el_by_field=EL)]
@@ -183,7 +185,6 @@ def cmd_noether(args):
         print(err, file=sys.stderr)
         return USAGE_ERROR
     plan = b.plan(seed=args.seed, n_points=args.points)
-    from .actions import check_variational_symmetry
     sym = check_variational_symmetry(b.L, entry.gen, b.sig, plan)
     if not sym:
         msg = (f"generator r={args.r} ({entry.gen.name}) is not a variational "
@@ -215,7 +216,6 @@ def cmd_integrate(args):
         print(f"example {b.name!r} has no differential-difference flow to integrate",
               file=sys.stderr)
         return USAGE_ERROR
-    from .flows import BlowUpError, integrate_lattice_flow, monitor_conserved
     cfg = b.integrate_config
     d = dict(cfg["defaults"])
     if args.n_sites is not None:
@@ -275,7 +275,6 @@ def cmd_integrate(args):
 
 def cmd_invariantize(args):
     b = _get_example_or_exit(args.example)
-    from .frames import invariantize
     try:
         e = parse(args.expression, b.sig)
     except ParseError as err:
@@ -300,7 +299,6 @@ def cmd_invariantize(args):
 
 def cmd_syzygy(args):
     b = _get_example_or_exit(args.example)
-    from .frames import verify_syzygy
     plan = b.plan(seed=args.seed, n_points=args.points)
     tol = args.tol if args.tol is not None else 1e-10
     reports = [verify_syzygy(b.invset, s, plan, tol=tol) for s in b.invset.syzygies]

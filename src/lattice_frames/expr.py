@@ -48,6 +48,8 @@ __all__ = [
     "sqrt",
     "ln_abs",
     "as_expr",
+    "children",
+    "nodes",
     "fieldvars",
     "evaluate",
     "partial",
@@ -280,14 +282,6 @@ def as_expr(v):
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
-def _is_zero(e):
-    return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e):
-    return isinstance(e, Const) and e.value == 1
-
-
 def add(*terms):
     flat = []
     const = 0
@@ -349,11 +343,11 @@ def neg(e):
 
 def quot(num, den):
     num, den = as_expr(num), as_expr(den)
-    if isinstance(den, Const) and den.value == 0:
+    if den == ZERO:
         raise SingularEvaluationError("constant division by zero", den)
-    if _is_zero(num):
+    if num == ZERO:
         return ZERO
-    if _is_one(den):
+    if den == ONE:
         return num
     if isinstance(num, Const) and isinstance(den, Const):
         return Const(num.value / den.value)
@@ -369,7 +363,8 @@ def power(base, n):
     if n == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** n)
+        # fold by the rule of evaluate(), which also reports overflow and 0^(-n)
+        return Const(float(evaluate(Pow(base, n), Assignment({}))))
     return Pow(base, n)
 
 
@@ -384,9 +379,23 @@ def ln_abs(e):
     return LnAbs(as_expr(e))
 
 
-def fieldvars(e):
-    """The set of FieldVars reachable in ``e``."""
-    out = set()
+def children(node):
+    """The direct sub-expressions of ``node``, in field order."""
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Prod):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Quot):
+        return (node.num, node.den)
+    if isinstance(node, (Neg, LnAbs, Sqrt)):
+        return (node.arg,)
+    return ()
+
+
+def nodes(e):
+    """Every node reachable from ``e``, each shared (id-equal) node once."""
     seen = set()
     stack = [e]
     while stack:
@@ -394,18 +403,13 @@ def fieldvars(e):
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.fv)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Prod):
-            stack.extend(node.factors)
-        elif isinstance(node, (Pow, Neg, LnAbs, Sqrt)):
-            stack.append(node.base if isinstance(node, Pow) else node.arg)
-        elif isinstance(node, Quot):
-            stack.append(node.num)
-            stack.append(node.den)
-    return out
+        yield node
+        stack.extend(children(node))
+
+
+def fieldvars(e):
+    """The set of FieldVars reachable in ``e``."""
+    return {node.fv for node in nodes(e) if isinstance(node, Var)}
 
 
 @dataclass
@@ -576,50 +580,15 @@ def _map_nodes(e, fn):
 
 def partial(e, fv):
     """Exact partial derivative of ``e`` with respect to the coordinate ``fv``."""
-    memo = {}
 
-    def rec(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    def leaf(node):
         if isinstance(node, Var):
-            out = ONE if node.fv == fv else ZERO
-        elif isinstance(node, (Const, Param, XVar, Alt)):
-            out = ZERO
-        elif isinstance(node, Sum):
-            out = add(*[rec(t) for t in node.terms])
-        elif isinstance(node, Prod):
-            parts = []
-            for i, f in enumerate(node.factors):
-                df = rec(f)
-                if _is_zero(df):
-                    continue
-                rest = node.factors[:i] + node.factors[i + 1:]
-                parts.append(mul(df, *rest))
-            out = add(*parts) if parts else ZERO
-        elif isinstance(node, Pow):
-            db = rec(node.base)
-            out = ZERO if _is_zero(db) else mul(node.exponent, power(node.base, node.exponent - 1), db)
-        elif isinstance(node, Quot):
-            dn, dd = rec(node.num), rec(node.den)
-            if _is_zero(dd):
-                out = quot(dn, node.den)
-            else:
-                out = quot(add(mul(dn, node.den), neg(mul(node.num, dd))), power(node.den, 2))
-        elif isinstance(node, Neg):
-            out = neg(rec(node.arg))
-        elif isinstance(node, LnAbs):
-            da = rec(node.arg)
-            out = ZERO if _is_zero(da) else quot(da, node.arg)
-        elif isinstance(node, Sqrt):
-            da = rec(node.arg)
-            out = ZERO if _is_zero(da) else quot(da, mul(2, node))
-        else:
-            raise ExprError(f"unknown node {node!r}")
-        memo[key] = out
-        return out
+            return ONE if node.fv == fv else ZERO
+        if isinstance(node, (Const, Param, XVar, Alt)):
+            return ZERO
+        return None
 
-    return rec(e)
+    return _derivation(e, leaf)
 
 
 def shift(e, offset, sig):
@@ -662,17 +631,17 @@ def _derivation(e, leaf_rule):
                 parts = []
                 for i, f in enumerate(node.factors):
                     df = rec(f)
-                    if _is_zero(df):
+                    if df == ZERO:
                         continue
                     rest = node.factors[:i] + node.factors[i + 1:]
                     parts.append(mul(df, *rest))
                 out = add(*parts) if parts else ZERO
             elif isinstance(node, Pow):
                 db = rec(node.base)
-                out = ZERO if _is_zero(db) else mul(node.exponent, power(node.base, node.exponent - 1), db)
+                out = ZERO if db == ZERO else mul(node.exponent, power(node.base, node.exponent - 1), db)
             elif isinstance(node, Quot):
                 dn, dd = rec(node.num), rec(node.den)
-                if _is_zero(dd):
+                if dd == ZERO:
                     out = quot(dn, node.den)
                 else:
                     out = quot(add(mul(dn, node.den), neg(mul(node.num, dd))), power(node.den, 2))
@@ -680,10 +649,10 @@ def _derivation(e, leaf_rule):
                 out = neg(rec(node.arg))
             elif isinstance(node, LnAbs):
                 da = rec(node.arg)
-                out = ZERO if _is_zero(da) else quot(da, node.arg)
+                out = ZERO if da == ZERO else quot(da, node.arg)
             elif isinstance(node, Sqrt):
                 da = rec(node.arg)
-                out = ZERO if _is_zero(da) else quot(da, mul(2, node))
+                out = ZERO if da == ZERO else quot(da, mul(2, node))
             else:
                 raise ExprError(f"unknown node {node!r}")
         memo[key] = out
@@ -692,23 +661,24 @@ def _derivation(e, leaf_rule):
     return rec(e)
 
 
+def _total_leaf(node, sig):
+    """Leaf rule of the total derivative: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
+    if isinstance(node, Var):
+        fv = FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift)
+        sig.check_var(fv)
+        return Var(fv)
+    if isinstance(node, XVar):
+        return ONE
+    if isinstance(node, (Const, Param, Alt)):
+        return ZERO
+    return None
+
+
 def total_derivative(e, sig):
     """Total derivative D: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
     if not sig.differential:
         raise ExprError("total derivative on a pure-difference problem")
-
-    def leaf(node):
-        if isinstance(node, Var):
-            fv = FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift)
-            sig.check_var(fv)
-            return Var(fv)
-        if isinstance(node, XVar):
-            return ONE
-        if isinstance(node, (Const, Param, Alt)):
-            return ZERO
-        return None
-
-    return _derivation(e, leaf)
+    return _derivation(e, lambda node: _total_leaf(node, sig))
 
 
 def t_derivative(e, sig):

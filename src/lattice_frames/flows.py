@@ -21,7 +21,6 @@ __all__ = [
     "eval_on_lattice",
     "integrate_lattice_flow",
     "monitor_conserved",
-    "drift_ratio",
 ]
 
 STABILITY_C = 0.2
@@ -150,12 +149,3 @@ def monitor_conserved(traj):
         drift = float(np.max(np.abs(series - s0))) / max(1.0, abs(s0))
         out[label] = drift
     return out
-
-
-def drift_ratio(rhs, state0, x_span, dt, monitor_label, monitors, **kw):
-    """Drift at dt divided by drift at dt/2 (order-4 stepping gives about 16)."""
-    t1 = integrate_lattice_flow(rhs, state0, x_span, dt, monitors=monitors, **kw)
-    t2 = integrate_lattice_flow(rhs, state0, x_span, dt / 2, monitors=monitors, **kw)
-    d1 = monitor_conserved(t1)[monitor_label]
-    d2 = monitor_conserved(t2)[monitor_label]
-    return d1 / max(d2, 1e-300), d1, d2

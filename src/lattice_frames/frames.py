@@ -18,39 +18,35 @@ import numpy as np
 from .actions import transform
 from .calculus import LinDiffOp, apply_op, deriv_op
 from .expr import (
+    ONE,
     Assignment,
     Const,
     ExprError,
+    Param,
     Var,
+    XVar,
+    add,
     evaluate,
     fieldvars,
+    nodes,
     shift,
     substitute,
     t_derivative,
+    to_string,
 )
 from .sampling import CheckReport, identity_check
 
 __all__ = [
     "Frame",
-    "UnreachableTargetError",
     "invariantize",
     "maurer_cartan",
     "mc_concatenated",
     "verify_frame",
     "InvariantSet",
     "mc_element",
-    "apply_recurrence",
     "verify_syzygy",
     "differential_syzygy_operators",
-    "FRAMES",
-    "register_frame",
-    "get_frame",
-    "solve_frame",
 ]
-
-
-class UnreachableTargetError(ExprError):
-    """The recurrence table does not reach the requested coordinate."""
 
 
 @dataclass(frozen=True)
@@ -67,27 +63,26 @@ class Frame:
     action: object
     normalization: tuple
     param_exprs: tuple
-    dcal_inv: object = Const(1)
+    dcal_inv: object = ONE
     chart_guards: tuple = ()
 
     @property
     def jacobian_factor(self):
         """iota(dx) = J dx; J is 1/dcal_inv for projectable frames."""
-        return Const(1) / self.dcal_inv if self.dcal_inv != Const(1) else Const(1)
+        return ONE / self.dcal_inv if self.dcal_inv != ONE else ONE
 
     @property
     def projectable(self):
         """Group parameters entering the x-map depend on x alone on the frame."""
         if self.action.x_map is None:
             return True
-        in_x = {p.name for p in _param_nodes(self.action.x_map)}
+        in_x = {n.name for n in nodes(self.action.x_map) if isinstance(n, Param)}
         for pname, pexpr in zip(self.action.param_names, self.param_exprs):
             if pname in in_x and fieldvars(pexpr):
                 return False
         return True
 
     def to_dict(self):
-        from .expr import to_string
         return {
             "name": self.name,
             "action": self.action.name,
@@ -96,27 +91,6 @@ class Frame:
             "chart_guards": [{"expr": to_string(g.expr), "kind": g.kind,
                               "margin": g.margin} for g in self.chart_guards],
         }
-
-
-def _param_nodes(e):
-    from .expr import Param, Sum, Prod, Pow, Quot, Neg, LnAbs, Sqrt
-    out = []
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Param):
-            out.append(n)
-        elif isinstance(n, Sum):
-            stack.extend(n.terms)
-        elif isinstance(n, Prod):
-            stack.extend(n.factors)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, Quot):
-            stack.extend((n.num, n.den))
-        elif isinstance(n, (Neg, LnAbs, Sqrt)):
-            stack.append(n.arg)
-    return out
 
 
 def invariantize(frame, e, sig):
@@ -148,11 +122,6 @@ def mc_concatenated(frame, i, j, sig):
     return frame.action.compose(SKi, Kj)
 
 
-def _x_expr():
-    from .expr import XVar
-    return XVar()
-
-
 def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
     """Runtime checks: normalization solved exactly, right-equivariance."""
     action = frame.action
@@ -176,7 +145,7 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
     for _ in range(n_group):
         g = action.random_element(rng)
         transformed = {fv: transform(Var(fv), action, g, sig) for fv in needed}
-        x_expr = transform(_x_expr(), action, g, sig) if sig.has_x else None
+        x_expr = transform(XVar(), action, g, sig) if sig.has_x else None
         for a, rho in zip(pts, rho_at):
             values = {fv: evaluate(e, a) for fv, e in transformed.items()}
             x = evaluate(x_expr, a) if x_expr is not None else a.x
@@ -264,16 +233,6 @@ class InvariantSet:
         return deriv_op(self.kappa_defs[name], self.orig_sig, self.frame.dcal_inv)
 
 
-def apply_recurrence(invset, target):
-    """iota(target) in kappa symbols via the registered recurrence table."""
-    if invset.recurrence is None:
-        raise UnreachableTargetError("no recurrence table registered")
-    out = invset.recurrence(target)
-    if out is None:
-        raise UnreachableTargetError(f"recurrences do not reach {target}")
-    return out
-
-
 def verify_syzygy(invset, syzygy, plan, tol=1e-10):
     """Both sides expanded to original variables and compared on the chart."""
     name, lhs, rhs = syzygy
@@ -300,7 +259,6 @@ def differential_syzygy_operators(invset, plan, tol=1e-9):
             expanded = LinDiffOp(tuple((invset.expand(c), K, j) for c, K, j in op.terms))
             parts.append(apply_op(expanded, invset.sigma_defs[alpha], sig,
                                   dcal_inv=invset.frame.dcal_inv))
-        from .expr import add
         rep = identity_check(lhs, add(*parts), plan, sig, tol=tol,
                              check_id=f"syzygy-operator:{beta}")
         reports.append(rep)
@@ -309,38 +267,3 @@ def differential_syzygy_operators(invset, plan, tol=1e-9):
                 f"syzygy operator row {beta} failed verification "
                 f"(residual {rep.max_residual:.3e})")
     return invset.H, reports
-
-
-FRAMES = {}
-
-
-def register_frame(frame):
-    FRAMES[frame.name] = frame
-    return frame
-
-
-def get_frame(name):
-    try:
-        return FRAMES[name]
-    except KeyError:
-        raise ExprError(f"unknown frame {name!r}; registered: {sorted(FRAMES)}")
-
-
-def solve_frame(action, normalization, plan, sig, tol=1e-8):
-    """Look up the registered closed-form frame for (action, normalization).
-
-    Raises if no catalog frame matches (there is no generic nonlinear
-    solver), and re-verifies the stored solution before returning it.
-    """
-    targets = [(str(z), c) for z, c in normalization]
-    for frame in FRAMES.values():
-        if frame.action.name != action.name:
-            continue
-        if [(str(z), c) for z, c in frame.normalization] == targets:
-            reports = verify_frame(frame, plan, sig, tol=tol)
-            bad = [r for r in reports if not r.passed]
-            if bad:
-                raise ExprError(f"frame {frame.name} failed verification: "
-                                + ", ".join(r.check_id for r in bad))
-            return frame
-    raise ExprError("no closed-form frame registered for this normalization")

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import check_variational_symmetry
+import numpy as np
+
+from .actions import check_variational_symmetry, transform
 from .calculus import (
     DivergenceTuple,
     apply_op,
@@ -34,11 +36,13 @@ from .calculus import (
     substitute_slots,
 )
 from .expr import (
-    Const,
+    ONE,
     ExprError,
     FieldVar,
     Var,
     ZERO,
+    _derivation,
+    _total_leaf,
     add,
     evaluate,
     fieldvars,
@@ -61,6 +65,7 @@ __all__ = [
     "invariant_euler_lagrange",
     "noether_original",
     "noether_invariant",
+    "invariant_boundary",
     "equivariant_form",
     "verify_divergence_equivalence",
     "law_divergence_dx",
@@ -150,7 +155,7 @@ def law_dx_components(law):
     if law.measure == "dx" or law.frame is None:
         return law.components
     jac = law.frame.jacobian_factor
-    if isinstance(jac, Const) and jac.value == 1:
+    if jac == ONE:
         return law.components
     return DivergenceTuple(law.components.a0,
                            tuple(mul(jac, c) for c in law.components.comps))
@@ -212,7 +217,7 @@ def noether_original(L, gen, gen_index, sig, plan, el_by_field=None, sym_tol=1e-
     coeffs, boundary = linear_by_parts(t_derivative(L, sig), slots.keys(), sig)
     targets = {w: gen.q_of(f) for w, f in slots.items()}
     comps = boundary.map(lambda e: substitute_slots(e, targets, sig))
-    if sig.differential and gen.xi is not None and not _is_zero(gen.xi):
+    if sig.differential and gen.xi is not None and gen.xi != ZERO:
         comps = DivergenceTuple(add(comps.a0, mul(L, gen.xi)), comps.comps)
     law = ConservationLaw(gen_index, "original", comps, measure="dx")
     if el_by_field is None:
@@ -222,10 +227,6 @@ def noether_original(L, gen, gen_index, sig, plan, el_by_field=None, sym_tol=1e-
     if res > 1e-6:
         raise ExprError(f"off-shell Noether identity failed: residual {res:.3e}")
     return law
-
-
-def _is_zero(e):
-    return isinstance(e, Const) and e.value == 0
 
 
 def _adj_var(s, m, deriv=0, shiftK=None):
@@ -253,34 +254,15 @@ def _expand_adj(e, frame, r, sig):
 
 def _formal_dcal(e, sig, dcal_inv):
     """Invariant derivative that treats adj symbols as formal jet variables."""
-    from .expr import _derivation
 
     def leaf(node):
         if isinstance(node, Var) and node.fv.name.startswith(_ADJ_PREFIX):
             raised = Var(FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift))
-            return raised if _is_one(dcal_inv) else quot(raised, dcal_inv)
-        return None
+            return raised if dcal_inv == ONE else quot(raised, dcal_inv)
+        return _total_leaf(node, sig)
 
-    def full_leaf(node):
-        out = leaf(node)
-        if out is not None:
-            return out
-        from .expr import XVar, Param, Alt
-        if isinstance(node, Var):
-            return Var(FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift))
-        if isinstance(node, XVar):
-            from .expr import ONE
-            return ONE
-        if isinstance(node, (Const, Param, Alt)):
-            return ZERO
-        return None
-
-    d = _derivation(e, full_leaf)
-    return d if _is_one(dcal_inv) else mul(dcal_inv, d)
-
-
-def _is_one(e):
-    return isinstance(e, Const) and e.value == 1
+    d = _derivation(e, leaf)
+    return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 
 def _fill_slots(kexpr, invset, args):
@@ -301,6 +283,30 @@ def _fill_slots(kexpr, invset, args):
     return invset.expand(substitute(kexpr, rules))
 
 
+def invariant_boundary(IL, H):
+    """A_H + A_kappa: the boundary terms of the invariant variation, in kappa symbols.
+
+    A_H comes from summing (and integrating) by parts E_kappa^beta H^beta_alpha
+    sigma^alpha across the sigma slots, A_kappa from the by-parts of
+    dL^kappa/dt across the kappa-dot slots.
+    """
+    inv = IL.invset
+    ksig = inv.kappa_sig
+    m = inv.orig_sig.lattice_dim
+    E_k = {beta: euler_kappa(IL, beta) for beta in inv.kappa_names}
+    ah_parts = []
+    for beta in inv.kappa_names:
+        for alpha, op in H.get(beta, {}).items():
+            if op is None:
+                continue
+            applied = apply_op(op, Var(FieldVar(alpha, 0, (0,) * m)), ksig)
+            ah_parts.append(mul(E_k[beta], applied))
+    _, A_H = linear_by_parts(add(*ah_parts), inv.sigma_names, ksig)
+    kdots = [ksig.variations[b] for b in inv.kappa_names]
+    _, A_k = linear_by_parts(t_derivative(IL.L_kappa, ksig), kdots, ksig)
+    return A_H.plus(A_k)
+
+
 def noether_invariant(IL, H, action, frame, plan, generators=None):
     """Noether laws with invariant components, one per group generator.
 
@@ -312,31 +318,17 @@ def noether_invariant(IL, H, action, frame, plan, generators=None):
     Components are relative to the invariant volume form (measure iota-dx).
     """
     inv = IL.invset
-    ksig = inv.kappa_sig
     sig = inv.orig_sig
     m = sig.lattice_dim
-    E_k = {beta: euler_kappa(IL, beta) for beta in inv.kappa_names}
-
-    # boundary of moving H across the sigma slots
-    ah_parts = []
-    for beta in inv.kappa_names:
-        for alpha, op in H.get(beta, {}).items():
-            if op is None:
-                continue
-            applied = apply_op(op, Var(FieldVar(alpha, 0, (0,) * m)), ksig)
-            ah_parts.append(mul(E_k[beta], applied))
-    _, A_H = linear_by_parts(add(*ah_parts), inv.sigma_names, ksig)
-
-    # boundary of the by-parts of dL^kappa/dt across the kappa-dot slots
+    boundary = invariant_boundary(IL, H)
     kdots = {inv.kappa_sig.variations[b]: b for b in inv.kappa_names}
-    _, A_k = linear_by_parts(t_derivative(IL.L_kappa, ksig), kdots.keys(), ksig)
 
     iota_Q = {}
     for alpha, fname in inv.sigma_fields.items():
         iota_Q[alpha] = [invariantize(frame, g.q_of(fname), sig) for g in action.generators]
     has_xi = sig.differential and any(
-        g.xi is not None and not _is_zero(g.xi) for g in action.generators)
-    iota_xi = [invariantize(frame, g.xi, sig) if (g.xi is not None and not _is_zero(g.xi))
+        g.xi is not None and g.xi != ZERO for g in action.generators)
+    iota_xi = [invariantize(frame, g.xi, sig) if (g.xi is not None and g.xi != ZERO)
                else ZERO for g in action.generators]
 
     # the symbolic components are generator-independent: the adjoint symbols
@@ -353,7 +345,7 @@ def noether_invariant(IL, H, action, frame, plan, generators=None):
         # t = epsilon^r makes every (kappa^beta)' vanish (kappa is invariant)
         for kdot in kdots:
             args[kdot] = ZERO
-    symbolic = A_H.plus(A_k).map(lambda e: _fill_slots(e, inv, args))
+    symbolic = boundary.map(lambda e: _fill_slots(e, inv, args))
     if has_xi:
         symbolic = DivergenceTuple(
             add(symbolic.a0, mul(inv.expand(IL.L_kappa), xi_sum)), symbolic.comps)
@@ -416,9 +408,6 @@ def equivariant_form(law, plan, tol=1e-9):
 
 def _check_coefficients_invariant(law, plan, tol):
     """Every coefficient of an a^l_r(rho) symbol must be an invariant."""
-    import numpy as np
-    from .actions import transform
-
     sig = law_sig(law)
     action = law.frame.action
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 37))
@@ -466,25 +455,14 @@ def verify_divergence_equivalence(IL, H, plan, tol=1e-9):
     """
     inv = IL.invset
     sig = inv.orig_sig
-    ksig = inv.kappa_sig
     m = sig.lattice_dim
 
     slots = {sig.variations[f]: f for f in sig.base_fields if f in sig.variations}
     _, A_u = linear_by_parts(t_derivative(IL.L, sig), slots.keys(), sig)
     lhs = divergence(A_u, sig)
 
-    ah_parts = []
-    E_k = {beta: euler_kappa(IL, beta) for beta in inv.kappa_names}
-    for beta in inv.kappa_names:
-        for alpha, op in H.get(beta, {}).items():
-            if op is None:
-                continue
-            ah_parts.append(mul(E_k[beta], apply_op(op, Var(FieldVar(alpha, 0, (0,) * m)), ksig)))
-    _, A_H = linear_by_parts(add(*ah_parts), inv.sigma_names, ksig)
-    kdots = {ksig.variations[b]: b for b in inv.kappa_names}
-    _, A_k = linear_by_parts(t_derivative(IL.L_kappa, ksig), kdots.keys(), ksig)
-    both = A_H.plus(A_k).map(inv.expand)
-    jac = IL.invset.frame.jacobian_factor
+    both = invariant_boundary(IL, H).map(inv.expand)
+    jac = inv.frame.jacobian_factor
     rhs_parts = []
     if both.a0 is not None:
         rhs_parts.append(deriv_op(both.a0, sig))

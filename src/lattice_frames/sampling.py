@@ -18,15 +18,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .calculus import LinDiffOp, op_adjoint
 from .expr import (
+    Alt,
     Assignment,
+    Const,
     ExprError,
     SingularEvaluationError,
+    XVar,
+    add,
     evaluate,
     fieldvars,
+    mul,
     stack,
 )
 
@@ -38,7 +45,6 @@ __all__ = [
     "identity_check",
     "relative_residual",
     "residual_stats",
-    "prune_zero_terms",
     "DEFAULT_RANGE",
     "DEFAULT_MARGIN",
 ]
@@ -59,6 +65,11 @@ class Guard:
     expr: object
     kind: str = "abs"
     margin: float = DEFAULT_MARGIN
+
+    @cached_property
+    def variables(self):
+        """The field variables of ``expr``, collected once per guard."""
+        return fieldvars(self.expr)
 
     def ok(self, a):
         try:
@@ -121,7 +132,7 @@ class SamplePlan:
         for e in exprs:
             names |= fieldvars(e)
         for g in self.guards:
-            names |= fieldvars(g.expr)
+            names |= g.variables
         names |= set(extra_vars)
         names = sorted(names, key=lambda fv: (fv.name, fv.deriv, fv.shift))
         variation_names = set(sig.variations.values())
@@ -260,21 +271,6 @@ def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity", extra_var
                        note="" if assignments else "empty point set")
 
 
-def prune_zero_terms(terms, plan, sig, probe_points=20):
-    """Drop operator terms whose coefficient vanishes at ``probe_points`` samples."""
-    kept = []
-    probe = plan.with_(n_points=probe_points)
-    for coeff, K, j in terms:
-        try:
-            assignments = probe.assignments([coeff], sig)
-        except SamplingExhaustedError:
-            kept.append((coeff, K, j))
-            continue
-        if any(abs(evaluate(coeff, a)) > 1e-13 for a in assignments):
-            kept.append((coeff, K, j))
-    return kept
-
-
 # --- finite-lattice adjoint pairing ----------------------------------------
 
 
@@ -315,8 +311,6 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
     interval, refined until the pairing residual stabilizes.  Coefficients
     must not involve field variables.
     """
-    from .calculus import op_adjoint
-
     m = sig.lattice_dim
     shape = (box,) * m
     margin = op.radius + 1
@@ -390,9 +384,6 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
 
 def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):
     """A random operator with field-free coefficients (constants, alt, a + b x)."""
-    from .calculus import LinDiffOp
-    from .expr import Alt, Const, XVar, add, mul
-
     m = sig.lattice_dim
     terms = []
     for _ in range(n_terms):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .actions import adjoint_matrix, check_variational_symmetry, transform
-from .calculus import deriv_op, euler_lagrange
+from .calculus import DivergenceTuple, deriv_op, euler_lagrange
 from .expr import (
     Const,
+    FieldVar,
     Var,
     XVar,
     add,
@@ -22,6 +23,7 @@ from .expr import (
     shift,
     substitute,
 )
+from .flows import integrate_lattice_flow, monitor_conserved
 from .frames import (
     differential_syzygy_operators,
     invariantize,
@@ -32,13 +34,17 @@ from .frames import (
     verify_syzygy,
 )
 from .noether import (
+    _adj_var,
+    _expand_adj,
     compare_laws,
     equivariant_coefficients,
     equivariant_form,
+    euler_kappa,
     invariant_euler_lagrange,
     noether_invariant,
     noether_original,
     offshell_residual,
+    verify_divergence_equivalence,
 )
 from .parser import parse
 from .sampling import CheckReport, identity_check, relative_residual, residual_stats
@@ -107,7 +113,6 @@ def suite_invariant_el(b, plan, tol=1e-9):
     _, reports = differential_syzygy_operators(inv, plan, tol=tol)
     out.extend(reports)
     # Euler operators in kappa space against the stored forms
-    from .noether import euler_kappa
     for beta, s in b.expected.get("euler_kappa", {}).items():
         out.append(identity_check(inv.expand(euler_kappa(IL, beta)),
                                   inv.expand(parse(s, ksig)), plan, sig, tol=tol,
@@ -121,7 +126,6 @@ def suite_invariant_el(b, plan, tol=1e-9):
         out.append(identity_check(inv.expand(el_inv[fname]),
                                   inv.expand(parse(s, ksig)), plan, sig, tol=tol,
                                   check_id=f"invariant-el-stored:{fname}"))
-    from .noether import verify_divergence_equivalence
     out.append(verify_divergence_equivalence(IL, inv.H, plan, tol=tol))
     # original Euler-Lagrange expressions against the stored displays
     stored = b.expected.get("el_original")
@@ -140,26 +144,18 @@ def suite_invariant_el(b, plan, tol=1e-9):
     return out
 
 
-def _laws(b, plan):
-    sig = b.sig
-    EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
-    IL = b.lagrangian
-    originals = {}
-    for entry in b.generators:
-        res = check_variational_symmetry(b.L, entry.gen, sig, plan)
-        if res:
-            originals[entry.index] = noether_original(
-                b.L, entry.gen, entry.index, sig, plan, el_by_field=EL)
-    invariants = {law.generator_index: law for law in noether_invariant(
-        IL, b.invset.H, b.action, b.frame, plan,
-        generators=[e.action_index for e in b.generators if e.action_index])}
-    return EL, originals, invariants
-
-
 def suite_noether(b, plan, tol=1e-9):
     sig = b.sig
     out = []
-    EL, originals, invariants = _laws(b, plan)
+    EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
+    originals = {}
+    for entry in b.generators:
+        if check_variational_symmetry(b.L, entry.gen, sig, plan):
+            originals[entry.index] = noether_original(
+                b.L, entry.gen, entry.index, sig, plan, el_by_field=EL)
+    invariants = noether_invariant(
+        b.lagrangian, b.invset.H, b.action, b.frame, plan,
+        generators=[e.action_index for e in b.generators if e.action_index])
     for entry in b.generators:
         label = entry.gen.name or f"r{entry.index}"
         if entry.index not in originals:
@@ -183,7 +179,8 @@ def suite_noether(b, plan, tol=1e-9):
                     out.append(identity_check(comp, parse(stored[cname], sig), plan,
                                               sig, tol=tol,
                                               check_id=f"law-stored:{label}:{cname}"))
-    for r, law in invariants.items():
+    for law in invariants:
+        r = law.generator_index
         entry = b.generator(r)
         res = offshell_residual(law, EL, entry.gen, sig, plan)
         out.append(_report(f"offshell-invariant:r{r}", res, tol, plan))
@@ -206,8 +203,6 @@ def suite_noether(b, plan, tol=1e-9):
     # divergence, so perturb with a field value instead
     entry = b.generators[0]
     law = originals[entry.index]
-    from .calculus import DivergenceTuple
-    from .expr import FieldVar
     bump = Const(1e-2) * Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
     broken = type(law)(entry.index, "original",
                        DivergenceTuple(law.components.a0,
@@ -223,7 +218,6 @@ def suite_noether(b, plan, tol=1e-9):
 
 def integration_checks(b, drift_tols=None):
     """Conservation drift of the monitored sums at the default configuration."""
-    from .flows import integrate_lattice_flow, monitor_conserved
     cfg = b.integrate_config
     d = cfg["defaults"]
     if drift_tols is None:
@@ -281,9 +275,12 @@ def suite_equivariance(b, plan, tol=1e-8):
                                "pass" if frame.projectable else "fail",
                                0.0, 1, plan.seed))
     # equivariant law forms
-    EL, originals, invariants = _laws(b, plan)
     ksig = inv.kappa_sig
-    for r, law in invariants.items():
+    invariants = noether_invariant(
+        b.lagrangian, inv.H, action, frame, plan,
+        generators=[e.action_index for e in b.generators if e.action_index])
+    for law in invariants:
+        r = law.generator_index
         eq = equivariant_form(law, plan)
         dv, comps = compare_laws(law, eq, plan, sig)
         out.append(_report(f"equivariant-match:r{r}", _worst([dv] + comps), tol, plan))
@@ -300,7 +297,6 @@ def suite_equivariance(b, plan, tol=1e-8):
                     else:
                         # the display omits this term; it must die against the
                         # vanishing adjoint component it multiplies
-                        from .noether import _adj_var, _expand_adj
                         term = coeff * _adj_var(int(sym[3:]), sig.lattice_dim)
                         expanded = _expand_adj(term, frame, r - 1, sig)
                         out.append(identity_check(
@@ -318,7 +314,6 @@ def suite_equivariance(b, plan, tol=1e-8):
                        n_points=10))
     # negative control: the raw base-point field value is never invariant
     # under the catalog actions
-    from .expr import FieldVar
     raw = Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
     bad = _invariance_residual(add(ie, raw), action, sig, plan, n_points=10)
     out.append(CheckReport("negative-control:noninvariant",

@@ -5,7 +5,6 @@ from lattice_frames.actions import (
     Generator,
     adjoint_matrix,
     check_variational_symmetry,
-    get_action,
     prolong_generator,
     transform,
 )
@@ -84,7 +83,7 @@ class TestProlongGenerator:
         assert prolong_generator(v2, fv("u", 2, 1), toda.sig) == V("u", 2, 1)
 
     def test_alt_sign_flip(self, toda, toda_plan):
-        v4 = get_action("affine-u-alt").generators[1]
+        v4 = toda.generator(4).gen
         out = prolong_generator(v4, fv("u", 1, 0), toda.sig)
         r = identity_check(out, -Alt(), toda_plan, toda.sig, tol=1e-14)
         assert r.passed

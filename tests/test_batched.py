@@ -16,6 +16,7 @@ from lattice_frames.expr import (
     Var,
     evaluate,
     fieldvars,
+    power,
     sqrt,
     stack,
 )
@@ -149,6 +150,15 @@ def test_pow_scalar_and_array_agree_bitwise(n):
     arr = evaluate(e, Assignment({U0.fv: xs}))
     scal = np.array([evaluate(e, Assignment({U0.fv: float(x)})) for x in xs])
     assert arr.tobytes() == scal.tobytes()
+
+
+def test_constant_power_folds_by_the_evaluate_rule():
+    # Python's 1.1 ** 7 is 1.9487171000000012; np.power gives 1.948717100000001
+    folded = power(Const(1.1), 7)
+    assert isinstance(folded, Const)
+    unfolded = evaluate(Pow(Const(1.1), 7), Assignment({}))
+    assert np.float64(folded.value).tobytes() == unfolded.tobytes()
+    assert folded.value != 1.1 ** 7
 
 
 def test_pow_overflow_is_singular_and_names_the_node():

@@ -4,13 +4,10 @@ import pytest
 from lattice_frames.calculus import (
     DivergenceTuple,
     LinDiffOp,
-    adjoint_relative,
     apply_op,
-    decompose_variation,
     deriv_op,
     divergence,
     euler_lagrange,
-    extract_linear_operator,
     linear_by_parts,
     op_adjoint,
     staircase_components,
@@ -137,7 +134,7 @@ class TestAdjoint:
         dc = ex81.frame.dcal_inv
         c = V("u", 0)
         op = LinDiffOp.from_terms([(c, (1,), 1)])
-        adj = adjoint_relative(op, sig, dc)
+        adj = op_adjoint(op, sig, dc)
         f = V("u", 0) + V("u", 1)
         got = apply_op(adj, f, sig, dcal_inv=dc)
         want = -deriv_op(shift(mul(c, f), (-1,), sig), sig, dc)
@@ -147,7 +144,7 @@ class TestAdjoint:
     def test_relative_adjoint_matches_standard_for_differences(self, toda):
         op = toda.invset.H["kappa"]["sigma"]
         ksig = toda.invset.kappa_sig
-        assert adjoint_relative(op, ksig, Const(1)).terms == op_adjoint(op, ksig).terms
+        assert op_adjoint(op, ksig, Const(1)).terms == op_adjoint(op, ksig).terms
 
 
 class TestEulerLagrange:
@@ -277,28 +274,6 @@ class TestVariationSplit:
         coeffs, boundary = linear_by_parts(t_derivative(L, SIG2), ["u_t"], SIG2)
         assert coeffs == {}
         assert all(c == Const(0) for c in boundary.comps)
-
-    def test_extract_linear_operator(self, toda):
-        e = mul(V("u", 0, 0), V("u_t", 1, 0)) + mul(Const(2), V("u_t", 0, 0))
-        op = extract_linear_operator(e, "u_t", toda.sig)
-        assert {(K, j) for _, K, j in op.terms} == {((1, 0), 0), ((0, 0), 0)}
-
-    def test_decompose_variation_wrapper(self, nls, nls_plan):
-        els, boundary, ops = decompose_variation(nls.L, nls.sig)
-        for f in ("u", "v"):
-            r = identity_check(els[f], euler_lagrange(nls.L, f, nls.sig),
-                               nls_plan, nls.sig, tol=1e-10)
-            assert r.passed
-        # boundary operators: applying them to the slots rebuilds the tuple
-        comps = [boundary.a0] + list(boundary.comps)
-        for comp, row in zip(comps, ops):
-            rebuilt = add(*[apply_op(op, Var(fv(nls.sig.variations[f], 0)), nls.sig)
-                            for f, op in row.items()]) if row else Const(0)
-            r = identity_check(comp, rebuilt, nls_plan, nls.sig, tol=1e-10)
-            assert r.passed
-        for row in ops:
-            for op in row.values():
-                op.to_json()
 
     def test_substitute_slots_prolongs(self, ex81, ex81_plan):
         sig = ex81.sig

@@ -82,6 +82,16 @@ class TestEulerLagrange:
         assert r.stderr.strip().splitlines() == [
             "singular evaluation: non-finite value of u[0]^99999"]
 
+    @pytest.mark.parametrize("lagrangian, message", [
+        ("u[0]*2.5^100000", "non-finite value of 2.5^100000"),
+        ("u[0]*0^(-1)", "zero base with negative exponent"),
+    ])
+    def test_constant_power_fold_one_line_failure(self, lagrangian, message):
+        r = run_cli("euler-lagrange", lagrangian)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip().splitlines() == [f"singular evaluation: {message}"]
+
 
 class TestNoether:
     def test_ex81_r1(self):

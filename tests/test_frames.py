@@ -17,15 +17,11 @@ from lattice_frames.expr import (
     substitute,
 )
 from lattice_frames.frames import (
-    UnreachableTargetError,
-    apply_recurrence,
     differential_syzygy_operators,
-    get_frame,
     invariantize,
     maurer_cartan,
     mc_concatenated,
     mc_element,
-    solve_frame,
     verify_frame,
     verify_syzygy,
 )
@@ -43,8 +39,7 @@ def V(name, *K, d=0):
 
 class TestSolveFrame:
     def test_toda_closed_form(self, toda, toda_plan):
-        frame = solve_frame(toda.action, ((V("u", 0, 0), 0.0), (V("u", 1, 1), 1.0)),
-                            toda_plan, toda.sig)
+        frame = toda.frame
         a_want = parse("-u[0,0]/(u[1,1]-u[0,0])", toda.sig)
         b_want = parse("1/(u[1,1]-u[0,0])", toda.sig)
         for got, want in zip(frame.param_exprs, (a_want, b_want)):
@@ -52,7 +47,7 @@ class TestSolveFrame:
                                   toda_plan.assignments([got], toda.sig)) <= 1e-12
 
     def test_ex81_closed_form(self, ex81, ex81_plan):
-        frame = get_frame("ex81-scale")
+        frame = ex81.frame
         a_want = parse("-u[0]/x", ex81.sig)
         b_want = parse("1/x", ex81.sig)
         for got, want in zip(frame.param_exprs, (a_want, b_want)):
@@ -60,17 +55,12 @@ class TestSolveFrame:
                                   ex81_plan.assignments([got], ex81.sig)) <= 1e-12
 
     def test_nls_closed_form(self, nls, nls_plan):
-        frame = get_frame("nls-rotation")
+        frame = nls.frame
         want = (parse("-x", nls.sig),
                 parse("u[0]/sqrt(u[0]^2+v[0]^2)", nls.sig),
                 parse("v[0]/sqrt(u[0]^2+v[0]^2)", nls.sig))
         for got, w in zip(frame.param_exprs, want):
             assert residual_stats(got, w, nls_plan.assignments([got], nls.sig)) <= 1e-12
-
-    def test_missing_closed_form(self, toda, toda_plan):
-        with pytest.raises(ExprError):
-            solve_frame(toda.action, ((V("u", 1, 0), 0.0), (V("u", 0, 1), 1.0)),
-                        toda_plan, toda.sig)
 
     def test_verification_runs(self, toda, ex81, nls):
         for b in (toda, ex81, nls):
@@ -206,7 +196,7 @@ class TestMaurerCartan:
 
 class TestRecurrences:
     def test_toda_u21(self, toda, toda_plan):
-        got = apply_recurrence(toda.invset, fv("u", 2, 1))
+        got = toda.invset.recurrence(fv("u", 2, 1))
         want = parse(toda.expected["recurrences"]["u[2,1]"], toda.invset.kappa_sig)
         lhs = toda.invset.expand(got)
         r = identity_check(lhs, toda.invset.expand(want), toda_plan, toda.sig, tol=1e-10)
@@ -217,11 +207,11 @@ class TestRecurrences:
         assert r.passed
 
     def test_toda_normalized(self, toda, toda_plan):
-        got = apply_recurrence(toda.invset, fv("u", 1, 1))
+        got = toda.invset.recurrence(fv("u", 1, 1))
         assert got == Const(1)
 
     def test_toda_far_target(self, toda, toda_plan):
-        got = apply_recurrence(toda.invset, fv("u", -2, 2))
+        got = toda.invset.recurrence(fv("u", -2, 2))
         lhs = toda.invset.expand(got)
         rhs = invariantize(toda.frame, V("u", -2, 2), toda.sig)
         r = identity_check(lhs, rhs, toda_plan, toda.sig, tol=1e-9)
@@ -229,19 +219,18 @@ class TestRecurrences:
 
     def test_ex81_syzygy_form(self, ex81, ex81_plan):
         # iota(u_{1;1}) = k1_{0;1}, which the syzygy rewrites as k1 + k2_{1;0} + k2
-        got = apply_recurrence(ex81.invset, fv("u", 1, d=1))
+        got = ex81.invset.recurrence(fv("u", 1, d=1))
         inv = ex81.invset
         rhs = inv.expand(parse("k1[0;0] + k2[1;0] + k2[0;0]", inv.kappa_sig))
         r = identity_check(inv.expand(got), rhs, ex81_plan, ex81.sig, tol=1e-10)
         assert r.passed
 
     def test_unreachable(self, ex81):
-        with pytest.raises(UnreachableTargetError):
-            apply_recurrence(ex81.invset, fv("u", 0, d=4))
+        assert ex81.invset.recurrence(fv("u", 0, d=4)) is None
 
     def test_nls_table(self, nls, nls_plan):
         for name, k in (("u", 1), ("u", -1), ("v", 1), ("v", -1)):
-            got = apply_recurrence(nls.invset, fv(name, k))
+            got = nls.invset.recurrence(fv(name, k))
             lhs = nls.invset.expand(got)
             rhs = invariantize(nls.frame, V(name, k), nls.sig)
             r = identity_check(lhs, rhs, nls_plan, nls.sig, tol=1e-9)

@@ -7,7 +7,6 @@ from lattice_frames.expr import Const, FieldVar, ProblemSignature, Var
 from lattice_frames.flows import (
     BlowUpError,
     LatticeState,
-    drift_ratio,
     eval_on_lattice,
     integrate_lattice_flow,
     monitor_conserved,
@@ -84,20 +83,6 @@ class TestSampling:
         pts = plan.assignments([Var(fv("u_t", 0, 0))], toda.sig)
         for a in pts:
             assert -1.0 <= a.values[fv("u_t", 0, 0)] <= 1.0
-
-
-class TestZeroPruning:
-    def test_numeric_probe_drops_hidden_zero(self, toda, toda_plan):
-        from lattice_frames.sampling import prune_zero_terms
-        inv = toda.invset
-        kappa = inv.kappa_defs["kappa"]
-        # (kappa - kappa-written-differently) is identically zero but not
-        # syntactically so
-        u00, u10, u11 = (Var(fv("u", 0, 0)), Var(fv("u", 1, 0)), Var(fv("u", 1, 1)))
-        other = (u10 - u00) * (Const(1) / (u11 - u00))
-        terms = [(kappa - other, (1, 0), 0), (Const(2), (0, 0), 0)]
-        kept = prune_zero_terms(terms, toda_plan, toda.sig)
-        assert [(K, j) for _, K, j in kept] == [((0, 0), 0)]
 
 
 class TestLatticeFlow:
