@@ -36,12 +36,16 @@ __all__ = [
     "Generator",
     "GroupAction",
     "transform",
+    "invariance_residual",
     "prolong_generator",
     "generator_apply",
     "SymmetryResult",
+    "SYMMETRY_TOL",
     "check_variational_symmetry",
     "adjoint_matrix",
 ]
+
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,22 @@ def transform(e, action, gvalues, sig):
     return substitute(out, {}, param_rules=params)
 
 
+def invariance_residual(e, action, sig, plan, rng, n_group):
+    """Max relative residual of e(g.z) = e(z) over the plan's points.
+
+    ``n_group`` elements are drawn from ``rng`` and each is compared at every
+    point; an empty point set or a NaN gives NaN.
+    """
+
+    def residual(a):
+        base = evaluate(e, a)
+        moved = [evaluate(transform(e, action, action.random_element(rng), sig), a)
+                 for _ in range(n_group)]
+        return np.array(moved) - base, [base]
+
+    return relative_residual(plan.assignments([e], sig), residual)
+
+
 def prolong_generator(gen, fv, sig):
     """Coefficient of d/du_{j;K} in the prolonged generator: S_K D^j Q."""
     q = gen.q_of(fv.name)
@@ -172,7 +192,7 @@ class SymmetryResult:
         return self.kind == "invariant"
 
 
-def check_variational_symmetry(L, gen, sig, plan, tol=1e-9):
+def check_variational_symmetry(L, gen, sig, plan, tol=SYMMETRY_TOL):
     """Classify the generator: leaves L (or the one-form L dx) invariant, or not.
 
     Checks v(L) = 0 in the pure-difference case and v(L) + L D(xi) = 0 in

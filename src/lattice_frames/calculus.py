@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .expr import (
-    ONE,
     ZERO,
     ExprError,
     FieldVar,
@@ -76,10 +75,6 @@ class LinDiffOp:
             if coeff != ZERO:
                 out.append((coeff, K, j))
         return LinDiffOp(tuple(out))
-
-    @staticmethod
-    def identity(m):
-        return LinDiffOp(((ONE, (0,) * m, 0),))
 
     @property
     def radius(self):
@@ -183,10 +178,6 @@ class DivergenceTuple:
     def map(self, fn):
         return DivergenceTuple(None if self.a0 is None else fn(self.a0),
                                tuple(fn(c) for c in self.comps))
-
-    @staticmethod
-    def zero(m, with_a0=False):
-        return DivergenceTuple(ZERO if with_a0 else None, (ZERO,) * m)
 
     def plus(self, other):
         if (self.a0 is None) != (other.a0 is None):

@@ -46,13 +46,37 @@ def _default_seed():
     return DEFAULT_SEED
 
 
+def _positive(cast):
+    """Argument type: a finite value of ``cast`` above zero."""
+
+    def positive(text):
+        value = cast(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+
+    return positive
+
+
+def _span(text):
+    """Argument type: ``start,end`` with finite start <= end."""
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise argparse.ArgumentTypeError(f"expects start,end with finite start <= end, "
+                                         f"got {text!r}")
+    return lo, hi
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="sampling seed (default LATTICE_FRAMES_SEED or %d)" % DEFAULT_SEED)
-    common.add_argument("--points", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--points", type=_positive(int), default=argparse.SUPPRESS,
                         help="sample points per identity check (default 50)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--tol", type=_positive(float), default=argparse.SUPPRESS,
                         help="override check tolerance")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
@@ -72,7 +96,7 @@ def _build_parser():
     e = add("euler-lagrange", help="Euler-Lagrange expressions of a Lagrangian")
     e.add_argument("lagrangian")
     e.add_argument("--fields", default="u", help="comma-separated field names")
-    e.add_argument("--dim", type=int, default=1, help="lattice dimension m")
+    e.add_argument("--dim", type=_positive(int), default=1, help="lattice dimension m")
     e.add_argument("--differential", action="store_true",
                    help="differential-difference flavor (enables dJ and x)")
     e.add_argument("--params", default="", help="comma-separated parameter names")
@@ -83,10 +107,10 @@ def _build_parser():
 
     i = add("integrate", help="integrate a lattice flow and monitor conserved sums")
     i.add_argument("example", nargs="?", default="nls")
-    i.add_argument("--n-sites", type=int, default=None)
-    i.add_argument("--h", type=float, default=None)
-    i.add_argument("--dt", type=float, default=None)
-    i.add_argument("--x-span", default=None, help="start,end")
+    i.add_argument("--n-sites", type=_positive(int), default=None)
+    i.add_argument("--h", type=_positive(float), default=None)
+    i.add_argument("--dt", type=_positive(float), default=None)
+    i.add_argument("--x-span", type=_span, default=None, help="start,end")
     i.add_argument("--out-csv", default=None, help="write monitored sums vs x as CSV")
     i.add_argument("--out-json", default=None, help="write the drift report as JSON")
 
@@ -126,19 +150,18 @@ def cmd_verify(args):
         print(f"unknown suite {args.suite!r}; choose from {suite_names()}", file=sys.stderr)
         return USAGE_ERROR
     plan = b.plan(seed=args.seed, n_points=args.points)
-    try:
-        reports = run_suite(b, args.suite, plan, tol=args.tol)
-    except ExprError as err:
-        print(f"verification aborted: {err}", file=sys.stderr)
-        return CHECK_FAILURE
-    return _emit_reports(reports, args.json)
+    return _emit_reports(run_suite(b, args.suite, plan, tol=args.tol), args.json)
 
 
 def cmd_euler_lagrange(args):
     fields = tuple(f.strip() for f in args.fields.split(",") if f.strip())
     params = tuple(f.strip() for f in args.params.split(",") if f.strip())
-    sig = ProblemSignature(fields, args.dim, differential=args.differential,
-                           has_x=args.differential, params=params)
+    try:
+        sig = ProblemSignature(fields, args.dim, differential=args.differential,
+                               has_x=args.differential, params=params)
+    except ValueError as err:
+        print(f"invalid signature: {err}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         L = parse(args.lagrangian, sig)
     except ParseError as err:
@@ -165,10 +188,9 @@ def cmd_euler_lagrange(args):
 def _forms_for(b, entry, plan):
     sig = b.sig
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
-    laws = [noether_original(b.L, entry.gen, entry.index, sig, plan, el_by_field=EL)]
+    laws = [noether_original(b.L, entry.gen, entry.index, sig)]
     if entry.action_index is not None:
-        IL = b.lagrangian
-        inv_laws = noether_invariant(IL, b.invset.H, b.action, b.frame, plan,
+        inv_laws = noether_invariant(b.lagrangian, b.invset.H, b.action, b.frame,
                                      generators=[entry.action_index])
         laws.append(inv_laws[0])
         laws.append(equivariant_form(inv_laws[0], plan))
@@ -225,12 +247,7 @@ def cmd_integrate(args):
     if args.dt is not None:
         d["dt"] = args.dt
     if args.x_span is not None:
-        try:
-            lo, hi = (float(t) for t in args.x_span.split(","))
-        except ValueError:
-            print("--x-span expects start,end", file=sys.stderr)
-            return USAGE_ERROR
-        d["x_span"] = (lo, hi)
+        d["x_span"] = args.x_span
     state0 = cfg["initial_state"](d["n_sites"], d["h"])
     try:
         traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
@@ -326,10 +343,6 @@ def main(argv=None):
         args.tol = None
     if not hasattr(args, "json"):
         args.json = False
-    if args.points < 1:
-        parser.error(f"--points must be at least 1, got {args.points}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error(f"--tol must be finite and positive, got {args.tol}")
     try:
         code = COMMANDS[args.command](args)
     except ParseError as err:
@@ -337,6 +350,9 @@ def main(argv=None):
         code = USAGE_ERROR
     except SingularEvaluationError as err:
         print(f"singular evaluation: {err}", file=sys.stderr)
+        code = CHECK_FAILURE
+    except ExprError as err:
+        print(f"error: {err}", file=sys.stderr)
         code = CHECK_FAILURE
     raise SystemExit(code)
 

@@ -122,21 +122,13 @@ class ProblemSignature:
     def __post_init__(self):
         if self.lattice_dim < 1:
             raise ValueError("lattice dimension must be >= 1")
-        dup = set(self.fields) & set(self.params)
+        names = self.fields + self.params
+        dup = {n for n in names if names.count(n) > 1}
         if dup:
-            raise ValueError(f"names used both as field and parameter: {sorted(dup)}")
+            raise ValueError(f"names declared more than once: {sorted(dup)}")
 
     def __hash__(self):
         return hash((self.fields, self.lattice_dim, self.differential, self.has_x, self.params))
-
-    def var(self, name, *shift, deriv=0):
-        """Convenience constructor for a field variable node."""
-        if name not in self.fields:
-            raise ExprError(f"unknown field {name!r}")
-        if len(shift) != self.lattice_dim:
-            raise ExprError(f"field {name!r} needs {self.lattice_dim} shift indices, got {len(shift)}")
-        self.check_var(FieldVar(name, deriv, tuple(shift)))
-        return Var(FieldVar(name, deriv, tuple(shift)))
 
     def check_var(self, fv):
         if fv.deriv and not self.differential:

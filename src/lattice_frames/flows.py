@@ -77,7 +77,6 @@ class Trajectory:
     final: LatticeState
     dt: float
     stability_ok: bool
-    note: str = ""
 
 
 def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,

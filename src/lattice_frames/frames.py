@@ -21,7 +21,6 @@ from .expr import (
     ONE,
     Assignment,
     Const,
-    ExprError,
     Param,
     Var,
     XVar,
@@ -34,7 +33,7 @@ from .expr import (
     t_derivative,
     to_string,
 )
-from .sampling import CheckReport, identity_check
+from .sampling import CheckReport, identity_check, relative_residual
 
 __all__ = [
     "Frame",
@@ -132,30 +131,27 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
         reports.append(identity_check(lhs, Const(c), plan, sig, tol=tol,
                                       check_id=f"{frame.name}:normalization-{k}"))
     # rho(g.z) = rho(z) g^{-1} for random g in the chart: the frame parameters
-    # at the transformed point against the composed element, for n_group
-    # elements evaluated at every sample point
+    # at the transformed points against the composed element, for n_group
+    # elements, each evaluated once on all sample points
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 1))
-    needed = set()
-    for p in frame.param_exprs:
-        needed |= fieldvars(p)
-    residuals = []
-    n_pts = max(10, plan.n_points // 3)
-    pts = plan.with_(n_points=n_pts).assignments(list(frame.param_exprs), sig)
-    rho_at = [tuple(evaluate(p, a) for p in frame.param_exprs) for a in pts]
-    for _ in range(n_group):
-        g = action.random_element(rng)
-        transformed = {fv: transform(Var(fv), action, g, sig) for fv in needed}
-        x_expr = transform(XVar(), action, g, sig) if sig.has_x else None
-        for a, rho in zip(pts, rho_at):
-            values = {fv: evaluate(e, a) for fv, e in transformed.items()}
-            x = evaluate(x_expr, a) if x_expr is not None else a.x
+    needed = set().union(*map(fieldvars, frame.param_exprs))
+    gs = [action.random_element(rng) for _ in range(n_group)]
+    pts = plan.with_(n_points=max(10, plan.n_points // 3)).assignments(
+        list(frame.param_exprs), sig)
+
+    def residual(a):
+        rho = [evaluate(p, a) for p in frame.param_exprs]
+        lhs, rhs = [], []
+        for g in gs:
+            values = {fv: evaluate(transform(Var(fv), action, g, sig), a) for fv in needed}
+            x = evaluate(transform(XVar(), action, g, sig), a) if sig.has_x else a.x
             at = Assignment(values, x=x, params=a.params, base=a.base, alt=a.alt)
-            lhs = [evaluate(p, at) for p in frame.param_exprs]
-            rhs = action.compose(rho, action.inverse(g))
-            residuals.extend(abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-                             for lv, rv in zip(lhs, rhs))
-    # np.max keeps a NaN residual, which then fails the tolerance test
-    worst = float(np.max(residuals))
+            lhs.append([evaluate(p, at) for p in frame.param_exprs])
+            rhs.append(action.compose(rho, action.inverse(g)))
+        lhs, rhs = np.array(lhs), np.array(rhs)
+        return lhs - rhs, (lhs, rhs)
+
+    worst = relative_residual(pts, residual)
     reports.append(CheckReport(f"{frame.name}:right-equivariance",
                                "pass" if worst <= tol else "fail",
                                worst, len(pts), plan.seed))
@@ -241,7 +237,7 @@ def verify_syzygy(invset, syzygy, plan, tol=1e-10):
 
 
 def differential_syzygy_operators(invset, plan, tol=1e-9):
-    """Verified operator matrix H with d(kappa^beta)/dt = H^beta_alpha sigma^alpha.
+    """Reports verifying d(kappa^beta)/dt = H^beta_alpha sigma^alpha, one per row of H.
 
     The registered kappa-space coefficients are expanded to the original
     variables, applied to the sigma definitions with the invariant
@@ -259,11 +255,6 @@ def differential_syzygy_operators(invset, plan, tol=1e-9):
             expanded = LinDiffOp(tuple((invset.expand(c), K, j) for c, K, j in op.terms))
             parts.append(apply_op(expanded, invset.sigma_defs[alpha], sig,
                                   dcal_inv=invset.frame.dcal_inv))
-        rep = identity_check(lhs, add(*parts), plan, sig, tol=tol,
-                             check_id=f"syzygy-operator:{beta}")
-        reports.append(rep)
-        if not rep.passed:
-            raise ExprError(
-                f"syzygy operator row {beta} failed verification "
-                f"(residual {rep.max_residual:.3e})")
-    return invset.H, reports
+        reports.append(identity_check(lhs, add(*parts), plan, sig, tol=tol,
+                                      check_id=f"syzygy-operator:{beta}"))
+    return reports

@@ -4,21 +4,30 @@ Each suite is a list of deterministic checks returning
 :class:`~lattice_frames.sampling.CheckReport`; the CLI ``verify`` command
 and the acceptance tests are thin wrappers over these.  Every suite carries
 one deliberately perturbed identity that must fail (negative control).
+A suite that raises :class:`~lattice_frames.expr.ExprError` reports one
+failed ``<suite>:error`` check and the remaining suites still run.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .actions import adjoint_matrix, check_variational_symmetry, transform
+from .actions import (
+    SYMMETRY_TOL,
+    adjoint_matrix,
+    check_variational_symmetry,
+    invariance_residual,
+)
 from .calculus import DivergenceTuple, deriv_op, euler_lagrange
 from .expr import (
     Const,
+    ExprError,
     FieldVar,
     Var,
     XVar,
     add,
-    evaluate,
     fieldvars,
     shift,
     substitute,
@@ -47,7 +56,7 @@ from .noether import (
     verify_divergence_equivalence,
 )
 from .parser import parse
-from .sampling import CheckReport, identity_check, relative_residual, residual_stats
+from .sampling import CheckReport, identity_check, residual_stats
 
 __all__ = ["SUITES", "run_suite", "suite_names"]
 
@@ -57,23 +66,16 @@ def _report(check_id, residual, tol, plan, n_points=None, note=""):
                        float(residual), n_points or plan.n_points, plan.seed, note=note)
 
 
+def _must_fail(check_id, residual, tol, plan, note):
+    """A negative control: passes only when the residual is finite and above ``tol``."""
+    ok = math.isfinite(residual) and residual > tol
+    return CheckReport(check_id, "pass" if ok else "fail", float(residual),
+                       plan.n_points, plan.seed, note=note)
+
+
 def _worst(residuals):
     """Largest residual; unlike Python's ``max``, a NaN is kept and fails."""
     return float(np.max(residuals))
-
-
-def _invariance_residual(e, action, sig, plan, n_points=20, n_group=20):
-    """Max residual of e(g.z) = e(z) over n_group elements x n_points points."""
-    rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
-    pts = plan.with_(n_points=n_points).assignments([e], sig)
-
-    def residual(a):
-        bv = evaluate(e, a)
-        moved = [evaluate(transform(e, action, action.random_element(rng), sig), a)
-                 for _ in range(n_group)]
-        return np.array(moved) - bv, [bv]
-
-    return relative_residual(pts, residual)
 
 
 def suite_syzygy(b, plan, tol=1e-10):
@@ -97,10 +99,8 @@ def suite_syzygy(b, plan, tol=1e-10):
     name, lhs, rhs = inv.syzygies[0]
     bad = identity_check(inv.expand(add(lhs, Const(1e-3))), inv.expand(rhs),
                          plan, sig, tol=tol, check_id="nc")
-    out.append(CheckReport(f"negative-control:{name}+1e-3",
-                           "pass" if not bad.passed else "fail",
-                           bad.max_residual, plan.n_points, plan.seed,
-                           note="perturbed identity must fail"))
+    out.append(_must_fail(f"negative-control:{name}+1e-3", bad.max_residual, tol, plan,
+                          note="perturbed identity must fail"))
     return out
 
 
@@ -110,8 +110,7 @@ def suite_invariant_el(b, plan, tol=1e-9):
     ksig = inv.kappa_sig
     IL = b.lagrangian
     out = [IL.verify(plan, tol=tol)]
-    _, reports = differential_syzygy_operators(inv, plan, tol=tol)
-    out.extend(reports)
+    out.extend(differential_syzygy_operators(inv, plan, tol=tol))
     # Euler operators in kappa space against the stored forms
     for beta, s in b.expected.get("euler_kappa", {}).items():
         out.append(identity_check(inv.expand(euler_kappa(IL, beta)),
@@ -137,10 +136,8 @@ def suite_invariant_el(b, plan, tol=1e-9):
     # negative control
     el0 = euler_lagrange(b.L, sig.base_fields[0], sig)
     bad = identity_check(el0, add(el0, Const(1e-3)), plan, sig, tol=tol, check_id="nc")
-    out.append(CheckReport("negative-control:el+1e-3",
-                           "pass" if not bad.passed else "fail",
-                           bad.max_residual, plan.n_points, plan.seed,
-                           note="perturbed identity must fail"))
+    out.append(_must_fail("negative-control:el+1e-3", bad.max_residual, tol, plan,
+                          note="perturbed identity must fail"))
     return out
 
 
@@ -148,22 +145,19 @@ def suite_noether(b, plan, tol=1e-9):
     sig = b.sig
     out = []
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
-    originals = {}
-    for entry in b.generators:
-        if check_variational_symmetry(b.L, entry.gen, sig, plan):
-            originals[entry.index] = noether_original(
-                b.L, entry.gen, entry.index, sig, plan, el_by_field=EL)
+    symmetry = {e.index: check_variational_symmetry(b.L, e.gen, sig, plan)
+                for e in b.generators}
+    originals = {e.index: noether_original(b.L, e.gen, e.index, sig)
+                 for e in b.generators if symmetry[e.index]}
     invariants = noether_invariant(
-        b.lagrangian, b.invset.H, b.action, b.frame, plan,
+        b.lagrangian, b.invset.H, b.action, b.frame,
         generators=[e.action_index for e in b.generators if e.action_index])
     for entry in b.generators:
         label = entry.gen.name or f"r{entry.index}"
         if entry.index not in originals:
-            res = check_variational_symmetry(b.L, entry.gen, sig, plan)
-            out.append(CheckReport(f"non-symmetry:{label}",
-                                   "pass" if not res else "fail",
-                                   res.max_residual, plan.n_points, plan.seed,
-                                   note="generator must not be a variational symmetry"))
+            out.append(_must_fail(f"non-symmetry:{label}",
+                                  symmetry[entry.index].max_residual, SYMMETRY_TOL, plan,
+                                  note="generator must not be a variational symmetry"))
             continue
         law = originals[entry.index]
         res = offshell_residual(law, EL, entry.gen, sig, plan)
@@ -201,7 +195,7 @@ def suite_noether(b, plan, tol=1e-9):
         out.extend(integration_checks(b))
     # negative control: constants lie in the kernel of the difference
     # divergence, so perturb with a field value instead
-    entry = b.generators[0]
+    entry = next(e for e in b.generators if e.index in originals)
     law = originals[entry.index]
     bump = Const(1e-2) * Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
     broken = type(law)(entry.index, "original",
@@ -209,10 +203,8 @@ def suite_noether(b, plan, tol=1e-9):
                                        tuple(add(c, bump) for c in law.components.comps)),
                        measure="dx")
     res = offshell_residual(broken, EL, entry.gen, sig, plan)
-    out.append(CheckReport("negative-control:perturbed-law",
-                           "pass" if res > tol else "fail", res,
-                           plan.n_points, plan.seed,
-                           note="perturbed components must break the identity"))
+    out.append(_must_fail("negative-control:perturbed-law", res, tol, plan,
+                          note="perturbed components must break the identity"))
     return out
 
 
@@ -238,14 +230,19 @@ def integration_checks(b, drift_tols=None):
 def suite_equivariance(b, plan, tol=1e-8):
     sig = b.sig
     frame, action, inv = b.frame, b.action, b.invset
+
+    def invariance(e, n_points=20):
+        rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
+        return invariance_residual(e, action, sig, plan.with_(n_points=n_points), rng,
+                                   n_group=20)
+
     out = list(verify_frame(frame, plan, sig, tol=tol))
     probe = b.L
     ie = invariantize(frame, probe, sig)
     out.append(identity_check(ie, invariantize(frame, ie, sig),
                               plan.with_(n_points=20), sig, tol=tol,
                               check_id="iota-projection"))
-    out.append(_report("iota-invariance",
-                       _invariance_residual(ie, action, sig, plan), tol, plan))
+    out.append(_report("iota-invariance", invariance(ie), tol, plan))
     # replacement rule on each generating invariant
     xr = invariantize(frame, XVar(), sig) if sig.has_x else None
     for kname, kdef in inv.kappa_defs.items():
@@ -255,8 +252,7 @@ def suite_equivariance(b, plan, tol=1e-8):
                                   check_id=f"replacement-rule:{kname}"))
     for i in range(sig.lattice_dim):
         K = maurer_cartan(frame, i, sig)
-        worst = _worst([_invariance_residual(comp, action, sig, plan, n_points=10)
-                        for comp in K])
+        worst = _worst([invariance(comp, n_points=10) for comp in K])
         out.append(_report(f"maurer-cartan-invariance:{i+1}", worst, tol, plan))
     if sig.lattice_dim == 2:
         lhs = mc_element(frame, (1, 1), sig)
@@ -277,7 +273,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     # equivariant law forms
     ksig = inv.kappa_sig
     invariants = noether_invariant(
-        b.lagrangian, inv.H, action, frame, plan,
+        b.lagrangian, inv.H, action, frame,
         generators=[e.action_index for e in b.generators if e.action_index])
     for law in invariants:
         r = law.generator_index
@@ -315,11 +311,9 @@ def suite_equivariance(b, plan, tol=1e-8):
     # negative control: the raw base-point field value is never invariant
     # under the catalog actions
     raw = Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
-    bad = _invariance_residual(add(ie, raw), action, sig, plan, n_points=10)
-    out.append(CheckReport("negative-control:noninvariant",
-                           "pass" if bad > tol else "fail", bad,
-                           plan.n_points, plan.seed,
-                           note="non-invariant expression must fail the invariance test"))
+    out.append(_must_fail("negative-control:noninvariant",
+                          invariance(add(ie, raw), n_points=10), tol, plan,
+                          note="non-invariant expression must fail the invariance test"))
     return out
 
 
@@ -336,12 +330,19 @@ def suite_names():
 
 
 def run_suite(b, name, plan, tol=None):
-    kw = {} if tol is None else {"tol": tol}
-    if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn(b, plan, **kw))
-        return out
-    if name not in SUITES:
+    """Reports of one suite, or of every suite in order for ``"all"``.
+
+    A suite that raises :class:`ExprError` contributes one failed
+    ``<suite>:error`` report carrying the message instead of its checks.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](b, plan, **kw)
+    kw = {} if tol is None else {"tol": tol}
+    out = []
+    for suite in (SUITES if name == "all" else [name]):
+        try:
+            out.extend(SUITES[suite](b, plan, **kw))
+        except ExprError as err:
+            out.append(CheckReport(f"{suite}:error", "fail", math.nan, 0, plan.seed,
+                                   note=str(err)))
+    return out

@@ -5,9 +5,11 @@ from lattice_frames.actions import (
     Generator,
     adjoint_matrix,
     check_variational_symmetry,
+    invariance_residual,
     prolong_generator,
     transform,
 )
+from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
     Alt,
     Assignment,
@@ -21,6 +23,7 @@ from lattice_frames.expr import (
     partial,
     total_derivative,
 )
+from lattice_frames.frames import invariantize
 from lattice_frames.sampling import identity_check, residual_stats
 
 
@@ -128,6 +131,28 @@ class TestVariationalSymmetry:
         for g in ex81.action.generators:
             res = check_variational_symmetry(ex81.L, g, ex81.sig, ex81_plan)
             assert res.kind == "invariant", g.name
+
+
+class TestInvarianceResidual:
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_invariant_passes_raw_field_fails(self, name):
+        b = get_example(name)
+        plan = b.plan(n_points=10)
+        raw = Var(FieldVar(b.sig.base_fields[0], 0, (0,) * b.sig.lattice_dim))
+        iota = invariantize(b.frame, raw, b.sig)
+
+        def residual(e):
+            rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
+            return invariance_residual(e, b.action, b.sig, plan, rng, n_group=5)
+
+        assert residual(iota) <= 1e-9
+        assert residual(raw) > 1e-3
+
+    def test_empty_point_set_is_nan(self, toda):
+        rng = np.random.default_rng(0)
+        res = invariance_residual(toda.L, toda.action, toda.sig,
+                                  toda.plan(n_points=0), rng, n_group=5)
+        assert np.isnan(res)
 
 
 class TestAdjointMatrix:

@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from lattice_frames import cli, noether
+from lattice_frames.catalog import EXAMPLES
+from lattice_frames.suites import run_suite
+
 
 def run_cli(*args, env=None):
     import os
@@ -44,6 +48,21 @@ class TestVerify:
         r = run_cli("verify", "ex81", "--suite", "syzygy", f"--tol={tol}")
         assert r.returncode == 2
         assert "--tol" in r.stderr and "Traceback" not in r.stderr
+
+    def test_failed_check_does_not_hide_the_suite(self, toda, broken_toda,
+                                                  monkeypatch, capsys):
+        plan = toda.plan(n_points=10)
+        want = [r.check_id for r in run_suite(toda, "invariant-el", plan)]
+        monkeypatch.setitem(EXAMPLES, "toda", broken_toda)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--json", "--points", "10", "verify", "toda", "--suite", "invariant-el"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["check_id"] for c in checks] == want
+        assert {c["check_id"] for c in checks if c["status"] == "fail"} >= {
+            "syzygy-operator:kappa", "invariant-el:u"}
+        assert "verification aborted" not in out + err
 
     def test_valid_tolerance_override_passes(self):
         r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")
@@ -116,6 +135,15 @@ class TestNoether:
         r = run_cli("noether", "toda", "--r", "9")
         assert r.returncode == 2
 
+    def test_failed_construction_check_is_one_line(self, monkeypatch, capsys):
+        # the equivariant rewrite raises when a coefficient is not invariant
+        monkeypatch.setattr(noether, "invariance_residual", lambda *a, **kw: 1.0)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--points", "10", "noether", "toda", "--r", "2"])
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: equivariant coefficient ")
+
 
 class TestIntegrate:
     def test_writes_csv_and_json(self, tmp_path):
@@ -137,6 +165,29 @@ class TestIntegrate:
     def test_difference_example_rejected(self):
         r = run_cli("integrate", "toda")
         assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["euler-lagrange", "u[0]", "--dim", "0"],
+    ["euler-lagrange", "u[0]", "--dim", "-1"],
+    ["euler-lagrange", "u[0]", "--fields", "u", "--params", "u"],
+    ["euler-lagrange", "u[0]", "--fields", "u,u"],
+    ["integrate", "--n-sites", "0"],
+    ["integrate", "--n-sites", "-4"],
+    ["integrate", "--dt", "0"],
+    ["integrate", "--dt=-1"],
+    ["integrate", "--dt", "nan"],
+    ["integrate", "--x-span", "1,0"],
+    ["integrate", "--x-span", "0,nan"],
+    ["integrate", "--x-span", "0"],
+    ["integrate", "--h", "0"],
+    ["integrate", "--h", "nan"],
+])
+def test_malformed_flag_usage_error(args):
+    # any exception other than the usage exit fails the test
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    assert exit_.value.code == 2
 
 
 class TestOther:

@@ -1,6 +1,10 @@
-"""Static checks on the package source: import placement and ``__all__``."""
+"""Static checks on the package source: import placement and ``__all__``;
+and that the layer tracer of the benchmark still finds what it wraps."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import lattice_frames
@@ -65,3 +69,36 @@ def test_every_exported_name_is_defined():
         missing += [f"{path.relative_to(PACKAGE_DIR)}: {name}"
                     for name in _declared_all(tree) if name not in defined]
     assert missing == []
+
+
+def _bindings(package):
+    """Every module attribute, dict entry and class attribute of the package."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != package:
+            continue
+        for attr, value in vars(mod).items():
+            out[f"{name}.{attr}"] = value
+            if isinstance(value, dict):
+                out.update({f"{name}.{attr}[{k!r}]": v for k, v in value.items()})
+            elif isinstance(value, type) and value.__module__ == name:
+                out.update({f"{name}.{attr}.{k}": v for k, v in vars(value).items()})
+    return out
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for mod, attr_path, _ in layers.TARGETS:
+        obj = importlib.import_module(f"{layers.PACKAGE}.{mod}")
+        for part in attr_path.split("."):
+            obj = getattr(obj, part)  # a renamed target fails here
+    before = _bindings(layers.PACKAGE)
+    tracer = layers.LayerTracer()
+    tracer.install()  # raises when a binding to a wrapped function is missed
+    tracer.uninstall()
+    after = _bindings(layers.PACKAGE)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
