@@ -24,7 +24,13 @@ from .expr import (
     fieldvars,
     to_string,
 )
-from .flows import BlowUpError, integrate_lattice_flow, monitor_conserved
+from .flows import (
+    STABILITY_C,
+    BlowUpError,
+    integrate_lattice_flow,
+    monitor_conserved,
+    step_count,
+)
 from .frames import invariantize, verify_syzygy
 from .noether import equivariant_form, noether_invariant, noether_original, offshell_residual
 from .parser import ParseError, parse
@@ -248,6 +254,11 @@ def cmd_integrate(args):
         d["dt"] = args.dt
     if args.x_span is not None:
         d["x_span"] = args.x_span
+    try:
+        step_count(d["x_span"], d["dt"])
+    except ValueError as err:
+        print(f"invalid --x-span/--dt: {err}", file=sys.stderr)
+        return USAGE_ERROR
     state0 = cfg["initial_state"](d["n_sites"], d["h"])
     try:
         traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
@@ -257,7 +268,7 @@ def cmd_integrate(args):
         return CHECK_FAILURE
     if not traj.stability_ok:
         print(f"warning: dt={d['dt']} violates the stability bound "
-              f"dt <= 0.2 h^2 = {0.2 * d['h'] ** 2}", file=sys.stderr)
+              f"dt <= {STABILITY_C} h^2 = {STABILITY_C * d['h'] ** 2}", file=sys.stderr)
     drifts = monitor_conserved(traj)
     report = {
         "example": b.name,

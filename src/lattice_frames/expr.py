@@ -52,6 +52,7 @@ __all__ = [
     "nodes",
     "fieldvars",
     "evaluate",
+    "compile_exprs",
     "partial",
     "shift",
     "total_derivative",
@@ -523,10 +524,102 @@ def evaluate(e, a):
         return _quiet_overflow(rec, e)
 
 
+# Names the generated code of compile_exprs() reads as globals.
+_LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_log": np.log,
+                    "_abs": np.abs, "_sqrt": np.sqrt, "_singular": SingularEvaluationError}
+
+
+def compile_exprs(exprs):
+    """Lower a list of expressions once into one straight-line numpy function.
+
+    Returns ``(fn, variables)``: ``fn(values, x, params, alt)`` gives a list
+    with the value of each expression, where ``values`` holds one value per
+    FieldVar of ``variables`` in that order.  Each node becomes one assignment
+    computed by the rule of :func:`evaluate`, in its order, so the values,
+    the singular-node errors and the first error met are the same bit for
+    bit.  A shared (id-equal) subtree is computed once across the whole list.
+    A call that overflows, or lacks a parameter, is redone by
+    :func:`evaluate`, which stays the reference for both.
+    """
+    exprs = list(exprs)
+    names = {}          # id(node) -> name holding its value
+    bound = {}          # closure name -> constant or node the code refers to
+    slots = {}          # FieldVar -> its index in the values sequence
+    lines = []
+
+    def bind(obj, prefix):
+        name = f"{prefix}{len(bound)}"
+        bound[name] = obj
+        return name
+
+    def check(test, message, node):
+        lines.append(f"if _any({test}): raise _singular({message!r}, {bind(node, 'n')})")
+
+    def rec(node):
+        key = id(node)
+        if key in names:
+            return names[key]
+        if isinstance(node, (Const, XVar, Alt)):
+            out = names[key] = (bind(node.value, "c") if isinstance(node, Const)
+                                else "x" if isinstance(node, XVar) else "alt")
+            return out
+        if isinstance(node, Param):
+            value = f"P[{node.name!r}]"
+        elif isinstance(node, Var):
+            value = f"V[{slots.setdefault(node.fv, len(slots))}]"
+        elif isinstance(node, (Sum, Prod)):
+            op = " + " if isinstance(node, Sum) else " * "
+            value = op.join([rec(t) for t in children(node)])
+        elif isinstance(node, Pow):
+            base = rec(node.base)
+            if node.exponent < 0:
+                check(f"{base} == 0", "zero base with negative exponent", node.base)
+            value = f"_power({base}, {float(node.exponent)!r})"
+        elif isinstance(node, Quot):
+            den = rec(node.den)
+            check(f"{den} == 0", "division by zero", node.den)
+            value = f"{rec(node.num)} / {den}"
+        elif isinstance(node, Neg):
+            value = f"-{rec(node.arg)}"
+        elif isinstance(node, LnAbs):
+            arg = rec(node.arg)
+            check(f"{arg} == 0", "ln of zero", node.arg)
+            value = f"_log(_abs({arg}))"
+        elif isinstance(node, Sqrt):
+            arg = rec(node.arg)
+            check(f"{arg} < 0", "sqrt of a negative value", node.arg)
+            value = f"_sqrt({arg})"
+        else:
+            raise ExprError(f"unknown node {node!r}")
+        out = names[key] = f"t{len(lines)}"
+        lines.append(f"{out} = {value}")
+        return out
+
+    results = [rec(e) for e in exprs]
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def _make({', '.join(bound)}):\n"
+              f"    def _lowered(V, x, P, alt):\n{body}"
+              f"        return [{', '.join(results)}]\n"
+              f"    return _lowered\n")
+    namespace = dict(_LOWERED_GLOBALS)
+    exec(source, namespace)
+    lowered = namespace["_make"](**bound)
+    variables = tuple(slots)
+
+    def fn(values, x, params, alt):
+        try:
+            return _raising_overflow(lowered, values, x, params, alt)
+        except (FloatingPointError, KeyError):
+            a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
+            return [evaluate(e, a) for e in exprs]
+
+    return fn, variables
+
+
 # Decorators, so that each error state is built once rather than per call.
 @np.errstate(over="raise", invalid="ignore")
-def _raising_overflow(fn, arg):
-    return fn(arg)
+def _raising_overflow(fn, *args):
+    return fn(*args)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,23 +1,30 @@
 """Time integration of differential-difference flows on a periodic lattice.
 
 The right-hand sides and the monitored densities are expressions over the
-problem's fields (derivative order 0, shifts only); they are evaluated on
-whole numpy arrays with periodic index arithmetic, so the classical
-fourth-order Runge-Kutta stepping stays vectorized.
+problem's fields (derivative order 0, shifts only).  Each set is lowered once
+per integration by :func:`~lattice_frames.expr.compile_exprs` into one
+straight-line numpy function over whole arrays, and a field shifted by k is
+read through the index array (n + k) mod N, built once.  So the classical
+fourth-order Runge-Kutta stepping stays vectorized and walks no expression
+tree per step; :func:`~lattice_frames.expr.evaluate` is only the fallback of
+a call that overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Assignment, ExprError, evaluate, fieldvars
+from .expr import ExprError, compile_exprs
 
 __all__ = [
     "LatticeState",
     "Trajectory",
     "BlowUpError",
+    "DenseOutputError",
+    "step_count",
     "eval_on_lattice",
     "integrate_lattice_flow",
     "monitor_conserved",
@@ -28,6 +35,10 @@ STABILITY_C = 0.2
 
 class BlowUpError(ExprError):
     """Field norm exceeded the blow-up threshold, or stopped being finite."""
+
+
+class DenseOutputError(ExprError):
+    """The dense-output arrays of a trajectory cannot be allocated."""
 
 
 @dataclass
@@ -47,26 +58,51 @@ class LatticeState:
                             self.x, dict(self.params))
 
 
-def _assignment_for(expr_vars, state, alt):
-    values = {}
-    for fv in expr_vars:
+def _on_lattice(exprs, n_sites):
+    """Lower ``exprs`` once into ``fn(fields, x, params)`` -> one array per expression.
+
+    Each array holds the expression's value at every one of ``n_sites``
+    lattice sites, with periodic shifts; a constant value is broadcast.
+    """
+    lowered, variables = compile_exprs(exprs)
+    alt = (-1.0) ** np.arange(n_sites)
+    index = {}
+    reads = []
+    for fv in variables:
         if fv.deriv:
             raise ExprError(f"lattice evaluation needs derivative order 0, got {fv}")
         if len(fv.shift) != 1:
             raise ExprError("lattice flows support one discrete dimension")
-        arr = state.fields[fv.name]
         k = fv.shift[0]
-        values[fv] = np.roll(arr, -k) if k else arr
-    return Assignment(values, x=state.x, params=state.params, alt=alt)
+        if k and k not in index:
+            # arr[(n + k) % N] is np.roll(arr, -k)
+            index[k] = (np.arange(n_sites) + k) % n_sites
+        reads.append((fv.name, index[k] if k else None))
+
+    def fn(fields, x, params):
+        values = [fields[name] if idx is None else fields[name][idx] for name, idx in reads]
+        return [v if np.ndim(v) else np.full(n_sites, float(v))
+                for v in lowered(values, x, params, alt)]
+
+    return fn
 
 
 def eval_on_lattice(e, state):
     """Evaluate ``e`` at every lattice site (periodic shifts)."""
-    a = _assignment_for(fieldvars(e), state, (-1.0) ** np.arange(state.n_sites))
-    out = evaluate(e, a)
-    if np.ndim(out) == 0:
-        out = np.full(state.n_sites, float(out))
-    return out
+    return _on_lattice([e], state.n_sites)(state.fields, state.x, state.params)[0]
+
+
+def step_count(x_span, dt):
+    """Number of steps of size ``dt`` across ``x_span``.
+
+    Raises ValueError unless the count is finite and not negative.
+    """
+    x0, x1 = x_span
+    steps = (x1 - x0) / dt
+    if not (math.isfinite(steps) and steps >= 0):
+        raise ValueError(f"x span {x0:g},{x1:g} in steps of {dt:g} "
+                         "gives no finite, non-negative step count")
+    return int(round(steps))
 
 
 @dataclass
@@ -93,34 +129,33 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
     """
     monitors = monitors or {}
     state = state0.copy()
-    x0, x1 = x_span
+    x0 = x_span[0]
     state.x = x0
-    n_steps = int(round((x1 - x0) / dt))
+    n_steps = step_count(x_span, dt)
     h = state.params.get("h")
     stability_ok = True
     if h is not None and dt > stability_c * h * h + 1e-15:
         stability_ok = False
 
+    try:
+        xs = np.empty(n_steps + 1)
+        sums = {label: np.empty(n_steps + 1) for label in monitors}
+    except (MemoryError, ValueError, OverflowError) as err:
+        raise DenseOutputError(f"cannot allocate the dense output of {n_steps} steps: "
+                               f"{err}") from None
+
     names = list(rhs)
-    rhs_vars = {f: fieldvars(e) for f, e in rhs.items()}
-    alt = (-1.0) ** np.arange(state.n_sites)
+    monitor_fn = _on_lattice(list(monitors.values()), state.n_sites)
+    rhs_fn = _on_lattice(list(rhs.values()), state.n_sites)
 
     def f(fields_dict, x):
-        s = LatticeState(fields_dict, x, state.params)
-        out = {}
-        for name in names:
-            a = _assignment_for(rhs_vars[name], s, alt)
-            v = evaluate(rhs[name], a)
-            out[name] = v if np.ndim(v) else np.full(s.n_sites, float(v))
-        return out
-
-    xs = np.empty(n_steps + 1)
-    sums = {label: np.empty(n_steps + 1) for label in monitors}
+        return dict(zip(names, rhs_fn(fields_dict, x, state.params)))
 
     def record(i):
         xs[i] = state.x
-        for label, dens in monitors.items():
-            sums[label][i] = float(np.sum(eval_on_lattice(dens, state)))
+        values = monitor_fn(state.fields, state.x, state.params)
+        for label, dens in zip(monitors, values):
+            sums[label][i] = float(np.sum(dens))
 
     record(0)
     for i in range(1, n_steps + 1):

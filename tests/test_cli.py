@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lattice_frames import cli, noether
+from lattice_frames import cli, flows, noether
 from lattice_frames.catalog import EXAMPLES
 from lattice_frames.suites import run_suite
 
@@ -162,6 +162,21 @@ class TestIntegrate:
         r = run_cli("integrate", "nls", "--dt", "0.1", "--x-span", "0,0.2")
         assert "stability bound" in r.stderr
 
+    def test_stability_warning_uses_the_flag_constant(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["integrate", "nls", "--dt", "0.1", "--x-span", "0,0.2"])
+        assert exit_.value.code == 0
+        c = flows.STABILITY_C
+        assert capsys.readouterr().err == (
+            f"warning: dt=0.1 violates the stability bound dt <= {c} h^2 = {c * 0.5 ** 2}\n")
+
+    def test_unallocatable_dense_output_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["integrate", "nls", "--x-span", "0,1e9", "--dt", "1e-9"])
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot allocate the dense output")
+
     def test_difference_example_rejected(self):
         r = run_cli("integrate", "toda")
         assert r.returncode == 2
@@ -182,6 +197,7 @@ class TestIntegrate:
     ["integrate", "--x-span", "0"],
     ["integrate", "--h", "0"],
     ["integrate", "--h", "nan"],
+    ["integrate", "--x-span", "1e308,1.7e308"],   # finite flags, non-finite step count
 ])
 def test_malformed_flag_usage_error(args):
     # any exception other than the usage exit fails the test

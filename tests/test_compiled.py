@@ -1,0 +1,196 @@
+"""Lowered (compiled) evaluation and the compiled lattice flow against their references.
+
+The reference flow below is the RK4 loop as it was before lowering: every
+right-hand side and monitor goes through ``evaluate`` on ``np.roll``-shifted
+arrays, with the same RK4 arithmetic.  The compiled flow must reproduce it
+bit for bit.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from lattice_frames import expr
+from lattice_frames.expr import (
+    Alt,
+    Assignment,
+    Const,
+    FieldVar,
+    Param,
+    SingularEvaluationError,
+    Var,
+    XVar,
+    compile_exprs,
+    evaluate,
+    fieldvars,
+    ln_abs,
+    power,
+    sqrt,
+)
+from lattice_frames.flows import BlowUpError, LatticeState, integrate_lattice_flow
+
+
+def var(name, k=0):
+    return Var(FieldVar(name, 0, (k,)))
+
+
+def reference_flow(rhs, state0, x_span, dt, monitors):
+    """The per-step loop before lowering: ``evaluate`` on ``np.roll``-shifted arrays."""
+    params = state0.params
+
+    def on_lattice(e, fields, x):
+        n = len(next(iter(fields.values())))
+        values = {}
+        for fv in fieldvars(e):
+            k = fv.shift[0]
+            values[fv] = np.roll(fields[fv.name], -k) if k else fields[fv.name]
+        v = evaluate(e, Assignment(values, x=x, params=params, alt=(-1.0) ** np.arange(n)))
+        return v if np.ndim(v) else np.full(n, float(v))
+
+    def f(fields, x):
+        return {name: on_lattice(e, fields, x) for name, e in rhs.items()}
+
+    names = list(rhs)
+    y = {k: v.copy() for k, v in state0.fields.items()}
+    x0, x1 = x_span
+    x = x0
+    n_steps = int(round((x1 - x0) / dt))
+    xs = np.empty(n_steps + 1)
+    sums = {label: np.empty(n_steps + 1) for label in monitors}
+
+    def record(i):
+        xs[i] = x
+        for label, dens in monitors.items():
+            sums[label][i] = float(np.sum(on_lattice(dens, y, x)))
+
+    record(0)
+    for i in range(1, n_steps + 1):
+        k1 = f(y, x)
+        k2 = f({n: y[n] + 0.5 * dt * k1[n] for n in names}, x + 0.5 * dt)
+        k3 = f({n: y[n] + 0.5 * dt * k2[n] for n in names}, x + 0.5 * dt)
+        k4 = f({n: y[n] + dt * k3[n] for n in names}, x + dt)
+        for n in names:
+            y[n] = y[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+        x = x0 + i * dt
+        record(i)
+    return xs, sums, y
+
+
+def assert_same_trajectory(rhs, state0, x_span, dt, monitors):
+    traj = integrate_lattice_flow(rhs, state0, x_span, dt, monitors=monitors)
+    xs, sums, final = reference_flow(rhs, state0, x_span, dt, monitors)
+    assert (traj.xs == xs).all()
+    assert set(traj.monitor_sums) == set(sums)
+    for label, series in sums.items():
+        assert (traj.monitor_sums[label] == series).all(), label
+    assert set(traj.final.fields) == set(final)
+    for name, values in final.items():
+        assert (traj.final.fields[name] == values).all(), name
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 16, 33])
+def test_nls_flow_matches_reference(nls, n_sites):
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](n_sites, 0.5)
+    assert_same_trajectory(cfg["rhs"], state0, (0.0, 0.05), 1e-3, cfg["monitors"])
+
+
+@pytest.mark.parametrize("n_sites", [1, 5])
+def test_flow_reading_x_alt_and_a_parameter_matches_reference(n_sites):
+    u, w, a = var("u"), var("w"), Param("a")
+    rhs = {
+        "u": a * var("u", 1) * XVar() + Alt() * var("w", -2) - ln_abs(u * u + 1),
+        "w": sqrt(u * u + 1) - w / a + power(w * w + 2, -1) * XVar() + power(a, 3),
+    }
+    monitors = {"mixed": Alt() * u * XVar() + w ** 3, "param": a * 2}
+    n = np.arange(n_sites)
+    state0 = LatticeState({"u": np.cos(n + 0.3), "w": np.sin(2.0 * n + 1.0)},
+                          0.0, {"a": 1.3897})  # 1.3897 ** 3 != np.power(1.3897, 3.0)
+    assert_same_trajectory(rhs, state0, (0.25, 0.45), 0.01, monitors)
+
+
+def test_constant_monitor_and_parameter_rhs_broadcast():
+    rhs = {"u": var("u", 1) - var("u"), "c": Param("a")}
+    monitors = {"const": Const(2.5), "param": Param("a")}
+    state0 = LatticeState({"u": np.linspace(0.0, 1.0, 7), "c": np.zeros(7)},
+                          0.0, {"a": 0.7})
+    assert_same_trajectory(rhs, state0, (0.0, 0.1), 0.01, monitors)
+
+
+U = var("u")
+
+SINGULAR_CASES = [
+    ("division by zero", Const(1) / U, [1.0, 0.0, 2.0]),
+    ("ln of zero", ln_abs(U), [1.0, 0.0]),
+    ("sqrt of a negative value", sqrt(U), [1.0, -1.0]),
+    ("zero base with negative exponent", power(U, -2), [0.0, 3.0]),
+    ("non-finite value of u[0]^2", power(U, 2), [1e200]),
+    # the denominator is checked before the numerator is evaluated
+    ("division by zero", ln_abs(U) / (U - U), [0.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("message, e, values", SINGULAR_CASES)
+def test_singular_nodes_match_evaluate(message, e, values):
+    fn, variables = compile_exprs([e])
+    assert variables == (U.fv,)
+    arr = np.array(values)
+    with pytest.raises(SingularEvaluationError) as want:
+        evaluate(e, Assignment({U.fv: arr}))
+    with pytest.raises(SingularEvaluationError) as got:
+        fn([arr], 0.0, {}, 1.0)
+    assert str(want.value) == message
+    assert str(got.value) == str(want.value)
+    assert got.value.subexpr is want.value.subexpr
+
+
+def test_quiet_overflow_falls_back_to_evaluate():
+    e = U * U + Const(1)
+    fn, _ = compile_exprs([e, U])
+    arr = np.array([1e200, 2.0])
+    got = fn([arr], 0.0, {}, 1.0)
+    assert (got[0] == evaluate(e, Assignment({U.fv: arr}))).all()
+    assert got[0][0] == np.inf and got[1] is arr
+
+
+def test_missing_parameter_raises_as_evaluate():
+    e = U * Param("b")
+    fn, _ = compile_exprs([e])
+    with pytest.raises(expr.MissingVariableError, match="parameter 'b' has no value"):
+        fn([np.ones(2)], 0.0, {}, 1.0)
+
+
+def test_overflowing_product_is_a_blow_up():
+    state = LatticeState({"u": np.full(4, 1e200)}, 0.0, {})
+    with pytest.raises(BlowUpError, match=r"^field norm inf at x = "):
+        integrate_lattice_flow({"u": U * U}, state, (0.0, 0.1), 0.05, blow_up=1e300)
+
+
+def test_no_tree_walk_or_roll_per_step(nls, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("evaluate", "fieldvars"):
+        original = getattr(expr, name)
+        wrapped = counting(name, original)
+        for mname, mod in list(sys.modules.items()):
+            if mname.startswith("lattice_frames") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapped)
+    monkeypatch.setattr(np, "roll", counting("roll", np.roll))
+
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](16, 0.5)
+
+    def count(x_span):
+        calls.clear()
+        integrate_lattice_flow(cfg["rhs"], state0, x_span, 1e-3, monitors=cfg["monitors"])
+        return dict(calls)
+
+    assert count((0.0, 0.01)) == count((0.0, 0.1))

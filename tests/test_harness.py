@@ -164,6 +164,13 @@ class TestLatticeFlow:
                                       monitors={"zero": Const(0)})
         assert monitor_conserved(traj)["zero"] == 0.0
 
+    @pytest.mark.parametrize("x_span", [(0.0, -0.01), (0.1, 0.0)])
+    def test_backward_span_is_refused(self, nls, x_span):
+        cfg = nls.integrate_config
+        state0 = cfg["initial_state"](8, 0.5)
+        with pytest.raises(ValueError, match="no finite, non-negative step count"):
+            integrate_lattice_flow(cfg["rhs"], state0, x_span, 0.01)
+
     def test_eval_on_lattice_shifts_periodically(self):
         state = LatticeState({"u": np.arange(4.0)}, 0.0, {})
         sig1 = ProblemSignature(("u",), 1)
