@@ -258,15 +258,16 @@ def _initial_state(n_sites, h):
 
 
 _cube = U(0, 0) ** 2 + VV(0, 0) ** 2
+_H2 = H ** 2
 RHS = {
-    "u": VV(0, 0) * _cube + (VV(0, -1) - 2 * VV(0, 0) + VV(0, 1)) / H ** 2,
-    "v": neg(U(0, 0) * _cube) - (U(0, -1) - 2 * U(0, 0) + U(0, 1)) / H ** 2,
+    "u": VV(0, 0) * _cube + (VV(0, -1) - 2 * VV(0, 0) + VV(0, 1)) / _H2,
+    "v": neg(U(0, 0) * _cube) - (U(0, -1) - 2 * U(0, 0) + U(0, 1)) / _H2,
 }
 
 MONITORS = {
     "norm": (U(0, 0) ** 2 + VV(0, 0) ** 2) / 2,
     "energy": (_cube ** 2 / 4
-               - ((U(0, 1) - U(0, 0)) ** 2 + (VV(0, 1) - VV(0, 0)) ** 2) / (2 * H ** 2)),
+               - ((U(0, 1) - U(0, 0)) ** 2 + (VV(0, 1) - VV(0, 0)) ** 2) / (2 * _H2)),
 }
 
 bundle = register_example(ExampleBundle(

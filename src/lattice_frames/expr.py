@@ -39,7 +39,6 @@ __all__ = [
     "LnAbs",
     "Sqrt",
     "Assignment",
-    "stack",
     "add",
     "mul",
     "neg",
@@ -411,7 +410,7 @@ class Assignment:
 
     ``alt`` is the value of (-1)^(n^1+...+n^m) at the lattice base point; it
     defaults to the parity of ``base``.  Every value may also be an array
-    with one entry per point (see :func:`stack`).
+    with one entry per point (see :class:`lattice_frames.sampling.PointSet`).
     """
 
     values: dict
@@ -423,21 +422,6 @@ class Assignment:
     def __post_init__(self):
         if self.alt is None:
             self.alt = -1.0 if sum(self.base) % 2 else 1.0
-
-
-def stack(points):
-    """One Assignment holding a non-empty point list as arrays, one entry per point.
-
-    Evaluating an expression once at the result gives its value at every
-    point, with the same IEEE arithmetic as evaluating point by point.
-    """
-    first = points[0]
-    return Assignment(
-        {fv: np.array([p.values[fv] for p in points]) for fv in first.values},
-        x=np.array([p.x for p in points]),
-        params={k: np.array([p.params[k] for p in points]) for k in first.params},
-        base=tuple(np.array(col) for col in zip(*(p.base for p in points))),
-        alt=np.array([p.alt for p in points]))
 
 
 def evaluate(e, a):

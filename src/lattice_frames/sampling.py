@@ -6,39 +6,27 @@ from a :class:`SamplePlan`, rejecting points that violate the registered
 chart guards (denominators and half-space constraints bounded away from
 zero).  Reports are deterministic functions of the seed.
 
-Candidates are drawn in blocks and every guard is evaluated once per block
-as a mask over it; the accepted points, the rejection count and the point
-where sampling gives up are those of drawing and testing the candidates
-one at a time.  Residuals are likewise evaluated once per point set, on
-the points stacked into arrays.
+A point set is one :class:`PointSet` of arrays, so an expression is
+evaluated once at all of its points.  Candidates are drawn in blocks of
+that form and every guard is evaluated once per block as a mask over it;
+the accepted points, the rejection count and the point where sampling
+gives up are those of drawing and testing the candidates one at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .calculus import LinDiffOp, op_adjoint
-from .expr import (
-    Alt,
-    Assignment,
-    Const,
-    ExprError,
-    SingularEvaluationError,
-    XVar,
-    add,
-    evaluate,
-    fieldvars,
-    mul,
-    stack,
-)
+from .expr import Assignment, ExprError, SingularEvaluationError, evaluate, fieldvars
 
 __all__ = [
     "Guard",
+    "PointSet",
     "SamplePlan",
     "SamplingExhaustedError",
     "CheckReport",
@@ -80,8 +68,8 @@ class Guard:
             return v >= self.margin
         return abs(v) >= self.margin
 
-    def mask(self, a, n):
-        """:meth:`ok` at each of the ``n`` points stacked in ``a``, as a bool array.
+    def mask(self, a):
+        """:meth:`ok` at every point of the point set ``a`` (one bool if ``expr`` is constant).
 
         Raises :class:`SingularEvaluationError` when ``expr`` is singular at
         any of the points; :meth:`ok` then decides them one by one.
@@ -89,8 +77,24 @@ class Guard:
         v = evaluate(self.expr, a)
         if self.kind != "pos":
             v = np.abs(v)
-        ok = v >= self.margin
-        return ok if np.ndim(ok) else np.full(n, ok)
+        return v >= self.margin
+
+
+class PointSet(Assignment):
+    """``n`` points as one :class:`Assignment` whose every entry is an array of length ``n``."""
+
+    def __len__(self):
+        return len(self.x)
+
+    def __iter__(self):
+        """One :class:`Assignment` of Python scalars per point."""
+        values = {fv: col.tolist() for fv, col in self.values.items()}
+        params = {p: col.tolist() for p, col in self.params.items()}
+        base = [col.tolist() for col in self.base]
+        for i, (x, alt) in enumerate(zip(self.x.tolist(), self.alt.tolist())):
+            yield Assignment({fv: col[i] for fv, col in values.items()}, x=x,
+                             params={p: col[i] for p, col in params.items()},
+                             base=tuple(col[i] for col in base), alt=alt)
 
 
 @dataclass
@@ -114,14 +118,10 @@ class SamplePlan:
     max_rejections: int = 20000
 
     def with_(self, **kw):
-        data = {k: getattr(self, k) for k in (
-            "n_points", "seed", "value_range", "x_range", "param_ranges",
-            "guards", "offsets", "base_range", "max_rejections")}
-        data.update(kw)
-        return SamplePlan(**data)
+        return replace(self, **kw)
 
     def assignments(self, exprs, sig, extra_vars=()):
-        """Admissible assignments covering every variable of ``exprs``.
+        """The :class:`PointSet` of admissible points covering every variable of ``exprs``.
 
         Each candidate takes its coordinates (sorted), then ``x``, then the
         parameters from one ``uniform`` call, which consumes the random
@@ -146,14 +146,24 @@ class SamplePlan:
             for fv in names], dtype=float)
         k, m = len(names), sig.lattice_dim
         b_lo, b_hi = self.base_range
+
+        def points(rows, bases):
+            # contiguous columns: coordinates, then x, then the parameters
+            cols = rows.T.copy()
+            cols[:k] += offsets[:, None]
+            return PointSet(dict(zip(names, cols[:k])), x=cols[k],
+                            params=dict(zip(sig.params, cols[k + 1:])),
+                            base=tuple(bases.T.copy()),
+                            alt=np.where(bases.sum(axis=1) % 2, -1.0, 1.0))
+
         rng = np.random.default_rng(np.random.PCG64(self.seed))
-        out = []
-        rejected = drawn = 0
-        while len(out) < self.n_points:
+        kept = [(np.empty((0, len(lows))), np.empty((0, m), dtype=np.int64))]
+        accepted = rejected = drawn = 0
+        while accepted < self.n_points:
             # scale the block by the acceptance rate so far, but draw no more
             # candidates than can be examined before sampling gives up
-            need = self.n_points - len(out)
-            size = min(-(-need * drawn // max(len(out), 1)) if rejected else need,
+            need = self.n_points - accepted
+            size = min(-(-need * drawn // max(accepted, 1)) if rejected else need,
                        need + self.max_rejections + 1 - rejected)
             rows = np.empty((size, len(lows)))
             bases = np.empty((size, m), dtype=np.int64)
@@ -162,37 +172,27 @@ class SamplePlan:
                 for d in range(m):
                     bases[i, d] = rng.integers(b_lo, b_hi + 1)
             drawn += size
-            coords, xs, params = rows[:, :k] + offsets, rows[:, k], rows[:, k + 1:]
-            alts = np.where(bases.sum(axis=1) % 2, -1.0, 1.0)
-            # contiguous columns, like those of stack()
-            block = Assignment(dict(zip(names, coords.T.copy())), x=xs.copy(),
-                               params=dict(zip(sig.params, params.T.copy())),
-                               base=tuple(bases.T.copy()), alt=alts)
-            cand = list(zip(coords.tolist(), xs.tolist(), params.tolist(),
-                            bases.tolist(), alts.tolist()))
-
-            def point(i):
-                c, x, p, b, alt = cand[i]
-                return Assignment(dict(zip(names, c)), x=x, params=dict(zip(sig.params, p)),
-                                  base=tuple(b), alt=alt)
-
+            block = points(rows, bases)
             try:
                 ok = np.ones(size, dtype=bool)
                 for g in self.guards:
-                    ok &= g.mask(block, size)
+                    ok &= g.mask(block)
             except SingularEvaluationError:
-                ok = [all(g.ok(p) for g in self.guards) for p in map(point, range(size))]
+                ok = [all(g.ok(p) for g in self.guards) for p in block]
+            take = []
             for i in range(size):
                 if rejected > self.max_rejections:
                     raise SamplingExhaustedError(
-                        f"guards rejected {rejected} candidates (accepted {len(out)}/{self.n_points})")
+                        f"guards rejected {rejected} candidates (accepted {accepted}/{self.n_points})")
                 if ok[i]:
-                    out.append(point(i))
-                    if len(out) == self.n_points:
+                    take.append(i)
+                    accepted += 1
+                    if accepted == self.n_points:
                         break
                 else:
                     rejected += 1
-        return out
+            kept.append((rows[take], bases[take]))
+        return points(*map(np.concatenate, zip(*kept)))
 
 
 @dataclass
@@ -228,21 +228,16 @@ class CheckReport:
         return json.dumps(self.to_dict())
 
 
-def _rel_residual(lv, rv):
-    scale = max(1.0, abs(lv), abs(rv))
-    return abs(lv - rv) / scale
-
-
 def relative_residual(points, residual):
     """Max over ``points`` of |d| / max(1, |s_1|, |s_2|, ...), evaluated once.
 
-    ``residual(a)`` returns ``(d, scales)`` at the assignment ``a`` that
-    stacks every point.  A NaN anywhere, or an empty point set, gives NaN,
+    ``residual(points)`` returns ``(d, scales)``, evaluated on the whole
+    :class:`PointSet`.  A NaN anywhere, or an empty point set, gives NaN,
     which fails every ``<= tol`` test (Python's ``max`` would drop a NaN).
     """
     if not points:
         return math.nan
-    d, scales = residual(stack(points))
+    d, scales = residual(points)
     scale = 1.0
     for s in scales:
         scale = np.maximum(scale, np.abs(s))
@@ -269,130 +264,3 @@ def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity", extra_var
     status = "pass" if worst <= tol else "fail"
     return CheckReport(check_id, status, worst, len(assignments), plan.seed,
                        note="" if assignments else "empty point set")
-
-
-# --- finite-lattice adjoint pairing ----------------------------------------
-
-
-def _support_mask(shape, margin):
-    mask = np.zeros(shape, dtype=bool)
-    inner = tuple(slice(margin, s - margin) for s in shape)
-    mask[inner] = True
-    return mask
-
-
-def _random_supported_field(rng, shape, margin):
-    field = rng.uniform(-1.0, 1.0, size=shape)
-    field[~_support_mask(shape, margin)] = 0.0
-    return field
-
-
-def _coeff_grid(coeff, shape, x, params):
-    """Evaluate a field-free coefficient at every lattice point of the box."""
-    out = np.empty(shape + np.shape(x), dtype=float)
-    for idx in np.ndindex(shape):
-        a = Assignment({}, x=x, params=params, base=idx)
-        out[idx] = evaluate(coeff, a)
-    return out
-
-
-def _bump_poly(a, b, order=4):
-    """((x-a)(b-x))^order as a numpy Polynomial: C^{order-1} with compact support."""
-    from numpy.polynomial import Polynomial
-    return (Polynomial([-a, 1.0]) * Polynomial([b, -1.0])) ** order
-
-
-def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
-                           tol=None, check_id="adjoint-pairing"):
-    """Check <f, H g> = <H^dagger f, g> on a finite box with compact support.
-
-    Discrete directions are summed exactly; for differential-difference
-    operators the x-integrals use a composite trapezoid rule on the support
-    interval, refined until the pairing residual stabilizes.  Coefficients
-    must not involve field variables.
-    """
-    m = sig.lattice_dim
-    shape = (box,) * m
-    margin = op.radius + 1
-    if 2 * margin >= box:
-        raise ExprError(f"box {box} too small for operator radius {op.radius}: "
-                        "compact supports need margin on both sides")
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    fr = _random_supported_field(rng, shape, margin)
-    gr = _random_supported_field(rng, shape, margin)
-    params = {p: rng.uniform(0.5, 1.5) for p in sig.params}
-    adj = op_adjoint(op, sig)
-
-    def discrete_pair(terms, left, right):
-        # sum_n left(n) * sum_t c_t(n) right(n+K): wraparound from np.roll only
-        # touches the zeroed margins, so the box sums equal the Z^m sums.
-        total = 0.0
-        for coeff, K, j in terms:
-            if j:
-                raise ExprError("difference pairing hit a derivative term")
-            cg = _coeff_grid(coeff, shape, 0.0, params)
-            total += float(np.sum(left * cg * np.roll(right, tuple(-k for k in K),
-                                                      axis=tuple(range(m)))))
-        return total
-
-    if op.is_difference and not sig.differential:
-        p1 = discrete_pair(op.terms, fr, gr)
-        p2 = discrete_pair(adj.terms, gr, fr)
-        worst = _rel_residual(p1, p2)
-        tol = 1e-12 if tol is None else tol
-        return CheckReport(check_id, "pass" if worst <= tol else "fail",
-                           worst, 1, seed, note="pure-difference, exact sums")
-
-    # differential-difference: fields r_n * phi(x) with polynomial bumps
-    a, b = support
-    order = max(4, op.max_deriv + 1)
-    phi_f = _bump_poly(a, b, order)
-    phi_g = _bump_poly(a, b, order)
-    scale = max(abs(phi_f(0.5 * (a + b))), 1e-30)
-    tol = 1e-6 if tol is None else tol
-
-    def mixed_pair(terms, left, lpoly, right, rpoly, npts):
-        x = np.linspace(a, b, npts)
-        lvals = lpoly(x) / scale
-        total = 0.0
-        for coeff, K, j in terms:
-            rvals = rpoly.deriv(j)(x) / scale if j else rpoly(x) / scale
-            rolled = np.roll(right, tuple(-k for k in K), axis=tuple(range(m)))
-            for idx in np.ndindex(shape):
-                if left[idx] == 0.0 or rolled[idx] == 0.0:
-                    continue
-                cvals = evaluate(coeff, Assignment({}, x=x, params=params, base=idx))
-                total += left[idx] * rolled[idx] * np.trapezoid(lvals * cvals * rvals, x)
-        return total
-
-    worst = None
-    npts = 257
-    while True:
-        p1 = mixed_pair(op.terms, fr, phi_f, gr, phi_g, npts)
-        p2 = mixed_pair(adj.terms, gr, phi_g, fr, phi_f, npts)
-        res = _rel_residual(p1, p2)
-        if worst is not None and (res <= tol / 10 or abs(res - worst) <= 0.05 * max(res, 1e-300)):
-            worst = res
-            break
-        worst = res
-        if npts >= 4097:
-            break
-        npts = 2 * (npts - 1) + 1
-    return CheckReport(check_id, "pass" if worst <= tol else "fail",
-                       worst, 1, seed, note=f"trapezoid refined to {npts} points")
-
-
-def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):
-    """A random operator with field-free coefficients (constants, alt, a + b x)."""
-    m = sig.lattice_dim
-    terms = []
-    for _ in range(n_terms):
-        K = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(m))
-        j = int(rng.integers(0, max_deriv + 1)) if max_deriv else 0
-        coeff = Const(round(float(rng.uniform(-2, 2)), 3))
-        if rng.random() < 0.3:
-            coeff = mul(coeff, Alt())
-        if with_x_coeff and rng.random() < 0.5:
-            coeff = add(coeff, mul(Const(round(float(rng.uniform(-1, 1)), 3)), XVar()))
-        terms.append((coeff, K, j))
-    return LinDiffOp.from_terms(terms)

@@ -1,0 +1,141 @@
+"""Test-only oracles: the finite-lattice adjoint pairing and random operators.
+
+:func:`finite_lattice_pairing` checks <f, H g> = <H^dagger f, g> numerically,
+by summing over a finite box with compactly supported fields;
+:func:`random_lindiffop` draws the operators it is checked on.
+"""
+
+import numpy as np
+from numpy.polynomial import Polynomial
+
+from lattice_frames.calculus import LinDiffOp, op_adjoint
+from lattice_frames.expr import Alt, Assignment, Const, ExprError, XVar, add, evaluate, mul
+from lattice_frames.sampling import CheckReport
+
+
+def _rel_residual(lv, rv):
+    scale = max(1.0, abs(lv), abs(rv))
+    return abs(lv - rv) / scale
+
+
+def _support_mask(shape, margin):
+    mask = np.zeros(shape, dtype=bool)
+    inner = tuple(slice(margin, s - margin) for s in shape)
+    mask[inner] = True
+    return mask
+
+
+def _random_supported_field(rng, shape, margin):
+    field = rng.uniform(-1.0, 1.0, size=shape)
+    field[~_support_mask(shape, margin)] = 0.0
+    return field
+
+
+def _coeff_grid(coeff, shape, x, params):
+    """Evaluate a field-free coefficient at every lattice point of the box."""
+    out = np.empty(shape + np.shape(x), dtype=float)
+    for idx in np.ndindex(shape):
+        a = Assignment({}, x=x, params=params, base=idx)
+        out[idx] = evaluate(coeff, a)
+    return out
+
+
+def _bump_poly(a, b, order=4):
+    """((x-a)(b-x))^order as a numpy Polynomial: C^{order-1} with compact support."""
+    return (Polynomial([-a, 1.0]) * Polynomial([b, -1.0])) ** order
+
+
+def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
+                           tol=None, check_id="adjoint-pairing"):
+    """Check <f, H g> = <H^dagger f, g> on a finite box with compact support.
+
+    Discrete directions are summed exactly; for differential-difference
+    operators the x-integrals use a composite trapezoid rule on the support
+    interval, refined until the pairing residual stabilizes.  Coefficients
+    must not involve field variables.
+    """
+    m = sig.lattice_dim
+    shape = (box,) * m
+    margin = op.radius + 1
+    if 2 * margin >= box:
+        raise ExprError(f"box {box} too small for operator radius {op.radius}: "
+                        "compact supports need margin on both sides")
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    fr = _random_supported_field(rng, shape, margin)
+    gr = _random_supported_field(rng, shape, margin)
+    params = {p: rng.uniform(0.5, 1.5) for p in sig.params}
+    adj = op_adjoint(op, sig)
+
+    def discrete_pair(terms, left, right):
+        # sum_n left(n) * sum_t c_t(n) right(n+K): wraparound from np.roll only
+        # touches the zeroed margins, so the box sums equal the Z^m sums.
+        total = 0.0
+        for coeff, K, j in terms:
+            if j:
+                raise ExprError("difference pairing hit a derivative term")
+            cg = _coeff_grid(coeff, shape, 0.0, params)
+            total += float(np.sum(left * cg * np.roll(right, tuple(-k for k in K),
+                                                      axis=tuple(range(m)))))
+        return total
+
+    if op.is_difference and not sig.differential:
+        p1 = discrete_pair(op.terms, fr, gr)
+        p2 = discrete_pair(adj.terms, gr, fr)
+        worst = _rel_residual(p1, p2)
+        tol = 1e-12 if tol is None else tol
+        return CheckReport(check_id, "pass" if worst <= tol else "fail",
+                           worst, 1, seed, note="pure-difference, exact sums")
+
+    # differential-difference: fields r_n * phi(x) with polynomial bumps
+    a, b = support
+    order = max(4, op.max_deriv + 1)
+    phi_f = _bump_poly(a, b, order)
+    phi_g = _bump_poly(a, b, order)
+    scale = max(abs(phi_f(0.5 * (a + b))), 1e-30)
+    tol = 1e-6 if tol is None else tol
+
+    def mixed_pair(terms, left, lpoly, right, rpoly, npts):
+        x = np.linspace(a, b, npts)
+        lvals = lpoly(x) / scale
+        total = 0.0
+        for coeff, K, j in terms:
+            rvals = rpoly.deriv(j)(x) / scale if j else rpoly(x) / scale
+            rolled = np.roll(right, tuple(-k for k in K), axis=tuple(range(m)))
+            for idx in np.ndindex(shape):
+                if left[idx] == 0.0 or rolled[idx] == 0.0:
+                    continue
+                cvals = evaluate(coeff, Assignment({}, x=x, params=params, base=idx))
+                total += left[idx] * rolled[idx] * np.trapezoid(lvals * cvals * rvals, x)
+        return total
+
+    worst = None
+    npts = 257
+    while True:
+        p1 = mixed_pair(op.terms, fr, phi_f, gr, phi_g, npts)
+        p2 = mixed_pair(adj.terms, gr, phi_g, fr, phi_f, npts)
+        res = _rel_residual(p1, p2)
+        if worst is not None and (res <= tol / 10 or abs(res - worst) <= 0.05 * max(res, 1e-300)):
+            worst = res
+            break
+        worst = res
+        if npts >= 4097:
+            break
+        npts = 2 * (npts - 1) + 1
+    return CheckReport(check_id, "pass" if worst <= tol else "fail",
+                       worst, 1, seed, note=f"trapezoid refined to {npts} points")
+
+
+def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):
+    """A random operator with field-free coefficients (constants, alt, a + b x)."""
+    m = sig.lattice_dim
+    terms = []
+    for _ in range(n_terms):
+        K = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(m))
+        j = int(rng.integers(0, max_deriv + 1)) if max_deriv else 0
+        coeff = Const(round(float(rng.uniform(-2, 2)), 3))
+        if rng.random() < 0.3:
+            coeff = mul(coeff, Alt())
+        if with_x_coeff and rng.random() < 0.5:
+            coeff = add(coeff, mul(Const(round(float(rng.uniform(-1, 1)), 3)), XVar()))
+        terms.append((coeff, K, j))
+    return LinDiffOp.from_terms(terms)

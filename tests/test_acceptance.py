@@ -59,11 +59,10 @@ from lattice_frames.noether import (
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import (
-    finite_lattice_pairing,
     identity_check,
-    random_lindiffop,
     residual_stats,
 )
+from oracles import finite_lattice_pairing, random_lindiffop
 
 
 def report(num, description, ok, detail):

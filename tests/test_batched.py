@@ -18,11 +18,11 @@ from lattice_frames.expr import (
     fieldvars,
     power,
     sqrt,
-    stack,
 )
 from lattice_frames.sampling import (
     VARIATION_RANGE,
     Guard,
+    PointSet,
     SamplePlan,
     SamplingExhaustedError,
     identity_check,
@@ -136,9 +136,39 @@ def test_exhaustion_with_masked_guards_matches_reference():
 def test_stacked_evaluation_equals_pointwise(name):
     b = get_example(name)
     pts = b.plan(n_points=30).assignments([b.L], b.sig)
-    batched = evaluate(b.L, stack(pts))
+    batched = evaluate(b.L, pts)
     pointwise = np.array([evaluate(b.L, a) for a in pts])
     assert batched.tobytes() == pointwise.tobytes()
+
+
+@pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+def test_point_set_columns_are_contiguous_arrays(name):
+    b = get_example(name)
+    pts = b.plan(n_points=12).assignments([b.L], b.sig)
+    assert isinstance(pts, PointSet) and len(pts) == 12
+    for col in [*pts.values.values(), pts.x, *pts.params.values(), pts.alt]:
+        assert col.dtype == np.float64 and col.shape == (12,)
+        assert col.flags.c_contiguous
+    assert [col.shape for col in pts.base] == [(12,)] * b.sig.lattice_dim
+    assert len(SamplePlan(n_points=0).assignments([U0], SIG1)) == 0
+
+
+@pytest.mark.parametrize("n_points", [10, 50])
+def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
+    # one point set per candidate block and one for the accepted points;
+    # toda's first block is accepted whole at either size
+    b = get_example("toda")
+    built = []
+    post_init = Assignment.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(Assignment, "__post_init__", counting)
+    pts = b.plan(n_points=n_points).assignments([b.L], b.sig)
+    assert len(pts) == n_points
+    assert built == [PointSet, PointSet]
 
 
 @pytest.mark.parametrize("n", [-3, -2, -1, 2, 3, 4])
@@ -182,7 +212,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("where", [0, 2, 4])
     def test_nan_at_any_point_is_kept(self, where):
         pts = SamplePlan(n_points=5, seed=1).assignments([U0], SIG1)
-        pts[where].values[U0.fv] = math.nan
+        pts.values[U0.fv][where] = math.nan
         assert math.isnan(residual_stats(U0, U0, pts))
         assert math.isnan(relative_residual(pts, lambda a: (evaluate(U0, a), [])))
 

@@ -27,11 +27,10 @@ from lattice_frames.expr import (
 from lattice_frames.parser import parse
 from lattice_frames.sampling import (
     SamplePlan,
-    finite_lattice_pairing,
     identity_check,
-    random_lindiffop,
     residual_stats,
 )
+from oracles import finite_lattice_pairing, random_lindiffop
 
 SIG2 = ProblemSignature(("u",), 2).with_variations()
 PLAN = SamplePlan(n_points=25, seed=77)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,13 +12,22 @@ from lattice_frames.catalog import EXAMPLES
 from lattice_frames.suites import run_suite
 
 
-def run_cli(*args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
+    """``cli.main(args)`` in this process, with its exit code and captured output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exit_:
+            code = exit_.code
+    return subprocess.CompletedProcess(args, 0 if code is None else code,
+                                       out.getvalue(), err.getvalue())
+
+
+def run_process(*args, env=None):
+    """The command-line entry point in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "lattice_frames.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env={**os.environ, **(env or {})})
 
 
 class TestVerify:
@@ -95,7 +107,7 @@ class TestEulerLagrange:
         assert r.returncode == 2
 
     def test_power_overflow_one_line_failure(self):
-        r = run_cli("euler-lagrange", "u[0]^100000")
+        r = run_process("euler-lagrange", "u[0]^100000")
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
         assert r.stderr.strip().splitlines() == [
@@ -217,13 +229,13 @@ class TestOther:
         assert r.returncode == 0
 
     def test_json_determinism(self):
-        a = run_cli("--json", "--seed", "42", "verify", "toda", "--suite", "syzygy")
+        a = run_process("--json", "--seed", "42", "verify", "toda", "--suite", "syzygy")
         b = run_cli("--json", "--seed", "42", "verify", "toda", "--suite", "syzygy")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_env_seed_override(self):
-        a = run_cli("--json", "verify", "toda", "--suite", "syzygy",
-                    env={"LATTICE_FRAMES_SEED": "17"})
+        a = run_process("--json", "verify", "toda", "--suite", "syzygy",
+                        env={"LATTICE_FRAMES_SEED": "17"})
         b = run_cli("--json", "--seed", "17", "verify", "toda", "--suite", "syzygy")
         assert a.stdout == b.stdout
