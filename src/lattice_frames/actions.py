@@ -10,13 +10,14 @@ the adjoint matrix) is derived mechanically and verified numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import (
     Assignment,
     ExprError,
+    Param,
     ZERO,
     add,
     as_expr,
@@ -75,6 +76,12 @@ class GroupAction:
     chart_fn: object = None
     sample_fn: object = None
 
+    def __post_init__(self):
+        # transform() substitutes parameters by name, problem parameters too
+        shared = set(self.param_names) & set(self.sig.params)
+        if shared:
+            raise ValueError(f"group parameters named like problem parameters: {sorted(shared)}")
+
     @property
     def n_params(self):
         return len(self.param_names)
@@ -99,6 +106,12 @@ class GroupAction:
 
     def in_chart(self, g):
         return True if self.chart_fn is None else bool(self.chart_fn(g))
+
+    def at_elements(self, a, gs):
+        """``(g, a with g)``: the elements ``gs`` as parameter columns of shape
+        ``(len(gs), 1)``, which broadcast against the points of ``a``."""
+        g = tuple(np.array(gs, dtype=float).T[:, :, None])
+        return g, replace(a, params={**a.params, **dict(zip(self.param_names, g))})
 
 
 def _variation_map(action, wname, sig):
@@ -151,15 +164,17 @@ def transform(e, action, gvalues, sig):
 def invariance_residual(e, action, sig, plan, rng, n_group):
     """Max relative residual of e(g.z) = e(z) over the plan's points.
 
-    ``n_group`` elements are drawn from ``rng`` and each is compared at every
-    point; an empty point set or a NaN gives NaN.
+    ``e`` is pulled back once with symbolic group coordinates; the
+    ``n_group`` elements drawn from ``rng`` then enter as parameter columns,
+    so one evaluation compares every element at every point.  An empty point
+    set or a NaN gives NaN.
     """
+    moved = transform(e, action, [Param(p) for p in action.param_names], sig)
 
     def residual(a):
+        _, at = action.at_elements(a, [action.random_element(rng) for _ in range(n_group)])
         base = evaluate(e, a)
-        moved = [evaluate(transform(e, action, action.random_element(rng), sig), a)
-                 for _ in range(n_group)]
-        return np.array(moved) - base, [base]
+        return evaluate(moved, at) - base, [base]
 
     return relative_residual(plan.assignments([e], sig), residual)
 

@@ -280,17 +280,17 @@ def linear_by_parts(e, slot_fields, sig):
     return coeffs, boundary
 
 
-def substitute_slots(e, targets, sig, dcal_inv=None):
+def substitute_slots(e, targets, sig, deriv=total_derivative):
     """Replace each slot variable slot_{j;K} by D^j S_K of its target expression.
 
-    ``targets`` maps slot field name -> Expr; derivatives use the invariant
-    derivative when ``dcal_inv`` is given.
+    ``targets`` maps slot field name -> Expr; ``deriv(e, sig)`` is the
+    one-step derivative D, the total derivative unless given.
     """
     rules = {}
     for fv in fieldvars(e):
         if fv.name in targets:
             t = shift(targets[fv.name], fv.shift, sig)
-            if fv.deriv:
-                t = deriv_op(t, sig, dcal_inv, times=fv.deriv)
+            for _ in range(fv.deriv):
+                t = deriv(t, sig)
             rules[fv] = t
     return substitute(e, rules)

@@ -19,11 +19,8 @@ from .actions import transform
 from .calculus import LinDiffOp, apply_op, deriv_op
 from .expr import (
     ONE,
-    Assignment,
     Const,
     Param,
-    Var,
-    XVar,
     add,
     evaluate,
     fieldvars,
@@ -131,24 +128,20 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
         reports.append(identity_check(lhs, Const(c), plan, sig, tol=tol,
                                       check_id=f"{frame.name}:normalization-{k}"))
     # rho(g.z) = rho(z) g^{-1} for random g in the chart: the frame parameters
-    # at the transformed points against the composed element, for n_group
-    # elements, each evaluated once on all sample points
+    # pulled back once with symbolic group coordinates against the composed
+    # element, all n_group elements evaluated at once on all sample points
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 1))
-    needed = set().union(*map(fieldvars, frame.param_exprs))
     gs = [action.random_element(rng) for _ in range(n_group)]
+    symbolic = [Param(p) for p in action.param_names]
+    moved = [transform(p, action, symbolic, sig) for p in frame.param_exprs]
     pts = plan.with_(n_points=max(10, plan.n_points // 3)).assignments(
         list(frame.param_exprs), sig)
 
     def residual(a):
+        g, at = action.at_elements(a, gs)
         rho = [evaluate(p, a) for p in frame.param_exprs]
-        lhs, rhs = [], []
-        for g in gs:
-            values = {fv: evaluate(transform(Var(fv), action, g, sig), a) for fv in needed}
-            x = evaluate(transform(XVar(), action, g, sig), a) if sig.has_x else a.x
-            at = Assignment(values, x=x, params=a.params, base=a.base, alt=a.alt)
-            lhs.append([evaluate(p, at) for p in frame.param_exprs])
-            rhs.append(action.compose(rho, action.inverse(g)))
-        lhs, rhs = np.array(lhs), np.array(rhs)
+        lhs = np.array([evaluate(p, at) for p in moved])
+        rhs = np.array(action.compose(rho, action.inverse(g)))
         return lhs - rhs, (lhs, rhs)
 
     worst = relative_residual(pts, residual)

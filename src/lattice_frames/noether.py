@@ -190,8 +190,8 @@ def compare_laws(law_a, law_b, plan, sig, tol=1e-9):
     component residuals to assert.
     """
     ca, cb = law_dx_components(law_a), law_dx_components(law_b)
-    div_res = residual_stats(divergence(ca, sig), divergence(cb, sig),
-                             plan.assignments([divergence(ca, sig), divergence(cb, sig)], sig))
+    div_a, div_b = divergence(ca, sig), divergence(cb, sig)
+    div_res = residual_stats(div_a, div_b, plan.assignments([div_a, div_b], sig))
     comp_res = []
     pairs = []
     if (ca.a0 is None) != (cb.a0 is None):
@@ -258,24 +258,6 @@ def _formal_dcal(e, sig, dcal_inv):
     return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 
-def _fill_slots(kexpr, invset, args):
-    """Substitute slot variables slot_{j;K} -> Dcal^j S_K (arg) and expand.
-
-    The arguments live in the original variables and may carry adj symbols,
-    which the invariant derivative treats formally.
-    """
-    sig = invset.orig_sig
-    dcal_inv = invset.frame.dcal_inv
-    rules = {}
-    for fv in fieldvars(kexpr):
-        if fv.name in args:
-            t = shift(args[fv.name], fv.shift, sig)
-            for _ in range(fv.deriv):
-                t = _formal_dcal(t, sig, dcal_inv)
-            rules[fv] = t
-    return invset.expand(substitute(kexpr, rules))
-
-
 def invariant_boundary(IL, H):
     """A_H + A_kappa: the boundary terms of the invariant variation, in kappa symbols.
 
@@ -338,7 +320,10 @@ def noether_invariant(IL, H, action, frame, generators=None):
         # t = epsilon^r makes every (kappa^beta)' vanish (kappa is invariant)
         for kdot in kdots:
             args[kdot] = ZERO
-    symbolic = boundary.map(lambda e: _fill_slots(e, inv, args))
+    def dcal(e, sig):  # treats the adj symbols of the arguments formally
+        return _formal_dcal(e, sig, inv.frame.dcal_inv)
+
+    symbolic = boundary.map(lambda e: inv.expand(substitute_slots(e, args, sig, dcal)))
     if has_xi:
         symbolic = DivergenceTuple(
             add(symbolic.a0, mul(inv.expand(IL.L_kappa), xi_sum)), symbolic.comps)

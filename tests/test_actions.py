@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lattice_frames import actions
 from lattice_frames.actions import (
     Generator,
+    GroupAction,
     adjoint_matrix,
     check_variational_symmetry,
     invariance_residual,
@@ -153,6 +155,47 @@ class TestInvarianceResidual:
         res = invariance_residual(toda.L, toda.action, toda.sig,
                                   toda.plan(n_points=0), rng, n_group=5)
         assert np.isnan(res)
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_matches_pointwise_reference(self, name):
+        # one numeric transform per group element, evaluated point by point
+        b = get_example(name)
+        plan = b.plan(n_points=12, seed=7)
+        raw = Var(FieldVar(b.sig.base_fields[0], 0, (0,) * b.sig.lattice_dim))
+        for e in (b.L, invariantize(b.frame, raw, b.sig), raw):
+            rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
+            pts = plan.assignments([e], b.sig)
+            worst = 0.0
+            for _ in range(5):
+                moved = transform(e, b.action, b.action.random_element(rng), b.sig)
+                for a in pts:
+                    base = evaluate(e, a)
+                    worst = max(worst, abs(evaluate(moved, a) - base) / max(1.0, abs(base)))
+            rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
+            got = invariance_residual(e, b.action, b.sig, plan, rng, n_group=5)
+            assert abs(got - worst) <= 1e-15, (name, got, worst)
+
+    @pytest.mark.parametrize("n_group", [5, 20])
+    def test_transforms_once(self, toda, toda_plan, monkeypatch, n_group):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(actions, "transform", counted)
+        rng = np.random.default_rng(0)
+        res = invariance_residual(toda.L, toda.action, toda.sig, toda_plan, rng, n_group)
+        assert res <= 1e-9
+        assert len(calls) == 1
+
+
+class TestGroupAction:
+    def test_parameter_named_like_problem_parameter_rejected(self, nls):
+        assert "h" in nls.sig.params
+        with pytest.raises(ValueError, match="h"):
+            GroupAction(name="clash", sig=nls.sig, param_names=("h",),
+                        identity_values=(0.0,), u_maps={"u": V("u", 0)})
 
 
 class TestAdjointMatrix:

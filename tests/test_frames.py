@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lattice_frames import frames
 from lattice_frames.actions import GroupAction, transform
 from lattice_frames.calculus import deriv_op
 from lattice_frames.catalog import get_example
@@ -90,6 +91,22 @@ class TestSolveFrame:
         rep = verify_frame(frame, plan, sig)[-1]
         assert rep.check_id.endswith(":right-equivariance") and rep.n_points == 16
         assert rep.max_residual == worst
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_transforms_each_parameter_once(self, name, monkeypatch):
+        # one pull-back per normalization equation, one per frame parameter
+        b = get_example(name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(frames, "transform", counted)
+        for n_group in (5, 20):
+            calls.clear()
+            assert all(r.passed for r in verify_frame(b.frame, b.plan(), b.sig, n_group=n_group))
+            assert len(calls) == len(b.frame.normalization) + len(b.frame.param_exprs)
 
 
 class TestInvariantize:
