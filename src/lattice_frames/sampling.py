@@ -8,9 +8,18 @@ zero).  Reports are deterministic functions of the seed.
 
 A point set is one :class:`PointSet` of arrays, so an expression is
 evaluated once at all of its points.  Candidates are drawn in blocks of
-that form and every guard is evaluated once per block as a mask over it;
-the accepted points, the rejection count and the point where sampling
-gives up are those of drawing and testing the candidates one at a time.
+that form, and the whole guard tuple, lowered once per run by
+:func:`~lattice_frames.expr.compile_exprs`, is evaluated in one call per
+block; the accepted points, the rejection count and the point where
+sampling gives up are those of drawing and testing the candidates one at
+a time.
+
+A run is one plan and every plan derived from it by
+:meth:`SamplePlan.with_`; they share one memo.  A request is fixed by its
+sorted variables, the plan's numbers and ranges, the signature's params,
+variation fields and lattice dimension, and by the identity of the guard
+tuple and of ``offsets``, so a repeated request returns the point set drawn
+the first time, bit for bit.  Its columns are read-only.
 """
 
 from __future__ import annotations
@@ -18,11 +27,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .expr import Assignment, ExprError, SingularEvaluationError, evaluate, fieldvars
+from .expr import (
+    Assignment,
+    ExprError,
+    SingularEvaluationError,
+    compile_exprs,
+    evaluate,
+    fieldvars,
+)
 
 __all__ = [
     "Guard",
@@ -54,11 +69,6 @@ class Guard:
     kind: str = "abs"
     margin: float = DEFAULT_MARGIN
 
-    @cached_property
-    def variables(self):
-        """The field variables of ``expr``, collected once per guard."""
-        return fieldvars(self.expr)
-
     def ok(self, a):
         try:
             v = evaluate(self.expr, a)
@@ -67,17 +77,6 @@ class Guard:
         if self.kind == "pos":
             return v >= self.margin
         return abs(v) >= self.margin
-
-    def mask(self, a):
-        """:meth:`ok` at every point of the point set ``a`` (one bool if ``expr`` is constant).
-
-        Raises :class:`SingularEvaluationError` when ``expr`` is singular at
-        any of the points; :meth:`ok` then decides them one by one.
-        """
-        v = evaluate(self.expr, a)
-        if self.kind != "pos":
-            v = np.abs(v)
-        return v >= self.margin
 
 
 class PointSet(Assignment):
@@ -105,6 +104,9 @@ class SamplePlan:
     ``u_{1,1} > u_{0,0}`` be sampled without drowning in rejections; drawn
     values are ``offset + uniform(range)``.  Variation slot fields always use
     the range [-1, 1].
+
+    ``memo`` holds the point sets and the lowered guard tuple of one run:
+    a new plan starts with an empty one, and :meth:`with_` hands it on.
     """
 
     n_points: int = 50
@@ -116,9 +118,21 @@ class SamplePlan:
     offsets: object = None
     base_range: tuple = (-2, 2)
     max_rejections: int = 20000
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def with_(self, **kw):
-        return replace(self, **kw)
+        """A copy with ``kw`` replaced that shares this plan's memo."""
+        plan = replace(self, **kw)
+        plan.memo = self.memo
+        return plan
+
+    def _lowered_guards(self):
+        """``(fn, variables)`` of :func:`compile_exprs` over the guard expressions, once per run."""
+        # the entry keeps the tuple alive, so its id cannot be reused
+        key = ("guards", id(self.guards))
+        if key not in self.memo:
+            self.memo[key] = (self.guards, *compile_exprs([g.expr for g in self.guards]))
+        return self.memo[key][1:]
 
     def assignments(self, exprs, sig, extra_vars=()):
         """The :class:`PointSet` of admissible points covering every variable of ``exprs``.
@@ -126,16 +140,25 @@ class SamplePlan:
         Each candidate takes its coordinates (sorted), then ``x``, then the
         parameters from one ``uniform`` call, which consumes the random
         stream exactly as one call per value does, and then one ``integers``
-        call per lattice direction for its base point.
+        call per lattice direction for its base point.  A request this run
+        has already drawn returns a new :class:`PointSet` over the same
+        read-only columns.
         """
-        names = set()
+        guard_fn, guard_vars = self._lowered_guards()
+        names = set(guard_vars)
         for e in exprs:
             names |= fieldvars(e)
-        for g in self.guards:
-            names |= g.variables
         names |= set(extra_vars)
         names = sorted(names, key=lambda fv: (fv.name, fv.deriv, fv.shift))
         variation_names = set(sig.variations.values())
+        key = (tuple(names), self.n_points, self.seed, tuple(self.value_range),
+               tuple(self.x_range), tuple(self.base_range), self.max_rejections,
+               tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
+               tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
+               id(self.guards), id(self.offsets))
+        if key in self.memo:
+            values, x, params, base, alt = self.memo[key][2:]
+            return PointSet(dict(values), x=x, params=dict(params), base=base, alt=alt)
         ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
                   for fv in names]
         ranges.append(self.x_range)
@@ -175,8 +198,10 @@ class SamplePlan:
             block = points(rows, bases)
             try:
                 ok = np.ones(size, dtype=bool)
-                for g in self.guards:
-                    ok &= g.mask(block)
+                values = guard_fn([block.values[fv] for fv in guard_vars],
+                                  block.x, block.params, block.alt)
+                for g, v in zip(self.guards, values):
+                    ok &= (v if g.kind == "pos" else np.abs(v)) >= g.margin
             except SingularEvaluationError:
                 ok = [all(g.ok(p) for g in self.guards) for p in block]
             take = []
@@ -192,7 +217,13 @@ class SamplePlan:
                 else:
                     rejected += 1
             kept.append((rows[take], bases[take]))
-        return points(*map(np.concatenate, zip(*kept)))
+        out = points(*map(np.concatenate, zip(*kept)))
+        for col in [*out.values.values(), out.x, *out.params.values(), *out.base, out.alt]:
+            col.flags.writeable = False
+        # the entry keeps the guard tuple and offsets alive, so their ids cannot be reused
+        self.memo[key] = (self.guards, self.offsets, dict(out.values), out.x,
+                          dict(out.params), out.base, out.alt)
+        return out
 
 
 @dataclass

@@ -62,15 +62,16 @@ __all__ = ["SUITES", "run_suite", "suite_names"]
 
 
 def _report(check_id, residual, tol, plan, n_points=None, note=""):
+    """``n_points`` is the size of the point set drawn, when not ``plan``'s own."""
     return CheckReport(check_id, "pass" if residual <= tol else "fail",
                        float(residual), n_points or plan.n_points, plan.seed, note=note)
 
 
-def _must_fail(check_id, residual, tol, plan, note):
+def _must_fail(check_id, residual, tol, plan, note, n_points=None):
     """A negative control: passes only when the residual is finite and above ``tol``."""
     ok = math.isfinite(residual) and residual > tol
     return CheckReport(check_id, "pass" if ok else "fail", float(residual),
-                       plan.n_points, plan.seed, note=note)
+                       n_points or plan.n_points, plan.seed, note=note)
 
 
 def _worst(residuals):
@@ -231,7 +232,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     sig = b.sig
     frame, action, inv = b.frame, b.action, b.invset
 
-    def invariance(e, n_points=20):
+    def invariance(e, n_points):
         rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
         return invariance_residual(e, action, sig, plan.with_(n_points=n_points), rng,
                                    n_group=20)
@@ -242,7 +243,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     out.append(identity_check(ie, invariantize(frame, ie, sig),
                               plan.with_(n_points=20), sig, tol=tol,
                               check_id="iota-projection"))
-    out.append(_report("iota-invariance", invariance(ie), tol, plan))
+    out.append(_report("iota-invariance", invariance(ie, 20), tol, plan, n_points=20))
     # replacement rule on each generating invariant
     xr = invariantize(frame, XVar(), sig) if sig.has_x else None
     for kname, kdef in inv.kappa_defs.items():
@@ -252,14 +253,14 @@ def suite_equivariance(b, plan, tol=1e-8):
                                   check_id=f"replacement-rule:{kname}"))
     for i in range(sig.lattice_dim):
         K = maurer_cartan(frame, i, sig)
-        worst = _worst([invariance(comp, n_points=10) for comp in K])
-        out.append(_report(f"maurer-cartan-invariance:{i+1}", worst, tol, plan))
+        worst = _worst([invariance(comp, 10) for comp in K])
+        out.append(_report(f"maurer-cartan-invariance:{i+1}", worst, tol, plan, n_points=10))
     if sig.lattice_dim == 2:
         lhs = mc_element(frame, (1, 1), sig)
         rhs = mc_concatenated(frame, 0, 1, sig)
         worst = _worst([residual_stats(l, r, plan.with_(n_points=15).assignments([l, r], sig))
                         for l, r in zip(lhs, rhs)])
-        out.append(_report("maurer-cartan-concatenation", worst, tol, plan))
+        out.append(_report("maurer-cartan-concatenation", worst, tol, plan, n_points=15))
     if sig.differential:
         dc = frame.dcal_inv
         step = tuple(1 if k == 0 else 0 for k in range(sig.lattice_dim))
@@ -312,8 +313,9 @@ def suite_equivariance(b, plan, tol=1e-8):
     # under the catalog actions
     raw = Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
     out.append(_must_fail("negative-control:noninvariant",
-                          invariance(add(ie, raw), n_points=10), tol, plan,
-                          note="non-invariant expression must fail the invariance test"))
+                          invariance(add(ie, raw), 10), tol, plan,
+                          note="non-invariant expression must fail the invariance test",
+                          n_points=10))
     return out
 
 

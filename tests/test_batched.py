@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lattice_frames import sampling
 from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
     Assignment,
@@ -29,6 +30,7 @@ from lattice_frames.sampling import (
     relative_residual,
     residual_stats,
 )
+from lattice_frames.suites import run_suite
 
 
 def reference_assignments(plan, exprs, sig, extra_vars=()):
@@ -171,6 +173,63 @@ def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
     assert built == [PointSet, PointSet]
 
 
+def columns(pts):
+    return [*pts.values.values(), pts.x, *pts.params.values(), *pts.base, pts.alt]
+
+
+class TestMemo:
+    def test_memo_belongs_to_one_run(self):
+        b = get_example("toda")
+        plan = b.plan()
+        assert plan.memo == {}
+        plan.assignments([b.L], b.sig)
+        assert plan.memo
+        assert plan.with_(n_points=10).memo is plan.memo
+        fresh = b.plan()
+        assert fresh.memo == {} and fresh.memo is not plan.memo
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_hit_is_read_only_and_equals_a_cold_draw(self, name):
+        b = get_example(name)
+        plan = b.plan(n_points=12)
+        first = plan.assignments([b.L], b.sig)
+        for col in columns(first):
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+        first.values.clear()  # a caller's own dict, not the memo's
+        hit = plan.with_(seed=plan.seed).assignments([b.L], b.sig)
+        cold = b.plan(n_points=12).assignments([b.L], b.sig)
+        assert hit is not first and len(plan.memo) == 2  # the lowered guards and one point set
+        assert list(hit.values) == list(cold.values) and list(hit.params) == list(cold.params)
+        assert [c.tobytes() for c in columns(hit)] == [c.tobytes() for c in columns(cold)]
+        for col in columns(hit):
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
+    @pytest.mark.parametrize("name, draws", [("toda", 10), ("ex81", 20), ("nls", 18)])
+    def test_each_point_set_is_drawn_once_per_run(self, name, draws, monkeypatch):
+        seeds, lowered = [], []
+        pcg64, compile_exprs = np.random.PCG64, sampling.compile_exprs
+
+        def counting_pcg64(seed):
+            seeds.append(seed)
+            return pcg64(seed)
+
+        def counting_compile(exprs):
+            lowered.append(exprs)
+            return compile_exprs(exprs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        monkeypatch.setattr(sampling, "compile_exprs", counting_compile)
+        b = get_example(name)
+        reports = run_suite(b, "all", b.plan(seed=2024))
+        assert reports and all(r.passed for r in reports)
+        # every draw seeds its generator with the plan's seed; the group
+        # elements and probes of the suites use seed + k for some k > 0
+        assert seeds.count(2024) == draws
+        assert lowered == [[g.expr for g in b.plan_kw["guards"]]]
+
+
 @pytest.mark.parametrize("n", [-3, -2, -1, 2, 3, 4])
 def test_pow_scalar_and_array_agree_bitwise(n):
     rng = np.random.default_rng(n + 100)
@@ -212,6 +271,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("where", [0, 2, 4])
     def test_nan_at_any_point_is_kept(self, where):
         pts = SamplePlan(n_points=5, seed=1).assignments([U0], SIG1)
+        pts.values[U0.fv] = pts.values[U0.fv].copy()  # the drawn columns are read-only
         pts.values[U0.fv][where] = math.nan
         assert math.isnan(residual_stats(U0, U0, pts))
         assert math.isnan(relative_residual(pts, lambda a: (evaluate(U0, a), [])))

@@ -234,6 +234,17 @@ class TestOther:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_memo_stays_inside_one_run(self):
+        # a memo that outlived its run would hand seed 7 the points of seed 2024
+        args = ("--json", "--seed", "7", "verify", "toda", "--suite", "all")
+        first = run_cli(*args)
+        other = run_cli("--json", "--seed", "2024", "verify", "toda", "--suite", "all")
+        again = run_cli(*args)
+        fresh = run_process(*args)
+        assert first.returncode == other.returncode == again.returncode == fresh.returncode == 0
+        assert first.stdout == again.stdout == fresh.stdout
+        assert other.stdout != first.stdout
+
     def test_env_seed_override(self):
         a = run_process("--json", "verify", "toda", "--suite", "syzygy",
                         env={"LATTICE_FRAMES_SEED": "17"})

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from lattice_frames import suites
-from lattice_frames.actions import SymmetryResult
+from lattice_frames.actions import SymmetryResult, invariance_residual
 from lattice_frames.expr import ExprError
 from lattice_frames.sampling import CheckReport
 from lattice_frames.suites import SUITES, run_suite
@@ -87,3 +87,21 @@ def test_nan_negative_control_fails(toda, monkeypatch, suite, target, patch, che
     reports = {r.check_id: r for r in run_suite(toda, suite, toda.plan(n_points=10))}
     assert math.isnan(reports[check_id].max_residual)
     assert reports[check_id].status == "fail"
+
+
+def test_equivariance_checks_report_the_points_they_draw(toda, monkeypatch):
+    drawn = []
+
+    def recording(e, action, sig, plan, rng, **kw):
+        drawn.append(plan.n_points)
+        return invariance_residual(e, action, sig, plan, rng, **kw)
+
+    monkeypatch.setattr(suites, "invariance_residual", recording)
+    reports = {r.check_id: r.n_points for r in run_suite(toda, "equivariance", toda.plan())}
+    assert drawn == [20, 10, 10, 10, 10, 10]  # iota, two components per direction, control
+    assert {k: reports[k] for k in (
+        "iota-invariance", "maurer-cartan-invariance:1", "maurer-cartan-invariance:2",
+        "maurer-cartan-concatenation", "negative-control:noninvariant")} == {
+        "iota-invariance": 20, "maurer-cartan-invariance:1": 10,
+        "maurer-cartan-invariance:2": 10, "maurer-cartan-concatenation": 15,
+        "negative-control:noninvariant": 10}
