@@ -514,90 +514,118 @@ _LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_log": np.log,
 
 
 def compile_exprs(exprs):
-    """Lower a list of expressions once into one straight-line numpy function.
+    """Lower a list of expressions once into straight-line numpy functions.
 
-    Returns ``(fn, variables)``: ``fn(values, x, params, alt)`` gives a list
-    with the value of each expression, where ``values`` holds one value per
-    FieldVar of ``variables`` in that order.  Each node becomes one assignment
-    computed by the rule of :func:`evaluate`, in its order, so the values,
-    the singular-node errors and the first error met are the same bit for
-    bit.  A shared (id-equal) subtree is computed once across the whole list.
-    A call that overflows, or lacks a parameter, is redone by
-    :func:`evaluate`, which stays the reference for both.
+    Returns ``(bind, variables)``.  ``bind(params)`` runs the prelude, the
+    nodes of constants and parameters alone with their singular checks, and
+    returns ``fn(values, x, alt)``: it computes the nodes that read a field,
+    ``x`` or ``alt``, and gives a list with the value of each expression,
+    where ``values`` holds one value per FieldVar of ``variables`` in that
+    order.  Bind once per parameter binding, then call as often as the
+    fields change.
+
+    Each node becomes one assignment computed by the rule of :func:`evaluate`
+    on the same inputs, so the values and each singular-node error are the
+    same bit for bit.  A shared (id-equal) subtree is computed once across
+    the whole list.  After a prelude that overflows or lacks a parameter,
+    every call of the bound function is redone by :func:`evaluate`, and so is
+    a call that overflows.  The checks keep the order of :func:`evaluate`
+    within the prelude and within the call, but the prelude's come first: if
+    a parameter-only node and an earlier field node are both singular,
+    ``bind`` raises the parameter-only error.
     """
     exprs = list(exprs)
-    names = {}          # id(node) -> name holding its value
+    names = {}          # id(node) -> (name holding its value, whether it reads a field, x or alt)
     bound = {}          # closure name -> constant or node the code refers to
     slots = {}          # FieldVar -> its index in the values sequence
-    lines = []
+    prelude, body = [], []
 
-    def bind(obj, prefix):
+    def capture(obj, prefix):
         name = f"{prefix}{len(bound)}"
         bound[name] = obj
         return name
 
-    def check(test, message, node):
-        lines.append(f"if _any({test}): raise _singular({message!r}, {bind(node, 'n')})")
+    def check(varying, test, message, node):
+        (body if varying else prelude).append(
+            f"if _any({test}): raise _singular({message!r}, {capture(node, 'n')})")
 
     def rec(node):
         key = id(node)
         if key in names:
             return names[key]
         if isinstance(node, (Const, XVar, Alt)):
-            out = names[key] = (bind(node.value, "c") if isinstance(node, Const)
-                                else "x" if isinstance(node, XVar) else "alt")
+            out = names[key] = ((capture(node.value, "c"), False) if isinstance(node, Const)
+                                else ("x" if isinstance(node, XVar) else "alt", True))
             return out
         if isinstance(node, Param):
-            value = f"P[{node.name!r}]"
+            value, varying = f"P[{node.name!r}]", False
         elif isinstance(node, Var):
-            value = f"V[{slots.setdefault(node.fv, len(slots))}]"
+            value, varying = f"V[{slots.setdefault(node.fv, len(slots))}]", True
         elif isinstance(node, (Sum, Prod)):
-            op = " + " if isinstance(node, Sum) else " * "
-            value = op.join([rec(t) for t in children(node)])
+            args = [rec(t) for t in children(node)]
+            value = (" + " if isinstance(node, Sum) else " * ").join([a for a, _ in args])
+            varying = any([v for _, v in args])
         elif isinstance(node, Pow):
-            base = rec(node.base)
+            base, varying = rec(node.base)
             if node.exponent < 0:
-                check(f"{base} == 0", "zero base with negative exponent", node.base)
+                check(varying, f"{base} == 0", "zero base with negative exponent", node.base)
             value = f"_power({base}, {float(node.exponent)!r})"
         elif isinstance(node, Quot):
-            den = rec(node.den)
-            check(f"{den} == 0", "division by zero", node.den)
-            value = f"{rec(node.num)} / {den}"
+            den, varying = rec(node.den)
+            check(varying, f"{den} == 0", "division by zero", node.den)
+            num, num_varying = rec(node.num)
+            value, varying = f"{num} / {den}", varying or num_varying
         elif isinstance(node, Neg):
-            value = f"-{rec(node.arg)}"
+            arg, varying = rec(node.arg)
+            value = f"-{arg}"
         elif isinstance(node, LnAbs):
-            arg = rec(node.arg)
-            check(f"{arg} == 0", "ln of zero", node.arg)
+            arg, varying = rec(node.arg)
+            check(varying, f"{arg} == 0", "ln of zero", node.arg)
             value = f"_log(_abs({arg}))"
         elif isinstance(node, Sqrt):
-            arg = rec(node.arg)
-            check(f"{arg} < 0", "sqrt of a negative value", node.arg)
+            arg, varying = rec(node.arg)
+            check(varying, f"{arg} < 0", "sqrt of a negative value", node.arg)
             value = f"_sqrt({arg})"
         else:
             raise ExprError(f"unknown node {node!r}")
-        out = names[key] = f"t{len(lines)}"
-        lines.append(f"{out} = {value}")
+        name = f"t{len(prelude) + len(body)}"
+        (body if varying else prelude).append(f"{name} = {value}")
+        out = names[key] = name, varying
         return out
 
-    results = [rec(e) for e in exprs]
-    body = "".join(f"        {line}\n" for line in lines)
+    results = [rec(e)[0] for e in exprs]
     source = (f"def _make({', '.join(bound)}):\n"
-              f"    def _lowered(V, x, P, alt):\n{body}"
-              f"        return [{', '.join(results)}]\n"
-              f"    return _lowered\n")
+              "    def _prelude(P):\n"
+              + "".join(f"        {line}\n" for line in prelude)
+              + "        def _lowered(V, x, alt):\n"
+              + "".join(f"            {line}\n" for line in body)
+              + f"            return [{', '.join(results)}]\n"
+              "        return _lowered\n"
+              "    return _prelude\n")
     namespace = dict(_LOWERED_GLOBALS)
     exec(source, namespace)
-    lowered = namespace["_make"](**bound)
+    run_prelude = namespace["_make"](**bound)
     variables = tuple(slots)
 
-    def fn(values, x, params, alt):
-        try:
-            return _raising_overflow(lowered, values, x, params, alt)
-        except (FloatingPointError, KeyError):
+    def bind(params):
+        def redo(values, x, alt):
             a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
             return [evaluate(e, a) for e in exprs]
 
-    return fn, variables
+        try:
+            lowered = _raising_overflow(run_prelude, params)
+        except (FloatingPointError, KeyError):
+            return redo
+
+        def fn(values, x, alt):
+            try:
+                return _raising_overflow(lowered, values, x, alt)
+            except FloatingPointError:
+                return redo(values, x, alt)
+
+        return fn
+
+    return bind, variables
 
 
 # Decorators, so that each error state is built once rather than per call.

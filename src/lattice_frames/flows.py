@@ -4,10 +4,12 @@ The right-hand sides and the monitored densities are expressions over the
 problem's fields (derivative order 0, shifts only).  Each set is lowered once
 per integration by :func:`~lattice_frames.expr.compile_exprs` into one
 straight-line numpy function over whole arrays, and a field shifted by k is
-read through the index array (n + k) mod N, built once.  So the classical
-fourth-order Runge-Kutta stepping stays vectorized and walks no expression
-tree per step; :func:`~lattice_frames.expr.evaluate` is only the fallback of
-a call that overflows.
+read through the index array (n + k) mod N, built once.  The parameters are
+bound once per integration too, so nodes of constants and parameters alone,
+such as ``h^2``, are computed and checked once, not at every step.  So the
+classical fourth-order Runge-Kutta stepping stays vectorized and walks no
+expression tree per step; :func:`~lattice_frames.expr.evaluate` is only the
+fallback of a binding or a call that overflows.
 """
 
 from __future__ import annotations
@@ -58,13 +60,14 @@ class LatticeState:
                             self.x, dict(self.params))
 
 
-def _on_lattice(exprs, n_sites):
-    """Lower ``exprs`` once into ``fn(fields, x, params)`` -> one array per expression.
+def _on_lattice(exprs, n_sites, params):
+    """Lower ``exprs`` and bind ``params`` once into ``fn(fields, x)`` -> one array per expression.
 
     Each array holds the expression's value at every one of ``n_sites``
     lattice sites, with periodic shifts; a constant value is broadcast.
+    A node of constants and parameters alone is computed, and checked, here.
     """
-    lowered, variables = compile_exprs(exprs)
+    bind, variables = compile_exprs(exprs)
     alt = (-1.0) ** np.arange(n_sites)
     index = {}
     reads = []
@@ -78,18 +81,19 @@ def _on_lattice(exprs, n_sites):
             # arr[(n + k) % N] is np.roll(arr, -k)
             index[k] = (np.arange(n_sites) + k) % n_sites
         reads.append((fv.name, index[k] if k else None))
+    lowered = bind(params)
 
-    def fn(fields, x, params):
+    def fn(fields, x):
         values = [fields[name] if idx is None else fields[name][idx] for name, idx in reads]
         return [v if np.ndim(v) else np.full(n_sites, float(v))
-                for v in lowered(values, x, params, alt)]
+                for v in lowered(values, x, alt)]
 
     return fn
 
 
 def eval_on_lattice(e, state):
     """Evaluate ``e`` at every lattice site (periodic shifts)."""
-    return _on_lattice([e], state.n_sites)(state.fields, state.x, state.params)[0]
+    return _on_lattice([e], state.n_sites, state.params)(state.fields, state.x)[0]
 
 
 def step_count(x_span, dt):
@@ -145,17 +149,17 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
                                f"{err}") from None
 
     names = list(rhs)
-    monitor_fn = _on_lattice(list(monitors.values()), state.n_sites)
-    rhs_fn = _on_lattice(list(rhs.values()), state.n_sites)
+    monitor_fn = _on_lattice(list(monitors.values()), state.n_sites, state.params)
+    rhs_fn = _on_lattice(list(rhs.values()), state.n_sites, state.params)
 
     def f(fields_dict, x):
-        return dict(zip(names, rhs_fn(fields_dict, x, state.params)))
+        return dict(zip(names, rhs_fn(fields_dict, x)))
 
     def record(i):
         xs[i] = state.x
-        values = monitor_fn(state.fields, state.x, state.params)
+        values = monitor_fn(state.fields, state.x)
         for label, dens in zip(monitors, values):
-            sums[label][i] = float(np.sum(dens))
+            sums[label][i] = float(dens.sum())
 
     record(0)
     for i in range(1, n_steps + 1):
@@ -167,7 +171,7 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
         for n in names:
             y[n] = y[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
         state.x = x0 + i * dt
-        norms = [float(np.max(np.abs(y[n]))) for n in names]
+        norms = [float(np.abs(y[n]).max()) for n in names]
         if not all(v <= blow_up for v in norms):  # a NaN norm fails too
             raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {state.x:.6g}")
         record(i)

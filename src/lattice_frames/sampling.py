@@ -10,7 +10,8 @@ A point set is one :class:`PointSet` of arrays, so an expression is
 evaluated once at all of its points.  Candidates are drawn in blocks of
 that form, and the whole guard tuple, lowered once per run by
 :func:`~lattice_frames.expr.compile_exprs`, is evaluated in one call per
-block; the accepted points, the rejection count and the point where
+block, with the block's parameter columns bound just before it; the
+accepted points, the rejection count and the point where
 sampling gives up are those of drawing and testing the candidates one at
 a time.
 
@@ -127,7 +128,7 @@ class SamplePlan:
         return plan
 
     def _lowered_guards(self):
-        """``(fn, variables)`` of :func:`compile_exprs` over the guard expressions, once per run."""
+        """``(bind, variables)`` of :func:`compile_exprs` over the guard expressions, once per run."""
         # the entry keeps the tuple alive, so its id cannot be reused
         key = ("guards", id(self.guards))
         if key not in self.memo:
@@ -144,7 +145,7 @@ class SamplePlan:
         has already drawn returns a new :class:`PointSet` over the same
         read-only columns.
         """
-        guard_fn, guard_vars = self._lowered_guards()
+        guard_bind, guard_vars = self._lowered_guards()
         names = set(guard_vars)
         for e in exprs:
             names |= fieldvars(e)
@@ -198,8 +199,9 @@ class SamplePlan:
             block = points(rows, bases)
             try:
                 ok = np.ones(size, dtype=bool)
-                values = guard_fn([block.values[fv] for fv in guard_vars],
-                                  block.x, block.params, block.alt)
+                # the parameters are columns of the block, so they are bound per block
+                values = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
+                                                  block.x, block.alt)
                 for g, v in zip(self.guards, values):
                     ok &= (v if g.kind == "pos" else np.abs(v)) >= g.margin
             except SingularEvaluationError:

@@ -11,6 +11,7 @@ from lattice_frames.expr import (
     Assignment,
     Const,
     FieldVar,
+    Param,
     Pow,
     ProblemSignature,
     SingularEvaluationError,
@@ -112,6 +113,17 @@ def test_singular_guard_fallback_matches_reference(seed):
     want = reference_assignments(plan, [U0 * U1], SIG1)
     assert as_tuples(got) == as_tuples(want)
     assert all(a.values[U0.fv] >= 0.09 for a in got)
+
+
+def test_singular_parameter_guard_falls_back_to_reference():
+    # sqrt(a - 1) is singular when binding a block whose a column dips below 1
+    sig = ProblemSignature(("u",), 1, params=("a",))
+    guards = (Guard(sqrt(Param("a") - 1), "pos", 0.2), Guard(U1 - U0, "abs", 0.1))
+    plan = SamplePlan(n_points=30, seed=11, guards=guards)
+    got = plan.assignments([U0 * U1], sig)
+    want = reference_assignments(plan, [U0 * U1], sig)
+    assert as_tuples(got) == as_tuples(want)
+    assert all(a.params["a"] >= 1.04 for a in got)
 
 
 @pytest.mark.parametrize("max_rejections", [0, 5, 17])

@@ -193,6 +193,16 @@ class TestIntegrate:
         r = run_cli("integrate", "toda")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("h, message", [
+        ("1e-200", "division by zero"),           # h^2 underflows to 0
+        ("1e200", "non-finite value of h^2"),     # h^2 overflows
+    ])
+    def test_singular_step_parameter_is_one_line(self, h, message):
+        r = run_cli("integrate", "nls", "--h", h)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stderr == f"singular evaluation: {message}\n"
+
 
 @pytest.mark.parametrize("args", [
     ["euler-lagrange", "u[0]", "--dim", "0"],

@@ -120,6 +120,8 @@ def test_constant_monitor_and_parameter_rhs_broadcast():
 
 
 U = var("u")
+A = Param("a")
+PARAMS = {"a": 0.0}   # every singular case is evaluated with these parameters
 
 SINGULAR_CASES = [
     ("division by zero", Const(1) / U, [1.0, 0.0, 2.0]),
@@ -129,37 +131,70 @@ SINGULAR_CASES = [
     ("non-finite value of u[0]^2", power(U, 2), [1e200]),
     # the denominator is checked before the numerator is evaluated
     ("division by zero", ln_abs(U) / (U - U), [0.0, 1.0]),
+    # singular nodes of parameters and constants alone, checked when binding
+    ("division by zero", U + Const(1) / A, [1.0, 2.0]),
+    ("zero base with negative exponent", U * power(A, -1), [1.0]),
+    ("ln of zero", U - ln_abs(Const(0)), [1.0]),
+    ("sqrt of a negative value", U * sqrt(Const(-1.0)), [1.0]),
 ]
 
 
 @pytest.mark.parametrize("message, e, values", SINGULAR_CASES)
 def test_singular_nodes_match_evaluate(message, e, values):
-    fn, variables = compile_exprs([e])
+    bind, variables = compile_exprs([e])
     assert variables == (U.fv,)
     arr = np.array(values)
     with pytest.raises(SingularEvaluationError) as want:
-        evaluate(e, Assignment({U.fv: arr}))
+        evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
     with pytest.raises(SingularEvaluationError) as got:
-        fn([arr], 0.0, {}, 1.0)
+        bind(PARAMS)([arr], 0.0, 1.0)
     assert str(want.value) == message
     assert str(got.value) == str(want.value)
     assert got.value.subexpr is want.value.subexpr
 
 
+def test_parameter_only_error_is_raised_when_binding():
+    # evaluate meets the field's zero denominator first; the bound path checks
+    # the parameter-only denominator in the prelude, before any field is read
+    e = Const(1) / U + Const(1) / A
+    arr = np.array([0.0, 1.0])
+    with pytest.raises(SingularEvaluationError) as want:
+        evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
+    bind, _ = compile_exprs([e])
+    with pytest.raises(SingularEvaluationError) as got:
+        bind(PARAMS)
+    assert want.value.subexpr is U
+    assert got.value.subexpr is A
+    assert str(got.value) == str(want.value) == "division by zero"
+
+
 def test_quiet_overflow_falls_back_to_evaluate():
     e = U * U + Const(1)
-    fn, _ = compile_exprs([e, U])
+    bind, _ = compile_exprs([e, U])
     arr = np.array([1e200, 2.0])
-    got = fn([arr], 0.0, {}, 1.0)
+    got = bind({})([arr], 0.0, 1.0)
     assert (got[0] == evaluate(e, Assignment({U.fv: arr}))).all()
     assert got[0][0] == np.inf and got[1] is arr
 
 
+def test_parameter_overflow_falls_back_to_evaluate():
+    e = U * A ** 2
+    params = {"a": 1e200}
+    arr = np.array([1.0, 2.0])
+    with pytest.raises(SingularEvaluationError) as want:
+        evaluate(e, Assignment({U.fv: arr}, params=params))
+    fn = compile_exprs([e])[0](params)   # the prelude overflows: no error yet
+    with pytest.raises(SingularEvaluationError) as got:
+        fn([arr], 0.0, 1.0)
+    assert str(got.value) == str(want.value) == "non-finite value of a^2"
+    assert got.value.subexpr is want.value.subexpr
+
+
 def test_missing_parameter_raises_as_evaluate():
-    e = U * Param("b")
-    fn, _ = compile_exprs([e])
-    with pytest.raises(expr.MissingVariableError, match="parameter 'b' has no value"):
-        fn([np.ones(2)], 0.0, {}, 1.0)
+    for e in (U * Param("b"), U + Const(1) / Param("b")):
+        fn = compile_exprs([e])[0]({})   # the prelude lacks b: no error yet
+        with pytest.raises(expr.MissingVariableError, match="parameter 'b' has no value"):
+            fn([np.ones(2)], 0.0, 1.0)
 
 
 def test_overflowing_product_is_a_blow_up():
@@ -192,5 +227,25 @@ def test_no_tree_walk_or_roll_per_step(nls, monkeypatch):
         calls.clear()
         integrate_lattice_flow(cfg["rhs"], state0, x_span, 1e-3, monitors=cfg["monitors"])
         return dict(calls)
+
+    assert count((0.0, 0.01)) == count((0.0, 0.1))
+
+
+def test_no_singular_check_per_step(nls, monkeypatch):
+    # the checks of h^2 and the constant denominators run once per binding
+    calls = []
+
+    def counting_any(*args, **kwargs):
+        calls.append(args)
+        return np.any(*args, **kwargs)
+
+    monkeypatch.setitem(expr._LOWERED_GLOBALS, "_any", counting_any)
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](16, 0.5)
+
+    def count(x_span):
+        calls.clear()
+        integrate_lattice_flow(cfg["rhs"], state0, x_span, 1e-3, monitors=cfg["monitors"])
+        return len(calls)
 
     assert count((0.0, 0.01)) == count((0.0, 0.1))
