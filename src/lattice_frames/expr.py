@@ -9,11 +9,20 @@ integer shift multi-index ``K``.
 There is no general simplification: smart constructors only fold constants
 and flatten nested sums/products.  Equality of expressions is decided
 numerically elsewhere (see :mod:`lattice_frames.sampling`).
+
+Nodes are hash-consed: constructing a node whose class and fields equal
+those of a live node returns that node, so structurally equal subtrees are
+one object and every memo keyed on ``id`` shares them.  Fields match when
+child nodes are the same objects and leaf values have the same type and bit
+pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
+holds weak references only: a node lives exactly as long as without it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,10 +170,53 @@ class ProblemSignature:
         return tuple(f for f in self.fields if f not in vnames)
 
 
-class Expr:
-    """Base class; all nodes are immutable and hashable."""
+# The intern table: key -> weak reference to the one node of that structure.
+# Entries go when their node does (see _forget), so the table keeps no node alive.
+_INTERNED = {}
+_DOUBLE = struct.Struct("<d")
 
-    __slots__ = ()
+
+class _InternRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref, table=_INTERNED):
+    # a new node may already hold the key if this one died before the callback ran
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class Expr:
+    """Base class; all nodes are immutable, hashable and interned.
+
+    ``Cls(*fields)`` returns the live node of that class and structure when
+    there is one.  The table key is the class and the ids of the fields,
+    which must then all be nodes, unless the class sets ``_key`` to a
+    function of its fields: a class with other fields keys each of them on
+    its value and type.
+    """
+
+    __slots__ = ("_fvs", "__weakref__")
+
+    _key = None
+
+    def __new__(cls, *fields):
+        key_of = cls._key
+        key = (cls, *map(id, fields)) if key_of is None else key_of(*fields)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields, strict=True):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_fvs", None)
+        ref = _INTERNED[key] = _InternRef(node, _forget)
+        ref.key = key
+        return node
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -200,64 +252,82 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _items_key(cls, items):
+    return (cls, *map(id, items))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const(Expr):
     value: float
 
+    # the bit pattern keeps 0.0 and -0.0 apart, the type 2 and 2.0
+    _key = staticmethod(lambda value: (Const, type(value), _DOUBLE.pack(value)
+                                       if isinstance(value, float) else value))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Param(Expr):
     name: str
 
+    _key = staticmethod(lambda name: (Param, name))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class XVar(Expr):
     """The continuous independent variable x."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Alt(Expr):
     """(-1)^(n^1+...+n^m); shifting by I multiplies by (-1)^(I^1+...+I^m)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Expr):
     fv: FieldVar
 
+    _key = staticmethod(lambda fv: (Var, fv.name, fv.deriv, fv.shift))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Sum(Expr):
     terms: tuple
 
+    _key = classmethod(_items_key)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Prod(Expr):
     factors: tuple
 
+    _key = classmethod(_items_key)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
+    _key = staticmethod(lambda base, exponent: (Pow, id(base), type(exponent), exponent))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Quot(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LnAbs(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sqrt(Expr):
     arg: Expr
 
@@ -387,7 +457,7 @@ def children(node):
 
 
 def nodes(e):
-    """Every node reachable from ``e``, each shared (id-equal) node once."""
+    """Every node reachable from ``e``, each structurally equal, hence one, node once."""
     seen = set()
     stack = [e]
     while stack:
@@ -400,8 +470,25 @@ def nodes(e):
 
 
 def fieldvars(e):
-    """The set of FieldVars reachable in ``e``."""
-    return {node.fv for node in nodes(e) if isinstance(node, Var)}
+    """The set of FieldVars reachable in ``e``: a new set, which the caller may change."""
+    return set(_varset(e))
+
+
+def _varset(node):
+    """The frozenset of FieldVars of ``node``, built from its children's once per node."""
+    out = node._fvs
+    if out is not None:
+        return out
+    if isinstance(node, Var):
+        out = frozenset((node.fv,))
+    else:
+        # a node whose children's sets all lie in one of them shares that set
+        sets = [_varset(c) for c in children(node)]
+        out = max(sets, key=len, default=frozenset())
+        if not all([s <= out for s in sets]):
+            out = out.union(*sets)
+    object.__setattr__(node, "_fvs", out)
+    return out
 
 
 @dataclass
@@ -428,8 +515,8 @@ def evaluate(e, a):
     """Evaluate ``e`` at the assignment ``a`` (IEEE double arithmetic).
 
     Values in ``a`` may be scalars or numpy arrays (all of one shape), so the
-    same walker serves pointwise checks and whole-lattice evaluation.  Shared
-    subtrees are evaluated once (expressions form DAGs after substitution).
+    same walker serves pointwise checks and whole-lattice evaluation.
+    Structurally equal subtrees are one object, hence evaluated once.
     A power that overflows from a finite base raises
     :class:`SingularEvaluationError`; any other overflow gives inf quietly.
     """
@@ -526,13 +613,13 @@ def compile_exprs(exprs):
 
     Each node becomes one assignment computed by the rule of :func:`evaluate`
     on the same inputs, so the values and each singular-node error are the
-    same bit for bit.  A shared (id-equal) subtree is computed once across
-    the whole list.  After a prelude that overflows or lacks a parameter,
-    every call of the bound function is redone by :func:`evaluate`, and so is
-    a call that overflows.  The checks keep the order of :func:`evaluate`
-    within the prelude and within the call, but the prelude's come first: if
-    a parameter-only node and an earlier field node are both singular,
-    ``bind`` raises the parameter-only error.
+    same bit for bit.  Structurally equal subtrees are one object, hence
+    computed once across the whole list.  After a prelude that overflows or
+    lacks a parameter, every call of the bound function is redone by
+    :func:`evaluate`, and so is a call that overflows.  The checks keep the
+    order of :func:`evaluate` within the prelude and within the call, but the
+    prelude's come first: if a parameter-only node and an earlier field node
+    are both singular, ``bind`` raises the parameter-only error.
     """
     exprs = list(exprs)
     names = {}          # id(node) -> (name holding its value, whether it reads a field, x or alt)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lattice_frames import sampling
+from lattice_frames import expr, sampling
+from lattice_frames.calculus import euler_lagrange
 from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
     Assignment,
@@ -16,6 +17,7 @@ from lattice_frames.expr import (
     ProblemSignature,
     SingularEvaluationError,
     Var,
+    children,
     evaluate,
     fieldvars,
     power,
@@ -240,6 +242,29 @@ class TestMemo:
         # elements and probes of the suites use seed + k for some k > 0
         assert seeds.count(2024) == draws
         assert lowered == [[g.expr for g in b.plan_kw["guards"]]]
+
+    def test_hit_walks_no_tree(self, monkeypatch):
+        b = get_example("toda")
+        plan = b.plan()
+        exprs = [b.L, euler_lagrange(b.L, "u", b.sig)]
+        plan.assignments(exprs, b.sig)
+        walked = []
+
+        def counting_children(node):
+            walked.append(node)
+            return children(node)
+
+        monkeypatch.setattr(expr, "children", counting_children)
+        plan.assignments(exprs, b.sig)
+        assert walked == []
+
+    def test_fieldvars_is_a_new_set_each_call(self):
+        b = get_example("toda")
+        first = fieldvars(b.L)
+        want = set(first)
+        first.clear()
+        first.add(FieldVar("u_t", 0, (0, 0)))
+        assert fieldvars(b.L) == want and fieldvars(b.L) is not fieldvars(b.L)
 
 
 @pytest.mark.parametrize("n", [-3, -2, -1, 2, 3, 4])

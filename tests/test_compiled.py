@@ -197,6 +197,28 @@ def test_missing_parameter_raises_as_evaluate():
             fn([np.ones(2)], 0.0, 1.0)
 
 
+def test_structurally_equal_subtrees_are_lowered_once(monkeypatch):
+    calls = []
+
+    def counting_power(*args):
+        calls.append(args)
+        return np.power(*args)
+
+    # two independent builds of one cube, inside two expressions
+    first = power(var("u", 0) + var("u", 1), 3) * var("v")
+    second = ln_abs(power(var("u", 0) + var("u", 1), 3)) + Const(2.5)
+    monkeypatch.setitem(expr._LOWERED_GLOBALS, "_power", counting_power)
+    bind, variables = compile_exprs([first, second])
+    fn = bind({})
+    rng = np.random.default_rng(5)
+    values = [rng.uniform(0.5, 1.5, 9) for _ in variables]
+    got = fn(values, 0.0, 1.0)
+    assert len(calls) == 1
+    a = Assignment(dict(zip(variables, values)))
+    for g, e in zip(got, (first, second)):
+        assert g.tobytes() == evaluate(e, a).tobytes()
+
+
 def test_overflowing_product_is_a_blow_up():
     state = LatticeState({"u": np.full(4, 1e200)}, 0.0, {})
     with pytest.raises(BlowUpError, match=r"^field norm inf at x = "):

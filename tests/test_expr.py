@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from lattice_frames import expr
 from lattice_frames.expr import (
     Assignment,
     CapExceededError,
@@ -12,9 +15,11 @@ from lattice_frames.expr import (
     ProblemSignature,
     SingularEvaluationError,
     Var,
+    add,
     evaluate,
     fieldvars,
     partial,
+    power,
     shift,
     substitute,
     t_derivative,
@@ -83,6 +88,7 @@ class TestRoundTrip:
             plan = b.plan(n_points=50)
             for e in exprs:
                 back = parse(to_string(e), b.sig)
+                assert back is e
                 for a in plan.assignments([e], b.sig):
                     lv, rv = evaluate(e, a), evaluate(back, a)
                     assert abs(lv - rv) <= 1e-12 * (1 + abs(lv))
@@ -262,3 +268,44 @@ class TestConcurrencySurface:
         with pytest.raises(Exception):
             e.terms = ()
         assert hash(e) == hash(V("u", 0, 0) + Const(1))
+
+
+class TestInterning:
+    def test_equal_structure_is_one_object(self):
+        u0 = V("u", 0, 0)
+        assert add(u0, 1) is add(u0, 1)
+        e = power(add(u0, V("u", 1, 0)), 2) * V("u", 0, 1)
+        moved = shift(e, (1, -1), SIG2)
+        assert moved is not e and moved == shift(e, (1, -1), SIG2)
+        assert shift(moved, (-1, 1), SIG2) is e
+
+    def test_leaf_values_key_on_type_and_bit_pattern(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert math.copysign(1.0, Const(-0.0).value) == -1.0
+        assert Const(2) is not Const(2.0)
+        assert type(Const(2).value) is int and type(Const(2.0).value) is float
+        # the smart constructors still compare structurally
+        assert Const(0.0) == expr.ZERO and Const(-0.0) == expr.ZERO
+
+    def test_nan_constant_evaluates_to_nan(self):
+        assert math.isnan(evaluate(Const(math.nan), Assignment({})))
+        assert math.isnan(evaluate(add(V("u", 0, 0), Const(math.nan)),
+                                   Assignment({fv("u", 0, 0): 1.0})))
+
+    def test_table_keeps_no_dropped_node(self):
+        before = len(expr._INTERNED)
+        e = add(V("u", 7, -7), Const(0.8125)) * V("u", -7, 7)
+        ref = weakref.ref(e)
+        assert len(expr._INTERNED) > before
+        del e
+        assert ref() is None
+        assert len(expr._INTERNED) <= before
+
+    def test_fields_still_frozen(self):
+        e = V("u", 0, 0) + Const(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.terms = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Const(1.5).value = 2.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del V("u", 0, 0).fv

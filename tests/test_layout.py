@@ -1,13 +1,18 @@
 """Static checks on the package source: import placement and ``__all__``;
-and that the layer tracer of the benchmark still finds what it wraps."""
+that the layer tracer of the benchmark still finds what it wraps; and that
+every expression node class is interned."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import lattice_frames
+from lattice_frames import expr
 
 PACKAGE_DIR = Path(lattice_frames.__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.rglob("*.py"))
@@ -102,3 +107,36 @@ def test_benchmark_tracer_installs_and_uninstalls():
     after = _bindings(layers.PACKAGE)
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def _node_classes(cls=expr.Expr):
+    """Every concrete node class a module defines, however deep below ``cls``."""
+    for sub in cls.__subclasses__():
+        # dataclass(slots=True) replaces the class it decorates: skip the stale one
+        if dataclasses.is_dataclass(sub) and getattr(
+                sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+            yield sub
+        yield from _node_classes(sub)
+
+
+# A new value of each field type on every call: equal, but a distinct object
+# wherever Python allows one.  A node class with a field type not listed here
+# fails below until its type is added.
+FRESH_FIELDS = {
+    "Expr": lambda: expr.Var(expr.FieldVar("u", 0, (0,))),
+    "tuple": lambda: (expr.Var(expr.FieldVar("u", 0, (0,))), expr.Const(float("1.5"))),
+    "float": lambda: float("2.5"),
+    "int": lambda: int("1000003"),
+    "str": lambda: "".join(["h", "x"]),
+    "FieldVar": lambda: expr.FieldVar("".join(["u", "v"]), 0, (0,)),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(_node_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_node_class_is_interned(cls):
+    def build():
+        return cls(*[FRESH_FIELDS[f.type]() for f in dataclasses.fields(cls)])
+
+    first = build()
+    assert build() is first
