@@ -41,11 +41,19 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
+def _seed(text):
+    """Argument type: an integer seed in [0, 2**64), the range of the generator's seed."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError(text)
+    return value
+
+
 def _default_seed():
     env = os.environ.get("LATTICE_FRAMES_SEED")
     if env is not None:
         try:
-            return int(env)
+            return _seed(env)
         except ValueError:
             print(f"invalid LATTICE_FRAMES_SEED={env!r}", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
@@ -78,7 +86,7 @@ def _span(text):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="sampling seed (default LATTICE_FRAMES_SEED or %d)" % DEFAULT_SEED)
     common.add_argument("--points", type=_positive(int), default=argparse.SUPPRESS,
                         help="sample points per identity check (default 50)")

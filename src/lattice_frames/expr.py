@@ -20,6 +20,7 @@ holds weak references only: a node lives exactly as long as without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import weakref
@@ -441,19 +442,102 @@ def ln_abs(e):
     return LnAbs(as_expr(e))
 
 
+# --- node rules -----------------------------------------------------------
+
+# Names the sources of the node rules read as globals, in evaluate() and in
+# the code compile_exprs() generates.
+_LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_divide": np.divide, "_log": np.log,
+                    "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite}
+
+
+def _function(signature, lines, **names):
+    """A function built once from source lines, with the lowered globals and ``names``."""
+    namespace = {**_LOWERED_GLOBALS, **names}
+    exec(f"def _f({signature}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["_f"]
+
+
+class _Rule:
+    """How the nodes of one class are walked, rebuilt, computed and found singular.
+
+    ``fields`` names the children's fields in order (with ``fold``, one tuple);
+    ``build(node, *children)`` rebuilds through the smart constructor.  The
+    sources ``datum``, ``when``, ``value``, ``test`` and ``overflow`` are
+    printed inline by :func:`compile_exprs` and run by :func:`evaluate` in a
+    function built here.  In ``value``, ``{0}``, ``{1}``, ... are the
+    children's values (with ``fold``, the value so far and the next child's),
+    ``{k}`` the datum, and ``{P}``, ``{V}``, ``{x}``, ``{alt}`` the inputs; a
+    value reading the last three varies per point.  ``test`` is true where a
+    node for which ``when`` holds is singular, its ``{0}`` being child
+    ``tested``, computed first and named by the error.  ``overflow``, tested
+    only after an overflow, is true where the value ``{v}`` is non-finite from
+    a finite ``{0}``.  ``missing`` is the error when an input has no value.
+    """
+
+    def __init__(self, fields=(), build=lambda node: node, value="", *, fold=False,
+                 datum="None", missing=None, test=None, message=None, tested=0,
+                 when="True", overflow=None):
+        self.build, self.value, self.fold = build, value, fold
+        self.test, self.tested, self.overflow = test, tested, overflow
+        self.varying = any(f"{{{name}}}" in value for name in ("V", "x", "alt"))
+        self.datum = _function("node", [f"return {datum}"])
+        self.when = _function("node", [f"return {when}"])
+        kids = [f"node.{f}" for f in fields]
+        self.children = _function("node", [f"return ({''.join('*' * fold + k + ', ' for k in kids)})"])
+        # step(rec, a, node, checked): the node's value at the assignment a, or
+        # the error of evaluate(); rec gives a child's value
+        if fold:
+            lines = [f"v = rec({kids[0]}[0])", f"for w in {kids[0]}[1:]:",
+                     f"    v = {value.format('v', 'rec(w)')}"]
+        else:
+            lines = []
+            for i in sorted(range(len(kids)), key=lambda i: i != tested):
+                lines.append(f"c{i} = rec({kids[i]})")
+                if test is not None and i == tested:
+                    lines.append(f"if {when} and _any({test.format(f'c{i}')}): "
+                                 f"raise _Singular({message!r}, {kids[i]})")
+            v = "v = " + value.format(*[f"c{i}" for i in range(len(kids))], k=datum,
+                                      P="a.params", V="a.values", x="a.x", alt="a.alt")
+            lines += ([f"try: {v}", f"except KeyError: raise _missing({missing!r}, {datum})"]
+                      if missing else [v])
+        if overflow is not None:
+            lines.append(f"if checked and _any({overflow.format('c0', v='v')}): "
+                         "raise _Singular('non-finite value of ' + _to_string(node), node)")
+        self.step = _function("rec, a, node, checked", [*lines, "return v"],
+                              _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
+                              _missing=lambda message, k: MissingVariableError(message.format(k)))
+
+
+_RULES = {
+    Const: _Rule(value="{k}", datum="node.value"),
+    Param: _Rule(value="{P}[{k}]", datum="node.name", missing="parameter {!r} has no value"),
+    XVar: _Rule(value="{x}"),
+    Alt: _Rule(value="{alt}"),
+    Var: _Rule(value="{V}[{k}]", datum="node.fv", missing="variable {} has no value"),
+    Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True),
+    Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "{0} * {1}", fold=True),
+    # np.power for scalars too: Python's float ** n rounds differently in the
+    # last bit and raises OverflowError where arrays give inf
+    Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k})",
+               datum="float(node.exponent)",
+               test="{0} == 0", message="zero base with negative exponent",
+               when="node.exponent < 0",
+               overflow="_isfinite({0}) & ~_isfinite({v})"),
+    # np.divide, the ufunc of / on arrays, since Python floats raise at a zero
+    # denominator, and lowered code computes the singular points it masks
+    Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1})",
+                test="{0} == 0", message="division by zero", tested=1),
+    Neg: _Rule(("arg",), lambda node, arg: neg(arg), "-{0}"),
+    LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}))",
+                 test="{0} == 0", message="ln of zero"),
+    Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0})",
+                test="{0} < 0", message="sqrt of a negative value"),
+}
+
+
 def children(node):
     """The direct sub-expressions of ``node``, in field order."""
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Prod):
-        return node.factors
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Quot):
-        return (node.num, node.den)
-    if isinstance(node, (Neg, LnAbs, Sqrt)):
-        return (node.arg,)
-    return ()
+    return _RULES[type(node)].children(node)
 
 
 def nodes(e):
@@ -516,214 +600,146 @@ def evaluate(e, a):
 
     Values in ``a`` may be scalars or numpy arrays (all of one shape), so the
     same walker serves pointwise checks and whole-lattice evaluation.
-    Structurally equal subtrees are one object, hence evaluated once.
-    A power that overflows from a finite base raises
-    :class:`SingularEvaluationError`; any other overflow gives inf quietly.
+    Structurally equal subtrees are one object, hence evaluated once.  Each
+    node follows its rule in ``_RULES``.  The first singular node raises
+    :class:`SingularEvaluationError`, as does a power that overflows from a
+    finite base; any other overflow gives inf quietly.  This is the
+    reference: a caller that must raise where a function of
+    :func:`compile_exprs` returns a set mask redoes the call here.
     """
-    memo = {}
-    checked = False
+    def walk(checked=False):
+        memo = {}
 
-    def rec(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            v = node.value
-        elif isinstance(node, Param):
-            try:
-                v = a.params[node.name]
-            except KeyError:
-                raise MissingVariableError(f"parameter {node.name!r} has no value")
-        elif isinstance(node, XVar):
-            v = a.x
-        elif isinstance(node, Alt):
-            v = a.alt
-        elif isinstance(node, Var):
-            try:
-                v = a.values[node.fv]
-            except KeyError:
-                raise MissingVariableError(f"variable {node.fv} has no value")
-        elif isinstance(node, Sum):
-            v = rec(node.terms[0])
-            for t in node.terms[1:]:
-                v = v + rec(t)
-        elif isinstance(node, Prod):
-            v = rec(node.factors[0])
-            for f in node.factors[1:]:
-                v = v * rec(f)
-        elif isinstance(node, Pow):
-            base = rec(node.base)
-            if node.exponent < 0 and np.any(base == 0):
-                raise SingularEvaluationError("zero base with negative exponent",
-                                              node.base)
-            # np.power for scalars too: Python's float ** n rounds differently
-            # in the last bit and raises OverflowError where arrays give inf
-            v = np.power(base, float(node.exponent))
-            if checked and (np.isfinite(base) & ~np.isfinite(v)).any():
-                raise SingularEvaluationError(
-                    f"non-finite value of {to_string(node)}", node)
-        elif isinstance(node, Quot):
-            den = rec(node.den)
-            if np.any(den == 0):
-                raise SingularEvaluationError("division by zero", node.den)
-            v = rec(node.num) / den
-        elif isinstance(node, Neg):
-            v = -rec(node.arg)
-        elif isinstance(node, LnAbs):
-            arg = rec(node.arg)
-            if np.any(arg == 0):
-                raise SingularEvaluationError("ln of zero", node.arg)
-            v = np.log(np.abs(arg))
-        elif isinstance(node, Sqrt):
-            arg = rec(node.arg)
-            if np.any(arg < 0):
-                raise SingularEvaluationError("sqrt of a negative value", node.arg)
-            v = np.sqrt(arg)
-        else:
-            raise ExprError(f"unknown node {node!r}")
-        memo[key] = v
-        return v
+        def rec(node):
+            key = id(node)
+            if key in memo:
+                return memo[key]
+            v = memo[key] = _RULES[type(node)].step(rec, a, node, checked)
+            return v
 
-    # Overflow is rare, so the first pass only watches for it.  The second
-    # pass lets inf through quietly, as Python float arithmetic does, except
-    # where a Pow overflows from a finite base; callers fail on inf and NaN.
-    try:
-        return _raising_overflow(rec, e)
-    except FloatingPointError:
-        memo.clear()
-        checked = True
-        return _quiet_overflow(rec, e)
+        return rec(e)
 
-
-# Names the generated code of compile_exprs() reads as globals.
-_LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_log": np.log,
-                    "_abs": np.abs, "_sqrt": np.sqrt, "_singular": SingularEvaluationError}
+    return _two_passes(walk, functools.partial(walk, True))
 
 
 def compile_exprs(exprs):
     """Lower a list of expressions once into straight-line numpy functions.
 
     Returns ``(bind, variables)``.  ``bind(params)`` runs the prelude, the
-    nodes of constants and parameters alone with their singular checks, and
-    returns ``fn(values, x, alt)``: it computes the nodes that read a field,
-    ``x`` or ``alt``, and gives a list with the value of each expression,
-    where ``values`` holds one value per FieldVar of ``variables`` in that
-    order.  Bind once per parameter binding, then call as often as the
+    nodes of constants and parameters alone, and returns ``fn(values, x,
+    alt)``, which computes the other nodes and returns ``(results, bad)``:
+    the value of each expression and the mask of the points where a node is
+    singular.  ``values`` holds one value per FieldVar of ``variables``, in
+    that order.  Bind once per parameter binding, then call as often as the
     fields change.
 
-    Each node becomes one assignment computed by the rule of :func:`evaluate`
-    on the same inputs, so the values and each singular-node error are the
-    same bit for bit.  Structurally equal subtrees are one object, hence
-    computed once across the whole list.  After a prelude that overflows or
-    lacks a parameter, every call of the bound function is redone by
-    :func:`evaluate`, and so is a call that overflows.  The checks keep the
-    order of :func:`evaluate` within the prelude and within the call, but the
-    prelude's come first: if a parameter-only node and an earlier field node
-    are both singular, ``bind`` raises the parameter-only error.
+    Every node follows its rule in ``_RULES``, as in :func:`evaluate`, so the
+    values are the same bit for bit and the mask is set exactly where
+    :func:`evaluate` raises.  ``bad`` is ``False`` when nothing is singular in
+    the prelude and no other node has a test: such a call does no mask
+    arithmetic.  A binding or call that overflows runs again with overflow
+    quiet and the powers' overflow tests added.  Without a parameter, each
+    call redoes :func:`evaluate`, which raises.  Structurally equal subtrees
+    are one object, computed once for the whole list.
     """
     exprs = list(exprs)
-    names = {}          # id(node) -> (name holding its value, whether it reads a field, x or alt)
-    bound = {}          # closure name -> constant or node the code refers to
+    names = {}          # id(node) -> (name holding its value, whether it varies per point)
+    bound = {}          # closure name -> a datum the code refers to
     slots = {}          # FieldVar -> its index in the values sequence
-    prelude, body = [], []
-
-    def capture(obj, prefix):
-        name = f"{prefix}{len(bound)}"
-        bound[name] = obj
-        return name
-
-    def check(varying, test, message, node):
-        (body if varying else prelude).append(
-            f"if _any({test}): raise _singular({message!r}, {capture(node, 'n')})")
+    prelude, body = [], []   # (line, whether only a pass after an overflow runs it)
 
     def rec(node):
         key = id(node)
         if key in names:
             return names[key]
-        if isinstance(node, (Const, XVar, Alt)):
-            out = names[key] = ((capture(node.value, "c"), False) if isinstance(node, Const)
-                                else ("x" if isinstance(node, XVar) else "alt", True))
-            return out
-        if isinstance(node, Param):
-            value, varying = f"P[{node.name!r}]", False
-        elif isinstance(node, Var):
-            value, varying = f"V[{slots.setdefault(node.fv, len(slots))}]", True
-        elif isinstance(node, (Sum, Prod)):
-            args = [rec(t) for t in children(node)]
-            value = (" + " if isinstance(node, Sum) else " * ").join([a for a, _ in args])
-            varying = any([v for _, v in args])
-        elif isinstance(node, Pow):
-            base, varying = rec(node.base)
-            if node.exponent < 0:
-                check(varying, f"{base} == 0", "zero base with negative exponent", node.base)
-            value = f"_power({base}, {float(node.exponent)!r})"
-        elif isinstance(node, Quot):
-            den, varying = rec(node.den)
-            check(varying, f"{den} == 0", "division by zero", node.den)
-            num, num_varying = rec(node.num)
-            value, varying = f"{num} / {den}", varying or num_varying
-        elif isinstance(node, Neg):
-            arg, varying = rec(node.arg)
-            value = f"-{arg}"
-        elif isinstance(node, LnAbs):
-            arg, varying = rec(node.arg)
-            check(varying, f"{arg} == 0", "ln of zero", node.arg)
-            value = f"_log(_abs({arg}))"
-        elif isinstance(node, Sqrt):
-            arg, varying = rec(node.arg)
-            check(varying, f"{arg} < 0", "sqrt of a negative value", node.arg)
-            value = f"_sqrt({arg})"
-        else:
-            raise ExprError(f"unknown node {node!r}")
-        name = f"t{len(prelude) + len(body)}"
-        (body if varying else prelude).append(f"{name} = {value}")
+        rule = _RULES[type(node)]
+        args = [rec(c) for c in rule.children(node)]
+        varying = rule.varying or any([v for _, v in args])
+        if rule.test is not None and rule.when(node):
+            arg, arg_varying = args[rule.tested]
+            test = f"m = m | ({rule.test.format(arg)})"
+            (body if arg_varying else prelude).append((test, False))
+        k = rule.datum(node)
+        if type(k) is FieldVar:   # a field is read from its slot of the values
+            k = slots.setdefault(k, len(slots))
+        elif k is not None:
+            bound[f"c{len(bound)}"] = k
+            k = f"c{len(bound) - 1}"
+        kids = [arg for arg, _ in args]
+        value = (functools.reduce(rule.value.format, kids) if rule.fold
+                 else rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt"))
+        name = f"t{len(names)}"
+        lines = body if varying else prelude
+        lines.append((f"{name} = {value}", False))
+        if rule.overflow is not None:
+            lines.append((f"m = m | ({rule.overflow.format(args[0][0], v=name)})", True))
         out = names[key] = name, varying
         return out
 
-    results = [rec(e)[0] for e in exprs]
+    results = ", ".join([rec(e)[0] for e in exprs])
+
+    def lowered(fn, checked):
+        return (f"        def {fn}(V, x, alt):\n"
+                "            m = bad\n"
+                + "".join(f"            {line}\n" for line, overflow in body
+                          if checked or not overflow)
+                + f"            return [{results}], m\n")
+
+    # a clear prelude mask is False, so that a call without tests of its own
+    # returns False and its caller need not reduce it
     source = (f"def _make({', '.join(bound)}):\n"
-              "    def _prelude(P):\n"
-              + "".join(f"        {line}\n" for line in prelude)
-              + "        def _lowered(V, x, alt):\n"
-              + "".join(f"            {line}\n" for line in body)
-              + f"            return [{', '.join(results)}]\n"
-              "        return _lowered\n"
+              "    def _prelude(P, checked=False):\n"
+              "        m = False\n"
+              + "".join(f"        {'if checked: ' * overflow}{line}\n"
+                        for line, overflow in prelude)
+              + "        bad = m if _any(m) else False\n"
+              + lowered("_lowered", False)
+              + (lowered("_checked", True) if any(overflow for _, overflow in body)
+                 else "        _checked = _lowered\n")
+              + "        return _lowered, _checked\n"
               "    return _prelude\n")
     namespace = dict(_LOWERED_GLOBALS)
     exec(source, namespace)
     run_prelude = namespace["_make"](**bound)
+    checked_prelude = functools.partial(run_prelude, checked=True)
     variables = tuple(slots)
 
     def bind(params):
-        def redo(values, x, alt):
-            a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
-            return [evaluate(e, a) for e in exprs]
-
         try:
-            lowered = _raising_overflow(run_prelude, params)
-        except (FloatingPointError, KeyError):
+            fast, checked = _two_passes(run_prelude, checked_prelude, params)
+        except KeyError:
+            def redo(values, x, alt):
+                a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
+                return [evaluate(e, a) for e in exprs], False
+
             return redo
-
-        def fn(values, x, alt):
-            try:
-                return _raising_overflow(lowered, values, x, alt)
-            except FloatingPointError:
-                return redo(values, x, alt)
-
-        return fn
+        return functools.partial(_two_passes, fast, checked)
 
     return bind, variables
 
 
 # Decorators, so that each error state is built once rather than per call.
-@np.errstate(over="raise", invalid="ignore")
+# Lowered code computes the singular points it masks: it divides by zero quietly.
+@np.errstate(over="raise", invalid="ignore", divide="ignore")
 def _raising_overflow(fn, *args):
     return fn(*args)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _quiet_overflow(fn, arg):
-    return fn(arg)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _quiet_overflow(fn, *args):
+    return fn(*args)
+
+
+def _two_passes(fast, checked, *args):
+    """``fast(*args)``; after an overflow, which is rare, ``checked(*args)`` with overflow quiet.
+
+    The second pass lets inf through, as Python float arithmetic does, and
+    tests where a power overflowed from a finite base; callers fail on inf and NaN.
+    """
+    try:
+        return _raising_overflow(fast, *args)
+    except FloatingPointError:
+        return _quiet_overflow(checked, *args)
 
 
 def _map_nodes(e, fn):
@@ -740,22 +756,8 @@ def _map_nodes(e, fn):
             return memo[key]
         out = fn(node, rec)
         if out is None:
-            if isinstance(node, Sum):
-                out = add(*[rec(t) for t in node.terms])
-            elif isinstance(node, Prod):
-                out = mul(*[rec(f) for f in node.factors])
-            elif isinstance(node, Pow):
-                out = power(rec(node.base), node.exponent)
-            elif isinstance(node, Quot):
-                out = quot(rec(node.num), rec(node.den))
-            elif isinstance(node, Neg):
-                out = neg(rec(node.arg))
-            elif isinstance(node, LnAbs):
-                out = ln_abs(rec(node.arg))
-            elif isinstance(node, Sqrt):
-                out = sqrt(rec(node.arg))
-            else:
-                out = node
+            rule = _RULES[type(node)]
+            out = rule.build(node, *[rec(c) for c in rule.children(node)])
         memo[key] = out
         return out
 

@@ -6,10 +6,13 @@ per integration by :func:`~lattice_frames.expr.compile_exprs` into one
 straight-line numpy function over whole arrays, and a field shifted by k is
 read through the index array (n + k) mod N, built once.  The parameters are
 bound once per integration too, so nodes of constants and parameters alone,
-such as ``h^2``, are computed and checked once, not at every step.  So the
+such as ``h^2``, are computed and tested once, not at every step.  So the
 classical fourth-order Runge-Kutta stepping stays vectorized and walks no
-expression tree per step; :func:`~lattice_frames.expr.evaluate` is only the
-fallback of a binding or a call that overflows.
+expression tree per step.  A call returns the mask of the sites where a node
+is singular; when it is set, the call is redone by
+:func:`~lattice_frames.expr.evaluate`, which raises the error of the first
+singular node, so a singular parameter-only node is reported at the first
+call, when the initial state is recorded.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError, compile_exprs
+from .expr import Assignment, ExprError, compile_exprs, evaluate
 
 __all__ = [
     "LatticeState",
@@ -65,7 +68,8 @@ def _on_lattice(exprs, n_sites, params):
 
     Each array holds the expression's value at every one of ``n_sites``
     lattice sites, with periodic shifts; a constant value is broadcast.
-    A node of constants and parameters alone is computed, and checked, here.
+    A node of constants and parameters alone is computed, and tested, here.
+    A call at which a node is singular raises :func:`evaluate`'s error.
     """
     bind, variables = compile_exprs(exprs)
     alt = (-1.0) ** np.arange(n_sites)
@@ -85,8 +89,13 @@ def _on_lattice(exprs, n_sites, params):
 
     def fn(fields, x):
         values = [fields[name] if idx is None else fields[name][idx] for name, idx in reads]
-        return [v if np.ndim(v) else np.full(n_sites, float(v))
-                for v in lowered(values, x, alt)]
+        out, bad = lowered(values, x, alt)
+        if bad is not False and np.any(bad):
+            # the reference raises the error of the first singular node
+            a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
+            for e in exprs:
+                evaluate(e, a)
+        return [v if np.ndim(v) else np.full(n_sites, float(v)) for v in out]
 
     return fn
 

@@ -18,6 +18,7 @@ sqrt(e^2); ``alt`` is the lattice coefficient (-1)^(n^1+...+n^m).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .expr import (
@@ -94,10 +95,19 @@ class _Tokens:
         raise ParseError(message, self.peek()[2], self.text)
 
 
-def _number(tok_value):
-    if re.fullmatch(r"\d+", tok_value):
-        return Const(int(tok_value))
-    return Const(float(tok_value))
+def _finite(value, toks, pos):
+    """``value`` if it is a finite double; an integer keeps its type, which interning keys on."""
+    try:
+        if math.isfinite(value):   # converts an int, raising OverflowError past the doubles
+            return value
+    except OverflowError:
+        pass
+    raise ParseError("number is not a finite double", pos, toks.text)
+
+
+def _number(toks, tok_value, pos):
+    value = int(tok_value) if re.fullmatch(r"\d+", tok_value) else float(tok_value)
+    return Const(_finite(value, toks, pos))
 
 
 def _parse_int(toks):
@@ -145,7 +155,7 @@ def _atom(toks, sig):
     kind, val, pos = toks.peek()
     if kind == "num":
         toks.next()
-        return _number(val)
+        return _number(toks, val, pos)
     if val == "(":
         toks.next()
         e = _expr(toks, sig)
@@ -189,7 +199,7 @@ def _power(toks, sig):
         paren = toks.peek()[1] == "("
         if paren:
             toks.next()
-        n = _parse_int(toks)
+        n = _finite(_parse_int(toks), toks, toks.peek(-1)[2])
         if paren:
             toks.expect(")")
         return power(base, n)

@@ -8,12 +8,12 @@ zero).  Reports are deterministic functions of the seed.
 
 A point set is one :class:`PointSet` of arrays, so an expression is
 evaluated once at all of its points.  Candidates are drawn in blocks of
-that form, and the whole guard tuple, lowered once per run by
-:func:`~lattice_frames.expr.compile_exprs`, is evaluated in one call per
-block, with the block's parameter columns bound just before it; the
-accepted points, the rejection count and the point where
-sampling gives up are those of drawing and testing the candidates one at
-a time.
+that form.  The guard tuple, lowered once per run by
+:func:`~lattice_frames.expr.compile_exprs`, tests a block in one call with
+its parameter columns bound, and rejects the candidates of the call's mask,
+at which a guard is singular.  The accepted points, the rejection count and
+the point where sampling gives up are those of testing one candidate at a
+time with :meth:`Guard.ok`.
 
 A run is one plan and every plan derived from it by
 :meth:`SamplePlan.with_`; they share one memo.  A request is fixed by its
@@ -197,15 +197,12 @@ class SamplePlan:
                     bases[i, d] = rng.integers(b_lo, b_hi + 1)
             drawn += size
             block = points(rows, bases)
-            try:
-                ok = np.ones(size, dtype=bool)
-                # the parameters are columns of the block, so they are bound per block
-                values = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
-                                                  block.x, block.alt)
-                for g, v in zip(self.guards, values):
-                    ok &= (v if g.kind == "pos" else np.abs(v)) >= g.margin
-            except SingularEvaluationError:
-                ok = [all(g.ok(p) for g in self.guards) for p in block]
+            # the parameters are columns of the block, so they are bound per block
+            values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
+                                                   block.x, block.alt)
+            ok = ~np.broadcast_to(bad, size)
+            for g, v in zip(self.guards, values):
+                ok &= (v if g.kind == "pos" else np.abs(v)) >= g.margin
             take = []
             for i in range(size):
                 if rejected > self.max_rejections:

@@ -103,7 +103,7 @@ U1 = Var(FieldVar("u", 0, (1,)))
 
 def singular_plan(**kw):
     # sqrt(u[0]) is singular for about half the candidates, so every block
-    # falls back to Guard.ok one candidate at a time
+    # has candidates that the mask of the lowered guard call rejects
     guards = (Guard(sqrt(U0), "pos", 0.3), Guard(U1 - U0, "abs", 0.1))
     return SamplePlan(guards=guards, **kw)
 

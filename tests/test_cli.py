@@ -106,6 +106,15 @@ class TestEulerLagrange:
         r = run_cli("euler-lagrange", "u[0,0]*+", "--fields", "u", "--dim", "2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        "u[0]*" + "9" * 400, "u[0]^" + "9" * 400, "2^" + "9" * 400,
+        "u[0]^(-" + "9" * 400 + ")", "u[0]*" + "9" * 400 + ".5", "u[0]*1e999",
+    ])
+    def test_non_finite_number_is_a_parse_error(self, text):
+        r = run_cli("euler-lagrange", text)
+        assert r.returncode == 2
+        assert r.stderr.startswith("parse error: number is not a finite double at position ")
+
     def test_power_overflow_one_line_failure(self):
         r = run_process("euler-lagrange", "u[0]^100000")
         assert r.returncode == 1
@@ -220,6 +229,8 @@ class TestIntegrate:
     ["integrate", "--h", "0"],
     ["integrate", "--h", "nan"],
     ["integrate", "--x-span", "1e308,1.7e308"],   # finite flags, non-finite step count
+    ["verify", "ex81", "--suite", "syzygy", "--seed", "-1"],
+    ["verify", "ex81", "--suite", "syzygy", "--seed", str(2**64)],   # seeds are u64
 ])
 def test_malformed_flag_usage_error(args):
     # any exception other than the usage exit fails the test
@@ -260,3 +271,9 @@ class TestOther:
                         env={"LATTICE_FRAMES_SEED": "17"})
         b = run_cli("--json", "--seed", "17", "verify", "toda", "--suite", "syzygy")
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64), "seven"])
+    def test_env_seed_outside_u64_is_a_usage_error(self, seed):
+        r = run_process("verify", "ex81", "--suite", "syzygy", env={"LATTICE_FRAMES_SEED": seed})
+        assert r.returncode == 2
+        assert r.stderr == f"invalid LATTICE_FRAMES_SEED={seed!r}\n"

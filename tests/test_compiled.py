@@ -29,7 +29,12 @@ from lattice_frames.expr import (
     power,
     sqrt,
 )
-from lattice_frames.flows import BlowUpError, LatticeState, integrate_lattice_flow
+from lattice_frames.flows import (
+    BlowUpError,
+    LatticeState,
+    eval_on_lattice,
+    integrate_lattice_flow,
+)
 
 
 def var(name, k=0):
@@ -121,7 +126,9 @@ def test_constant_monitor_and_parameter_rhs_broadcast():
 
 U = var("u")
 A = Param("a")
-PARAMS = {"a": 0.0}   # every singular case is evaluated with these parameters
+B = Param("b")
+# every singular case is evaluated with these parameters; b is a column, as the sampler binds it
+PARAMS = {"a": 0.0, "b": np.array([2.0, 0.5, 1.5])}
 
 SINGULAR_CASES = [
     ("division by zero", Const(1) / U, [1.0, 0.0, 2.0]),
@@ -136,7 +143,24 @@ SINGULAR_CASES = [
     ("zero base with negative exponent", U * power(A, -1), [1.0]),
     ("ln of zero", U - ln_abs(Const(0)), [1.0]),
     ("sqrt of a negative value", U * sqrt(Const(-1.0)), [1.0]),
+    # a power that overflows at one of finite points
+    ("non-finite value of u[0]^2", power(U, 2), [1.0, 1e200, 2.0]),
+    # a parameter-only node singular at one point of a parameter column
+    ("sqrt of a negative value", U * sqrt(B - 1), [1.0, 2.0, 3.0]),
 ]
+
+
+def at_point(params, i):
+    """The parameters of point ``i``: a column gives its entry, a scalar itself."""
+    return {p: v[i] if np.ndim(v) else v for p, v in params.items()}
+
+
+def raises(e, a):
+    try:
+        evaluate(e, a)
+    except SingularEvaluationError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("message, e, values", SINGULAR_CASES)
@@ -146,35 +170,43 @@ def test_singular_nodes_match_evaluate(message, e, values):
     arr = np.array(values)
     with pytest.raises(SingularEvaluationError) as want:
         evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
+    # the flow is the caller that raises: it redoes a call with a set mask by evaluate
     with pytest.raises(SingularEvaluationError) as got:
-        bind(PARAMS)([arr], 0.0, 1.0)
+        eval_on_lattice(e, LatticeState({"u": arr}, 0.0, PARAMS))
     assert str(want.value) == message
     assert str(got.value) == str(want.value)
     assert got.value.subexpr is want.value.subexpr
+    _, bad = bind(PARAMS)([arr], 0.0, 1.0)
+    pointwise = [raises(e, Assignment({U.fv: v}, params=at_point(PARAMS, i)))
+                 for i, v in enumerate(values)]
+    assert np.broadcast_to(bad, arr.shape).tolist() == pointwise
 
 
-def test_parameter_only_error_is_raised_when_binding():
-    # evaluate meets the field's zero denominator first; the bound path checks
-    # the parameter-only denominator in the prelude, before any field is read
+def test_parameter_only_error_is_raised_in_evaluate_order():
+    # evaluate meets the field's zero denominator first, and so does the
+    # flow, although the bound call tests the parameter-only denominator
+    # once, when binding
     e = Const(1) / U + Const(1) / A
     arr = np.array([0.0, 1.0])
     with pytest.raises(SingularEvaluationError) as want:
         evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
-    bind, _ = compile_exprs([e])
     with pytest.raises(SingularEvaluationError) as got:
-        bind(PARAMS)
-    assert want.value.subexpr is U
-    assert got.value.subexpr is A
+        eval_on_lattice(e, LatticeState({"u": arr}, 0.0, PARAMS))
+    assert want.value.subexpr is got.value.subexpr is U
     assert str(got.value) == str(want.value) == "division by zero"
+    bind, _ = compile_exprs([e])
+    _, bad = bind(PARAMS)([arr], 0.0, 1.0)
+    assert np.broadcast_to(bad, arr.shape).tolist() == [True, True]
 
 
-def test_quiet_overflow_falls_back_to_evaluate():
+def test_quiet_overflow_matches_evaluate():
     e = U * U + Const(1)
     bind, _ = compile_exprs([e, U])
     arr = np.array([1e200, 2.0])
-    got = bind({})([arr], 0.0, 1.0)
+    got, bad = bind({})([arr], 0.0, 1.0)
     assert (got[0] == evaluate(e, Assignment({U.fv: arr}))).all()
     assert got[0][0] == np.inf and got[1] is arr
+    assert bad is False   # a product that overflows is not singular
 
 
 def test_parameter_overflow_falls_back_to_evaluate():
@@ -183,9 +215,10 @@ def test_parameter_overflow_falls_back_to_evaluate():
     arr = np.array([1.0, 2.0])
     with pytest.raises(SingularEvaluationError) as want:
         evaluate(e, Assignment({U.fv: arr}, params=params))
-    fn = compile_exprs([e])[0](params)   # the prelude overflows: no error yet
+    fn = compile_exprs([e])[0](params)   # the prelude overflows: no error, a set mask
+    assert np.all(fn([arr], 0.0, 1.0)[1])
     with pytest.raises(SingularEvaluationError) as got:
-        fn([arr], 0.0, 1.0)
+        eval_on_lattice(e, LatticeState({"u": arr}, 0.0, params))
     assert str(got.value) == str(want.value) == "non-finite value of a^2"
     assert got.value.subexpr is want.value.subexpr
 
@@ -207,12 +240,13 @@ def test_structurally_equal_subtrees_are_lowered_once(monkeypatch):
     # two independent builds of one cube, inside two expressions
     first = power(var("u", 0) + var("u", 1), 3) * var("v")
     second = ln_abs(power(var("u", 0) + var("u", 1), 3)) + Const(2.5)
+    assert "_power" in expr._LOWERED_GLOBALS   # setitem would add a missing key
     monkeypatch.setitem(expr._LOWERED_GLOBALS, "_power", counting_power)
     bind, variables = compile_exprs([first, second])
     fn = bind({})
     rng = np.random.default_rng(5)
     values = [rng.uniform(0.5, 1.5, 9) for _ in variables]
-    got = fn(values, 0.0, 1.0)
+    got, bad = fn(values, 0.0, 1.0)
     assert len(calls) == 1
     a = Assignment(dict(zip(variables, values)))
     for g, e in zip(got, (first, second)):
@@ -254,14 +288,18 @@ def test_no_tree_walk_or_roll_per_step(nls, monkeypatch):
 
 
 def test_no_singular_check_per_step(nls, monkeypatch):
-    # the checks of h^2 and the constant denominators run once per binding
+    # the checks of h^2 and the constant denominators run once per binding:
+    # the prelude reduces its mask once, and the flow reduces no mask per step
     calls = []
+    np_any = np.any
 
     def counting_any(*args, **kwargs):
         calls.append(args)
-        return np.any(*args, **kwargs)
+        return np_any(*args, **kwargs)
 
+    assert "_any" in expr._LOWERED_GLOBALS   # setitem would add a missing key
     monkeypatch.setitem(expr._LOWERED_GLOBALS, "_any", counting_any)
+    monkeypatch.setattr(np, "any", counting_any)
     cfg = nls.integrate_config
     state0 = cfg["initial_state"](16, 0.5)
 

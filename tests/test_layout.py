@@ -140,3 +140,24 @@ def test_every_node_class_is_interned(cls):
 
     first = build()
     assert build() is first
+
+
+def _expr_fields(node):
+    """The Expr-valued fields of ``node`` in field order, as the benchmark tracer reads them."""
+    for f in dataclasses.fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, expr.Expr):
+            yield v
+        elif isinstance(v, tuple):
+            yield from (t for t in v if isinstance(t, expr.Expr))
+
+
+@pytest.mark.parametrize("cls", sorted(_node_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_node_class_has_a_rule(cls):
+    # every walker reads the table: a class without a row would fall through them all
+    assert cls in expr._RULES
+    # a distinct child per field, so that the order is checked too
+    node = cls(*[expr.Var(expr.FieldVar("u", 0, (i,))) if f.type == "Expr"
+                 else FRESH_FIELDS[f.type]() for i, f in enumerate(dataclasses.fields(cls))])
+    assert expr.children(node) == tuple(_expr_fields(node))
