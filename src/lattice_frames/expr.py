@@ -62,6 +62,7 @@ __all__ = [
     "fieldvars",
     "evaluate",
     "compile_exprs",
+    "Lowering",
     "partial",
     "shift",
     "total_derivative",
@@ -93,11 +94,26 @@ class SingularEvaluationError(ExprError):
 
 @dataclass(frozen=True, slots=True)
 class FieldVar:
-    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``."""
+    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``.
+
+    The hash, the one the dataclass would generate, is computed once: every
+    dict keyed by field variables looks it up.
+    """
 
     name: str
     deriv: int
     shift: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.deriv, self.shift)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy the slot
+        return FieldVar, (self.name, self.deriv, self.shift)
 
     def shifted(self, offset):
         return FieldVar(self.name, self.deriv, tuple(k + o for k, o in zip(self.shift, offset)))
@@ -643,79 +659,122 @@ def compile_exprs(exprs):
     are one object, computed once for the whole list.
     """
     exprs = list(exprs)
-    names = {}          # id(node) -> (name holding its value, whether it varies per point)
-    bound = {}          # closure name -> a datum the code refers to
-    slots = {}          # FieldVar -> its index in the values sequence
-    prelude, body = [], []   # (line, whether only a pass after an overflow runs it)
+    lowering = Lowering(exprs)
 
-    def rec(node):
-        key = id(node)
-        if key in names:
-            return names[key]
-        rule = _RULES[type(node)]
-        args = [rec(c) for c in rule.children(node)]
-        varying = rule.varying or any([v for _, v in args])
-        if rule.test is not None and rule.when(node):
-            arg, arg_varying = args[rule.tested]
-            test = f"m = m | ({rule.test.format(arg)})"
-            (body if arg_varying else prelude).append((test, False))
-        k = rule.datum(node)
-        if type(k) is FieldVar:   # a field is read from its slot of the values
-            k = slots.setdefault(k, len(slots))
-        elif k is not None:
-            bound[f"c{len(bound)}"] = k
-            k = f"c{len(bound) - 1}"
-        kids = [arg for arg, _ in args]
-        value = (functools.reduce(rule.value.format, kids) if rule.fold
-                 else rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt"))
-        name = f"t{len(names)}"
-        lines = body if varying else prelude
-        lines.append((f"{name} = {value}", False))
-        if rule.overflow is not None:
-            lines.append((f"m = m | ({rule.overflow.format(args[0][0], v=name)})", True))
-        out = names[key] = name, varying
-        return out
+    def call(checked):
+        return ("V, x, alt", ["m = bad", *lowering.lines(checked=checked),
+                              f"return [{', '.join(lowering.results)}], m"])
 
-    results = ", ".join([rec(e)[0] for e in exprs])
-
-    def lowered(fn, checked):
-        return (f"        def {fn}(V, x, alt):\n"
-                "            m = bad\n"
-                + "".join(f"            {line}\n" for line, overflow in body
-                          if checked or not overflow)
-                + f"            return [{results}], m\n")
-
-    # a clear prelude mask is False, so that a call without tests of its own
-    # returns False and its caller need not reduce it
-    source = (f"def _make({', '.join(bound)}):\n"
-              "    def _prelude(P, checked=False):\n"
-              "        m = False\n"
-              + "".join(f"        {'if checked: ' * overflow}{line}\n"
-                        for line, overflow in prelude)
-              + "        bad = m if _any(m) else False\n"
-              + lowered("_lowered", False)
-              + (lowered("_checked", True) if any(overflow for _, overflow in body)
-                 else "        _checked = _lowered\n")
-              + "        return _lowered, _checked\n"
-              "    return _prelude\n")
-    namespace = dict(_LOWERED_GLOBALS)
-    exec(source, namespace)
-    run_prelude = namespace["_make"](**bound)
-    checked_prelude = functools.partial(run_prelude, checked=True)
-    variables = tuple(slots)
+    functions = {"_lowered": call(False)}
+    if any(overflow for _, overflow in lowering.body):
+        functions["_checked"] = call(True)
+    bind_functions = lowering.compile(functions)
+    variables = lowering.variables
 
     def bind(params):
         try:
-            fast, checked = _two_passes(run_prelude, checked_prelude, params)
+            fns = bind_functions(params)
         except KeyError:
             def redo(values, x, alt):
                 a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
                 return [evaluate(e, a) for e in exprs], False
 
             return redo
-        return functools.partial(_two_passes, fast, checked)
+        # the second pass is _checked, or _lowered when no body line has an overflow test
+        return functools.partial(_two_passes, fns[0], fns[-1])
 
     return bind, variables
+
+
+class Lowering:
+    """The straight-line numpy lines of a list of expressions, one per node.
+
+    Every node follows its rule in ``_RULES``.  ``prelude`` holds the lines
+    of the nodes of constants and parameters alone, ``body`` those of the
+    other nodes, which read the inputs ``V``, ``x`` and ``alt``: each a
+    ``(line, overflow)`` pair, ``overflow`` marking a test that only the pass
+    after an overflow runs.  A test ORs the points where a node is singular
+    into the mask ``m``; nodes that test one child alike share one line.
+    ``results`` names each expression's value, and the body lines of the
+    first ``j`` expressions are ``body[:cuts[j]]``.  ``variables`` are the
+    FieldVars read from ``V``, in slot order; ``bound`` maps a closure name
+    to its datum.
+    """
+
+    def __init__(self, exprs):
+        names = {}          # id(node) -> (name holding its value, whether it varies per point)
+        slots = {}          # FieldVar -> its index in the values sequence
+        tests = set()       # the mask tests emitted
+        self.prelude, self.body, self.bound = [], [], {}
+
+        def rec(node):
+            key = id(node)
+            if key in names:
+                return names[key]
+            rule = _RULES[type(node)]
+            args = [rec(c) for c in rule.children(node)]
+            varying = rule.varying or any([v for _, v in args])
+            if rule.test is not None and rule.when(node):
+                arg, arg_varying = args[rule.tested]
+                test = f"m = m | ({rule.test.format(arg)})"
+                if test not in tests:
+                    tests.add(test)
+                    (self.body if arg_varying else self.prelude).append((test, False))
+            k = rule.datum(node)
+            if type(k) is FieldVar:   # a field is read from its slot of the values
+                k = slots.setdefault(k, len(slots))
+            elif k is not None:
+                self.bound[f"c{len(self.bound)}"] = k
+                k = f"c{len(self.bound) - 1}"
+            kids = [arg for arg, _ in args]
+            value = (functools.reduce(rule.value.format, kids) if rule.fold
+                     else rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt"))
+            name = f"t{len(names)}"
+            lines = self.body if varying else self.prelude
+            lines.append((f"{name} = {value}", False))
+            if rule.overflow is not None:
+                lines.append((f"m = m | ({rule.overflow.format(args[0][0], v=name)})", True))
+            out = names[key] = name, varying
+            return out
+
+        self.results, self.cuts = [], [0]
+        for e in exprs:
+            self.results.append(rec(e)[0])
+            self.cuts.append(len(self.body))
+        self.variables = tuple(slots)
+
+    def lines(self, end=None, checked=False):
+        """The body lines up to ``end``, with the overflow tests when ``checked``."""
+        return [line for line, overflow in self.body[:end] if checked or not overflow]
+
+    def compile(self, functions, **names):
+        """``bind(params)``: runs the prelude and returns the tuple of ``functions``.
+
+        ``functions`` maps a name to the parameters and body lines of a
+        function defined inside the prelude, in that order; the lines read
+        the prelude's values, its mask ``bad``, and ``names`` as globals.  A
+        binding that overflows runs the prelude again with overflow quiet and
+        its overflow tests added.  ``bind`` raises ``KeyError`` when a
+        parameter has no value.
+        """
+        # a clear prelude mask is False, so that a call without tests of its
+        # own returns False and its caller need not reduce it
+        source = "".join([
+            f"def _make({', '.join(self.bound)}):\n",
+            "    def _prelude(P, checked=False):\n",
+            "        m = False\n",
+            *(f"        {'if checked: ' * overflow}{line}\n" for line, overflow in self.prelude),
+            "        bad = m if _any(m) else False\n",
+            *(f"        def {name}({params}):\n"
+              + "".join(f"            {line}\n" for line in lines)
+              for name, (params, lines) in functions.items()),
+            f"        return {''.join(name + ', ' for name in functions)}\n",
+            "    return _prelude\n",
+        ])
+        namespace = {**_LOWERED_GLOBALS, **names}
+        exec(source, namespace)
+        prelude = namespace["_make"](**self.bound)
+        return functools.partial(_two_passes, prelude, functools.partial(prelude, checked=True))
 
 
 # Decorators, so that each error state is built once rather than per call.

@@ -1,28 +1,39 @@
 """Time integration of differential-difference flows on a periodic lattice.
 
 The right-hand sides and the monitored densities are expressions over the
-problem's fields (derivative order 0, shifts only).  Each set is lowered once
-per integration by :func:`~lattice_frames.expr.compile_exprs` into one
-straight-line numpy function over whole arrays, and a field shifted by k is
-read through the index array (n + k) mod N, built once.  The parameters are
-bound once per integration too, so nodes of constants and parameters alone,
-such as ``h^2``, are computed and tested once, not at every step.  So the
-classical fourth-order Runge-Kutta stepping stays vectorized and walks no
-expression tree per step.  A call returns the mask of the sites where a node
-is singular; when it is set, the call is redone by
+problem's fields (derivative order 0, shifts only); a field shifted by k is
+read through the index array (n + k) mod N, built once per integration.
+
+:func:`integrate_lattice_flow` lowers the right-hand side and the monitors
+together, once per integration, by :class:`~lattice_frames.expr.Lowering`,
+and binds the parameters once, so nodes of constants and parameters alone,
+such as ``h^2``, are computed and tested once, not at every step.  From the
+node lines it builds one function whose loop body is a whole classical
+fourth-order Runge-Kutta step as straight-line numpy code: the four stages,
+the combination, the norm check, and the monitor densities at the new
+state.  That last call is also the first stage of the next step, so the
+nodes the monitors share with the right-hand side are computed once.  All steps run
+in one numpy error state that raises on overflow, division by zero and
+invalid values.
+
+A step that raises there, or at which a node is singular or the field norm
+fails, is redone stage by stage on the reference path, which is the loop as
+it was before lowering: each right-hand side and monitor call runs in its
+own error state, and a call whose mask is set is redone by
 :func:`~lattice_frames.expr.evaluate`, which raises the error of the first
-singular node, so a singular parameter-only node is reported at the first
-call, when the initial state is recorded.
+singular node.  So only that path raises, with the same messages in the same
+order; it computes no right-hand side at the final state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Assignment, ExprError, compile_exprs, evaluate
+from .expr import Assignment, ExprError, Lowering, compile_exprs, evaluate, fieldvars
 
 __all__ = [
     "LatticeState",
@@ -63,16 +74,8 @@ class LatticeState:
                             self.x, dict(self.params))
 
 
-def _on_lattice(exprs, n_sites, params):
-    """Lower ``exprs`` and bind ``params`` once into ``fn(fields, x)`` -> one array per expression.
-
-    Each array holds the expression's value at every one of ``n_sites``
-    lattice sites, with periodic shifts; a constant value is broadcast.
-    A node of constants and parameters alone is computed, and tested, here.
-    A call at which a node is singular raises :func:`evaluate`'s error.
-    """
-    bind, variables = compile_exprs(exprs)
-    alt = (-1.0) ** np.arange(n_sites)
+def _reads(variables, n_sites):
+    """``(name, k)`` for each FieldVar, and the index array (n + k) mod N of each shift k != 0."""
     index = {}
     reads = []
     for fv in variables:
@@ -84,7 +87,27 @@ def _on_lattice(exprs, n_sites, params):
         if k and k not in index:
             # arr[(n + k) % N] is np.roll(arr, -k)
             index[k] = (np.arange(n_sites) + k) % n_sites
-        reads.append((fv.name, index[k] if k else None))
+        reads.append((fv.name, k))
+    return reads, index
+
+
+def _broadcast(v, n_sites):
+    """A value at every site: a constant is broadcast."""
+    return v if np.ndim(v) else np.full(n_sites, float(v))
+
+
+def _on_lattice(exprs, n_sites, params):
+    """Lower ``exprs`` and bind ``params`` once into ``fn(fields, x)`` -> one array per expression.
+
+    Each array holds the expression's value at every one of ``n_sites``
+    lattice sites, with periodic shifts; a constant value is broadcast.
+    A node of constants and parameters alone is computed, and tested, here.
+    A call at which a node is singular raises :func:`evaluate`'s error.
+    """
+    bind, variables = compile_exprs(exprs)
+    alt = (-1.0) ** np.arange(n_sites)
+    reads, index = _reads(variables, n_sites)
+    reads = [(name, index.get(k)) for name, k in reads]
     lowered = bind(params)
 
     def fn(fields, x):
@@ -95,7 +118,7 @@ def _on_lattice(exprs, n_sites, params):
             a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
             for e in exprs:
                 evaluate(e, a)
-        return [v if np.ndim(v) else np.full(n_sites, float(v)) for v in out]
+        return [_broadcast(v, n_sites) for v in out]
 
     return fn
 
@@ -128,6 +151,110 @@ class Trajectory:
     stability_ok: bool
 
 
+def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
+    """``advance(done, k)``, which runs lowered RK4 steps of one integration; or None.
+
+    ``done`` is the last step whose state ``state`` holds and is recorded
+    (-1 before the initial state is), and ``k`` the right-hand side there,
+    or None when the lowered code has not computed it.  ``advance`` takes
+    steps while they succeed and returns the new ``(done, k)``; a step that
+    raises ``FloatingPointError``, or at which a node is singular or the
+    field norm fails, is left for the reference path, with ``state`` before
+    it.  None instead where only the reference path raises as it should: a
+    parameter has no value, the right-hand side reads a field it does not
+    evolve, or ``state`` lacks a field the flow reads or evolves.
+    """
+    names = list(rhs)
+    exprs = [*rhs.values(), *monitors.values()]
+    lowering = Lowering(exprs)
+    n_sites = state.n_sites
+    reads, index = _reads(lowering.variables, n_sites)
+    rhs_reads = {fv.name for e in rhs.values() for fv in fieldvars(e)}
+    if not (rhs_reads <= set(names) <= set(state.fields)
+            and {name for name, _ in reads} <= set(state.fields)):
+        return None
+
+    x0 = state.x
+    glob = {"alt": (-1.0) ** np.arange(n_sites), "_N": n_sites, "_broadcast": _broadcast,
+            "_xs": xs, "_half": 0.5 * dt, "_dt": dt, "_sixth": dt / 6.0, "_x0": x0,
+            "_blow_up": blow_up}
+    shifted = {}
+    for k, idx in index.items():
+        shifted[k] = f"_i{len(shifted)}"
+        glob[shifted[k]] = idx
+    held = {}       # a field the flow reads but does not evolve -> its global name
+    for name, _ in reads:
+        if name not in rhs and name not in held:
+            held[name] = glob_name = f"_F{len(held)}"
+            glob[glob_name] = state.fields[name]
+    for j, label in enumerate(monitors):
+        glob[f"_s{j}"] = sums[label]
+
+    F = range(len(names))
+    # a value that reads no field may be a scalar: broadcast, as the reference does
+    values = [r if fieldvars(e) else f"_broadcast({r}, _N)"
+              for r, e in zip(lowering.results, exprs)]
+    ks, densities = values[:len(names)], values[len(names):]
+
+    def inputs(prefix):
+        arrays = {**{name: f"{prefix}{f}" for f, name in zip(F, names)}, **held}
+        return "V = (" + "".join(f"{arrays[name]}{f'[{shifted[k]}]' if k else ''}, "
+                                 for name, k in reads) + ")"
+
+    def stage(factor, k, out):
+        # the right-hand side at y + factor * k, x + factor, as the reference loop computes it
+        return [f"x = X + {factor}", *(f"A{f} = Y{f} + {factor} * {k}{f}" for f in F),
+                inputs("A"), *lowering.lines(end=lowering.cuts[len(names)]),
+                *(f"{out}{f} = {ks[f]}" for f in F)]
+
+    def at_state(prefix, fail):
+        # the monitors and the right-hand side at the state held in prefix0, ...
+        return [inputs(prefix), *lowering.lines(), f"if m is not False and _any(m): {fail}"]
+
+    record = ["_xs[i] = x", *(f"_s{j}[i] = {d}.sum()" for j, d in enumerate(densities))]
+    ys, k1s = "".join(f"Y{f}, " for f in F), "".join(f"K{f}, " for f in F)
+    functions = {
+        # records state i and returns its right-hand side; None where a node is singular
+        "_at_state": (f"{ys}x, i", ["m = bad", *at_state("Y", "return None"), *record,
+                                    f"return ({''.join(f'{k}, ' for k in ks)})"]),
+        # steps i + 1, ... from state i and its right-hand side K, while they succeed
+        "_steps": (f"{ys}{k1s}X, i", [
+            "try:",
+            "    while i < _n:",
+            *("        " + line for line in [
+                "m = bad",
+                *stage("_half", "K", "B"), *stage("_half", "B", "C"), *stage("_dt", "C", "D"),
+                *(f"Z{f} = Y{f} + _sixth * (K{f} + 2.0 * B{f} + 2.0 * C{f} + D{f})" for f in F),
+                *(f"if not _abs(Z{f}).max() <= _blow_up: break" for f in F),
+                "x = _x0 + (i + 1) * _dt", *at_state("Z", "break"), "i += 1", *record,
+                f"{ys}{k1s}X = {''.join(f'Z{f}, ' for f in F)}{''.join(f'{k}, ' for k in ks)}x"]),
+            "except FloatingPointError:",
+            "    pass",
+            f"return i, ({ys}), ({k1s}), X"]),
+    }
+    try:
+        at_state_fn, steps_fn = lowering.compile(functions, _n=n_steps, **glob)(state.params)
+    except KeyError:
+        return None
+
+    def advance(done, k):
+        i = max(done, 0)        # the step whose state ``state`` holds
+        y, x = [state.fields[name] for name in names], state.x
+        if k is None:
+            try:
+                k = at_state_fn(*y, x, i)
+            except FloatingPointError:
+                pass
+            if k is None:
+                return done, None
+        done, y, k, x = steps_fn(*y, *k, x, i)
+        state.fields.update(zip(names, y))
+        state.x = x
+        return done, k
+
+    return advance
+
+
 def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
                            stability_c=STABILITY_C, blow_up=1e6):
     """Classical fourth-order one-step integration of d(fields)/dx = rhs.
@@ -158,20 +285,24 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
                                f"{err}") from None
 
     names = list(rhs)
-    monitor_fn = _on_lattice(list(monitors.values()), state.n_sites, state.params)
-    rhs_fn = _on_lattice(list(rhs.values()), state.n_sites, state.params)
+    advance = _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums)
+
+    @functools.cache
+    def reference():
+        # the stage-by-stage monitor and right-hand-side functions, built on first use
+        return [_on_lattice(list(exprs.values()), state.n_sites, state.params)
+                for exprs in (monitors, rhs)]
 
     def f(fields_dict, x):
-        return dict(zip(names, rhs_fn(fields_dict, x)))
+        return dict(zip(names, reference()[1](fields_dict, x)))
 
     def record(i):
         xs[i] = state.x
-        values = monitor_fn(state.fields, state.x)
+        values = reference()[0](state.fields, state.x)
         for label, dens in zip(monitors, values):
             sums[label][i] = float(dens.sum())
 
-    record(0)
-    for i in range(1, n_steps + 1):
+    def reference_step(i):
         y = state.fields
         k1 = f(y, state.x)
         k2 = f({n: y[n] + 0.5 * dt * k1[n] for n in names}, state.x + 0.5 * dt)
@@ -184,6 +315,20 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
         if not all(v <= blow_up for v in norms):  # a NaN norm fails too
             raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {state.x:.6g}")
         record(i)
+
+    done, k = -1, None      # the last recorded step, and the right-hand side there
+    while done < n_steps:
+        if advance is not None:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                done, k = advance(done, k)
+            if done == n_steps:
+                break
+        # the lowered code cannot take the next step: the reference takes it
+        if done < 0:
+            record(0)
+        else:
+            reference_step(done + 1)
+        done, k = done + 1, None
 
     return Trajectory(xs, sums, state0.copy(), state, dt, stability_ok)
 

@@ -30,6 +30,7 @@ from .expr import (
     Var,
     XVar,
     add,
+    children,
     ln_abs,
     mul,
     neg,
@@ -103,6 +104,17 @@ def _finite(value, toks, pos):
     except OverflowError:
         pass
     raise ParseError("number is not a finite double", pos, toks.text)
+
+
+def _folded(e, toks, pos):
+    """``e``, unless folding constants into it gave a number that is not a finite double.
+
+    A folded constant is ``e`` itself or, in a sum or product, one of its terms.
+    """
+    for c in (e, *children(e)):
+        if isinstance(c, Const):
+            _finite(c.value, toks, pos)
+    return e
 
 
 def _number(toks, tok_value, pos):
@@ -216,18 +228,18 @@ def _factor(toks, sig):
 def _term(toks, sig):
     e = _factor(toks, sig)
     while toks.peek()[1] in ("*", "/"):
-        op = toks.next()[1]
+        _, op, pos = toks.next()
         rhs = _factor(toks, sig)
-        e = mul(e, rhs) if op == "*" else quot(e, rhs)
+        e = _folded(mul(e, rhs) if op == "*" else quot(e, rhs), toks, pos)
     return e
 
 
 def _expr(toks, sig):
     e = _term(toks, sig)
     while toks.peek()[1] in ("+", "-"):
-        op = toks.next()[1]
+        _, op, pos = toks.next()
         rhs = _term(toks, sig)
-        e = add(e, rhs) if op == "+" else add(e, neg(rhs))
+        e = _folded(add(e, rhs) if op == "+" else add(e, neg(rhs)), toks, pos)
     return e
 
 

@@ -109,6 +109,8 @@ class TestEulerLagrange:
     @pytest.mark.parametrize("text", [
         "u[0]*" + "9" * 400, "u[0]^" + "9" * 400, "2^" + "9" * 400,
         "u[0]^(-" + "9" * 400 + ")", "u[0]*" + "9" * 400 + ".5", "u[0]*1e999",
+        # finite numbers whose folded product or sum is not
+        "u[0]*1e300*1e300", "u[0]*(1e300+1e308+1e308)",
     ])
     def test_non_finite_number_is_a_parse_error(self, text):
         r = run_cli("euler-lagrange", text)
@@ -211,6 +213,17 @@ class TestIntegrate:
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
         assert r.stderr == f"singular evaluation: {message}\n"
+
+    @pytest.mark.parametrize("h, message", [
+        # u[0]^2 overflows in the second stage of the first step
+        ("1e-150", "singular evaluation: non-finite value of u[0]^2"),
+        # the field norm fails after four steps
+        ("0.01", "blow-up: field norm 2.912e+86 at x = 0.005"),
+    ])
+    def test_failure_in_a_step_is_one_line(self, h, message):
+        r = run_cli("integrate", "nls", "--h", h, "--x-span", "0,0.01")
+        assert r.returncode == 1
+        assert r.stderr == f"{message}\n"
 
 
 @pytest.mark.parametrize("args", [

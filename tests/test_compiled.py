@@ -12,12 +12,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lattice_frames import expr
+from lattice_frames import expr, flows
 from lattice_frames.expr import (
     Alt,
     Assignment,
     Const,
     FieldVar,
+    Lowering,
     Param,
     SingularEvaluationError,
     Var,
@@ -85,7 +86,7 @@ def reference_flow(rhs, state0, x_span, dt, monitors):
 
 def assert_same_trajectory(rhs, state0, x_span, dt, monitors):
     traj = integrate_lattice_flow(rhs, state0, x_span, dt, monitors=monitors)
-    xs, sums, final = reference_flow(rhs, state0, x_span, dt, monitors)
+    xs, sums, final = reference_flow(rhs, state0, x_span, dt, monitors or {})
     assert (traj.xs == xs).all()
     assert set(traj.monitor_sums) == set(sums)
     for label, series in sums.items():
@@ -100,6 +101,68 @@ def test_nls_flow_matches_reference(nls, n_sites):
     cfg = nls.integrate_config
     state0 = cfg["initial_state"](n_sites, 0.5)
     assert_same_trajectory(cfg["rhs"], state0, (0.0, 0.05), 1e-3, cfg["monitors"])
+
+
+@pytest.mark.parametrize("with_monitors", [False, True])
+@pytest.mark.parametrize("n_sites", [1, 16])
+def test_nls_flow_without_or_with_a_constant_monitor_matches_reference(nls, n_sites,
+                                                                        with_monitors):
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](n_sites, 0.5)
+    monitors = {**cfg["monitors"], "const": Const(2.5)} if with_monitors else None
+    assert_same_trajectory(cfg["rhs"], state0, (0.0, 0.05), 1e-3, monitors)
+
+
+def test_rhs_singular_only_at_the_final_state_integrates():
+    # the last step's k4 is taken at 0.5 + 0.1 = 0.6, the final state at 6 * 0.1 > 0.6,
+    # where no right-hand side is needed; the monitor is regular there
+    u = var("u")
+    rhs = {"u": sqrt(Const(0.6) - XVar()) * u}
+    state0 = LatticeState({"u": np.linspace(0.0, 1.0, 4)}, 0.0, {})
+    assert 0.5 + 0.1 < 6 * 0.1
+    assert_same_trajectory(rhs, state0, (0.0, 0.6), 0.1, {"square": u * u})
+    traj = integrate_lattice_flow(rhs, state0, (0.0, 0.6), 0.1, monitors={"square": u * u})
+    with pytest.raises(SingularEvaluationError, match="^sqrt of a negative value$"):
+        eval_on_lattice(rhs["u"], traj.final)
+
+
+def test_lowered_steps_resume_after_a_reference_step(monkeypatch):
+    # the monitor's product overflows quietly while u[0] > 1.341e4, so the lowered
+    # steps raise and those steps are taken stage by stage; then they resume
+    calls = []
+    on_lattice = flows._on_lattice
+
+    def counting(exprs, n_sites, params):
+        fn = on_lattice(exprs, n_sites, params)
+        return lambda fields, x: calls.append(x) or fn(fields, x)
+
+    monkeypatch.setattr(flows, "_on_lattice", counting)
+    u = var("u")
+    rhs = {"u": Const(-1000.0)}
+    monitors = {"big": u * u * Const(1e300), "u": u}
+    state0 = LatticeState({"u": np.array([1.36e4, 1.0])}, 0.0, {})
+    assert_same_trajectory(rhs, state0, (0.0, 1.0), 0.05, monitors)
+    traj = integrate_lattice_flow(rhs, state0, (0.0, 1.0), 0.05, monitors=monitors)
+    assert np.isinf(traj.monitor_sums["big"][:3]).all()
+    assert np.isfinite(traj.monitor_sums["big"][-3:]).all()
+    assert 0 < len(calls) < 5 * 20 / 2
+
+
+@pytest.mark.parametrize("monitor, message", [
+    # singular from the start, in a node of parameters alone
+    (var("u") + Const(1) / Param("a"), "division by zero"),
+    # a power that overflows after some steps
+    (power(var("u") * Const(1e150), 2), "non-finite value of "),
+])
+def test_singular_monitor_raises_the_reference_error(monitor, message):
+    rhs = {"u": Const(1000.0)}
+    state0 = LatticeState({"u": np.array([1.3e4, 1.0])}, 0.0, {"a": 0.0})
+    with pytest.raises(SingularEvaluationError) as want:
+        reference_flow(rhs, state0, (0.0, 1.0), 0.05, {"m": monitor})
+    with pytest.raises(SingularEvaluationError) as got:
+        integrate_lattice_flow(rhs, state0, (0.0, 1.0), 0.05, monitors={"m": monitor})
+    assert str(got.value) == str(want.value) and str(got.value).startswith(message)
+    assert got.value.subexpr is want.value.subexpr
 
 
 @pytest.mark.parametrize("n_sites", [1, 5])
@@ -285,6 +348,57 @@ def test_no_tree_walk_or_roll_per_step(nls, monkeypatch):
         return dict(calls)
 
     assert count((0.0, 0.01)) == count((0.0, 0.1))
+
+
+def test_error_state_and_step_builder_once_per_integration(nls, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # an error state is entered by `with` or by the decorated functions of expr
+    monkeypatch.setattr(np.errstate, "__enter__", counting("with", np.errstate.__enter__))
+    for name in ("_raising_overflow", "_quiet_overflow", "_two_passes"):
+        assert name in vars(expr)
+        monkeypatch.setattr(expr, name, counting(name, getattr(expr, name)))
+    monkeypatch.setattr(flows, "_lowered_steps", counting("build", flows._lowered_steps))
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](16, 0.5)
+
+    def count(x_span):
+        calls.clear()
+        integrate_lattice_flow(cfg["rhs"], state0, x_span, 1e-3, monitors=cfg["monitors"])
+        return dict(calls)
+
+    short = count((0.0, 0.01))
+    assert short == count((0.0, 0.1))
+    assert short["build"] == 1 and short["with"] == 1
+
+
+def test_equal_mask_tests_are_one_line():
+    a, b, d = var("a"), var("b"), var("d") - Const(1.0)
+    exprs = [a / d, b / d]
+    lowering = Lowering(exprs)
+    tests = [line for line, _ in lowering.body if line.startswith("m = ")]
+    assert len(tests) == 1 and lowering.results[0] != lowering.results[1]
+    bind, variables = compile_exprs(exprs)
+    values = {a.fv: np.array([1.0, 2.0, 3.0]), b.fv: np.array([0.0, 1.0, 4.0]),
+              var("d").fv: np.array([2.0, 1.0, 0.5])}
+    _, bad = bind({})([values[fv] for fv in variables], 0.0, 1.0)
+    pointwise = [any(raises(e, Assignment({fv: v[i] for fv, v in values.items()}))
+                     for e in exprs) for i in range(3)]
+    assert bad.tolist() == pointwise == [False, True, False]
+
+
+def test_nls_right_hand_side_tests_its_denominator_once(nls):
+    # both fields divide by h^2; the powers' overflow tests are of distinct nodes
+    lowering = Lowering(list(nls.integrate_config["rhs"].values()))
+    tests = [line for line, overflow in lowering.prelude + lowering.body
+             if line.startswith("m = ") and not overflow]
+    assert len(tests) == 1 and tests[0].endswith(" == 0)")
 
 
 def test_no_singular_check_per_step(nls, monkeypatch):
