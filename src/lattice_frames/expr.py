@@ -94,26 +94,11 @@ class SingularEvaluationError(ExprError):
 
 @dataclass(frozen=True, slots=True)
 class FieldVar:
-    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``.
-
-    The hash, the one the dataclass would generate, is computed once: every
-    dict keyed by field variables looks it up.
-    """
+    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``."""
 
     name: str
     deriv: int
     shift: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.deriv, self.shift)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild rather than copy the slot
-        return FieldVar, (self.name, self.deriv, self.shift)
 
     def shifted(self, offset):
         return FieldVar(self.name, self.deriv, tuple(k + o for k, o in zip(self.shift, offset)))
@@ -696,12 +681,12 @@ class Lowering:
     after an overflow runs.  A test ORs the points where a node is singular
     into the mask ``m``; nodes that test one child alike share one line.
     ``results`` names each expression's value, and the body lines of the
-    first ``j`` expressions are ``body[:cuts[j]]``.  ``variables`` are the
+    first ``n_first`` expressions are ``body[:first_end]``.  ``variables`` are the
     FieldVars read from ``V``, in slot order; ``bound`` maps a closure name
     to its datum.
     """
 
-    def __init__(self, exprs):
+    def __init__(self, exprs, n_first=0):
         names = {}          # id(node) -> (name holding its value, whether it varies per point)
         slots = {}          # FieldVar -> its index in the values sequence
         tests = set()       # the mask tests emitted
@@ -737,10 +722,10 @@ class Lowering:
             out = names[key] = name, varying
             return out
 
-        self.results, self.cuts = [], [0]
-        for e in exprs:
-            self.results.append(rec(e)[0])
-            self.cuts.append(len(self.body))
+        exprs = list(exprs)
+        self.results = [rec(e)[0] for e in exprs[:n_first]]
+        self.first_end = len(self.body)
+        self.results += [rec(e)[0] for e in exprs[n_first:]]
         self.variables = tuple(slots)
 
     def lines(self, end=None, checked=False):

@@ -166,7 +166,7 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
     """
     names = list(rhs)
     exprs = [*rhs.values(), *monitors.values()]
-    lowering = Lowering(exprs)
+    lowering = Lowering(exprs, n_first=len(names))
     n_sites = state.n_sites
     reads, index = _reads(lowering.variables, n_sites)
     rhs_reads = {fv.name for e in rhs.values() for fv in fieldvars(e)}
@@ -204,18 +204,20 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
     def stage(factor, k, out):
         # the right-hand side at y + factor * k, x + factor, as the reference loop computes it
         return [f"x = X + {factor}", *(f"A{f} = Y{f} + {factor} * {k}{f}" for f in F),
-                inputs("A"), *lowering.lines(end=lowering.cuts[len(names)]),
+                inputs("A"), *lowering.lines(end=lowering.first_end),
                 *(f"{out}{f} = {ks[f]}" for f in F)]
 
     def at_state(prefix, fail):
         # the monitors and the right-hand side at the state held in prefix0, ...
         return [inputs(prefix), *lowering.lines(), f"if m is not False and _any(m): {fail}"]
 
-    record = ["_xs[i] = x", *(f"_s{j}[i] = {d}.sum()" for j, d in enumerate(densities))]
+    def record(i):
+        return [f"_xs[{i}] = x", *(f"_s{j}[{i}] = {d}.sum()" for j, d in enumerate(densities))]
+
     ys, k1s = "".join(f"Y{f}, " for f in F), "".join(f"K{f}, " for f in F)
     functions = {
         # records state i and returns its right-hand side; None where a node is singular
-        "_at_state": (f"{ys}x, i", ["m = bad", *at_state("Y", "return None"), *record,
+        "_at_state": (f"{ys}x, i", ["m = bad", *at_state("Y", "return None"), *record("i"),
                                     f"return ({''.join(f'{k}, ' for k in ks)})"]),
         # steps i + 1, ... from state i and its right-hand side K, while they succeed
         "_steps": (f"{ys}{k1s}X, i", [
@@ -226,8 +228,10 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
                 *stage("_half", "K", "B"), *stage("_half", "B", "C"), *stage("_dt", "C", "D"),
                 *(f"Z{f} = Y{f} + _sixth * (K{f} + 2.0 * B{f} + 2.0 * C{f} + D{f})" for f in F),
                 *(f"if not _abs(Z{f}).max() <= _blow_up: break" for f in F),
-                "x = _x0 + (i + 1) * _dt", *at_state("Z", "break"), "i += 1", *record,
-                f"{ys}{k1s}X = {''.join(f'Z{f}, ' for f in F)}{''.join(f'{k}, ' for k in ks)}x"]),
+                # a record that raises leaves i, Y, K and X at the step before
+                "x = _x0 + (i + 1) * _dt", *at_state("Z", "break"), *record("i + 1"),
+                f"i, {ys}{k1s}X = i + 1, {''.join(f'Z{f}, ' for f in F)}"
+                f"{''.join(f'{k}, ' for k in ks)}x"]),
             "except FloatingPointError:",
             "    pass",
             f"return i, ({ys}), ({k1s}), X"]),

@@ -148,6 +148,21 @@ def test_lowered_steps_resume_after_a_reference_step(monkeypatch):
     assert 0 < len(calls) < 5 * 20 / 2
 
 
+def test_monitor_sum_that_overflows_is_recorded_as_the_reference_does():
+    # each density stays finite (u^2 * 1e300 < 1.8e308) while their lattice sum
+    # overflows from u = 9482 on, about step 10: that step's record raises, and
+    # the step is redone stage by stage from the state before it
+    u = var("u")
+    rhs = {"u": Const(1000.0)}
+    monitors = {"big": u * u * Const(1e300)}
+    state0 = LatticeState({"u": np.array([9e3, 9e3])}, 0.0, {})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert_same_trajectory(rhs, state0, (0.0, 1.0), 0.05, monitors)
+        traj = integrate_lattice_flow(rhs, state0, (0.0, 1.0), 0.05, monitors=monitors)
+    big = traj.monitor_sums["big"]
+    assert np.isfinite(big[:9]).all() and np.isinf(big[11:]).all()
+
+
 @pytest.mark.parametrize("monitor, message", [
     # singular from the start, in a node of parameters alone
     (var("u") + Const(1) / Param("a"), "division by zero"),

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import weakref
 
 import numpy as np
@@ -41,16 +40,6 @@ def V(name, *K, d=0):
 
 SIG2 = ProblemSignature(("u",), 2)
 SIGD = ProblemSignature(("u", "v"), 1, differential=True, has_x=True, params=("h",))
-
-
-def test_field_var_hash_is_cached_and_unchanged():
-    a, b = fv("u", 1, -2, d=1), fv("u", 1, -2, d=1)
-    assert a == b and a is not b and a != fv("u", 1, -2)
-    assert hash(a) == hash(b) == hash(("u", 1, (1, -2)))
-    assert repr(a) == "FieldVar(name='u', deriv=1, shift=(1, -2))"
-    assert [f.name for f in dataclasses.fields(a) if f.compare] == ["name", "deriv", "shift"]
-    copied = pickle.loads(pickle.dumps(a))
-    assert copied == a and hash(copied) == hash(a)
 
 
 class TestParse:
