@@ -179,6 +179,11 @@ class DivergenceTuple:
         return DivergenceTuple(None if self.a0 is None else fn(self.a0),
                                tuple(fn(c) for c in self.comps))
 
+    def named(self):
+        """``(name, component)`` pairs: ``A0`` when present, then ``A1``, ..., ``Am``."""
+        out = [] if self.a0 is None else [("A0", self.a0)]
+        return out + [(f"A{i + 1}", c) for i, c in enumerate(self.comps)]
+
     def plus(self, other):
         if (self.a0 is None) != (other.a0 is None):
             a0 = self.a0 if other.a0 is None else other.a0

@@ -234,13 +234,10 @@ def cmd_noether(args):
                          indent=2))
     else:
         for law in laws:
-            comps = law.to_dict()["components"]
-            labels = (["A0"] if law.components.a0 is not None else []) + \
-                     [f"A{i+1}" for i in range(len(law.components.comps))]
             print(f"--- form: {law.form} (measure {law.measure}), "
                   f"off-shell residual {residuals[law.form]:.3e}")
-            for lab, c in zip(labels, comps):
-                print(f"  {lab} = {c}")
+            for label, c in law.components.named():
+                print(f"  {label} = {to_string(c)}")
             if entry.note:
                 print(f"  note: {entry.note}")
     return 0 if all(r <= 1e-8 for r in residuals.values()) else CHECK_FAILURE
@@ -274,10 +271,14 @@ def cmd_integrate(args):
     except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return CHECK_FAILURE
+    drifts = monitor_conserved(traj)
+    not_finite = [k for k in sorted(drifts) if not math.isfinite(drifts[k])]
+    if not_finite:
+        print(f"error: drift not finite: {', '.join(not_finite)}", file=sys.stderr)
+        return CHECK_FAILURE
     if not traj.stability_ok:
         print(f"warning: dt={d['dt']} violates the stability bound "
               f"dt <= {STABILITY_C} h^2 = {STABILITY_C * d['h'] ** 2}", file=sys.stderr)
-    drifts = monitor_conserved(traj)
     report = {
         "example": b.name,
         "n_sites": d["n_sites"], "h": d["h"], "dt": d["dt"],

@@ -151,14 +151,14 @@ class ProblemSignature:
         if any(abs(k) > self.shift_radius for k in fv.shift):
             raise CapExceededError(f"{fv}: shift outside radius {self.shift_radius}")
 
-    def with_variations(self, suffix="_t"):
-        """Extended signature adding one variation slot field per field."""
+    def with_variations(self):
+        """Extended signature adding one variation slot field ``<field>_t`` per field."""
         vmap = dict(self.variations)
         new_fields = list(self.fields)
         for f in self.fields:
             if f in vmap or f in vmap.values():
                 continue
-            w = f + suffix
+            w = f + "_t"
             vmap[f] = w
             new_fields.append(w)
         return ProblemSignature(
@@ -473,12 +473,14 @@ class _Rule:
     ``tested``, computed first and named by the error.  ``overflow``, tested
     only after an overflow, is true where the value ``{v}`` is non-finite from
     a finite ``{0}``.  ``missing`` is the error when an input has no value.
+    ``derive(node, d)`` is the node's derivative under a derivation, ``d``
+    giving a child's; a leaf has none, its derivative is the derivation's own.
     """
 
     def __init__(self, fields=(), build=lambda node: node, value="", *, fold=False,
                  datum="None", missing=None, test=None, message=None, tested=0,
-                 when="True", overflow=None):
-        self.build, self.value, self.fold = build, value, fold
+                 when="True", overflow=None, derive=None):
+        self.build, self.value, self.fold, self.derive = build, value, fold, derive
         self.test, self.tested, self.overflow = test, tested, overflow
         self.varying = any(f"{{{name}}}" in value for name in ("V", "x", "alt"))
         self.datum = _function("node", [f"return {datum}"])
@@ -509,30 +511,56 @@ class _Rule:
                               _missing=lambda message, k: MissingVariableError(message.format(k)))
 
 
+def _derive_prod(node, d):
+    # Leibniz: one term per factor whose derivative is not zero
+    parts = []
+    for i, f in enumerate(node.factors):
+        df = d(f)
+        if df != ZERO:
+            parts.append(mul(df, *node.factors[:i], *node.factors[i + 1:]))
+    return add(*parts) if parts else ZERO
+
+
+def _derive_quot(node, d):
+    dn, dd = d(node.num), d(node.den)
+    if dd == ZERO:
+        return quot(dn, node.den)
+    return quot(add(mul(dn, node.den), neg(mul(node.num, dd))), power(node.den, 2))
+
+
 _RULES = {
     Const: _Rule(value="{k}", datum="node.value"),
     Param: _Rule(value="{P}[{k}]", datum="node.name", missing="parameter {!r} has no value"),
     XVar: _Rule(value="{x}"),
     Alt: _Rule(value="{alt}"),
     Var: _Rule(value="{V}[{k}]", datum="node.fv", missing="variable {} has no value"),
-    Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True),
-    Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "{0} * {1}", fold=True),
+    Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True,
+               derive=lambda node, d: add(*[d(t) for t in node.terms])),
+    Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "{0} * {1}", fold=True,
+                derive=_derive_prod),
     # np.power for scalars too: Python's float ** n rounds differently in the
     # last bit and raises OverflowError where arrays give inf
     Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k})",
                datum="float(node.exponent)",
                test="{0} == 0", message="zero base with negative exponent",
                when="node.exponent < 0",
-               overflow="_isfinite({0}) & ~_isfinite({v})"),
+               overflow="_isfinite({0}) & ~_isfinite({v})",
+               derive=lambda node, d: ZERO if (db := d(node.base)) == ZERO else mul(
+                   node.exponent, power(node.base, node.exponent - 1), db)),
     # np.divide, the ufunc of / on arrays, since Python floats raise at a zero
     # denominator, and lowered code computes the singular points it masks
     Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1})",
-                test="{0} == 0", message="division by zero", tested=1),
-    Neg: _Rule(("arg",), lambda node, arg: neg(arg), "-{0}"),
+                test="{0} == 0", message="division by zero", tested=1, derive=_derive_quot),
+    Neg: _Rule(("arg",), lambda node, arg: neg(arg), "-{0}",
+               derive=lambda node, d: neg(d(node.arg))),
     LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}))",
-                 test="{0} == 0", message="ln of zero"),
+                 test="{0} == 0", message="ln of zero",
+                 derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
+                     da, node.arg)),
     Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0})",
-                test="{0} < 0", message="sqrt of a negative value"),
+                test="{0} < 0", message="sqrt of a negative value",
+                derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
+                    da, mul(2, node))),
 }
 
 
@@ -604,9 +632,10 @@ def evaluate(e, a):
     Structurally equal subtrees are one object, hence evaluated once.  Each
     node follows its rule in ``_RULES``.  The first singular node raises
     :class:`SingularEvaluationError`, as does a power that overflows from a
-    finite base; any other overflow gives inf quietly.  This is the
-    reference: a caller that must raise where a function of
-    :func:`compile_exprs` returns a set mask redoes the call here.
+    finite base; any other overflow gives inf quietly.  This is the only
+    code that raises for a singular node; the functions of
+    :func:`compile_exprs` and :class:`Lowering` return a mask instead, set
+    exactly where this raises.
     """
     def walk(checked=False):
         memo = {}
@@ -639,11 +668,12 @@ def compile_exprs(exprs):
     :func:`evaluate` raises.  ``bad`` is ``False`` when nothing is singular in
     the prelude and no other node has a test: such a call does no mask
     arithmetic.  A binding or call that overflows runs again with overflow
-    quiet and the powers' overflow tests added.  Without a parameter, each
-    call redoes :func:`evaluate`, which raises.  Structurally equal subtrees
-    are one object, computed once for the whole list.
+    quiet and the powers' overflow tests added.  ``bind`` raises
+    :class:`MissingVariableError` when a parameter has no value.  Nothing
+    here raises where a node is singular: a caller that must raise calls
+    :func:`evaluate`.  Structurally equal subtrees are one object, computed
+    once for the whole list.
     """
-    exprs = list(exprs)
     lowering = Lowering(exprs)
 
     def call(checked):
@@ -654,21 +684,16 @@ def compile_exprs(exprs):
     if any(overflow for _, overflow in lowering.body):
         functions["_checked"] = call(True)
     bind_functions = lowering.compile(functions)
-    variables = lowering.variables
 
     def bind(params):
         try:
             fns = bind_functions(params)
-        except KeyError:
-            def redo(values, x, alt):
-                a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
-                return [evaluate(e, a) for e in exprs], False
-
-            return redo
+        except KeyError as err:
+            raise MissingVariableError(f"parameter {err.args[0]!r} has no value") from None
         # the second pass is _checked, or _lowered when no body line has an overflow test
         return functools.partial(_two_passes, fns[0], fns[-1])
 
-    return bind, variables
+    return bind, lowering.variables
 
 
 class Lowering:
@@ -846,7 +871,7 @@ def shift(e, offset, sig):
 
 
 def _derivation(e, leaf_rule):
-    """Generic derivation: linear over sums, Leibniz over products."""
+    """Generic derivation: ``leaf_rule`` at the leaves, the ``derive`` rules of ``_RULES`` above."""
     memo = {}
 
     def rec(node):
@@ -855,36 +880,7 @@ def _derivation(e, leaf_rule):
             return memo[key]
         out = leaf_rule(node)
         if out is None:
-            if isinstance(node, Sum):
-                out = add(*[rec(t) for t in node.terms])
-            elif isinstance(node, Prod):
-                parts = []
-                for i, f in enumerate(node.factors):
-                    df = rec(f)
-                    if df == ZERO:
-                        continue
-                    rest = node.factors[:i] + node.factors[i + 1:]
-                    parts.append(mul(df, *rest))
-                out = add(*parts) if parts else ZERO
-            elif isinstance(node, Pow):
-                db = rec(node.base)
-                out = ZERO if db == ZERO else mul(node.exponent, power(node.base, node.exponent - 1), db)
-            elif isinstance(node, Quot):
-                dn, dd = rec(node.num), rec(node.den)
-                if dd == ZERO:
-                    out = quot(dn, node.den)
-                else:
-                    out = quot(add(mul(dn, node.den), neg(mul(node.num, dd))), power(node.den, 2))
-            elif isinstance(node, Neg):
-                out = neg(rec(node.arg))
-            elif isinstance(node, LnAbs):
-                da = rec(node.arg)
-                out = ZERO if da == ZERO else quot(da, node.arg)
-            elif isinstance(node, Sqrt):
-                da = rec(node.arg)
-                out = ZERO if da == ZERO else quot(da, mul(2, node))
-            else:
-                raise ExprError(f"unknown node {node!r}")
+            out = _RULES[type(node)].derive(node, rec)
         memo[key] = out
         return out
 

@@ -18,22 +18,23 @@ invalid values.
 
 A step that raises there, or at which a node is singular or the field norm
 fails, is redone stage by stage on the reference path, which is the loop as
-it was before lowering: each right-hand side and monitor call runs in its
-own error state, and a call whose mask is set is redone by
-:func:`~lattice_frames.expr.evaluate`, which raises the error of the first
+it was before lowering: each right-hand side and monitor call evaluates its
+expressions by :func:`~lattice_frames.expr.evaluate` at one assignment of
+periodically shifted columns, and ``evaluate`` raises the error of the first
 singular node.  So only that path raises, with the same messages in the same
-order; it computes no right-hand side at the final state.
+order; it computes no right-hand side at the final state, and its
+arithmetic and lattice sums are quiet: a value they make non-finite fails
+the norm check or shows in the drift, with no numpy warning.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Assignment, ExprError, Lowering, compile_exprs, evaluate, fieldvars
+from .expr import Assignment, ExprError, Lowering, evaluate, fieldvars
 
 __all__ = [
     "LatticeState",
@@ -97,28 +98,22 @@ def _broadcast(v, n_sites):
 
 
 def _on_lattice(exprs, n_sites, params):
-    """Lower ``exprs`` and bind ``params`` once into ``fn(fields, x)`` -> one array per expression.
+    """``fn(fields, x)`` -> the value of each of ``exprs`` at every one of ``n_sites`` sites.
 
-    Each array holds the expression's value at every one of ``n_sites``
-    lattice sites, with periodic shifts; a constant value is broadcast.
-    A node of constants and parameters alone is computed, and tested, here.
-    A call at which a node is singular raises :func:`evaluate`'s error.
+    Shifts are periodic, and a constant value is broadcast.  Each call
+    evaluates the expressions by :func:`evaluate` at one assignment of the
+    shifted columns, so a singular node raises :func:`evaluate`'s error.
     """
-    bind, variables = compile_exprs(exprs)
-    alt = (-1.0) ** np.arange(n_sites)
+    variables = sorted(set().union(*map(fieldvars, exprs)),
+                       key=lambda fv: (fv.name, fv.deriv, fv.shift))
     reads, index = _reads(variables, n_sites)
-    reads = [(name, index.get(k)) for name, k in reads]
-    lowered = bind(params)
+    alt = (-1.0) ** np.arange(n_sites)
 
     def fn(fields, x):
-        values = [fields[name] if idx is None else fields[name][idx] for name, idx in reads]
-        out, bad = lowered(values, x, alt)
-        if bad is not False and np.any(bad):
-            # the reference raises the error of the first singular node
-            a = Assignment(dict(zip(variables, values)), x=x, params=params, alt=alt)
-            for e in exprs:
-                evaluate(e, a)
-        return [_broadcast(v, n_sites) for v in out]
+        values = {fv: fields[name][index[k]] if k else fields[name]
+                  for fv, (name, k) in zip(variables, reads)}
+        a = Assignment(values, x=x, params=params, alt=alt)
+        return [_broadcast(evaluate(e, a), n_sites) for e in exprs]
 
     return fn
 
@@ -160,19 +155,14 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
     steps while they succeed and returns the new ``(done, k)``; a step that
     raises ``FloatingPointError``, or at which a node is singular or the
     field norm fails, is left for the reference path, with ``state`` before
-    it.  None instead where only the reference path raises as it should: a
-    parameter has no value, the right-hand side reads a field it does not
-    evolve, or ``state`` lacks a field the flow reads or evolves.
+    it.  None instead when a parameter has no value, so that the reference
+    path raises :func:`evaluate`'s error.
     """
     names = list(rhs)
     exprs = [*rhs.values(), *monitors.values()]
     lowering = Lowering(exprs, n_first=len(names))
     n_sites = state.n_sites
     reads, index = _reads(lowering.variables, n_sites)
-    rhs_reads = {fv.name for e in rhs.values() for fv in fieldvars(e)}
-    if not (rhs_reads <= set(names) <= set(state.fields)
-            and {name for name, _ in reads} <= set(state.fields)):
-        return None
 
     x0 = state.x
     glob = {"alt": (-1.0) ** np.arange(n_sites), "_N": n_sites, "_broadcast": _broadcast,
@@ -259,8 +249,19 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
     return advance
 
 
-def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
-                           stability_c=STABILITY_C, blow_up=1e6):
+def _check_fields(rhs, monitors, fields):
+    """Raise an ExprError naming a field the flow reads or evolves but cannot have."""
+    for name in sorted({fv.name for e in rhs.values() for fv in fieldvars(e)} - set(rhs)):
+        raise ExprError(f"the right-hand side reads field {name!r}, which it does not evolve")
+    for name in rhs:
+        if name not in fields:
+            raise ExprError(f"the right-hand side evolves field {name!r}, which the state lacks")
+    for label, e in monitors.items():
+        for name in sorted({fv.name for fv in fieldvars(e)} - set(fields)):
+            raise ExprError(f"monitor {label!r} reads field {name!r}, which the state lacks")
+
+
+def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
     """Classical fourth-order one-step integration of d(fields)/dx = rhs.
 
     ``rhs`` maps field name -> expression; ``monitors`` maps a label to a
@@ -269,16 +270,19 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
     dt <= c h^2 for the stiff difference Laplacian is checked against the
     step parameter ``h``; violating it only flags the trajectory, while a
     field norm above ``blow_up``, or a non-finite one, raises
-    :class:`BlowUpError`.
+    :class:`BlowUpError`.  A right-hand side that reads a field it does not
+    evolve, or a field it evolves or a monitor reads that the state lacks,
+    raises :class:`ExprError`.
     """
     monitors = monitors or {}
+    _check_fields(rhs, monitors, state0.fields)
     state = state0.copy()
     x0 = x_span[0]
     state.x = x0
     n_steps = step_count(x_span, dt)
     h = state.params.get("h")
     stability_ok = True
-    if h is not None and dt > stability_c * h * h + 1e-15:
+    if h is not None and dt > STABILITY_C * h * h + 1e-15:
         stability_ok = False
 
     try:
@@ -291,19 +295,16 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
     names = list(rhs)
     advance = _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums)
 
-    @functools.cache
-    def reference():
-        # the stage-by-stage monitor and right-hand-side functions, built on first use
-        return [_on_lattice(list(exprs.values()), state.n_sites, state.params)
-                for exprs in (monitors, rhs)]
+    # the stage-by-stage reference: the monitor and right-hand-side functions
+    monitor_fn, rhs_fn = (_on_lattice(list(exprs.values()), state.n_sites, state.params)
+                          for exprs in (monitors, rhs))
 
     def f(fields_dict, x):
-        return dict(zip(names, reference()[1](fields_dict, x)))
+        return dict(zip(names, rhs_fn(fields_dict, x)))
 
     def record(i):
         xs[i] = state.x
-        values = reference()[0](state.fields, state.x)
-        for label, dens in zip(monitors, values):
+        for label, dens in zip(monitors, monitor_fn(state.fields, state.x)):
             sums[label][i] = float(dens.sum())
 
     def reference_step(i):
@@ -327,18 +328,23 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None,
                 done, k = advance(done, k)
             if done == n_steps:
                 break
-        # the lowered code cannot take the next step: the reference takes it
-        if done < 0:
-            record(0)
-        else:
-            reference_step(done + 1)
+        # the lowered code cannot take the next step: the reference takes it, quietly
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if done < 0:
+                record(0)
+            else:
+                reference_step(done + 1)
         done, k = done + 1, None
 
     return Trajectory(xs, sums, state0.copy(), state, dt, stability_ok)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def monitor_conserved(traj):
-    """Relative drift of each monitored lattice sum over the trajectory."""
+    """Relative drift of each monitored lattice sum over the trajectory.
+
+    A sum that is not finite gives a drift that is not finite, quietly.
+    """
     out = {}
     for label, series in traj.monitor_sums.items():
         s0 = series[0]

@@ -96,10 +96,8 @@ def invariantize(frame, e, sig):
 
 def maurer_cartan(frame, direction, sig):
     """Parameter coordinates of (S_i rho) rho^{-1}; components are invariant."""
-    m = sig.lattice_dim
-    step = tuple(1 if k == direction else 0 for k in range(m))
-    shifted = tuple(shift(p, step, sig) for p in frame.param_exprs)
-    return frame.action.compose(shifted, frame.action.inverse(frame.param_exprs))
+    step = tuple(1 if k == direction else 0 for k in range(sig.lattice_dim))
+    return mc_element(frame, step, sig)
 
 
 def mc_element(frame, offset, sig):

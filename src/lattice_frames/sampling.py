@@ -135,7 +135,7 @@ class SamplePlan:
             self.memo[key] = (self.guards, *compile_exprs([g.expr for g in self.guards]))
         return self.memo[key][1:]
 
-    def assignments(self, exprs, sig, extra_vars=()):
+    def assignments(self, exprs, sig):
         """The :class:`PointSet` of admissible points covering every variable of ``exprs``.
 
         Each candidate takes its coordinates (sorted), then ``x``, then the
@@ -149,7 +149,6 @@ class SamplePlan:
         names = set(guard_vars)
         for e in exprs:
             names |= fieldvars(e)
-        names |= set(extra_vars)
         names = sorted(names, key=lambda fv: (fv.name, fv.deriv, fv.shift))
         variation_names = set(sig.variations.values())
         key = (tuple(names), self.n_points, self.seed, tuple(self.value_range),
@@ -284,12 +283,12 @@ def residual_stats(lhs, rhs, assignments):
     return relative_residual(assignments, residual)
 
 
-def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity", extra_vars=()):
+def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity"):
     """Probabilistic identity test: pass iff the residual stays within ``tol``.
 
     An empty point set or a NaN residual fails.
     """
-    assignments = plan.assignments([lhs, rhs], sig, extra_vars=extra_vars)
+    assignments = plan.assignments([lhs, rhs], sig)
     worst = residual_stats(lhs, rhs, assignments)
     status = "pass" if worst <= tol else "fail"
     return CheckReport(check_id, status, worst, len(assignments), plan.seed,

@@ -60,6 +60,9 @@ from .sampling import CheckReport, identity_check, residual_stats
 
 __all__ = ["SUITES", "run_suite", "suite_names"]
 
+# the conservation drift each monitored sum may show, 1e-6 for one not named
+DRIFT_TOLS = {"norm": 1e-8, "energy": 1e-6}
+
 
 def _report(check_id, residual, tol, plan, n_points=None, note=""):
     """``n_points`` is the size of the point set drawn, when not ``plan``'s own."""
@@ -165,11 +168,7 @@ def suite_noether(b, plan, tol=1e-9):
         out.append(_report(f"offshell-original:{label}", res, tol, plan))
         stored = b.expected.get("laws_original", {}).get(entry.index)
         if stored:
-            comps = [law.components.a0] if law.components.a0 is not None else []
-            comps += list(law.components.comps)
-            names = (["A0"] if law.components.a0 is not None else [])
-            names += [f"A{i+1}" for i in range(len(law.components.comps))]
-            for cname, comp in zip(names, comps):
+            for cname, comp in law.components.named():
                 if cname in stored:
                     out.append(identity_check(comp, parse(stored[cname], sig), plan,
                                               sig, tol=tol,
@@ -187,9 +186,9 @@ def suite_noether(b, plan, tol=1e-9):
         stored = b.expected.get("laws_invariant", {}).get(r)
         if stored:
             inv = b.invset
+            comps = dict(law.components.named())
             for cname, s in stored.items():
-                comp = law.components.a0 if cname == "A0" else law.components.comps[int(cname[1:]) - 1]
-                out.append(identity_check(comp, inv.expand(parse(s, inv.kappa_sig)),
+                out.append(identity_check(comps[cname], inv.expand(parse(s, inv.kappa_sig)),
                                           plan, sig, tol=tol,
                                           check_id=f"law-stored-invariant:r{r}:{cname}"))
     if b.integrate_config is not None:
@@ -209,19 +208,17 @@ def suite_noether(b, plan, tol=1e-9):
     return out
 
 
-def integration_checks(b, drift_tols=None):
+def integration_checks(b):
     """Conservation drift of the monitored sums at the default configuration."""
     cfg = b.integrate_config
     d = cfg["defaults"]
-    if drift_tols is None:
-        drift_tols = {"norm": 1e-8, "energy": 1e-6}
     state0 = cfg["initial_state"](d["n_sites"], d["h"])
     traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
                                   monitors=cfg["monitors"])
     drifts = monitor_conserved(traj)
     out = []
     for label in sorted(drifts):
-        tol = drift_tols.get(label, 1e-6)
+        tol = DRIFT_TOLS.get(label, 1e-6)
         out.append(CheckReport(f"integration-drift:{label}",
                                "pass" if drifts[label] <= tol else "fail",
                                drifts[label], 1, 0, note=cfg.get("note", "")))

@@ -7,8 +7,6 @@ captured-output summary of any failure.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -63,6 +61,7 @@ from lattice_frames.sampling import (
     residual_stats,
 )
 from oracles import finite_lattice_pairing, random_lindiffop
+from test_cli import run_process
 
 
 def report(num, description, ok, detail):
@@ -310,10 +309,8 @@ def test_criterion_8_divergence_equivalence(toda, ex81, nls):
 
 def test_criterion_9_determinism():
     def run():
-        return subprocess.run(
-            [sys.executable, "-m", "lattice_frames.cli", "--json", "--seed", "321",
-             "--points", "20", "verify", "toda", "--suite", "syzygy"],
-            capture_output=True, text=True)
+        return run_process("--json", "--seed", "321", "--points", "20",
+                           "verify", "toda", "--suite", "syzygy")
 
     a, b = run(), run()
     ok = a.returncode == 0 and a.stdout == b.stdout and a.stdout.strip() != ""

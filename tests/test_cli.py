@@ -1,14 +1,19 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import lattice_frames
 from lattice_frames import cli, flows, noether
 from lattice_frames.catalog import EXAMPLES
+from lattice_frames.expr import Const
 from lattice_frames.suites import run_suite
 
 
@@ -24,10 +29,16 @@ def run_cli(*args):
                                        out.getvalue(), err.getvalue())
 
 
+# the directory holding the package, so that a fresh interpreter imports this checkout
+SRC = str(Path(lattice_frames.__file__).resolve().parent.parent)
+
+
 def run_process(*args, env=None):
-    """The command-line entry point in a fresh interpreter."""
+    """The command-line entry point in a fresh interpreter, importing this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lattice_frames.cli", *args],
-                          capture_output=True, text=True, env={**os.environ, **(env or {})})
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
 
 
 class TestVerify:
@@ -224,6 +235,28 @@ class TestIntegrate:
         r = run_cli("integrate", "nls", "--h", h, "--x-span", "0,0.01")
         assert r.returncode == 1
         assert r.stderr == f"{message}\n"
+
+    def test_non_finite_field_norm_is_one_line(self):
+        # u[0]^2 overflows in the record of the initial state and the first
+        # stages give NaN: no numpy warning, only the failed norm check
+        r = run_process("integrate", "nls", "--h", "1e-155", "--dt", "5e-324",
+                        "--x-span", "0,5e-323")
+        assert r.returncode == 1
+        assert r.stderr == "blow-up: field norm nan at x = 4.94066e-324\n"
+
+    def test_non_finite_drift_is_one_line(self, nls, tmp_path, monkeypatch, capsys):
+        # each density is finite, but the lattice sum of 16 of them overflows
+        cfg = {**nls.integrate_config,
+               "monitors": {**nls.integrate_config["monitors"], "big": Const(1e308)}}
+        monkeypatch.setitem(EXAMPLES, "nls", dataclasses.replace(nls, integrate_config=cfg))
+        csv, rep = tmp_path / "traj.csv", tmp_path / "drift.json"
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+            warnings.simplefilter("error")
+            cli.main(["integrate", "nls", "--x-span", "0,0.2", "--dt", "0.1",
+                      "--out-csv", str(csv), "--out-json", str(rep)])
+        assert exit_.value.code == 1
+        assert capsys.readouterr() == ("", "error: drift not finite: big\n")
+        assert not csv.exists() and not rep.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -17,6 +17,7 @@ from lattice_frames.expr import (
     Alt,
     Assignment,
     Const,
+    ExprError,
     FieldVar,
     Lowering,
     Param,
@@ -194,6 +195,23 @@ def test_flow_reading_x_alt_and_a_parameter_matches_reference(n_sites):
     assert_same_trajectory(rhs, state0, (0.25, 0.45), 0.01, monitors)
 
 
+@pytest.mark.parametrize("rhs, fields, monitors, message", [
+    ({"u": var("w") * var("u")}, ("u", "w"), {},
+     "the right-hand side reads field 'w', which it does not evolve"),
+    ({"u": var("u"), "v": var("u")}, ("u",), {},
+     "the right-hand side evolves field 'v', which the state lacks"),
+    ({"u": var("u")}, ("u",), {"m": var("u") * var("w")},
+     "monitor 'm' reads field 'w', which the state lacks"),
+    # the lowered steps are not built; the reference raises evaluate's error
+    ({"u": Param("b") * var("u")}, ("u",), {}, "parameter 'b' has no value"),
+])
+def test_ill_formed_flow_raises_naming_the_field(rhs, fields, monitors, message):
+    state0 = LatticeState({name: np.ones(3) for name in fields}, 0.0, {})
+    with pytest.raises(ExprError) as err:
+        integrate_lattice_flow(rhs, state0, (0.0, 0.1), 0.05, monitors=monitors)
+    assert str(err.value) == message
+
+
 def test_constant_monitor_and_parameter_rhs_broadcast():
     rhs = {"u": var("u", 1) - var("u"), "c": Param("a")}
     monitors = {"const": Const(2.5), "param": Param("a")}
@@ -248,7 +266,7 @@ def test_singular_nodes_match_evaluate(message, e, values):
     arr = np.array(values)
     with pytest.raises(SingularEvaluationError) as want:
         evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
-    # the flow is the caller that raises: it redoes a call with a set mask by evaluate
+    # the flow is the caller that raises: its reference path calls evaluate
     with pytest.raises(SingularEvaluationError) as got:
         eval_on_lattice(e, LatticeState({"u": arr}, 0.0, PARAMS))
     assert str(want.value) == message
@@ -303,9 +321,12 @@ def test_parameter_overflow_falls_back_to_evaluate():
 
 def test_missing_parameter_raises_as_evaluate():
     for e in (U * Param("b"), U + Const(1) / Param("b")):
-        fn = compile_exprs([e])[0]({})   # the prelude lacks b: no error yet
         with pytest.raises(expr.MissingVariableError, match="parameter 'b' has no value"):
-            fn([np.ones(2)], 0.0, 1.0)
+            evaluate(e, Assignment({U.fv: np.ones(2)}))
+        bind, _ = compile_exprs([e])
+        # the prelude lacks b: binding raises evaluate's error
+        with pytest.raises(expr.MissingVariableError, match="^parameter 'b' has no value$"):
+            bind({})
 
 
 def test_structurally_equal_subtrees_are_lowered_once(monkeypatch):

@@ -152,12 +152,39 @@ def _expr_fields(node):
             yield from (t for t in v if isinstance(t, expr.Expr))
 
 
+# A value of each leaf field type at which every node class is regular, for
+# the node whose i-th field it fills.
+REGULAR_FIELDS = {
+    "tuple": lambda i: (expr.Var(expr.FieldVar("u", 0, (i,))),
+                        expr.Var(expr.FieldVar("u", 0, (i + 1,)))),
+    "float": lambda i: 2.5,
+    "int": lambda i: -3,
+    "str": lambda i: "a",
+    "FieldVar": lambda i: expr.FieldVar("u", 0, (0,)),
+}
+
+
 @pytest.mark.parametrize("cls", sorted(_node_classes(), key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_every_node_class_has_a_rule(cls):
     # every walker reads the table: a class without a row would fall through them all
     assert cls in expr._RULES
-    # a distinct child per field, so that the order is checked too
+    # a distinct child u[i] per field, so that the order is checked too
     node = cls(*[expr.Var(expr.FieldVar("u", 0, (i,))) if f.type == "Expr"
-                 else FRESH_FIELDS[f.type]() for i, f in enumerate(dataclasses.fields(cls))])
+                 else REGULAR_FIELDS[f.type](i) for i, f in enumerate(dataclasses.fields(cls))])
     assert expr.children(node) == tuple(_expr_fields(node))
+    # a second way to compute derivatives: the partial derivative in each of
+    # u[0] and u[1], by the class's rule, against a central difference
+    point = [0.7, 1.3, 0.9]
+
+    def at(k, v):
+        values = {expr.FieldVar("u", 0, (i,)): v if i == k else w for i, w in enumerate(point)}
+        return expr.Assignment(values, x=0.4, params={"a": 0.8})
+
+    eps = 1e-6
+    for k in range(2):
+        fv = expr.FieldVar("u", 0, (k,))
+        want = (expr.evaluate(node, at(k, point[k] + eps))
+                - expr.evaluate(node, at(k, point[k] - eps))) / (2 * eps)
+        got = expr.evaluate(expr.partial(node, fv), at(k, point[k]))
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7), fv
