@@ -22,6 +22,7 @@ from .expr import (
     SingularEvaluationError,
     evaluate,
     fieldvars,
+    run_memo,
     to_string,
 )
 from .flows import (
@@ -364,7 +365,8 @@ def main(argv=None):
     if not hasattr(args, "json"):
         args.json = False
     try:
-        code = COMMANDS[args.command](args)
+        with run_memo():
+            code = COMMANDS[args.command](args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         code = USAGE_ERROR

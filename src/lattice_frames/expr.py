@@ -16,10 +16,22 @@ one object and every memo keyed on ``id`` shares them.  Fields match when
 child nodes are the same objects and leaf values have the same type and bit
 pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
 holds weak references only: a node lives exactly as long as without it.
+
+The builders :func:`shift`, :func:`partial`, :func:`total_derivative` and
+:func:`t_derivative` rebuild a tree one node at a time through a table from
+``id(node)`` to the node and its image.  Outside :func:`run_memo` that table
+is new on every call.  Inside it there is one table per builder and
+argument for the whole run, so a repeated call is one lookup and a subtree
+that two expressions share is rebuilt once; the tables hold their nodes
+alive until the outermost :func:`run_memo` exits, and no longer.
+:func:`substitute` and the walkers of :func:`evaluate`, :func:`nodes` and
+:class:`Lowering` keep per-call tables.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import struct
@@ -63,6 +75,7 @@ __all__ = [
     "evaluate",
     "compile_exprs",
     "Lowering",
+    "run_memo",
     "partial",
     "shift",
     "total_derivative",
@@ -475,12 +488,17 @@ class _Rule:
     a finite ``{0}``.  ``missing`` is the error when an input has no value.
     ``derive(node, d)`` is the node's derivative under a derivation, ``d``
     giving a child's; a leaf has none, its derivative is the derivation's own.
+    ``minus``, with ``fold``, is printed by :class:`Lowering` in place of
+    ``value`` for a child after the first that is a ``Neg``, ``{1}`` being
+    the value of that ``Neg``'s argument: in IEEE arithmetic ``a - b`` is
+    ``a + (-b)``.
     """
 
     def __init__(self, fields=(), build=lambda node: node, value="", *, fold=False,
                  datum="None", missing=None, test=None, message=None, tested=0,
-                 when="True", overflow=None, derive=None):
+                 when="True", overflow=None, derive=None, minus=None):
         self.build, self.value, self.fold, self.derive = build, value, fold, derive
+        self.minus = minus
         self.test, self.tested, self.overflow = test, tested, overflow
         self.varying = any(f"{{{name}}}" in value for name in ("V", "x", "alt"))
         self.datum = _function("node", [f"return {datum}"])
@@ -535,7 +553,7 @@ _RULES = {
     Alt: _Rule(value="{alt}"),
     Var: _Rule(value="{V}[{k}]", datum="node.fv", missing="variable {} has no value"),
     Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True,
-               derive=lambda node, d: add(*[d(t) for t in node.terms])),
+               minus="{0} - {1}", derive=lambda node, d: add(*[d(t) for t in node.terms])),
     Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "{0} * {1}", fold=True,
                 derive=_derive_prod),
     # np.power for scalars too: Python's float ** n rounds differently in the
@@ -722,7 +740,11 @@ class Lowering:
             if key in names:
                 return names[key]
             rule = _RULES[type(node)]
-            args = [rec(c) for c in rule.children(node)]
+            subs = rule.children(node)
+            # a later term -b of a sum is b subtracted: -b gets no line unless another node reads it
+            minus = [bool(i) and rule.minus is not None and type(c) is Neg
+                     for i, c in enumerate(subs)]
+            args = [rec(c.arg if m else c) for c, m in zip(subs, minus)]
             varying = rule.varying or any([v for _, v in args])
             if rule.test is not None and rule.when(node):
                 arg, arg_varying = args[rule.tested]
@@ -737,8 +759,12 @@ class Lowering:
                 self.bound[f"c{len(self.bound)}"] = k
                 k = f"c{len(self.bound) - 1}"
             kids = [arg for arg, _ in args]
-            value = (functools.reduce(rule.value.format, kids) if rule.fold
-                     else rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt"))
+            if rule.fold:
+                value = kids[0]
+                for kid, m in zip(kids[1:], minus[1:]):
+                    value = (rule.minus if m else rule.value).format(value, kid)
+            else:
+                value = rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt")
             name = f"t{len(names)}"
             lines = self.body if varying else self.prelude
             lines.append((f"{name} = {value}", False))
@@ -811,23 +837,64 @@ def _two_passes(fast, checked, *args):
         return _quiet_overflow(checked, *args)
 
 
-def _map_nodes(e, fn):
+# The tables of the run in progress: (builder, argument) -> (node table, the
+# objects whose ids the key holds); None when no run is in progress.
+_RUN = contextvars.ContextVar("lattice_frames_run_memo", default=None)
+
+
+@contextlib.contextmanager
+def run_memo():
+    """Share the node tables of the builders across every call in the block.
+
+    Within the block, :func:`shift`, :func:`partial`, :func:`total_derivative`
+    and :func:`t_derivative` hand back what they built before for the same
+    node and argument.  A nested entry shares the outer tables; the
+    outermost exit drops them, and with them every node they held.
+    """
+    if _RUN.get() is not None:
+        yield
+        return
+    token = _RUN.set({})
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _table(key, *held):
+    """The node table of one builder call: the run's for ``key``, or a new one outside a run.
+
+    ``held`` are the objects whose ids ``key`` holds, kept alive with the table.
+    """
+    tables = _RUN.get()
+    if tables is None:
+        return {}
+    entry = tables.get(key)
+    if entry is None:
+        entry = tables[key] = ({}, held)
+    return entry[0]
+
+
+def _map_nodes(e, fn, memo=None):
     """Rebuild ``e`` bottom-up through ``fn`` with DAG-preserving memoization.
 
     ``fn(node, rec)`` returns a replacement Expr or None to fall through to
-    structural recursion.
+    structural recursion.  ``memo`` maps ``id(node)`` to ``(node, image)``,
+    the node held so that its id stays its own: a new table per call unless
+    the caller passes the run's (see :func:`run_memo`).
     """
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def rec(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
         out = fn(node, rec)
         if out is None:
             rule = _RULES[type(node)]
             out = rule.build(node, *[rec(c) for c in rule.children(node)])
-        memo[key] = out
+        memo[id(node)] = node, out
         return out
 
     return rec(e)
@@ -843,7 +910,7 @@ def partial(e, fv):
             return ZERO
         return None
 
-    return _derivation(e, leaf)
+    return _derivation(e, leaf, _table(("partial", fv)))
 
 
 def shift(e, offset, sig):
@@ -867,21 +934,26 @@ def shift(e, offset, sig):
             return neg(node) if flip else node
         return None
 
-    return _map_nodes(e, fn)
+    return _map_nodes(e, fn, _table(("shift", offset, id(sig)), sig))
 
 
-def _derivation(e, leaf_rule):
-    """Generic derivation: ``leaf_rule`` at the leaves, the ``derive`` rules of ``_RULES`` above."""
-    memo = {}
+def _derivation(e, leaf_rule, memo=None):
+    """Generic derivation: ``leaf_rule`` at the leaves, the ``derive`` rules of ``_RULES`` above.
+
+    ``memo`` is a node table as in :func:`_map_nodes`: per call unless the
+    caller passes the run's.
+    """
+    if memo is None:
+        memo = {}
 
     def rec(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
         out = leaf_rule(node)
         if out is None:
             out = _RULES[type(node)].derive(node, rec)
-        memo[key] = out
+        memo[id(node)] = node, out
         return out
 
     return rec(e)
@@ -904,7 +976,7 @@ def total_derivative(e, sig):
     """Total derivative D: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
     if not sig.differential:
         raise ExprError("total derivative on a pure-difference problem")
-    return _derivation(e, lambda node: _total_leaf(node, sig))
+    return _derivation(e, lambda node: _total_leaf(node, sig), _table(("total", id(sig)), sig))
 
 
 def t_derivative(e, sig):
@@ -924,7 +996,7 @@ def t_derivative(e, sig):
             return ZERO
         return None
 
-    return _derivation(e, leaf)
+    return _derivation(e, leaf, _table(("t", id(sig)), sig))
 
 
 def substitute(e, rules, x_repl=None, param_rules=None):

@@ -17,11 +17,13 @@ in one numpy error state that raises on overflow, division by zero and
 invalid values.
 
 A step that raises there, or at which a node is singular or the field norm
-fails, is redone stage by stage on the reference path, which is the loop as
-it was before lowering: each right-hand side and monitor call evaluates its
-expressions by :func:`~lattice_frames.expr.evaluate` at one assignment of
-periodically shifted columns, and ``evaluate`` raises the error of the first
-singular node.  So only that path raises, with the same messages in the same
+fails, is redone stage by stage on the reference path, which takes every
+later step too once a monitor's lattice sum has overflowed from finite
+densities.  That path is the loop as it was before lowering: each
+right-hand side and monitor call evaluates its expressions by
+:func:`~lattice_frames.expr.evaluate` at one assignment of periodically
+shifted columns, and ``evaluate`` raises the error of the first singular
+node.  So only that path raises, with the same messages in the same
 order; it computes no right-hand side at the final state, and its
 arithmetic and lattice sums are quiet: a value they make non-finite fails
 the norm check or shows in the drift, with no numpy warning.
@@ -303,9 +305,13 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
         return dict(zip(names, rhs_fn(fields_dict, x)))
 
     def record(i):
+        """Record state i; True when a monitor's lattice sum overflows from finite densities."""
         xs[i] = state.x
+        overflowed = False
         for label, dens in zip(monitors, monitor_fn(state.fields, state.x)):
-            sums[label][i] = float(dens.sum())
+            total = sums[label][i] = float(dens.sum())
+            overflowed = overflowed or (not math.isfinite(total) and bool(np.isfinite(dens).all()))
+        return overflowed
 
     def reference_step(i):
         y = state.fields
@@ -319,7 +325,7 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
         norms = [float(np.abs(y[n]).max()) for n in names]
         if not all(v <= blow_up for v in norms):  # a NaN norm fails too
             raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {state.x:.6g}")
-        record(i)
+        return record(i)
 
     done, k = -1, None      # the last recorded step, and the right-hand side there
     while done < n_steps:
@@ -330,11 +336,13 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
                 break
         # the lowered code cannot take the next step: the reference takes it, quietly
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if done < 0:
-                record(0)
-            else:
-                reference_step(done + 1)
+            overflowed = record(0) if done < 0 else reference_step(done + 1)
         done, k = done + 1, None
+        if overflowed:
+            # a sum that overflowed will most likely overflow again, and the
+            # lowered step raises at every record that does: the reference
+            # takes the remaining steps
+            advance = None
 
     return Trajectory(xs, sums, state0.copy(), state, dt, stability_ok)
 

@@ -29,6 +29,7 @@ from .expr import (
     XVar,
     add,
     fieldvars,
+    run_memo,
     shift,
     substitute,
 )
@@ -333,15 +334,17 @@ def run_suite(b, name, plan, tol=None):
 
     A suite that raises :class:`ExprError` contributes one failed
     ``<suite>:error`` report carrying the message instead of its checks.
+    The suites share one :func:`~lattice_frames.expr.run_memo`.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(name)
     kw = {} if tol is None else {"tol": tol}
     out = []
-    for suite in (SUITES if name == "all" else [name]):
-        try:
-            out.extend(SUITES[suite](b, plan, **kw))
-        except ExprError as err:
-            out.append(CheckReport(f"{suite}:error", "fail", math.nan, 0, plan.seed,
-                                   note=str(err)))
+    with run_memo():
+        for suite in (SUITES if name == "all" else [name]):
+            try:
+                out.extend(SUITES[suite](b, plan, **kw))
+            except ExprError as err:
+                out.append(CheckReport(f"{suite}:error", "fail", math.nan, 0, plan.seed,
+                                       note=str(err)))
     return out

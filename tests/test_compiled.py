@@ -6,6 +6,7 @@ arrays, with the same RK4 arithmetic.  The compiled flow must reproduce it
 bit for bit.
 """
 
+import itertools
 import sys
 from collections import Counter
 
@@ -162,6 +163,27 @@ def test_monitor_sum_that_overflows_is_recorded_as_the_reference_does():
         traj = integrate_lattice_flow(rhs, state0, (0.0, 1.0), 0.05, monitors=monitors)
     big = traj.monitor_sums["big"]
     assert np.isfinite(big[:9]).all() and np.isinf(big[11:]).all()
+
+
+def test_overflowed_monitor_sum_leaves_the_rest_to_the_reference(nls, monkeypatch):
+    # every lattice sum of 1e308 overflows while each density is finite: after
+    # the first record, whose lowered form raises, no lowered step is tried
+    attempts = []
+    lowered_steps = flows._lowered_steps
+
+    def counting(*args):
+        advance = lowered_steps(*args)
+        return lambda done, k: attempts.append(done) or advance(done, k)
+
+    monkeypatch.setattr(flows, "_lowered_steps", counting)
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](16, 0.5)
+    monitors = {**cfg["monitors"], "big": Const(1e308)}
+    for x1 in (0.01, 0.03):
+        attempts.clear()
+        with pytest.warns(RuntimeWarning, match="overflow"):   # from the test's reference
+            assert_same_trajectory(cfg["rhs"], state0, (0.0, x1), 1e-3, monitors)
+        assert attempts == [-1]
 
 
 @pytest.mark.parametrize("monitor, message", [
@@ -350,6 +372,25 @@ def test_structurally_equal_subtrees_are_lowered_once(monkeypatch):
     a = Assignment(dict(zip(variables, values)))
     for g, e in zip(got, (first, second)):
         assert g.tobytes() == evaluate(e, a).tobytes()
+
+
+def test_later_negated_terms_are_subtracted():
+    a, b, c = var("a"), var("b"), var("c")
+    # a leading -a stays a negation; -c reads c and is subtracted, with no line of its own
+    e = -a + b - c
+    lowering = Lowering([e, b - a])
+    lines = [line for line, _ in lowering.body]
+    negations = [line for line in lines if " = -" in line]
+    assert len(negations) == 1 and sum(" - " in line for line in lines) == 2
+    # a Neg term that another node reads keeps its line
+    assert sum(" = -" in line for line, _ in Lowering([b - c, (-c) * a]).body) == 1
+    # every sign of zero at every input: the values equal evaluate's bit for bit
+    columns = np.array(list(itertools.product([0.0, -0.0, 1.5], repeat=3))).T
+    values = dict(zip((a.fv, b.fv, c.fv), columns))
+    bind, variables = compile_exprs([e, b - a, b - c])
+    got, _ = bind({})([values[fv] for fv in variables], 0.0, 1.0)
+    for g, want in zip(got, (e, b - a, b - c)):
+        assert g.tobytes() == evaluate(want, Assignment(values)).tobytes()
 
 
 def test_overflowing_product_is_a_blow_up():

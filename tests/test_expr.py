@@ -1,17 +1,23 @@
+import contextlib
 import dataclasses
+import gc
+import io
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from lattice_frames import expr
+from lattice_frames import cli, expr, suites
+from lattice_frames.catalog import EXAMPLES
 from lattice_frames.expr import (
     Assignment,
     CapExceededError,
     Const,
+    ExprError,
     FieldVar,
     MissingVariableError,
+    Param,
     ProblemSignature,
     SingularEvaluationError,
     Var,
@@ -309,3 +315,115 @@ class TestInterning:
             Const(1.5).value = 2.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             del V("u", 0, 0).fv
+
+
+def _catalog_exprs(obj, seen):
+    """Every expression reachable from a catalog bundle through fields, dicts and sequences."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, expr.Expr):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _catalog_exprs(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _catalog_exprs(v, seen)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _catalog_exprs(getattr(obj, f.name), seen)
+
+
+def _builder_calls(b):
+    """One call of each builder on each catalog expression of ``b``, as a thunk."""
+    sig = b.sig
+    for e in _catalog_exprs(b, set()):
+        for o in (1, -1):
+            yield lambda e=e, o=o: shift(e, (o,) * sig.lattice_dim, sig)
+        for v in sorted(fieldvars(e), key=str):
+            yield lambda e=e, v=v: partial(e, v)
+        if sig.differential:
+            yield lambda e=e: total_derivative(e, sig)
+        yield lambda e=e: t_derivative(e, sig)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ExprError as err:
+        return type(err), str(err)
+
+
+def _probe_suite(fail):
+    """A suite that builds a node only the run's memo holds, and keeps a weak reference to it."""
+    refs = []
+
+    def suite(b, plan, **kw):
+        u = Var(FieldVar("u", 0, (0,) * b.sig.lattice_dim))
+        refs.append(weakref.ref(shift(u * Param("probe"), (1,) * b.sig.lattice_dim, b.sig)))
+        gc.collect()
+        assert refs[0]() is not None        # held by the memo while the run lasts
+        if fail:
+            raise RuntimeError("probe")
+        return []
+
+    return suite, refs
+
+
+class TestRunMemo:
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_every_builder_hands_back_what_it_builds_without_the_memo(self, name):
+        calls = list(_builder_calls(EXAMPLES[name]))
+        with expr.run_memo():
+            memoized = [_outcome(c) for c in calls]
+            repeated = [_outcome(c) for c in calls]
+            kinds = {key[0] for key in expr._RUN.get()}
+        assert expr._RUN.get() is None
+        fresh = [_outcome(c) for c in calls]
+        for m, r, f in zip(memoized, repeated, fresh, strict=True):
+            if isinstance(f, expr.Expr):
+                assert m is f and r is f
+            else:
+                assert m == r == f
+        assert {"shift", "partial", "t"} <= kinds
+
+    def test_nested_entry_reuses_the_outer_memo(self, monkeypatch):
+        checked = []
+        check_var = ProblemSignature.check_var
+        monkeypatch.setattr(ProblemSignature, "check_var",
+                            lambda sig, v: checked.append(v) or check_var(sig, v))
+        e = power(add(V("u", 0, 0), V("u", 1, 0)), 2) * V("u", 0, 1)
+        assert expr._RUN.get() is None
+        with expr.run_memo():
+            tables = expr._RUN.get()
+            with expr.run_memo():
+                assert expr._RUN.get() is tables
+                moved = shift(e, (1, -1), SIG2)
+            n = len(checked)
+            assert n == 3 and tables
+            assert shift(e, (1, -1), SIG2) is moved and len(checked) == n
+        assert expr._RUN.get() is None
+        # outside a run every call builds afresh
+        assert shift(e, (1, -1), SIG2) is moved and len(checked) == 2 * n
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_run_suite_keeps_no_node_after_the_run(self, monkeypatch, toda, toda_plan, fail):
+        suite, refs = _probe_suite(fail)
+        monkeypatch.setitem(suites.SUITES, "syzygy", suite)
+        with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+            assert suites.run_suite(toda, "syzygy", toda_plan) == []
+        gc.collect()
+        assert expr._RUN.get() is None
+        assert len(refs) == 1 and refs[0]() is None
+
+    def test_two_cli_runs_print_the_same_bytes(self):
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+                cli.main(["verify", "ex81", "--suite", "all", "--json", "--seed", "7"])
+            assert expr._RUN.get() is None
+            return exit_.value.code, out.getvalue()
+
+        first = run()
+        assert first[1] and first == run()
