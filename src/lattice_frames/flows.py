@@ -128,14 +128,22 @@ def eval_on_lattice(e, state):
 def step_count(x_span, dt):
     """Number of steps of size ``dt`` across ``x_span``.
 
-    Raises ValueError unless the count is finite and not negative.
+    Raises ValueError unless the count is finite and positive and its last
+    step ends at ``x1``, to within 1e-9 of the span.
     """
     x0, x1 = x_span
     steps = (x1 - x0) / dt
     if not (math.isfinite(steps) and steps >= 0):
         raise ValueError(f"x span {x0:g},{x1:g} in steps of {dt:g} "
                          "gives no finite, non-negative step count")
-    return int(round(steps))
+    n_steps = int(round(steps))
+    if n_steps == 0:
+        raise ValueError(f"x span {x0:g},{x1:g} in steps of {dt:g} gives no step")
+    end = x0 + n_steps * dt
+    if abs(end - x1) > 1e-9 * (x1 - x0):
+        raise ValueError(f"x span {x0:g},{x1:g} in {n_steps} steps of {dt:g} "
+                         f"ends at x = {end!r}")
+    return n_steps
 
 
 @dataclass

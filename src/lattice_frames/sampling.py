@@ -8,12 +8,15 @@ zero).  Reports are deterministic functions of the seed.
 
 A point set is one :class:`PointSet` of arrays, so an expression is
 evaluated once at all of its points.  Candidates are drawn in blocks of
-that form.  The guard tuple, lowered once per run by
-:func:`~lattice_frames.expr.compile_exprs`, tests a block in one call with
-its parameter columns bound, and rejects the candidates of the call's mask,
-at which a guard is singular.  The accepted points, the rejection count and
-the point where sampling gives up are those of testing one candidate at a
-time with :meth:`Guard.ok`.
+that form, each block from one raw read of the plan's PCG64 that leaves
+the stream where drawing its candidates one at a time leaves it; a block
+in which that draw would retry a rejected integer is drawn one call at a
+time instead (see :func:`_draw_block`).  The guard tuple, lowered once per
+run by :func:`~lattice_frames.expr.compile_exprs`, tests a block in one
+call with its parameter columns bound, and rejects the candidates of the
+call's mask, at which a guard is singular.  The accepted points, the
+rejection count and the point where sampling gives up are those of testing
+one candidate at a time with :meth:`Guard.ok`.
 
 A run is one plan and every plan derived from it by
 :meth:`SamplePlan.with_`; they share one memo.  A request is fixed by its
@@ -97,6 +100,71 @@ class PointSet(Assignment):
                              base=tuple(col[i] for col in base), alt=alt)
 
 
+def _draw_block(rng, lows, highs, size, m, b_lo, b_hi):
+    """``(rows, bases)`` of ``size`` candidates, as ``rng`` draws them one at a time.
+
+    Candidate ``i`` is row ``i`` of ``rng.uniform(lows, highs)`` and then
+    ``m`` calls of ``rng.integers(b_lo, b_hi + 1)``.  For the PCG64 of a
+    plan the block is read from one ``random_raw`` call, which leaves the
+    stream, with its held 32-bit half, where those calls leave it:
+
+    - a double is ``low + (high - low) * ((w >> 11) * 2**-53)`` of the next
+      64-bit word ``w``;
+    - a base coordinate is the 32-bit Lemire draw ``b_lo + ((u * span) >> 32)``
+      of the next 32-bit half ``u``: a held half first, else the low half of
+      a fresh word, whose high half is then held;
+    - so with ``L`` doubles per candidate and ``has`` the held flag at the
+      start, the block reads ``size*L + ceil((size*m - has)/2)`` words, and
+      fresh word ``k``, read by draw ``has + 2k``, is word
+      ``((has + 2k) // m + 1)*L + k``: it follows the doubles of the
+      candidate making that draw.
+
+    Lemire rejects a half with ``(u*span) mod 2**32 < (2**32 - span) mod span``
+    and draws again; for ``span = 5`` only ``u = 0``.  A block with a rejected
+    half restores the stream and is drawn one call at a time, and so is one
+    with a non-finite range, for which ``uniform`` raises, or a span outside
+    ``(1, 2**32]``, which draws no half or takes numpy's 64-bit path.
+    """
+    bitgen = rng.bit_generator
+    widths = highs - lows
+    span = b_hi + 1 - b_lo
+    saved = bitgen.state
+    if 1 < span <= 2**32 and np.isfinite(widths).all():
+        n_doubles, has, draws = len(lows), saved["has_uint32"], size * m
+        n_fresh = (draws - has + 1) // 2
+        raw = bitgen.random_raw(size * n_doubles + n_fresh)
+        k = np.arange(n_fresh)
+        fresh = np.zeros(len(raw), dtype=bool)
+        fresh[((has + 2 * k) // m + 1) * n_doubles + k] = True
+        words = raw[fresh]
+        # low + (high - low) * double, in place
+        rows = raw[~fresh]
+        rows >>= 11
+        rows = np.multiply(rows, 2.0**-53).reshape(size, n_doubles)
+        rows *= widths
+        rows += lows
+        halves = np.empty(has + 2 * len(words), dtype=np.uint64)
+        halves[:has] = saved["uinteger"]
+        halves[has::2] = words & 0xFFFFFFFF
+        halves[has + 1::2] = words >> 32
+        scaled = halves[:draws] * np.uint64(span)
+        if not ((scaled & 0xFFFFFFFF) < (2**32 - span) % span).any():
+            state = bitgen.state
+            state["has_uint32"] = (draws - has) % 2
+            if n_fresh:
+                state["uinteger"] = int(words[-1] >> 32)
+            bitgen.state = state
+            return rows, b_lo + (scaled >> 32).astype(np.int64).reshape(size, m)
+        bitgen.state = saved
+    rows = np.empty((size, len(lows)))
+    bases = np.empty((size, m), dtype=np.int64)
+    for i in range(size):
+        rows[i] = rng.uniform(lows, highs)
+        for d in range(m):
+            bases[i, d] = rng.integers(b_lo, b_hi + 1)
+    return rows, bases
+
+
 @dataclass
 class SamplePlan:
     """Deterministic admissible-point generator.
@@ -139,11 +207,13 @@ class SamplePlan:
         """The :class:`PointSet` of admissible points covering every variable of ``exprs``.
 
         Each candidate takes its coordinates (sorted), then ``x``, then the
-        parameters from one ``uniform`` call, which consumes the random
-        stream exactly as one call per value does, and then one ``integers``
-        call per lattice direction for its base point.  A request this run
-        has already drawn returns a new :class:`PointSet` over the same
-        read-only columns.
+        parameters, and then its base point, with the values and the stream
+        of one ``uniform`` call followed by one ``integers`` call per
+        lattice direction.  :func:`_draw_block` draws a block of candidates
+        from one raw read of the generator, and falls back to those calls
+        for a block in which an integer draw would be rejected and retried.
+        A request this run has already drawn returns a new
+        :class:`PointSet` over the same read-only columns.
         """
         guard_bind, guard_vars = self._lowered_guards()
         names = set(guard_vars)
@@ -188,12 +258,7 @@ class SamplePlan:
             need = self.n_points - accepted
             size = min(-(-need * drawn // max(accepted, 1)) if rejected else need,
                        need + self.max_rejections + 1 - rejected)
-            rows = np.empty((size, len(lows)))
-            bases = np.empty((size, m), dtype=np.int64)
-            for i in range(size):
-                rows[i] = rng.uniform(lows, highs)
-                for d in range(m):
-                    bases[i, d] = rng.integers(b_lo, b_hi + 1)
+            rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
             drawn += size
             block = points(rows, bases)
             # the parameters are columns of the block, so they are bound per block

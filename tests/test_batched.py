@@ -85,7 +85,7 @@ def probe_exprs(b):
 
 
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
-@pytest.mark.parametrize("seed", [2024, 7])
+@pytest.mark.parametrize("seed", [2024, 7, 31337])
 def test_catalog_points_match_reference(name, seed):
     b = get_example(name)
     plan = b.plan(seed=seed)
@@ -94,6 +94,108 @@ def test_catalog_points_match_reference(name, seed):
     want = reference_assignments(plan, exprs, b.sig)
     assert as_tuples(got) == as_tuples(want)
     assert all(type(v) is float for a in got for v in a.values.values())
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``uniform`` and ``integers`` calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return super().uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def loop_block(rng, lows, highs, size, m, b_lo, b_hi):
+    """``size`` candidates drawn one ``uniform`` and ``m`` ``integers`` calls at a time."""
+    rows = np.empty((size, len(lows)))
+    bases = np.empty((size, m), dtype=np.int64)
+    for i in range(size):
+        rows[i] = rng.uniform(lows, highs)
+        for d in range(m):
+            bases[i, d] = rng.integers(b_lo, b_hi + 1)
+    return rows, bases
+
+
+def assert_same_blocks(got_rng, want_rng, lows, highs, sizes, m, base_range=(-2, 2)):
+    """Draw blocks of ``sizes`` from both, as block and loop; the calls the blocks made."""
+    for size in sizes:
+        rows, bases = sampling._draw_block(got_rng, lows, highs, size, m, *base_range)
+        want_rows, want_bases = loop_block(want_rng, lows, highs, size, m, *base_range)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert bases.dtype == np.int64 and np.array_equal(bases, want_bases)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    calls = got_rng.calls
+    assert got_rng.random() == want_rng.random()
+    assert got_rng.integers(-2, 3) == want_rng.integers(-2, 3)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_draw_matches_per_candidate_loop(m):
+    # consecutive blocks on one generator, so that a held 32-bit half
+    # crosses a block boundary whenever a block makes an odd number of draws
+    lows = np.array([-2.0, -1.0, -2.0, 0.5, 0.5])
+    highs = np.array([2.0, 1.0, 2.0, 2.0, 1.5])
+    for seed in range(100):
+        got = CountingGenerator(np.random.PCG64(seed))
+        want = np.random.default_rng(np.random.PCG64(seed))
+        assert assert_same_blocks(got, want, lows[seed % 3:], highs[seed % 3:],
+                                  [0, 1, 2, 3, 0, 4, 7, 1, 1], m) == 0
+
+
+def test_block_draw_falls_back_when_lemire_rejects():
+    # the held half is 0, which the 32-bit Lemire draw of span 5 rejects
+    lows, highs = np.array([-2.0, 0.5]), np.array([2.0, 2.0])
+    for seed in range(20):
+        got = CountingGenerator(np.random.PCG64(seed))
+        want = np.random.default_rng(np.random.PCG64(seed))
+        for rng in (got, want):
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+        # the first block is drawn one call at a time, the second as a block
+        assert assert_same_blocks(got, want, lows, highs, [3, 4], 2) == 3 * (1 + 2)
+
+
+@pytest.mark.parametrize("base_range, calls", [
+    ((-1, 0), 0), ((-3, 3), 0), ((0, 2**32 - 1), 0),
+    ((0, 0), 7 * (1 + 2)),        # draws no 32-bit half
+    ((0, 2**32), 7 * (1 + 2)),    # numpy's 64-bit path
+])
+def test_block_draw_matches_loop_for_any_base_range(base_range, calls):
+    lows, highs = np.array([-2.0, 0.5]), np.array([2.0, 2.0])
+    for seed in range(10):
+        got = CountingGenerator(np.random.PCG64(seed))
+        want = np.random.default_rng(np.random.PCG64(seed))
+        assert assert_same_blocks(got, want, lows, highs, [3, 4], 2, base_range) == calls
+
+
+def test_block_draw_of_an_infinite_range_raises_as_uniform_does():
+    rng = np.random.default_rng(np.random.PCG64(1))
+    with pytest.warns(RuntimeWarning), pytest.raises(OverflowError, match="Range exceeds"):
+        sampling._draw_block(rng, np.array([-1e308]), np.array([1e308]), 3, 1, -2, 2)
+
+
+def test_sampling_draws_from_pcg64(monkeypatch):
+    # the block draw reads PCG64's words and 32-bit buffer directly
+    generators = []
+    draw_block = sampling._draw_block
+
+    def recording(rng, *args):
+        generators.append(type(rng.bit_generator))
+        return draw_block(rng, *args)
+
+    monkeypatch.setattr(sampling, "_draw_block", recording)
+    b = get_example("toda")
+    b.plan(n_points=10).assignments([b.L], b.sig)
+    assert generators and set(generators) == {np.random.PCG64}
 
 
 SIG1 = ProblemSignature(("u",), 1)

@@ -277,6 +277,10 @@ class TestIntegrate:
     ["integrate", "--x-span", "1e308,1.7e308"],   # finite flags, non-finite step count
     ["verify", "ex81", "--suite", "syzygy", "--seed", "-1"],
     ["verify", "ex81", "--suite", "syzygy", "--seed", str(2**64)],   # seeds are u64
+    ["integrate", "nls", "--x-span", "1,1"],      # no step
+    ["integrate", "nls", "--dt", "1e300"],        # no step
+    ["integrate", "nls", "--dt", "0.6"],          # the steps end at x = 1.2
+    ["integrate", "nls", "--dt", "0.4"],          # the steps end at x = 0.8
 ])
 def test_malformed_flag_usage_error(args):
     # any exception other than the usage exit fails the test

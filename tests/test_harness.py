@@ -10,6 +10,7 @@ from lattice_frames.flows import (
     eval_on_lattice,
     integrate_lattice_flow,
     monitor_conserved,
+    step_count,
 )
 from lattice_frames.sampling import (
     Guard,
@@ -170,6 +171,26 @@ class TestLatticeFlow:
         state0 = cfg["initial_state"](8, 0.5)
         with pytest.raises(ValueError, match="no finite, non-negative step count"):
             integrate_lattice_flow(cfg["rhs"], state0, x_span, 0.01)
+
+    @pytest.mark.parametrize("x_span, dt, message", [
+        ((1.0, 1.0), 1e-3, "gives no step"),
+        ((0.0, 1.0), 1e300, "gives no step"),
+        ((0.0, 1.0), 0.6, "in 2 steps of 0.6 ends at x = 1.2"),
+        ((0.0, 1.0), 0.4, "in 2 steps of 0.4 ends at x = 0.8"),
+    ])
+    def test_span_the_steps_miss_is_refused(self, x_span, dt, message):
+        with pytest.raises(ValueError, match=message):
+            step_count(x_span, dt)
+
+    @pytest.mark.parametrize("x_span, dt, n_steps", [
+        ((0.0, 1.0), 1e-3, 1000),
+        ((0.0, 0.2), 0.002, 100),
+        ((0.0, 0.2), 0.1, 2),
+        ((0.0, 1e9), 1e-9, 10**18),
+        ((0.0, 5e-323), 5e-324, 10),
+    ])
+    def test_span_the_steps_end_on_is_accepted(self, x_span, dt, n_steps):
+        assert step_count(x_span, dt) == n_steps
 
     def test_eval_on_lattice_shifts_periodically(self):
         state = LatticeState({"u": np.arange(4.0)}, 0.0, {})
