@@ -181,10 +181,7 @@ def invariance_residual(e, action, sig, plan, rng, n_group):
 
 def prolong_generator(gen, fv, sig):
     """Coefficient of d/du_{j;K} in the prolonged generator: S_K D^j Q."""
-    q = gen.q_of(fv.name)
-    if fv.deriv:
-        q = deriv_op(q, sig, times=fv.deriv)
-    return shift(q, fv.shift, sig)
+    return shift(deriv_op(gen.q_of(fv.name), sig, times=fv.deriv), fv.shift, sig)
 
 
 def generator_apply(gen, e, sig):

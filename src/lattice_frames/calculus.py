@@ -109,12 +109,8 @@ class LinDiffOp:
 
 def apply_op(op, e, sig, dcal_inv=None):
     """Sum of coeff * S_K D^j e over the operator terms."""
-    parts = []
-    for coeff, K, j in op.terms:
-        t = deriv_op(e, sig, dcal_inv, times=j) if j else e
-        t = shift(t, K, sig)
-        parts.append(mul(coeff, t))
-    return add(*parts)
+    return add(*[mul(coeff, shift(deriv_op(e, sig, dcal_inv, times=j), K, sig))
+                 for coeff, K, j in op.terms])
 
 
 def op_compose(op1, op2, sig, dcal_inv=None):
@@ -129,7 +125,7 @@ def op_compose(op1, op2, sig, dcal_inv=None):
             K = tuple(a + b for a, b in zip(K1, K2))
             sc2 = shift(c2, K1, sig)
             for l in range(j1 + 1):
-                dc2 = deriv_op(sc2, sig, dcal_inv, times=l) if l else sc2
+                dc2 = deriv_op(sc2, sig, dcal_inv, times=l)
                 out.append((mul(comb(j1, l), c1, dc2), K, j1 - l + j2))
     return LinDiffOp.from_terms(out)
 
@@ -147,24 +143,21 @@ def op_adjoint(op, sig, dcal_inv=None):
         c = shift(coeff, negK, sig)
         sign = -1 if j % 2 else 1
         for l in range(j + 1):
-            dcoeff = deriv_op(c, sig, dcal_inv, times=l) if l else c
-            out.append((mul(sign * comb(j, l), dcoeff), negK, j - l))
+            out.append((mul(sign * comb(j, l), deriv_op(c, sig, dcal_inv, times=l)), negK, j - l))
     return LinDiffOp.from_terms(out)
+
+
+def _moved_off(f, fv, sig):
+    """S_{-K} (-D)^j f: the coefficient f of u_{j;K} moved off that coordinate."""
+    F = deriv_op(f, sig, times=fv.deriv)
+    return shift(neg(F) if fv.deriv % 2 else F, tuple(-k for k in fv.shift), sig)
 
 
 def euler_lagrange(L, field_name, sig):
     """E_u(L) = sum over stencil of S_{-K} (-D)^j (dL/du_{j;K})."""
-    parts = []
-    for fv in sorted(fieldvars(L), key=lambda v: (v.deriv, v.shift)):
-        if fv.name != field_name:
-            continue
-        dL = partial(L, fv)
-        if fv.deriv:
-            dL = deriv_op(dL, sig, times=fv.deriv)
-            if fv.deriv % 2:
-                dL = neg(dL)
-        parts.append(shift(dL, tuple(-k for k in fv.shift), sig))
-    return add(*parts)
+    return add(*[_moved_off(partial(L, fv), fv, sig)
+                 for fv in sorted(fieldvars(L), key=lambda v: (v.deriv, v.shift))
+                 if fv.name == field_name])
 
 
 @dataclass(frozen=True)
@@ -267,14 +260,10 @@ def linear_by_parts(e, slot_fields, sig):
         # stage 1: move the j derivatives across, collecting the x-boundary
         for l in range(fv.deriv):
             sign = -1 if l % 2 else 1
-            df = deriv_op(f, sig, times=l) if l else f
-            a0_parts.append(mul(sign, df, Var(FieldVar(fv.name, fv.deriv - 1 - l, fv.shift))))
-        F = deriv_op(f, sig, times=fv.deriv) if fv.deriv else f
-        if fv.deriv % 2:
-            F = neg(F)
+            a0_parts.append(mul(sign, deriv_op(f, sig, times=l),
+                                Var(FieldVar(fv.name, fv.deriv - 1 - l, fv.shift))))
         # stage 2: move the shift across, collecting the staircase boundary
-        negK = tuple(-k for k in fv.shift)
-        SF = shift(F, negK, sig)
+        SF = _moved_off(f, fv, sig)
         coeffs[fv.name] = add(coeffs.get(fv.name, ZERO), SF)
         if any(fv.shift):
             inner = mul(SF, Var(FieldVar(fv.name, 0, (0,) * m)))

@@ -265,7 +265,12 @@ def cmd_integrate(args):
     except ValueError as err:
         print(f"invalid --x-span/--dt: {err}", file=sys.stderr)
         return USAGE_ERROR
-    state0 = cfg["initial_state"](d["n_sites"], d["h"])
+    try:
+        state0 = cfg["initial_state"](d["n_sites"], d["h"])
+    except (MemoryError, ValueError, OverflowError) as err:
+        print(f"error: cannot allocate a lattice of {d['n_sites']} sites: {err}",
+              file=sys.stderr)
+        return CHECK_FAILURE
     try:
         traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
                                       monitors=cfg["monitors"])

@@ -17,15 +17,17 @@ child nodes are the same objects and leaf values have the same type and bit
 pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
 holds weak references only: a node lives exactly as long as without it.
 
-The builders :func:`shift`, :func:`partial`, :func:`total_derivative` and
-:func:`t_derivative` rebuild a tree one node at a time through a table from
-``id(node)`` to the node and its image.  Outside :func:`run_memo` that table
-is new on every call.  Inside it there is one table per builder and
-argument for the whole run, so a repeated call is one lookup and a subtree
-that two expressions share is rebuilt once; the tables hold their nodes
-alive until the outermost :func:`run_memo` exits, and no longer.
-:func:`substitute` and the walkers of :func:`evaluate`, :func:`nodes` and
-:class:`Lowering` keep per-call tables.
+Every builder -- :func:`shift`, :func:`substitute`, :func:`partial`,
+:func:`total_derivative` and :func:`t_derivative` -- is one walker,
+``_rebuild``, with a leaf rule that names only the leaves it maps; any
+other node follows its row of ``_RULES``.  The walker rebuilds a tree one
+node at a time through a table from ``id(node)`` to the node and its image.
+Outside :func:`run_memo` that table is new on every call.  Inside it there
+is one table per builder and argument for the whole run, so a repeated call
+is one lookup and a subtree that two expressions share is rebuilt once; the
+tables hold their nodes alive until the outermost :func:`run_memo` exits,
+and no longer.  :func:`substitute` and the walkers of :func:`evaluate`,
+:func:`nodes` and :class:`Lowering` keep per-call tables.
 """
 
 from __future__ import annotations
@@ -487,7 +489,8 @@ class _Rule:
     only after an overflow, is true where the value ``{v}`` is non-finite from
     a finite ``{0}``.  ``missing`` is the error when an input has no value.
     ``derive(node, d)`` is the node's derivative under a derivation, ``d``
-    giving a child's; a leaf has none, its derivative is the derivation's own.
+    giving a child's: 0 for a constant, a parameter, ``x`` and ``alt``, and
+    none for a field variable, whose derivative is the derivation's own.
     ``minus``, with ``fold``, is printed by :class:`Lowering` in place of
     ``value`` for a child after the first that is a ``Neg``, ``{1}`` being
     the value of that ``Neg``'s argument: in IEEE arithmetic ``a - b`` is
@@ -529,6 +532,10 @@ class _Rule:
                               _missing=lambda message, k: MissingVariableError(message.format(k)))
 
 
+def _derive_zero(node, d):
+    return ZERO
+
+
 def _derive_prod(node, d):
     # Leibniz: one term per factor whose derivative is not zero
     parts = []
@@ -547,10 +554,11 @@ def _derive_quot(node, d):
 
 
 _RULES = {
-    Const: _Rule(value="{k}", datum="node.value"),
-    Param: _Rule(value="{P}[{k}]", datum="node.name", missing="parameter {!r} has no value"),
-    XVar: _Rule(value="{x}"),
-    Alt: _Rule(value="{alt}"),
+    Const: _Rule(value="{k}", datum="node.value", derive=_derive_zero),
+    Param: _Rule(value="{P}[{k}]", datum="node.name", missing="parameter {!r} has no value",
+                 derive=_derive_zero),
+    XVar: _Rule(value="{x}", derive=_derive_zero),
+    Alt: _Rule(value="{alt}", derive=_derive_zero),
     Var: _Rule(value="{V}[{k}]", datum="node.fv", missing="variable {} has no value"),
     Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True,
                minus="{0} - {1}", derive=lambda node, d: add(*[d(t) for t in node.terms])),
@@ -875,25 +883,26 @@ def _table(key, *held):
     return entry[0]
 
 
-def _map_nodes(e, fn, memo=None):
-    """Rebuild ``e`` bottom-up through ``fn`` with DAG-preserving memoization.
+def _rebuild(e, leaf, memo, derive=False):
+    """Rebuild ``e`` bottom-up, with DAG-preserving memoization: the walker of every builder.
 
-    ``fn(node, rec)`` returns a replacement Expr or None to fall through to
-    structural recursion.  ``memo`` maps ``id(node)`` to ``(node, image)``,
-    the node held so that its id stays its own: a new table per call unless
-    the caller passes the run's (see :func:`run_memo`).
+    ``leaf(node)`` returns the image of a node it maps, or None.  Any other
+    node goes to its row of ``_RULES``: to ``derive`` when ``derive`` is
+    set, else to ``build`` with its children's images.  ``memo`` maps
+    ``id(node)`` to ``(node, image)``, the node held so that its id stays
+    its own: a new table per call unless the caller passes the run's (see
+    :func:`run_memo`).
     """
-    if memo is None:
-        memo = {}
 
     def rec(node):
         hit = memo.get(id(node))
         if hit is not None:
             return hit[1]
-        out = fn(node, rec)
+        out = leaf(node)
         if out is None:
             rule = _RULES[type(node)]
-            out = rule.build(node, *[rec(c) for c in rule.children(node)])
+            out = (rule.derive(node, rec) if derive
+                   else rule.build(node, *[rec(c) for c in rule.children(node)]))
         memo[id(node)] = node, out
         return out
 
@@ -906,11 +915,9 @@ def partial(e, fv):
     def leaf(node):
         if isinstance(node, Var):
             return ONE if node.fv == fv else ZERO
-        if isinstance(node, (Const, Param, XVar, Alt)):
-            return ZERO
         return None
 
-    return _derivation(e, leaf, _table(("partial", fv)))
+    return _rebuild(e, leaf, _table(("partial", fv)), derive=True)
 
 
 def shift(e, offset, sig):
@@ -925,7 +932,7 @@ def shift(e, offset, sig):
         return e
     flip = sum(offset) % 2
 
-    def fn(node, rec):
+    def leaf(node):
         if isinstance(node, Var):
             fv = node.fv.shifted(offset)
             sig.check_var(fv)
@@ -934,29 +941,7 @@ def shift(e, offset, sig):
             return neg(node) if flip else node
         return None
 
-    return _map_nodes(e, fn, _table(("shift", offset, id(sig)), sig))
-
-
-def _derivation(e, leaf_rule, memo=None):
-    """Generic derivation: ``leaf_rule`` at the leaves, the ``derive`` rules of ``_RULES`` above.
-
-    ``memo`` is a node table as in :func:`_map_nodes`: per call unless the
-    caller passes the run's.
-    """
-    if memo is None:
-        memo = {}
-
-    def rec(node):
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit[1]
-        out = leaf_rule(node)
-        if out is None:
-            out = _RULES[type(node)].derive(node, rec)
-        memo[id(node)] = node, out
-        return out
-
-    return rec(e)
+    return _rebuild(e, leaf, _table(("shift", offset, id(sig)), sig))
 
 
 def _total_leaf(node, sig):
@@ -967,8 +952,6 @@ def _total_leaf(node, sig):
         return Var(fv)
     if isinstance(node, XVar):
         return ONE
-    if isinstance(node, (Const, Param, Alt)):
-        return ZERO
     return None
 
 
@@ -976,7 +959,8 @@ def total_derivative(e, sig):
     """Total derivative D: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
     if not sig.differential:
         raise ExprError("total derivative on a pure-difference problem")
-    return _derivation(e, lambda node: _total_leaf(node, sig), _table(("total", id(sig)), sig))
+    return _rebuild(e, lambda node: _total_leaf(node, sig), _table(("total", id(sig)), sig),
+                    derive=True)
 
 
 def t_derivative(e, sig):
@@ -992,11 +976,9 @@ def t_derivative(e, sig):
             if name not in sig.variations:
                 raise ExprError(f"field {name!r} has no variation slot (t-derivative undefined)")
             return Var(FieldVar(sig.variations[name], node.fv.deriv, node.fv.shift))
-        if isinstance(node, (Const, Param, XVar, Alt)):
-            return ZERO
         return None
 
-    return _derivation(e, leaf, _table(("t", id(sig)), sig))
+    return _rebuild(e, leaf, _table(("t", id(sig)), sig), derive=True)
 
 
 def substitute(e, rules, x_repl=None, param_rules=None):
@@ -1004,7 +986,7 @@ def substitute(e, rules, x_repl=None, param_rules=None):
     if not rules and x_repl is None and not param_rules:
         return e
 
-    def fn(node, rec):
+    def leaf(node):
         if isinstance(node, Var):
             return rules.get(node.fv)
         if x_repl is not None and isinstance(node, XVar):
@@ -1013,7 +995,7 @@ def substitute(e, rules, x_repl=None, param_rules=None):
             return param_rules.get(node.name)
         return None
 
-    return _map_nodes(e, fn)
+    return _rebuild(e, leaf, {})
 
 
 # --- printing -------------------------------------------------------------

@@ -143,9 +143,8 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
         return lhs - rhs, (lhs, rhs)
 
     worst = relative_residual(pts, residual)
-    reports.append(CheckReport(f"{frame.name}:right-equivariance",
-                               "pass" if worst <= tol else "fail",
-                               worst, len(pts), plan.seed))
+    reports.append(CheckReport.from_residual(f"{frame.name}:right-equivariance", worst, tol,
+                                             len(pts), plan.seed))
     return reports
 
 
@@ -195,9 +194,8 @@ class InvariantSet:
             base = t_derivative(self.kappa_defs[kname], self.orig_sig)
         else:
             return None
-        out = shift(base, fv.shift, self.orig_sig)
-        if fv.deriv:
-            out = deriv_op(out, self.orig_sig, self.frame.dcal_inv, times=fv.deriv)
+        out = deriv_op(shift(base, fv.shift, self.orig_sig), self.orig_sig,
+                       self.frame.dcal_inv, times=fv.deriv)
         self._expand_cache[fv] = out
         return out
 

@@ -48,7 +48,7 @@ from .expr import (
     FieldVar,
     Var,
     ZERO,
-    _derivation,
+    _rebuild,
     _total_leaf,
     add,
     evaluate,
@@ -190,16 +190,19 @@ def compare_laws(law_a, law_b, plan, sig):
     ca, cb = law_dx_components(law_a), law_dx_components(law_b)
     div_a, div_b = divergence(ca, sig), divergence(cb, sig)
     div_res = residual_stats(div_a, div_b, plan.assignments([div_a, div_b], sig))
-    comp_res = []
-    pairs = []
-    if (ca.a0 is None) != (cb.a0 is None):
+    named_a, named_b = ca.named(), cb.named()
+    if [name for name, _ in named_a] != [name for name, _ in named_b]:
         raise ExprError("laws have incompatible component shapes")
-    if ca.a0 is not None:
-        pairs.append((ca.a0, cb.a0))
-    pairs.extend(zip(ca.comps, cb.comps))
-    for lhs, rhs in pairs:
-        comp_res.append(residual_stats(lhs, rhs, plan.assignments([lhs, rhs], sig)))
+    comp_res = [residual_stats(lhs, rhs, plan.assignments([lhs, rhs], sig))
+                for (_, lhs), (_, rhs) in zip(named_a, named_b)]
     return div_res, comp_res
+
+
+def _variation_boundary(L, sig):
+    """The slot map {variation slot: field} and the by-parts boundary of dL/dt."""
+    slots = {sig.variations[f]: f for f in sig.base_fields if f in sig.variations}
+    _, boundary = linear_by_parts(t_derivative(L, sig), slots.keys(), sig)
+    return slots, boundary
 
 
 def noether_original(L, gen, gen_index, sig):
@@ -211,8 +214,7 @@ def noether_original(L, gen, gen_index, sig):
     ``gen`` is a variational symmetry and that the off-shell identity
     sum Q^alpha E_alpha + Div(A) = 0 holds.
     """
-    slots = {sig.variations[f]: f for f in sig.base_fields if f in sig.variations}
-    _, boundary = linear_by_parts(t_derivative(L, sig), slots.keys(), sig)
+    slots, boundary = _variation_boundary(L, sig)
     targets = {w: gen.q_of(f) for w, f in slots.items()}
     comps = boundary.map(lambda e: substitute_slots(e, targets, sig))
     if sig.differential and gen.xi is not None and gen.xi != ZERO:
@@ -220,26 +222,31 @@ def noether_original(L, gen, gen_index, sig):
     return ConservationLaw(gen_index, "original", comps, measure="dx")
 
 
-def _adj_var(s, m, deriv=0, shiftK=None):
-    return Var(FieldVar(f"{_ADJ_PREFIX}{s}", deriv, shiftK or (0,) * m))
+def _adj_var(s, m):
+    """The adjoint symbol adj<s> at the base point."""
+    return Var(FieldVar(f"{_ADJ_PREFIX}{s}", 0, (0,) * m))
 
 
-def _adj_frame_expr(frame, r, s, sig):
-    entry = frame.action.adjoint_rep[r][s]
-    rules = dict(zip(frame.action.param_names, frame.param_exprs))
-    return substitute(entry, {}, param_rules=rules)
+def _adj_index(name):
+    """``s`` for the name of an adjoint symbol adj<s>, else None."""
+    rest = name[len(_ADJ_PREFIX):]
+    return int(rest) if name.startswith(_ADJ_PREFIX) and rest.isdigit() else None
+
+
+def _adj_entry(action, r, s, params):
+    """The adjoint component a^s_r (0-based) at the group parameters ``params``."""
+    return substitute(action.adjoint_rep[r][s], {},
+                      param_rules=dict(zip(action.param_names, params)))
 
 
 def _expand_adj(e, frame, r, sig):
     """Replace adj symbols by the adjoint components on the (shifted) frame."""
     rules = {}
     for fv in fieldvars(e):
-        if fv.name.startswith(_ADJ_PREFIX) and fv.name[len(_ADJ_PREFIX):].isdigit():
-            s = int(fv.name[len(_ADJ_PREFIX):])
-            rep = shift(_adj_frame_expr(frame, r, s - 1, sig), fv.shift, sig)
-            if fv.deriv:
-                rep = deriv_op(rep, sig, frame.dcal_inv, times=fv.deriv)
-            rules[fv] = rep
+        s = _adj_index(fv.name)
+        if s is not None:
+            rep = shift(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv.shift, sig)
+            rules[fv] = deriv_op(rep, sig, frame.dcal_inv, times=fv.deriv)
     return substitute(e, rules)
 
 
@@ -247,12 +254,12 @@ def _formal_dcal(e, sig, dcal_inv):
     """Invariant derivative that treats adj symbols as formal jet variables."""
 
     def leaf(node):
-        if isinstance(node, Var) and node.fv.name.startswith(_ADJ_PREFIX):
+        if isinstance(node, Var) and _adj_index(node.fv.name) is not None:
             raised = Var(FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift))
             return raised if dcal_inv == ONE else quot(raised, dcal_inv)
         return _total_leaf(node, sig)
 
-    d = _derivation(e, leaf)
+    d = _rebuild(e, leaf, {}, derive=True)
     return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 
@@ -353,23 +360,21 @@ def equivariant_form(law, plan):
     def rewrite(e, sig):
         rules = {}
         for fv in fieldvars(e):
-            if not fv.name.startswith(_ADJ_PREFIX):
+            s = _adj_index(fv.name)
+            if s is None:
                 continue
             if fv.deriv:
                 raise ExprError("equivariant rewrite of differentiated adjoint "
                                 "symbols is not supported")
             if not any(fv.shift):
                 continue
-            s = int(fv.name[len(_ADJ_PREFIX):])
             key = fv.shift
             if key not in sig_cache:
                 sig_cache[key] = mc_element(frame, fv.shift, sig)
             gJ = sig_cache[key]
-            rules[fv] = add(*[
-                mul(substitute(action.adjoint_rep[l][s - 1], {},
-                               param_rules=dict(zip(action.param_names, gJ))),
-                    _adj_var(l + 1, sig.lattice_dim))
-                for l in range(action.group_dim)])
+            rules[fv] = add(*[mul(_adj_entry(action, l, s - 1, gJ),
+                                  _adj_var(l + 1, sig.lattice_dim))
+                              for l in range(action.group_dim)])
         return substitute(e, rules)
 
     sig = law_sig(law)
@@ -408,7 +413,7 @@ def equivariant_coefficients(law):
     for name, comp in law.display.named():
         row = {}
         for fv in fieldvars(comp):
-            if fv.name.startswith(_ADJ_PREFIX) and not any(fv.shift) and not fv.deriv:
+            if _adj_index(fv.name) is not None and not any(fv.shift) and not fv.deriv:
                 row[fv.name] = partial(comp, fv)
         out.append((name, row))
     return out
@@ -424,12 +429,9 @@ def verify_divergence_equivalence(IL, H, plan, tol=1e-9):
     inv = IL.invset
     sig = inv.orig_sig
 
-    slots = {sig.variations[f]: f for f in sig.base_fields if f in sig.variations}
-    _, A_u = linear_by_parts(t_derivative(IL.L, sig), slots.keys(), sig)
-    lhs = divergence(A_u, sig)
-
-    both = invariant_boundary(IL, H).map(inv.expand)
-    jac = inv.frame.jacobian_factor
-    rhs = divergence(DivergenceTuple(both.a0, tuple(mul(jac, c) for c in both.comps)), sig)
+    lhs = divergence(_variation_boundary(IL.L, sig)[1], sig)
+    both = ConservationLaw(0, "invariant", invariant_boundary(IL, H).map(inv.expand),
+                           measure="iota-dx", frame=inv.frame)
+    rhs = law_divergence_dx(both, sig)
     return identity_check(lhs, rhs, plan, sig, tol=tol,
                           check_id="divergence-equivalence")

@@ -301,6 +301,12 @@ class CheckReport:
     runtime_ms: object = None
     note: str = ""
 
+    @classmethod
+    def from_residual(cls, check_id, residual, tol, n_points, seed, note=""):
+        """The report of a check that passes iff ``residual <= tol``; a NaN fails."""
+        return cls(check_id, "pass" if residual <= tol else "fail", float(residual),
+                   n_points, seed, note=note)
+
     @property
     def passed(self):
         return self.status == "pass"
@@ -355,6 +361,5 @@ def identity_check(lhs, rhs, plan, sig, tol=1e-9, check_id="identity"):
     """
     assignments = plan.assignments([lhs, rhs], sig)
     worst = residual_stats(lhs, rhs, assignments)
-    status = "pass" if worst <= tol else "fail"
-    return CheckReport(check_id, status, worst, len(assignments), plan.seed,
-                       note="" if assignments else "empty point set")
+    return CheckReport.from_residual(check_id, worst, tol, len(assignments), plan.seed,
+                                     note="" if assignments else "empty point set")

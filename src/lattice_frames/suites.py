@@ -44,6 +44,7 @@ from .frames import (
     verify_syzygy,
 )
 from .noether import (
+    _adj_index,
     _adj_var,
     _expand_adj,
     compare_laws,
@@ -67,8 +68,8 @@ DRIFT_TOLS = {"norm": 1e-8, "energy": 1e-6}
 
 def _report(check_id, residual, tol, plan, n_points=None, note=""):
     """``n_points`` is the size of the point set drawn, when not ``plan``'s own."""
-    return CheckReport(check_id, "pass" if residual <= tol else "fail",
-                       float(residual), n_points or plan.n_points, plan.seed, note=note)
+    return CheckReport.from_residual(check_id, residual, tol, n_points or plan.n_points,
+                                     plan.seed, note=note)
 
 
 def _must_fail(check_id, residual, tol, plan, note, n_points=None):
@@ -220,9 +221,8 @@ def integration_checks(b):
     out = []
     for label in sorted(drifts):
         tol = DRIFT_TOLS.get(label, 1e-6)
-        out.append(CheckReport(f"integration-drift:{label}",
-                               "pass" if drifts[label] <= tol else "fail",
-                               drifts[label], 1, 0, note=cfg.get("note", "")))
+        out.append(CheckReport.from_residual(f"integration-drift:{label}", drifts[label], tol,
+                                             1, 0, note=cfg.get("note", "")))
     return out
 
 
@@ -292,7 +292,7 @@ def suite_equivariance(b, plan, tol=1e-8):
                     else:
                         # the display omits this term; it must die against the
                         # vanishing adjoint component it multiplies
-                        term = coeff * _adj_var(int(sym[3:]), sig.lattice_dim)
+                        term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
                         expanded = _expand_adj(term, frame, r - 1, sig)
                         out.append(identity_check(
                             expanded, Const(0), plan.with_(n_points=25), sig,

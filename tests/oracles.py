@@ -1,15 +1,36 @@
-"""Test-only oracles: the finite-lattice adjoint pairing and random operators.
+"""Test-only oracles: the finite-lattice adjoint pairing, random operators and SymPy.
 
 :func:`finite_lattice_pairing` checks <f, H g> = <H^dagger f, g> numerically,
 by summing over a finite box with compactly supported fields;
 :func:`random_lindiffop` draws the operators it is checked on.
+:func:`to_sympy` and :func:`sympy_values` give a second way to compute
+derivatives, by SymPy's own differentiation; they import SymPy when called.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from lattice_frames.calculus import LinDiffOp, op_adjoint
-from lattice_frames.expr import Alt, Assignment, Const, ExprError, XVar, add, evaluate, mul
+from lattice_frames.expr import (
+    Alt,
+    Assignment,
+    Const,
+    ExprError,
+    LnAbs,
+    Neg,
+    Param,
+    Pow,
+    Prod,
+    Quot,
+    Sqrt,
+    Sum,
+    Var,
+    XVar,
+    add,
+    children,
+    evaluate,
+    mul,
+)
 from lattice_frames.sampling import CheckReport
 
 
@@ -83,8 +104,8 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
         p2 = discrete_pair(adj.terms, gr, fr)
         worst = _rel_residual(p1, p2)
         tol = 1e-12 if tol is None else tol
-        return CheckReport(check_id, "pass" if worst <= tol else "fail",
-                           worst, 1, seed, note="pure-difference, exact sums")
+        return CheckReport.from_residual(check_id, worst, tol, 1, seed,
+                                         note="pure-difference, exact sums")
 
     # differential-difference: fields r_n * phi(x) with polynomial bumps
     a, b = support
@@ -121,8 +142,8 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
         if npts >= 4097:
             break
         npts = 2 * (npts - 1) + 1
-    return CheckReport(check_id, "pass" if worst <= tol else "fail",
-                       worst, 1, seed, note=f"trapezoid refined to {npts} points")
+    return CheckReport.from_residual(check_id, worst, tol, 1, seed,
+                                     note=f"trapezoid refined to {npts} points")
 
 
 def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):
@@ -139,3 +160,56 @@ def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=Fa
             coeff = add(coeff, mul(Const(round(float(rng.uniform(-1, 1)), 3)), XVar()))
         terms.append((coeff, K, j))
     return LinDiffOp.from_terms(terms)
+
+
+# Each node class as SymPy, from the node and its children's SymPy images.
+# Every symbol is real, so that ln|a| differentiates to 1/a.
+_SYMPY_NODES = {
+    Const: lambda sp, node: sp.sympify(node.value),
+    Param: lambda sp, node: sp.Symbol(node.name, real=True),
+    XVar: lambda sp, node: sp.Symbol("x", real=True),
+    Alt: lambda sp, node: sp.Symbol("alt", real=True),
+    Var: lambda sp, node: sp.Symbol(str(node.fv), real=True),
+    Sum: lambda sp, node, *terms: sp.Add(*terms),
+    Prod: lambda sp, node, *factors: sp.Mul(*factors),
+    Pow: lambda sp, node, base: base ** node.exponent,
+    Quot: lambda sp, node, num, den: num / den,
+    Neg: lambda sp, node, arg: -arg,
+    LnAbs: lambda sp, node, arg: sp.log(sp.Abs(arg)),
+    Sqrt: lambda sp, node, arg: sp.sqrt(arg),
+}
+
+
+def to_sympy(e):
+    """``e`` as a SymPy expression: a field variable is the symbol named as it prints."""
+    import sympy
+
+    memo = {}
+
+    def rec(node):
+        if id(node) not in memo:
+            memo[id(node)] = _SYMPY_NODES[type(node)](sympy, node, *map(rec, children(node)))
+        return memo[id(node)]
+
+    return rec(e)
+
+
+def sympy_symbol(fv):
+    """The symbol :func:`to_sympy` gives the field variable ``fv``."""
+    import sympy
+
+    return sympy.Symbol(str(fv), real=True)
+
+
+def sympy_values(s, points, fvs):
+    """The SymPy expression ``s`` at every point of the :class:`PointSet` ``points``.
+
+    ``fvs`` are the field variables whose symbols ``s`` may hold.
+    """
+    import sympy
+
+    inputs = {"x": points.x, "alt": points.alt, **points.params,
+              **{str(fv): points.values[fv] for fv in fvs}}
+    free = sorted(s.free_symbols, key=lambda sym: sym.name)
+    fn = sympy.lambdify(free, s, modules="numpy")
+    return np.broadcast_to(fn(*[inputs[sym.name] for sym in free]), np.shape(points.x))

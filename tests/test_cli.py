@@ -211,6 +211,15 @@ class TestIntegrate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot allocate the dense output")
 
+    def test_unallocatable_lattice_is_one_line(self, capsys):
+        # numpy refuses the 7 PiB of the site index at once: nothing is allocated
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["integrate", "nls", "--n-sites", "1000000000000000"])
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot allocate a lattice of 1000000000000000 sites: ")
+
     def test_difference_example_rejected(self):
         r = run_cli("integrate", "toda")
         assert r.returncode == 2

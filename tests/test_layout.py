@@ -13,6 +13,7 @@ import pytest
 
 import lattice_frames
 from lattice_frames import expr
+from lattice_frames.calculus import deriv_op
 
 PACKAGE_DIR = Path(lattice_frames.__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.rglob("*.py"))
@@ -164,6 +165,13 @@ REGULAR_FIELDS = {
 }
 
 
+# The image of each leaf the builders' leaf rules do not name, under
+# partial, total D and the t-derivative: its row's derive, 0 but for D x = 1.
+LEAF_IMAGES = {"Const": (0, 0, 0), "Param": (0, 0, 0), "XVar": (0, 1, 0), "Alt": (0, 0, 0)}
+LEAF_SIG = expr.ProblemSignature(("u",), 1, differential=True, has_x=True, params=("a",),
+                                 variations={"u": "w"})
+
+
 @pytest.mark.parametrize("cls", sorted(_node_classes(), key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_every_node_class_has_a_rule(cls):
@@ -188,3 +196,8 @@ def test_every_node_class_has_a_rule(cls):
                 - expr.evaluate(node, at(k, point[k] - eps))) / (2 * eps)
         got = expr.evaluate(expr.partial(node, fv), at(k, point[k]))
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7), fv
+    if cls.__name__ in LEAF_IMAGES:
+        images = (expr.partial(node, expr.FieldVar("u", 0, (0,))),
+                  expr.total_derivative(node, LEAF_SIG), expr.t_derivative(node, LEAF_SIG))
+        assert images == tuple(map(expr.Const, LEAF_IMAGES[cls.__name__]))
+    assert deriv_op(node, LEAF_SIG, times=0) is node
