@@ -18,7 +18,11 @@ from .expr import (
     Assignment,
     ExprError,
     Param,
+    Var,
+    XVar,
     ZERO,
+    _rebuild,
+    _table,
     add,
     as_expr,
     evaluate,
@@ -130,11 +134,11 @@ def transform(e, action, gvalues, sig):
     """
     if len(gvalues) != action.n_params:
         raise ExprError(f"action {action.name} takes {action.n_params} parameters")
-    needed = fieldvars(e)
     jac = None
     if action.x_map is not None:
         jac = total_derivative(action.x_map, sig)
-    tilde = {}
+    # the prolonged maps and the pulled-back nodes depend on (action, sig) alone
+    tilde = _table(("tilde", id(action), id(sig)), action, sig)
 
     def tilde_map(fname, j):
         if (fname, j) in tilde:
@@ -153,10 +157,12 @@ def transform(e, action, gvalues, sig):
         tilde[(fname, j)] = out
         return out
 
-    rules = {}
-    for fv in needed:
-        rules[fv] = shift(tilde_map(fv.name, fv.deriv), fv.shift, sig)
-    out = substitute(e, rules, x_repl=action.x_map)
+    def leaf(node):
+        if isinstance(node, Var):
+            return shift(tilde_map(node.fv.name, node.fv.deriv), node.fv.shift, sig)
+        return action.x_map if isinstance(node, XVar) else None
+
+    out = _rebuild(e, leaf, _table(("transform", id(action), id(sig)), action, sig))
     params = {name: as_expr(v) for name, v in zip(action.param_names, gvalues)}
     return substitute(out, {}, param_rules=params)
 

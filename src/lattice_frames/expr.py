@@ -18,16 +18,18 @@ pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
 holds weak references only: a node lives exactly as long as without it.
 
 Every builder -- :func:`shift`, :func:`substitute`, :func:`partial`,
-:func:`total_derivative` and :func:`t_derivative` -- is one walker,
+:func:`total_derivative`, :func:`t_derivative`, and outside this module
+``actions.transform`` and ``noether._formal_dcal`` -- is one walker,
 ``_rebuild``, with a leaf rule that names only the leaves it maps; any
 other node follows its row of ``_RULES``.  The walker rebuilds a tree one
-node at a time through a table from ``id(node)`` to the node and its image.
-Outside :func:`run_memo` that table is new on every call.  Inside it there
-is one table per builder and argument for the whole run, so a repeated call
-is one lookup and a subtree that two expressions share is rebuilt once; the
-tables hold their nodes alive until the outermost :func:`run_memo` exits,
-and no longer.  :func:`substitute` and the walkers of :func:`evaluate`,
-:func:`nodes` and :class:`Lowering` keep per-call tables.
+node at a time through a table from ``id(node)`` to the node and its image,
+which every builder takes from ``_table``.  Outside :func:`run_memo` that
+table is new on every call.  Inside it there is one table per builder and
+argument for the whole run, so a repeated call is one lookup and a subtree
+that two expressions share is rebuilt once; the tables hold their nodes
+alive until the outermost :func:`run_memo` exits, and no longer.  The
+walkers of :func:`evaluate`, :func:`nodes` and :class:`Lowering` keep
+per-call tables.
 """
 
 from __future__ import annotations
@@ -854,8 +856,9 @@ _RUN = contextvars.ContextVar("lattice_frames_run_memo", default=None)
 def run_memo():
     """Share the node tables of the builders across every call in the block.
 
-    Within the block, :func:`shift`, :func:`partial`, :func:`total_derivative`
-    and :func:`t_derivative` hand back what they built before for the same
+    Within the block, :func:`shift`, :func:`partial`, :func:`total_derivative`,
+    :func:`t_derivative`, :func:`substitute`, ``actions.transform`` and
+    ``noether._formal_dcal`` hand back what they built before for the same
     node and argument.  A nested entry shares the outer tables; the
     outermost exit drops them, and with them every node they held.
     """
@@ -890,8 +893,8 @@ def _rebuild(e, leaf, memo, derive=False):
     node goes to its row of ``_RULES``: to ``derive`` when ``derive`` is
     set, else to ``build`` with its children's images.  ``memo`` maps
     ``id(node)`` to ``(node, image)``, the node held so that its id stays
-    its own: a new table per call unless the caller passes the run's (see
-    :func:`run_memo`).
+    its own: every caller passes ``_table(...)``, the run's table or a new
+    one (see :func:`run_memo`).
     """
 
     def rec(node):
@@ -986,6 +989,8 @@ def substitute(e, rules, x_repl=None, param_rules=None):
     if not rules and x_repl is None and not param_rules:
         return e
 
+    param_rules = param_rules or {}
+
     def leaf(node):
         if isinstance(node, Var):
             return rules.get(node.fv)
@@ -995,7 +1000,11 @@ def substitute(e, rules, x_repl=None, param_rules=None):
             return param_rules.get(node.name)
         return None
 
-    return _rebuild(e, leaf, {})
+    # keyed on the images' ids, which the table holds alive; not on the dicts, which may change
+    key = ("substitute", frozenset([(fv, id(v)) for fv, v in rules.items()]), id(x_repl),
+           frozenset([(name, id(v)) for name, v in param_rules.items()]))
+    return _rebuild(e, leaf, _table(key, tuple(rules.values()), x_repl,
+                                    tuple(param_rules.values())))
 
 
 # --- printing -------------------------------------------------------------

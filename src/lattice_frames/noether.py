@@ -49,6 +49,7 @@ from .expr import (
     Var,
     ZERO,
     _rebuild,
+    _table,
     _total_leaf,
     add,
     evaluate,
@@ -259,7 +260,8 @@ def _formal_dcal(e, sig, dcal_inv):
             return raised if dcal_inv == ONE else quot(raised, dcal_inv)
         return _total_leaf(node, sig)
 
-    d = _rebuild(e, leaf, {}, derive=True)
+    d = _rebuild(e, leaf, _table(("dcal", id(sig), id(dcal_inv)), sig, dcal_inv),
+                 derive=True)
     return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 

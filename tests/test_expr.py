@@ -1,14 +1,17 @@
+import collections
 import contextlib
 import dataclasses
 import gc
 import io
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from lattice_frames import cli, expr, suites
+from lattice_frames import cli, expr, noether, suites
+from lattice_frames.actions import transform
 from lattice_frames.catalog import EXAMPLES
 from lattice_frames.expr import (
     Assignment,
@@ -21,9 +24,11 @@ from lattice_frames.expr import (
     ProblemSignature,
     SingularEvaluationError,
     Var,
+    XVar,
     add,
     evaluate,
     fieldvars,
+    mul,
     partial,
     power,
     shift,
@@ -346,6 +351,12 @@ def _builder_calls(b):
         if sig.differential:
             yield lambda e=e: total_derivative(e, sig)
         yield lambda e=e: t_derivative(e, sig)
+        yield lambda e=e: substitute(e, {v: add(Var(v), 1) for v in fieldvars(e)},
+                                     x_repl=add(XVar(), 1) if sig.has_x else None,
+                                     param_rules={p: Const(2) for p in sig.params})
+        yield lambda e=e: transform(e, b.action, [Param(p) for p in b.action.param_names], sig)
+        yield lambda e=e: transform(e, b.action, b.frame.param_exprs, sig)
+        yield lambda e=e: noether._formal_dcal(e, sig, b.frame.dcal_inv)
 
 
 def _outcome(call):
@@ -386,7 +397,57 @@ class TestRunMemo:
                 assert m is f and r is f
             else:
                 assert m == r == f
-        assert {"shift", "partial", "t"} <= kinds
+        assert {"shift", "partial", "t", "substitute", "transform", "tilde", "dcal"} <= kinds
+
+    def test_a_field_transform_cannot_map_raises_alike_in_a_run(self, toda):
+        good = toda.L
+        u = Var(FieldVar("nomap", 0, (0,)))
+        g = [Param(p) for p in toda.action.param_names]
+        fresh = transform(good, toda.action, g, toda.sig)
+        with expr.run_memo():
+            for bad in (mul(good, u), mul(u, good)):
+                with pytest.raises(ExprError, match="no map for field 'nomap'"):
+                    transform(bad, toda.action, g, toda.sig)
+            assert transform(good, toda.action, g, toda.sig) is fresh
+        with pytest.raises(ExprError, match="no map for field 'nomap'"):
+            transform(mul(good, u), toda.action, g, toda.sig)
+
+    def test_a_rules_dict_changed_after_a_call_is_read_afresh(self):
+        e = power(add(V("u", 0, 0), V("u", 1, 0)), 2) * Param("h")
+        before, after = V("u", 2, 0), V("u", 3, 0)
+        rules, params = {fv("u", 0, 0): before}, {"h": Const(2)}
+        with expr.run_memo():
+            first = substitute(e, rules, param_rules=params)
+            rules[fv("u", 0, 0)] = after
+            params["h"] = Const(3)
+            second = substitute(e, rules, param_rules=params)
+        assert first is substitute(e, {fv("u", 0, 0): before}, param_rules={"h": Const(2)})
+        assert second is substitute(e, {fv("u", 0, 0): after}, param_rules={"h": Const(3)})
+        assert second is not first
+
+    def test_substitute_and_transform_walk_few_nodes_per_run(self, monkeypatch):
+        # nodes walked per verify toda --suite all --seed 31337: 3,346 with a
+        # table per call, 1,477 with the run's tables
+        walked = collections.Counter()
+        rebuild = expr._rebuild
+
+        def counting(e, leaf, memo, derive=False):
+            builder = leaf.__qualname__.split(".")[0]
+
+            def counted(node):
+                walked[builder] += 1
+                return leaf(node)
+
+            return rebuild(e, counted, memo, derive)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "_rebuild", None) is rebuild:
+                monkeypatch.setattr(module, "_rebuild", counting)
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "toda", "--suite", "all", "--seed", "31337"])
+        assert exit_.value.code == 0
+        assert walked["substitute"] > 0 and walked["transform"] > 0
+        assert walked["substitute"] + walked["transform"] <= 1600
 
     def test_nested_entry_reuses_the_outer_memo(self, monkeypatch):
         checked = []

@@ -1,6 +1,7 @@
 """Static checks on the package source: import placement and ``__all__``;
-that the layer tracer of the benchmark still finds what it wraps; and that
-every expression node class is interned."""
+that every rebuild takes its node table from ``expr._table``; that the
+layer tracer of the benchmark still finds what it wraps; and that every
+expression node class is interned."""
 
 import ast
 import dataclasses
@@ -75,6 +76,24 @@ def test_every_exported_name_is_defined():
         missing += [f"{path.relative_to(PACKAGE_DIR)}: {name}"
                     for name in _declared_all(tree) if name not in defined]
     assert missing == []
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_rebuild_takes_its_table_from_the_run_memo():
+    calls, offenders = [], []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "_rebuild"):
+                continue
+            memo = node.args[2] if len(node.args) > 2 else next(
+                (k.value for k in node.keywords if k.arg == "memo"), None)
+            calls.append(node)
+            if not (isinstance(memo, ast.Call) and _name(memo.func) == "_table"):
+                offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
+    assert calls and offenders == []
 
 
 def _bindings(package):
