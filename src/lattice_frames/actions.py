@@ -29,12 +29,11 @@ from .expr import (
     fieldvars,
     mul,
     partial,
-    shift,
     substitute,
     t_derivative,
     total_derivative,
 )
-from .calculus import deriv_op
+from .calculus import prolong
 from .sampling import relative_residual
 
 __all__ = [
@@ -58,7 +57,7 @@ class Generator:
     """Infinitesimal generator xi(x) d/dx + Q^alpha d/du^alpha in characteristic form."""
 
     Q: dict
-    xi: object = None
+    xi: object = ZERO
     name: str = ""
 
     def q_of(self, fname):
@@ -118,50 +117,42 @@ class GroupAction:
         return g, replace(a, params={**a.params, **dict(zip(self.param_names, g))})
 
 
-def _variation_map(action, wname, sig):
-    base = next(f for f, w in sig.variations.items() if w == wname)
+def _base_image(action, fname, sig):
+    """The image of the field ``fname`` at the base point under the action.
+
+    A variation slot's image is the t-derivative of its field's map.
+    """
+    if fname in action.u_maps:
+        return action.u_maps[fname]
+    base = next((f for f, w in sig.variations.items() if w == fname), None)
+    if base is None:
+        raise ExprError(f"action {action.name} has no map for field {fname!r}")
     return t_derivative(action.u_maps[base], sig)
 
 
 def transform(e, action, gvalues, sig):
     """Pull ``e`` back through the prolonged action of the group element.
 
-    ``gvalues`` are the parameter coordinates, numeric or expressions; the
-    maps are prolonged recursively (derivative coordinates through
-    D(transformed)/D(x_transformed), shifted coordinates through S_K) and the
+    ``gvalues`` are the parameter coordinates, numeric or expressions; each
+    field coordinate is prolonged from its base image (derivatives through
+    D(transformed)/D(x_transformed), shifts through S_K) and the
     parameters are substituted last, so invariantization can pass the frame
     parameter expressions directly.
     """
     if len(gvalues) != action.n_params:
         raise ExprError(f"action {action.name} takes {action.n_params} parameters")
-    jac = None
-    if action.x_map is not None:
-        jac = total_derivative(action.x_map, sig)
-    # the prolonged maps and the pulled-back nodes depend on (action, sig) alone
-    tilde = _table(("tilde", id(action), id(sig)), action, sig)
 
-    def tilde_map(fname, j):
-        if (fname, j) in tilde:
-            return tilde[(fname, j)]
-        if j == 0:
-            if fname in action.u_maps:
-                out = action.u_maps[fname]
-            elif fname in sig.variations.values():
-                out = _variation_map(action, fname, sig)
-            else:
-                raise ExprError(f"action {action.name} has no map for field {fname!r}")
-        else:
-            if jac is None:
-                raise ExprError("derivative coordinates need an action on x")
-            out = total_derivative(tilde_map(fname, j - 1), sig) / jac
-        tilde[(fname, j)] = out
-        return out
+    def d(e, sig):
+        if action.x_map is None:
+            raise ExprError("derivative coordinates need an action on x")
+        return total_derivative(e, sig) / total_derivative(action.x_map, sig)
 
     def leaf(node):
         if isinstance(node, Var):
-            return shift(tilde_map(node.fv.name, node.fv.deriv), node.fv.shift, sig)
+            return prolong(_base_image(action, node.fv.name, sig), node.fv, sig, d)
         return action.x_map if isinstance(node, XVar) else None
 
+    # the pulled-back nodes depend on (action, sig) alone
     out = _rebuild(e, leaf, _table(("transform", id(action), id(sig)), action, sig))
     params = {name: as_expr(v) for name, v in zip(action.param_names, gvalues)}
     return substitute(out, {}, param_rules=params)
@@ -187,15 +178,15 @@ def invariance_residual(e, action, sig, plan, rng, n_group):
 
 def prolong_generator(gen, fv, sig):
     """Coefficient of d/du_{j;K} in the prolonged generator: S_K D^j Q."""
-    return shift(deriv_op(gen.q_of(fv.name), sig, times=fv.deriv), fv.shift, sig)
+    return prolong(gen.q_of(fv.name), fv, sig)
 
 
 def generator_apply(gen, e, sig):
     """The prolonged generator applied to ``e``: xi D(e) + sum (S_K D^j Q) dL/du."""
     parts = []
-    if gen.xi is not None and gen.xi != ZERO:
+    if gen.xi != ZERO:
         parts.append(mul(gen.xi, total_derivative(e, sig)))
-    for fv in sorted(fieldvars(e), key=lambda v: (v.name, v.deriv, v.shift)):
+    for fv in sorted(fieldvars(e)):
         de = partial(e, fv)
         parts.append(mul(prolong_generator(gen, fv, sig), de))
     return add(*parts)
@@ -218,7 +209,7 @@ def check_variational_symmetry(L, gen, sig, plan, tol=SYMMETRY_TOL):
     Divergence symmetries (nonzero boundary B) are not classified.
     """
     expr = generator_apply(gen, L, sig)
-    if sig.differential and gen.xi is not None and gen.xi != ZERO:
+    if sig.differential and gen.xi != ZERO:
         expr = add(expr, mul(L, total_derivative(gen.xi, sig)))
     worst = relative_residual(plan.assignments([expr, L], sig),
                               lambda a: (evaluate(expr, a), [evaluate(L, a)]))

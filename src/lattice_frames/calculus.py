@@ -46,6 +46,8 @@ __all__ = [
     "sum_by_parts",
     "linear_by_parts",
     "substitute_slots",
+    "prolong",
+    "unit_step",
 ]
 
 
@@ -56,6 +58,23 @@ def deriv_op(e, sig, dcal_inv=None, times=1):
         if dcal_inv is not None:
             e = mul(dcal_inv, e)
     return e
+
+
+def prolong(base, fv, sig, deriv=total_derivative):
+    """S_K d^j ``base``: the image of u_{j;K} = ``fv`` under a map whose image of u is ``base``.
+
+    ``deriv(e, sig)`` is one step of d: D unless given, D/D(x~) for a map
+    that moves x, or the invariant derivative, which commutes with the
+    shifts on a projectable frame.
+    """
+    for _ in range(fv.deriv):
+        base = deriv(base, sig)
+    return shift(base, fv.shift, sig)
+
+
+def unit_step(direction, m):
+    """The shift multi-index of one step along ``direction`` in ``m`` lattice directions."""
+    return tuple(int(k == direction) for k in range(m))
 
 
 @dataclass(frozen=True)
@@ -156,8 +175,7 @@ def _moved_off(f, fv, sig):
 def euler_lagrange(L, field_name, sig):
     """E_u(L) = sum over stencil of S_{-K} (-D)^j (dL/du_{j;K})."""
     return add(*[_moved_off(partial(L, fv), fv, sig)
-                 for fv in sorted(fieldvars(L), key=lambda v: (v.deriv, v.shift))
-                 if fv.name == field_name])
+                 for fv in sorted(fieldvars(L)) if fv.name == field_name])
 
 
 @dataclass(frozen=True)
@@ -187,22 +205,19 @@ class DivergenceTuple:
 
 def divergence(t, sig, dcal_inv=None):
     """D A^0 + sum_i (S_i - id) A^i (the derivative is invariant if dcal_inv given)."""
-    m = len(t.comps)
     parts = []
     if t.a0 is not None:
         parts.append(deriv_op(t.a0, sig, dcal_inv))
     for i, comp in enumerate(t.comps):
-        step = tuple(1 if k == i else 0 for k in range(m))
-        parts.append(add(shift(comp, step, sig), neg(comp)))
+        parts.append(add(shift(comp, unit_step(i, len(t.comps)), sig), neg(comp)))
     return add(*parts)
 
 
 def _telescope(g, direction, k, sig):
     """T_k g with (S_i^k - id) = (S_i - id) T_k; T_0 = 0."""
-    m = sig.lattice_dim
     if k == 0:
         return ZERO
-    unit = tuple(1 if i == direction else 0 for i in range(m))
+    unit = unit_step(direction, sig.lattice_dim)
     parts = []
     if k > 0:
         for l in range(k):
@@ -250,7 +265,7 @@ def linear_by_parts(e, slot_fields, sig):
     coeffs = {}
     a0_parts = []
     a_parts = [[] for _ in range(m)]
-    for fv in sorted(fieldvars(e), key=lambda v: (v.name, v.deriv, v.shift)):
+    for fv in sorted(fieldvars(e)):
         if fv.name not in slot_fields:
             continue
         f = partial(e, fv)
@@ -275,16 +290,9 @@ def linear_by_parts(e, slot_fields, sig):
 
 
 def substitute_slots(e, targets, sig, deriv=total_derivative):
-    """Replace each slot variable slot_{j;K} by D^j S_K of its target expression.
+    """Replace each slot variable slot_{j;K} by :func:`prolong` of its target expression.
 
-    ``targets`` maps slot field name -> Expr; ``deriv(e, sig)`` is the
-    one-step derivative D, the total derivative unless given.
+    ``targets`` maps slot field name -> Expr; ``deriv`` is as for :func:`prolong`.
     """
-    rules = {}
-    for fv in fieldvars(e):
-        if fv.name in targets:
-            t = shift(targets[fv.name], fv.shift, sig)
-            for _ in range(fv.deriv):
-                t = deriv(t, sig)
-            rules[fv] = t
-    return substitute(e, rules)
+    return substitute(e, {fv: prolong(targets[fv.name], fv, sig, deriv)
+                          for fv in fieldvars(e) if fv.name in targets})

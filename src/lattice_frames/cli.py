@@ -177,11 +177,7 @@ def cmd_euler_lagrange(args):
     except ValueError as err:
         print(f"invalid signature: {err}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        L = parse(args.lagrangian, sig)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    L = parse(args.lagrangian, sig)
     plan = SamplePlan(n_points=3, seed=args.seed)
     out = {}
     for f in fields:
@@ -318,11 +314,7 @@ def cmd_integrate(args):
 
 def cmd_invariantize(args):
     b = _get_example_or_exit(args.example)
-    try:
-        e = parse(args.expression, b.sig)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    e = parse(args.expression, b.sig)
     out = invariantize(b.frame, e, b.sig)
     kappa_form = None
     vs = fieldvars(e)

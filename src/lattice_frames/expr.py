@@ -18,18 +18,21 @@ pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
 holds weak references only: a node lives exactly as long as without it.
 
 Every builder -- :func:`shift`, :func:`substitute`, :func:`partial`,
-:func:`total_derivative`, :func:`t_derivative`, and outside this module
-``actions.transform`` and ``noether._formal_dcal`` -- is one walker,
-``_rebuild``, with a leaf rule that names only the leaves it maps; any
-other node follows its row of ``_RULES``.  The walker rebuilds a tree one
-node at a time through a table from ``id(node)`` to the node and its image,
-which every builder takes from ``_table``.  Outside :func:`run_memo` that
-table is new on every call.  Inside it there is one table per builder and
-argument for the whole run, so a repeated call is one lookup and a subtree
-that two expressions share is rebuilt once; the tables hold their nodes
-alive until the outermost :func:`run_memo` exits, and no longer.  The
-walkers of :func:`evaluate`, :func:`nodes` and :class:`Lowering` keep
-per-call tables.
+:func:`total_derivative`, :func:`t_derivative`, ``_substitute_fields``, and
+outside this module ``actions.transform`` and ``noether._formal_dcal`` -- is
+one walker, ``_rebuild``, with a leaf rule that names only the leaves it
+maps; any other node follows its row of ``_RULES``.  Every map of field
+coordinates (``actions.transform``, ``InvariantSet.expand``, the adjoint
+symbols of ``noether``) takes the image of u_{j;K} from
+``calculus.prolong``: S_K d^j of the image of u.  The walker rebuilds a
+tree one node at a time through a table from ``id(node)`` to the node and
+its image, which every builder takes from ``_table``.  Outside
+:func:`run_memo` that table is new on every call.  Inside it there is one
+table per builder and argument for the whole run, so a repeated call is one
+lookup and a subtree that two expressions share is rebuilt once; the tables
+hold their nodes alive until the outermost :func:`run_memo` exits, and no
+longer.  The walkers of :func:`evaluate`, :func:`nodes` and
+:class:`Lowering` keep per-call tables.
 """
 
 from __future__ import annotations
@@ -109,9 +112,13 @@ class SingularEvaluationError(ExprError):
         self.subexpr = subexpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class FieldVar:
-    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``."""
+    """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``.
+
+    FieldVars sort by (name, deriv, shift): the one order of sampled
+    coordinates, lattice reads and by-parts sums.
+    """
 
     name: str
     deriv: int
@@ -857,9 +864,11 @@ def run_memo():
     """Share the node tables of the builders across every call in the block.
 
     Within the block, :func:`shift`, :func:`partial`, :func:`total_derivative`,
-    :func:`t_derivative`, :func:`substitute`, ``actions.transform`` and
-    ``noether._formal_dcal`` hand back what they built before for the same
-    node and argument.  A nested entry shares the outer tables; the
+    :func:`t_derivative`, :func:`substitute`, ``actions.transform``,
+    ``noether._formal_dcal`` and the callers of ``_substitute_fields``
+    (``InvariantSet.expand``, ``noether._expand_adj`` and the rewrite of
+    ``noether.equivariant_form``) hand back what they built before for the
+    same node and argument.  A nested entry shares the outer tables; the
     outermost exit drops them, and with them every node they held.
     """
     if _RUN.get() is not None:
@@ -1005,6 +1014,16 @@ def substitute(e, rules, x_repl=None, param_rules=None):
            frozenset([(name, id(v)) for name, v in param_rules.items()]))
     return _rebuild(e, leaf, _table(key, tuple(rules.values()), x_repl,
                                     tuple(param_rules.values())))
+
+
+def _substitute_fields(e, image, key, *held):
+    """``e`` with each ``Var(fv)`` replaced by ``image(fv)``, or kept where that is None.
+
+    ``image`` must depend on ``key`` alone, which names the table (see
+    :func:`_table`) that ``held`` keeps alive.
+    """
+    return _rebuild(e, lambda node: image(node.fv) if isinstance(node, Var) else None,
+                    _table(key, *held))
 
 
 # --- printing -------------------------------------------------------------

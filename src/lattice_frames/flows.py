@@ -106,8 +106,7 @@ def _on_lattice(exprs, n_sites, params):
     evaluates the expressions by :func:`evaluate` at one assignment of the
     shifted columns, so a singular node raises :func:`evaluate`'s error.
     """
-    variables = sorted(set().union(*map(fieldvars, exprs)),
-                       key=lambda fv: (fv.name, fv.deriv, fv.shift))
+    variables = sorted(set().union(*map(fieldvars, exprs)))
     reads, index = _reads(variables, n_sites)
     alt = (-1.0) ** np.arange(n_sites)
 

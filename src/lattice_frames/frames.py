@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import transform
-from .calculus import LinDiffOp, apply_op, deriv_op
+from .calculus import LinDiffOp, apply_op, deriv_op, prolong, unit_step
 from .expr import (
     ONE,
     Const,
     Param,
+    _substitute_fields,
     add,
     evaluate,
     fieldvars,
     nodes,
     shift,
-    substitute,
     t_derivative,
     to_string,
 )
@@ -78,6 +78,10 @@ class Frame:
                 return False
         return True
 
+    def dcal(self, e, sig):
+        """One step of the invariant derivative dcal_inv * D."""
+        return deriv_op(e, sig, self.dcal_inv)
+
     def to_dict(self):
         return {
             "name": self.name,
@@ -96,8 +100,7 @@ def invariantize(frame, e, sig):
 
 def maurer_cartan(frame, direction, sig):
     """Parameter coordinates of (S_i rho) rho^{-1}; components are invariant."""
-    step = tuple(1 if k == direction else 0 for k in range(sig.lattice_dim))
-    return mc_element(frame, step, sig)
+    return mc_element(frame, unit_step(direction, sig.lattice_dim), sig)
 
 
 def mc_element(frame, offset, sig):
@@ -108,11 +111,9 @@ def mc_element(frame, offset, sig):
 
 def mc_concatenated(frame, i, j, sig):
     """(S_j K_(i)) * K_(j): equals iota(S_i S_j rho) by the concatenation rule."""
-    m = sig.lattice_dim
-    step_j = tuple(1 if k == j else 0 for k in range(m))
     Ki = maurer_cartan(frame, i, sig)
     Kj = maurer_cartan(frame, j, sig)
-    SKi = tuple(shift(p, step_j, sig) for p in Ki)
+    SKi = tuple(shift(p, unit_step(j, sig.lattice_dim), sig) for p in Ki)
     return frame.action.compose(SKi, Kj)
 
 
@@ -170,7 +171,6 @@ class InvariantSet:
     recurrence: object = None
     syzygies: tuple = ()
     H: dict = field(default_factory=dict)
-    _expand_cache: dict = field(default_factory=dict)
 
     @property
     def kappa_names(self):
@@ -181,9 +181,12 @@ class InvariantSet:
         return tuple(self.sigma_defs)
 
     def expand_var(self, fv):
-        """Original-variable expression for one kappa-space coordinate."""
-        if fv in self._expand_cache:
-            return self._expand_cache[fv]
+        """Original-variable expression for one kappa-space coordinate, or None.
+
+        kappa_{j;K} is :func:`prolong` of the definition of kappa with the
+        invariant derivative: on a projectable frame Dcal commutes with the
+        shifts, so S_K Dcal^j kappa is Dcal^j S_K kappa.
+        """
         name = fv.name
         if name in self.kappa_defs:
             base = self.kappa_defs[name]
@@ -194,10 +197,7 @@ class InvariantSet:
             base = t_derivative(self.kappa_defs[kname], self.orig_sig)
         else:
             return None
-        out = deriv_op(shift(base, fv.shift, self.orig_sig), self.orig_sig,
-                       self.frame.dcal_inv, times=fv.deriv)
-        self._expand_cache[fv] = out
-        return out
+        return prolong(base, fv, self.orig_sig, self.frame.dcal)
 
     def expand(self, e):
         """Rewrite a kappa-space expression in the original variables.
@@ -206,16 +206,7 @@ class InvariantSet:
         instance original fields or adjoint symbols mixed into the tree) are
         left untouched.
         """
-        rules = {}
-        for fv in fieldvars(e):
-            rep = self.expand_var(fv)
-            if rep is not None:
-                rules[fv] = rep
-        return substitute(e, rules)
-
-    def dcal_kappa(self, name):
-        """D(kappa) in original variables using the invariant derivative."""
-        return deriv_op(self.kappa_defs[name], self.orig_sig, self.frame.dcal_inv)
+        return _substitute_fields(e, self.expand_var, ("expand", id(self)), self)
 
 
 def verify_syzygy(invset, syzygy, plan, tol=1e-10):

@@ -35,11 +35,11 @@ from .actions import invariance_residual
 from .calculus import (
     DivergenceTuple,
     apply_op,
-    deriv_op,
     divergence,
     euler_lagrange,
     linear_by_parts,
     op_adjoint,
+    prolong,
     substitute_slots,
 )
 from .expr import (
@@ -49,6 +49,7 @@ from .expr import (
     Var,
     ZERO,
     _rebuild,
+    _substitute_fields,
     _table,
     _total_leaf,
     add,
@@ -58,7 +59,6 @@ from .expr import (
     neg,
     partial,
     quot,
-    shift,
     substitute,
     t_derivative,
     to_string,
@@ -218,7 +218,7 @@ def noether_original(L, gen, gen_index, sig):
     slots, boundary = _variation_boundary(L, sig)
     targets = {w: gen.q_of(f) for w, f in slots.items()}
     comps = boundary.map(lambda e: substitute_slots(e, targets, sig))
-    if sig.differential and gen.xi is not None and gen.xi != ZERO:
+    if sig.differential and gen.xi != ZERO:
         comps = DivergenceTuple(add(comps.a0, mul(L, gen.xi)), comps.comps)
     return ConservationLaw(gen_index, "original", comps, measure="dx")
 
@@ -241,14 +241,15 @@ def _adj_entry(action, r, s, params):
 
 
 def _expand_adj(e, frame, r, sig):
-    """Replace adj symbols by the adjoint components on the (shifted) frame."""
-    rules = {}
-    for fv in fieldvars(e):
+    """Replace adj symbols by the adjoint components on the frame, prolonged by Dcal."""
+
+    def image(fv):
         s = _adj_index(fv.name)
-        if s is not None:
-            rep = shift(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv.shift, sig)
-            rules[fv] = deriv_op(rep, sig, frame.dcal_inv, times=fv.deriv)
-    return substitute(e, rules)
+        if s is None:
+            return None
+        return prolong(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv, sig, frame.dcal)
+
+    return _substitute_fields(e, image, ("adj", id(frame), r, id(sig)), frame, sig)
 
 
 def _formal_dcal(e, sig, dcal_inv):
@@ -308,10 +309,9 @@ def noether_invariant(IL, H, action, frame, generators=None):
     iota_Q = {}
     for alpha, fname in inv.sigma_fields.items():
         iota_Q[alpha] = [invariantize(frame, g.q_of(fname), sig) for g in action.generators]
-    has_xi = sig.differential and any(
-        g.xi is not None and g.xi != ZERO for g in action.generators)
-    iota_xi = [invariantize(frame, g.xi, sig) if (g.xi is not None and g.xi != ZERO)
-               else ZERO for g in action.generators]
+    has_xi = sig.differential and any(g.xi != ZERO for g in action.generators)
+    iota_xi = [invariantize(frame, g.xi, sig) if g.xi != ZERO else ZERO
+               for g in action.generators]
 
     # the symbolic components are generator-independent: the adjoint symbols
     # adj_s stand for a^s_r(rho) with r fixed only at expansion time
@@ -322,7 +322,7 @@ def noether_invariant(IL, H, action, frame, generators=None):
     if has_xi:
         xi_sum = add(*[mul(x, _adj_var(s + 1, m)) for s, x in enumerate(iota_xi)])
         for kdot, beta in kdots.items():
-            args[kdot] = neg(mul(inv.dcal_kappa(beta), xi_sum))
+            args[kdot] = neg(mul(inv.expand_var(FieldVar(beta, 1, (0,) * m)), xi_sum))
     else:
         # t = epsilon^r makes every (kappa^beta)' vanish (kappa is invariant)
         for kdot in kdots:
@@ -357,30 +357,23 @@ def equivariant_form(law, plan):
     if law.display is None or frame is None:
         raise ExprError("equivariant form needs the symbolic invariant components")
     action = frame.action
-    sig_cache = {}
-
-    def rewrite(e, sig):
-        rules = {}
-        for fv in fieldvars(e):
-            s = _adj_index(fv.name)
-            if s is None:
-                continue
-            if fv.deriv:
-                raise ExprError("equivariant rewrite of differentiated adjoint "
-                                "symbols is not supported")
-            if not any(fv.shift):
-                continue
-            key = fv.shift
-            if key not in sig_cache:
-                sig_cache[key] = mc_element(frame, fv.shift, sig)
-            gJ = sig_cache[key]
-            rules[fv] = add(*[mul(_adj_entry(action, l, s - 1, gJ),
-                                  _adj_var(l + 1, sig.lattice_dim))
-                              for l in range(action.group_dim)])
-        return substitute(e, rules)
-
     sig = law_sig(law)
-    symbolic = law.display.map(lambda e: rewrite(e, sig))
+
+    def image(fv):
+        s = _adj_index(fv.name)
+        if s is None:
+            return None
+        if fv.deriv:
+            raise ExprError("equivariant rewrite of differentiated adjoint "
+                            "symbols is not supported")
+        if not any(fv.shift):
+            return None
+        gJ = mc_element(frame, fv.shift, sig)
+        return add(*[mul(_adj_entry(action, l, s - 1, gJ), _adj_var(l + 1, sig.lattice_dim))
+                     for l in range(action.group_dim)])
+
+    symbolic = law.display.map(lambda e: _substitute_fields(
+        e, image, ("equivariant", id(frame), id(sig)), frame, sig))
     r = law.generator_index
     expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1, sig))
     out = ConservationLaw(r, "equivariant", expanded, measure=law.measure,

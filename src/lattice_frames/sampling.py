@@ -219,7 +219,7 @@ class SamplePlan:
         names = set(guard_vars)
         for e in exprs:
             names |= fieldvars(e)
-        names = sorted(names, key=lambda fv: (fv.name, fv.deriv, fv.shift))
+        names = sorted(names)
         variation_names = set(sig.variations.values())
         key = (tuple(names), self.n_points, self.seed, tuple(self.value_range),
                tuple(self.x_range), tuple(self.base_range), self.max_rejections,

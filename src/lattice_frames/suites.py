@@ -20,7 +20,7 @@ from .actions import (
     check_variational_symmetry,
     invariance_residual,
 )
-from .calculus import DivergenceTuple, deriv_op, euler_lagrange
+from .calculus import DivergenceTuple, deriv_op, euler_lagrange, unit_step
 from .expr import (
     Const,
     ExprError,
@@ -261,7 +261,7 @@ def suite_equivariance(b, plan, tol=1e-8):
         out.append(_report("maurer-cartan-concatenation", worst, tol, plan, n_points=15))
     if sig.differential:
         dc = frame.dcal_inv
-        step = tuple(1 if k == 0 else 0 for k in range(sig.lattice_dim))
+        step = unit_step(0, sig.lattice_dim)
         lhs = deriv_op(shift(ie, step, sig), sig, dc)
         rhs = shift(deriv_op(ie, sig, dc), step, sig)
         out.append(identity_check(lhs, rhs, plan.with_(n_points=20), sig, tol=tol,

@@ -299,6 +299,11 @@ def test_malformed_flag_usage_error(args):
 
 
 class TestOther:
+    def test_invariantize_parse_error_is_one_line(self):
+        r = run_cli("invariantize", "ex81", "u[0")
+        assert r.returncode == 2
+        assert [line.startswith("parse error:") for line in r.stderr.splitlines()] == [True]
+
     def test_invariantize(self):
         r = run_cli("invariantize", "toda", "u[2,1]")
         assert r.returncode == 0

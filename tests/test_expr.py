@@ -343,6 +343,10 @@ def _catalog_exprs(obj, seen):
 def _builder_calls(b):
     """One call of each builder on each catalog expression of ``b``, as a thunk."""
     sig = b.sig
+    m = sig.lattice_dim
+    # a shifted adjoint symbol, and one also differentiated where the problem has D
+    adj = mul(Var(FieldVar("adj1", 0, (1,) * m)),
+              Var(FieldVar("adj2", int(sig.differential), (-1,) * m)))
     for e in _catalog_exprs(b, set()):
         for o in (1, -1):
             yield lambda e=e, o=o: shift(e, (o,) * sig.lattice_dim, sig)
@@ -357,6 +361,19 @@ def _builder_calls(b):
         yield lambda e=e: transform(e, b.action, [Param(p) for p in b.action.param_names], sig)
         yield lambda e=e: transform(e, b.action, b.frame.param_exprs, sig)
         yield lambda e=e: noether._formal_dcal(e, sig, b.frame.dcal_inv)
+        yield lambda e=e: b.invset.expand(e)
+        for r in range(b.action.group_dim):
+            yield lambda e=e, r=r: noether._expand_adj(mul(e, adj), b.frame, r, sig)
+    plan = b.plan(n_points=6)
+    laws = noether.noether_invariant(b.lagrangian, b.invset.H, b.action, b.frame, generators=[
+        g.action_index for g in b.generators if g.action_index])
+    for law in laws:
+        yield lambda law=law: _law_exprs(noether.equivariant_form(law, plan))
+
+
+def _law_exprs(law):
+    """The symbolic and the expanded components of a law, in one list."""
+    return [c for t in (law.display, law.components) for _, c in t.named()]
 
 
 def _outcome(call):
@@ -395,9 +412,12 @@ class TestRunMemo:
         for m, r, f in zip(memoized, repeated, fresh, strict=True):
             if isinstance(f, expr.Expr):
                 assert m is f and r is f
+            elif isinstance(f, list):
+                assert all([a is c and b is c for a, b, c in zip(m, r, f, strict=True)])
             else:
                 assert m == r == f
-        assert {"shift", "partial", "t", "substitute", "transform", "tilde", "dcal"} <= kinds
+        assert {"shift", "partial", "t", "substitute", "transform", "dcal", "expand", "adj",
+                "equivariant"} <= kinds
 
     def test_a_field_transform_cannot_map_raises_alike_in_a_run(self, toda):
         good = toda.L
@@ -426,8 +446,9 @@ class TestRunMemo:
         assert second is not first
 
     def test_substitute_and_transform_walk_few_nodes_per_run(self, monkeypatch):
-        # nodes walked per verify toda --suite all --seed 31337: 3,346 with a
-        # table per call, 1,477 with the run's tables
+        # nodes walked per verify toda --suite all --seed 31337: substitute and
+        # transform 3,346 with a table per call; with the run's tables, and the
+        # field maps of _substitute_fields counted too, 1,163
         walked = collections.Counter()
         rebuild = expr._rebuild
 
@@ -446,8 +467,9 @@ class TestRunMemo:
         with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
             cli.main(["verify", "toda", "--suite", "all", "--seed", "31337"])
         assert exit_.value.code == 0
-        assert walked["substitute"] > 0 and walked["transform"] > 0
-        assert walked["substitute"] + walked["transform"] <= 1600
+        maps = ("substitute", "transform", "_substitute_fields")
+        assert all([walked[b] > 0 for b in maps])
+        assert sum([walked[b] for b in maps]) <= 1600
 
     def test_nested_entry_reuses_the_outer_memo(self, monkeypatch):
         checked = []

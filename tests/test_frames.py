@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lattice_frames import frames
 from lattice_frames.actions import GroupAction, transform
 from lattice_frames.calculus import deriv_op
-from lattice_frames.catalog import get_example
+from lattice_frames.catalog import EXAMPLES, get_example
 from lattice_frames.expr import (
     Assignment,
     Const,
@@ -276,6 +278,24 @@ class TestRecurrences:
             rhs = invariantize(nls.frame, V(name, k), nls.sig)
             r = identity_check(lhs, rhs, nls_plan, nls.sig, tol=1e-9)
             assert r.passed, (name, k, r.max_residual)
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_expand_var_commutes_shifts_and_the_invariant_derivative(self, name):
+        # on a projectable frame S_K Dcal^j kappa = Dcal^j S_K kappa, node for node
+        inv = EXAMPLES[name].invset
+        sig, m = inv.orig_sig, inv.orig_sig.lattice_dim
+        assert inv.frame.projectable
+        n = 0
+        for kname, base in {**inv.kappa_defs, **inv.sigma_defs}.items():
+            for j in range(3 if sig.differential else 1):
+                for K in itertools.product(range(-2, 3), repeat=m):
+                    got = inv.expand_var(FieldVar(kname, j, K))
+                    assert got is deriv_op(shift(base, K, sig), sig, inv.frame.dcal_inv,
+                                           times=j), (kname, j, K)
+                    n += 1
+        assert n == {"toda": 75, "ex81": 45, "nls": 75}[name]
 
 
 class TestSyzygies:
