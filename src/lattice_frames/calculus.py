@@ -132,7 +132,7 @@ def apply_op(op, e, sig, dcal_inv=None):
                  for coeff, K, j in op.terms])
 
 
-def op_compose(op1, op2, sig, dcal_inv=None):
+def op_compose(op1, op2, sig):
     """The operator op1 . op2 in normal form.
 
     Moving the derivatives of op1 across the coefficients of op2 uses the
@@ -144,7 +144,7 @@ def op_compose(op1, op2, sig, dcal_inv=None):
             K = tuple(a + b for a, b in zip(K1, K2))
             sc2 = shift(c2, K1, sig)
             for l in range(j1 + 1):
-                dc2 = deriv_op(sc2, sig, dcal_inv, times=l)
+                dc2 = deriv_op(sc2, sig, times=l)
                 out.append((mul(comb(j1, l), c1, dc2), K, j1 - l + j2))
     return LinDiffOp.from_terms(out)
 
@@ -203,11 +203,11 @@ class DivergenceTuple:
         return DivergenceTuple(a0, tuple(add(a, b) for a, b in zip(self.comps, other.comps)))
 
 
-def divergence(t, sig, dcal_inv=None):
-    """D A^0 + sum_i (S_i - id) A^i (the derivative is invariant if dcal_inv given)."""
+def divergence(t, sig):
+    """D A^0 + sum_i (S_i - id) A^i."""
     parts = []
     if t.a0 is not None:
-        parts.append(deriv_op(t.a0, sig, dcal_inv))
+        parts.append(deriv_op(t.a0, sig))
     for i, comp in enumerate(t.comps):
         parts.append(add(shift(comp, unit_step(i, len(t.comps)), sig), neg(comp)))
     return add(*parts)

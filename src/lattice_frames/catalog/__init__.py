@@ -48,10 +48,8 @@ class ExampleBundle:
     plan_kw: dict = field(default_factory=dict)
     integrate_config: dict = None
 
-    def plan(self, seed=DEFAULT_SEED, n_points=50, **kw):
-        args = dict(self.plan_kw)
-        args.update(kw)
-        return SamplePlan(n_points=n_points, seed=seed, **args)
+    def plan(self, seed=DEFAULT_SEED, n_points=50):
+        return SamplePlan(n_points=n_points, seed=seed, **self.plan_kw)
 
     @property
     def lagrangian(self):

@@ -194,6 +194,5 @@ bundle = register_example(ExampleBundle(
         GenEntry(2, scaling.generators[1], action_index=2),
     ],
     expected=EXPECTED,
-    plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.35, 0.35),
-             "x_range": (0.5, 2.0)},
+    plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.35, 0.35)},
 ))

@@ -286,7 +286,7 @@ bundle = register_example(ExampleBundle(
     ],
     expected=EXPECTED,
     plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.35, 0.35),
-             "x_range": (0.5, 2.0), "param_ranges": {"h": (0.5, 1.2)}},
+             "param_ranges": {"h": (0.5, 1.2)}},
     integrate_config={
         "rhs": RHS,
         "monitors": MONITORS,

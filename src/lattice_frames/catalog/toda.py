@@ -9,6 +9,7 @@ kappa = iota(u_{1,0}) and lambda = iota(u_{0,1}).
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 from ..actions import Generator, GroupAction
@@ -108,28 +109,21 @@ _RECURRENCE_BASE = {
 }
 
 
-def _iota_u(i, j, memo):
+@functools.cache
+def _iota_u(i, j):
     if (i, j) in _RECURRENCE_BASE:
         return _RECURRENCE_BASE[(i, j)]
-    if (i, j) in memo:
-        return memo[(i, j)]
     if i > 0:
-        prev = _iota_u(i - 1, j, memo)
-        out = KP(0, 0) + (1 - KP(0, 0)) / LM(1, 0) * shift(prev, (1, 0), kappa_sig)
-    elif i < 0:
-        nxt = _iota_u(i + 1, j, memo)
-        out = shift((nxt - KP(0, 0)) * LM(1, 0) / (1 - KP(0, 0)), (-1, 0), kappa_sig)
-    elif j > 0:
-        prev = _iota_u(i, j - 1, memo)
-        out = LM(0, 0) + (1 - LM(0, 0)) / KP(0, 1) * shift(prev, (0, 1), kappa_sig)
-    else:
-        nxt = _iota_u(i, j + 1, memo)
-        out = shift((nxt - LM(0, 0)) * KP(0, 1) / (1 - LM(0, 0)), (0, -1), kappa_sig)
-    memo[(i, j)] = out
-    return out
-
-
-_memo = {}
+        prev = _iota_u(i - 1, j)
+        return KP(0, 0) + (1 - KP(0, 0)) / LM(1, 0) * shift(prev, (1, 0), kappa_sig)
+    if i < 0:
+        nxt = _iota_u(i + 1, j)
+        return shift((nxt - KP(0, 0)) * LM(1, 0) / (1 - KP(0, 0)), (-1, 0), kappa_sig)
+    if j > 0:
+        prev = _iota_u(i, j - 1)
+        return LM(0, 0) + (1 - LM(0, 0)) / KP(0, 1) * shift(prev, (0, 1), kappa_sig)
+    nxt = _iota_u(i, j + 1)
+    return shift((nxt - LM(0, 0)) * KP(0, 1) / (1 - LM(0, 0)), (0, -1), kappa_sig)
 
 
 def recurrence(fv):
@@ -139,9 +133,9 @@ def recurrence(fv):
     if max(abs(i), abs(j)) > 6:
         return None
     if fv.name == "u":
-        return _iota_u(i, j, _memo)
+        return _iota_u(i, j)
     if fv.name == "u_t":
-        return (_iota_u(i + 1, j + 1, _memo) - _iota_u(i, j, _memo)) * SG(i, j)
+        return (_iota_u(i + 1, j + 1) - _iota_u(i, j)) * SG(i, j)
     return None
 
 

@@ -31,7 +31,8 @@ its image, which every builder takes from ``_table``.  Outside
 table per builder and argument for the whole run, so a repeated call is one
 lookup and a subtree that two expressions share is rebuilt once; the tables
 hold their nodes alive until the outermost :func:`run_memo` exits, and no
-longer.  The walkers of :func:`evaluate`, :func:`nodes` and
+longer.  The sampler keeps its point sets and lowered guards in tables of
+the same run.  The walkers of :func:`evaluate`, :func:`nodes` and
 :class:`Lowering` keep per-call tables.
 """
 
@@ -868,8 +869,10 @@ def run_memo():
     ``noether._formal_dcal`` and the callers of ``_substitute_fields``
     (``InvariantSet.expand``, ``noether._expand_adj`` and the rewrite of
     ``noether.equivariant_form``) hand back what they built before for the
-    same node and argument.  A nested entry shares the outer tables; the
-    outermost exit drops them, and with them every node they held.
+    same node and argument; ``sampling.SamplePlan.assignments`` hands back
+    the point set it drew before for the same request, and lowers each guard
+    tuple once.  A nested entry shares the outer tables; the outermost exit
+    drops them, and with them every node and point set they held.
     """
     if _RUN.get() is not None:
         yield
@@ -882,7 +885,7 @@ def run_memo():
 
 
 def _table(key, *held):
-    """The node table of one builder call: the run's for ``key``, or a new one outside a run.
+    """The table of one builder or sampler call: the run's for ``key``, else a new one.
 
     ``held`` are the objects whose ids ``key`` holds, kept alive with the table.
     """

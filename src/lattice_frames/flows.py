@@ -149,9 +149,7 @@ def step_count(x_span, dt):
 class Trajectory:
     xs: np.ndarray
     monitor_sums: dict
-    initial: LatticeState
     final: LatticeState
-    dt: float
     stability_ok: bool
 
 
@@ -351,7 +349,7 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
             # takes the remaining steps
             advance = None
 
-    return Trajectory(xs, sums, state0.copy(), state, dt, stability_ok)
+    return Trajectory(xs, sums, state, stability_ok)
 
 
 @np.errstate(over="ignore", invalid="ignore")

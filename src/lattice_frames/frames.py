@@ -11,7 +11,7 @@ table, because the invariantization operator does not commute with shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
     gs = [action.random_element(rng) for _ in range(n_group)]
     symbolic = [Param(p) for p in action.param_names]
     moved = [transform(p, action, symbolic, sig) for p in frame.param_exprs]
-    pts = plan.with_(n_points=max(10, plan.n_points // 3)).assignments(
+    pts = replace(plan, n_points=max(10, plan.n_points // 3)).assignments(
         list(frame.param_exprs), sig)
 
     def residual(a):

@@ -27,7 +27,7 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -386,7 +386,7 @@ def _check_coefficients_invariant(law, plan):
     """Every coefficient of an a^l_r(rho) symbol must be an invariant (residual <= 1e-8)."""
     sig = law_sig(law)
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 37))
-    probe = plan.with_(n_points=6)
+    probe = replace(plan, n_points=6)
     for cname, row in equivariant_coefficients(law):
         for sym, coeff in sorted(row.items()):
             res = invariance_residual(coeff, law.frame.action, sig, probe, rng, n_group=6)

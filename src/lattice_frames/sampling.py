@@ -18,19 +18,21 @@ call's mask, at which a guard is singular.  The accepted points, the
 rejection count and the point where sampling gives up are those of testing
 one candidate at a time with :meth:`Guard.ok`.
 
-A run is one plan and every plan derived from it by
-:meth:`SamplePlan.with_`; they share one memo.  A request is fixed by its
-sorted variables, the plan's numbers and ranges, the signature's params,
-variation fields and lattice dimension, and by the identity of the guard
-tuple and of ``offsets``, so a repeated request returns the point set drawn
-the first time, bit for bit.  Its columns are read-only.
+Inside :func:`~lattice_frames.expr.run_memo` the lowered guard tuple and
+every point set are kept in the run's tables, as the builders' nodes are.
+A request is fixed by its sorted variables, the plan's numbers and ranges,
+the signature's params, variation fields and lattice dimension, and by the
+identity of the guard tuple and of ``offsets``, so a repeated request in
+the run, from any plan, returns the point set drawn the first time.  Its
+columns are read-only.  Outside a run each request draws again, with the
+same bits, since every draw seeds a new PCG64 with the plan's seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .expr import (
     Assignment,
     ExprError,
     SingularEvaluationError,
+    _table,
     compile_exprs,
     evaluate,
     fieldvars,
@@ -59,6 +62,8 @@ __all__ = [
 DEFAULT_RANGE = (-2.0, 2.0)
 DEFAULT_MARGIN = 0.05
 VARIATION_RANGE = (-1.0, 1.0)
+X_RANGE = (0.5, 2.0)
+BASE_RANGE = (-2, 2)
 
 
 class SamplingExhaustedError(ExprError):
@@ -165,43 +170,27 @@ def _draw_block(rng, lows, highs, size, m, b_lo, b_hi):
     return rows, bases
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplePlan:
     """Deterministic admissible-point generator.
 
     ``offsets`` maps a FieldVar to an additive bias, letting charts such as
     ``u_{1,1} > u_{0,0}`` be sampled without drowning in rejections; drawn
     values are ``offset + uniform(range)``.  Variation slot fields always use
-    the range [-1, 1].
+    the range ``VARIATION_RANGE``, ``x`` the range ``X_RANGE``, and each
+    lattice direction of the base point the integers of ``BASE_RANGE``.
 
-    ``memo`` holds the point sets and the lowered guard tuple of one run:
-    a new plan starts with an empty one, and :meth:`with_` hands it on.
+    A plan is a value: derive one with :func:`dataclasses.replace`.  What it
+    draws is kept in the run memo, not in the plan.
     """
 
     n_points: int = 50
     seed: int = 2024
     value_range: tuple = DEFAULT_RANGE
-    x_range: tuple = (0.5, 2.0)
     param_ranges: dict = field(default_factory=dict)
     guards: tuple = ()
     offsets: object = None
-    base_range: tuple = (-2, 2)
     max_rejections: int = 20000
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def with_(self, **kw):
-        """A copy with ``kw`` replaced that shares this plan's memo."""
-        plan = replace(self, **kw)
-        plan.memo = self.memo
-        return plan
-
-    def _lowered_guards(self):
-        """``(bind, variables)`` of :func:`compile_exprs` over the guard expressions, once per run."""
-        # the entry keeps the tuple alive, so its id cannot be reused
-        key = ("guards", id(self.guards))
-        if key not in self.memo:
-            self.memo[key] = (self.guards, *compile_exprs([g.expr for g in self.guards]))
-        return self.memo[key][1:]
 
     def assignments(self, exprs, sig):
         """The :class:`PointSet` of admissible points covering every variable of ``exprs``.
@@ -215,30 +204,34 @@ class SamplePlan:
         A request this run has already drawn returns a new
         :class:`PointSet` over the same read-only columns.
         """
-        guard_bind, guard_vars = self._lowered_guards()
+        # each table holds the objects whose ids its key holds, so no id is reused
+        lowered = _table(("guards", id(self.guards)), self.guards)
+        if not lowered:
+            lowered["guards"] = compile_exprs([g.expr for g in self.guards])
+        guard_bind, guard_vars = lowered["guards"]
         names = set(guard_vars)
         for e in exprs:
             names |= fieldvars(e)
         names = sorted(names)
         variation_names = set(sig.variations.values())
-        key = (tuple(names), self.n_points, self.seed, tuple(self.value_range),
-               tuple(self.x_range), tuple(self.base_range), self.max_rejections,
-               tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
-               tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
-               id(self.guards), id(self.offsets))
-        if key in self.memo:
-            values, x, params, base, alt = self.memo[key][2:]
+        table = _table(("points", tuple(names), self.n_points, self.seed,
+                        tuple(self.value_range), self.max_rejections,
+                        tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
+                        tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
+                        id(self.guards), id(self.offsets)), self.guards, self.offsets)
+        if table:
+            values, x, params, base, alt = table["points"]
             return PointSet(dict(values), x=x, params=dict(params), base=base, alt=alt)
         ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
                   for fv in names]
-        ranges.append(self.x_range)
+        ranges.append(X_RANGE)
         ranges.extend(self.param_ranges.get(p, (0.5, 1.5)) for p in sig.params)
         lows, highs = (np.array(col, dtype=float) for col in zip(*ranges))
         offsets = np.array([
             0.0 if fv.name in variation_names or self.offsets is None else self.offsets(fv)
             for fv in names], dtype=float)
         k, m = len(names), sig.lattice_dim
-        b_lo, b_hi = self.base_range
+        b_lo, b_hi = BASE_RANGE
 
         def points(rows, bases):
             # contiguous columns: coordinates, then x, then the parameters
@@ -283,9 +276,7 @@ class SamplePlan:
         out = points(*map(np.concatenate, zip(*kept)))
         for col in [*out.values.values(), out.x, *out.params.values(), *out.base, out.alt]:
             col.flags.writeable = False
-        # the entry keeps the guard tuple and offsets alive, so their ids cannot be reused
-        self.memo[key] = (self.guards, self.offsets, dict(out.values), out.x,
-                          dict(out.params), out.base, out.alt)
+        table["points"] = (dict(out.values), out.x, dict(out.params), out.base, out.alt)
         return out
 
 

@@ -11,6 +11,7 @@ failed ``<suite>:error`` check and the remaining suites still run.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -232,14 +233,14 @@ def suite_equivariance(b, plan, tol=1e-8):
 
     def invariance(e, n_points):
         rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
-        return invariance_residual(e, action, sig, plan.with_(n_points=n_points), rng,
+        return invariance_residual(e, action, sig, replace(plan, n_points=n_points), rng,
                                    n_group=20)
 
     out = list(verify_frame(frame, plan, sig, tol=tol))
     probe = b.L
     ie = invariantize(frame, probe, sig)
     out.append(identity_check(ie, invariantize(frame, ie, sig),
-                              plan.with_(n_points=20), sig, tol=tol,
+                              replace(plan, n_points=20), sig, tol=tol,
                               check_id="iota-projection"))
     out.append(_report("iota-invariance", invariance(ie, 20), tol, plan, n_points=20))
     # replacement rule on each generating invariant
@@ -247,7 +248,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     for kname, kdef in inv.kappa_defs.items():
         rules = {fv: invariantize(frame, Var(fv), sig) for fv in fieldvars(kdef)}
         out.append(identity_check(kdef, substitute(kdef, rules, x_repl=xr),
-                                  plan.with_(n_points=20), sig, tol=tol,
+                                  replace(plan, n_points=20), sig, tol=tol,
                                   check_id=f"replacement-rule:{kname}"))
     for i in range(sig.lattice_dim):
         K = maurer_cartan(frame, i, sig)
@@ -256,7 +257,7 @@ def suite_equivariance(b, plan, tol=1e-8):
     if sig.lattice_dim == 2:
         lhs = mc_element(frame, (1, 1), sig)
         rhs = mc_concatenated(frame, 0, 1, sig)
-        worst = _worst([residual_stats(l, r, plan.with_(n_points=15).assignments([l, r], sig))
+        worst = _worst([residual_stats(l, r, replace(plan, n_points=15).assignments([l, r], sig))
                         for l, r in zip(lhs, rhs)])
         out.append(_report("maurer-cartan-concatenation", worst, tol, plan, n_points=15))
     if sig.differential:
@@ -264,7 +265,7 @@ def suite_equivariance(b, plan, tol=1e-8):
         step = unit_step(0, sig.lattice_dim)
         lhs = deriv_op(shift(ie, step, sig), sig, dc)
         rhs = shift(deriv_op(ie, sig, dc), step, sig)
-        out.append(identity_check(lhs, rhs, plan.with_(n_points=20), sig, tol=tol,
+        out.append(identity_check(lhs, rhs, replace(plan, n_points=20), sig, tol=tol,
                                   check_id="dcal-shift-commutation"))
         out.append(CheckReport("projectable-frame",
                                "pass" if frame.projectable else "fail",
@@ -287,7 +288,7 @@ def suite_equivariance(b, plan, tol=1e-8):
                     if sym in want_row:
                         want = inv.expand(parse(want_row[sym], ksig))
                         out.append(identity_check(
-                            inv.expand(coeff), want, plan.with_(n_points=25), sig,
+                            inv.expand(coeff), want, replace(plan, n_points=25), sig,
                             tol=tol, check_id=f"equivariant-coeff:r{r}:{cname}:{sym}"))
                     else:
                         # the display omits this term; it must die against the
@@ -295,7 +296,7 @@ def suite_equivariance(b, plan, tol=1e-8):
                         term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
                         expanded = _expand_adj(term, frame, r - 1, sig)
                         out.append(identity_check(
-                            expanded, Const(0), plan.with_(n_points=25), sig,
+                            expanded, Const(0), replace(plan, n_points=25), sig,
                             tol=tol, check_id=f"equivariant-zero-term:r{r}:{cname}:{sym}"))
     # adjoint representation property on random elements
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 23))

@@ -1,10 +1,13 @@
-"""Test-only oracles: the finite-lattice adjoint pairing, random operators and SymPy.
+"""Test-only oracles: the finite-lattice adjoint pairing, random operators, SymPy
+and a frame that is not projectable.
 
 :func:`finite_lattice_pairing` checks <f, H g> = <H^dagger f, g> numerically,
 by summing over a finite box with compactly supported fields;
 :func:`random_lindiffop` draws the operators it is checked on.
 :func:`to_sympy` and :func:`sympy_values` give a second way to compute
 derivatives, by SymPy's own differentiation; they import SymPy when called.
+:func:`non_projectable_frame` is a negative control for the checks that a
+frame's invariant derivative commutes with the shifts.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from lattice_frames.expr import (
     Assignment,
     Const,
     ExprError,
+    FieldVar,
     LnAbs,
     Neg,
     Param,
@@ -31,7 +35,8 @@ from lattice_frames.expr import (
     evaluate,
     mul,
 )
-from lattice_frames.sampling import CheckReport
+from lattice_frames.frames import Frame
+from lattice_frames.sampling import CheckReport, Guard
 
 
 def _rel_residual(lv, rv):
@@ -213,3 +218,24 @@ def sympy_values(s, points, fvs):
     free = sorted(s.free_symbols, key=lambda sym: sym.name)
     fn = sympy.lambdify(free, s, modules="numpy")
     return np.broadcast_to(fn(*[inputs[sym.name] for sym in free]), np.shape(points.x))
+
+
+def non_projectable_frame(action):
+    """A frame for (x, u) -> (b x, b u + a) that is not projectable.
+
+    It normalizes u_{0;0} to 0 and u_{0;1} - u_{0;0} to 1.  With
+    d = u_{0;1} - u_{0;0} that gives (a, b) = (-u_{0;0}/d, 1/d) on the chart
+    |d| > 0, and the frozen-parameter invariant derivative (1/b) D = d D.
+    Its b, which scales x, depends on u, and d is moved by the shift in n,
+    so d D does not commute with that shift.
+    """
+    u0, u1 = (Var(FieldVar("u", 0, (k,))) for k in (0, 1))
+    d = u1 - u0
+    return Frame(
+        name="ex81-non-projectable",
+        action=action,
+        normalization=((u0, 0.0), (d, 1.0)),
+        param_exprs=(-u0 / d, Const(1) / d),
+        dcal_inv=d,
+        chart_guards=(Guard(d, "abs"),),
+    )

@@ -8,6 +8,7 @@ captured-output summary of any failure.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ def test_criterion_6_operator_algebra(toda, toda_plan):
         el = euler_lagrange(divergence(DivergenceTuple(None, tuple(comps)), sig),
                             "u", sig)
         worst_div = max(worst_div, residual_stats(
-            el, Const(0), toda_plan.with_(n_points=20).assignments([el], sig)))
+            el, Const(0), replace(toda_plan, n_points=20).assignments([el], sig)))
     ok = worst_pure <= 1e-12 and worst_mixed <= 1e-6 and worst_div <= 1e-10
     report(6, "adjoint pairing <= 1e-12 pure / <= 1e-6 mixed on 20 random "
               "operators; E(Div) = 0 on 20 random tuples <= 1e-10",
@@ -264,7 +265,7 @@ def test_criterion_7_frame_properties(toda, ex81, nls):
         sig = b.sig
         plan = b.plan(n_points=20)
         # right-equivariance at 20 group elements x 20 points
-        reps = verify_frame(b.frame, plan.with_(n_points=60), sig, tol=1e-8,
+        reps = verify_frame(b.frame, replace(plan, n_points=60), sig, tol=1e-8,
                             n_group=20)
         w = max(r.max_residual for r in reps)
         # iota projection

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def _adjoint_Q_identity_residual(b, plan, n_elements=10):
     action = b.action
     gens = action.generators
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 2))
-    pts = plan.with_(n_points=8).assignments(
+    pts = replace(plan, n_points=8).assignments(
         [Var(fv(f, *(0,) * sig.lattice_dim)) for f in sig.base_fields] + [b.L], sig)
     worst = 0.0
     for a in pts:
@@ -259,7 +261,7 @@ def _prolonged_adjoint_identity_residual(b, plan, target):
     action = b.action
     gens = action.generators
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 4))
-    pts = plan.with_(n_points=8).assignments([Var(target), b.L], sig)
+    pts = replace(plan, n_points=8).assignments([Var(target), b.L], sig)
     worst = 0.0
     for a in pts:
         g = action.random_element(rng)
@@ -334,7 +336,7 @@ class TestGeneratorsMatchMaps:
                     v_expr = v_expr + gen.xi * Var(raised)
                 cases.append((up, dn, v_expr))
         exprs = [e for case in cases for e in case]
-        pts = plan.with_(n_points=8).assignments(exprs, sig)
+        pts = replace(plan, n_points=8).assignments(exprs, sig)
         worst = 0.0
         for up, dn, v_expr in cases:
             for a in pts:

@@ -1,5 +1,6 @@
 """Batched sampling and evaluation against their point-by-point definitions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,9 @@ from lattice_frames.expr import (
     sqrt,
 )
 from lattice_frames.sampling import (
+    BASE_RANGE,
     VARIATION_RANGE,
+    X_RANGE,
     Guard,
     PointSet,
     SamplePlan,
@@ -61,9 +64,9 @@ def reference_assignments(plan, exprs, sig, extra_vars=()):
             else:
                 off = plan.offsets(fv) if plan.offsets is not None else 0.0
                 values[fv] = off + rng.uniform(lo, hi)
-        x = rng.uniform(*plan.x_range)
+        x = rng.uniform(*X_RANGE)
         params = {p: rng.uniform(*plan.param_ranges.get(p, (0.5, 1.5))) for p in sig.params}
-        base = tuple(int(rng.integers(plan.base_range[0], plan.base_range[1] + 1))
+        base = tuple(int(rng.integers(BASE_RANGE[0], BASE_RANGE[1] + 1))
                      for _ in range(sig.lattice_dim))
         a = Assignment(values, x=x, params=params, base=base)
         if all(g.ok(a) for g in plan.guards):
@@ -293,49 +296,84 @@ def columns(pts):
     return [*pts.values.values(), pts.x, *pts.params.values(), *pts.base, pts.alt]
 
 
+def counting_pcg64(monkeypatch):
+    """The seeds of every PCG64 made while the test runs."""
+    seeds, pcg64 = [], np.random.PCG64
+
+    def counting(seed):
+        seeds.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    return seeds
+
+
+def run_tables(kind):
+    """The keys of the run memo's tables of ``kind``."""
+    return [key for key in expr._RUN.get() if key[0] == kind]
+
+
 class TestMemo:
     def test_memo_belongs_to_one_run(self):
         b = get_example("toda")
         plan = b.plan()
-        assert plan.memo == {}
-        plan.assignments([b.L], b.sig)
-        assert plan.memo
-        assert plan.with_(n_points=10).memo is plan.memo
-        fresh = b.plan()
-        assert fresh.memo == {} and fresh.memo is not plan.memo
+        assert not hasattr(plan, "memo")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.n_points = 10
+        with expr.run_memo():
+            assert run_tables("points") == []
+            plan.assignments([b.L], b.sig)
+            assert len(run_tables("guards")) == len(run_tables("points")) == 1
+            # a plan made anew with the same numbers asks the same run
+            b.plan().assignments([b.L], b.sig)
+            assert len(run_tables("points")) == 1
+        assert expr._RUN.get() is None
+        with expr.run_memo():
+            assert run_tables("guards") == run_tables("points") == []
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
-    def test_hit_is_read_only_and_equals_a_cold_draw(self, name):
+    def test_hit_is_read_only_and_equals_a_cold_draw(self, name, monkeypatch):
         b = get_example(name)
-        plan = b.plan(n_points=12)
-        first = plan.assignments([b.L], b.sig)
-        for col in columns(first):
-            with pytest.raises(ValueError):
-                col[0] = 0.0
-        first.values.clear()  # a caller's own dict, not the memo's
-        hit = plan.with_(seed=plan.seed).assignments([b.L], b.sig)
         cold = b.plan(n_points=12).assignments([b.L], b.sig)
-        assert hit is not first and len(plan.memo) == 2  # the lowered guards and one point set
+        seeds = counting_pcg64(monkeypatch)
+        with expr.run_memo():
+            plan = b.plan(n_points=12)
+            first = plan.assignments([b.L], b.sig)
+            for col in columns(first):
+                with pytest.raises(ValueError):
+                    col[0] = 0.0
+            first.values.clear()  # a caller's own dict, not the memo's
+            hit = dataclasses.replace(plan, seed=plan.seed).assignments([b.L], b.sig)
+            assert seeds == [plan.seed]  # the hit seeded no generator
+            assert hit is not first
+            # the lowered guards and one point set
+            assert len(run_tables("guards")) == len(run_tables("points")) == 1
         assert list(hit.values) == list(cold.values) and list(hit.params) == list(cold.params)
         assert [c.tobytes() for c in columns(hit)] == [c.tobytes() for c in columns(cold)]
         for col in columns(hit):
             with pytest.raises(ValueError):
                 col[0] = 0.0
 
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_outside_a_run_each_request_draws_again(self, name, monkeypatch):
+        b = get_example(name)
+        seeds = counting_pcg64(monkeypatch)
+        first = b.plan(n_points=12).assignments([b.L], b.sig)
+        again = b.plan(n_points=12).assignments([b.L], b.sig)
+        assert seeds == [b.plan().seed] * 2
+        assert list(again.values) == list(first.values)
+        assert [c.tobytes() for c in columns(again)] == [c.tobytes() for c in columns(first)]
+        assert all(a is not c for a, c in zip(columns(again), columns(first)))
+
     @pytest.mark.parametrize("name, draws", [("toda", 10), ("ex81", 20), ("nls", 18)])
     def test_each_point_set_is_drawn_once_per_run(self, name, draws, monkeypatch):
-        seeds, lowered = [], []
-        pcg64, compile_exprs = np.random.PCG64, sampling.compile_exprs
-
-        def counting_pcg64(seed):
-            seeds.append(seed)
-            return pcg64(seed)
+        lowered, compile_exprs = [], sampling.compile_exprs
 
         def counting_compile(exprs):
             lowered.append(exprs)
             return compile_exprs(exprs)
 
-        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        seeds = counting_pcg64(monkeypatch)
         monkeypatch.setattr(sampling, "compile_exprs", counting_compile)
         b = get_example(name)
         reports = run_suite(b, "all", b.plan(seed=2024))
@@ -349,15 +387,16 @@ class TestMemo:
         b = get_example("toda")
         plan = b.plan()
         exprs = [b.L, euler_lagrange(b.L, "u", b.sig)]
-        plan.assignments(exprs, b.sig)
         walked = []
 
         def counting_children(node):
             walked.append(node)
             return children(node)
 
-        monkeypatch.setattr(expr, "children", counting_children)
-        plan.assignments(exprs, b.sig)
+        with expr.run_memo():
+            plan.assignments(exprs, b.sig)
+            monkeypatch.setattr(expr, "children", counting_children)
+            plan.assignments(exprs, b.sig)
         assert walked == []
 
     def test_fieldvars_is_a_new_set_each_call(self):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lattice_frames.expr import (
     XVar,
     evaluate,
     fieldvars,
+    mul,
     shift,
     substitute,
 )
@@ -30,6 +32,8 @@ from lattice_frames.frames import (
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check, residual_stats
+from lattice_frames.suites import run_suite
+from oracles import non_projectable_frame
 
 
 def fv(name, *K, d=0):
@@ -76,7 +80,7 @@ class TestSolveFrame:
         b = get_example(name)
         frame, action, sig, plan = b.frame, b.action, b.sig, b.plan(seed=7)
         rng = np.random.default_rng(np.random.PCG64(plan.seed + 1))
-        pts = plan.with_(n_points=16).assignments(list(frame.param_exprs), sig)
+        pts = replace(plan, n_points=16).assignments(list(frame.param_exprs), sig)
         needed = set().union(*map(fieldvars, frame.param_exprs))
         worst = 0.0
         for _ in range(10):
@@ -184,7 +188,7 @@ class TestInvariantize:
         rng = np.random.default_rng(30)
         ie = invariantize(ex81.frame, ex81.L, ex81.sig)
         de = deriv_op(ie, ex81.sig, ex81.frame.dcal_inv)
-        pts = ex81_plan.with_(n_points=15).assignments([de], ex81.sig)
+        pts = replace(ex81_plan, n_points=15).assignments([de], ex81.sig)
         for a in pts:
             g = ex81.action.random_element(rng)
             td = transform(de, ex81.action, g, ex81.sig)
@@ -205,13 +209,37 @@ class TestInvariantize:
         assert ex81.frame.projectable
         assert nls.frame.projectable
 
+    def test_non_projectable_frame_fails_the_shift_commutation(self, ex81, ex81_plan):
+        # a valid frame for ex81's action whose b depends on u: the
+        # commutation identity, checked as the equivariance suite checks it, fails
+        sig = ex81.sig
+        frame = non_projectable_frame(ex81.action)
+        reports = verify_frame(frame, ex81_plan, sig)
+        assert reports and all(r.passed for r in reports)
+        assert not frame.projectable
+        ie = invariantize(frame, ex81.L, sig)
+        lhs = deriv_op(shift(ie, (1,), sig), sig, frame.dcal_inv)
+        rhs = shift(deriv_op(ie, sig, frame.dcal_inv), (1,), sig)
+        r = identity_check(lhs, rhs, ex81.plan(n_points=20, seed=31337), sig, tol=1e-8)
+        assert not r.passed and np.isfinite(r.max_residual) and r.max_residual > 1e-2
+
+    def test_wrong_dcal_inv_in_x_alone_fails_the_suite(self, ex81):
+        # x commutes with every shift, so dcal-shift-commutation passes for 2x
+        # as for x; the checks that build on the invariant derivative fail
+        frame = replace(ex81.frame, dcal_inv=mul(2, XVar()))
+        b = replace(ex81, frame=frame, invset=replace(ex81.invset, frame=frame))
+        reports = {r.check_id: r for r in run_suite(b, "all", b.plan(seed=31337))}
+        assert reports["dcal-shift-commutation"].passed
+        failed = {c for c, r in reports.items() if not r.passed}
+        assert {"lagrangian-invariant-form", "syzygy:shifted-k1"} <= failed
+
 
 class TestMaurerCartan:
     def test_affine_components_invariant(self, toda, toda_plan):
         rng = np.random.default_rng(11)
         for i in range(2):
             K = maurer_cartan(toda.frame, i, toda.sig)
-            pts = toda_plan.with_(n_points=10).assignments(list(K), toda.sig)
+            pts = replace(toda_plan, n_points=10).assignments(list(K), toda.sig)
             for a in pts:
                 g = toda.action.random_element(rng)
                 for comp in K:
@@ -233,7 +261,7 @@ class TestMaurerCartan:
         lhs = mc_element(toda.frame, (1, 1), toda.sig)
         rhs = mc_concatenated(toda.frame, 0, 1, toda.sig)
         for l, r in zip(lhs, rhs):
-            assert residual_stats(l, r, toda_plan.with_(n_points=15)
+            assert residual_stats(l, r, replace(toda_plan, n_points=15)
                                   .assignments([l, r], toda.sig)) <= 1e-10
 
 

@@ -1,7 +1,8 @@
 """Static checks on the package source: import placement and ``__all__``;
-that every rebuild takes its node table from ``expr._table``; that the
-layer tracer of the benchmark still finds what it wraps; and that every
-expression node class is interned."""
+that every rebuild takes its node table from ``expr._table``; that no
+dataclass keeps a field its constructor cannot set; that the layer tracer
+of the benchmark still finds what it wraps; and that every expression node
+class is interned."""
 
 import ast
 import dataclasses
@@ -94,6 +95,24 @@ def test_every_rebuild_takes_its_table_from_the_run_memo():
             if not (isinstance(memo, ast.Call) and _name(memo.func) == "_table"):
                 offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
     assert calls and offenders == []
+
+
+def test_no_dataclass_field_is_left_out_of_init():
+    # a field(init=False) is state an object keeps beside its value, such as a
+    # cache with a lifetime of its own: the run memo holds what a run reuses
+    offenders = []
+    for path in MODULES:
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                value = getattr(stmt, "value", None)
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(value, ast.Call)
+                        and _name(value.func) == "field"
+                        and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                                and k.value.value is False for k in value.keywords)):
+                    offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{stmt.lineno}")
+    assert offenders == []
 
 
 def _bindings(package):

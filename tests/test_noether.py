@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from lattice_frames.actions import Generator, GroupAction
@@ -94,7 +96,7 @@ class TestInvariantEulerLagrange:
         assert [(r.check_id, r.status) for r in reports] == [("invariant-el:u", "fail")]
         # the rest of the suite still reports
         ids = {r.check_id: r.status
-               for r in run_suite(broken_toda, "invariant-el", toda_plan.with_(n_points=10))}
+               for r in run_suite(broken_toda, "invariant-el", replace(toda_plan, n_points=10))}
         assert ids["invariant-el:u"] == ids["syzygy-operator:kappa"] == "fail"
         assert ids["syzygy-operator:lambda"] == ids["negative-control:el+1e-3"] == "pass"
         assert "lagrangian-invariant-form" in ids and "divergence-equivalence" in ids
