@@ -146,11 +146,27 @@ def _get_example_or_exit(name):
         raise SystemExit(USAGE_ERROR)
 
 
+def _finite(doc):
+    """``doc`` with each non-finite float, such as the NaN residual of a failed check, as None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_finite(v) for v in doc]
+    return doc
+
+
+def _json(doc):
+    """``doc`` as strict JSON, indented: a non-finite number is written as null."""
+    return json.dumps(_finite(doc), indent=2, allow_nan=False)
+
+
 def _emit_reports(reports, as_json):
     ok = all(r.passed for r in reports)
     if as_json:
-        print(json.dumps({"status": "pass" if ok else "fail",
-                          "checks": [r.to_dict() for r in reports]}, indent=2))
+        print(_json({"status": "pass" if ok else "fail",
+                     "checks": [r.to_dict() for r in reports]}))
     else:
         for r in reports:
             print(f"[{r.status:>4}] {r.check_id}  max_residual={r.max_residual:.3e}"
@@ -183,7 +199,7 @@ def cmd_euler_lagrange(args):
     for f in fields:
         out[f] = euler_lagrange(L, f, sig)
     if args.json:
-        print(json.dumps({f: to_string(e) for f, e in out.items()}, indent=2))
+        print(_json({f: to_string(e) for f, e in out.items()}))
         return 0
     spots = plan.assignments(list(out.values()) or [L], sig)
     rows = ["  ".join(f"E_{f}={evaluate(e, a):+.6e}" for f, e in out.items())
@@ -227,8 +243,7 @@ def cmd_noether(args):
         return CHECK_FAILURE
     laws, residuals = _forms_for(b, entry, plan)
     if args.json:
-        print(json.dumps([law.to_dict(residual=residuals[law.form]) for law in laws],
-                         indent=2))
+        print(_json([law.to_dict(residual=residuals[law.form]) for law in laws]))
     else:
         for law in laws:
             print(f"--- form: {law.form} (measure {law.measure}), "
@@ -298,10 +313,9 @@ def cmd_integrate(args):
                 fh.write(",".join(row) + "\n")
     if args.out_json:
         with open(args.out_json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json(report) + "\n")
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print(f"integrated {b.name}: N={d['n_sites']} h={d['h']} dt={d['dt']} "
               f"x in {d['x_span']}")
@@ -323,8 +337,8 @@ def cmd_invariantize(args):
         if kexpr is not None:
             kappa_form = to_string(kexpr)
     if args.json:
-        print(json.dumps({"input": args.expression, "iota": to_string(out),
-                          "kappa_form": kappa_form}, indent=2))
+        print(_json({"input": args.expression, "iota": to_string(out),
+                     "kappa_form": kappa_form}))
     else:
         print(f"iota = {to_string(out)}")
         if kappa_form:

@@ -32,8 +32,10 @@ table per builder and argument for the whole run, so a repeated call is one
 lookup and a subtree that two expressions share is rebuilt once; the tables
 hold their nodes alive until the outermost :func:`run_memo` exits, and no
 longer.  The sampler keeps its point sets and lowered guards in tables of
-the same run.  The walkers of :func:`evaluate`, :func:`nodes` and
-:class:`Lowering` keep per-call tables.
+the same run, and :func:`evaluate` keeps the node values at each point set
+the run holds in a table from ``id(node)`` to the node and its value; at
+any other assignment it keeps a per-call table, as :func:`nodes` and
+:class:`Lowering` do.
 """
 
 from __future__ import annotations
@@ -655,6 +657,11 @@ class Assignment:
     base: tuple = (0,)
     alt: object = None
 
+    # not a field, so that a copy made by dataclasses.replace is not held: True
+    # only on a point set the run memo holds, whose node values evaluate()
+    # keeps for the run (see sampling.SamplePlan.assignments)
+    held = False
+
     def __post_init__(self):
         if self.alt is None:
             self.alt = -1.0 if sum(self.base) % 2 else 1.0
@@ -672,15 +679,31 @@ def evaluate(e, a):
     code that raises for a singular node; the functions of
     :func:`compile_exprs` and :class:`Lowering` return a mask instead, set
     exactly where this raises.
-    """
-    def walk(checked=False):
-        memo = {}
 
+    The values of the nodes go to a table from ``id(node)`` to the node and
+    its value.  For a point set the run memo holds (``a.held``) that is the
+    run's table for ``a`` (see :func:`run_memo`), so every node is computed
+    once per run at those points, and its array is made read-only; for any
+    other assignment, or outside a run, it is new on every call.  A node
+    that raised is never stored, and a node stored before an overflow was
+    computed without one, so a shared table gives the values and the errors
+    of a new one.
+    """
+    held = a.held
+    memo = _table(("evaluate", id(a)), a) if held else {}
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+
+    def walk(checked=False):
         def rec(node):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            v = memo[key] = _RULES[type(node)].step(rec, a, node, checked)
+            hit = memo.get(id(node))
+            if hit is not None:
+                return hit[1]
+            v = _RULES[type(node)].step(rec, a, node, checked)
+            if held and type(v) is np.ndarray:
+                v.flags.writeable = False
+            memo[id(node)] = node, v
             return v
 
         return rec(e)
@@ -871,8 +894,10 @@ def run_memo():
     ``noether.equivariant_form``) hand back what they built before for the
     same node and argument; ``sampling.SamplePlan.assignments`` hands back
     the point set it drew before for the same request, and lowers each guard
-    tuple once.  A nested entry shares the outer tables; the outermost exit
-    drops them, and with them every node and point set they held.
+    tuple once; :func:`evaluate` at such a point set hands back the value it
+    computed before for the same node.  A nested entry shares the outer
+    tables; the outermost exit drops them, and with them every node, point
+    set and value they held.
     """
     if _RUN.get() is not None:
         yield

@@ -23,16 +23,19 @@ every point set are kept in the run's tables, as the builders' nodes are.
 A request is fixed by its sorted variables, the plan's numbers and ranges,
 the signature's params, variation fields and lattice dimension, and by the
 identity of the guard tuple and of ``offsets``, so a repeated request in
-the run, from any plan, returns the point set drawn the first time.  Its
-columns are read-only.  Outside a run each request draws again, with the
-same bits, since every draw seeds a new PCG64 with the plan's seed.
+the run, from any plan, returns the very :class:`PointSet` drawn the first
+time.  That set is held: read-only, and :func:`evaluate` keeps the value of
+each node at its points for the run.  Outside a run each request draws
+again, with the same bits, since every draw seeds a new PCG64 with the
+plan's seed; the set it returns is the caller's, its columns alone read-only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .expr import (
     Assignment,
     ExprError,
     SingularEvaluationError,
+    _RUN,
     _table,
     compile_exprs,
     evaluate,
@@ -89,7 +93,25 @@ class Guard:
 
 
 class PointSet(Assignment):
-    """``n`` points as one :class:`Assignment` whose every entry is an array of length ``n``."""
+    """``n`` points as one :class:`Assignment` whose every entry is an array of length ``n``.
+
+    A set the run memo holds (see :meth:`SamplePlan.assignments`) is
+    read-only: its columns, its ``values`` and ``params`` mappings and its
+    attributes, since every later request and every :func:`evaluate` of the
+    run reads it.
+    """
+
+    def __setattr__(self, name, value):
+        if self.held:
+            raise FrozenInstanceError(f"cannot assign to {name!r} of a point set the run holds")
+        super().__setattr__(name, value)
+
+    def hold(self):
+        """Make this set read-only and mark it held; returns it."""
+        object.__setattr__(self, "values", MappingProxyType(self.values))
+        object.__setattr__(self, "params", MappingProxyType(self.params))
+        object.__setattr__(self, "held", True)
+        return self
 
     def __len__(self):
         return len(self.x)
@@ -201,8 +223,8 @@ class SamplePlan:
         lattice direction.  :func:`_draw_block` draws a block of candidates
         from one raw read of the generator, and falls back to those calls
         for a block in which an integer draw would be rejected and retried.
-        A request this run has already drawn returns a new
-        :class:`PointSet` over the same read-only columns.
+        Inside a run the set is held (see :meth:`PointSet.hold`), and a
+        request this run has already drawn returns that same object.
         """
         # each table holds the objects whose ids its key holds, so no id is reused
         lowered = _table(("guards", id(self.guards)), self.guards)
@@ -220,8 +242,7 @@ class SamplePlan:
                         tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
                         id(self.guards), id(self.offsets)), self.guards, self.offsets)
         if table:
-            values, x, params, base, alt = table["points"]
-            return PointSet(dict(values), x=x, params=dict(params), base=base, alt=alt)
+            return table["points"]
         ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
                   for fv in names]
         ranges.append(X_RANGE)
@@ -276,7 +297,8 @@ class SamplePlan:
         out = points(*map(np.concatenate, zip(*kept)))
         for col in [*out.values.values(), out.x, *out.params.values(), *out.base, out.alt]:
             col.flags.writeable = False
-        table["points"] = (dict(out.values), out.x, dict(out.params), out.base, out.alt)
+        if _RUN.get() is not None:
+            table["points"] = out.hold()
         return out
 
 

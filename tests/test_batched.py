@@ -339,20 +339,26 @@ class TestMemo:
         with expr.run_memo():
             plan = b.plan(n_points=12)
             first = plan.assignments([b.L], b.sig)
-            for col in columns(first):
-                with pytest.raises(ValueError):
-                    col[0] = 0.0
-            first.values.clear()  # a caller's own dict, not the memo's
             hit = dataclasses.replace(plan, seed=plan.seed).assignments([b.L], b.sig)
             assert seeds == [plan.seed]  # the hit seeded no generator
-            assert hit is not first
+            assert hit is first and hit.held
             # the lowered guards and one point set
             assert len(run_tables("guards")) == len(run_tables("points")) == 1
-        assert list(hit.values) == list(cold.values) and list(hit.params) == list(cold.params)
-        assert [c.tobytes() for c in columns(hit)] == [c.tobytes() for c in columns(cold)]
+            fv = next(iter(hit.values))
+            for mapping, key in ((hit.values, fv), (hit.params, "p")):
+                with pytest.raises(TypeError):
+                    mapping[key] = np.zeros(12)
+                with pytest.raises(AttributeError):
+                    mapping.clear()
+            for name in ("values", "params", "x", "alt"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(hit, name, getattr(cold, name))
         for col in columns(hit):
             with pytest.raises(ValueError):
                 col[0] = 0.0
+        assert list(hit.values) == list(cold.values) and list(hit.params) == list(cold.params)
+        assert [c.tobytes() for c in columns(hit)] == [c.tobytes() for c in columns(cold)]
+        assert not cold.held  # a set drawn outside a run is the caller's own
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
     def test_outside_a_run_each_request_draws_again(self, name, monkeypatch):

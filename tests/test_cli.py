@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import lattice_frames
-from lattice_frames import cli, flows, noether
+from lattice_frames import cli, flows, noether, suites
 from lattice_frames.catalog import EXAMPLES
-from lattice_frames.expr import Const
+from lattice_frames.expr import Const, ExprError
 from lattice_frames.suites import run_suite
 
 
@@ -341,3 +342,31 @@ class TestOther:
         r = run_process("verify", "ex81", "--suite", "syzygy", env={"LATTICE_FRAMES_SEED": seed})
         assert r.returncode == 2
         assert r.stderr == f"invalid LATTICE_FRAMES_SEED={seed!r}\n"
+
+
+def strict_json(text):
+    """``json.loads`` refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_error_report_writes_a_null_residual(self, monkeypatch):
+        def broken(b, plan, **kw):
+            raise ExprError("injected")
+
+        monkeypatch.setitem(suites.SUITES, "syzygy", broken)
+        r = run_cli("verify", "toda", "--suite", "syzygy", "--json", "--seed", "5")
+        assert r.returncode == 1
+        assert strict_json(r.stdout) == {"status": "fail", "checks": [
+            {"check_id": "syzygy:error", "status": "fail", "max_residual": None,
+             "n_points": 0, "seed": 5, "runtime_ms": None, "note": "injected"}]}
+
+    def test_noether_writes_a_null_residual(self, monkeypatch):
+        monkeypatch.setattr(cli, "offshell_residual",
+                            lambda law, *args: math.nan if law.form == "invariant" else 0.0)
+        r = run_cli("--json", "noether", "ex81", "--r", "2", "--points", "10")
+        assert r.returncode == 1
+        assert [law["residual_stats"] for law in strict_json(r.stdout)] == [0.0, None, 0.0]

@@ -383,15 +383,50 @@ def _outcome(call):
         return type(err), str(err)
 
 
+# evaluate() itself, for tests that patch the modules' bindings of it
+_EVALUATE = evaluate
+
+
+def _evaluated(e, a):
+    """The value of ``evaluate(e, a)`` and its bytes, or None and the type, node and text
+    of its error."""
+    try:
+        v = _EVALUATE(e, a)
+    except ExprError as err:
+        return None, (type(err), getattr(err, "subexpr", None), str(err))
+    return v, np.asarray(v).tobytes()
+
+
+def _count_steps(monkeypatch):
+    """A counter of the node steps of every evaluate() while the test runs."""
+    steps = collections.Counter()
+    for rule in expr._RULES.values():
+        def counted(*args, step=rule.step):
+            steps["node"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(rule, "step", counted)
+    return steps
+
+
 def _probe_suite(fail):
-    """A suite that builds a node only the run's memo holds, and keeps a weak reference to it."""
+    """A suite that builds nodes only the run's memo holds, and keeps weak references to them.
+
+    One node is held by a builder's table; the other, and the point set it is
+    evaluated on, by the evaluate table of that set.
+    """
     refs = []
 
     def suite(b, plan, **kw):
         u = Var(FieldVar("u", 0, (0,) * b.sig.lattice_dim))
         refs.append(weakref.ref(shift(u * Param("probe"), (1,) * b.sig.lattice_dim, b.sig)))
+        points = plan.assignments([u], b.sig)
+        evaluate(add(u, Const(0.123456789)), points)
+        refs.extend([weakref.ref(add(u, Const(0.123456789))), weakref.ref(points)])
+        assert [k for k in expr._RUN.get() if k[0] == "evaluate"] == [("evaluate", id(points))]
+        del points
         gc.collect()
-        assert refs[0]() is not None        # held by the memo while the run lasts
+        assert all([r() is not None for r in refs])     # held by the memo while the run lasts
         if fail:
             raise RuntimeError("probe")
         return []
@@ -498,7 +533,7 @@ class TestRunMemo:
             assert suites.run_suite(toda, "syzygy", toda_plan) == []
         gc.collect()
         assert expr._RUN.get() is None
-        assert len(refs) == 1 and refs[0]() is None
+        assert len(refs) == 3 and all([r() is None for r in refs])
 
     def test_two_cli_runs_print_the_same_bytes(self):
         def run():
@@ -510,3 +545,109 @@ class TestRunMemo:
 
         first = run()
         assert first[1] and first == run()
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_a_shared_table_gives_the_bytes_of_a_new_one(self, name, monkeypatch):
+        held, differ = [], []
+
+        def checking(e, a):
+            if a.held:
+                v, got = _evaluated(e, a)
+                # the same points in a set the run does not hold: a table of its own
+                _, fresh = _evaluated(e, dataclasses.replace(a))
+                held.append(a)
+                if got != fresh:
+                    differ.append(to_string(e))
+                if v is not None:
+                    return v
+            return _EVALUATE(e, a)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("lattice_frames")
+                    and getattr(module, "evaluate", None) is _EVALUATE):
+                monkeypatch.setattr(module, "evaluate", checking)
+        b = EXAMPLES[name]
+        reports = suites.run_suite(b, "all", b.plan(seed=31337))
+        assert reports and all([r.passed for r in reports])
+        assert held and differ == []
+
+    @pytest.mark.parametrize("name, bound", [("toda", 2000), ("ex81", 1300)])
+    def test_each_node_is_evaluated_once_per_point_set_per_run(self, name, bound, monkeypatch):
+        # node steps per verify <ex> --suite all --seed 31337, toda/ex81: 5,559/2,780
+        # with a table per call; with one table per point set for the run, 1,825/1,140
+        steps = _count_steps(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", name, "--suite", "all", "--seed", "31337"])
+        assert exit_.value.code == 0
+        assert 0 < steps["node"] <= bound
+
+    def test_a_singular_node_raises_again_in_a_later_call(self):
+        u, w = V("u", 0, 0), V("u", 1, 0)
+        zero = add(u, mul(-1, u))
+        singular = expr.quot(1, zero)
+        with expr.run_memo():
+            points = SamplePlan(n_points=8, seed=5).assignments([u, w], SIG2)
+            assert points.held
+            outcomes = [_evaluated(e, points)[1]
+                        for e in (singular, add(w, mul(singular, 2)), singular, zero)]
+            table = expr._RUN.get()[("evaluate", id(points))][0]
+            assert id(zero) in table and id(singular) not in table
+        fresh = dataclasses.replace(points)
+        assert outcomes == [_evaluated(e, fresh)[1]
+                            for e in (singular, add(w, mul(singular, 2)), singular, zero)]
+        for error in outcomes[:3]:
+            assert error[0] is SingularEvaluationError and error[1] is zero
+
+    def test_an_overflow_leaves_the_values_and_errors_of_a_new_table(self, monkeypatch):
+        u, w = V("u", 0, 0), V("u", 1, 0)
+        big = mul(1e200, u)
+        huge = expr.Prod((big, big))     # a product that overflows: inf, quietly
+        exprs = [huge, add(huge, w), power(big, 2), power(huge, 2), add(huge, power(big, 2)),
+                 mul(big, w), huge]
+        quiet, quiet_overflow = [], expr._quiet_overflow
+        monkeypatch.setattr(expr, "_quiet_overflow",
+                            lambda *args: quiet.append(1) or quiet_overflow(*args))
+        with expr.run_memo():
+            points = SamplePlan(n_points=8, seed=5).assignments([u, w], SIG2)
+            outcomes = [_evaluated(e, points)[1] for e in exprs]
+        assert quiet   # the first call fell back to the quiet pass
+        fresh = dataclasses.replace(points)
+        assert outcomes == [_evaluated(e, fresh)[1] for e in exprs]
+        assert outcomes[2][0] is SingularEvaluationError and outcomes[2][1] is power(big, 2)
+        assert outcomes[4] == outcomes[2]
+        assert np.isinf(np.frombuffer(outcomes[0])).all()
+
+    def test_a_derived_point_set_reads_its_own_parameters(self, nls):
+        u = Var(FieldVar("u", 0, (0,)))
+        e, moved = mul(Param("h"), u), mul(Param("a"), Param("h"), u)
+        rng = np.random.default_rng(3)
+        with expr.run_memo():
+            points = nls.plan(n_points=8).assignments([e], nls.sig)
+            base = evaluate(e, points)
+            scaled = dataclasses.replace(points, params={"h": 2 * points.params["h"]})
+            at = [nls.action.at_elements(points, [nls.action.random_element(rng)])[1]
+                  for _ in range(2)]
+            got = [evaluate(e, scaled), evaluate(moved, at[0]), evaluate(moved, at[1])]
+            assert evaluate(e, points) is base
+            assert [k for k in expr._RUN.get() if k[0] == "evaluate"] == [
+                ("evaluate", id(points))]
+        assert not any([scaled.held, *[a.held for a in at]])
+        want = [evaluate(e, Assignment(dict(points.values), params=dict(scaled.params))),
+                *[evaluate(moved, Assignment(dict(a.values), params=dict(a.params))) for a in at]]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0].tobytes() != base.tobytes() and got[1].tobytes() != got[2].tobytes()
+
+    def test_outside_a_run_nothing_is_shared(self, toda, monkeypatch):
+        steps = _count_steps(monkeypatch)
+        drawn = toda.plan(n_points=8).assignments([toda.L], toda.sig)
+        with expr.run_memo():
+            held = toda.plan(n_points=8).assignments([toda.L], toda.sig)
+        assert not drawn.held and held.held
+        for points in (drawn, held):    # a held set outlives its run, but not its table
+            counts = []
+            for _ in range(2):
+                before = steps["node"]
+                evaluate(toda.L, points)
+                counts.append(steps["node"] - before)
+            assert counts[0] == counts[1] > 0
+        assert expr._RUN.get() is None

@@ -1,5 +1,6 @@
 """Static checks on the package source: import placement and ``__all__``;
-that every rebuild takes its node table from ``expr._table``; that no
+that every rebuild, and ``evaluate``, takes its node table from
+``expr._table``; that no
 dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; and that every expression node
 class is interned."""
@@ -95,6 +96,20 @@ def test_every_rebuild_takes_its_table_from_the_run_memo():
             if not (isinstance(memo, ast.Call) and _name(memo.func) == "_table"):
                 offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
     assert calls and offenders == []
+
+
+def test_evaluate_takes_its_table_from_the_run_memo():
+    # one table for evaluate(): the run's for a held point set, else a new dict
+    tree = _parse(PACKAGE_DIR / "expr.py")
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "evaluate")
+    memos = [n.value for n in ast.walk(fn) if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "memo" for t in n.targets)]
+    assert len(memos) == 1
+    tables = [c for c in ast.walk(memos[0])
+              if isinstance(c, ast.Call) and _name(c.func) == "_table"]
+    assert len(tables) == 1
+    key = tables[0].args[0]
+    assert isinstance(key, ast.Tuple) and ast.literal_eval(key.elts[0]) == "evaluate"
 
 
 def test_no_dataclass_field_is_left_out_of_init():
