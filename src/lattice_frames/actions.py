@@ -84,6 +84,9 @@ class GroupAction:
         shared = set(self.param_names) & set(self.sig.params)
         if shared:
             raise ValueError(f"group parameters named like problem parameters: {sorted(shared)}")
+        # the lattice has one x~, which Frame.projectable assumes reads no field
+        if self.x_map is not None and fieldvars(self.x_map):
+            raise ValueError(f"x_map reads fields: {sorted(map(str, fieldvars(self.x_map)))}")
 
     @property
     def n_params(self):

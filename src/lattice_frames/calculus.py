@@ -13,7 +13,6 @@ worked examples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -102,15 +101,6 @@ class LinDiffOp:
     @property
     def max_deriv(self):
         return max((j for _, _, j in self.terms), default=0)
-
-    @property
-    def is_difference(self):
-        return self.max_deriv == 0
-
-    def to_json(self):
-        return json.dumps([
-            {"coeff": to_string(c), "K": list(K), "j": j} for c, K, j in self.terms
-        ])
 
     def __str__(self):
         if not self.terms:

@@ -20,6 +20,7 @@ from .calculus import LinDiffOp, apply_op, deriv_op, prolong, unit_step
 from .expr import (
     ONE,
     Const,
+    ExprError,
     Param,
     _substitute_fields,
     add,
@@ -185,8 +186,11 @@ class InvariantSet:
 
         kappa_{j;K} is :func:`prolong` of the definition of kappa with the
         invariant derivative: on a projectable frame Dcal commutes with the
-        shifts, so S_K Dcal^j kappa is Dcal^j S_K kappa.
+        shifts, so S_K Dcal^j kappa is Dcal^j S_K kappa.  On a differential
+        problem any other frame raises.
         """
+        if self.orig_sig.differential and not self.frame.projectable:
+            raise ExprError(f"frame {self.frame.name} is not projectable: Dcal and S_K do not commute")
         name = fv.name
         if name in self.kappa_defs:
             base = self.kappa_defs[name]

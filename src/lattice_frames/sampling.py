@@ -20,19 +20,21 @@ one candidate at a time with :meth:`Guard.ok`.
 
 Inside :func:`~lattice_frames.expr.run_memo` the lowered guard tuple and
 every point set are kept in the run's tables, as the builders' nodes are.
-A request is fixed by its sorted variables, the plan's numbers and ranges,
-the signature's params, variation fields and lattice dimension, and by the
-identity of the guard tuple and of ``offsets``, so a repeated request in
-the run, from any plan, returns the very :class:`PointSet` drawn the first
-time.  That set is held: read-only, and :func:`evaluate` keeps the value of
-each node at its points for the run.  Outside a run each request draws
-again, with the same bits, since every draw seeds a new PCG64 with the
-plan's seed; the set it returns is the caller's, its columns alone read-only.
+A guard tuple's entry maps the variables of a request outside the guards'
+to one sorted tuple of the whole set, sorted on the set's first request.
+A request is fixed by the identity of that tuple, the plan's numbers and
+ranges, the signature's params, variation fields and lattice dimension,
+and the identities of the guard tuple and ``offsets``: a repeated request
+in the run, from any plan, returns the very :class:`PointSet` drawn the
+first time, and sorts and hashes no :class:`FieldVar`.  That set is held:
+read-only, and :func:`evaluate` keeps the value of each node at its points
+for the run.  Outside a run each request draws again, with the same bits,
+since every draw seeds a new PCG64 with the plan's seed; the set it
+returns is the caller's, its columns alone read-only.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
@@ -45,9 +47,9 @@ from .expr import (
     SingularEvaluationError,
     _RUN,
     _table,
+    _varset,
     compile_exprs,
     evaluate,
-    fieldvars,
 )
 
 __all__ = [
@@ -224,23 +226,27 @@ class SamplePlan:
         from one raw read of the generator, and falls back to those calls
         for a block in which an integer draw would be rejected and retried.
         Inside a run the set is held (see :meth:`PointSet.hold`), and a
-        request this run has already drawn returns that same object.
+        request this run has already drawn returns that same object, found
+        from the variables of ``exprs`` outside the guards' (the nodes'
+        cached sets) without sorting: only a set's first request sorts it.
         """
         # each table holds the objects whose ids its key holds, so no id is reused
         lowered = _table(("guards", id(self.guards)), self.guards)
         if not lowered:
             lowered["guards"] = compile_exprs([g.expr for g in self.guards])
+            lowered["vars"], lowered["names"] = frozenset(lowered["guards"][1]), {}
         guard_bind, guard_vars = lowered["guards"]
-        names = set(guard_vars)
-        for e in exprs:
-            names |= fieldvars(e)
-        names = sorted(names)
+        # the variables outside the guards' find the one sorted tuple of the set
+        extra = frozenset().union(*[_varset(e) - lowered["vars"] for e in exprs])
+        names = lowered["names"].get(extra)
+        if names is None:
+            names = lowered["names"][extra] = tuple(sorted(lowered["vars"] | extra))
         variation_names = set(sig.variations.values())
-        table = _table(("points", tuple(names), self.n_points, self.seed,
+        table = _table(("points", id(names), self.n_points, self.seed,
                         tuple(self.value_range), self.max_rejections,
                         tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
                         tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
-                        id(self.guards), id(self.offsets)), self.guards, self.offsets)
+                        id(self.guards), id(self.offsets)), self.guards, self.offsets, names)
         if table:
             return table["points"]
         ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
@@ -336,9 +342,6 @@ class CheckReport:
         if self.note:
             d["note"] = self.note
         return d
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def relative_residual(points, residual):

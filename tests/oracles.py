@@ -1,5 +1,5 @@
-"""Test-only oracles: the finite-lattice adjoint pairing, random operators, SymPy
-and a frame that is not projectable.
+"""Test-only oracles: the finite-lattice adjoint pairing, random operators, SymPy,
+a frame that is not projectable and the JSON text of an operator.
 
 :func:`finite_lattice_pairing` checks <f, H g> = <H^dagger f, g> numerically,
 by summing over a finite box with compactly supported fields;
@@ -8,7 +8,10 @@ by summing over a finite box with compactly supported fields;
 derivatives, by SymPy's own differentiation; they import SymPy when called.
 :func:`non_projectable_frame` is a negative control for the checks that a
 frame's invariant derivative commutes with the shifts.
+:func:`op_json` writes an operator's terms as JSON.
 """
+
+import json
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -34,6 +37,7 @@ from lattice_frames.expr import (
     children,
     evaluate,
     mul,
+    to_string,
 )
 from lattice_frames.frames import Frame
 from lattice_frames.sampling import CheckReport, Guard
@@ -104,7 +108,7 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
                                                       axis=tuple(range(m)))))
         return total
 
-    if op.is_difference and not sig.differential:
+    if op.max_deriv == 0 and not sig.differential:
         p1 = discrete_pair(op.terms, fr, gr)
         p2 = discrete_pair(adj.terms, gr, fr)
         worst = _rel_residual(p1, p2)
@@ -239,3 +243,8 @@ def non_projectable_frame(action):
         dcal_inv=d,
         chart_guards=(Guard(d, "abs"),),
     )
+
+
+def op_json(op):
+    """The JSON text of a :class:`LinDiffOp`: one ``{coeff, K, j}`` object per term."""
+    return json.dumps([{"coeff": to_string(c), "K": list(K), "j": j} for c, K, j in op.terms])

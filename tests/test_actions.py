@@ -20,6 +20,7 @@ from lattice_frames.expr import (
     Const,
     ExprError,
     FieldVar,
+    Param,
     Var,
     XVar,
     evaluate,
@@ -198,6 +199,18 @@ class TestGroupAction:
         with pytest.raises(ValueError, match="h"):
             GroupAction(name="clash", sig=nls.sig, param_names=("h",),
                         identity_values=(0.0,), u_maps={"u": V("u", 0)})
+
+    def test_x_map_reading_a_field_rejected(self, ex81):
+        # S_K x~ would differ from x~, and each shifted coordinate would be
+        # prolonged with the x~ of its own site
+        with pytest.raises(ValueError, match=r"u\[0\]"):
+            replace(ex81.action, x_map=XVar() + Param("a") * V("u", 0))
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_catalog_actions_build(self, name):
+        action = get_example(name).action
+        assert replace(action) == action
+        assert action.x_map is None or not fieldvars(action.x_map)
 
 
 class TestAdjointMatrix:

@@ -308,6 +308,18 @@ def counting_pcg64(monkeypatch):
     return seeds
 
 
+def counting_sorts(monkeypatch):
+    """The left operand of every ``FieldVar.__lt__`` call made after this."""
+    compared, lt = [], FieldVar.__lt__
+
+    def counting(a, b):
+        compared.append(a)
+        return lt(a, b)
+
+    monkeypatch.setattr(FieldVar, "__lt__", counting)
+    return compared
+
+
 def run_tables(kind):
     """The keys of the run memo's tables of ``kind``."""
     return [key for key in expr._RUN.get() if key[0] == kind]
@@ -404,6 +416,56 @@ class TestMemo:
             monkeypatch.setattr(expr, "children", counting_children)
             plan.assignments(exprs, b.sig)
         assert walked == []
+
+    def test_hit_sorts_nothing(self, monkeypatch):
+        # every variable of these expressions is a guard variable, so both
+        # requests ask for the point set of the guard variables
+        b = get_example("toda")
+        plan = b.plan(n_points=12)
+        guards = [g.expr for g in plan.guards]
+        with expr.run_memo():
+            first = plan.assignments(guards[:1], b.sig)
+            compared = counting_sorts(monkeypatch)
+            hit = plan.assignments(guards[1:3], b.sig)
+            assert len(run_tables("points")) == 1
+        assert hit is first and hit.held
+        assert compared == []
+
+    def test_a_variable_outside_the_guards_draws_a_new_set(self, monkeypatch):
+        b = get_example("toda")
+        plan = b.plan(n_points=12)
+        guards = [g.expr for g in plan.guards]
+        guard_vars = set().union(*map(fieldvars, guards))
+        outside = next(fv for fv in (FieldVar("u", 0, (k, 0)) for k in range(9))
+                       if fv not in guard_vars)
+        cold = plan.assignments([Var(outside)], b.sig)
+        with expr.run_memo():
+            first = plan.assignments(guards[:1], b.sig)
+            compared = counting_sorts(monkeypatch)
+            drawn = plan.assignments([guards[0], Var(outside)], b.sig)
+            again = plan.assignments([Var(outside)], b.sig)
+            assert len(run_tables("points")) == 2
+        # the new variable set is sorted once, on its first request
+        assert drawn is not first and drawn.held and again is drawn and compared
+        assert list(drawn.values) == list(cold.values) == sorted(guard_vars | {outside})
+        assert [c.tobytes() for c in columns(drawn)] == [c.tobytes() for c in columns(cold)]
+
+    def test_outside_a_run_nothing_is_kept(self, monkeypatch):
+        lowered, compile_exprs = [], sampling.compile_exprs
+
+        def counting_compile(exprs):
+            lowered.append(exprs)
+            return compile_exprs(exprs)
+
+        monkeypatch.setattr(sampling, "compile_exprs", counting_compile)
+        b = get_example("toda")
+        plan = b.plan(n_points=12)
+        first = plan.assignments([b.L], b.sig)
+        compared = counting_sorts(monkeypatch)
+        again = plan.assignments([b.L], b.sig)
+        # the guards are lowered and the variables sorted again
+        assert len(lowered) == 2 and compared
+        assert again is not first and not again.held and expr._RUN.get() is None
 
     def test_fieldvars_is_a_new_set_each_call(self):
         b = get_example("toda")

@@ -32,7 +32,7 @@ from lattice_frames.sampling import (
     identity_check,
     residual_stats,
 )
-from oracles import finite_lattice_pairing, random_lindiffop
+from oracles import finite_lattice_pairing, op_json, random_lindiffop
 
 SIG2 = ProblemSignature(("u",), 2).with_variations()
 PLAN = SamplePlan(n_points=25, seed=77)
@@ -127,7 +127,7 @@ class TestAdjoint:
 
     def test_serialization(self):
         op = LinDiffOp.from_terms([(Const(1), (1, 0), 0)])
-        assert op.to_json() == '[{"coeff": "1", "K": [1, 0], "j": 0}]'
+        assert op_json(op) == '[{"coeff": "1", "K": [1, 0], "j": 0}]'
 
     def test_relative_adjoint_term_rule(self, ex81, ex81_plan):
         # (c S Dcal)^bolddagger f = -Dcal(S^{-1}(c f)), with Dcal = dcal_inv D

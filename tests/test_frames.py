@@ -11,6 +11,7 @@ from lattice_frames.catalog import EXAMPLES, get_example
 from lattice_frames.expr import (
     Assignment,
     Const,
+    ExprError,
     FieldVar,
     ProblemSignature,
     Var,
@@ -32,7 +33,7 @@ from lattice_frames.frames import (
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check, residual_stats
-from lattice_frames.suites import run_suite
+from lattice_frames.suites import SUITES, run_suite
 from oracles import non_projectable_frame
 
 
@@ -222,6 +223,26 @@ class TestInvariantize:
         rhs = shift(deriv_op(ie, sig, frame.dcal_inv), (1,), sig)
         r = identity_check(lhs, rhs, ex81.plan(n_points=20, seed=31337), sig, tol=1e-8)
         assert not r.passed and np.isfinite(r.max_residual) and r.max_residual > 1e-2
+
+    def test_non_projectable_frame_fails_closed_in_every_suite(self, ex81):
+        # the kappa expansion composes S_K Dcal^j, which equals Dcal^j S_K only
+        # on a projectable frame: no law is built in the wrong order
+        frame = non_projectable_frame(ex81.action)
+        b = replace(ex81, frame=frame, invset=replace(ex81.invset, frame=frame))
+        with pytest.raises(ExprError, match="not projectable"):
+            b.invset.expand_var(FieldVar(b.invset.kappa_names[0], 1, (1,)))
+        reports = run_suite(b, "all", b.plan(seed=31337))
+        errors = [r for r in reports if r.check_id.endswith(":error")]
+        assert [r.check_id for r in errors] == [f"{s}:error" for s in SUITES]
+        assert all(not r.passed and "not projectable" in r.note for r in errors)
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    def test_catalog_frames_expand_every_kappa(self, name):
+        b = get_example(name)
+        inv, m = b.invset, b.sig.lattice_dim
+        assert b.frame.projectable
+        for k in inv.kappa_names:
+            assert inv.expand_var(FieldVar(k, int(b.sig.differential), (1,) * m)) is not None
 
     def test_wrong_dcal_inv_in_x_alone_fails_the_suite(self, ex81):
         # x commutes with every shift, so dcal-shift-commutation passes for 2x

@@ -4,7 +4,8 @@ import numpy as np
 
 from lattice_frames.actions import Generator, GroupAction
 from lattice_frames.calculus import DivergenceTuple, euler_lagrange
-from lattice_frames.expr import Const, FieldVar, Var, add, mul
+from lattice_frames.expr import Const, FieldVar, Var, add, fieldvars, mul, shift, substitute
+from lattice_frames.flows import integrate_lattice_flow, monitor_conserved
 from lattice_frames.noether import (
     ConservationLaw,
     compare_laws,
@@ -20,7 +21,7 @@ from lattice_frames.noether import (
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check
-from lattice_frames.suites import run_suite
+from lattice_frames.suites import DRIFT_TOLS, run_suite
 
 
 def fv(name, *K, d=0):
@@ -272,3 +273,51 @@ class TestDivergenceEquivalence:
         IL = InvariantLagrangian(Const(3), Const(3), toda.invset)
         r = verify_divergence_equivalence(IL, toda.invset.H, toda_plan, tol=1e-14)
         assert r.passed and r.max_residual == 0.0
+
+
+class TestNlsFlowConservesDerivedLaws:
+    """The nls flow conserves the A^0 that noether_original derives, put on shell."""
+
+    MONITOR_OF = {1: "energy", 2: "norm"}
+
+    @staticmethod
+    def on_shell_densities(nls):
+        """A^0 of each generator's law, with u_{1;K}, v_{1;K} replaced by S_K of the flow."""
+        rhs = nls.integrate_config["rhs"]
+        out = {}
+        for entry in nls.generators:
+            a0 = noether_original(nls.L, entry.gen, entry.index, nls.sig).components.a0
+            assert max(v.deriv for v in fieldvars(a0)) <= 1
+            rules = {v: shift(rhs[v.name], v.shift, nls.sig) for v in fieldvars(a0) if v.deriv}
+            out[entry.index] = substitute(a0, rules)
+        return out
+
+    @staticmethod
+    def drifts(nls, rhs, monitors):
+        cfg = nls.integrate_config
+        d = cfg["defaults"]
+        traj = integrate_lattice_flow(rhs, cfg["initial_state"](d["n_sites"], d["h"]),
+                                      d["x_span"], d["dt"], monitors=monitors)
+        return monitor_conserved(traj)
+
+    def test_on_shell_density_is_its_monitor(self, nls):
+        monitors = nls.integrate_config["monitors"]
+        dens = self.on_shell_densities(nls)
+        plan = nls.plan(seed=31337)
+        for r, label in self.MONITOR_OF.items():
+            assert identity_check(dens[r], monitors[label], plan, nls.sig, tol=1e-10).passed
+        # negative control: each density against the other monitor
+        for r, label in ((1, "norm"), (2, "energy")):
+            crossed = identity_check(dens[r], monitors[label], plan, nls.sig, tol=1e-10)
+            assert not crossed.passed and crossed.max_residual > 1e-2
+
+    def test_flow_keeps_the_derived_sums(self, nls):
+        dens = self.on_shell_densities(nls)
+        monitors = {label: dens[r] for r, label in self.MONITOR_OF.items()}
+        rhs = nls.integrate_config["rhs"]
+        drifts = self.drifts(nls, rhs, monitors)
+        assert set(drifts) == set(DRIFT_TOLS)
+        assert all(drifts[label] <= DRIFT_TOLS[label] for label in drifts)
+        # negative control: the coupling term of u's right-hand side with its sign flipped
+        flipped = {**rhs, "u": rhs["u"] - 2 * (V("v", 0) * (V("u", 0) ** 2 + V("v", 0) ** 2))}
+        assert self.drifts(nls, flipped, monitors)["norm"] > 1e3 * DRIFT_TOLS["norm"]
