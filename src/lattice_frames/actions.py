@@ -43,7 +43,6 @@ __all__ = [
     "invariance_residual",
     "prolong_generator",
     "generator_apply",
-    "SymmetryResult",
     "SYMMETRY_TOL",
     "check_variational_symmetry",
     "adjoint_matrix",
@@ -109,9 +108,6 @@ class GroupAction:
         if self.sample_fn is not None:
             return self.sample_fn(rng)
         return tuple(float(rng.uniform(-0.8, 0.8)) + v for v in self.identity_values)
-
-    def in_chart(self, g):
-        return True if self.chart_fn is None else bool(self.chart_fn(g))
 
     def at_elements(self, a, gs):
         """``(g, a with g)``: the elements ``gs`` as parameter columns of shape
@@ -195,33 +191,23 @@ def generator_apply(gen, e, sig):
     return add(*parts)
 
 
-@dataclass
-class SymmetryResult:
-    kind: str  # "invariant" | "not_symmetry"
-    max_residual: float
+def check_variational_symmetry(L, gen, sig, plan):
+    """Residual of v(L) = 0, or of v(L) + L D(xi) = 0 on a differential-difference problem.
 
-    def __bool__(self):
-        return self.kind == "invariant"
-
-
-def check_variational_symmetry(L, gen, sig, plan, tol=SYMMETRY_TOL):
-    """Classify the generator: leaves L (or the one-form L dx) invariant, or not.
-
-    Checks v(L) = 0 in the pure-difference case and v(L) + L D(xi) = 0 in
-    the differential-difference case, numerically at the plan's points.
+    The max relative residual at the plan's points, NaN for an empty point
+    set: ``gen`` is a variational symmetry when it is at most ``SYMMETRY_TOL``.
     Divergence symmetries (nonzero boundary B) are not classified.
     """
     expr = generator_apply(gen, L, sig)
     if sig.differential and gen.xi != ZERO:
         expr = add(expr, mul(L, total_derivative(gen.xi, sig)))
-    worst = relative_residual(plan.assignments([expr, L], sig),
-                              lambda a: (evaluate(expr, a), [evaluate(L, a)]))
-    return SymmetryResult("invariant" if worst <= tol else "not_symmetry", worst)
+    return relative_residual(plan.assignments([expr, L], sig),
+                             lambda a: (evaluate(expr, a), [evaluate(L, a)]))
 
 
 def adjoint_matrix(action, gvalues):
     """Numeric adjoint representation matrix a^s_r(g), indexed [r][s]."""
-    if not action.in_chart(gvalues):
+    if action.chart_fn is not None and not action.chart_fn(gvalues):
         raise ExprError(f"group element {gvalues} outside the chart of {action.name}")
     a = Assignment({}, params=dict(zip(action.param_names, gvalues)))
     R = action.group_dim

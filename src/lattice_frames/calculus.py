@@ -28,7 +28,6 @@ from .expr import (
     partial,
     shift,
     substitute,
-    to_string,
     total_derivative,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "euler_lagrange",
     "divergence",
     "staircase_components",
-    "sum_by_parts",
     "linear_by_parts",
     "substitute_slots",
     "prolong",
@@ -93,27 +91,6 @@ class LinDiffOp:
             if coeff != ZERO:
                 out.append((coeff, K, j))
         return LinDiffOp(tuple(out))
-
-    @property
-    def radius(self):
-        return max((max(abs(k) for k in K) if K else 0 for _, K, _ in self.terms), default=0)
-
-    @property
-    def max_deriv(self):
-        return max((j for _, _, j in self.terms), default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for c, K, j in self.terms:
-            s = f"({to_string(c)})"
-            if any(K):
-                s += f"*S{list(K)}"
-            if j:
-                s += f"*D^{j}"
-            parts.append(s)
-        return " + ".join(parts)
 
 
 def apply_op(op, e, sig, dcal_inv=None):
@@ -230,12 +207,6 @@ def staircase_components(g, K, sig):
         rest = tuple(0 if d <= i else K[d] for d in range(m))
         comps.append(_telescope(shift(g, rest, sig), i, K[i], sig))
     return comps
-
-
-def sum_by_parts(f, g, K, sig):
-    """Boundary B with f * S_K g - (S_{-K} f) * g = Div(B)."""
-    inner = mul(shift(f, tuple(-k for k in K), sig), g)
-    return DivergenceTuple(None, tuple(staircase_components(inner, K, sig)))
 
 
 def linear_by_parts(e, slot_fields, sig):

@@ -35,8 +35,6 @@ class GenEntry:
 @dataclass
 class ExampleBundle:
     name: str
-    title: str
-    flavor: str  # "difference" | "differential-difference"
     sig: object  # extended signature (with variation slots)
     L: object
     action: object

@@ -79,7 +79,6 @@ frame = Frame(
     normalization=((X, 1.0), (U(0, 0), 0.0)),
     param_exprs=(neg(U(0, 0)) / X, Const(1) / X),
     dcal_inv=X,
-    chart_guards=(Guard(X, "pos"), Guard(U(0, 1) - U(0, 0), "abs")),
 )
 
 
@@ -181,8 +180,6 @@ EXPECTED = {
 
 bundle = register_example(ExampleBundle(
     name="ex81",
-    title="Scaling-invariant differential-difference Lagrangian",
-    flavor="differential-difference",
     sig=sig,
     L=L,
     action=scaling,

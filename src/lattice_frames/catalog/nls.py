@@ -112,8 +112,6 @@ frame = Frame(
     action=rotation,
     normalization=((X, 0.0), (VV(0, 0), 0.0)),
     param_exprs=(neg(X), U(0, 0) / _norm, VV(0, 0) / _norm),
-    chart_guards=(Guard(U(0, 0), "pos"),
-                  Guard(U(0, 0) * VV(0, 1) - VV(0, 0) * U(0, 1), "pos")),
 )
 
 PHI = sqrt((K1(0, 0) * K1(0, 1)) ** 2 - K3(0, 0) ** 2)
@@ -272,8 +270,6 @@ MONITORS = {
 
 bundle = register_example(ExampleBundle(
     name="nls",
-    title="Semi-discrete nonlinear Schroedinger equation (method of lines)",
-    flavor="differential-difference",
     sig=sig,
     L=L,
     action=rotation,

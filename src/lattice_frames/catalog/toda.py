@@ -98,7 +98,6 @@ frame = Frame(
     action=affine,
     normalization=((U(0, 0), 0.0), (U(1, 1), 1.0)),
     param_exprs=(neg(U(0, 0)) / (U(1, 1) - U(0, 0)), Const(1) / (U(1, 1) - U(0, 0))),
-    chart_guards=(Guard(U(1, 1) - U(0, 0), "pos"),),
 )
 
 _RECURRENCE_BASE = {
@@ -229,8 +228,6 @@ EXPECTED = {
 
 bundle = register_example(ExampleBundle(
     name="toda",
-    title="Toda-type lattice equation",
-    flavor="difference",
     sig=sig,
     L=L,
     action=affine,

@@ -14,7 +14,8 @@ Nodes are hash-consed: constructing a node whose class and fields equal
 those of a live node returns that node, so structurally equal subtrees are
 one object and every memo keyed on ``id`` shares them.  Fields match when
 child nodes are the same objects and leaf values have the same type and bit
-pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  The table
+pattern (``0.0`` and ``-0.0``, or ``2`` and ``2.0``, stay apart).  So nodes
+compare by identity, but for ``Const``: ``Const(-0.0) == ZERO``.  The table
 holds weak references only: a node lives exactly as long as without it.
 
 Every builder -- :func:`shift`, :func:`substitute`, :func:`partial`,
@@ -165,9 +166,6 @@ class ProblemSignature:
         if dup:
             raise ValueError(f"names declared more than once: {sorted(dup)}")
 
-    def __hash__(self):
-        return hash((self.fields, self.lattice_dim, self.differential, self.has_x, self.params))
-
     def check_var(self, fv):
         if fv.deriv and not self.differential:
             raise CapExceededError(f"{fv}: derivative index in a pure-difference problem")
@@ -294,45 +292,45 @@ class Const(Expr):
                                        if isinstance(value, float) else value))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Param(Expr):
     name: str
 
     _key = staticmethod(lambda name: (Param, name))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class XVar(Expr):
     """The continuous independent variable x."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Alt(Expr):
     """(-1)^(n^1+...+n^m); shifting by I multiplies by (-1)^(I^1+...+I^m)."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Var(Expr):
     fv: FieldVar
 
     _key = staticmethod(lambda fv: (Var, fv.name, fv.deriv, fv.shift))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sum(Expr):
     terms: tuple
 
     _key = classmethod(_items_key)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Prod(Expr):
     factors: tuple
 
     _key = classmethod(_items_key)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -340,23 +338,23 @@ class Pow(Expr):
     _key = staticmethod(lambda base, exponent: (Pow, id(base), type(exponent), exponent))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Quot(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class LnAbs(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sqrt(Expr):
     arg: Expr
 
@@ -1110,8 +1108,6 @@ def to_string(e):
             return f"{b}^{n}"
         if isinstance(node, LnAbs):
             return f"ln({rec(node.arg, _PREC_SUM)})"
-        if isinstance(node, Sqrt):
-            return f"sqrt({rec(node.arg, _PREC_SUM)})"
-        raise ExprError(f"unknown node {node!r}")
+        return f"sqrt({rec(node.arg, _PREC_SUM)})"  # Sqrt, the one class left
 
     return rec(e, _PREC_SUM)

@@ -29,7 +29,6 @@ from .expr import (
     nodes,
     shift,
     t_derivative,
-    to_string,
 )
 from .sampling import CheckReport, identity_check, relative_residual
 
@@ -61,7 +60,6 @@ class Frame:
     normalization: tuple
     param_exprs: tuple
     dcal_inv: object = ONE
-    chart_guards: tuple = ()
 
     @property
     def jacobian_factor(self):
@@ -82,16 +80,6 @@ class Frame:
     def dcal(self, e, sig):
         """One step of the invariant derivative dcal_inv * D."""
         return deriv_op(e, sig, self.dcal_inv)
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "action": self.action.name,
-            "normalization": [[to_string(z), c] for z, c in self.normalization],
-            "parameters": {p: to_string(e) for p, e in zip(self.action.param_names, self.param_exprs)},
-            "chart_guards": [{"expr": to_string(g.expr), "kind": g.kind,
-                              "margin": g.margin} for g in self.chart_guards],
-        }
 
 
 def invariantize(frame, e, sig):

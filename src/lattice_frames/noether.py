@@ -157,8 +157,6 @@ def law_dx_components(law):
     if law.measure == "dx" or law.frame is None:
         return law.components
     jac = law.frame.jacobian_factor
-    if jac == ONE:
-        return law.components
     return DivergenceTuple(law.components.a0,
                            tuple(mul(jac, c) for c in law.components.comps))
 
@@ -357,7 +355,7 @@ def equivariant_form(law, plan):
     if law.display is None or frame is None:
         raise ExprError("equivariant form needs the symbolic invariant components")
     action = frame.action
-    sig = law_sig(law)
+    sig = action.sig
 
     def image(fv):
         s = _adj_index(fv.name)
@@ -384,7 +382,7 @@ def equivariant_form(law, plan):
 
 def _check_coefficients_invariant(law, plan):
     """Every coefficient of an a^l_r(rho) symbol must be an invariant (residual <= 1e-8)."""
-    sig = law_sig(law)
+    sig = law.frame.action.sig
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 37))
     probe = replace(plan, n_points=6)
     for cname, row in equivariant_coefficients(law):
@@ -394,12 +392,6 @@ def _check_coefficients_invariant(law, plan):
                 raise ExprError(
                     f"equivariant coefficient {cname}[{sym}] of the r="
                     f"{law.generator_index} law is not invariant (residual {res:.3e})")
-
-
-def law_sig(law):
-    if law.frame is None:
-        raise ExprError("law has no frame attached")
-    return law.frame.action.sig
 
 
 def equivariant_coefficients(law):

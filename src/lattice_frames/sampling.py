@@ -317,7 +317,6 @@ class CheckReport:
     max_residual: float
     n_points: int
     seed: int
-    runtime_ms: object = None
     note: str = ""
 
     @classmethod
@@ -337,7 +336,6 @@ class CheckReport:
             "max_residual": self.max_residual,
             "n_points": self.n_points,
             "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
         }
         if self.note:
             d["note"] = self.note

@@ -1,14 +1,18 @@
 """Test-only oracles: the finite-lattice adjoint pairing, random operators, SymPy,
-a frame that is not projectable and the JSON text of an operator.
+a frame that is not projectable, the JSON text of an operator and summation
+by parts of a product.
 
 :func:`finite_lattice_pairing` checks <f, H g> = <H^dagger f, g> numerically,
 by summing over a finite box with compactly supported fields;
-:func:`random_lindiffop` draws the operators it is checked on.
+:func:`random_lindiffop` draws the operators it is checked on, and
+:func:`op_radius` is the shift radius that sets the box's margins.
 :func:`to_sympy` and :func:`sympy_values` give a second way to compute
 derivatives, by SymPy's own differentiation; they import SymPy when called.
 :func:`non_projectable_frame` is a negative control for the checks that a
 frame's invariant derivative commutes with the shifts.
 :func:`op_json` writes an operator's terms as JSON.
+:func:`sum_by_parts` is a second by-parts boundary builder, for one product
+``f * S_K g``, beside ``calculus.linear_by_parts``.
 """
 
 import json
@@ -16,7 +20,7 @@ import json
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from lattice_frames.calculus import LinDiffOp, op_adjoint
+from lattice_frames.calculus import DivergenceTuple, LinDiffOp, op_adjoint, staircase_components
 from lattice_frames.expr import (
     Alt,
     Assignment,
@@ -37,10 +41,11 @@ from lattice_frames.expr import (
     children,
     evaluate,
     mul,
+    shift,
     to_string,
 )
 from lattice_frames.frames import Frame
-from lattice_frames.sampling import CheckReport, Guard
+from lattice_frames.sampling import CheckReport
 
 
 def _rel_residual(lv, rv):
@@ -86,9 +91,10 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
     """
     m = sig.lattice_dim
     shape = (box,) * m
-    margin = op.radius + 1
+    margin = op_radius(op) + 1
+    max_deriv = max((j for _, _, j in op.terms), default=0)
     if 2 * margin >= box:
-        raise ExprError(f"box {box} too small for operator radius {op.radius}: "
+        raise ExprError(f"box {box} too small for operator radius {op_radius(op)}: "
                         "compact supports need margin on both sides")
     rng = np.random.default_rng(np.random.PCG64(seed))
     fr = _random_supported_field(rng, shape, margin)
@@ -108,7 +114,7 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
                                                       axis=tuple(range(m)))))
         return total
 
-    if op.max_deriv == 0 and not sig.differential:
+    if max_deriv == 0 and not sig.differential:
         p1 = discrete_pair(op.terms, fr, gr)
         p2 = discrete_pair(adj.terms, gr, fr)
         worst = _rel_residual(p1, p2)
@@ -118,7 +124,7 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
 
     # differential-difference: fields r_n * phi(x) with polynomial bumps
     a, b = support
-    order = max(4, op.max_deriv + 1)
+    order = max(4, max_deriv + 1)
     phi_f = _bump_poly(a, b, order)
     phi_g = _bump_poly(a, b, order)
     scale = max(abs(phi_f(0.5 * (a + b))), 1e-30)
@@ -153,6 +159,11 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
         npts = 2 * (npts - 1) + 1
     return CheckReport.from_residual(check_id, worst, tol, 1, seed,
                                      note=f"trapezoid refined to {npts} points")
+
+
+def op_radius(op):
+    """The largest |K_i| over the terms of the operator ``op``: 0 for no terms."""
+    return max((max(abs(k) for k in K) if K else 0 for _, K, _ in op.terms), default=0)
 
 
 def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):
@@ -241,10 +252,15 @@ def non_projectable_frame(action):
         normalization=((u0, 0.0), (d, 1.0)),
         param_exprs=(-u0 / d, Const(1) / d),
         dcal_inv=d,
-        chart_guards=(Guard(d, "abs"),),
     )
 
 
 def op_json(op):
     """The JSON text of a :class:`LinDiffOp`: one ``{coeff, K, j}`` object per term."""
     return json.dumps([{"coeff": to_string(c), "K": list(K), "j": j} for c, K, j in op.terms])
+
+
+def sum_by_parts(f, g, K, sig):
+    """Boundary B with f * S_K g - (S_{-K} f) * g = Div(B), along the staircase path."""
+    inner = mul(shift(f, tuple(-k for k in K), sig), g)
+    return DivergenceTuple(None, tuple(staircase_components(inner, K, sig)))

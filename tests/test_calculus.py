@@ -14,7 +14,6 @@ from lattice_frames.calculus import (
     op_adjoint,
     staircase_components,
     substitute_slots,
-    sum_by_parts,
 )
 from lattice_frames.expr import (
     Const,
@@ -32,7 +31,7 @@ from lattice_frames.sampling import (
     identity_check,
     residual_stats,
 )
-from oracles import finite_lattice_pairing, op_json, random_lindiffop
+from oracles import finite_lattice_pairing, op_json, random_lindiffop, sum_by_parts
 
 SIG2 = ProblemSignature(("u",), 2).with_variations()
 PLAN = SamplePlan(n_points=25, seed=77)

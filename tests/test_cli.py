@@ -14,7 +14,10 @@ import pytest
 import lattice_frames
 from lattice_frames import cli, flows, noether, suites
 from lattice_frames.catalog import EXAMPLES
-from lattice_frames.expr import Const, ExprError
+from lattice_frames.expr import Const, ExprError, FieldVar, Var
+from lattice_frames.frames import invariantize
+from lattice_frames.parser import parse
+from lattice_frames.sampling import identity_check
 from lattice_frames.suites import run_suite
 
 
@@ -166,6 +169,16 @@ class TestNoether:
         assert r.returncode == 1
         assert "not a variational symmetry" in r.stderr
 
+    def test_note_follows_the_one_form(self, toda):
+        # r = 4 has no invariant forms: one original law, then its note
+        r = run_cli("noether", "toda", "--r", "4", "--points", "10")
+        assert r.returncode == 0
+        lines = r.stdout.splitlines()
+        assert [line.split(",")[0] for line in lines if line.startswith("--- ")] == [
+            "--- form: original (measure dx)"]
+        assert lines[-1] == f"  note: {toda.generator(4).note}"
+        assert sum(line.startswith("  note: ") for line in lines) == 1
+
     def test_out_of_range_usage_error(self):
         r = run_cli("noether", "toda", "--r", "9")
         assert r.returncode == 2
@@ -310,6 +323,22 @@ class TestOther:
         assert r.returncode == 0
         assert "iota" in r.stdout and "kappa" in r.stdout
 
+    def test_invariantize_json(self, toda):
+        r = run_cli("invariantize", "toda", "u[2,1]", "--json")
+        assert r.returncode == 0 and r.stderr == ""
+        doc = strict_json(r.stdout)
+        text = run_cli("invariantize", "toda", "u[2,1]").stdout.splitlines()
+        assert doc == {"input": "u[2,1]", "iota": text[0].removeprefix("iota = "),
+                       "kappa_form": text[1].removeprefix("in invariants: ")}
+        # the kappa form is the stored recurrence, and it invariantizes u[2,1]
+        inv, fv = toda.invset, FieldVar("u", 0, (2, 1))
+        stored = parse(toda.expected["recurrences"]["u[2,1]"], inv.kappa_sig)
+        assert identity_check(inv.expand(parse(doc["kappa_form"], inv.kappa_sig)),
+                              inv.expand(stored), toda.plan(), toda.sig).passed
+        assert identity_check(parse(doc["iota"], toda.sig),
+                              invariantize(toda.frame, Var(fv), toda.sig),
+                              toda.plan(), toda.sig).passed
+
     def test_syzygy(self):
         r = run_cli("syzygy", "nls", "--points", "25")
         assert r.returncode == 0
@@ -362,7 +391,7 @@ class TestStrictJson:
         assert r.returncode == 1
         assert strict_json(r.stdout) == {"status": "fail", "checks": [
             {"check_id": "syzygy:error", "status": "fail", "max_residual": None,
-             "n_points": 0, "seed": 5, "runtime_ms": None, "note": "injected"}]}
+             "n_points": 0, "seed": 5, "note": "injected"}]}
 
     def test_noether_writes_a_null_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "offshell_residual",

@@ -298,6 +298,16 @@ class TestInterning:
         # the smart constructors still compare structurally
         assert Const(0.0) == expr.ZERO and Const(-0.0) == expr.ZERO
 
+    @pytest.mark.parametrize("cls", [expr.Sum, expr.Prod], ids=lambda c: c.__name__)
+    def test_nodes_but_constants_compare_and_hash_by_identity(self, cls):
+        node = cls((V("u", 0, 0), V("u", 1, 0)))
+        # a twin made around the intern table: the same fields, another object
+        twin = object.__new__(cls)
+        for name in cls.__match_args__:
+            object.__setattr__(twin, name, getattr(node, name))
+        assert twin != node and node == node
+        assert hash(twin) == object.__hash__(twin) and hash(node) == object.__hash__(node)
+
     def test_nan_constant_evaluates_to_nan(self):
         assert math.isnan(evaluate(Const(math.nan), Assignment({})))
         assert math.isnan(evaluate(add(V("u", 0, 0), Const(math.nan)),

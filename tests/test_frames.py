@@ -286,6 +286,24 @@ class TestMaurerCartan:
                                   .assignments([l, r], toda.sig)) <= 1e-10
 
 
+def _recurrence_rows(b):
+    """``(fv, recurrence)`` for every coordinate of ``b.sig`` with shifts in [-2, 2]^m
+    and derivative order 0..3 that the catalog recurrence covers."""
+    derivs = range(4) if b.sig.differential else range(1)
+    for name in b.sig.fields:
+        for K in itertools.product(range(-2, 3), repeat=b.sig.lattice_dim):
+            for j in derivs:
+                rec = b.invset.recurrence(FieldVar(name, j, K))
+                if rec is not None:
+                    yield FieldVar(name, j, K), rec
+
+
+def _recurrence_check(b, coord, rec, plan):
+    inv = b.invset
+    return identity_check(inv.expand(rec), invariantize(b.frame, Var(coord), b.sig), plan,
+                          b.sig, tol=1e-9, check_id=f"recurrence:{coord}")
+
+
 class TestRecurrences:
     def test_toda_u21(self, toda, toda_plan):
         got = toda.invset.recurrence(fv("u", 2, 1))
@@ -327,6 +345,27 @@ class TestRecurrences:
             rhs = invariantize(nls.frame, V(name, k), nls.sig)
             r = identity_check(lhs, rhs, nls_plan, nls.sig, tol=1e-9)
             assert r.passed, (name, k, r.max_residual)
+
+    @pytest.mark.parametrize("name, n_rows", [("toda", 50), ("ex81", 30), ("nls", 12)])
+    def test_every_row_matches_invariantization(self, name, n_rows):
+        b = get_example(name)
+        plan = b.plan(seed=7)
+        reports = [_recurrence_check(b, c, rec, plan) for c, rec in _recurrence_rows(b)]
+        assert len(reports) == n_rows
+        assert [r.check_id for r in reports if not r.passed] == []
+
+    def test_kappa_and_lambda_swapped_fail(self, toda):
+        # negative control: every row the swap changes must fail
+        plan = toda.plan(seed=7)
+        swap = {"kappa": "lambda", "lambda": "kappa"}
+        changed = []
+        for coord, rec in _recurrence_rows(toda):
+            bad = substitute(rec, {v: Var(FieldVar(swap[v.name], v.deriv, v.shift))
+                                   for v in fieldvars(rec) if v.name in swap})
+            if bad is not rec:
+                changed.append(_recurrence_check(toda, coord, bad, plan))
+        assert len(changed) == 47
+        assert [r.check_id for r in changed if r.passed] == []
 
 
 class TestProlongation:
@@ -395,10 +434,3 @@ class TestSyzygyOperators:
             ("syzygy-operator:kappa", "fail"), ("syzygy-operator:lambda", "pass")]
         assert reports[0].max_residual > 1e-3
 
-
-class TestFrameSerialization:
-    def test_to_dict_round_trips_grammar(self, toda):
-        d = toda.frame.to_dict()
-        assert d["action"] == "affine-u"
-        parse(d["parameters"]["a"], toda.sig)
-        parse(d["parameters"]["b"], toda.sig)

@@ -1,5 +1,6 @@
 """Static checks on the package source: import placement and ``__all__``;
-that every rebuild, and ``evaluate``, takes its node table from
+that every function, class and method is named somewhere it is not
+defined; that every rebuild, and ``evaluate``, takes its node table from
 ``expr._table``; that no
 dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; and that every expression node
@@ -9,7 +10,10 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -78,6 +82,47 @@ def test_every_exported_name_is_defined():
         missing += [f"{path.relative_to(PACKAGE_DIR)}: {name}"
                     for name in _declared_all(tree) if name not in defined]
     assert missing == []
+
+
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+# defined for a check that tests make and nothing in the package needs:
+# the composition law (AB)^dagger = B^dagger A^dagger of the formal adjoint
+UNREAD_ALLOWED = {"op_compose"}
+
+
+def _definitions_and_names(path):
+    """(names after ``def`` or ``class``, every other name read in the file).
+
+    A name is read where it stands in the code or inside a string, since
+    the benchmark tracer and the suite registry name functions in strings;
+    the strings of ``__all__`` and the comments do not count.
+    """
+    text = path.read_text()
+    exported = [(s.lineno, s.end_lineno) for s in _parse(path).body
+                if isinstance(s, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in s.targets)]
+    defined, read, previous = [], [], None
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            (defined if previous in ("def", "class") else read).append(tok.string)
+        elif tok.type == tokenize.STRING and not any(
+                lo <= tok.start[0] <= hi for lo, hi in exported):
+            read += re.findall(r"[A-Za-z_]\w*", tok.string)
+        if tok.type not in (tokenize.NL, tokenize.COMMENT):
+            previous = tok.string
+    return defined, read
+
+
+def test_every_definition_is_named_where_it_is_not_defined():
+    # a function only tests call belongs in the tests; a dunder is called by Python
+    defined, read = set(), set()
+    for path in MODULES + sorted(BENCHMARK_DIR.rglob("*.py")):
+        d, r = _definitions_and_names(path)
+        read.update(r)
+        if path in MODULES:
+            defined.update(d)
+    unread = {n for n in defined - read if not (n.startswith("__") and n.endswith("__"))}
+    assert unread == UNREAD_ALLOWED
 
 
 def _name(node):

@@ -1,13 +1,26 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from lattice_frames.actions import Generator, GroupAction
 from lattice_frames.calculus import DivergenceTuple, euler_lagrange
-from lattice_frames.expr import Const, FieldVar, Var, add, fieldvars, mul, shift, substitute
+from lattice_frames.expr import (
+    Const,
+    FieldVar,
+    Var,
+    add,
+    fieldvars,
+    mul,
+    shift,
+    substitute,
+    total_derivative,
+)
 from lattice_frames.flows import integrate_lattice_flow, monitor_conserved
 from lattice_frames.noether import (
     ConservationLaw,
+    _expand_adj,
+    _formal_dcal,
     compare_laws,
     equivariant_coefficients,
     equivariant_form,
@@ -259,6 +272,32 @@ class TestEquivariantForm:
         assert eq.form == "equivariant"
         dv, comps = compare_laws(laws[0], eq, toda_plan, toda.sig)
         assert max([dv] + comps) <= 1e-10
+
+
+class TestFormalInvariantDerivative:
+    """The invariant derivative of adjoint symbols, taken formally, commutes with their expansion."""
+
+    @staticmethod
+    def _e():
+        # adj1 u + adj2_{0;1} u_{1;1} + adj1_{1;0} u: a shifted and a differentiated symbol
+        return (V("adj1", 0) * V("u", 0) + V("adj2", 1) * V("u", 1, d=1)
+                + V("adj1", 0, d=1) * V("u", 0))
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_formal_dcal_then_expand_is_dcal_of_the_expansion(self, ex81, ex81_plan, r):
+        sig, frame = ex81.sig, ex81.frame
+        got = _expand_adj(_formal_dcal(self._e(), sig, frame.dcal_inv), frame, r, sig)
+        want = frame.dcal(_expand_adj(self._e(), frame, r, sig), sig)
+        rep = identity_check(got, want, ex81_plan, sig, tol=1e-12)
+        assert rep.passed, rep.max_residual
+
+    def test_plain_derivative_of_the_symbols_fails(self, ex81, ex81_plan):
+        # negative control: dcal_inv * D raises adj_j to adj_{j+1} as if that were D adj_j
+        sig, frame = ex81.sig, ex81.frame
+        bad = _expand_adj(mul(frame.dcal_inv, total_derivative(self._e(), sig)), frame, 1, sig)
+        want = frame.dcal(_expand_adj(self._e(), frame, 1, sig), sig)
+        rep = identity_check(bad, want, ex81_plan, sig, tol=1e-12)
+        assert rep.max_residual > 1e-2
 
 
 class TestDivergenceEquivalence:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from lattice_frames import suites
-from lattice_frames.actions import SymmetryResult, invariance_residual
+from lattice_frames.actions import SYMMETRY_TOL, invariance_residual
 from lattice_frames.expr import ExprError
 from lattice_frames.sampling import CheckReport
 from lattice_frames.suites import SUITES, run_suite
@@ -72,7 +72,7 @@ def _nan_non_symmetry(check):
 
     def patched(*args, **kw):
         res = check(*args, **kw)
-        return res if res else SymmetryResult("not_symmetry", math.nan)
+        return res if res <= SYMMETRY_TOL else math.nan
 
     return patched
 
