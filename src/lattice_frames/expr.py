@@ -470,10 +470,19 @@ def ln_abs(e):
 
 # --- node rules -----------------------------------------------------------
 
+def _array(value):
+    """``value`` as a read-only 0-d float64 array: a ufunc operand it need not convert per call."""
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 # Names the sources of the node rules read as globals, in evaluate() and in
-# the code compile_exprs() generates.
+# the code compile_exprs() generates; _zero is the 0 of the body's mask tests.
 _LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_divide": np.divide, "_log": np.log,
-                    "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite}
+                    "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
+                    "_asarray": functools.partial(np.asarray, dtype=np.float64),
+                    "_zero": _array(0.0)}
 
 
 def _function(signature, lines, **names):
@@ -495,9 +504,9 @@ class _Rule:
     ``{k}`` the datum, and ``{P}``, ``{V}``, ``{x}``, ``{alt}`` the inputs; a
     value reading the last three varies per point.  ``test`` is true where a
     node for which ``when`` holds is singular, its ``{0}`` being child
-    ``tested``, computed first and named by the error.  ``overflow``, tested
-    only after an overflow, is true where the value ``{v}`` is non-finite from
-    a finite ``{0}``.  ``missing`` is the error when an input has no value.
+    ``tested``, computed first and named by the error, and ``{zero}`` the
+    number 0.  ``overflow``, tested only after an overflow, is true where the
+    value ``{v}`` is non-finite from a finite ``{0}``.  ``missing`` is the error when an input has no value.
     ``derive(node, d)`` is the node's derivative under a derivation, ``d``
     giving a child's: 0 for a constant, a parameter, ``x`` and ``alt``, and
     none for a field variable, whose derivative is the derivation's own.
@@ -528,7 +537,7 @@ class _Rule:
             for i in sorted(range(len(kids)), key=lambda i: i != tested):
                 lines.append(f"c{i} = rec({kids[i]})")
                 if test is not None and i == tested:
-                    lines.append(f"if {when} and _any({test.format(f'c{i}')}): "
+                    lines.append(f"if {when} and _any({test.format(f'c{i}', zero='0')}): "
                                  f"raise _Singular({message!r}, {kids[i]})")
             v = "v = " + value.format(*[f"c{i}" for i in range(len(kids))], k=datum,
                                       P="a.params", V="a.values", x="a.x", alt="a.alt")
@@ -578,7 +587,7 @@ _RULES = {
     # last bit and raises OverflowError where arrays give inf
     Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k})",
                datum="float(node.exponent)",
-               test="{0} == 0", message="zero base with negative exponent",
+               test="{0} == {zero}", message="zero base with negative exponent",
                when="node.exponent < 0",
                overflow="_isfinite({0}) & ~_isfinite({v})",
                derive=lambda node, d: ZERO if (db := d(node.base)) == ZERO else mul(
@@ -586,15 +595,15 @@ _RULES = {
     # np.divide, the ufunc of / on arrays, since Python floats raise at a zero
     # denominator, and lowered code computes the singular points it masks
     Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1})",
-                test="{0} == 0", message="division by zero", tested=1, derive=_derive_quot),
+                test="{0} == {zero}", message="division by zero", tested=1, derive=_derive_quot),
     Neg: _Rule(("arg",), lambda node, arg: neg(arg), "-{0}",
                derive=lambda node, d: neg(d(node.arg))),
     LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}))",
-                 test="{0} == 0", message="ln of zero",
+                 test="{0} == {zero}", message="ln of zero",
                  derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                      da, node.arg)),
     Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0})",
-                test="{0} < 0", message="sqrt of a negative value",
+                test="{0} < {zero}", message="sqrt of a negative value",
                 derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                     da, mul(2, node))),
 }
@@ -729,7 +738,8 @@ def compile_exprs(exprs):
     :class:`MissingVariableError` when a parameter has no value.  Nothing
     here raises where a node is singular: a caller that must raise calls
     :func:`evaluate`.  Structurally equal subtrees are one object, computed
-    once for the whole list.
+    once for the whole list.  No call passes a ufunc a Python or numpy
+    scalar: numbers are 0-d arrays (see :class:`Lowering`).
     """
     lowering = Lowering(exprs)
 
@@ -766,13 +776,30 @@ class Lowering:
     first ``n_first`` expressions are ``body[:first_end]``.  ``variables`` are the
     FieldVars read from ``V``, in slot order; ``bound`` maps a closure name
     to its datum.
+
+    A number bound as a datum, a constant or an exponent, is a read-only 0-d
+    float64 array; a prelude value that a body line reads is converted to a
+    float64 array once per binding, by one prelude line; and a body line's
+    mask test compares with the 0-d array ``_zero``.  A ufunc converts a
+    Python or numpy scalar operand on every call, which on 16-element
+    arrays (numpy 2.4) takes 200-350 ns of a call of about 400 ns, and takes
+    a 0-d array as it is, running the same float64 loop: the values are the
+    same bit for bit.
     """
 
     def __init__(self, exprs, n_first=0):
         names = {}          # id(node) -> (name holding its value, whether it varies per point)
         slots = {}          # FieldVar -> its index in the values sequence
         tests = set()       # the mask tests emitted
+        arrays = set()      # the prelude names converted to float64 arrays
         self.prelude, self.body, self.bound = [], [], {}
+
+        def as_array(name):
+            # a prelude value a body line reads: converted once per binding
+            if name not in arrays:
+                arrays.add(name)
+                self.prelude.append((f"{name} = _asarray({name})", False))
+            return name
 
         def rec(node):
             key = id(node)
@@ -785,9 +812,11 @@ class Lowering:
                      for i, c in enumerate(subs)]
             args = [rec(c.arg if m else c) for c, m in zip(subs, minus)]
             varying = rule.varying or any([v for _, v in args])
+            if varying:
+                args = [(arg if v else as_array(arg), v) for arg, v in args]
             if rule.test is not None and rule.when(node):
                 arg, arg_varying = args[rule.tested]
-                test = f"m = m | ({rule.test.format(arg)})"
+                test = f"m = m | ({rule.test.format(arg, zero='_zero' if arg_varying else '0')})"
                 if test not in tests:
                     tests.add(test)
                     (self.body if arg_varying else self.prelude).append((test, False))
@@ -795,6 +824,8 @@ class Lowering:
             if type(k) is FieldVar:   # a field is read from its slot of the values
                 k = slots.setdefault(k, len(slots))
             elif k is not None:
+                if type(k) is not str:  # a number, not a parameter's name
+                    k = _array(k)
                 self.bound[f"c{len(self.bound)}"] = k
                 k = f"c{len(self.bound) - 1}"
             kids = [arg for arg, _ in args]
@@ -822,19 +853,11 @@ class Lowering:
         """The body lines up to ``end``, with the overflow tests when ``checked``."""
         return [line for line, overflow in self.body[:end] if checked or not overflow]
 
-    def compile(self, functions, **names):
-        """``bind(params)``: runs the prelude and returns the tuple of ``functions``.
-
-        ``functions`` maps a name to the parameters and body lines of a
-        function defined inside the prelude, in that order; the lines read
-        the prelude's values, its mask ``bad``, and ``names`` as globals.  A
-        binding that overflows runs the prelude again with overflow quiet and
-        its overflow tests added.  ``bind`` raises ``KeyError`` when a
-        parameter has no value.
-        """
+    def source(self, functions):
+        """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""
         # a clear prelude mask is False, so that a call without tests of its
         # own returns False and its caller need not reduce it
-        source = "".join([
+        return "".join([
             f"def _make({', '.join(self.bound)}):\n",
             "    def _prelude(P, checked=False):\n",
             "        m = False\n",
@@ -846,8 +869,19 @@ class Lowering:
             f"        return {''.join(name + ', ' for name in functions)}\n",
             "    return _prelude\n",
         ])
+
+    def compile(self, functions, **names):
+        """``bind(params)``: runs the prelude and returns the tuple of ``functions``.
+
+        ``functions`` maps a name to the parameters and body lines of a
+        function defined inside the prelude, in that order; the lines read
+        the prelude's values, its mask ``bad``, and ``names`` as globals.  A
+        binding that overflows runs the prelude again with overflow quiet and
+        its overflow tests added.  ``bind`` raises ``KeyError`` when a
+        parameter has no value.
+        """
         namespace = {**_LOWERED_GLOBALS, **names}
-        exec(source, namespace)
+        exec(self.source(functions), namespace)
         prelude = namespace["_make"](**self.bound)
         return functools.partial(_two_passes, prelude, functools.partial(prelude, checked=True))
 

@@ -235,6 +235,9 @@ class SamplePlan:
         if not lowered:
             lowered["guards"] = compile_exprs([g.expr for g in self.guards])
             lowered["vars"], lowered["names"] = frozenset(lowered["guards"][1]), {}
+            # one row per guard: which rows are tested by absolute value, and their margins
+            lowered["abs"] = np.array([g.kind != "pos" for g in self.guards], dtype=bool)[:, None]
+            lowered["margins"] = np.array([g.margin for g in self.guards], dtype=float)[:, None]
         guard_bind, guard_vars = lowered["guards"]
         # the variables outside the guards' find the one sorted tuple of the set
         extra = frozenset().union(*[_varset(e) - lowered["vars"] for e in exprs])
@@ -284,9 +287,12 @@ class SamplePlan:
             # the parameters are columns of the block, so they are bound per block
             values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
                                                    block.x, block.alt)
-            ok = ~np.broadcast_to(bad, size)
-            for g, v in zip(self.guards, values):
-                ok &= (v if g.kind == "pos" else np.abs(v)) >= g.margin
+            try:
+                stacked = np.array(values, dtype=float).reshape(len(values), size)
+            except ValueError:      # a guard that reads no input has one value: broadcast it
+                stacked = np.array([np.broadcast_to(v, size) for v in values])
+            np.abs(stacked, out=stacked, where=lowered["abs"])
+            ok = ~np.broadcast_to(bad, size) & (stacked >= lowered["margins"]).all(axis=0)
             take = []
             for i in range(size):
                 if rejected > self.max_rejections:

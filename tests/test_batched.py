@@ -253,6 +253,29 @@ def test_exhaustion_with_masked_guards_matches_reference():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("guards", [
+    (Guard(Const(0.5), "pos", 0.3), Guard(U1 - U0, "abs", 0.1), Guard(Const(-1), "abs", 0.5)),
+    # every guard constant: each value is broadcast to the block
+    (Guard(Const(0.5), "pos", 0.3),),
+    (),
+])
+def test_constant_guards_are_broadcast_as_the_reference_does(guards):
+    plan = SamplePlan(n_points=20, seed=5, guards=guards)
+    got = plan.assignments([U0 * U1], SIG1)
+    assert as_tuples(got) == as_tuples(reference_assignments(plan, [U0 * U1], SIG1))
+
+
+@pytest.mark.parametrize("constant", [Guard(Const(0.1), "pos", 0.3), Guard(sqrt(Const(-1.0)))])
+def test_failing_constant_guard_exhausts_as_the_reference_does(constant):
+    plan = SamplePlan(n_points=20, seed=5, max_rejections=7,
+                      guards=(Guard(U1 - U0, "abs", 0.1), constant))
+    with pytest.raises(SamplingExhaustedError) as want:
+        reference_assignments(plan, [U0], SIG1)
+    with pytest.raises(SamplingExhaustedError) as got:
+        plan.assignments([U0], SIG1)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
 def test_stacked_evaluation_equals_pointwise(name):
     b = get_example(name)

@@ -219,11 +219,14 @@ class TestIntegrate:
             f"warning: dt=0.1 violates the stability bound dt <= {c} h^2 = {c * 0.5 ** 2}\n")
 
     def test_unallocatable_dense_output_is_one_line(self, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["integrate", "nls", "--x-span", "0,1e9", "--dt", "1e-9"])
-        assert exit_.value.code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cannot allocate the dense output")
+        # 1e18 steps, and 1e300: a count of 301 digits is printed in short form
+        for dt in ("1e-9", "1e-291"):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["integrate", "nls", "--x-span", "0,1e9", "--dt", dt])
+            assert exit_.value.code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: cannot allocate the dense output")
+            assert len(err[0]) < 200
 
     def test_unallocatable_lattice_is_one_line(self, capsys):
         # numpy refuses the 7 PiB of the site index at once: nothing is allocated

@@ -6,6 +6,7 @@ arrays, with the same RK4 arithmetic.  The compiled flow must reproduce it
 bit for bit.
 """
 
+import ast
 import itertools
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from lattice_frames import expr, flows
+from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
     Alt,
     Assignment,
@@ -22,7 +24,9 @@ from lattice_frames.expr import (
     FieldVar,
     Lowering,
     Param,
+    Prod,
     SingularEvaluationError,
+    Sum,
     Var,
     XVar,
     compile_exprs,
@@ -500,3 +504,137 @@ def test_no_singular_check_per_step(nls, monkeypatch):
         return len(calls)
 
     assert count((0.0, 0.01)) == count((0.0, 0.1))
+
+
+# numbers that the lowered code binds as 0-d arrays, each read per point or alone
+BINDING_CASES = [
+    # integer constants, one that float64 rounds, and a negative zero
+    Const(3) * U, U + Const(2**53 + 1), Prod((Const(-0.0), U)), Sum((U, Const(-0.0))),
+    Const(7), Const(2**53 + 1), Const(-0.0),
+    # exponents
+    power(U, 2), power(U, 3), power(U, -2),
+    # parameter-only subexpressions that a per-point node reads
+    U * (A * A + Const(1)), U / power(A, 3), U - sqrt(A) * XVar(),
+    # constants alone, as in a guard that reads no input
+    ln_abs(Const(2.5)) - Const(1),
+]
+
+
+@pytest.mark.parametrize("a", [1.7, np.array([1.7, 0.3, 2.5, 1.1, 0.9])])
+def test_bound_numbers_match_evaluate_bit_for_bit(a):
+    values = {U.fv: np.array([-1.5, 0.3, 2.0, 1e-3, 7.25])}
+    params = {"a": a}
+    bind, variables = compile_exprs(BINDING_CASES)
+    got, bad = bind(params)([values[fv] for fv in variables], 0.75, 1.0)
+    assert not np.any(bad)
+    want = Assignment(values, x=0.75, params=params)
+    for g, e in zip(got, BINDING_CASES):
+        w = evaluate(e, want)
+        assert np.shape(g) == np.shape(w), e
+        assert np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes(), e
+
+
+def recorded_compiles(monkeypatch):
+    """``(source, bound, names)`` of each later :meth:`Lowering.compile` call."""
+    calls = []
+    compile_ = Lowering.compile
+
+    def recording(self, functions, **names):
+        calls.append((self.source(functions), self.bound, names))
+        return compile_(self, functions, **names)
+
+    monkeypatch.setattr(Lowering, "compile", recording)
+    return calls
+
+
+def scalar_operands(source, names):
+    """The scalar operands of the arithmetic and tests of the functions bound per call.
+
+    A numeric literal that is an operand of a ``BinOp`` or ``Compare``, and
+    a global of ``names`` holding a Python or numpy scalar that is an
+    operand of a ``BinOp``.  The step index ``i`` and the ``x`` arithmetic,
+    which stay Python numbers, are exempt.
+    """
+    prelude = ast.parse(source).body[0].body[0]
+    per_call = [node for node in prelude.body if isinstance(node, ast.FunctionDef)]
+    exempt = {id(node) for fn in per_call for stmt in ast.walk(fn)
+              if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["x"]
+              for node in ast.walk(stmt)}
+    found = []
+    for node in [node for fn in per_call for node in ast.walk(fn) if id(node) not in exempt]:
+        if isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        else:
+            continue
+        if any(isinstance(o, ast.Name) and o.id == "i" for o in operands):
+            continue
+        for o in operands:
+            literal = isinstance(o, ast.Constant) and type(o.value) in (int, float)
+            scalar = (isinstance(node, ast.BinOp) and isinstance(o, ast.Name)
+                      and isinstance(names.get(o.id), (int, float, np.number)))
+            if literal or scalar:
+                found.append(ast.unparse(node))
+    return found
+
+
+def unconverted_reads(source):
+    """The prelude values that the functions bound per call read unconverted.
+
+    A value is converted when the prelude assigns it ``_asarray`` of itself;
+    the prelude mask ``bad`` is not a value, and a name the function
+    assigns, such as its mask ``m``, is its own.
+    """
+    prelude = ast.parse(source).body[0].body[0]
+    assigned, converted = {"bad"}, {"bad"}
+    for node in ast.walk(ast.Module([s for s in prelude.body
+                                     if not isinstance(s, ast.FunctionDef)], [])):
+        if isinstance(node, ast.Assign):
+            name = ast.unparse(node.targets[0])
+            assigned.add(name)
+            if ast.unparse(node.value) == f"_asarray({name})":
+                converted.add(name)
+    reads = set()
+    for fn in [node for node in prelude.body if isinstance(node, ast.FunctionDef)]:
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        local = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+        reads |= {node.id for node in names if node.id in assigned - local}
+    return sorted(reads - converted)
+
+
+def test_lowered_code_takes_no_scalar_operand(nls, monkeypatch):
+    # a ufunc converts a scalar operand on every call, a 0-d array it takes as it is
+    calls = recorded_compiles(monkeypatch)
+    cfg = nls.integrate_config
+    integrate_lattice_flow(cfg["rhs"], cfg["initial_state"](16, 0.5), (0.0, 0.01), 1e-3,
+                           monitors=cfg["monitors"])
+    assert len(calls) == 1 and "A0 = Y0 + _half_a * K0" in calls[0][0]
+    for name in ("toda", "ex81", "nls"):
+        b = get_example(name)
+        b.plan(n_points=5).assignments([b.L], b.sig)
+    # a mask test of every rule, of per-point values
+    compile_exprs([Const(1) / U, ln_abs(U), sqrt(U), power(U, -2) * A])
+    assert len(calls) == 5
+    numbers = 0
+    for source, bound, names in calls:
+        assert scalar_operands(source, names) == []
+        assert unconverted_reads(source) == []
+        for datum in bound.values():
+            if type(datum) is not str:      # a parameter's name
+                numbers += 1
+                assert type(datum) is np.ndarray and datum.shape == ()
+                assert datum.dtype == np.float64 and not datum.flags.writeable
+    assert numbers > 0
+
+
+def test_scalar_operands_are_found():
+    # the test above would see a scalar come back
+    source = Lowering([U]).source({"f": ("V, x, i", [
+        "t0 = V[0] * 2.0", "m = V[0] == 0", "t1 = _s * V[0]", "x = x + 1.0", "j = i + 1"])})
+    assert scalar_operands(source, {"_s": 0.5}) == ["V[0] * 2.0", "V[0] == 0", "_s * V[0]"]
+    lowering = Lowering([U * (A + Const(1)), U * Const(2)])
+    source = lowering.source({"f": ("V, x, alt", lowering.lines())})
+    assert unconverted_reads(source) == []
+    unconverted = source.replace("t3 = _asarray(t3)", "pass")
+    assert unconverted != source and unconverted_reads(unconverted) == ["t3"]
