@@ -925,9 +925,10 @@ def run_memo():
     (``InvariantSet.expand``, ``noether._expand_adj`` and the rewrite of
     ``noether.equivariant_form``) hand back what they built before for the
     same node and argument; ``sampling.SamplePlan.assignments`` hands back
-    the point set it drew before for the same request, and lowers each guard
-    tuple once; :func:`evaluate` at such a point set hands back the value it
-    computed before for the same node.  A nested entry shares the outer
+    the point set it gave before for the same request, answers a request
+    for fewer points with the first points of a set of the same candidate
+    stream, and lowers each guard tuple once; :func:`evaluate` at such a
+    point set hands back the value it computed before for the same node.  A nested entry shares the outer
     tables; the outermost exit drops them, and with them every node, point
     set and value they held.
     """

@@ -22,15 +22,23 @@ Inside :func:`~lattice_frames.expr.run_memo` the lowered guard tuple and
 every point set are kept in the run's tables, as the builders' nodes are.
 A guard tuple's entry maps the variables of a request outside the guards'
 to one sorted tuple of the whole set, sorted on the set's first request.
-A request is fixed by the identity of that tuple, the plan's numbers and
-ranges, the signature's params, variation fields and lattice dimension,
-and the identities of the guard tuple and ``offsets``: a repeated request
-in the run, from any plan, returns the very :class:`PointSet` drawn the
-first time, and sorts and hashes no :class:`FieldVar`.  That set is held:
-read-only, and :func:`evaluate` keeps the value of each node at its points
-for the run.  Outside a run each request draws again, with the same bits,
-since every draw seeds a new PCG64 with the plan's seed; the set it
-returns is the caller's, its columns alone read-only.
+A candidate stream is fixed by the identity of that tuple, the plan's
+seed, ranges and ``max_rejections``, the signature's params, variation
+fields and lattice dimension, and the identities of the guard tuple and
+``offsets``; its table maps ``n_points`` to the set held of that size.  A
+repeated request in the run, from any plan, returns the very
+:class:`PointSet` drawn the first time, and sorts and hashes no
+:class:`FieldVar`.  A request for fewer points than a set of its stream
+is that set's first points (:meth:`PointSet.prefix`), drawing nothing: a
+candidate does not depend on the block it is drawn in, and acceptance is
+decided per candidate, so the first ``n`` points of a larger set are the
+``n``-point draw, and a stream that gave the larger set does not exhaust
+before ``n``.  A request for more points than its stream holds draws
+afresh.  Each set is held: read-only, and :func:`evaluate` keeps the value
+of each node at its points for the run.  Outside a run each request draws
+again, with the same bits, since every draw seeds a new PCG64 with the
+plan's seed; the set it returns is the caller's, its columns alone
+read-only.
 """
 
 from __future__ import annotations
@@ -114,6 +122,12 @@ class PointSet(Assignment):
         object.__setattr__(self, "params", MappingProxyType(self.params))
         object.__setattr__(self, "held", True)
         return self
+
+    def prefix(self, n):
+        """The held set of the first ``n`` points, read-only views of this set's columns."""
+        return PointSet({fv: col[:n] for fv, col in self.values.items()}, x=self.x[:n],
+                        params={p: col[:n] for p, col in self.params.items()},
+                        base=tuple(col[:n] for col in self.base), alt=self.alt[:n]).hold()
 
     def __len__(self):
         return len(self.x)
@@ -226,9 +240,14 @@ class SamplePlan:
         from one raw read of the generator, and falls back to those calls
         for a block in which an integer draw would be rejected and retried.
         Inside a run the set is held (see :meth:`PointSet.hold`), and a
-        request this run has already drawn returns that same object, found
-        from the variables of ``exprs`` outside the guards' (the nodes'
-        cached sets) without sorting: only a set's first request sorts it.
+        request this run has already answered returns that same object,
+        found from the variables of ``exprs`` outside the guards' (the
+        nodes' cached sets) without sorting: only a set's first request
+        sorts it.  A request for fewer points than a held set of the same
+        stream (the same request but for ``n_points``) is the prefix of the
+        largest such set, held under its own size; a larger request draws.
+        A block of candidates that cannot be allocated raises
+        :class:`ExprError`.
         """
         # each table holds the objects whose ids its key holds, so no id is reused
         lowered = _table(("guards", id(self.guards)), self.guards)
@@ -245,13 +264,20 @@ class SamplePlan:
         if names is None:
             names = lowered["names"][extra] = tuple(sorted(lowered["vars"] | extra))
         variation_names = set(sig.variations.values())
-        table = _table(("points", id(names), self.n_points, self.seed,
-                        tuple(self.value_range), self.max_rejections,
-                        tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
-                        tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
-                        id(self.guards), id(self.offsets)), self.guards, self.offsets, names)
-        if table:
-            return table["points"]
+        # the sets of one candidate stream, by size
+        held = _table(("points", id(names), self.seed, tuple(self.value_range),
+                       self.max_rejections,
+                       tuple((p, tuple(r)) for p, r in self.param_ranges.items()),
+                       tuple(sig.params), tuple(sorted(variation_names)), sig.lattice_dim,
+                       id(self.guards), id(self.offsets)), self.guards, self.offsets, names)
+        out = held.get(self.n_points)
+        if out is not None:
+            return out
+        larger = max(held, default=0)
+        if 0 <= self.n_points < larger:
+            # acceptance is decided per candidate: a stream's first n points are its n-point set
+            out = held[self.n_points] = held[larger].prefix(self.n_points)
+            return out
         ranges = [VARIATION_RANGE if fv.name in variation_names else self.value_range
                   for fv in names]
         ranges.append(X_RANGE)
@@ -281,18 +307,22 @@ class SamplePlan:
             need = self.n_points - accepted
             size = min(-(-need * drawn // max(accepted, 1)) if rejected else need,
                        need + self.max_rejections + 1 - rejected)
-            rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
-            drawn += size
-            block = points(rows, bases)
-            # the parameters are columns of the block, so they are bound per block
-            values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
-                                                   block.x, block.alt)
             try:
-                stacked = np.array(values, dtype=float).reshape(len(values), size)
-            except ValueError:      # a guard that reads no input has one value: broadcast it
-                stacked = np.array([np.broadcast_to(v, size) for v in values])
-            np.abs(stacked, out=stacked, where=lowered["abs"])
-            ok = ~np.broadcast_to(bad, size) & (stacked >= lowered["margins"]).all(axis=0)
+                rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
+                block = points(rows, bases)
+                # the parameters are columns of the block, so they are bound per block
+                values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
+                                                       block.x, block.alt)
+                try:
+                    stacked = np.array(values, dtype=float).reshape(len(values), size)
+                except ValueError:  # a guard that reads no input has one value: broadcast it
+                    stacked = np.array([np.broadcast_to(v, size) for v in values])
+                np.abs(stacked, out=stacked, where=lowered["abs"])
+                ok = ~np.broadcast_to(bad, size) & (stacked >= lowered["margins"]).all(axis=0)
+            except MemoryError as err:
+                raise ExprError(f"cannot allocate a block of {size} candidate points: "
+                                f"{err}") from None
+            drawn += size
             take = []
             for i in range(size):
                 if rejected > self.max_rejections:
@@ -310,7 +340,7 @@ class SamplePlan:
         for col in [*out.values.values(), out.x, *out.params.values(), *out.base, out.alt]:
             col.flags.writeable = False
         if _RUN.get() is not None:
-            table["points"] = out.hold()
+            held[self.n_points] = out.hold()
         return out
 
 

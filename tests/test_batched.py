@@ -406,7 +406,8 @@ class TestMemo:
         assert [c.tobytes() for c in columns(again)] == [c.tobytes() for c in columns(first)]
         assert all(a is not c for a, c in zip(columns(again), columns(first)))
 
-    @pytest.mark.parametrize("name, draws", [("toda", 10), ("ex81", 20), ("nls", 18)])
+    # a request smaller than a set of its stream the run holds draws nothing
+    @pytest.mark.parametrize("name, draws", [("toda", 4), ("ex81", 12), ("nls", 11)])
     def test_each_point_set_is_drawn_once_per_run(self, name, draws, monkeypatch):
         lowered, compile_exprs = [], sampling.compile_exprs
 
@@ -423,6 +424,70 @@ class TestMemo:
         # elements and probes of the suites use seed + k for some k > 0
         assert seeds.count(2024) == draws
         assert lowered == [[g.expr for g in b.plan_kw["guards"]]]
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    @pytest.mark.parametrize("n, larger", [(1, 50), (6, 50), (49, 50)])
+    def test_smaller_request_is_a_held_prefix(self, name, n, larger, monkeypatch):
+        b = get_example(name)
+        cold = b.plan(n_points=n).assignments([b.L], b.sig)
+        with expr.run_memo():
+            full = b.plan(n_points=larger).assignments([b.L], b.sig)
+            seeds = counting_pcg64(monkeypatch)
+            part = b.plan(n_points=n).assignments([b.L], b.sig)
+            assert seeds == []  # the slice seeded no generator
+            assert part.held and len(part) == n and part is not full
+            assert b.plan(n_points=n).assignments([b.L], b.sig) is part
+            assert len(run_tables("points")) == 1
+            fv = next(iter(part.values))
+            for mapping, key in ((part.values, fv), (part.params, "p")):
+                with pytest.raises(TypeError):
+                    mapping[key] = np.zeros(n)
+            for attr in ("values", "params", "x", "alt"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(part, attr, getattr(cold, attr))
+        for col, whole in zip(columns(part), columns(full)):
+            assert np.shares_memory(col, whole)
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+        assert list(part.values) == list(cold.values) and list(part.params) == list(cold.params)
+        assert [c.tobytes() for c in columns(part)] == [c.tobytes() for c in columns(cold)]
+
+    def test_larger_request_after_a_smaller_draws_afresh(self, monkeypatch):
+        b = get_example("toda")
+        cold = b.plan(n_points=50).assignments([b.L], b.sig)
+        seeds = counting_pcg64(monkeypatch)
+        with expr.run_memo():
+            small = b.plan(n_points=10).assignments([b.L], b.sig)
+            full = b.plan(n_points=50).assignments([b.L], b.sig)
+            assert seeds == [b.plan().seed] * 2
+            # each size keeps its own set; a size between them is a slice of the largest
+            assert b.plan(n_points=10).assignments([b.L], b.sig) is small
+            assert np.shares_memory(b.plan(n_points=20).assignments([b.L], b.sig).x, full.x)
+            assert len(seeds) == 2
+        assert [c.tobytes() for c in columns(full)] == [c.tobytes() for c in columns(cold)]
+        assert [c.tobytes() for c in columns(small)] == [c[:10].tobytes() for c in columns(cold)]
+
+    # with max_rejections 0 the smaller request exhausts too; with 5 it is drawn
+    @pytest.mark.parametrize("max_rejections, n", [(0, 1), (5, 6)])
+    def test_exhausted_request_holds_nothing(self, max_rejections, n, monkeypatch):
+        plan = singular_plan(n_points=40, seed=3, max_rejections=max_rejections)
+        small = dataclasses.replace(plan, n_points=n)
+
+        def outcome():
+            try:
+                return as_tuples(small.assignments([U0], SIG1))
+            except SamplingExhaustedError as err:
+                return str(err)
+
+        cold = outcome()
+        seeds = counting_pcg64(monkeypatch)
+        with expr.run_memo():
+            with pytest.raises(SamplingExhaustedError):
+                plan.assignments([U0], SIG1)
+            assert [expr._RUN.get()[key][0] for key in run_tables("points")] == [{}]
+            assert outcome() == cold
+        assert seeds == [3, 3]  # the smaller request drew afresh
+        assert isinstance(cold, str) == (max_rejections == 0)
 
     def test_hit_walks_no_tree(self, monkeypatch):
         b = get_example("toda")

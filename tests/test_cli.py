@@ -18,7 +18,7 @@ from lattice_frames.expr import Const, ExprError, FieldVar, Var
 from lattice_frames.frames import invariantize
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check
-from lattice_frames.suites import run_suite
+from lattice_frames.suites import SUITES, run_suite
 
 
 def run_cli(*args):
@@ -43,6 +43,19 @@ def run_process(*args, env=None):
     return subprocess.run([sys.executable, "-m", "lattice_frames.cli", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
+
+
+# a point count whose first candidate block numpy cannot allocate, and the line it gives
+HUGE_POINTS = "100000000000"
+UNALLOCATABLE = f"cannot allocate a block of {HUGE_POINTS} candidate points: "
+
+
+@pytest.mark.parametrize("args", [["noether", "toda", "--r", "1"], ["syzygy", "ex81"]])
+def test_unallocatable_sample_is_one_line(args):
+    r = run_cli(*args, "--points", HUGE_POINTS)
+    assert r.returncode == 1 and r.stdout == ""
+    err = r.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {UNALLOCATABLE}")
 
 
 class TestVerify:
@@ -90,6 +103,15 @@ class TestVerify:
         assert {c["check_id"] for c in checks if c["status"] == "fail"} >= {
             "syzygy-operator:kappa", "invariant-el:u"}
         assert "verification aborted" not in out + err
+
+    def test_unallocatable_sample_fails_each_suite(self):
+        # numpy refuses the terabytes of the first candidate block at once
+        r = run_cli("--json", "verify", "ex81", "--suite", "all", "--points", HUGE_POINTS)
+        assert r.returncode == 1 and r.stderr == ""
+        checks = json.loads(r.stdout)["checks"]
+        assert [c["check_id"] for c in checks] == [f"{s}:error" for s in SUITES]
+        assert all(c["status"] == "fail" and c["note"].startswith(UNALLOCATABLE)
+                   for c in checks)
 
     def test_valid_tolerance_override_passes(self):
         r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")
