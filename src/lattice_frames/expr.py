@@ -27,7 +27,12 @@ coordinates (``actions.transform``, ``InvariantSet.expand``, the adjoint
 symbols of ``noether``) takes the image of u_{j;K} from
 ``calculus.prolong``: S_K d^j of the image of u.  The walker rebuilds a
 tree one node at a time through a table from ``id(node)`` to the node and
-its image, which every builder takes from ``_table``.  Outside
+its image, which every builder takes from ``_table``.  It skips what it
+cannot change and still gives the node a full walk would: a node whose
+children are their own images is not rebuilt, :func:`partial` and
+:func:`substitute` do not walk a subtree without a field they act on, and a
+substitution of each leaf by itself returns its input (see ``_rebuild``).
+A leaf rule that can raise maps every ``Var``, so none is skipped.  Outside
 :func:`run_memo` that table is new on every call.  Inside it there is one
 table per builder and argument for the whole run, so a repeated call is one
 lookup and a subtree that two expressions share is rebuilt once; the tables
@@ -45,6 +50,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import operator
 import struct
 import weakref
 from dataclasses import dataclass, field
@@ -477,9 +483,16 @@ def _array(value):
     return out
 
 
+def _any(mask):
+    """The truth of ``np.any(mask)``: for an array, one ufunc reduction, not numpy's wrapper."""
+    if isinstance(mask, np.ndarray):
+        return bool(np.logical_or.reduce(mask, axis=None))
+    return bool(mask)
+
+
 # Names the sources of the node rules read as globals, in evaluate() and in
 # the code compile_exprs() generates; _zero is the 0 of the body's mask tests.
-_LOWERED_GLOBALS = {"_any": np.any, "_power": np.power, "_divide": np.divide, "_log": np.log,
+_LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_log": np.log,
                     "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
                     "_asarray": functools.partial(np.asarray, dtype=np.float64),
                     "_zero": _array(0.0)}
@@ -965,6 +978,16 @@ def _rebuild(e, leaf, memo, derive=False):
     ``id(node)`` to ``(node, image)``, the node held so that its id stays
     its own: every caller passes ``_table(...)``, the run's table or a new
     one (see :func:`run_memo`).
+
+    A node whose children are all their own images is its own image: it is
+    not rebuilt.  That is exact because every node the package builds comes
+    from a smart constructor (:func:`add`, :func:`mul`, :func:`neg`,
+    :func:`quot`, :func:`power`, :func:`sqrt`, :func:`ln_abs`), and each
+    returns its own output when given that output's children; a node made
+    by calling its class, such as ``Prod((a, b))``, is kept as it is where
+    its constructor would fold it.  A leaf rule may also answer for a whole
+    subtree, which is then not walked: the image it gives must be the one
+    the walk below would build (see :func:`partial` and :func:`substitute`).
     """
 
     def rec(node):
@@ -974,8 +997,12 @@ def _rebuild(e, leaf, memo, derive=False):
         out = leaf(node)
         if out is None:
             rule = _RULES[type(node)]
-            out = (rule.derive(node, rec) if derive
-                   else rule.build(node, *[rec(c) for c in rule.children(node)]))
+            if derive:
+                out = rule.derive(node, rec)
+            else:
+                kids = rule.children(node)
+                images = [rec(c) for c in kids]
+                out = node if all(map(operator.is_, images, kids)) else rule.build(node, *images)
         memo[id(node)] = node, out
         return out
 
@@ -983,12 +1010,17 @@ def _rebuild(e, leaf, memo, derive=False):
 
 
 def partial(e, fv):
-    """Exact partial derivative of ``e`` with respect to the coordinate ``fv``."""
+    """Exact partial derivative of ``e`` with respect to the coordinate ``fv``.
+
+    A subtree whose field variables lack ``fv`` is ``ZERO`` without a walk:
+    every leaf of it derives to ``ZERO``, and so does every row of ``_RULES``
+    whose children all do.
+    """
 
     def leaf(node):
-        if isinstance(node, Var):
-            return ONE if node.fv == fv else ZERO
-        return None
+        if fv not in _varset(node):
+            return ZERO
+        return ONE if isinstance(node, Var) else None
 
     return _rebuild(e, leaf, _table(("partial", fv)), derive=True)
 
@@ -1055,13 +1087,24 @@ def t_derivative(e, sig):
 
 
 def substitute(e, rules, x_repl=None, param_rules=None):
-    """Simultaneous substitution of field variables (and optionally x, params)."""
+    """Simultaneous substitution of field variables (and optionally x, params).
+
+    A rule that maps a leaf to itself is dropped, and with no rule left ``e``
+    is its own image.  With field rules alone, a subtree none of whose field
+    variables has a rule is its own image, without a walk.
+    """
+    rules = {fv: v for fv, v in rules.items() if not (type(v) is Var and v.fv == fv)}
+    param_rules = {name: v for name, v in (param_rules or {}).items()
+                   if not (type(v) is Param and v.name == name)}
+    if type(x_repl) is XVar:
+        x_repl = None
     if not rules and x_repl is None and not param_rules:
         return e
-
-    param_rules = param_rules or {}
+    fields_only = x_repl is None and not param_rules
 
     def leaf(node):
+        if fields_only and _varset(node).isdisjoint(rules):
+            return node
         if isinstance(node, Var):
             return rules.get(node.fv)
         if x_repl is not None and isinstance(node, XVar):

@@ -308,7 +308,10 @@ class SamplePlan:
             size = min(-(-need * drawn // max(accepted, 1)) if rejected else need,
                        need + self.max_rejections + 1 - rejected)
             try:
-                rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
+                try:
+                    rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
+                except ValueError as err:   # a dimension past numpy's largest
+                    raise MemoryError(err) from None
                 block = points(rows, bases)
                 # the parameters are columns of the block, so they are bound per block
                 values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],

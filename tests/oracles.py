@@ -13,6 +13,10 @@ frame's invariant derivative commutes with the shifts.
 :func:`op_json` writes an operator's terms as JSON.
 :func:`sum_by_parts` is a second by-parts boundary builder, for one product
 ``f * S_K g``, beside ``calculus.linear_by_parts``.
+:func:`reference_rebuild` is the builders' walker without pruning, and
+:func:`reference_partial`, :func:`reference_shift` and
+:func:`reference_substitute` the builders on it; :func:`expr_trees` is a
+Hypothesis strategy for grammar-valid trees over a signature.
 """
 
 import json
@@ -37,11 +41,17 @@ from lattice_frames.expr import (
     Sum,
     Var,
     XVar,
+    _RULES,
     add,
     children,
     evaluate,
+    ln_abs,
     mul,
+    neg,
+    power,
+    quot,
     shift,
+    sqrt,
     to_string,
 )
 from lattice_frames.frames import Frame
@@ -264,3 +274,110 @@ def sum_by_parts(f, g, K, sig):
     """Boundary B with f * S_K g - (S_{-K} f) * g = Div(B), along the staircase path."""
     inner = mul(shift(f, tuple(-k for k in K), sig), g)
     return DivergenceTuple(None, tuple(staircase_components(inner, K, sig)))
+
+
+def reference_rebuild(e, leaf, memo, derive=False):
+    """``expr._rebuild`` without pruning: every node is visited, and rebuilt through its row."""
+
+    def rec(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        out = leaf(node)
+        if out is None:
+            rule = _RULES[type(node)]
+            out = (rule.derive(node, rec) if derive
+                   else rule.build(node, *[rec(c) for c in rule.children(node)]))
+        memo[id(node)] = node, out
+        return out
+
+    return rec(e)
+
+
+def reference_partial(e, fv):
+    """d e / d fv by the walk of every node: a field variable other than ``fv`` derives to 0."""
+
+    def leaf(node):
+        if isinstance(node, Var):
+            return Const(1) if node.fv == fv else Const(0)
+        return None
+
+    return reference_rebuild(e, leaf, {}, derive=True)
+
+
+def reference_shift(e, offset, sig):
+    """S_offset e by the walk of every node, raising where a shifted field leaves the radius."""
+    flip = sum(offset) % 2
+
+    def leaf(node):
+        if isinstance(node, Var):
+            fv = node.fv.shifted(offset)
+            sig.check_var(fv)
+            return Var(fv)
+        if isinstance(node, Alt):
+            return neg(node) if flip else node
+        return None
+
+    return reference_rebuild(e, leaf, {})
+
+
+def reference_substitute(e, rules, x_repl=None, param_rules=None):
+    """Simultaneous substitution by the walk of every node, identity rules kept."""
+    param_rules = param_rules or {}
+
+    def leaf(node):
+        if isinstance(node, Var):
+            return rules.get(node.fv)
+        if x_repl is not None and isinstance(node, XVar):
+            return x_repl
+        if isinstance(node, Param):
+            return param_rules.get(node.name)
+        return None
+
+    return reference_rebuild(e, leaf, {})
+
+
+def _unfolded(build, *args):
+    """``build(*args)``, or its first argument where a constant operand would be folded.
+
+    A folded constant may be a float of integer value, which prints as an
+    integer and parses back as an int: a different node.
+    """
+    if any(isinstance(a, Const) for a in args[1 if build is quot else 0:]):
+        return args[0]
+    return build(*args)
+
+
+def expr_trees(sig, max_leaves=25):
+    """A Hypothesis strategy for trees over ``sig`` built by the smart constructors.
+
+    The leaves are small integer constants, the parameters of ``sig``,
+    ``alt``, ``x`` where ``sig`` has it, and field variables of its fields
+    with shifts in [-2, 2]^m and, on a differential-difference signature,
+    derivative orders up to 2.  Every tree prints in the input grammar, and
+    :func:`lattice_frames.parser.parse` gives the same node back.
+    """
+    from hypothesis import strategies as st
+
+    m = sig.lattice_dim
+    fvs = st.builds(FieldVar, st.sampled_from(sig.fields),
+                    st.integers(0, 2 if sig.differential else 0),
+                    st.tuples(*[st.integers(-2, 2)] * m))
+    leaves = [st.integers(0, 5).map(Const), st.just(Alt()), fvs.map(Var), fvs.map(Var)]
+    if sig.params:
+        leaves.append(st.sampled_from(sig.params).map(Param))
+    if sig.has_x:
+        leaves.append(st.just(XVar()))
+
+    def extend(sub):
+        return st.one_of(
+            st.lists(sub, min_size=2, max_size=3).map(lambda ts: add(*ts)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda fs: mul(*fs)),
+            sub.map(neg),
+            st.tuples(sub, sub).map(lambda nd: _unfolded(quot, *nd)),
+            st.tuples(sub, st.sampled_from([-2, 2, 3])).map(lambda bn: _unfolded(power, *bn)),
+            sub.map(lambda a: _unfolded(sqrt, a)),
+            sub.map(ln_abs),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=max_leaves)

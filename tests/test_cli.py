@@ -58,6 +58,19 @@ def test_unallocatable_sample_is_one_line(args):
     assert len(err) == 1 and err[0].startswith(f"error: {UNALLOCATABLE}")
 
 
+# a point count past numpy's largest array dimension: numpy raises ValueError, not MemoryError
+IMPOSSIBLE_POINTS = "10000000000000000000"
+IMPOSSIBLE = f"cannot allocate a block of {IMPOSSIBLE_POINTS} candidate points: "
+
+
+@pytest.mark.parametrize("args", [["syzygy", "toda"], ["noether", "toda", "--r", "1"]])
+def test_impossible_sample_is_one_line(args):
+    r = run_cli(*args, "--points", IMPOSSIBLE_POINTS)
+    assert r.returncode == 1 and r.stdout == ""
+    err = r.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {IMPOSSIBLE}")
+
+
 class TestVerify:
     def test_toda_all_passes(self):
         r = run_cli("verify", "toda", "--suite", "all", "--points", "25")
@@ -112,6 +125,13 @@ class TestVerify:
         assert [c["check_id"] for c in checks] == [f"{s}:error" for s in SUITES]
         assert all(c["status"] == "fail" and c["note"].startswith(UNALLOCATABLE)
                    for c in checks)
+
+    def test_impossible_sample_fails_each_suite(self):
+        r = run_cli("--json", "verify", "ex81", "--points", IMPOSSIBLE_POINTS)
+        assert r.returncode == 1 and r.stderr == ""
+        checks = json.loads(r.stdout)["checks"]
+        assert [c["check_id"] for c in checks] == [f"{s}:error" for s in SUITES]
+        assert all(c["status"] == "fail" and c["note"].startswith(IMPOSSIBLE) for c in checks)
 
     def test_valid_tolerance_override_passes(self):
         r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")

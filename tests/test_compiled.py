@@ -506,6 +506,18 @@ def test_no_singular_check_per_step(nls, monkeypatch):
     assert count((0.0, 0.01)) == count((0.0, 0.1))
 
 
+@pytest.mark.parametrize("mask", [
+    True, False, np.True_, np.False_, np.array(True), np.array(False),
+    np.array([False, False, True]), np.zeros(3, dtype=bool),
+    np.array([[False, False], [False, True]]), np.zeros((2, 2), dtype=bool),
+    np.zeros(0, dtype=bool), np.zeros((2, 0), dtype=bool),
+], ids=repr)
+def test_any_is_the_truth_of_np_any(mask):
+    # the singular tests reduce their masks with one ufunc call, not numpy's wrapper
+    got = expr._LOWERED_GLOBALS["_any"](mask)
+    assert type(got) is bool and got == bool(np.any(mask))
+
+
 # numbers that the lowered code binds as 0-d arrays, each read per point or alone
 BINDING_CASES = [
     # integer constants, one that float64 rounds, and a negative zero

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from lattice_frames import cli, expr, noether, suites
 from lattice_frames.actions import transform
 from lattice_frames.catalog import EXAMPLES
@@ -28,10 +29,12 @@ from lattice_frames.expr import (
     add,
     evaluate,
     fieldvars,
+    ln_abs,
     mul,
     partial,
     power,
     shift,
+    sqrt,
     substitute,
     t_derivative,
     to_string,
@@ -314,6 +317,8 @@ class TestInterning:
                                    Assignment({fv("u", 0, 0): 1.0})))
 
     def test_table_keeps_no_dropped_node(self):
+        # earlier tests' cyclic garbage may hold nodes; a collection in the middle would drop them
+        gc.collect()
         before = len(expr._INTERNED)
         e = add(V("u", 7, -7), Const(0.8125)) * V("u", -7, 7)
         ref = weakref.ref(e)
@@ -419,6 +424,55 @@ def _count_steps(monkeypatch):
     return steps
 
 
+def _patch_modules(monkeypatch, name, replacement):
+    """Bind ``name`` to ``replacement`` in every module of the package that binds expr's own."""
+    original = getattr(expr, name)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("lattice_frames")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _count_walks(monkeypatch):
+    """A counter of the nodes each builder walks, by the name of its leaf rule's function."""
+    walked = collections.Counter()
+    rebuild = expr._rebuild
+
+    def counting(e, leaf, memo, derive=False):
+        builder = leaf.__qualname__.split(".")[0]
+
+        def counted(node):
+            walked[builder] += 1
+            return leaf(node)
+
+        return rebuild(e, counted, memo, derive)
+
+    _patch_modules(monkeypatch, "_rebuild", counting)
+    return walked
+
+
+def _verify(name):
+    """``verify <name> --suite all --seed 31337`` in this process; it must pass."""
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", name, "--suite", "all", "--seed", "31337"])
+    assert exit_.value.code == 0
+
+
+def _same_as_reference(call, reference):
+    """``call()``, which must give the node ``reference()`` gives, or raise its error alike."""
+    try:
+        want = reference()
+    except ExprError as err:
+        want = err
+    try:
+        got = call()
+    except ExprError as err:
+        assert type(err) is type(want) and str(err) == str(want)
+        raise
+    assert got is want
+    return got
+
+
 def _probe_suite(fail):
     """A suite that builds nodes only the run's memo holds, and keeps weak references to them.
 
@@ -494,24 +548,8 @@ class TestRunMemo:
         # nodes walked per verify toda --suite all --seed 31337: substitute and
         # transform 3,346 with a table per call; with the run's tables, and the
         # field maps of _substitute_fields counted too, 1,163
-        walked = collections.Counter()
-        rebuild = expr._rebuild
-
-        def counting(e, leaf, memo, derive=False):
-            builder = leaf.__qualname__.split(".")[0]
-
-            def counted(node):
-                walked[builder] += 1
-                return leaf(node)
-
-            return rebuild(e, counted, memo, derive)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "_rebuild", None) is rebuild:
-                monkeypatch.setattr(module, "_rebuild", counting)
-        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
-            cli.main(["verify", "toda", "--suite", "all", "--seed", "31337"])
-        assert exit_.value.code == 0
+        walked = _count_walks(monkeypatch)
+        _verify("toda")
         maps = ("substitute", "transform", "_substitute_fields")
         assert all([walked[b] > 0 for b in maps])
         assert sum([walked[b] for b in maps]) <= 1600
@@ -661,3 +699,97 @@ class TestRunMemo:
                 counts.append(steps["node"] - before)
             assert counts[0] == counts[1] > 0
         assert expr._RUN.get() is None
+
+
+# a signature the deep field u[1;2] of _deep_tree breaks for three builders: shift radius 2,
+# derivative cap 1, and no variation slot
+DEEP_SIG = ProblemSignature(("u",), 1, differential=True, params=("a",), deriv_cap=1,
+                            shift_radius=2)
+
+
+def _deep_tree(leaf):
+    """A tree of parameters and constants, 30 levels deep, with ``leaf`` at the bottom."""
+    e = add(mul(Param("a"), expr.Alt()), Const(3))
+    for _ in range(30):
+        e = add(mul(e, Param("a")), ln_abs(e))
+    return add(e, mul(e, sqrt(add(e, leaf))))
+
+
+class TestPruning:
+    """Builders skip what they cannot change; the result is the unpruned walk's, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+    @pytest.mark.parametrize("memo", [True, False], ids=["run_memo", "no_memo"])
+    def test_every_builder_call_of_a_run_is_the_unpruned_walk(self, name, memo, monkeypatch):
+        checked = collections.Counter()
+        rebuild, partial_, substitute_ = expr._rebuild, expr.partial, expr.substitute
+
+        def checked_rebuild(e, leaf, table, derive=False):
+            checked[leaf.__qualname__.split(".")[0]] += 1
+            return _same_as_reference(lambda: rebuild(e, leaf, table, derive),
+                                      lambda: oracles.reference_rebuild(e, leaf, {}, derive))
+
+        def checked_partial(e, fv):
+            checked["reference partial"] += 1
+            return _same_as_reference(lambda: partial_(e, fv),
+                                      lambda: oracles.reference_partial(e, fv))
+
+        def checked_substitute(e, rules, x_repl=None, param_rules=None):
+            checked["reference substitute"] += 1
+            return _same_as_reference(
+                lambda: substitute_(e, rules, x_repl, param_rules),
+                lambda: oracles.reference_substitute(e, rules, x_repl, param_rules))
+
+        _patch_modules(monkeypatch, "_rebuild", checked_rebuild)
+        _patch_modules(monkeypatch, "partial", checked_partial)
+        _patch_modules(monkeypatch, "substitute", checked_substitute)
+        if not memo:   # every builder call then starts a new table
+            for module in (cli, suites):
+                monkeypatch.setattr(module, "run_memo", contextlib.nullcontext)
+        _verify(name)
+        builders = {"shift", "partial", "substitute", "t_derivative", "transform",
+                    "_substitute_fields", "reference partial", "reference substitute"}
+        if EXAMPLES[name].sig.differential:
+            builders.add("total_derivative")
+        assert builders <= {b for b, n in checked.items() if n}
+
+    @pytest.mark.parametrize("builder, error, message", [
+        (lambda e: shift(e, (1,), DEEP_SIG), CapExceededError, "outside radius 2"),
+        (lambda e: total_derivative(e, DEEP_SIG), CapExceededError, r"outside \[0, 1\]"),
+        (lambda e: t_derivative(e, DEEP_SIG), ExprError, "no variation slot"),
+    ], ids=["shift", "total_derivative", "t_derivative"])
+    @pytest.mark.parametrize("memo", [True, False], ids=["run_memo", "no_memo"])
+    def test_a_raising_leaf_raises_from_deep_in_a_prunable_tree(self, builder, error, message,
+                                                                memo):
+        e = _deep_tree(Var(FieldVar("u", 1, (2,))))
+        # everything above the field is a subtree that partial and substitute skip
+        assert partial(e, FieldVar("u", 0, (0,))) is expr.ZERO
+        assert substitute(e, {FieldVar("u", 0, (0,)): Const(1)}) is e
+        with expr.run_memo() if memo else contextlib.nullcontext():
+            for _ in range(2):   # a second call reads the run's table, and raises alike
+                with pytest.raises(error, match=message):
+                    builder(e)
+
+    def test_an_identity_substitution_is_e_and_walks_nothing(self, toda, monkeypatch):
+        action, e = toda.action, toda.L
+        identity = {p: Param(p) for p in action.param_names}
+        walked = _count_walks(monkeypatch)
+        assert substitute(e, {}, param_rules=identity) is e
+        assert substitute(e, {v: Var(v) for v in fieldvars(e)}, x_repl=XVar(),
+                          param_rules=identity) is e
+        assert not walked
+        moved = transform(e, action, [Param(p) for p in action.param_names], toda.sig)
+        assert walked["transform"] > 0 and walked["substitute"] == 0
+        assert moved is oracles.reference_substitute(moved, {}, param_rules=identity)
+
+    @pytest.mark.parametrize("name, walks", [("toda", 1475), ("ex81", 649), ("nls", 1754)])
+    def test_nodes_walked_per_run(self, name, walks, monkeypatch):
+        # nodes the builders walk per verify <ex> --suite all --seed 31337,
+        # toda/ex81/nls: 2,126/870/2,683 when every builder walked every node
+        # of its table's first visit; with the pruning, as pinned here.  The
+        # first run in a process also builds what a bundle keeps (one more
+        # shifted node on toda), so the second run is counted.
+        _verify(name)
+        walked = _count_walks(monkeypatch)
+        _verify(name)
+        assert sum(walked.values()) == walks

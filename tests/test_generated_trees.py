@@ -1,0 +1,82 @@
+"""Property test on generated trees: the pruned builders against the unpruned walk.
+
+``oracles.expr_trees`` draws trees built by the smart constructors over
+signatures of lattice dimension 1 and 2, difference and
+differential-difference.  On each tree :func:`partial`, :func:`shift` and
+:func:`substitute` must give the very node that ``oracles.reference_rebuild``
+builds by visiting every node, inside a run and outside one, and the printed
+tree must parse back to the same node.
+"""
+
+import contextlib
+
+import pytest
+
+import oracles
+from lattice_frames import expr
+from lattice_frames.expr import (
+    Const,
+    ExprError,
+    FieldVar,
+    Param,
+    ProblemSignature,
+    Var,
+    XVar,
+    fieldvars,
+    partial,
+    shift,
+    substitute,
+    to_string,
+)
+from lattice_frames.parser import parse
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SIGS = {
+    "difference-1d": ProblemSignature(("u", "v"), 1, params=("a",)),
+    "difference-2d": ProblemSignature(("u",), 2, params=("a", "b")),
+    "differential-1d": ProblemSignature(("u", "v"), 1, differential=True, has_x=True,
+                                        params=("a",)),
+    "differential-2d": ProblemSignature(("u",), 2, differential=True, has_x=True),
+}
+
+
+def outcome(call):
+    """What ``call()`` gives: a node, or the type and text of its error."""
+    try:
+        return call()
+    except ExprError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
+def test_pruned_builders_are_the_unpruned_walk(sig):
+    trees = oracles.expr_trees(sig)
+
+    @hypothesis.settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @hypothesis.given(e=trees, other=trees, offset=st.integers(-2, 2), memo=st.booleans(),
+                      data=st.data())
+    def check(e, other, offset, memo, data):
+        assert parse(to_string(e), sig) is e
+        # each field variable of e maps to itself, to the other tree, or is left out
+        rules = {}
+        for fv in sorted(fieldvars(e)):
+            pick = data.draw(st.sampled_from(["self", "other", "none"]))
+            if pick != "none":
+                rules[fv] = Var(fv) if pick == "self" else other
+        param_rules = {p: data.draw(st.sampled_from([Param(p), Const(2), other]))
+                       for p in sig.params if data.draw(st.booleans())}
+        x_repl = data.draw(st.sampled_from([None, XVar(), other])) if sig.has_x else None
+        offsets = (offset,) * sig.lattice_dim
+        absent = FieldVar(sig.fields[0], 0, (9,) * sig.lattice_dim)
+        with expr.run_memo() if memo else contextlib.nullcontext():
+            for fv in sorted(fieldvars(e)) + [absent]:
+                assert partial(e, fv) is oracles.reference_partial(e, fv)
+            moved, want = (outcome(lambda: shift(e, offsets, sig)),
+                           outcome(lambda: oracles.reference_shift(e, offsets, sig)))
+            assert moved is want if isinstance(want, expr.Expr) else moved == want
+            assert substitute(e, rules, x_repl, param_rules) is oracles.reference_substitute(
+                e, rules, x_repl, param_rules)
+
+    check()
