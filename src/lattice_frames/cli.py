@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: verify, euler-lagrange, noether, integrate, invariantize,
-syzygy.  Exit codes: 0 pass, 1 check failure, 2 usage or parse error.
+syzygy.  Exit codes: 0 pass, 1 check failure (or a standard output closed
+before the command wrote it), 2 usage or parse error.
 The default seed comes from LATTICE_FRAMES_SEED when set.
 """
 
@@ -200,11 +201,13 @@ def cmd_euler_lagrange(args):
     out = {}
     for f in fields:
         out[f] = euler_lagrange(L, f, sig)
+    spots = plan.assignments(list(out.values()) or [L], sig)
+    cols = [np.broadcast_to(evaluate(e, spots), len(spots)).tolist() for e in out.values()]
+    # E may fold to 0 from a Lagrangian such as 1/(u[0]-u[0]) that is singular everywhere
+    evaluate(L, plan.assignments([L], sig))
     if args.json:
         print(_json({f: to_string(e) for f, e in out.items()}))
         return 0
-    spots = plan.assignments(list(out.values()) or [L], sig)
-    cols = [np.broadcast_to(evaluate(e, spots), len(spots)).tolist() for e in out.values()]
     for f, e in out.items():
         print(f"E_{f}(L) = {to_string(e)}")
     print("\nnumeric spot checks:")
@@ -372,6 +375,11 @@ def main(argv=None):
     try:
         with run_memo():
             code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: send the interpreter's last flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CHECK_FAILURE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         code = USAGE_ERROR

@@ -76,6 +76,7 @@ __all__ = [
     "invariant_boundary",
     "equivariant_form",
     "verify_divergence_equivalence",
+    "verify_invariant_euler_lagrange",
     "law_divergence_dx",
     "compare_laws",
 ]
@@ -104,19 +105,15 @@ def euler_kappa(IL, beta):
     return euler_lagrange(IL.L_kappa, beta, IL.invset.kappa_sig)
 
 
-def invariant_euler_lagrange(IL, H, plan, tol=1e-9):
+def invariant_euler_lagrange(IL, H):
     """Per field, (H^beta_alpha)^dagger E_kappa^beta (L^kappa) in kappa symbols.
 
     The adjoint is taken in the invariant calculus (the formal derivative of
-    the kappa space is the invariant derivative).  Each expression is
-    verified to equal the invariantization of the original Euler-Lagrange
-    expression, one report per field; a failed report does not stop the
-    remaining fields.
+    the kappa space is the invariant derivative).
     """
     inv = IL.invset
     ksig = inv.kappa_sig
     out = {}
-    reports = []
     for alpha, fname in inv.sigma_fields.items():
         parts = []
         for beta in inv.kappa_names:
@@ -124,13 +121,17 @@ def invariant_euler_lagrange(IL, H, plan, tol=1e-9):
             if op is None:
                 continue
             parts.append(apply_op(op_adjoint(op, ksig), euler_kappa(IL, beta), ksig))
-        expr = add(*parts)
-        out[fname] = expr
-        lhs = inv.expand(expr)
-        rhs = invariantize(inv.frame, euler_lagrange(IL.L, fname, inv.orig_sig), inv.orig_sig)
-        reports.append(identity_check(lhs, rhs, plan, inv.orig_sig, tol=tol,
-                                      check_id=f"invariant-el:{fname}"))
-    return out, reports
+        out[fname] = add(*parts)
+    return out
+
+
+def verify_invariant_euler_lagrange(IL, el_inv, fname, plan, tol=1e-9):
+    """``el_inv[fname]`` must equal the invariantization of the original E_fname(L)."""
+    inv = IL.invset
+    sig = inv.orig_sig
+    lhs = inv.expand(el_inv[fname])
+    rhs = invariantize(inv.frame, euler_lagrange(IL.L, fname, sig), sig)
+    return identity_check(lhs, rhs, plan, sig, tol=tol, check_id=f"invariant-el:{fname}")
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """Named verification suites over the catalog examples.
 
-Each suite is a list of deterministic checks returning
+Each suite runs a list of deterministic checks, each returning
 :class:`~lattice_frames.sampling.CheckReport`; the CLI ``verify`` command
 and the acceptance tests are thin wrappers over these.  Every suite carries
 one deliberately perturbed identity that must fail (negative control).
-A suite that raises :class:`~lattice_frames.expr.ExprError` reports one
-failed ``<suite>:error`` check and the remaining suites still run.
+A check that raises :class:`~lattice_frames.expr.ExprError` reports one
+failed ``<check_id>:error`` and the rest of its suite still runs; work that
+several checks share is built before them, and an error there reports one
+failed ``<suite>:error`` after the checks already decided.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -57,6 +60,7 @@ from .noether import (
     noether_original,
     offshell_residual,
     verify_divergence_equivalence,
+    verify_invariant_euler_lagrange,
 )
 from .parser import parse
 from .sampling import CheckReport, identity_check, residual_stats
@@ -67,17 +71,24 @@ __all__ = ["SUITES", "run_suite", "suite_names"]
 DRIFT_TOLS = {"norm": 1e-8, "energy": 1e-6}
 
 
-def _report(check_id, residual, tol, plan, n_points=None, note=""):
+# the reports these build are named by the ``check`` that runs them
+def _report(residual, tol, plan, n_points=None, note=""):
     """``n_points`` is the size of the point set drawn, when not ``plan``'s own."""
-    return CheckReport.from_residual(check_id, residual, tol, n_points or plan.n_points,
+    return CheckReport.from_residual("", residual, tol, n_points or plan.n_points,
                                      plan.seed, note=note)
 
 
-def _must_fail(check_id, residual, tol, plan, note, n_points=None):
+def _must_fail(residual, tol, plan, note, n_points=None):
     """A negative control: passes only when the residual is finite and above ``tol``."""
     ok = math.isfinite(residual) and residual > tol
-    return CheckReport(check_id, "pass" if ok else "fail", float(residual),
+    return CheckReport("", "pass" if ok else "fail", float(residual),
                        n_points or plan.n_points, plan.seed, note=note)
+
+
+def _must_differ(lhs, rhs, plan, sig, tol):
+    """A negative control: the perturbed identity ``lhs == rhs`` must fail."""
+    bad = identity_check(lhs, rhs, plan, sig, tol=tol, check_id="nc")
+    return _must_fail(bad.max_residual, tol, plan, note="perturbed identity must fail")
 
 
 def _worst(residuals):
@@ -85,117 +96,104 @@ def _worst(residuals):
     return float(np.max(residuals))
 
 
-def suite_syzygy(b, plan, tol=1e-10):
+def suite_syzygy(b, plan, check, tol=1e-10):
     inv = b.invset
     sig = inv.orig_sig
-    out = []
     for syz in inv.syzygies:
-        out.append(verify_syzygy(inv, syz, plan, tol=tol))
+        check(f"syzygy:{syz[0]}", lambda: verify_syzygy(inv, syz, plan, tol=tol))
     # recurrence targets against direct invariantization
-    for target in b.expected.get("recurrences", {}):
+    for target, stored in b.expected.get("recurrences", {}).items():
         fv = parse(target, sig).fv
         kexpr = inv.recurrence(fv)
-        lhs = inv.expand(kexpr)
-        rhs = invariantize(b.frame, Var(fv), sig)
-        out.append(identity_check(lhs, rhs, plan, sig, tol=tol,
-                                  check_id=f"recurrence:{target}"))
-        stored = parse(b.expected["recurrences"][target], inv.kappa_sig)
-        out.append(identity_check(lhs, inv.expand(stored), plan, sig, tol=tol,
-                                  check_id=f"recurrence-stored:{target}"))
+        check(f"recurrence:{target}", lambda: identity_check(
+            inv.expand(kexpr), invariantize(b.frame, Var(fv), sig), plan, sig, tol=tol))
+        check(f"recurrence-stored:{target}", lambda: identity_check(
+            inv.expand(kexpr), inv.expand(parse(stored, inv.kappa_sig)), plan, sig, tol=tol))
     # negative control: a perturbed syzygy must fail
     name, lhs, rhs = inv.syzygies[0]
-    bad = identity_check(inv.expand(add(lhs, Const(1e-3))), inv.expand(rhs),
-                         plan, sig, tol=tol, check_id="nc")
-    out.append(_must_fail(f"negative-control:{name}+1e-3", bad.max_residual, tol, plan,
-                          note="perturbed identity must fail"))
-    return out
+    check(f"negative-control:{name}+1e-3", lambda: _must_differ(
+        inv.expand(add(lhs, Const(1e-3))), inv.expand(rhs), plan, sig, tol))
 
 
-def suite_invariant_el(b, plan, tol=1e-9):
+def suite_invariant_el(b, plan, check, tol=1e-9):
     inv = b.invset
     sig = inv.orig_sig
     ksig = inv.kappa_sig
     IL = b.lagrangian
-    out = [IL.verify(plan, tol=tol)]
-    out.extend(differential_syzygy_operators(inv, plan, tol=tol))
+    check("lagrangian-invariant-form", lambda: IL.verify(plan, tol=tol))
+    check("syzygy-operator", lambda: differential_syzygy_operators(inv, plan, tol=tol))
     # Euler operators in kappa space against the stored forms
     for beta, s in b.expected.get("euler_kappa", {}).items():
-        out.append(identity_check(inv.expand(euler_kappa(IL, beta)),
-                                  inv.expand(parse(s, ksig)), plan, sig, tol=tol,
-                                  check_id=f"euler-kappa:{beta}"))
-    el_inv, reports = invariant_euler_lagrange(IL, inv.H, plan, tol=tol)
-    out.extend(reports)
+        check(f"euler-kappa:{beta}", lambda: identity_check(
+            inv.expand(euler_kappa(IL, beta)), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
+    el_inv = invariant_euler_lagrange(IL, inv.H)
+    for fname in el_inv:
+        check(f"invariant-el:{fname}", lambda: verify_invariant_euler_lagrange(
+            IL, el_inv, fname, plan, tol=tol))
     stored = b.expected.get("el_invariant")
     if isinstance(stored, str):
         stored = {next(iter(el_inv)): stored}
     for fname, s in (stored or {}).items():
-        out.append(identity_check(inv.expand(el_inv[fname]),
-                                  inv.expand(parse(s, ksig)), plan, sig, tol=tol,
-                                  check_id=f"invariant-el-stored:{fname}"))
-    out.append(verify_divergence_equivalence(IL, inv.H, plan, tol=tol))
+        check(f"invariant-el-stored:{fname}", lambda: identity_check(
+            inv.expand(el_inv[fname]), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
+    check("divergence-equivalence",
+          lambda: verify_divergence_equivalence(IL, inv.H, plan, tol=tol))
     # original Euler-Lagrange expressions against the stored displays
     stored = b.expected.get("el_original")
     if isinstance(stored, str):
         stored = {sig.base_fields[0]: stored}
     for fname, s in (stored or {}).items():
-        out.append(identity_check(euler_lagrange(b.L, fname, sig), parse(s, sig),
-                                  plan, sig, tol=tol, check_id=f"el-stored:{fname}"))
+        check(f"el-stored:{fname}", lambda: identity_check(
+            euler_lagrange(b.L, fname, sig), parse(s, sig), plan, sig, tol=tol))
     # negative control
     el0 = euler_lagrange(b.L, sig.base_fields[0], sig)
-    bad = identity_check(el0, add(el0, Const(1e-3)), plan, sig, tol=tol, check_id="nc")
-    out.append(_must_fail("negative-control:el+1e-3", bad.max_residual, tol, plan,
-                          note="perturbed identity must fail"))
-    return out
+    check("negative-control:el+1e-3",
+          lambda: _must_differ(el0, add(el0, Const(1e-3)), plan, sig, tol))
 
 
-def suite_noether(b, plan, tol=1e-9):
+def suite_noether(b, plan, check, tol=1e-9):
     sig = b.sig
-    out = []
+    inv = b.invset
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
     symmetry = {e.index: check_variational_symmetry(b.L, e.gen, sig, plan)
                 for e in b.generators}
     originals = {e.index: noether_original(b.L, e.gen, e.index, sig)
                  for e in b.generators if symmetry[e.index] <= SYMMETRY_TOL}
     invariants = noether_invariant(
-        b.lagrangian, b.invset.H, b.action, b.frame,
+        b.lagrangian, inv.H, b.action, b.frame,
         generators=[e.action_index for e in b.generators if e.action_index])
     for entry in b.generators:
         label = entry.gen.name or f"r{entry.index}"
         if entry.index not in originals:
-            out.append(_must_fail(f"non-symmetry:{label}",
-                                  symmetry[entry.index], SYMMETRY_TOL, plan,
-                                  note="generator must not be a variational symmetry"))
+            check(f"non-symmetry:{label}", lambda: _must_fail(
+                symmetry[entry.index], SYMMETRY_TOL, plan,
+                note="generator must not be a variational symmetry"))
             continue
         law = originals[entry.index]
-        res = offshell_residual(law, EL, entry.gen, sig, plan)
-        out.append(_report(f"offshell-original:{label}", res, tol, plan))
-        stored = b.expected.get("laws_original", {}).get(entry.index)
-        if stored:
-            for cname, comp in law.components.named():
-                if cname in stored:
-                    out.append(identity_check(comp, parse(stored[cname], sig), plan,
-                                              sig, tol=tol,
-                                              check_id=f"law-stored:{label}:{cname}"))
+        check(f"offshell-original:{label}", lambda: _report(
+            offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
+        stored = b.expected.get("laws_original", {}).get(entry.index) or {}
+        for cname, comp in law.components.named():
+            if cname in stored:
+                check(f"law-stored:{label}:{cname}", lambda: identity_check(
+                    comp, parse(stored[cname], sig), plan, sig, tol=tol))
     for law in invariants:
         r = law.generator_index
         entry = b.generator(r)
-        res = offshell_residual(law, EL, entry.gen, sig, plan)
-        out.append(_report(f"offshell-invariant:r{r}", res, tol, plan))
+        check(f"offshell-invariant:r{r}", lambda: _report(
+            offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
         if r in originals:
-            dv, comps = compare_laws(originals[r], law, plan, sig)
-            out.append(_report(f"law-div-match:r{r}", dv, tol, plan))
-            out.append(_report(f"law-components-match:r{r}", _worst(comps), tol, plan,
-                               note="dx-measure components agree pointwise"))
-        stored = b.expected.get("laws_invariant", {}).get(r)
-        if stored:
-            inv = b.invset
-            comps = dict(law.components.named())
-            for cname, s in stored.items():
-                out.append(identity_check(comps[cname], inv.expand(parse(s, inv.kappa_sig)),
-                                          plan, sig, tol=tol,
-                                          check_id=f"law-stored-invariant:r{r}:{cname}"))
+            # evaluated once for both checks; an error is each check's own
+            match = functools.cache(lambda: compare_laws(originals[r], law, plan, sig))
+            check(f"law-div-match:r{r}", lambda: _report(match()[0], tol, plan))
+            check(f"law-components-match:r{r}", lambda: _report(
+                _worst(match()[1]), tol, plan, note="dx-measure components agree pointwise"))
+        named = dict(law.components.named())
+        for cname, s in (b.expected.get("laws_invariant", {}).get(r) or {}).items():
+            check(f"law-stored-invariant:r{r}:{cname}", lambda: identity_check(
+                named[cname], inv.expand(parse(s, inv.kappa_sig)), plan, sig, tol=tol))
     if b.integrate_config is not None:
-        out.extend(integration_checks(b))
+        check("integration-drift", lambda: integration_checks(b))
     # negative control: constants lie in the kernel of the difference
     # divergence, so perturb with a field value instead
     entry = next(e for e in b.generators if e.index in originals)
@@ -205,10 +203,9 @@ def suite_noether(b, plan, tol=1e-9):
                        DivergenceTuple(law.components.a0,
                                        tuple(add(c, bump) for c in law.components.comps)),
                        measure="dx")
-    res = offshell_residual(broken, EL, entry.gen, sig, plan)
-    out.append(_must_fail("negative-control:perturbed-law", res, tol, plan,
-                          note="perturbed components must break the identity"))
-    return out
+    check("negative-control:perturbed-law", lambda: _must_fail(
+        offshell_residual(broken, EL, entry.gen, sig, plan), tol, plan,
+        note="perturbed components must break the identity"))
 
 
 def integration_checks(b):
@@ -219,15 +216,13 @@ def integration_checks(b):
     traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
                                   monitors=cfg["monitors"])
     drifts = monitor_conserved(traj)
-    out = []
-    for label in sorted(drifts):
-        tol = DRIFT_TOLS.get(label, 1e-6)
-        out.append(CheckReport.from_residual(f"integration-drift:{label}", drifts[label], tol,
-                                             1, 0, note=cfg.get("note", "")))
-    return out
+    return [CheckReport.from_residual(f"integration-drift:{label}", drifts[label],
+                                      DRIFT_TOLS.get(label, 1e-6), 1, 0,
+                                      note=cfg.get("note", ""))
+            for label in sorted(drifts)]
 
 
-def suite_equivariance(b, plan, tol=1e-8):
+def suite_equivariance(b, plan, check, tol=1e-8):
     sig = b.sig
     frame, action, inv = b.frame, b.action, b.invset
 
@@ -236,40 +231,35 @@ def suite_equivariance(b, plan, tol=1e-8):
         return invariance_residual(e, action, sig, replace(plan, n_points=n_points), rng,
                                    n_group=20)
 
-    out = list(verify_frame(frame, plan, sig, tol=tol))
-    probe = b.L
-    ie = invariantize(frame, probe, sig)
-    out.append(identity_check(ie, invariantize(frame, ie, sig),
-                              replace(plan, n_points=20), sig, tol=tol,
-                              check_id="iota-projection"))
-    out.append(_report("iota-invariance", invariance(ie, 20), tol, plan, n_points=20))
+    check(frame.name, lambda: verify_frame(frame, plan, sig, tol=tol))
+    ie = invariantize(frame, b.L, sig)
+    check("iota-projection", lambda: identity_check(
+        ie, invariantize(frame, ie, sig), replace(plan, n_points=20), sig, tol=tol))
+    check("iota-invariance", lambda: _report(invariance(ie, 20), tol, plan, n_points=20))
     # replacement rule on each generating invariant
     xr = invariantize(frame, XVar(), sig) if sig.has_x else None
     for kname, kdef in inv.kappa_defs.items():
-        rules = {fv: invariantize(frame, Var(fv), sig) for fv in fieldvars(kdef)}
-        out.append(identity_check(kdef, substitute(kdef, rules, x_repl=xr),
-                                  replace(plan, n_points=20), sig, tol=tol,
-                                  check_id=f"replacement-rule:{kname}"))
+        check(f"replacement-rule:{kname}", lambda: identity_check(
+            kdef, substitute(kdef, {fv: invariantize(frame, Var(fv), sig)
+                                    for fv in fieldvars(kdef)}, x_repl=xr),
+            replace(plan, n_points=20), sig, tol=tol))
     for i in range(sig.lattice_dim):
-        K = maurer_cartan(frame, i, sig)
-        worst = _worst([invariance(comp, 10) for comp in K])
-        out.append(_report(f"maurer-cartan-invariance:{i+1}", worst, tol, plan, n_points=10))
+        check(f"maurer-cartan-invariance:{i+1}", lambda: _report(
+            _worst([invariance(comp, 10) for comp in maurer_cartan(frame, i, sig)]),
+            tol, plan, n_points=10))
     if sig.lattice_dim == 2:
-        lhs = mc_element(frame, (1, 1), sig)
-        rhs = mc_concatenated(frame, 0, 1, sig)
-        worst = _worst([residual_stats(l, r, replace(plan, n_points=15).assignments([l, r], sig))
-                        for l, r in zip(lhs, rhs)])
-        out.append(_report("maurer-cartan-concatenation", worst, tol, plan, n_points=15))
+        check("maurer-cartan-concatenation", lambda: _report(_worst([
+            residual_stats(l, r, replace(plan, n_points=15).assignments([l, r], sig))
+            for l, r in zip(mc_element(frame, (1, 1), sig), mc_concatenated(frame, 0, 1, sig))]),
+            tol, plan, n_points=15))
     if sig.differential:
         dc = frame.dcal_inv
         step = unit_step(0, sig.lattice_dim)
-        lhs = deriv_op(shift(ie, step, sig), sig, dc)
-        rhs = shift(deriv_op(ie, sig, dc), step, sig)
-        out.append(identity_check(lhs, rhs, replace(plan, n_points=20), sig, tol=tol,
-                                  check_id="dcal-shift-commutation"))
-        out.append(CheckReport("projectable-frame",
-                               "pass" if frame.projectable else "fail",
-                               0.0, 1, plan.seed))
+        check("dcal-shift-commutation", lambda: identity_check(
+            deriv_op(shift(ie, step, sig), sig, dc), shift(deriv_op(ie, sig, dc), step, sig),
+            replace(plan, n_points=20), sig, tol=tol))
+        check("projectable-frame", lambda: CheckReport(
+            "", "pass" if frame.projectable else "fail", 0.0, 1, plan.seed))
     # equivariant law forms
     ksig = inv.kappa_sig
     invariants = noether_invariant(
@@ -278,44 +268,39 @@ def suite_equivariance(b, plan, tol=1e-8):
     for law in invariants:
         r = law.generator_index
         eq = equivariant_form(law, plan)
-        dv, comps = compare_laws(law, eq, plan, sig)
-        out.append(_report(f"equivariant-match:r{r}", _worst([dv] + comps), tol, plan))
+        # the divergence residual and the component residuals together
+        check(f"equivariant-match:r{r}", lambda: _report(
+            _worst(np.hstack(compare_laws(law, eq, plan, sig))), tol, plan))
         expected = b.expected.get("equivariant_coeffs", {}).get(r)
         if expected:
             for cname, row in equivariant_coefficients(eq):
                 want_row = expected.get(cname, {})
                 for sym, coeff in sorted(row.items()):
                     if sym in want_row:
-                        want = inv.expand(parse(want_row[sym], ksig))
-                        out.append(identity_check(
-                            inv.expand(coeff), want, replace(plan, n_points=25), sig,
-                            tol=tol, check_id=f"equivariant-coeff:r{r}:{cname}:{sym}"))
+                        check(f"equivariant-coeff:r{r}:{cname}:{sym}", lambda: identity_check(
+                            inv.expand(coeff), inv.expand(parse(want_row[sym], ksig)),
+                            replace(plan, n_points=25), sig, tol=tol))
                     else:
                         # the display omits this term; it must die against the
                         # vanishing adjoint component it multiplies
                         term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
-                        expanded = _expand_adj(term, frame, r - 1, sig)
-                        out.append(identity_check(
-                            expanded, Const(0), replace(plan, n_points=25), sig,
-                            tol=tol, check_id=f"equivariant-zero-term:r{r}:{cname}:{sym}"))
+                        check(f"equivariant-zero-term:r{r}:{cname}:{sym}",
+                              lambda: identity_check(
+                                  _expand_adj(term, frame, r - 1, sig), Const(0),
+                                  replace(plan, n_points=25), sig, tol=tol))
     # adjoint representation property on random elements
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 23))
-    gaps = []
-    for _ in range(10):
-        g1, g2 = action.random_element(rng), action.random_element(rng)
-        A12 = adjoint_matrix(action, action.compose(g1, g2))
-        prod = adjoint_matrix(action, g2) @ adjoint_matrix(action, g1)
-        gaps.append(np.max(np.abs(A12 - prod)))
-    out.append(_report("adjoint-representation-property", _worst(gaps), tol, plan,
-                       n_points=10))
+    pairs = [(action.random_element(rng), action.random_element(rng)) for _ in range(10)]
+    check("adjoint-representation-property", lambda: _report(_worst([
+        np.max(np.abs(adjoint_matrix(action, action.compose(g1, g2))
+                      - adjoint_matrix(action, g2) @ adjoint_matrix(action, g1)))
+        for g1, g2 in pairs]), tol, plan, n_points=10))
     # negative control: the raw base-point field value is never invariant
     # under the catalog actions
     raw = Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
-    out.append(_must_fail("negative-control:noninvariant",
-                          invariance(add(ie, raw), 10), tol, plan,
-                          note="non-invariant expression must fail the invariance test",
-                          n_points=10))
-    return out
+    check("negative-control:noninvariant", lambda: _must_fail(
+        invariance(add(ie, raw), 10), tol, plan,
+        note="non-invariant expression must fail the invariance test", n_points=10))
 
 
 SUITES = {
@@ -333,17 +318,29 @@ def suite_names():
 def run_suite(b, name, plan, tol=None):
     """Reports of one suite, or of every suite in order for ``"all"``.
 
-    A suite that raises :class:`ExprError` contributes one failed
-    ``<suite>:error`` report carrying the message instead of its checks.
-    The suites share one :func:`~lattice_frames.expr.run_memo`.
+    Each suite is called once, with ``check(check_id, run)``: ``check``
+    calls ``run()`` at once and records the one report it returns, named
+    ``check_id``, or the list of reports it returns, named by ``run``.  A
+    ``run`` that raises :class:`ExprError` records one failed
+    ``<check_id>:error`` report carrying the message instead, and the suite
+    goes on to its next check.  The suite call is a check of its own, so an
+    error in the work several checks share records ``<suite>:error`` after
+    the reports already decided.  The suites share one
+    :func:`~lattice_frames.expr.run_memo`.
     """
     kw = {} if tol is None else {"tol": tol}
     out = []
+
+    def check(check_id, run):
+        try:
+            got = run()
+        except ExprError as err:
+            got = [CheckReport(f"{check_id}:error", "fail", math.nan, 0, plan.seed,
+                               note=str(err))]
+        out.extend([replace(got, check_id=check_id)] if isinstance(got, CheckReport) else got)
+
     with run_memo():
         for suite in (SUITES if name == "all" else [name]):
-            try:
-                out.extend(SUITES[suite](b, plan, **kw))
-            except ExprError as err:
-                out.append(CheckReport(f"{suite}:error", "fail", math.nan, 0, plan.seed,
-                                       note=str(err)))
+            # a suite records its reports through check and returns none of its own
+            check(suite, lambda: SUITES[suite](b, plan, check=check, **kw) or [])
     return out

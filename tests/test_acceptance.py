@@ -55,6 +55,7 @@ from lattice_frames.noether import (
     noether_original,
     offshell_residual,
     verify_divergence_equivalence,
+    verify_invariant_euler_lagrange,
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import (
@@ -80,7 +81,8 @@ def test_criterion_1_toda_syzygy(toda, toda_plan):
 def test_criterion_2_toda_invariant_el(toda, toda_plan):
     IL = toda.lagrangian
     inv = toda.invset
-    el, reports = invariant_euler_lagrange(IL, inv.H, toda_plan, tol=1e-9)
+    el = invariant_euler_lagrange(IL, inv.H)
+    reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
     res_iota = max(r.max_residual for r in reports)
     stored = parse(toda.expected["el_invariant"], inv.kappa_sig)
     r2 = identity_check(inv.expand(el["u"]), inv.expand(stored), toda_plan,
@@ -136,7 +138,7 @@ def test_criterion_4_ex81(ex81, ex81_plan):
         frame_res = max(frame_res, residual_stats(
             got, Const(c), ex81_plan.assignments([got], sig)))
     syz = verify_syzygy(inv, inv.syzygies[0], ex81_plan, tol=1e-10)
-    el, _ = invariant_euler_lagrange(ex81.lagrangian, inv.H, ex81_plan)
+    el = invariant_euler_lagrange(ex81.lagrangian, inv.H)
     stored = parse(ex81.expected["el_invariant"], inv.kappa_sig)
     r_el = identity_check(inv.expand(el["u"]), inv.expand(stored), ex81_plan,
                           sig, tol=1e-9)
@@ -175,7 +177,7 @@ def test_criterion_5_nls(nls, nls_plan):
     for g in nls.action.generators:
         worst_sym = max(worst_sym, check_variational_symmetry(nls.L, g, sig, nls_plan))
     syz = verify_syzygy(inv, inv.syzygies[0], nls_plan, tol=1e-9)
-    el, _ = invariant_euler_lagrange(nls.lagrangian, inv.H, nls_plan)
+    el = invariant_euler_lagrange(nls.lagrangian, inv.H)
     from lattice_frames.catalog.nls import K1, phi_at
     H = parse("h", inv.kappa_sig)
     want = {"u": parse(nls.expected["el_invariant"]["u"], inv.kappa_sig),

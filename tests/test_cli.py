@@ -71,6 +71,29 @@ def test_impossible_sample_is_one_line(args):
     assert len(err) == 1 and err[0].startswith(f"error: {IMPOSSIBLE}")
 
 
+# the ex81 checks that draw no --points sample: a point count of their own, or none
+OWN_POINTS = ["iota-projection", "iota-invariance", "replacement-rule:k1",
+              "replacement-rule:k2", "maurer-cartan-invariance:1", "dcal-shift-commutation",
+              "projectable-frame", "adjoint-representation-property",
+              "negative-control:noninvariant"]
+
+
+def _assert_each_sampling_check_fails(doc, message):
+    """Every ex81 check that samples --points failed with its own error carrying ``message``."""
+    checks = doc["checks"]
+    assert doc["status"] == "fail"
+    assert [c["check_id"] for c in checks if c["status"] == "pass"] == OWN_POINTS
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert all(c["check_id"].endswith(":error") and c["note"].startswith(message)
+               for c in failed)
+    # each check of the first two suites; the noether suite's shared classification;
+    # the frame's and the equivariant-match checks of the last
+    assert {"syzygy:shifted-k1:error", "negative-control:shifted-k1+1e-3:error",
+            "divergence-equivalence:error", "negative-control:el+1e-3:error", "noether:error",
+            "ex81-scale:error", "equivariant-match:r2:error"} <= {c["check_id"] for c in failed}
+    assert len(failed) == 21
+
+
 class TestVerify:
     def test_toda_all_passes(self):
         r = run_cli("verify", "toda", "--suite", "all", "--points", "25")
@@ -121,17 +144,12 @@ class TestVerify:
         # numpy refuses the terabytes of the first candidate block at once
         r = run_cli("--json", "verify", "ex81", "--suite", "all", "--points", HUGE_POINTS)
         assert r.returncode == 1 and r.stderr == ""
-        checks = json.loads(r.stdout)["checks"]
-        assert [c["check_id"] for c in checks] == [f"{s}:error" for s in SUITES]
-        assert all(c["status"] == "fail" and c["note"].startswith(UNALLOCATABLE)
-                   for c in checks)
+        _assert_each_sampling_check_fails(json.loads(r.stdout), UNALLOCATABLE)
 
     def test_impossible_sample_fails_each_suite(self):
         r = run_cli("--json", "verify", "ex81", "--points", IMPOSSIBLE_POINTS)
         assert r.returncode == 1 and r.stderr == ""
-        checks = json.loads(r.stdout)["checks"]
-        assert [c["check_id"] for c in checks] == [f"{s}:error" for s in SUITES]
-        assert all(c["status"] == "fail" and c["note"].startswith(IMPOSSIBLE) for c in checks)
+        _assert_each_sampling_check_fails(json.loads(r.stdout), IMPOSSIBLE)
 
     def test_valid_tolerance_override_passes(self):
         r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")
@@ -173,6 +191,15 @@ class TestEulerLagrange:
         r = run_cli("euler-lagrange", text)
         assert r.returncode == 2
         assert r.stderr.startswith("parse error: number is not a finite double at position ")
+
+    @pytest.mark.parametrize("lagrangian, message", [
+        ("1/(u[0]-u[0])", "division by zero"), ("ln(u[0]-u[0])", "ln of zero")])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_lagrangian_singular_everywhere_fails(self, lagrangian, message, mode):
+        # E_u(L) folds to 0, so only L itself shows the singularity
+        r = run_cli(*mode, "euler-lagrange", lagrangian, "--fields", "u")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.splitlines() == [f"singular evaluation: {message}"]
 
     def test_power_overflow_one_line_failure(self):
         r = run_process("euler-lagrange", "u[0]^100000")
@@ -387,6 +414,19 @@ class TestOther:
     def test_syzygy(self):
         r = run_cli("syzygy", "nls", "--points", "25")
         assert r.returncode == 0
+
+    @pytest.mark.parametrize("args", [["--json", "verify", "ex81", "--suite", "noether"],
+                                      ["syzygy", "ex81"]])
+    def test_closed_stdout_exits_1_without_a_traceback(self, args):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-m", "lattice_frames.cli", *args],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": path})
+        child.stdout.close()   # before the child has imported anything, let alone written
+        err = child.stderr.read()
+        assert child.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert len(err.splitlines()) <= 1
 
     def test_json_determinism(self):
         a = run_process("--json", "--seed", "42", "verify", "toda", "--suite", "syzygy")

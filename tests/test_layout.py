@@ -1,7 +1,7 @@
 """Static checks on the package source: import placement and ``__all__``;
 that every function, class and method is named somewhere it is not
 defined; that every rebuild, and ``evaluate``, takes its node table from
-``expr._table``; that no
+``expr._table``; that ``run_suite`` alone catches a suite's errors; that no
 dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; and that every expression node
 class is interned."""
@@ -155,6 +155,21 @@ def test_evaluate_takes_its_table_from_the_run_memo():
     assert len(tables) == 1
     key = tables[0].args[0]
     assert isinstance(key, ast.Tuple) and ast.literal_eval(key.elts[0]) == "evaluate"
+
+
+def test_run_suite_is_the_one_error_boundary_of_the_suites():
+    tree = _parse(PACKAGE_DIR / "suites.py")
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    suites = [f for name, f in functions.items() if name.startswith("suite_")]
+    assert suites and [f.name for f in suites
+                       if any(isinstance(n, tries) for n in ast.walk(f))] == []
+    # a handler that names no type, or a base of ExprError, catches it too
+    catching = [h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and (
+        h.type is None or {_name(t) for t in ast.walk(h.type)}
+        & {"ExprError", "Exception", "BaseException"})]
+    inside = {id(n) for n in ast.walk(functions["run_suite"])}
+    assert catching and [h.lineno for h in catching if id(h) not in inside] == []
 
 
 def test_no_dataclass_field_is_left_out_of_init():

@@ -31,6 +31,7 @@ from lattice_frames.noether import (
     noether_original,
     offshell_residual,
     verify_divergence_equivalence,
+    verify_invariant_euler_lagrange,
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check
@@ -73,7 +74,8 @@ class TestEulerKappa:
 class TestInvariantEulerLagrange:
     def test_toda_matches_stored_and_iota(self, toda, toda_plan):
         IL = toda.lagrangian
-        el, reports = invariant_euler_lagrange(IL, toda.invset.H, toda_plan, tol=1e-9)
+        el = invariant_euler_lagrange(IL, toda.invset.H)
+        reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
         assert all(r.passed for r in reports)
         stored = parse(toda.expected["el_invariant"], toda.invset.kappa_sig)
         r = identity_check(toda.invset.expand(el["u"]), toda.invset.expand(stored),
@@ -82,7 +84,8 @@ class TestInvariantEulerLagrange:
 
     def test_ex81_display(self, ex81, ex81_plan):
         IL = ex81.lagrangian
-        el, reports = invariant_euler_lagrange(IL, ex81.invset.H, ex81_plan)
+        el = invariant_euler_lagrange(IL, ex81.invset.H)
+        reports = [verify_invariant_euler_lagrange(IL, el, f, ex81_plan) for f in el]
         assert all(r.passed for r in reports)
         stored = parse(ex81.expected["el_invariant"], ex81.invset.kappa_sig)
         r = identity_check(ex81.invset.expand(el["u"]), ex81.invset.expand(stored),
@@ -93,7 +96,8 @@ class TestInvariantEulerLagrange:
         from lattice_frames.catalog.nls import K1, phi_at
         IL = nls.lagrangian
         inv = nls.invset
-        el, reports = invariant_euler_lagrange(IL, inv.H, nls_plan)
+        el = invariant_euler_lagrange(IL, inv.H)
+        reports = [verify_invariant_euler_lagrange(IL, el, f, nls_plan) for f in el]
         assert all(r.passed for r in reports)
         H = parse("h", inv.kappa_sig)
         want_u = parse(nls.expected["el_invariant"]["u"], inv.kappa_sig)
@@ -104,8 +108,9 @@ class TestInvariantEulerLagrange:
             assert r.passed, (f, r.max_residual)
 
     def test_verification_failure_reported(self, broken_toda, toda_plan):
-        el, reports = invariant_euler_lagrange(broken_toda.lagrangian,
-                                               broken_toda.invset.H, toda_plan)
+        IL = broken_toda.lagrangian
+        el = invariant_euler_lagrange(IL, broken_toda.invset.H)
+        reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
         assert set(el) == {"u"}
         assert [(r.check_id, r.status) for r in reports] == [("invariant-el:u", "fail")]
         # the rest of the suite still reports

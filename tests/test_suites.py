@@ -8,7 +8,7 @@ import pytest
 
 from lattice_frames import suites
 from lattice_frames.actions import SYMMETRY_TOL, invariance_residual
-from lattice_frames.expr import ExprError
+from lattice_frames.expr import ExprError, SingularEvaluationError
 from lattice_frames.sampling import CheckReport
 from lattice_frames.suites import SUITES, run_suite
 
@@ -21,7 +21,7 @@ def test_all_is_the_single_suites_in_order(ex81):
 
 def test_raising_suite_reports_one_error_and_the_rest_still_run(ex81, monkeypatch):
     plan = ex81.plan(n_points=15)
-    others = [r.to_dict() for name in list(SUITES)[1:] for r in run_suite(ex81, name, plan)]
+    want = [r.to_dict() for r in run_suite(ex81, "all", plan)]
 
     def exhausted(*args, **kw):
         raise ExprError("guards rejected every candidate")
@@ -29,9 +29,66 @@ def test_raising_suite_reports_one_error_and_the_rest_still_run(ex81, monkeypatc
     monkeypatch.setattr(suites, "verify_syzygy", exhausted)
     err, *rest = run_suite(ex81, "all", plan)
     assert (err.check_id, err.status, err.note) == (
-        "syzygy:error", "fail", "guards rejected every candidate")
-    assert math.isnan(err.max_residual) and err.n_points == 0
-    assert [r.to_dict() for r in rest] == others
+        "syzygy:shifted-k1:error", "fail", "guards rejected every candidate")
+    assert math.isnan(err.max_residual) and (err.n_points, err.seed) == (0, plan.seed)
+    # the rest of the syzygy suite, then every other suite
+    assert want[0]["check_id"] == "syzygy:shifted-k1"
+    assert [r.to_dict() for r in rest] == want[1:]
+
+
+def test_raising_check_keeps_the_rest_of_its_suite(ex81, monkeypatch):
+    plan = ex81.plan(seed=31337)
+    want = [r.to_dict() for r in run_suite(ex81, "invariant-el", plan)]
+
+    def singular(*args, **kw):
+        raise SingularEvaluationError("division by zero")
+
+    monkeypatch.setattr(suites, "verify_divergence_equivalence", singular)
+    got = run_suite(ex81, "invariant-el", plan)
+    assert len(got) == len(want) == 10
+    at = [r["check_id"] for r in want].index("divergence-equivalence")
+    assert want[at + 1:] and [r["check_id"] for r in want[at + 1:]] == [
+        "el-stored:u", "negative-control:el+1e-3"]
+    err = got[at]
+    assert (err.check_id, err.status, err.note) == (
+        "divergence-equivalence:error", "fail", "division by zero")
+    assert math.isnan(err.max_residual) and (err.n_points, err.seed) == (0, 31337)
+    assert [r.to_dict() for r in got[:at] + got[at + 1:]] == want[:at] + want[at + 1:]
+
+
+def test_raising_shared_work_keeps_the_reports_before_it(ex81, monkeypatch):
+    plan = ex81.plan(n_points=15)
+    want = [r.to_dict() for r in run_suite(ex81, "invariant-el", plan)]
+
+    def singular(*args, **kw):
+        raise SingularEvaluationError("shared step")
+
+    monkeypatch.setattr(suites, "invariant_euler_lagrange", singular)
+    got = run_suite(ex81, "invariant-el", plan)
+    # the checks before the invariant Euler-Lagrange expressions are built
+    at = [r["check_id"] for r in want].index("invariant-el:u")
+    assert [r.to_dict() for r in got[:-1]] == want[:at]
+    assert [r["check_id"] for r in want[:at]][-1] == "euler-kappa:k2"
+    assert (got[-1].check_id, got[-1].status, got[-1].note) == (
+        "invariant-el:error", "fail", "shared step")
+
+
+def test_checks_sharing_an_evaluation_each_report_its_error(toda, monkeypatch):
+    plan = toda.plan(n_points=10)
+    want = [r.to_dict() for r in run_suite(toda, "noether", plan)]
+
+    def singular(*args, **kw):
+        raise SingularEvaluationError("division by zero")
+
+    monkeypatch.setattr(suites, "compare_laws", singular)
+    got = [r.to_dict() for r in run_suite(toda, "noether", plan)]
+    shared = ("law-div-match:", "law-components-match:")
+    assert [r["check_id"] for r in got] == [
+        r["check_id"] + ":error" if r["check_id"].startswith(shared) else r["check_id"]
+        for r in want]
+    assert sum(r["check_id"].startswith(shared) for r in want) >= 2
+    assert [r for r in got if not r["check_id"].endswith(":error")] == [
+        r for r in want if not r["check_id"].startswith(shared)]
 
 
 def test_noether_suite_runs_each_check_once(toda, monkeypatch):
