@@ -9,7 +9,6 @@ kappa = iota(u_{1,0}) and lambda = iota(u_{0,1}).
 
 from __future__ import annotations
 
-import functools
 from itertools import product
 
 from ..actions import Generator, GroupAction
@@ -108,7 +107,6 @@ _RECURRENCE_BASE = {
 }
 
 
-@functools.cache
 def _iota_u(i, j):
     if (i, j) in _RECURRENCE_BASE:
         return _RECURRENCE_BASE[(i, j)]

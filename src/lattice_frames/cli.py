@@ -35,10 +35,10 @@ from .flows import (
     monitor_conserved,
     step_count,
 )
-from .frames import invariantize, verify_syzygy
+from .frames import invariantize
 from .noether import equivariant_form, noether_invariant, noether_original, offshell_residual
 from .parser import ParseError, parse
-from .sampling import SamplePlan
+from .sampling import SamplePlan, identity_check
 from .suites import run_suite, suite_names
 
 USAGE_ERROR = 2
@@ -350,7 +350,9 @@ def cmd_syzygy(args):
     b = _get_example_or_exit(args.example)
     plan = b.plan(seed=args.seed, n_points=args.points)
     tol = args.tol if args.tol is not None else 1e-10
-    reports = [verify_syzygy(b.invset, s, plan, tol=tol) for s in b.invset.syzygies]
+    inv = b.invset
+    reports = [identity_check(inv.expand(lhs), inv.expand(rhs), plan, inv.orig_sig, tol=tol,
+                              check_id=f"syzygy:{name}") for name, lhs, rhs in inv.syzygies]
     return _emit_reports(reports, args.json)
 
 

@@ -1,8 +1,10 @@
 """Difference and projectable differential-difference moving frames.
 
 A frame is a catalog object: the normalization equations come with a
-closed-form solution for the group parameters (no numeric root-finding),
-and every stored formula is re-verified at runtime on random chart points.
+closed-form solution for the group parameters (no numeric root-finding).
+This module builds and does not check: it returns expressions, and the
+one residual the frame's right-equivariance needs, while the verification
+suites compare them at random chart points and report the result.
 Invariantization evaluates the transformed expression on the frame; the
 generating invariants live in a separate expression space (the
 "kappa space") linked to the original variables by an explicit expansion
@@ -11,7 +13,7 @@ table, because the invariantization operator does not commute with shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .actions import transform
 from .calculus import LinDiffOp, apply_op, deriv_op, prolong, unit_step
 from .expr import (
     ONE,
-    Const,
     ExprError,
     Param,
     _substitute_fields,
@@ -30,18 +31,17 @@ from .expr import (
     shift,
     t_derivative,
 )
-from .sampling import CheckReport, identity_check, relative_residual
+from .sampling import relative_residual
 
 __all__ = [
     "Frame",
     "invariantize",
     "maurer_cartan",
     "mc_concatenated",
-    "verify_frame",
+    "right_equivariance_residual",
     "InvariantSet",
     "mc_element",
-    "verify_syzygy",
-    "differential_syzygy_operators",
+    "syzygy_operator_sides",
 ]
 
 
@@ -106,24 +106,18 @@ def mc_concatenated(frame, i, j, sig):
     return frame.action.compose(SKi, Kj)
 
 
-def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
-    """Runtime checks: normalization solved exactly, right-equivariance."""
+def right_equivariance_residual(frame, plan, sig, n_group=10):
+    """Worst relative residual of rho(g.z) = rho(z) g^{-1} over the plan's points.
+
+    The frame parameters are pulled back once with symbolic group
+    coordinates and compared against the composed element, for ``n_group``
+    random g in the chart, all evaluated at once on all sample points.
+    """
     action = frame.action
-    reports = []
-    # psi_r(rho . z) = 0 on the chart
-    for k, (zexpr, c) in enumerate(frame.normalization):
-        lhs = invariantize(frame, zexpr, sig)
-        reports.append(identity_check(lhs, Const(c), plan, sig, tol=tol,
-                                      check_id=f"{frame.name}:normalization-{k}"))
-    # rho(g.z) = rho(z) g^{-1} for random g in the chart: the frame parameters
-    # pulled back once with symbolic group coordinates against the composed
-    # element, all n_group elements evaluated at once on all sample points
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 1))
     gs = [action.random_element(rng) for _ in range(n_group)]
     symbolic = [Param(p) for p in action.param_names]
     moved = [transform(p, action, symbolic, sig) for p in frame.param_exprs]
-    pts = replace(plan, n_points=max(10, plan.n_points // 3)).assignments(
-        list(frame.param_exprs), sig)
 
     def residual(a):
         g, at = action.at_elements(a, gs)
@@ -132,10 +126,7 @@ def verify_frame(frame, plan, sig, tol=1e-8, n_group=10):
         rhs = np.array(action.compose(rho, action.inverse(g)))
         return lhs - rhs, (lhs, rhs)
 
-    worst = relative_residual(pts, residual)
-    reports.append(CheckReport.from_residual(f"{frame.name}:right-equivariance", worst, tol,
-                                             len(pts), plan.seed))
-    return reports
+    return relative_residual(plan.assignments(list(frame.param_exprs), sig), residual)
 
 
 @dataclass
@@ -201,32 +192,17 @@ class InvariantSet:
         return _substitute_fields(e, self.expand_var, ("expand", id(self)), self)
 
 
-def verify_syzygy(invset, syzygy, plan, tol=1e-10):
-    """Both sides expanded to original variables and compared on the chart."""
-    name, lhs, rhs = syzygy
-    return identity_check(invset.expand(lhs), invset.expand(rhs), plan,
-                          invset.orig_sig, tol=tol, check_id=f"syzygy:{name}")
-
-
-def differential_syzygy_operators(invset, plan, tol=1e-9):
-    """Reports verifying d(kappa^beta)/dt = H^beta_alpha sigma^alpha, one per row of H.
+def syzygy_operator_sides(invset, beta):
+    """Both sides of d(kappa^beta)/dt = H^beta_alpha sigma^alpha for one row of H.
 
     The registered kappa-space coefficients are expanded to the original
-    variables, applied to the sigma definitions with the invariant
-    derivative, and compared against the t-derivative of each generating
-    invariant with fresh random variation slots.
+    variables and applied to the sigma definitions with the invariant
+    derivative; the left side is the t-derivative of the generating
+    invariant, whose variation slots are sampled fresh.
     """
     sig = invset.orig_sig
-    reports = []
-    for beta, row in invset.H.items():
-        lhs = t_derivative(invset.kappa_defs[beta], sig)
-        parts = []
-        for alpha, op in row.items():
-            if op is None:
-                continue
-            expanded = LinDiffOp(tuple((invset.expand(c), K, j) for c, K, j in op.terms))
-            parts.append(apply_op(expanded, invset.sigma_defs[alpha], sig,
-                                  dcal_inv=invset.frame.dcal_inv))
-        reports.append(identity_check(lhs, add(*parts), plan, sig, tol=tol,
-                                      check_id=f"syzygy-operator:{beta}"))
-    return reports
+    lhs = t_derivative(invset.kappa_defs[beta], sig)
+    parts = [apply_op(LinDiffOp(tuple((invset.expand(c), K, j) for c, K, j in op.terms)),
+                      invset.sigma_defs[alpha], sig, dcal_inv=invset.frame.dcal_inv)
+             for alpha, op in invset.H[beta].items() if op is not None]
+    return lhs, add(*parts)

@@ -1,13 +1,17 @@
 """Named verification suites over the catalog examples.
 
-Each suite runs a list of deterministic checks, each returning
-:class:`~lattice_frames.sampling.CheckReport`; the CLI ``verify`` command
-and the acceptance tests are thin wrappers over these.  Every suite carries
-one deliberately perturbed identity that must fail (negative control).
-A check that raises :class:`~lattice_frames.expr.ExprError` reports one
-failed ``<check_id>:error`` and the rest of its suite still runs; work that
-several checks share is built before them, and an error there reports one
-failed ``<suite>:error`` after the checks already decided.
+This module is the one place where a :class:`~lattice_frames.sampling.CheckReport`
+of a suite is built and named: the frames and laws it checks come back from
+their modules as expressions, pairs of sides or residuals.  Each suite runs
+deterministic checks, one report per ``check`` call; the CLI ``verify``
+command is a thin wrapper over these.  Every suite carries one deliberately
+perturbed identity that must fail (negative control).  A check that raises
+:class:`~lattice_frames.expr.ExprError` reports one failed
+``<check_id>:error`` and the rest of its suite still runs.  The laws are
+built inside a block check of their own, so an error there reports one
+failed ``invariant-laws:error`` or ``equivariant-laws:error`` and the checks
+that need no invariant law still run; other work several checks share is
+built before them, and an error there reports ``<suite>:error``.
 """
 
 from __future__ import annotations
@@ -33,25 +37,26 @@ from .expr import (
     XVar,
     add,
     fieldvars,
+    mul,
     run_memo,
     shift,
     substitute,
 )
 from .flows import integrate_lattice_flow, monitor_conserved
 from .frames import (
-    differential_syzygy_operators,
     invariantize,
     maurer_cartan,
     mc_concatenated,
     mc_element,
-    verify_frame,
-    verify_syzygy,
+    right_equivariance_residual,
+    syzygy_operator_sides,
 )
 from .noether import (
     _adj_index,
     _adj_var,
     _expand_adj,
     compare_laws,
+    divergence_equivalence_sides,
     equivariant_coefficients,
     equivariant_form,
     euler_kappa,
@@ -59,8 +64,6 @@ from .noether import (
     noether_invariant,
     noether_original,
     offshell_residual,
-    verify_divergence_equivalence,
-    verify_invariant_euler_lagrange,
 )
 from .parser import parse
 from .sampling import CheckReport, identity_check, residual_stats
@@ -99,8 +102,9 @@ def _worst(residuals):
 def suite_syzygy(b, plan, check, tol=1e-10):
     inv = b.invset
     sig = inv.orig_sig
-    for syz in inv.syzygies:
-        check(f"syzygy:{syz[0]}", lambda: verify_syzygy(inv, syz, plan, tol=tol))
+    for name, lhs, rhs in inv.syzygies:
+        check(f"syzygy:{name}", lambda: identity_check(
+            inv.expand(lhs), inv.expand(rhs), plan, sig, tol=tol))
     # recurrence targets against direct invariantization
     for target, stored in b.expected.get("recurrences", {}).items():
         fv = parse(target, sig).fv
@@ -120,24 +124,29 @@ def suite_invariant_el(b, plan, check, tol=1e-9):
     sig = inv.orig_sig
     ksig = inv.kappa_sig
     IL = b.lagrangian
-    check("lagrangian-invariant-form", lambda: IL.verify(plan, tol=tol))
-    check("syzygy-operator", lambda: differential_syzygy_operators(inv, plan, tol=tol))
+    # expand(L_kappa) must equal L / J (and plainly L when J = 1)
+    check("lagrangian-invariant-form", lambda: identity_check(
+        inv.expand(IL.L_kappa), mul(IL.L, inv.frame.dcal_inv), plan, sig, tol=tol))
+    for beta in inv.H:
+        check(f"syzygy-operator:{beta}", lambda: identity_check(
+            *syzygy_operator_sides(inv, beta), plan, sig, tol=tol))
     # Euler operators in kappa space against the stored forms
     for beta, s in b.expected.get("euler_kappa", {}).items():
         check(f"euler-kappa:{beta}", lambda: identity_check(
             inv.expand(euler_kappa(IL, beta)), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
     el_inv = invariant_euler_lagrange(IL, inv.H)
     for fname in el_inv:
-        check(f"invariant-el:{fname}", lambda: verify_invariant_euler_lagrange(
-            IL, el_inv, fname, plan, tol=tol))
+        check(f"invariant-el:{fname}", lambda: identity_check(
+            inv.expand(el_inv[fname]),
+            invariantize(inv.frame, euler_lagrange(IL.L, fname, sig), sig), plan, sig, tol=tol))
     stored = b.expected.get("el_invariant")
     if isinstance(stored, str):
         stored = {next(iter(el_inv)): stored}
     for fname, s in (stored or {}).items():
         check(f"invariant-el-stored:{fname}", lambda: identity_check(
             inv.expand(el_inv[fname]), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
-    check("divergence-equivalence",
-          lambda: verify_divergence_equivalence(IL, inv.H, plan, tol=tol))
+    check("divergence-equivalence", lambda: identity_check(
+        *divergence_equivalence_sides(IL, inv.H), plan, sig, tol=tol))
     # original Euler-Lagrange expressions against the stored displays
     stored = b.expected.get("el_original")
     if isinstance(stored, str):
@@ -159,9 +168,6 @@ def suite_noether(b, plan, check, tol=1e-9):
                 for e in b.generators}
     originals = {e.index: noether_original(b.L, e.gen, e.index, sig)
                  for e in b.generators if symmetry[e.index] <= SYMMETRY_TOL}
-    invariants = noether_invariant(
-        b.lagrangian, inv.H, b.action, b.frame,
-        generators=[e.action_index for e in b.generators if e.action_index])
     for entry in b.generators:
         label = entry.gen.name or f"r{entry.index}"
         if entry.index not in originals:
@@ -177,23 +183,34 @@ def suite_noether(b, plan, check, tol=1e-9):
             if cname in stored:
                 check(f"law-stored:{label}:{cname}", lambda: identity_check(
                     comp, parse(stored[cname], sig), plan, sig, tol=tol))
-    for law in invariants:
-        r = law.generator_index
-        entry = b.generator(r)
-        check(f"offshell-invariant:r{r}", lambda: _report(
-            offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
-        if r in originals:
-            # evaluated once for both checks; an error is each check's own
-            match = functools.cache(lambda: compare_laws(originals[r], law, plan, sig))
-            check(f"law-div-match:r{r}", lambda: _report(match()[0], tol, plan))
-            check(f"law-components-match:r{r}", lambda: _report(
-                _worst(match()[1]), tol, plan, note="dx-measure components agree pointwise"))
-        named = dict(law.components.named())
-        for cname, s in (b.expected.get("laws_invariant", {}).get(r) or {}).items():
-            check(f"law-stored-invariant:r{r}:{cname}", lambda: identity_check(
-                named[cname], inv.expand(parse(s, inv.kappa_sig)), plan, sig, tol=tol))
-    if b.integrate_config is not None:
-        check("integration-drift", lambda: integration_checks(b))
+
+    def invariant_laws():
+        for law in noether_invariant(
+                b.lagrangian, inv.H, b.action, b.frame,
+                generators=[e.action_index for e in b.generators if e.action_index]):
+            r = law.generator_index
+            entry = b.generator(r)
+            check(f"offshell-invariant:r{r}", lambda: _report(
+                offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
+            if r in originals:
+                # evaluated once for both checks; an error is each check's own
+                match = functools.cache(lambda: compare_laws(originals[r], law, plan, sig))
+                check(f"law-div-match:r{r}", lambda: _report(match()[0], tol, plan))
+                check(f"law-components-match:r{r}", lambda: _report(
+                    _worst(match()[1]), tol, plan, note="dx-measure components agree pointwise"))
+            named = dict(law.components.named())
+            for cname, s in (b.expected.get("laws_invariant", {}).get(r) or {}).items():
+                check(f"law-stored-invariant:r{r}:{cname}", lambda: identity_check(
+                    named[cname], inv.expand(parse(s, inv.kappa_sig)), plan, sig, tol=tol))
+
+    check("invariant-laws", invariant_laws)
+    cfg = b.integrate_config
+    if cfg is not None:
+        # one flow for every monitor; an error is each check's own
+        drifts = functools.cache(lambda: integration_drifts(cfg))
+        for label in sorted(cfg["monitors"]):
+            check(f"integration-drift:{label}", lambda: CheckReport.from_residual(
+                "", drifts()[label], DRIFT_TOLS.get(label, 1e-6), 1, 0, note=cfg.get("note", "")))
     # negative control: constants lie in the kernel of the difference
     # divergence, so perturb with a field value instead
     entry = next(e for e in b.generators if e.index in originals)
@@ -208,18 +225,12 @@ def suite_noether(b, plan, check, tol=1e-9):
         note="perturbed components must break the identity"))
 
 
-def integration_checks(b):
-    """Conservation drift of the monitored sums at the default configuration."""
-    cfg = b.integrate_config
+def integration_drifts(cfg):
+    """Conservation drift of each monitored sum over one flow at the default configuration."""
     d = cfg["defaults"]
     state0 = cfg["initial_state"](d["n_sites"], d["h"])
-    traj = integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
-                                  monitors=cfg["monitors"])
-    drifts = monitor_conserved(traj)
-    return [CheckReport.from_residual(f"integration-drift:{label}", drifts[label],
-                                      DRIFT_TOLS.get(label, 1e-6), 1, 0,
-                                      note=cfg.get("note", ""))
-            for label in sorted(drifts)]
+    return monitor_conserved(integrate_lattice_flow(cfg["rhs"], state0, d["x_span"], d["dt"],
+                                                    monitors=cfg["monitors"]))
 
 
 def suite_equivariance(b, plan, check, tol=1e-8):
@@ -231,7 +242,12 @@ def suite_equivariance(b, plan, check, tol=1e-8):
         return invariance_residual(e, action, sig, replace(plan, n_points=n_points), rng,
                                    n_group=20)
 
-    check(frame.name, lambda: verify_frame(frame, plan, sig, tol=tol))
+    for k, (zexpr, c) in enumerate(frame.normalization):
+        check(f"{frame.name}:normalization-{k}", lambda: identity_check(
+            invariantize(frame, zexpr, sig), Const(c), plan, sig, tol=tol))
+    eq_plan = replace(plan, n_points=max(10, plan.n_points // 3))
+    check(f"{frame.name}:right-equivariance", lambda: _report(
+        right_equivariance_residual(frame, eq_plan, sig), tol, eq_plan))
     ie = invariantize(frame, b.L, sig)
     check("iota-projection", lambda: identity_check(
         ie, invariantize(frame, ie, sig), replace(plan, n_points=20), sig, tol=tol))
@@ -262,32 +278,35 @@ def suite_equivariance(b, plan, check, tol=1e-8):
             "", "pass" if frame.projectable else "fail", 0.0, 1, plan.seed))
     # equivariant law forms
     ksig = inv.kappa_sig
-    invariants = noether_invariant(
-        b.lagrangian, inv.H, action, frame,
-        generators=[e.action_index for e in b.generators if e.action_index])
-    for law in invariants:
-        r = law.generator_index
-        eq = equivariant_form(law, plan)
-        # the divergence residual and the component residuals together
-        check(f"equivariant-match:r{r}", lambda: _report(
-            _worst(np.hstack(compare_laws(law, eq, plan, sig))), tol, plan))
-        expected = b.expected.get("equivariant_coeffs", {}).get(r)
-        if expected:
-            for cname, row in equivariant_coefficients(eq):
-                want_row = expected.get(cname, {})
-                for sym, coeff in sorted(row.items()):
-                    if sym in want_row:
-                        check(f"equivariant-coeff:r{r}:{cname}:{sym}", lambda: identity_check(
-                            inv.expand(coeff), inv.expand(parse(want_row[sym], ksig)),
-                            replace(plan, n_points=25), sig, tol=tol))
-                    else:
-                        # the display omits this term; it must die against the
-                        # vanishing adjoint component it multiplies
-                        term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
-                        check(f"equivariant-zero-term:r{r}:{cname}:{sym}",
-                              lambda: identity_check(
-                                  _expand_adj(term, frame, r - 1, sig), Const(0),
-                                  replace(plan, n_points=25), sig, tol=tol))
+
+    def equivariant_laws():
+        for law in noether_invariant(
+                b.lagrangian, inv.H, action, frame,
+                generators=[e.action_index for e in b.generators if e.action_index]):
+            r = law.generator_index
+            eq = equivariant_form(law, plan)
+            # the divergence residual and the component residuals together
+            check(f"equivariant-match:r{r}", lambda: _report(
+                _worst(np.hstack(compare_laws(law, eq, plan, sig))), tol, plan))
+            expected = b.expected.get("equivariant_coeffs", {}).get(r)
+            if expected:
+                for cname, row in equivariant_coefficients(eq):
+                    want_row = expected.get(cname, {})
+                    for sym, coeff in sorted(row.items()):
+                        if sym in want_row:
+                            check(f"equivariant-coeff:r{r}:{cname}:{sym}", lambda: identity_check(
+                                inv.expand(coeff), inv.expand(parse(want_row[sym], ksig)),
+                                replace(plan, n_points=25), sig, tol=tol))
+                        else:
+                            # the display omits this term; it must die against the
+                            # vanishing adjoint component it multiplies
+                            term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
+                            check(f"equivariant-zero-term:r{r}:{cname}:{sym}",
+                                  lambda: identity_check(
+                                      _expand_adj(term, frame, r - 1, sig), Const(0),
+                                      replace(plan, n_points=25), sig, tol=tol))
+
+    check("equivariant-laws", equivariant_laws)
     # adjoint representation property on random elements
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 23))
     pairs = [(action.random_element(rng), action.random_element(rng)) for _ in range(10)]
@@ -319,14 +338,14 @@ def run_suite(b, name, plan, tol=None):
     """Reports of one suite, or of every suite in order for ``"all"``.
 
     Each suite is called once, with ``check(check_id, run)``: ``check``
-    calls ``run()`` at once and records the one report it returns, named
-    ``check_id``, or the list of reports it returns, named by ``run``.  A
-    ``run`` that raises :class:`ExprError` records one failed
-    ``<check_id>:error`` report carrying the message instead, and the suite
-    goes on to its next check.  The suite call is a check of its own, so an
-    error in the work several checks share records ``<suite>:error`` after
-    the reports already decided.  The suites share one
-    :func:`~lattice_frames.expr.run_memo`.
+    calls ``run()`` at once and records the one report it returns under
+    ``check_id``, or nothing when it returns None.  A ``run`` that raises
+    :class:`ExprError` records one failed ``<check_id>:error`` report
+    carrying the message instead, and the suite goes on to its next check.
+    A suite call, and a block of checks that shares the laws it builds, is
+    a check of its own that returns None: an error in that shared work
+    records ``<suite>:error`` or ``<block>:error`` after the reports already
+    decided.  The suites share one :func:`~lattice_frames.expr.run_memo`.
     """
     kw = {} if tol is None else {"tol": tol}
     out = []
@@ -335,12 +354,12 @@ def run_suite(b, name, plan, tol=None):
         try:
             got = run()
         except ExprError as err:
-            got = [CheckReport(f"{check_id}:error", "fail", math.nan, 0, plan.seed,
-                               note=str(err))]
-        out.extend([replace(got, check_id=check_id)] if isinstance(got, CheckReport) else got)
+            check_id += ":error"
+            got = CheckReport("", "fail", math.nan, 0, plan.seed, note=str(err))
+        if got is not None:
+            out.append(replace(got, check_id=check_id))
 
     with run_memo():
         for suite in (SUITES if name == "all" else [name]):
-            # a suite records its reports through check and returns none of its own
-            check(suite, lambda: SUITES[suite](b, plan, check=check, **kw) or [])
+            check(suite, lambda: SUITES[suite](b, plan, check=check, **kw))
     return out

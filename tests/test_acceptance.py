@@ -39,11 +39,9 @@ from lattice_frames.expr import (
 )
 from lattice_frames.flows import integrate_lattice_flow, monitor_conserved
 from lattice_frames.frames import (
-    differential_syzygy_operators,
     invariantize,
     maurer_cartan,
-    verify_frame,
-    verify_syzygy,
+    right_equivariance_residual,
 )
 from lattice_frames.noether import (
     ConservationLaw,
@@ -54,8 +52,6 @@ from lattice_frames.noether import (
     noether_invariant,
     noether_original,
     offshell_residual,
-    verify_divergence_equivalence,
-    verify_invariant_euler_lagrange,
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import (
@@ -64,6 +60,8 @@ from lattice_frames.sampling import (
 )
 from oracles import finite_lattice_pairing, random_lindiffop
 from test_cli import run_process
+from test_frames import syzygy_check
+from test_noether import divergence_equivalence_check, invariant_el_check
 
 
 def report(num, description, ok, detail):
@@ -73,7 +71,7 @@ def report(num, description, ok, detail):
 
 
 def test_criterion_1_toda_syzygy(toda, toda_plan):
-    r = verify_syzygy(toda.invset, toda.invset.syzygies[0], toda_plan, tol=1e-10)
+    r = syzygy_check(toda.invset, toda.invset.syzygies[0], toda_plan, tol=1e-10)
     report(1, "Toda syzygy residual <= 1e-10 at 50 chart points",
            r.passed, f"max residual {r.max_residual:.3e}")
 
@@ -82,7 +80,7 @@ def test_criterion_2_toda_invariant_el(toda, toda_plan):
     IL = toda.lagrangian
     inv = toda.invset
     el = invariant_euler_lagrange(IL, inv.H)
-    reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
+    reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
     res_iota = max(r.max_residual for r in reports)
     stored = parse(toda.expected["el_invariant"], inv.kappa_sig)
     r2 = identity_check(inv.expand(el["u"]), inv.expand(stored), toda_plan,
@@ -137,7 +135,7 @@ def test_criterion_4_ex81(ex81, ex81_plan):
         got = invariantize(ex81.frame, z, sig)
         frame_res = max(frame_res, residual_stats(
             got, Const(c), ex81_plan.assignments([got], sig)))
-    syz = verify_syzygy(inv, inv.syzygies[0], ex81_plan, tol=1e-10)
+    syz = syzygy_check(inv, inv.syzygies[0], ex81_plan, tol=1e-10)
     el = invariant_euler_lagrange(ex81.lagrangian, inv.H)
     stored = parse(ex81.expected["el_invariant"], inv.kappa_sig)
     r_el = identity_check(inv.expand(el["u"]), inv.expand(stored), ex81_plan,
@@ -176,7 +174,7 @@ def test_criterion_5_nls(nls, nls_plan):
     worst_sym = 0.0
     for g in nls.action.generators:
         worst_sym = max(worst_sym, check_variational_symmetry(nls.L, g, sig, nls_plan))
-    syz = verify_syzygy(inv, inv.syzygies[0], nls_plan, tol=1e-9)
+    syz = syzygy_check(inv, inv.syzygies[0], nls_plan, tol=1e-9)
     el = invariant_euler_lagrange(nls.lagrangian, inv.H)
     from lattice_frames.catalog.nls import K1, phi_at
     H = parse("h", inv.kappa_sig)
@@ -265,10 +263,12 @@ def test_criterion_7_frame_properties(toda, ex81, nls):
     for b in (toda, ex81, nls):
         sig = b.sig
         plan = b.plan(n_points=20)
-        # right-equivariance at 20 group elements x 20 points
-        reps = verify_frame(b.frame, replace(plan, n_points=60), sig, tol=1e-8,
-                            n_group=20)
-        w = max(r.max_residual for r in reps)
+        # normalization at 60 points; right-equivariance at 20 group elements x 20 points
+        w = right_equivariance_residual(b.frame, plan, sig, n_group=20)
+        for z, c in b.frame.normalization:
+            got = invariantize(b.frame, z, sig)
+            w = max(w, residual_stats(got, Const(c),
+                                      replace(plan, n_points=60).assignments([got], sig)))
         # iota projection
         ie = invariantize(b.frame, b.L, sig)
         w = max(w, residual_stats(ie, invariantize(b.frame, ie, sig),
@@ -301,8 +301,7 @@ def test_criterion_7_frame_properties(toda, ex81, nls):
 def test_criterion_8_divergence_equivalence(toda, ex81, nls):
     worst = {}
     for b in (toda, ex81, nls):
-        r = verify_divergence_equivalence(b.lagrangian, b.invset.H, b.plan(),
-                                          tol=1e-9)
+        r = divergence_equivalence_check(b.lagrangian, b.plan(), tol=1e-9)
         worst[b.name] = r.max_residual
         assert r.passed, b.name
     report(8, "Div(A_u) = Div(A_H + A_kappa) with fresh variation slots <= 1e-9",

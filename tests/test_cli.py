@@ -78,20 +78,26 @@ OWN_POINTS = ["iota-projection", "iota-invariance", "replacement-rule:k1",
               "negative-control:noninvariant"]
 
 
-def _assert_each_sampling_check_fails(doc, message):
+def _assert_each_sampling_check_fails(doc, message, points):
     """Every ex81 check that samples --points failed with its own error carrying ``message``."""
     checks = doc["checks"]
     assert doc["status"] == "fail"
     assert [c["check_id"] for c in checks if c["status"] == "pass"] == OWN_POINTS
     failed = [c for c in checks if c["status"] == "fail"]
-    assert all(c["check_id"].endswith(":error") and c["note"].startswith(message)
-               for c in failed)
+    # the frame's right-equivariance draws a third of --points
+    third = message.replace(points, str(int(points) // 3))
+    assert all(c["check_id"].endswith(":error") and c["note"].startswith(
+        third if c["check_id"] == "ex81-scale:right-equivariance:error" else message)
+        for c in failed)
     # each check of the first two suites; the noether suite's shared classification;
-    # the frame's and the equivariant-match checks of the last
+    # each of the frame's checks and the equivariant-match checks of the last
     assert {"syzygy:shifted-k1:error", "negative-control:shifted-k1+1e-3:error",
+            "syzygy-operator:k1:error", "syzygy-operator:k2:error",
             "divergence-equivalence:error", "negative-control:el+1e-3:error", "noether:error",
-            "ex81-scale:error", "equivariant-match:r2:error"} <= {c["check_id"] for c in failed}
-    assert len(failed) == 21
+            "ex81-scale:normalization-0:error", "ex81-scale:normalization-1:error",
+            "ex81-scale:right-equivariance:error",
+            "equivariant-match:r2:error"} <= {c["check_id"] for c in failed}
+    assert len(failed) == 24
 
 
 class TestVerify:
@@ -144,12 +150,12 @@ class TestVerify:
         # numpy refuses the terabytes of the first candidate block at once
         r = run_cli("--json", "verify", "ex81", "--suite", "all", "--points", HUGE_POINTS)
         assert r.returncode == 1 and r.stderr == ""
-        _assert_each_sampling_check_fails(json.loads(r.stdout), UNALLOCATABLE)
+        _assert_each_sampling_check_fails(json.loads(r.stdout), UNALLOCATABLE, HUGE_POINTS)
 
     def test_impossible_sample_fails_each_suite(self):
         r = run_cli("--json", "verify", "ex81", "--points", IMPOSSIBLE_POINTS)
         assert r.returncode == 1 and r.stderr == ""
-        _assert_each_sampling_check_fails(json.loads(r.stdout), IMPOSSIBLE)
+        _assert_each_sampling_check_fails(json.loads(r.stdout), IMPOSSIBLE, IMPOSSIBLE_POINTS)
 
     def test_valid_tolerance_override_passes(self):
         r = run_cli("--json", "verify", "ex81", "--suite", "syzygy", "--tol", "1e-8")

@@ -493,7 +493,6 @@ def _probe_suite(fail):
         assert all([r() is not None for r in refs])     # held by the memo while the run lasts
         if fail:
             raise RuntimeError("probe")
-        return []
 
     return suite, refs
 
@@ -782,14 +781,14 @@ class TestPruning:
         assert walked["transform"] > 0 and walked["substitute"] == 0
         assert moved is oracles.reference_substitute(moved, {}, param_rules=identity)
 
-    @pytest.mark.parametrize("name, walks", [("toda", 1475), ("ex81", 649), ("nls", 1754)])
+    @pytest.mark.parametrize("name, walks", [("toda", 1476), ("ex81", 649), ("nls", 1754)])
     def test_nodes_walked_per_run(self, name, walks, monkeypatch):
         # nodes the builders walk per verify <ex> --suite all --seed 31337,
         # toda/ex81/nls: 2,126/870/2,683 when every builder walked every node
-        # of its table's first visit; with the pruning, as pinned here.  The
-        # first run in a process also builds what a bundle keeps (one more
-        # shifted node on toda), so the second run is counted.
-        _verify(name)
+        # of its table's first visit; with the pruning, as pinned here.  A
+        # bundle keeps nothing a run builds, so every run walks as many.
         walked = _count_walks(monkeypatch)
-        _verify(name)
-        assert sum(walked.values()) == walks
+        for _ in range(2):
+            walked.clear()
+            _verify(name)
+            assert sum(walked.values()) == walks

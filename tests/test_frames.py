@@ -23,13 +23,12 @@ from lattice_frames.expr import (
     substitute,
 )
 from lattice_frames.frames import (
-    differential_syzygy_operators,
     invariantize,
     maurer_cartan,
     mc_concatenated,
     mc_element,
-    verify_frame,
-    verify_syzygy,
+    right_equivariance_residual,
+    syzygy_operator_sides,
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check, residual_stats
@@ -43,6 +42,25 @@ def fv(name, *K, d=0):
 
 def V(name, *K, d=0):
     return Var(fv(name, *K, d=d))
+
+
+def frame_checks(frame, plan, sig, n_group=10):
+    """The normalization reports, then the right-equivariance residual, of ``frame``."""
+    reports = [identity_check(invariantize(frame, z, sig), Const(c), plan, sig, tol=1e-8)
+               for z, c in frame.normalization]
+    return reports, right_equivariance_residual(frame, plan, sig, n_group=n_group)
+
+
+def syzygy_check(invset, syzygy, plan, tol):
+    """Both sides of a kappa-space syzygy expanded to original variables and compared."""
+    _, lhs, rhs = syzygy
+    return identity_check(invset.expand(lhs), invset.expand(rhs), plan, invset.orig_sig, tol=tol)
+
+
+def syzygy_operator_checks(invset, plan):
+    """One report per row of H, named as the invariant-el suite names it."""
+    return [identity_check(*syzygy_operator_sides(invset, beta), plan, invset.orig_sig,
+                           check_id=f"syzygy-operator:{beta}") for beta in invset.H]
 
 
 class TestSolveFrame:
@@ -72,8 +90,8 @@ class TestSolveFrame:
 
     def test_verification_runs(self, toda, ex81, nls):
         for b in (toda, ex81, nls):
-            reports = verify_frame(b.frame, b.plan(), b.sig)
-            assert all(r.passed for r in reports), b.name
+            reports, residual = frame_checks(b.frame, b.plan(), b.sig)
+            assert all(r.passed for r in reports) and residual <= 1e-8, b.name
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
     def test_right_equivariance_matches_pointwise_reference(self, name):
@@ -95,9 +113,7 @@ class TestSolveFrame:
                 rhs = action.compose(rho, action.inverse(g))
                 worst = max([worst] + [abs(lv - rv) / max(1.0, abs(lv), abs(rv))
                                        for lv, rv in zip(lhs, rhs)])
-        rep = verify_frame(frame, plan, sig)[-1]
-        assert rep.check_id.endswith(":right-equivariance") and rep.n_points == 16
-        assert rep.max_residual == worst
+        assert right_equivariance_residual(frame, replace(plan, n_points=16), sig) == worst
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
     def test_transforms_each_parameter_once(self, name, monkeypatch):
@@ -112,7 +128,8 @@ class TestSolveFrame:
         monkeypatch.setattr(frames, "transform", counted)
         for n_group in (5, 20):
             calls.clear()
-            assert all(r.passed for r in verify_frame(b.frame, b.plan(), b.sig, n_group=n_group))
+            reports, residual = frame_checks(b.frame, b.plan(), b.sig, n_group=n_group)
+            assert all(r.passed for r in reports) and residual <= 1e-8
             assert len(calls) == len(b.frame.normalization) + len(b.frame.param_exprs)
 
 
@@ -215,8 +232,8 @@ class TestInvariantize:
         # commutation identity, checked as the equivariance suite checks it, fails
         sig = ex81.sig
         frame = non_projectable_frame(ex81.action)
-        reports = verify_frame(frame, ex81_plan, sig)
-        assert reports and all(r.passed for r in reports)
+        reports, residual = frame_checks(frame, ex81_plan, sig)
+        assert reports and all(r.passed for r in reports) and residual <= 1e-8
         assert not frame.projectable
         ie = invariantize(frame, ex81.L, sig)
         lhs = deriv_op(shift(ie, (1,), sig), sig, frame.dcal_inv)
@@ -236,12 +253,17 @@ class TestInvariantize:
         assert all(not r.passed and "not projectable" in r.note
                    for r in reports if r.check_id in errors)
         # each check that expands a kappa symbol fails on its own; the laws are
-        # shared work, so the last two suites end in their suite's error
+        # built in a block check of their own, so the checks after them still run
         assert {"syzygy:shifted-k1:error", "negative-control:shifted-k1+1e-3:error",
                 "invariant-el:u:error", "divergence-equivalence:error"} <= set(errors)
-        assert [e for e in errors if e.removesuffix(":error") in SUITES] == [
-            "noether:error", "equivariance:error"]
-        assert errors[-1] == reports[-1].check_id == "equivariance:error"
+        assert [e for e in errors if e.removesuffix(":error") in SUITES] == []
+        assert [e for e in errors if e.endswith("-laws:error")] == [
+            "invariant-laws:error", "equivariant-laws:error"]
+        passed = {r.check_id for r in reports if r.passed}
+        assert {"offshell-original:v1", "offshell-original:v2", "law-stored:v1:A0",
+                "law-stored:v2:A1", "negative-control:perturbed-law",
+                "adjoint-representation-property", "negative-control:noninvariant"} <= passed
+        assert (len(reports), len(passed)) == (39, 20)
         assert not {r.check_id: r for r in reports}["projectable-frame"].passed
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
@@ -396,40 +418,40 @@ class TestProlongation:
 
 class TestSyzygies:
     def test_toda_syzygy(self, toda, toda_plan):
-        r = verify_syzygy(toda.invset, toda.invset.syzygies[0], toda_plan, tol=1e-10)
+        r = syzygy_check(toda.invset, toda.invset.syzygies[0], toda_plan, tol=1e-10)
         assert r.passed
 
     def test_reflexive(self, toda, toda_plan):
         k = parse("kappa[0,0]", toda.invset.kappa_sig)
-        r = verify_syzygy(toda.invset, ("reflexive", k, k), toda_plan, tol=1e-15)
+        r = syzygy_check(toda.invset, ("reflexive", k, k), toda_plan, tol=1e-15)
         assert r.passed and r.max_residual == 0.0
 
     def test_ex81(self, ex81, ex81_plan):
-        r = verify_syzygy(ex81.invset, ex81.invset.syzygies[0], ex81_plan, tol=1e-10)
+        r = syzygy_check(ex81.invset, ex81.invset.syzygies[0], ex81_plan, tol=1e-10)
         assert r.passed
 
     def test_nls_phi_syzygy(self, nls, nls_plan):
-        r = verify_syzygy(nls.invset, nls.invset.syzygies[0], nls_plan, tol=1e-9)
+        r = syzygy_check(nls.invset, nls.invset.syzygies[0], nls_plan, tol=1e-9)
         assert r.passed
 
 
 class TestSyzygyOperators:
     def test_toda_three_terms_each(self, toda, toda_plan):
-        reports = differential_syzygy_operators(toda.invset, toda_plan)
+        reports = syzygy_operator_checks(toda.invset, toda_plan)
         assert all(r.passed for r in reports)
         H = toda.invset.H
         assert len(H["kappa"]["sigma"].terms) == 3
         assert len(H["lambda"]["sigma"].terms) == 3
 
     def test_ex81_forms(self, ex81, ex81_plan):
-        reports = differential_syzygy_operators(ex81.invset, ex81_plan)
+        reports = syzygy_operator_checks(ex81.invset, ex81_plan)
         assert all(r.passed for r in reports)
         H = ex81.invset.H
         assert {(K, j) for _, K, j in H["k1"]["sigma"].terms} == {((0,), 1), ((0,), 0)}
         assert {(K, j) for _, K, j in H["k2"]["sigma"].terms} == {((1,), 0), ((0,), 0)}
 
     def test_nls_k1_row_is_identity(self, nls, nls_plan):
-        reports = differential_syzygy_operators(nls.invset, nls_plan)
+        reports = syzygy_operator_checks(nls.invset, nls_plan)
         assert all(r.passed for r in reports)
         row = nls.invset.H["k1"]
         assert row["sigma_v"] is None
@@ -437,7 +459,7 @@ class TestSyzygyOperators:
 
     def test_failure_reported(self, broken_toda, toda_plan):
         # the failed row does not stop the verification of the next one
-        reports = differential_syzygy_operators(broken_toda.invset, toda_plan)
+        reports = syzygy_operator_checks(broken_toda.invset, toda_plan)
         assert [(r.check_id, r.status) for r in reports] == [
             ("syzygy-operator:kappa", "fail"), ("syzygy-operator:lambda", "pass")]
         assert reports[0].max_residual > 1e-3

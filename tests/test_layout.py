@@ -1,7 +1,9 @@
 """Static checks on the package source: import placement and ``__all__``;
 that every function, class and method is named somewhere it is not
 defined; that every rebuild, and ``evaluate``, takes its node table from
-``expr._table``; that ``run_suite`` alone catches a suite's errors; that no
+``expr._table``; that ``run_suite`` alone catches a suite's errors and
+records one report per check; that only the suites and the CLI build and
+name reports; that no
 dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; and that every expression node
 class is interned."""
@@ -170,6 +172,32 @@ def test_run_suite_is_the_one_error_boundary_of_the_suites():
         & {"ExprError", "Exception", "BaseException"})]
     inside = {id(n) for n in ast.walk(functions["run_suite"])}
     assert catching and [h.lineno for h in catching if id(h) not in inside] == []
+
+
+def test_run_suite_records_at_most_one_report_per_check():
+    tree = _parse(PACKAGE_DIR / "suites.py")
+    run_suite = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "run_suite")
+    check = next(n for n in ast.walk(run_suite) if isinstance(n, ast.FunctionDef)
+                 and n.name == "check")
+    calls = [_name(n.func) for n in ast.walk(check) if isinstance(n, ast.Call)]
+    assert calls.count("append") == 1 and "extend" not in calls
+
+
+# the modules that build and name a check's report; the others only build
+# the expressions, sides and residuals these check
+REPORTING_MODULES = {"sampling.py", "suites.py", "cli.py"}
+
+
+def test_only_the_suites_and_the_cli_name_reports():
+    offenders = []
+    for path in MODULES:
+        if str(path.relative_to(PACKAGE_DIR)) in REPORTING_MODULES:
+            continue
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME and tok.string in ("CheckReport", "identity_check"):
+                offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{tok.start[0]}")
+    assert offenders == []
 
 
 def test_no_dataclass_field_is_left_out_of_init():

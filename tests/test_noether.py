@@ -17,6 +17,7 @@ from lattice_frames.expr import (
     total_derivative,
 )
 from lattice_frames.flows import integrate_lattice_flow, monitor_conserved
+from lattice_frames.frames import invariantize
 from lattice_frames.noether import (
     ConservationLaw,
     _expand_adj,
@@ -29,9 +30,8 @@ from lattice_frames.noether import (
     law_dx_components,
     noether_invariant,
     noether_original,
+    divergence_equivalence_sides,
     offshell_residual,
-    verify_divergence_equivalence,
-    verify_invariant_euler_lagrange,
 )
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check
@@ -44,6 +44,21 @@ def fv(name, *K, d=0):
 
 def V(name, *K, d=0):
     return Var(fv(name, *K, d=d))
+
+
+def invariant_el_check(IL, el_inv, fname, plan):
+    """``el_inv[fname]`` against the invariantization of the original E_fname(L)."""
+    inv = IL.invset
+    sig = inv.orig_sig
+    return identity_check(inv.expand(el_inv[fname]),
+                          invariantize(inv.frame, euler_lagrange(IL.L, fname, sig), sig),
+                          plan, sig, check_id=f"invariant-el:{fname}")
+
+
+def divergence_equivalence_check(IL, plan, tol):
+    """Div(A_u) dx against Div(A_H + A_kappa) iota(dx) with fresh variation slots."""
+    return identity_check(*divergence_equivalence_sides(IL, IL.invset.H), plan,
+                          IL.invset.orig_sig, tol=tol)
 
 
 class TestEulerKappa:
@@ -75,7 +90,7 @@ class TestInvariantEulerLagrange:
     def test_toda_matches_stored_and_iota(self, toda, toda_plan):
         IL = toda.lagrangian
         el = invariant_euler_lagrange(IL, toda.invset.H)
-        reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
+        reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert all(r.passed for r in reports)
         stored = parse(toda.expected["el_invariant"], toda.invset.kappa_sig)
         r = identity_check(toda.invset.expand(el["u"]), toda.invset.expand(stored),
@@ -85,7 +100,7 @@ class TestInvariantEulerLagrange:
     def test_ex81_display(self, ex81, ex81_plan):
         IL = ex81.lagrangian
         el = invariant_euler_lagrange(IL, ex81.invset.H)
-        reports = [verify_invariant_euler_lagrange(IL, el, f, ex81_plan) for f in el]
+        reports = [invariant_el_check(IL, el, f, ex81_plan) for f in el]
         assert all(r.passed for r in reports)
         stored = parse(ex81.expected["el_invariant"], ex81.invset.kappa_sig)
         r = identity_check(ex81.invset.expand(el["u"]), ex81.invset.expand(stored),
@@ -97,7 +112,7 @@ class TestInvariantEulerLagrange:
         IL = nls.lagrangian
         inv = nls.invset
         el = invariant_euler_lagrange(IL, inv.H)
-        reports = [verify_invariant_euler_lagrange(IL, el, f, nls_plan) for f in el]
+        reports = [invariant_el_check(IL, el, f, nls_plan) for f in el]
         assert all(r.passed for r in reports)
         H = parse("h", inv.kappa_sig)
         want_u = parse(nls.expected["el_invariant"]["u"], inv.kappa_sig)
@@ -110,7 +125,7 @@ class TestInvariantEulerLagrange:
     def test_verification_failure_reported(self, broken_toda, toda_plan):
         IL = broken_toda.lagrangian
         el = invariant_euler_lagrange(IL, broken_toda.invset.H)
-        reports = [verify_invariant_euler_lagrange(IL, el, f, toda_plan) for f in el]
+        reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert set(el) == {"u"}
         assert [(r.check_id, r.status) for r in reports] == [("invariant-el:u", "fail")]
         # the rest of the suite still reports
@@ -214,7 +229,6 @@ class TestNoetherInvariant:
     def test_invariant_law_needs_L_xi_term(self, ex81, ex81_plan):
         # dropping L^kappa iota(xi_s) a^s_2 from the invariant r=2 law must
         # break the off-shell identity by much more than the tolerance
-        from lattice_frames.frames import invariantize
         IL = ex81.lagrangian
         inv = ex81.invset
         laws = noether_invariant(IL, inv.H, ex81.action, ex81.frame, generators=[2])
@@ -308,14 +322,13 @@ class TestFormalInvariantDerivative:
 class TestDivergenceEquivalence:
     def test_all_examples(self, toda, ex81, nls):
         for b in (toda, ex81, nls):
-            r = verify_divergence_equivalence(b.lagrangian, b.invset.H, b.plan(),
-                                              tol=1e-9)
+            r = divergence_equivalence_check(b.lagrangian, b.plan(), tol=1e-9)
             assert r.passed, (b.name, r.max_residual)
 
     def test_constant_kappa_lagrangian(self, toda, toda_plan):
         from lattice_frames.noether import InvariantLagrangian
         IL = InvariantLagrangian(Const(3), Const(3), toda.invset)
-        r = verify_divergence_equivalence(IL, toda.invset.H, toda_plan, tol=1e-14)
+        r = divergence_equivalence_check(IL, toda_plan, tol=1e-14)
         assert r.passed and r.max_residual == 0.0
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from lattice_frames import suites
 from lattice_frames.actions import SYMMETRY_TOL, invariance_residual
-from lattice_frames.expr import ExprError, SingularEvaluationError
-from lattice_frames.sampling import CheckReport
+from lattice_frames.expr import Const, ExprError, SingularEvaluationError
+from lattice_frames.frames import invariantize
+from lattice_frames.sampling import CheckReport, identity_check
 from lattice_frames.suites import SUITES, run_suite
 
 
@@ -23,10 +24,16 @@ def test_raising_suite_reports_one_error_and_the_rest_still_run(ex81, monkeypatc
     plan = ex81.plan(n_points=15)
     want = [r.to_dict() for r in run_suite(ex81, "all", plan)]
 
-    def exhausted(*args, **kw):
-        raise ExprError("guards rejected every candidate")
+    calls = []
 
-    monkeypatch.setattr(suites, "verify_syzygy", exhausted)
+    def exhausted(*args, **kw):
+        # the first identity of the run is the first syzygy
+        calls.append(args)
+        if len(calls) == 1:
+            raise ExprError("guards rejected every candidate")
+        return identity_check(*args, **kw)
+
+    monkeypatch.setattr(suites, "identity_check", exhausted)
     err, *rest = run_suite(ex81, "all", plan)
     assert (err.check_id, err.status, err.note) == (
         "syzygy:shifted-k1:error", "fail", "guards rejected every candidate")
@@ -43,7 +50,7 @@ def test_raising_check_keeps_the_rest_of_its_suite(ex81, monkeypatch):
     def singular(*args, **kw):
         raise SingularEvaluationError("division by zero")
 
-    monkeypatch.setattr(suites, "verify_divergence_equivalence", singular)
+    monkeypatch.setattr(suites, "divergence_equivalence_sides", singular)
     got = run_suite(ex81, "invariant-el", plan)
     assert len(got) == len(want) == 10
     at = [r["check_id"] for r in want].index("divergence-equivalence")
@@ -71,6 +78,91 @@ def test_raising_shared_work_keeps_the_reports_before_it(ex81, monkeypatch):
     assert [r["check_id"] for r in want[:at]][-1] == "euler-kappa:k2"
     assert (got[-1].check_id, got[-1].status, got[-1].note) == (
         "invariant-el:error", "fail", "shared step")
+
+
+def test_raising_normalization_keeps_the_other_frame_checks(ex81, monkeypatch):
+    plan = ex81.plan(seed=31337)
+    want = [r.to_dict() for r in run_suite(ex81, "equivariance", plan)]
+    z, c = ex81.frame.normalization[0]
+    first = invariantize(ex81.frame, z, ex81.sig)
+
+    def singular(lhs, rhs, *args, **kw):
+        if lhs is first and rhs == Const(c):
+            raise SingularEvaluationError("division by zero")
+        return identity_check(lhs, rhs, *args, **kw)
+
+    monkeypatch.setattr(suites, "identity_check", singular)
+    got = [r.to_dict() for r in run_suite(ex81, "equivariance", plan)]
+    assert len(got) == len(want) == 14
+    at = [r["check_id"] for r in want].index("ex81-scale:normalization-0")
+    assert [r["check_id"] for r in want[at + 1:at + 3]] == [
+        "ex81-scale:normalization-1", "ex81-scale:right-equivariance"]
+    assert (got[at]["check_id"], got[at]["status"], got[at]["note"]) == (
+        "ex81-scale:normalization-0:error", "fail", "division by zero")
+    assert got[:at] + got[at + 1:] == want[:at] + want[at + 1:]
+
+
+def test_raising_flow_fails_each_drift_check(nls, monkeypatch):
+    plan = nls.plan(n_points=10)
+    want = [r.to_dict() for r in run_suite(nls, "noether", plan)]
+
+    def blown_up(cfg):
+        raise ExprError("flow blew up")
+
+    monkeypatch.setattr(suites, "integration_drifts", blown_up)
+    got = [r.to_dict() for r in run_suite(nls, "noether", plan)]
+    drift = [i for i, r in enumerate(want) if r["check_id"].startswith("integration-drift:")]
+    assert [want[i]["check_id"] for i in drift] == [
+        "integration-drift:energy", "integration-drift:norm"]
+    assert [(got[i]["check_id"], got[i]["note"]) for i in drift] == [
+        ("integration-drift:energy:error", "flow blew up"),
+        ("integration-drift:norm:error", "flow blew up")]
+    assert [r for i, r in enumerate(got) if i not in drift] == [
+        r for i, r in enumerate(want) if i not in drift]
+    assert got[-1]["check_id"] == "negative-control:perturbed-law" and got[-1]["status"] == "pass"
+
+
+def test_drift_checks_share_one_flow(nls, monkeypatch):
+    runs = []
+
+    def counted(cfg, _fn=suites.integration_drifts):
+        runs.append(cfg)
+        return _fn(cfg)
+
+    monkeypatch.setattr(suites, "integration_drifts", counted)
+    reports = run_suite(nls, "noether", nls.plan(n_points=10))
+    assert len(runs) == 1
+    assert sum(r.check_id.startswith("integration-drift:") for r in reports) == 2
+
+
+# the checks that read an invariant law, by the suite block that builds the laws
+LAW_BLOCKS = {"invariant-laws": ("offshell-invariant:", "law-div-match:",
+                                 "law-components-match:", "law-stored-invariant:"),
+              "equivariant-laws": ("equivariant-",)}
+
+
+def test_raising_law_construction_drops_only_the_law_checks(toda, monkeypatch):
+    plan = toda.plan(n_points=10)
+    want = [r.to_dict() for r in run_suite(toda, "all", plan)]
+
+    def singular(*args, **kw):
+        raise SingularEvaluationError("law construction")
+
+    monkeypatch.setattr(suites, "noether_invariant", singular)
+    got = [r.to_dict() for r in run_suite(toda, "all", plan)]
+    # each block's checks give way to one error where the first of them stood
+    expected = []
+    for r in want:
+        block = next((k for k, v in LAW_BLOCKS.items() if r["check_id"].startswith(v)), None)
+        if block is None:
+            expected.append(r)
+        elif block + ":error" not in [e["check_id"] for e in expected]:
+            expected.append({"check_id": block + ":error"})
+    assert len(expected) < len(want) - 2
+    assert [r["check_id"] for r in got] == [r["check_id"] for r in expected]
+    assert [r for r in got if not r["check_id"].endswith("-laws:error")] == [
+        r for r in expected if not r["check_id"].endswith("-laws:error")]
+    assert [r["note"] for r in got if r["status"] == "fail"] == ["law construction"] * 2
 
 
 def test_checks_sharing_an_evaluation_each_report_its_error(toda, monkeypatch):
