@@ -116,20 +116,20 @@ class GroupAction:
         return g, replace(a, params={**a.params, **dict(zip(self.param_names, g))})
 
 
-def _base_image(action, fname, sig):
+def _base_image(action, fname):
     """The image of the field ``fname`` at the base point under the action.
 
     A variation slot's image is the t-derivative of its field's map.
     """
     if fname in action.u_maps:
         return action.u_maps[fname]
-    base = next((f for f, w in sig.variations.items() if w == fname), None)
+    base = next((f for f, w in action.sig.variations.items() if w == fname), None)
     if base is None:
         raise ExprError(f"action {action.name} has no map for field {fname!r}")
-    return t_derivative(action.u_maps[base], sig)
+    return t_derivative(action.u_maps[base], action.sig)
 
 
-def transform(e, action, gvalues, sig):
+def transform(e, action, gvalues):
     """Pull ``e`` back through the prolonged action of the group element.
 
     ``gvalues`` are the parameter coordinates, numeric or expressions; each
@@ -138,6 +138,7 @@ def transform(e, action, gvalues, sig):
     parameters are substituted last, so invariantization can pass the frame
     parameter expressions directly.
     """
+    sig = action.sig
     if len(gvalues) != action.n_params:
         raise ExprError(f"action {action.name} takes {action.n_params} parameters")
 
@@ -148,16 +149,16 @@ def transform(e, action, gvalues, sig):
 
     def leaf(node):
         if isinstance(node, Var):
-            return prolong(_base_image(action, node.fv.name, sig), node.fv, sig, d)
+            return prolong(_base_image(action, node.fv.name), node.fv, sig, d)
         return action.x_map if isinstance(node, XVar) else None
 
-    # the pulled-back nodes depend on (action, sig) alone
-    out = _rebuild(e, leaf, _table(("transform", id(action), id(sig)), action, sig))
+    # the pulled-back nodes depend on the action alone
+    out = _rebuild(e, leaf, _table(("transform", id(action)), action))
     params = {name: as_expr(v) for name, v in zip(action.param_names, gvalues)}
     return substitute(out, {}, param_rules=params)
 
 
-def invariance_residual(e, action, sig, plan, rng, n_group):
+def invariance_residual(e, action, plan, rng, n_group):
     """Max relative residual of e(g.z) = e(z) over the plan's points.
 
     ``e`` is pulled back once with symbolic group coordinates; the
@@ -165,14 +166,14 @@ def invariance_residual(e, action, sig, plan, rng, n_group):
     so one evaluation compares every element at every point.  An empty point
     set or a NaN gives NaN.
     """
-    moved = transform(e, action, [Param(p) for p in action.param_names], sig)
+    moved = transform(e, action, [Param(p) for p in action.param_names])
 
     def residual(a):
         _, at = action.at_elements(a, [action.random_element(rng) for _ in range(n_group)])
         base = evaluate(e, a)
         return evaluate(moved, at) - base, [base]
 
-    return relative_residual(plan.assignments([e], sig), residual)
+    return relative_residual(plan.assignments([e], action.sig), residual)
 
 
 def prolong_generator(gen, fv, sig):

@@ -1,11 +1,13 @@
 """Built-in example registry.
 
-Each bundle packages one worked problem: Lagrangian, group action, moving
-frame, generating invariants with their recurrences and syzygies, the
-syzygy operator matrix, and the expected formulas used as regression
-baselines.  Expected formulas are stored as grammar strings and are never
-trusted blindly: the verification suites re-derive everything and compare
-numerically.
+Each bundle packages one worked problem: the Lagrangian, the invariant set
+(generating invariants with their recurrences and syzygies, and the syzygy
+operator matrix), and the expected formulas used as regression baselines.
+The invariant set holds the moving frame, which holds the group action,
+which holds the signature; the bundle reads each of them from there, so a
+bundle cannot mix two frames.  Expected formulas are stored as grammar
+strings and are never trusted blindly: the verification suites re-derive
+everything and compare numerically.
 """
 
 from __future__ import annotations
@@ -35,16 +37,25 @@ class GenEntry:
 @dataclass
 class ExampleBundle:
     name: str
-    sig: object  # extended signature (with variation slots)
     L: object
-    action: object
-    frame: object
     invset: object
     L_kappa: object
     generators: list = field(default_factory=list)  # GenEntry, CLI order
     expected: dict = field(default_factory=dict)
     plan_kw: dict = field(default_factory=dict)
     integrate_config: dict = None
+
+    @property
+    def sig(self):  # the extended signature (with variation slots)
+        return self.invset.orig_sig
+
+    @property
+    def frame(self):
+        return self.invset.frame
+
+    @property
+    def action(self):
+        return self.invset.frame.action
 
     def plan(self, seed=DEFAULT_SEED, n_points=50):
         return SamplePlan(n_points=n_points, seed=seed, **self.plan_kw)

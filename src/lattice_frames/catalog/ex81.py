@@ -122,7 +122,6 @@ H_k2 = LinDiffOp.from_terms([(Const(1), (1,), 0), (Const(-1), (0,), 0)])     # S
 
 invset = InvariantSet(
     frame=frame,
-    orig_sig=sig,
     kappa_sig=kappa_sig,
     kappa_defs={
         "k1": U(1, 0),
@@ -155,15 +154,15 @@ def _offsets(fv):
 
 EXPECTED = {
     "lagrangian": "(d1 u[;0])^2/(u[;1]-u[;0])",
-    "el_original": ("-2*u[2;0]/(u[1]-u[0]) + (2*u[1;0]*u[1;1] - u[1;0]^2)/(u[1]-u[0])^2"
-                    " - u[1;-1]^2/(u[0]-u[-1])^2"),
+    "el_original": {"u": ("-2*u[2;0]/(u[1]-u[0]) + (2*u[1;0]*u[1;1] - u[1;0]^2)/(u[1]-u[0])^2"
+                          " - u[1;-1]^2/(u[0]-u[-1])^2")},
     "euler_kappa": {
         "k1": "2*k1[0;0]/k2[0;0]",
         "k2": "-(k1[0;0]/k2[0;0])^2",
     },
-    "el_invariant": ("2*(k1[0;0]-k1[1;0])/k2[0;0]"
-                     " + k1[0;0]*(k1[0;0]+2*k2[1;0])/k2[0;0]^2"
-                     " - (k1[0;-1]/k2[0;-1])^2"),
+    "el_invariant": {"u": ("2*(k1[0;0]-k1[1;0])/k2[0;0]"
+                           " + k1[0;0]*(k1[0;0]+2*k2[1;0])/k2[0;0]^2"
+                           " - (k1[0;-1]/k2[0;-1])^2")},
     "recurrences": {
         "u[2;0]": "k1[1;0]",
         "u[1;-1]": "k1[0;-1]",
@@ -180,10 +179,7 @@ EXPECTED = {
 
 bundle = register_example(ExampleBundle(
     name="ex81",
-    sig=sig,
     L=L,
-    action=scaling,
-    frame=frame,
     invset=invset,
     L_kappa=L_kappa,
     generators=[

@@ -187,7 +187,6 @@ _syzygy_lhs = (K3(0, 0) * K1(1, 1) / K1(0, 1)
 
 invset = InvariantSet(
     frame=frame,
-    orig_sig=sig,
     kappa_sig=kappa_sig,
     kappa_defs={
         "k1": _norm,
@@ -270,10 +269,7 @@ MONITORS = {
 
 bundle = register_example(ExampleBundle(
     name="nls",
-    sig=sig,
     L=L,
-    action=rotation,
-    frame=frame,
     invset=invset,
     L_kappa=L_kappa,
     generators=[

@@ -149,7 +149,6 @@ H_lambda = LinDiffOp.from_terms([
 
 invset = InvariantSet(
     frame=frame,
-    orig_sig=sig,
     kappa_sig=kappa_sig,
     kappa_defs={
         "kappa": (U(1, 0) - U(0, 0)) / (U(1, 1) - U(0, 0)),
@@ -190,16 +189,16 @@ def _offsets(fv):
 
 EXPECTED = {
     "lagrangian": "ln(abs((u[1,0]-u[0,1])/(u[1,1]-u[0,0])))",
-    "el_original": ("1/(u[1,1]-u[0,0]) - 1/(u[-1,1]-u[0,0]) "
-                    "- 1/(u[1,-1]-u[0,0]) + 1/(u[-1,-1]-u[0,0])"),
+    "el_original": {"u": ("1/(u[1,1]-u[0,0]) - 1/(u[-1,1]-u[0,0]) "
+                          "- 1/(u[1,-1]-u[0,0]) + 1/(u[-1,-1]-u[0,0])")},
     "euler_kappa": {
         "kappa": "1/(kappa[0,0]-lambda[0,0])",
         "lambda": "-1/(kappa[0,0]-lambda[0,0])",
     },
-    "el_invariant": (
+    "el_invariant": {"u": (
         "(1-kappa[-1,0])/(lambda[0,0]*(kappa[-1,0]-lambda[-1,0]))"
         " - (1-lambda[0,-1])/(kappa[0,0]*(kappa[0,-1]-lambda[0,-1]))"
-        " - ((kappa[-1,-1]-1)*(lambda[0,-1]-1))/(kappa[0,0]*lambda[0,-1]) + 1"),
+        " - ((kappa[-1,-1]-1)*(lambda[0,-1]-1))/(kappa[0,0]*lambda[0,-1]) + 1")},
     "H_adjoint_kappa": [
         ("(1-kappa[-1,0])/lambda[0,0]", (-1, 0), 0),
         ("-(kappa[-1,-1]*(kappa[-1,-1]-1)*(lambda[0,-1]-1))/(kappa[0,0]*lambda[0,-1])",
@@ -226,10 +225,7 @@ EXPECTED = {
 
 bundle = register_example(ExampleBundle(
     name="toda",
-    sig=sig,
     L=L,
-    action=affine,
-    frame=frame,
     invset=invset,
     L_kappa=L_kappa,
     generators=[

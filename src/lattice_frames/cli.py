@@ -222,8 +222,7 @@ def _forms_for(b, entry, plan):
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
     laws = [noether_original(b.L, entry.gen, entry.index, sig)]
     if entry.action_index is not None:
-        inv_laws = noether_invariant(b.lagrangian, b.invset.H, b.action, b.frame,
-                                     generators=[entry.action_index])
+        inv_laws = noether_invariant(b.lagrangian, generators=[entry.action_index])
         laws.append(inv_laws[0])
         laws.append(equivariant_form(inv_laws[0], plan))
     residuals = {law.form: offshell_residual(law, EL, entry.gen, sig, plan)
@@ -329,7 +328,7 @@ def cmd_integrate(args):
 def cmd_invariantize(args):
     b = _get_example_or_exit(args.example)
     e = parse(args.expression, b.sig)
-    out = invariantize(b.frame, e, b.sig)
+    out = invariantize(b.frame, e)
     kappa_form = None
     vs = fieldvars(e)
     if len(vs) == 1 and b.invset.recurrence is not None:

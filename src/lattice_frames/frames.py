@@ -82,31 +82,32 @@ class Frame:
         return deriv_op(e, sig, self.dcal_inv)
 
 
-def invariantize(frame, e, sig):
+def invariantize(frame, e):
     """iota(e): the transformed expression evaluated on the frame."""
-    return transform(e, frame.action, frame.param_exprs, sig)
+    return transform(e, frame.action, frame.param_exprs)
 
 
-def maurer_cartan(frame, direction, sig):
+def maurer_cartan(frame, direction):
     """Parameter coordinates of (S_i rho) rho^{-1}; components are invariant."""
-    return mc_element(frame, unit_step(direction, sig.lattice_dim), sig)
+    return mc_element(frame, unit_step(direction, frame.action.sig.lattice_dim))
 
 
-def mc_element(frame, offset, sig):
+def mc_element(frame, offset):
     """(S_J rho) rho^{-1} for an arbitrary multi-index J."""
-    shifted = tuple(shift(p, tuple(offset), sig) for p in frame.param_exprs)
+    shifted = tuple(shift(p, tuple(offset), frame.action.sig) for p in frame.param_exprs)
     return frame.action.compose(shifted, frame.action.inverse(frame.param_exprs))
 
 
-def mc_concatenated(frame, i, j, sig):
+def mc_concatenated(frame, i, j):
     """(S_j K_(i)) * K_(j): equals iota(S_i S_j rho) by the concatenation rule."""
-    Ki = maurer_cartan(frame, i, sig)
-    Kj = maurer_cartan(frame, j, sig)
+    sig = frame.action.sig
+    Ki = maurer_cartan(frame, i)
+    Kj = maurer_cartan(frame, j)
     SKi = tuple(shift(p, unit_step(j, sig.lattice_dim), sig) for p in Ki)
     return frame.action.compose(SKi, Kj)
 
 
-def right_equivariance_residual(frame, plan, sig, n_group=10):
+def right_equivariance_residual(frame, plan, n_group=10):
     """Worst relative residual of rho(g.z) = rho(z) g^{-1} over the plan's points.
 
     The frame parameters are pulled back once with symbolic group
@@ -117,7 +118,7 @@ def right_equivariance_residual(frame, plan, sig, n_group=10):
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 1))
     gs = [action.random_element(rng) for _ in range(n_group)]
     symbolic = [Param(p) for p in action.param_names]
-    moved = [transform(p, action, symbolic, sig) for p in frame.param_exprs]
+    moved = [transform(p, action, symbolic) for p in frame.param_exprs]
 
     def residual(a):
         g, at = action.at_elements(a, gs)
@@ -126,7 +127,7 @@ def right_equivariance_residual(frame, plan, sig, n_group=10):
         rhs = np.array(action.compose(rho, action.inverse(g)))
         return lhs - rhs, (lhs, rhs)
 
-    return relative_residual(plan.assignments(list(frame.param_exprs), sig), residual)
+    return relative_residual(plan.assignments(list(frame.param_exprs), action.sig), residual)
 
 
 @dataclass
@@ -143,7 +144,6 @@ class InvariantSet:
     """
 
     frame: object
-    orig_sig: object
     kappa_sig: object
     kappa_defs: dict
     sigma_defs: dict = field(default_factory=dict)
@@ -151,6 +151,11 @@ class InvariantSet:
     recurrence: object = None
     syzygies: tuple = ()
     H: dict = field(default_factory=dict)
+
+    @property
+    def orig_sig(self):
+        """The signature of the original variables: the frame action's."""
+        return self.frame.action.sig
 
     @property
     def kappa_names(self):

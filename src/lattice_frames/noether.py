@@ -97,7 +97,7 @@ def euler_kappa(IL, beta):
     return euler_lagrange(IL.L_kappa, beta, IL.invset.kappa_sig)
 
 
-def invariant_euler_lagrange(IL, H):
+def invariant_euler_lagrange(IL):
     """Per field, (H^beta_alpha)^dagger E_kappa^beta (L^kappa) in kappa symbols.
 
     The adjoint is taken in the invariant calculus (the formal derivative of
@@ -109,7 +109,7 @@ def invariant_euler_lagrange(IL, H):
     for alpha, fname in inv.sigma_fields.items():
         parts = []
         for beta in inv.kappa_names:
-            op = H.get(beta, {}).get(alpha)
+            op = inv.H.get(beta, {}).get(alpha)
             if op is None:
                 continue
             parts.append(apply_op(op_adjoint(op, ksig), euler_kappa(IL, beta), ksig))
@@ -222,8 +222,9 @@ def _adj_entry(action, r, s, params):
                       param_rules=dict(zip(action.param_names, params)))
 
 
-def _expand_adj(e, frame, r, sig):
+def _expand_adj(e, frame, r):
     """Replace adj symbols by the adjoint components on the frame, prolonged by Dcal."""
+    sig = frame.action.sig
 
     def image(fv):
         s = _adj_index(fv.name)
@@ -231,7 +232,7 @@ def _expand_adj(e, frame, r, sig):
             return None
         return prolong(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv, sig, frame.dcal)
 
-    return _substitute_fields(e, image, ("adj", id(frame), r, id(sig)), frame, sig)
+    return _substitute_fields(e, image, ("adj", id(frame), r), frame)
 
 
 def _formal_dcal(e, sig, dcal_inv):
@@ -248,7 +249,7 @@ def _formal_dcal(e, sig, dcal_inv):
     return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 
-def invariant_boundary(IL, H):
+def invariant_boundary(IL):
     """A_H + A_kappa: the boundary terms of the invariant variation, in kappa symbols.
 
     A_H comes from summing (and integrating) by parts E_kappa^beta H^beta_alpha
@@ -261,7 +262,7 @@ def invariant_boundary(IL, H):
     E_k = {beta: euler_kappa(IL, beta) for beta in inv.kappa_names}
     ah_parts = []
     for beta in inv.kappa_names:
-        for alpha, op in H.get(beta, {}).items():
+        for alpha, op in inv.H.get(beta, {}).items():
             if op is None:
                 continue
             applied = apply_op(op, Var(FieldVar(alpha, 0, (0,) * m)), ksig)
@@ -272,7 +273,7 @@ def invariant_boundary(IL, H):
     return A_H.plus(A_k)
 
 
-def noether_invariant(IL, H, action, frame, generators=None):
+def noether_invariant(IL, generators=None):
     """Noether laws with invariant components, one per group generator.
 
     The boundary operators come from summation/integration by parts of the
@@ -283,16 +284,18 @@ def noether_invariant(IL, H, action, frame, generators=None):
     Components are relative to the invariant volume form (measure iota-dx).
     """
     inv = IL.invset
-    sig = inv.orig_sig
+    frame = inv.frame
+    action = frame.action
+    sig = action.sig
     m = sig.lattice_dim
-    boundary = invariant_boundary(IL, H)
+    boundary = invariant_boundary(IL)
     kdots = {inv.kappa_sig.variations[b]: b for b in inv.kappa_names}
 
     iota_Q = {}
     for alpha, fname in inv.sigma_fields.items():
-        iota_Q[alpha] = [invariantize(frame, g.q_of(fname), sig) for g in action.generators]
+        iota_Q[alpha] = [invariantize(frame, g.q_of(fname)) for g in action.generators]
     has_xi = sig.differential and any(g.xi != ZERO for g in action.generators)
-    iota_xi = [invariantize(frame, g.xi, sig) if g.xi != ZERO else ZERO
+    iota_xi = [invariantize(frame, g.xi) if g.xi != ZERO else ZERO
                for g in action.generators]
 
     # the symbolic components are generator-independent: the adjoint symbols
@@ -310,7 +313,7 @@ def noether_invariant(IL, H, action, frame, generators=None):
         for kdot in kdots:
             args[kdot] = ZERO
     def dcal(e, sig):  # treats the adj symbols of the arguments formally
-        return _formal_dcal(e, sig, inv.frame.dcal_inv)
+        return _formal_dcal(e, sig, frame.dcal_inv)
 
     symbolic = boundary.map(lambda e: inv.expand(substitute_slots(e, args, sig, dcal)))
     if has_xi:
@@ -320,7 +323,7 @@ def noether_invariant(IL, H, action, frame, generators=None):
     laws = []
     indices = generators if generators is not None else range(1, len(action.generators) + 1)
     for r in indices:
-        expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1, sig))
+        expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1))
         laws.append(ConservationLaw(r, "invariant", expanded, measure="iota-dx",
                                     display=symbolic, frame=frame))
     return laws
@@ -339,7 +342,6 @@ def equivariant_form(law, plan):
     if law.display is None or frame is None:
         raise ExprError("equivariant form needs the symbolic invariant components")
     action = frame.action
-    sig = action.sig
 
     def image(fv):
         s = _adj_index(fv.name)
@@ -350,14 +352,14 @@ def equivariant_form(law, plan):
                             "symbols is not supported")
         if not any(fv.shift):
             return None
-        gJ = mc_element(frame, fv.shift, sig)
-        return add(*[mul(_adj_entry(action, l, s - 1, gJ), _adj_var(l + 1, sig.lattice_dim))
+        gJ = mc_element(frame, fv.shift)
+        return add(*[mul(_adj_entry(action, l, s - 1, gJ), _adj_var(l + 1, len(fv.shift)))
                      for l in range(action.group_dim)])
 
     symbolic = law.display.map(lambda e: _substitute_fields(
-        e, image, ("equivariant", id(frame), id(sig)), frame, sig))
+        e, image, ("equivariant", id(frame)), frame))
     r = law.generator_index
-    expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1, sig))
+    expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1))
     out = ConservationLaw(r, "equivariant", expanded, measure=law.measure,
                           display=symbolic, frame=frame)
     _check_coefficients_invariant(out, plan)
@@ -366,12 +368,11 @@ def equivariant_form(law, plan):
 
 def _check_coefficients_invariant(law, plan):
     """Every coefficient of an a^l_r(rho) symbol must be an invariant (residual <= 1e-8)."""
-    sig = law.frame.action.sig
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 37))
     probe = replace(plan, n_points=6)
     for cname, row in equivariant_coefficients(law):
         for sym, coeff in sorted(row.items()):
-            res = invariance_residual(coeff, law.frame.action, sig, probe, rng, n_group=6)
+            res = invariance_residual(coeff, law.frame.action, probe, rng, n_group=6)
             if not res <= 1e-8:
                 raise ExprError(
                     f"equivariant coefficient {cname}[{sym}] of the r="
@@ -390,7 +391,7 @@ def equivariant_coefficients(law):
     return out
 
 
-def divergence_equivalence_sides(IL, H):
+def divergence_equivalence_sides(IL):
     """Div(A_u) dx and Div(A_H + A_kappa) iota(dx), both in the original variables.
 
     The sigma and kappa-dot slots become expressions in the variation slot
@@ -400,6 +401,6 @@ def divergence_equivalence_sides(IL, H):
     inv = IL.invset
     sig = inv.orig_sig
     lhs = divergence(_variation_boundary(IL.L, sig)[1], sig)
-    both = ConservationLaw(0, "invariant", invariant_boundary(IL, H).map(inv.expand),
+    both = ConservationLaw(0, "invariant", invariant_boundary(IL).map(inv.expand),
                            measure="iota-dx", frame=inv.frame)
     return lhs, law_divergence_dx(both, sig)

@@ -75,17 +75,16 @@ DRIFT_TOLS = {"norm": 1e-8, "energy": 1e-6}
 
 
 # the reports these build are named by the ``check`` that runs them
-def _report(residual, tol, plan, n_points=None, note=""):
-    """``n_points`` is the size of the point set drawn, when not ``plan``'s own."""
-    return CheckReport.from_residual("", residual, tol, n_points or plan.n_points,
-                                     plan.seed, note=note)
+def _report(residual, tol, plan, note=""):
+    """``plan`` is the one the residual's point set was drawn from."""
+    return CheckReport.from_residual("", residual, tol, plan.n_points, plan.seed, note=note)
 
 
-def _must_fail(residual, tol, plan, note, n_points=None):
+def _must_fail(residual, tol, plan, note):
     """A negative control: passes only when the residual is finite and above ``tol``."""
     ok = math.isfinite(residual) and residual > tol
     return CheckReport("", "pass" if ok else "fail", float(residual),
-                       n_points or plan.n_points, plan.seed, note=note)
+                       plan.n_points, plan.seed, note=note)
 
 
 def _must_differ(lhs, rhs, plan, sig, tol):
@@ -110,7 +109,7 @@ def suite_syzygy(b, plan, check, tol=1e-10):
         fv = parse(target, sig).fv
         kexpr = inv.recurrence(fv)
         check(f"recurrence:{target}", lambda: identity_check(
-            inv.expand(kexpr), invariantize(b.frame, Var(fv), sig), plan, sig, tol=tol))
+            inv.expand(kexpr), invariantize(b.frame, Var(fv)), plan, sig, tol=tol))
         check(f"recurrence-stored:{target}", lambda: identity_check(
             inv.expand(kexpr), inv.expand(parse(stored, inv.kappa_sig)), plan, sig, tol=tol))
     # negative control: a perturbed syzygy must fail
@@ -134,24 +133,18 @@ def suite_invariant_el(b, plan, check, tol=1e-9):
     for beta, s in b.expected.get("euler_kappa", {}).items():
         check(f"euler-kappa:{beta}", lambda: identity_check(
             inv.expand(euler_kappa(IL, beta)), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
-    el_inv = invariant_euler_lagrange(IL, inv.H)
+    el_inv = invariant_euler_lagrange(IL)
     for fname in el_inv:
         check(f"invariant-el:{fname}", lambda: identity_check(
             inv.expand(el_inv[fname]),
-            invariantize(inv.frame, euler_lagrange(IL.L, fname, sig), sig), plan, sig, tol=tol))
-    stored = b.expected.get("el_invariant")
-    if isinstance(stored, str):
-        stored = {next(iter(el_inv)): stored}
-    for fname, s in (stored or {}).items():
+            invariantize(inv.frame, euler_lagrange(IL.L, fname, sig)), plan, sig, tol=tol))
+    for fname, s in b.expected.get("el_invariant", {}).items():
         check(f"invariant-el-stored:{fname}", lambda: identity_check(
             inv.expand(el_inv[fname]), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
     check("divergence-equivalence", lambda: identity_check(
-        *divergence_equivalence_sides(IL, inv.H), plan, sig, tol=tol))
+        *divergence_equivalence_sides(IL), plan, sig, tol=tol))
     # original Euler-Lagrange expressions against the stored displays
-    stored = b.expected.get("el_original")
-    if isinstance(stored, str):
-        stored = {sig.base_fields[0]: stored}
-    for fname, s in (stored or {}).items():
+    for fname, s in b.expected.get("el_original", {}).items():
         check(f"el-stored:{fname}", lambda: identity_check(
             euler_lagrange(b.L, fname, sig), parse(s, sig), plan, sig, tol=tol))
     # negative control
@@ -186,8 +179,7 @@ def suite_noether(b, plan, check, tol=1e-9):
 
     def invariant_laws():
         for law in noether_invariant(
-                b.lagrangian, inv.H, b.action, b.frame,
-                generators=[e.action_index for e in b.generators if e.action_index]):
+                b.lagrangian, generators=[e.action_index for e in b.generators if e.action_index]):
             r = law.generator_index
             entry = b.generator(r)
             check(f"offshell-invariant:r{r}", lambda: _report(
@@ -236,44 +228,45 @@ def integration_drifts(cfg):
 def suite_equivariance(b, plan, check, tol=1e-8):
     sig = b.sig
     frame, action, inv = b.frame, b.action, b.invset
+    # the sampled counts at the default 50 points, scaled with the plan's
+    p10, p15, p20, p25 = (replace(plan, n_points=max(1, plan.n_points * k // 50))
+                          for k in (10, 15, 20, 25))
 
-    def invariance(e, n_points):
+    def invariance(e, p):
         rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
-        return invariance_residual(e, action, sig, replace(plan, n_points=n_points), rng,
-                                   n_group=20)
+        return invariance_residual(e, action, p, rng, n_group=20)
 
     for k, (zexpr, c) in enumerate(frame.normalization):
         check(f"{frame.name}:normalization-{k}", lambda: identity_check(
-            invariantize(frame, zexpr, sig), Const(c), plan, sig, tol=tol))
+            invariantize(frame, zexpr), Const(c), plan, sig, tol=tol))
     eq_plan = replace(plan, n_points=max(10, plan.n_points // 3))
     check(f"{frame.name}:right-equivariance", lambda: _report(
-        right_equivariance_residual(frame, eq_plan, sig), tol, eq_plan))
-    ie = invariantize(frame, b.L, sig)
+        right_equivariance_residual(frame, eq_plan), tol, eq_plan))
+    ie = invariantize(frame, b.L)
     check("iota-projection", lambda: identity_check(
-        ie, invariantize(frame, ie, sig), replace(plan, n_points=20), sig, tol=tol))
-    check("iota-invariance", lambda: _report(invariance(ie, 20), tol, plan, n_points=20))
+        ie, invariantize(frame, ie), p20, sig, tol=tol))
+    check("iota-invariance", lambda: _report(invariance(ie, p20), tol, p20))
     # replacement rule on each generating invariant
-    xr = invariantize(frame, XVar(), sig) if sig.has_x else None
+    xr = invariantize(frame, XVar()) if sig.has_x else None
     for kname, kdef in inv.kappa_defs.items():
         check(f"replacement-rule:{kname}", lambda: identity_check(
-            kdef, substitute(kdef, {fv: invariantize(frame, Var(fv), sig)
+            kdef, substitute(kdef, {fv: invariantize(frame, Var(fv))
                                     for fv in fieldvars(kdef)}, x_repl=xr),
-            replace(plan, n_points=20), sig, tol=tol))
+            p20, sig, tol=tol))
     for i in range(sig.lattice_dim):
         check(f"maurer-cartan-invariance:{i+1}", lambda: _report(
-            _worst([invariance(comp, 10) for comp in maurer_cartan(frame, i, sig)]),
-            tol, plan, n_points=10))
+            _worst([invariance(comp, p10) for comp in maurer_cartan(frame, i)]), tol, p10))
     if sig.lattice_dim == 2:
         check("maurer-cartan-concatenation", lambda: _report(_worst([
-            residual_stats(l, r, replace(plan, n_points=15).assignments([l, r], sig))
-            for l, r in zip(mc_element(frame, (1, 1), sig), mc_concatenated(frame, 0, 1, sig))]),
-            tol, plan, n_points=15))
+            residual_stats(l, r, p15.assignments([l, r], sig))
+            for l, r in zip(mc_element(frame, (1, 1)), mc_concatenated(frame, 0, 1))]),
+            tol, p15))
     if sig.differential:
         dc = frame.dcal_inv
         step = unit_step(0, sig.lattice_dim)
         check("dcal-shift-commutation", lambda: identity_check(
             deriv_op(shift(ie, step, sig), sig, dc), shift(deriv_op(ie, sig, dc), step, sig),
-            replace(plan, n_points=20), sig, tol=tol))
+            p20, sig, tol=tol))
         check("projectable-frame", lambda: CheckReport(
             "", "pass" if frame.projectable else "fail", 0.0, 1, plan.seed))
     # equivariant law forms
@@ -281,8 +274,7 @@ def suite_equivariance(b, plan, check, tol=1e-8):
 
     def equivariant_laws():
         for law in noether_invariant(
-                b.lagrangian, inv.H, action, frame,
-                generators=[e.action_index for e in b.generators if e.action_index]):
+                b.lagrangian, generators=[e.action_index for e in b.generators if e.action_index]):
             r = law.generator_index
             eq = equivariant_form(law, plan)
             # the divergence residual and the component residuals together
@@ -296,30 +288,30 @@ def suite_equivariance(b, plan, check, tol=1e-8):
                         if sym in want_row:
                             check(f"equivariant-coeff:r{r}:{cname}:{sym}", lambda: identity_check(
                                 inv.expand(coeff), inv.expand(parse(want_row[sym], ksig)),
-                                replace(plan, n_points=25), sig, tol=tol))
+                                p25, sig, tol=tol))
                         else:
                             # the display omits this term; it must die against the
                             # vanishing adjoint component it multiplies
                             term = coeff * _adj_var(_adj_index(sym), sig.lattice_dim)
                             check(f"equivariant-zero-term:r{r}:{cname}:{sym}",
                                   lambda: identity_check(
-                                      _expand_adj(term, frame, r - 1, sig), Const(0),
-                                      replace(plan, n_points=25), sig, tol=tol))
+                                      _expand_adj(term, frame, r - 1), Const(0),
+                                      p25, sig, tol=tol))
 
     check("equivariant-laws", equivariant_laws)
     # adjoint representation property on random elements
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 23))
     pairs = [(action.random_element(rng), action.random_element(rng)) for _ in range(10)]
-    check("adjoint-representation-property", lambda: _report(_worst([
+    check("adjoint-representation-property", lambda: CheckReport.from_residual("", _worst([
         np.max(np.abs(adjoint_matrix(action, action.compose(g1, g2))
                       - adjoint_matrix(action, g2) @ adjoint_matrix(action, g1)))
-        for g1, g2 in pairs]), tol, plan, n_points=10))
+        for g1, g2 in pairs]), tol, len(pairs), plan.seed))
     # negative control: the raw base-point field value is never invariant
     # under the catalog actions
     raw = Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
     check("negative-control:noninvariant", lambda: _must_fail(
-        invariance(add(ie, raw), 10), tol, plan,
-        note="non-invariant expression must fail the invariance test", n_points=10))
+        invariance(add(ie, raw), p10), tol, p10,
+        note="non-invariant expression must fail the invariance test"))
 
 
 SUITES = {

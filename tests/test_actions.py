@@ -43,7 +43,7 @@ def V(name, *K, d=0):
 
 class TestTransform:
     def test_affine_on_shifted(self, toda, toda_plan):
-        out = transform(V("u", 1, 0), toda.action, (Const(0.5), Const(2.0)), toda.sig)
+        out = transform(V("u", 1, 0), toda.action, (Const(0.5), Const(2.0)))
         want = Const(2.0) * V("u", 1, 0) + Const(0.5)
         r = identity_check(out, want, toda_plan, toda.sig, tol=1e-12)
         assert r.passed
@@ -51,18 +51,18 @@ class TestTransform:
     def test_identity_params(self, toda, ex81, nls):
         for b in (toda, ex81, nls):
             plan = b.plan(n_points=10, seed=2)
-            out = transform(b.L, b.action, b.action.identity_values, b.sig)
+            out = transform(b.L, b.action, b.action.identity_values)
             r = identity_check(out, b.L, plan, b.sig, tol=1e-12)
             assert r.passed, b.name
 
     def test_scaling_leaves_first_derivative(self, ex81, ex81_plan):
-        out = transform(V("u", 0, d=1), ex81.action, (Const(0.7), Const(1.9)), ex81.sig)
+        out = transform(V("u", 0, d=1), ex81.action, (Const(0.7), Const(1.9)))
         r = identity_check(out, V("u", 0, d=1), ex81_plan, ex81.sig, tol=1e-12)
         assert r.passed
 
     def test_variation_slots_transform(self, toda, toda_plan):
         # slots transform through the Jacobian of the map: w -> b w
-        out = transform(V("u_t", 0, 0), toda.action, (Const(0.3), Const(1.7)), toda.sig)
+        out = transform(V("u_t", 0, 0), toda.action, (Const(0.3), Const(1.7)))
         r = identity_check(out, Const(1.7) * V("u_t", 0, 0), toda_plan, toda.sig, tol=1e-12)
         assert r.passed
 
@@ -74,15 +74,15 @@ class TestTransform:
             for a in pts:
                 g1 = b.action.random_element(rng)
                 g2 = b.action.random_element(rng)
-                e1 = transform(transform(b.L, b.action, g1, b.sig), b.action, g2, b.sig)
-                e2 = transform(b.L, b.action, b.action.compose(g2, g1), b.sig)
+                e1 = transform(transform(b.L, b.action, g1), b.action, g2)
+                e2 = transform(b.L, b.action, b.action.compose(g2, g1))
                 v1, v2 = evaluate(e1, a), evaluate(e2, a)
                 assert abs(v1 - v2) <= 1e-10 * max(1, abs(v1)), b.name
 
     def test_singular_jacobian_rejected(self, ex81):
         from lattice_frames.expr import SingularEvaluationError
         with pytest.raises(SingularEvaluationError):
-            out = transform(V("u", 0, d=1), ex81.action, (Const(0.0), Const(0.0)), ex81.sig)
+            out = transform(V("u", 0, d=1), ex81.action, (Const(0.0), Const(0.0)))
             evaluate(out, Assignment({fv("u", 0, d=1): 1.0}, x=1.0))
 
 
@@ -144,18 +144,18 @@ class TestInvarianceResidual:
         b = get_example(name)
         plan = b.plan(n_points=10)
         raw = Var(FieldVar(b.sig.base_fields[0], 0, (0,) * b.sig.lattice_dim))
-        iota = invariantize(b.frame, raw, b.sig)
+        iota = invariantize(b.frame, raw)
 
         def residual(e):
             rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
-            return invariance_residual(e, b.action, b.sig, plan, rng, n_group=5)
+            return invariance_residual(e, b.action, plan, rng, n_group=5)
 
         assert residual(iota) <= 1e-9
         assert residual(raw) > 1e-3
 
     def test_empty_point_set_is_nan(self, toda):
         rng = np.random.default_rng(0)
-        res = invariance_residual(toda.L, toda.action, toda.sig,
+        res = invariance_residual(toda.L, toda.action,
                                   toda.plan(n_points=0), rng, n_group=5)
         assert np.isnan(res)
 
@@ -165,17 +165,17 @@ class TestInvarianceResidual:
         b = get_example(name)
         plan = b.plan(n_points=12, seed=7)
         raw = Var(FieldVar(b.sig.base_fields[0], 0, (0,) * b.sig.lattice_dim))
-        for e in (b.L, invariantize(b.frame, raw, b.sig), raw):
+        for e in (b.L, invariantize(b.frame, raw), raw):
             rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
             pts = plan.assignments([e], b.sig)
             worst = 0.0
             for _ in range(5):
-                moved = transform(e, b.action, b.action.random_element(rng), b.sig)
+                moved = transform(e, b.action, b.action.random_element(rng))
                 for a in pts:
                     base = evaluate(e, a)
                     worst = max(worst, abs(evaluate(moved, a) - base) / max(1.0, abs(base)))
             rng = np.random.default_rng(np.random.PCG64(plan.seed + 17))
-            got = invariance_residual(e, b.action, b.sig, plan, rng, n_group=5)
+            got = invariance_residual(e, b.action, plan, rng, n_group=5)
             assert abs(got - worst) <= 1e-15, (name, got, worst)
 
     @pytest.mark.parametrize("n_group", [5, 20])
@@ -188,7 +188,7 @@ class TestInvarianceResidual:
 
         monkeypatch.setattr(actions, "transform", counted)
         rng = np.random.default_rng(0)
-        res = invariance_residual(toda.L, toda.action, toda.sig, toda_plan, rng, n_group)
+        res = invariance_residual(toda.L, toda.action, toda_plan, rng, n_group)
         assert res <= 1e-9
         assert len(calls) == 1
 
@@ -258,11 +258,11 @@ def _adjoint_Q_identity_residual(b, plan, n_elements=10):
         A = adjoint_matrix(action, g)
         for f in sig.base_fields:
             base = fv(f, *(0,) * sig.lattice_dim)
-            ut = transform(Var(base), action, g, sig)
+            ut = transform(Var(base), action, g)
             for r in range(len(gens)):
                 lhs = sum(evaluate(partial(ut, fv(f2, *(0,) * sig.lattice_dim)), a)
                           * evaluate(gens[r].q_of(f2), a) for f2 in sig.base_fields)
-                rhs = sum(evaluate(transform(gens[s].q_of(f), action, g, sig), a)
+                rhs = sum(evaluate(transform(gens[s].q_of(f), action, g), a)
                           * A[r, s] for s in range(len(gens)))
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
@@ -279,13 +279,13 @@ def _prolonged_adjoint_identity_residual(b, plan, target):
     for a in pts:
         g = action.random_element(rng)
         A = adjoint_matrix(action, g)
-        ut = transform(Var(target), action, g, sig)
+        ut = transform(Var(target), action, g)
         for r in range(len(gens)):
             lhs = sum(evaluate(partial(ut, fv2), a)
                       * evaluate(prolong_generator(gens[r], fv2, sig), a)
                       for fv2 in fieldvars(Var(target)))
             rhs = sum(evaluate(transform(prolong_generator(gens[s], target, sig),
-                                         action, g, sig), a) * A[r, s]
+                                         action, g), a) * A[r, s]
                       for s in range(len(gens)))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
@@ -317,7 +317,7 @@ class TestLemmaIdentities:
                 for r in range(len(gens)):
                     xi = gens[r].xi
                     lhs = evaluate(Jx, a) * (evaluate(xi, a) if xi is not None else 0.0)
-                    rhs = sum(evaluate(transform(gens[s].xi, action, g, sig), a) * A[r, s]
+                    rhs = sum(evaluate(transform(gens[s].xi, action, g), a) * A[r, s]
                               for s in range(len(gens)) if gens[s].xi is not None)
                     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), b.name
 
@@ -341,8 +341,8 @@ class TestGeneratorsMatchMaps:
         for r, path in enumerate(paths):
             gen = b.action.generators[r]
             for target in targets:
-                up = transform(Var(target), b.action, path(eps), sig)
-                dn = transform(Var(target), b.action, path(-eps), sig)
+                up = transform(Var(target), b.action, path(eps))
+                dn = transform(Var(target), b.action, path(-eps))
                 v_expr = prolong_generator(gen, target, sig)
                 if gen.xi is not None:
                     raised = FieldVar(target.name, target.deriv + 1, target.shift)

@@ -156,7 +156,7 @@ class TestEulerLagrange:
 
     def test_toda_el_value(self, toda):
         from lattice_frames.expr import Assignment, evaluate
-        e = parse(toda.expected["el_original"], toda.sig)
+        e = parse(toda.expected["el_original"]["u"], toda.sig)
         a = Assignment({fv("u", 0, 0): 0.0, fv("u", 1, 1): 4.0, fv("u", -1, 1): 2.0,
                         fv("u", 1, -1): 1.0, fv("u", -1, -1): -1.0})
         assert evaluate(e, a) == pytest.approx(-2.25)

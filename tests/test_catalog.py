@@ -24,6 +24,16 @@ def test_generator_lookup(toda):
 
 
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
+def test_action_generators_are_the_actions_own(name):
+    # the one copy a bundle keeps: a generator of the frame action, named by its index
+    b = get_example(name)
+    entries = [e for e in b.generators if e.action_index]
+    assert entries
+    for entry in entries:
+        assert entry.gen is b.action.generators[entry.action_index - 1]
+
+
+@pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
 @pytest.mark.parametrize("suite", ["syzygy", "invariant-el", "noether", "equivariance"])
 def test_suites_pass(name, suite):
     b = get_example(name)

@@ -373,14 +373,14 @@ def _builder_calls(b):
         yield lambda e=e: substitute(e, {v: add(Var(v), 1) for v in fieldvars(e)},
                                      x_repl=add(XVar(), 1) if sig.has_x else None,
                                      param_rules={p: Const(2) for p in sig.params})
-        yield lambda e=e: transform(e, b.action, [Param(p) for p in b.action.param_names], sig)
-        yield lambda e=e: transform(e, b.action, b.frame.param_exprs, sig)
+        yield lambda e=e: transform(e, b.action, [Param(p) for p in b.action.param_names])
+        yield lambda e=e: transform(e, b.action, b.frame.param_exprs)
         yield lambda e=e: noether._formal_dcal(e, sig, b.frame.dcal_inv)
         yield lambda e=e: b.invset.expand(e)
         for r in range(b.action.group_dim):
-            yield lambda e=e, r=r: noether._expand_adj(mul(e, adj), b.frame, r, sig)
+            yield lambda e=e, r=r: noether._expand_adj(mul(e, adj), b.frame, r)
     plan = b.plan(n_points=6)
-    laws = noether.noether_invariant(b.lagrangian, b.invset.H, b.action, b.frame, generators=[
+    laws = noether.noether_invariant(b.lagrangian, generators=[
         g.action_index for g in b.generators if g.action_index])
     for law in laws:
         yield lambda law=law: _law_exprs(noether.equivariant_form(law, plan))
@@ -521,14 +521,14 @@ class TestRunMemo:
         good = toda.L
         u = Var(FieldVar("nomap", 0, (0,)))
         g = [Param(p) for p in toda.action.param_names]
-        fresh = transform(good, toda.action, g, toda.sig)
+        fresh = transform(good, toda.action, g)
         with expr.run_memo():
             for bad in (mul(good, u), mul(u, good)):
                 with pytest.raises(ExprError, match="no map for field 'nomap'"):
-                    transform(bad, toda.action, g, toda.sig)
-            assert transform(good, toda.action, g, toda.sig) is fresh
+                    transform(bad, toda.action, g)
+            assert transform(good, toda.action, g) is fresh
         with pytest.raises(ExprError, match="no map for field 'nomap'"):
-            transform(mul(good, u), toda.action, g, toda.sig)
+            transform(mul(good, u), toda.action, g)
 
     def test_a_rules_dict_changed_after_a_call_is_read_afresh(self):
         e = power(add(V("u", 0, 0), V("u", 1, 0)), 2) * Param("h")
@@ -777,7 +777,7 @@ class TestPruning:
         assert substitute(e, {v: Var(v) for v in fieldvars(e)}, x_repl=XVar(),
                           param_rules=identity) is e
         assert not walked
-        moved = transform(e, action, [Param(p) for p in action.param_names], toda.sig)
+        moved = transform(e, action, [Param(p) for p in action.param_names])
         assert walked["transform"] > 0 and walked["substitute"] == 0
         assert moved is oracles.reference_substitute(moved, {}, param_rules=identity)
 

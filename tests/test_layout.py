@@ -4,7 +4,9 @@ defined; that every rebuild, and ``evaluate``, takes its node table from
 ``expr._table``; that ``run_suite`` alone catches a suite's errors and
 records one report per check; that only the suites and the CLI build and
 name reports; that no
-dataclass keeps a field its constructor cannot set; that the layer tracer
+function takes the signature, H, the frame or the action next to an
+argument that holds it; that no dataclass keeps a field its constructor
+cannot set; that the layer tracer
 of the benchmark still finds what it wraps; and that every expression node
 class is interned."""
 
@@ -197,6 +199,24 @@ def test_only_the_suites_and_the_cli_name_reports():
         for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
             if tok.type == tokenize.NAME and tok.string in ("CheckReport", "identity_check"):
                 offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{tok.start[0]}")
+    assert offenders == []
+
+
+# what a parameter of these names holds: the action holds the signature, a
+# frame its action, and an invariant Lagrangian's invset the frame and H
+HELD_BY = {"action": {"sig"}, "frame": {"sig"}, "IL": {"H", "action", "frame"}}
+
+
+def test_no_function_takes_what_another_argument_holds():
+    offenders = []
+    for name in ("actions.py", "frames.py", "noether.py"):
+        for fn in ast.walk(_parse(PACKAGE_DIR / name)):
+            if not isinstance(fn, FUNCTION_NODES):
+                continue
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            for owner, held in HELD_BY.items():
+                if owner in params and params & held:
+                    offenders.append(f"{name}:{getattr(fn, 'name', 'lambda')}:{fn.lineno}")
     assert offenders == []
 
 

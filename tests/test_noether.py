@@ -51,13 +51,13 @@ def invariant_el_check(IL, el_inv, fname, plan):
     inv = IL.invset
     sig = inv.orig_sig
     return identity_check(inv.expand(el_inv[fname]),
-                          invariantize(inv.frame, euler_lagrange(IL.L, fname, sig), sig),
+                          invariantize(inv.frame, euler_lagrange(IL.L, fname, sig)),
                           plan, sig, check_id=f"invariant-el:{fname}")
 
 
 def divergence_equivalence_check(IL, plan, tol):
     """Div(A_u) dx against Div(A_H + A_kappa) iota(dx) with fresh variation slots."""
-    return identity_check(*divergence_equivalence_sides(IL, IL.invset.H), plan,
+    return identity_check(*divergence_equivalence_sides(IL), plan,
                           IL.invset.orig_sig, tol=tol)
 
 
@@ -89,20 +89,20 @@ class TestEulerKappa:
 class TestInvariantEulerLagrange:
     def test_toda_matches_stored_and_iota(self, toda, toda_plan):
         IL = toda.lagrangian
-        el = invariant_euler_lagrange(IL, toda.invset.H)
+        el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert all(r.passed for r in reports)
-        stored = parse(toda.expected["el_invariant"], toda.invset.kappa_sig)
+        stored = parse(toda.expected["el_invariant"]["u"], toda.invset.kappa_sig)
         r = identity_check(toda.invset.expand(el["u"]), toda.invset.expand(stored),
                            toda_plan, toda.sig, tol=1e-10)
         assert r.passed, r.max_residual
 
     def test_ex81_display(self, ex81, ex81_plan):
         IL = ex81.lagrangian
-        el = invariant_euler_lagrange(IL, ex81.invset.H)
+        el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, ex81_plan) for f in el]
         assert all(r.passed for r in reports)
-        stored = parse(ex81.expected["el_invariant"], ex81.invset.kappa_sig)
+        stored = parse(ex81.expected["el_invariant"]["u"], ex81.invset.kappa_sig)
         r = identity_check(ex81.invset.expand(el["u"]), ex81.invset.expand(stored),
                            ex81_plan, ex81.sig, tol=1e-9)
         assert r.passed
@@ -111,7 +111,7 @@ class TestInvariantEulerLagrange:
         from lattice_frames.catalog.nls import K1, phi_at
         IL = nls.lagrangian
         inv = nls.invset
-        el = invariant_euler_lagrange(IL, inv.H)
+        el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, nls_plan) for f in el]
         assert all(r.passed for r in reports)
         H = parse("h", inv.kappa_sig)
@@ -124,7 +124,7 @@ class TestInvariantEulerLagrange:
 
     def test_verification_failure_reported(self, broken_toda, toda_plan):
         IL = broken_toda.lagrangian
-        el = invariant_euler_lagrange(IL, broken_toda.invset.H)
+        el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert set(el) == {"u"}
         assert [(r.check_id, r.status) for r in reports] == [("invariant-el:u", "fail")]
@@ -188,7 +188,7 @@ class TestNoetherInvariant:
         IL = toda.lagrangian
         originals = {i: noether_original(toda.L, toda.generator(i).gen, i, toda.sig)
                      for i in (1, 2)}
-        laws = noether_invariant(IL, toda.invset.H, toda.action, toda.frame)
+        laws = noether_invariant(IL)
         for law in laws:
             idx = law.generator_index
             res = offshell_residual(law, EL, toda.generator(idx).gen, toda.sig, toda_plan)
@@ -201,7 +201,7 @@ class TestNoetherInvariant:
         from lattice_frames.catalog.nls import phi_at
         IL = nls.lagrangian
         inv = nls.invset
-        laws = noether_invariant(IL, inv.H, nls.action, nls.frame, generators=[2])
+        laws = noether_invariant(IL, generators=[2])
         law = laws[0]
         H = parse("h", inv.kappa_sig)
         want_a0 = inv.expand(parse("k1[0;0]^2/2", inv.kappa_sig))
@@ -220,8 +220,9 @@ class TestNoetherInvariant:
                         toda.action.generators[1]),
             adjoint_rep=toda.action.adjoint_rep, chart_fn=toda.action.chart_fn,
             sample_fn=toda.action.sample_fn)
-        IL = toda.lagrangian
-        laws = noether_invariant(IL, toda.invset.H, trivial, toda.frame, generators=[1])
+        frame = replace(toda.frame, action=trivial)
+        IL = replace(toda.lagrangian, invset=replace(toda.invset, frame=frame))
+        laws = noether_invariant(IL, generators=[1])
         for comp in laws[0].components.comps:
             r = identity_check(comp, Const(0), toda_plan, toda.sig, tol=1e-12)
             assert r.passed
@@ -231,13 +232,13 @@ class TestNoetherInvariant:
         # break the off-shell identity by much more than the tolerance
         IL = ex81.lagrangian
         inv = ex81.invset
-        laws = noether_invariant(IL, inv.H, ex81.action, ex81.frame, generators=[2])
+        laws = noether_invariant(IL, generators=[2])
         law = laws[0]
         entry = ex81.generator(2)
         EL = {"u": euler_lagrange(ex81.L, "u", ex81.sig)}
         assert offshell_residual(law, EL, entry.gen, ex81.sig, ex81_plan) <= 1e-9
         lk = inv.expand(IL.L_kappa)
-        xi_term = mul(lk, invariantize(ex81.frame, entry.gen.xi, ex81.sig))
+        xi_term = mul(lk, invariantize(ex81.frame, entry.gen.xi))
         broken = ConservationLaw(
             2, "invariant",
             DivergenceTuple(add(law.components.a0, mul(Const(-1), xi_term)),
@@ -249,7 +250,7 @@ class TestNoetherInvariant:
     def test_measure_conversion(self, ex81, ex81_plan):
         # invariant components carry iota-dx; dx components gain the factor J
         IL = ex81.lagrangian
-        laws = noether_invariant(IL, ex81.invset.H, ex81.action, ex81.frame, generators=[1])
+        laws = noether_invariant(IL, generators=[1])
         law = laws[0]
         assert law.measure == "iota-dx"
         dx = law_dx_components(law)
@@ -262,7 +263,7 @@ class TestEquivariantForm:
     def test_toda_r2_coefficients(self, toda, toda_plan):
         IL = toda.lagrangian
         inv = toda.invset
-        laws = noether_invariant(IL, inv.H, toda.action, toda.frame, generators=[2])
+        laws = noether_invariant(IL, generators=[2])
         eq = equivariant_form(laws[0], toda_plan)
         dv, comps = compare_laws(laws[0], eq, toda_plan, toda.sig)
         assert max([dv] + comps) <= 1e-9
@@ -277,7 +278,7 @@ class TestEquivariantForm:
 
     def test_abelian_equivariant_equals_invariant(self, nls, nls_plan):
         IL = nls.lagrangian
-        laws = noether_invariant(IL, nls.invset.H, nls.action, nls.frame)
+        laws = noether_invariant(IL)
         for law in laws:
             eq = equivariant_form(law, nls_plan)
             dv, comps = compare_laws(law, eq, nls_plan, nls.sig)
@@ -286,7 +287,7 @@ class TestEquivariantForm:
     def test_unshifted_symbols_unchanged(self, toda, toda_plan):
         # a law whose display has no shifted adjoint symbols rewrites to itself
         IL = toda.lagrangian
-        laws = noether_invariant(IL, toda.invset.H, toda.action, toda.frame, generators=[1])
+        laws = noether_invariant(IL, generators=[1])
         eq = equivariant_form(laws[0], toda_plan)
         assert eq.form == "equivariant"
         dv, comps = compare_laws(laws[0], eq, toda_plan, toda.sig)
@@ -305,16 +306,16 @@ class TestFormalInvariantDerivative:
     @pytest.mark.parametrize("r", [0, 1])
     def test_formal_dcal_then_expand_is_dcal_of_the_expansion(self, ex81, ex81_plan, r):
         sig, frame = ex81.sig, ex81.frame
-        got = _expand_adj(_formal_dcal(self._e(), sig, frame.dcal_inv), frame, r, sig)
-        want = frame.dcal(_expand_adj(self._e(), frame, r, sig), sig)
+        got = _expand_adj(_formal_dcal(self._e(), sig, frame.dcal_inv), frame, r)
+        want = frame.dcal(_expand_adj(self._e(), frame, r), sig)
         rep = identity_check(got, want, ex81_plan, sig, tol=1e-12)
         assert rep.passed, rep.max_residual
 
     def test_plain_derivative_of_the_symbols_fails(self, ex81, ex81_plan):
         # negative control: dcal_inv * D raises adj_j to adj_{j+1} as if that were D adj_j
         sig, frame = ex81.sig, ex81.frame
-        bad = _expand_adj(mul(frame.dcal_inv, total_derivative(self._e(), sig)), frame, 1, sig)
-        want = frame.dcal(_expand_adj(self._e(), frame, 1, sig), sig)
+        bad = _expand_adj(mul(frame.dcal_inv, total_derivative(self._e(), sig)), frame, 1)
+        want = frame.dcal(_expand_adj(self._e(), frame, 1), sig)
         rep = identity_check(bad, want, ex81_plan, sig, tol=1e-12)
         assert rep.max_residual > 1e-2
 

@@ -84,7 +84,7 @@ def test_raising_normalization_keeps_the_other_frame_checks(ex81, monkeypatch):
     plan = ex81.plan(seed=31337)
     want = [r.to_dict() for r in run_suite(ex81, "equivariance", plan)]
     z, c = ex81.frame.normalization[0]
-    first = invariantize(ex81.frame, z, ex81.sig)
+    first = invariantize(ex81.frame, z)
 
     def singular(lhs, rhs, *args, **kw):
         if lhs is first and rhs == Const(c):
@@ -238,19 +238,34 @@ def test_nan_negative_control_fails(toda, monkeypatch, suite, target, patch, che
     assert reports[check_id].status == "fail"
 
 
-def test_equivariance_checks_report_the_points_they_draw(toda, monkeypatch):
+def _assert_equivariance_draws(toda, monkeypatch, points, n20, n10, n15, n25):
+    """At ``--points points`` the equivariance checks draw, and report, samples of
+    ``n20``, ``n10``, ``n15`` and ``n25`` points: 20, 10, 15 and 25 of every 50."""
     drawn = []
 
-    def recording(e, action, sig, plan, rng, **kw):
+    def recording(e, action, plan, rng, **kw):
         drawn.append(plan.n_points)
-        return invariance_residual(e, action, sig, plan, rng, **kw)
+        return invariance_residual(e, action, plan, rng, **kw)
 
     monkeypatch.setattr(suites, "invariance_residual", recording)
-    reports = {r.check_id: r.n_points for r in run_suite(toda, "equivariance", toda.plan())}
-    assert drawn == [20, 10, 10, 10, 10, 10]  # iota, two components per direction, control
+    reports = {r.check_id: r.n_points
+               for r in run_suite(toda, "equivariance", toda.plan(n_points=points))}
+    assert drawn == [n20] + [n10] * 5  # iota, two components per direction, control
     assert {k: reports[k] for k in (
-        "iota-invariance", "maurer-cartan-invariance:1", "maurer-cartan-invariance:2",
-        "maurer-cartan-concatenation", "negative-control:noninvariant")} == {
-        "iota-invariance": 20, "maurer-cartan-invariance:1": 10,
-        "maurer-cartan-invariance:2": 10, "maurer-cartan-concatenation": 15,
-        "negative-control:noninvariant": 10}
+        "iota-projection", "iota-invariance", "replacement-rule:kappa",
+        "maurer-cartan-invariance:1", "maurer-cartan-invariance:2",
+        "maurer-cartan-concatenation", "equivariant-coeff:r1:A1:adj1",
+        "negative-control:noninvariant", "adjoint-representation-property")} == {
+        "iota-projection": n20, "iota-invariance": n20, "replacement-rule:kappa": n20,
+        "maurer-cartan-invariance:1": n10, "maurer-cartan-invariance:2": n10,
+        "maurer-cartan-concatenation": n15, "equivariant-coeff:r1:A1:adj1": n25,
+        "negative-control:noninvariant": n10, "adjoint-representation-property": 10}
+
+
+def test_equivariance_checks_report_the_points_they_draw(toda, monkeypatch):
+    _assert_equivariance_draws(toda, monkeypatch, 50, 20, 10, 15, 25)
+
+
+def test_equivariance_samples_scale_with_points(toda, monkeypatch):
+    # never fewer than one point; the 10 pairs of the adjoint property are not a sample
+    _assert_equivariance_draws(toda, monkeypatch, 5, 2, 1, 1, 2)

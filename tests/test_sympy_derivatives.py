@@ -40,7 +40,7 @@ def _expressions(b):
     out.update({f"E_{f}": euler_lagrange(b.L, f, b.sig) for f in b.sig.base_fields})
     out.update({f"kappa:{k}": e for k, e in b.invset.kappa_defs.items()})
     out.update({f"rho{i}": e for i, e in enumerate(b.frame.param_exprs)})
-    out["iota(L)"] = invariantize(b.frame, b.L, b.sig)
+    out["iota(L)"] = invariantize(b.frame, b.L)
     return out
 
 
