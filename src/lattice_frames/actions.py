@@ -58,6 +58,7 @@ class Generator:
     Q: dict
     xi: object = ZERO
     name: str = ""
+    note: str = ""  # printed under its law by the ``noether`` command
 
     def q_of(self, fname):
         return self.Q.get(fname, ZERO)

@@ -1,13 +1,17 @@
 """Built-in example registry.
 
-Each bundle packages one worked problem: the Lagrangian, the invariant set
-(generating invariants with their recurrences and syzygies, and the syzygy
-operator matrix), and the expected formulas used as regression baselines.
-The invariant set holds the moving frame, which holds the group action,
-which holds the signature; the bundle reads each of them from there, so a
-bundle cannot mix two frames.  Expected formulas are stored as grammar
-strings and are never trusted blindly: the verification suites re-derive
-everything and compare numerically.
+Each bundle packages one worked problem: the Lagrangian in the original
+variables and in the generating invariants, the invariant set (generating
+invariants with their recurrences and syzygies, and the syzygy operator
+matrix), the generators that have an original-form law only, and the
+expected formulas used as regression baselines.  The invariant set holds
+the moving frame, which holds the group action, which holds the signature;
+the bundle reads each of them from there, so a bundle cannot mix two
+frames.  The generators are numbered r = 1..R in the action's basis, the
+index of the paper's Noether laws and adjoint components a^s_r, and the
+other generators follow as r = R+1, ....  Expected formulas are stored as
+grammar strings and are never trusted blindly: the verification suites
+re-derive everything and compare numerically.
 """
 
 from __future__ import annotations
@@ -15,23 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..expr import ExprError
-from ..noether import InvariantLagrangian
 from ..sampling import SamplePlan
 
-__all__ = ["ExampleBundle", "GenEntry", "EXAMPLES", "register_example", "get_example"]
+__all__ = ["ExampleBundle", "EXAMPLES", "register_example", "get_example"]
 
 DEFAULT_SEED = 2024
-
-
-@dataclass
-class GenEntry:
-    """One CLI-addressable generator: its 1-based index, and its position in
-    the frame action's basis when the invariant/equivariant forms apply."""
-
-    index: int
-    gen: object
-    action_index: int = None
-    note: str = ""
 
 
 @dataclass
@@ -40,7 +32,7 @@ class ExampleBundle:
     L: object
     invset: object
     L_kappa: object
-    generators: list = field(default_factory=list)  # GenEntry, CLI order
+    other_generators: tuple = ()  # original-form law only, numbered after the action's
     expected: dict = field(default_factory=dict)
     plan_kw: dict = field(default_factory=dict)
     integrate_config: dict = None
@@ -61,15 +53,16 @@ class ExampleBundle:
         return SamplePlan(n_points=n_points, seed=seed, **self.plan_kw)
 
     @property
-    def lagrangian(self):
-        return InvariantLagrangian(self.L, self.L_kappa, self.invset)
+    def generators(self):
+        """Every generator in the order of its index r: the action's, then the others."""
+        return self.action.generators + self.other_generators
 
-    def generator(self, index):
-        for e in self.generators:
-            if e.index == index:
-                return e
-        raise ExprError(f"example {self.name!r} has no generator r={index} "
-                        f"(valid: {[e.index for e in self.generators]})")
+    def generator(self, r):
+        gens = self.generators
+        if not 1 <= r <= len(gens):
+            raise ExprError(f"example {self.name!r} has no generator r={r} "
+                            f"(valid: {list(range(1, len(gens) + 1))})")
+        return gens[r - 1]
 
 
 EXAMPLES = {}

@@ -21,7 +21,7 @@ from ..expr import (
 )
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, GenEntry, register_example
+from . import ExampleBundle, register_example
 
 
 def U(j, k):
@@ -182,10 +182,6 @@ bundle = register_example(ExampleBundle(
     L=L,
     invset=invset,
     L_kappa=L_kappa,
-    generators=[
-        GenEntry(1, scaling.generators[0], action_index=1),
-        GenEntry(2, scaling.generators[1], action_index=2),
-    ],
     expected=EXPECTED,
     plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.35, 0.35)},
 ))

@@ -28,7 +28,7 @@ from ..expr import (
 from ..flows import LatticeState
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, GenEntry, register_example
+from . import ExampleBundle, register_example
 
 
 def U(j, k):
@@ -272,10 +272,6 @@ bundle = register_example(ExampleBundle(
     L=L,
     invset=invset,
     L_kappa=L_kappa,
-    generators=[
-        GenEntry(1, rotation.generators[0], action_index=1),
-        GenEntry(2, rotation.generators[1], action_index=2),
-    ],
     expected=EXPECTED,
     plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.35, 0.35),
              "param_ranges": {"h": (0.5, 1.2)}},

@@ -1,10 +1,11 @@
 """Toda-type lattice: L = ln|(u_{1,0}-u_{0,1})/(u_{1,1}-u_{0,0})| on Z^2.
 
-The Lagrangian is invariant under u -> b u + a (and under the alternating
-translations u -> u + c (-1)^(n^1+n^2), catalogued separately for symmetry
-checking).  The frame normalizes u_{0,0} -> 0, u_{1,1} -> 1 on the
-half-space u_{1,1} > u_{0,0}; the generating invariants are
-kappa = iota(u_{1,0}) and lambda = iota(u_{0,1}).
+The Lagrangian is invariant under u -> b u + a, the frame action, and
+under the alternating translation u -> u + c (-1)^(n^1+n^2), a plain
+generator v4 with an original-form law only; v3 = u^2 d/du is no symmetry.
+The frame normalizes u_{0,0} -> 0, u_{1,1} -> 1 on the half-space
+u_{1,1} > u_{0,0}; the generating invariants are kappa = iota(u_{1,0}) and
+lambda = iota(u_{0,1}).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..expr import (
 )
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, GenEntry, register_example
+from . import ExampleBundle, register_example
 
 
 def U(i, j, d=0):
@@ -73,23 +74,6 @@ affine = GroupAction(
     adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
     chart_fn=lambda g: g[1] > 0,
     sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
-)
-
-# alternating translations u -> u + a + c (-1)^(n^1+n^2): used for symmetry
-# classification and the Q = alt Noether law only
-alt_translations = GroupAction(
-    name="affine-u-alt",
-    sig=sig,
-    param_names=("a", "c"),
-    identity_values=(0.0, 0.0),
-    u_maps={"u": U(0, 0) + Param("a") + Param("c") * Alt()},
-    compose_fn=lambda g1, g2: (g1[0] + g2[0], g1[1] + g2[1]),
-    inverse_fn=lambda g: (-g[0], -g[1]),
-    generators=(
-        Generator({"u": Const(1)}, name="v1"),
-        Generator({"u": Alt()}, name="v4"),
-    ),
-    adjoint_rep=((Const(1), Const(0)), (Const(0), Const(1))),
 )
 
 frame = Frame(
@@ -228,14 +212,11 @@ bundle = register_example(ExampleBundle(
     L=L,
     invset=invset,
     L_kappa=L_kappa,
-    generators=[
-        GenEntry(1, affine.generators[0], action_index=1),
-        GenEntry(2, affine.generators[1], action_index=2),
-        GenEntry(3, Generator({"u": U(0, 0) ** 2}, name="v3"),
-                 note="not a variational symmetry of L"),
-        GenEntry(4, alt_translations.generators[1],
-                 note="alternating translation; original-form law only"),
-    ],
+    other_generators=(
+        Generator({"u": U(0, 0) ** 2}, name="v3", note="not a variational symmetry of L"),
+        Generator({"u": Alt()}, name="v4",
+                  note="alternating translation; original-form law only"),
+    ),
     expected=EXPECTED,
     plan_kw={"guards": _guards(), "offsets": _offsets, "value_range": (-0.3, 0.3)},
 ))

@@ -217,35 +217,34 @@ def cmd_euler_lagrange(args):
     return 0
 
 
-def _forms_for(b, entry, plan):
+def _forms_for(b, r, plan):
     sig = b.sig
+    gen = b.generator(r)
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
-    laws = [noether_original(b.L, entry.gen, entry.index, sig)]
-    if entry.action_index is not None:
-        inv_laws = noether_invariant(b.lagrangian, generators=[entry.action_index])
-        laws.append(inv_laws[0])
-        laws.append(equivariant_form(inv_laws[0], plan))
-    residuals = {law.form: offshell_residual(law, EL, entry.gen, sig, plan)
-                 for law in laws}
+    laws = [noether_original(b.L, gen, r, sig)]
+    if r <= b.action.group_dim:  # the action's own generator: invariant forms too
+        (inv_law,) = noether_invariant(b, generators=[r])
+        laws += [inv_law, equivariant_form(inv_law, plan)]
+    residuals = {law.form: offshell_residual(law, EL, gen, sig, plan) for law in laws}
     return laws, residuals
 
 
 def cmd_noether(args):
     b = _get_example_or_exit(args.example)
     try:
-        entry = b.generator(args.r)
+        gen = b.generator(args.r)
     except ExprError as err:
         print(err, file=sys.stderr)
         return USAGE_ERROR
     plan = b.plan(seed=args.seed, n_points=args.points)
-    sym = check_variational_symmetry(b.L, entry.gen, b.sig, plan)
+    sym = check_variational_symmetry(b.L, gen, b.sig, plan)
     if not sym <= SYMMETRY_TOL:
-        msg = (f"generator r={args.r} ({entry.gen.name}) is not a variational "
+        msg = (f"generator r={args.r} ({gen.name}) is not a variational "
                f"symmetry of the Lagrangian (v(L) residual {sym:.3e}); "
                "no conservation law")
         print(msg, file=sys.stderr)
         return CHECK_FAILURE
-    laws, residuals = _forms_for(b, entry, plan)
+    laws, residuals = _forms_for(b, args.r, plan)
     if args.json:
         print(_json([law.to_dict(residual=residuals[law.form]) for law in laws]))
     else:
@@ -254,9 +253,10 @@ def cmd_noether(args):
                   f"off-shell residual {residuals[law.form]:.3e}")
             for label, c in law.components.named():
                 print(f"  {label} = {to_string(c)}")
-            if entry.note:
-                print(f"  note: {entry.note}")
-    return 0 if all(r <= 1e-8 for r in residuals.values()) else CHECK_FAILURE
+            if gen.note:
+                print(f"  note: {gen.note}")
+    tol = 1e-8 if args.tol is None else args.tol
+    return 0 if all(r <= tol for r in residuals.values()) else CHECK_FAILURE
 
 
 def cmd_integrate(args):

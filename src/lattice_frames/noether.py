@@ -17,6 +17,11 @@ tag "iota-dx"; converting to the plain "dx" measure multiplies the discrete
 components by the Jacobian factor, which makes the different forms directly
 comparable pointwise.
 
+The builders of the invariant forms take ``IL``, the catalog bundle: it
+holds the Lagrangian ``L`` in the original variables, ``L_kappa`` in the
+generating invariants, and the invariant set, which holds H, the frame and
+the action.  Law r belongs to the action's generator r.
+
 The law constructors only build: they sample nothing and check nothing.
 Whether a generator is a variational symmetry, and whether a law satisfies
 the off-shell identity, is checked once by the caller (the verification
@@ -67,7 +72,6 @@ from .frames import invariantize, mc_element
 from .sampling import relative_residual, residual_stats
 
 __all__ = [
-    "InvariantLagrangian",
     "ConservationLaw",
     "euler_kappa",
     "invariant_euler_lagrange",
@@ -81,15 +85,6 @@ __all__ = [
 ]
 
 _ADJ_PREFIX = "adj"
-
-
-@dataclass
-class InvariantLagrangian:
-    """Lagrangian in original variables and in the generating invariants."""
-
-    L: object
-    L_kappa: object
-    invset: object
 
 
 def euler_kappa(IL, beta):
@@ -124,9 +119,12 @@ class ConservationLaw:
     generator_index: int
     form: str
     components: DivergenceTuple
-    measure: str = "dx"  # "dx" or "iota-dx"
     display: object = None
-    frame: object = None
+    frame: object = None  # set exactly when the components are relative to iota(dx)
+
+    @property
+    def measure(self):
+        return "dx" if self.frame is None else "iota-dx"
 
     def to_dict(self, residual=None):
         d = {"generator": self.generator_index, "form": self.form, "measure": self.measure,
@@ -138,7 +136,7 @@ class ConservationLaw:
 
 def law_dx_components(law):
     """Components in the plain dx measure: discrete parts pick up the factor J."""
-    if law.measure == "dx" or law.frame is None:
+    if law.frame is None:
         return law.components
     jac = law.frame.jacobian_factor
     return DivergenceTuple(law.components.a0,
@@ -202,7 +200,7 @@ def noether_original(L, gen, gen_index, sig):
     comps = boundary.map(lambda e: substitute_slots(e, targets, sig))
     if sig.differential and gen.xi != ZERO:
         comps = DivergenceTuple(add(comps.a0, mul(L, gen.xi)), comps.comps)
-    return ConservationLaw(gen_index, "original", comps, measure="dx")
+    return ConservationLaw(gen_index, "original", comps)
 
 
 def _adj_var(s, m):
@@ -324,8 +322,7 @@ def noether_invariant(IL, generators=None):
     indices = generators if generators is not None else range(1, len(action.generators) + 1)
     for r in indices:
         expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1))
-        laws.append(ConservationLaw(r, "invariant", expanded, measure="iota-dx",
-                                    display=symbolic, frame=frame))
+        laws.append(ConservationLaw(r, "invariant", expanded, display=symbolic, frame=frame))
     return laws
 
 
@@ -360,16 +357,18 @@ def equivariant_form(law, plan):
         e, image, ("equivariant", id(frame)), frame))
     r = law.generator_index
     expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1))
-    out = ConservationLaw(r, "equivariant", expanded, measure=law.measure,
-                          display=symbolic, frame=frame)
+    out = ConservationLaw(r, "equivariant", expanded, display=symbolic, frame=frame)
     _check_coefficients_invariant(out, plan)
     return out
 
 
 def _check_coefficients_invariant(law, plan):
-    """Every coefficient of an a^l_r(rho) symbol must be an invariant (residual <= 1e-8)."""
+    """Every coefficient of an a^l_r(rho) symbol must be an invariant (residual <= 1e-8).
+
+    The probe draws 6 points at the default of 50, scaled with the plan's.
+    """
     rng = np.random.default_rng(np.random.PCG64(plan.seed + 37))
-    probe = replace(plan, n_points=6)
+    probe = replace(plan, n_points=max(1, plan.n_points * 6 // 50))
     for cname, row in equivariant_coefficients(law):
         for sym, coeff in sorted(row.items()):
             res = invariance_residual(coeff, law.frame.action, probe, rng, n_group=6)
@@ -402,5 +401,5 @@ def divergence_equivalence_sides(IL):
     sig = inv.orig_sig
     lhs = divergence(_variation_boundary(IL.L, sig)[1], sig)
     both = ConservationLaw(0, "invariant", invariant_boundary(IL).map(inv.expand),
-                           measure="iota-dx", frame=inv.frame)
+                           frame=inv.frame)
     return lhs, law_divergence_dx(both, sig)

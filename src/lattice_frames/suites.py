@@ -122,27 +122,26 @@ def suite_invariant_el(b, plan, check, tol=1e-9):
     inv = b.invset
     sig = inv.orig_sig
     ksig = inv.kappa_sig
-    IL = b.lagrangian
     # expand(L_kappa) must equal L / J (and plainly L when J = 1)
     check("lagrangian-invariant-form", lambda: identity_check(
-        inv.expand(IL.L_kappa), mul(IL.L, inv.frame.dcal_inv), plan, sig, tol=tol))
+        inv.expand(b.L_kappa), mul(b.L, inv.frame.dcal_inv), plan, sig, tol=tol))
     for beta in inv.H:
         check(f"syzygy-operator:{beta}", lambda: identity_check(
             *syzygy_operator_sides(inv, beta), plan, sig, tol=tol))
     # Euler operators in kappa space against the stored forms
     for beta, s in b.expected.get("euler_kappa", {}).items():
         check(f"euler-kappa:{beta}", lambda: identity_check(
-            inv.expand(euler_kappa(IL, beta)), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
-    el_inv = invariant_euler_lagrange(IL)
+            inv.expand(euler_kappa(b, beta)), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
+    el_inv = invariant_euler_lagrange(b)
     for fname in el_inv:
         check(f"invariant-el:{fname}", lambda: identity_check(
             inv.expand(el_inv[fname]),
-            invariantize(inv.frame, euler_lagrange(IL.L, fname, sig)), plan, sig, tol=tol))
+            invariantize(inv.frame, euler_lagrange(b.L, fname, sig)), plan, sig, tol=tol))
     for fname, s in b.expected.get("el_invariant", {}).items():
         check(f"invariant-el-stored:{fname}", lambda: identity_check(
             inv.expand(el_inv[fname]), inv.expand(parse(s, ksig)), plan, sig, tol=tol))
     check("divergence-equivalence", lambda: identity_check(
-        *divergence_equivalence_sides(IL), plan, sig, tol=tol))
+        *divergence_equivalence_sides(b), plan, sig, tol=tol))
     # original Euler-Lagrange expressions against the stored displays
     for fname, s in b.expected.get("el_original", {}).items():
         check(f"el-stored:{fname}", lambda: identity_check(
@@ -157,33 +156,32 @@ def suite_noether(b, plan, check, tol=1e-9):
     sig = b.sig
     inv = b.invset
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
-    symmetry = {e.index: check_variational_symmetry(b.L, e.gen, sig, plan)
-                for e in b.generators}
-    originals = {e.index: noether_original(b.L, e.gen, e.index, sig)
-                 for e in b.generators if symmetry[e.index] <= SYMMETRY_TOL}
-    for entry in b.generators:
-        label = entry.gen.name or f"r{entry.index}"
-        if entry.index not in originals:
+    # r = 1..R are the action's generators, with invariant forms; the others follow
+    gens = dict(enumerate(b.generators, 1))
+    symmetry = {r: check_variational_symmetry(b.L, gen, sig, plan) for r, gen in gens.items()}
+    originals = {r: noether_original(b.L, gen, r, sig)
+                 for r, gen in gens.items() if symmetry[r] <= SYMMETRY_TOL}
+    for r, gen in gens.items():
+        label = gen.name or f"r{r}"
+        if r not in originals:
             check(f"non-symmetry:{label}", lambda: _must_fail(
-                symmetry[entry.index], SYMMETRY_TOL, plan,
+                symmetry[r], SYMMETRY_TOL, plan,
                 note="generator must not be a variational symmetry"))
             continue
-        law = originals[entry.index]
+        law = originals[r]
         check(f"offshell-original:{label}", lambda: _report(
-            offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
-        stored = b.expected.get("laws_original", {}).get(entry.index) or {}
+            offshell_residual(law, EL, gen, sig, plan), tol, plan))
+        stored = b.expected.get("laws_original", {}).get(r) or {}
         for cname, comp in law.components.named():
             if cname in stored:
                 check(f"law-stored:{label}:{cname}", lambda: identity_check(
                     comp, parse(stored[cname], sig), plan, sig, tol=tol))
 
     def invariant_laws():
-        for law in noether_invariant(
-                b.lagrangian, generators=[e.action_index for e in b.generators if e.action_index]):
+        for law in noether_invariant(b):
             r = law.generator_index
-            entry = b.generator(r)
             check(f"offshell-invariant:r{r}", lambda: _report(
-                offshell_residual(law, EL, entry.gen, sig, plan), tol, plan))
+                offshell_residual(law, EL, gens[r], sig, plan), tol, plan))
             if r in originals:
                 # evaluated once for both checks; an error is each check's own
                 match = functools.cache(lambda: compare_laws(originals[r], law, plan, sig))
@@ -204,17 +202,18 @@ def suite_noether(b, plan, check, tol=1e-9):
             check(f"integration-drift:{label}", lambda: CheckReport.from_residual(
                 "", drifts()[label], DRIFT_TOLS.get(label, 1e-6), 1, 0, note=cfg.get("note", "")))
     # negative control: constants lie in the kernel of the difference
-    # divergence, so perturb with a field value instead
-    entry = next(e for e in b.generators if e.index in originals)
-    law = originals[entry.index]
-    bump = Const(1e-2) * Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
-    broken = type(law)(entry.index, "original",
-                       DivergenceTuple(law.components.a0,
-                                       tuple(add(c, bump) for c in law.components.comps)),
-                       measure="dx")
-    check("negative-control:perturbed-law", lambda: _must_fail(
-        offshell_residual(broken, EL, entry.gen, sig, plan), tol, plan,
-        note="perturbed components must break the identity"))
+    # divergence, so perturb the first law with a field value instead
+    def perturbed_law():
+        if not originals:
+            raise ExprError(f"no generator of {b.name!r} is a variational symmetry")
+        r, law = next(iter(originals.items()))
+        bump = Const(1e-2) * Var(FieldVar(sig.base_fields[0], 0, (0,) * sig.lattice_dim))
+        broken = replace(law, components=DivergenceTuple(
+            law.components.a0, tuple(add(c, bump) for c in law.components.comps)))
+        return _must_fail(offshell_residual(broken, EL, gens[r], sig, plan), tol, plan,
+                          note="perturbed components must break the identity")
+
+    check("negative-control:perturbed-law", perturbed_law)
 
 
 def integration_drifts(cfg):
@@ -273,8 +272,7 @@ def suite_equivariance(b, plan, check, tol=1e-8):
     ksig = inv.kappa_sig
 
     def equivariant_laws():
-        for law in noether_invariant(
-                b.lagrangian, generators=[e.action_index for e in b.generators if e.action_index]):
+        for law in noether_invariant(b):
             r = law.generator_index
             eq = equivariant_form(law, plan)
             # the divergence residual and the component residuals together

@@ -77,7 +77,7 @@ def test_criterion_1_toda_syzygy(toda, toda_plan):
 
 
 def test_criterion_2_toda_invariant_el(toda, toda_plan):
-    IL = toda.lagrangian
+    IL = toda
     inv = toda.invset
     el = invariant_euler_lagrange(IL)
     reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
@@ -96,16 +96,16 @@ def test_criterion_3_toda_noether(toda, toda_plan):
     worst_off = 0.0
     originals = {}
     for idx in (1, 2, 4):
-        entry = toda.generator(idx)
-        law = noether_original(toda.L, entry.gen, idx, sig)
+        gen = toda.generator(idx)
+        law = noether_original(toda.L, gen, idx, sig)
         originals[idx] = law
-        worst_off = max(worst_off, offshell_residual(law, EL, entry.gen, sig, toda_plan))
-    laws = noether_invariant(toda.lagrangian)
+        worst_off = max(worst_off, offshell_residual(law, EL, gen, sig, toda_plan))
+    laws = noether_invariant(toda)
     worst_form = 0.0
     for law in laws:
         idx = law.generator_index
         worst_off = max(worst_off, offshell_residual(
-            law, EL, toda.generator(idx).gen, sig, toda_plan))
+            law, EL, toda.generator(idx), sig, toda_plan))
         dv, comps = compare_laws(originals[idx], law, toda_plan, sig)
         worst_form = max(worst_form, dv, *comps)
         eq = equivariant_form(law, toda_plan)
@@ -136,27 +136,27 @@ def test_criterion_4_ex81(ex81, ex81_plan):
         frame_res = max(frame_res, residual_stats(
             got, Const(c), ex81_plan.assignments([got], sig)))
     syz = syzygy_check(inv, inv.syzygies[0], ex81_plan, tol=1e-10)
-    el = invariant_euler_lagrange(ex81.lagrangian)
+    el = invariant_euler_lagrange(ex81)
     stored = parse(ex81.expected["el_invariant"]["u"], inv.kappa_sig)
     r_el = identity_check(inv.expand(el["u"]), inv.expand(stored), ex81_plan,
                           sig, tol=1e-9)
     EL = {"u": euler_lagrange(ex81.L, "u", sig)}
     worst_law = 0.0
     for idx in (1, 2):
-        entry = ex81.generator(idx)
-        law = noether_original(ex81.L, entry.gen, idx, sig)
-        worst_law = max(worst_law, offshell_residual(law, EL, entry.gen, sig, ex81_plan))
+        gen = ex81.generator(idx)
+        law = noether_original(ex81.L, gen, idx, sig)
+        worst_law = max(worst_law, offshell_residual(law, EL, gen, sig, ex81_plan))
         want = ex81.expected["laws_original"][idx]
         for comp, key in ((law.components.a0, "A0"), (law.components.comps[0], "A1")):
             worst_law = max(worst_law, residual_stats(
                 comp, parse(want[key], sig), ex81_plan.assignments([comp], sig)))
     # negative control: dropping the L*xi term from r=2 breaks the identity
-    entry = ex81.generator(2)
-    law = noether_original(ex81.L, entry.gen, 2, sig)
+    gen = ex81.generator(2)
+    law = noether_original(ex81.L, gen, 2, sig)
     broken = ConservationLaw(2, "original", DivergenceTuple(
-        add(law.components.a0, mul(Const(-1), mul(ex81.L, entry.gen.xi))),
-        law.components.comps), measure="dx")
-    control = offshell_residual(broken, EL, entry.gen, sig, ex81_plan)
+        add(law.components.a0, mul(Const(-1), mul(ex81.L, gen.xi))),
+        law.components.comps))
+    control = offshell_residual(broken, EL, gen, sig, ex81_plan)
     ok = (frame_res <= 1e-12 and syz.passed and r_el.passed
           and worst_law <= 1e-9 and control > 1e-3)
     report(4, "Ex 8.1: frame exact; syzygy <= 1e-10; invariant EL <= 1e-9; "
@@ -175,7 +175,7 @@ def test_criterion_5_nls(nls, nls_plan):
     for g in nls.action.generators:
         worst_sym = max(worst_sym, check_variational_symmetry(nls.L, g, sig, nls_plan))
     syz = syzygy_check(inv, inv.syzygies[0], nls_plan, tol=1e-9)
-    el = invariant_euler_lagrange(nls.lagrangian)
+    el = invariant_euler_lagrange(nls)
     from lattice_frames.catalog.nls import K1, phi_at
     H = parse("h", inv.kappa_sig)
     want = {"u": parse(nls.expected["el_invariant"]["u"], inv.kappa_sig),
@@ -301,7 +301,7 @@ def test_criterion_7_frame_properties(toda, ex81, nls):
 def test_criterion_8_divergence_equivalence(toda, ex81, nls):
     worst = {}
     for b in (toda, ex81, nls):
-        r = divergence_equivalence_check(b.lagrangian, b.plan(), tol=1e-9)
+        r = divergence_equivalence_check(b, b.plan(), tol=1e-9)
         worst[b.name] = r.max_residual
         assert r.passed, b.name
     report(8, "Div(A_u) = Div(A_H + A_kappa) with fresh variation slots <= 1e-9",

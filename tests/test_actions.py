@@ -92,7 +92,7 @@ class TestProlongGenerator:
         assert prolong_generator(v2, fv("u", 2, 1), toda.sig) == V("u", 2, 1)
 
     def test_alt_sign_flip(self, toda, toda_plan):
-        v4 = toda.generator(4).gen
+        v4 = toda.generator(4)
         out = prolong_generator(v4, fv("u", 1, 0), toda.sig)
         r = identity_check(out, -Alt(), toda_plan, toda.sig, tol=1e-14)
         assert r.passed
@@ -112,12 +112,12 @@ class TestVariationalSymmetry:
         assert res <= SYMMETRY_TOL
 
     def test_toda_v3_not(self, toda, toda_plan):
-        v3 = toda.generator(3).gen
+        v3 = toda.generator(3)
         res = check_variational_symmetry(toda.L, v3, toda.sig, toda_plan)
         assert res > 1e-3 > SYMMETRY_TOL
 
     def test_toda_alt_invariant(self, toda, toda_plan):
-        v4 = toda.generator(4).gen
+        v4 = toda.generator(4)
         res = check_variational_symmetry(toda.L, v4, toda.sig, toda_plan)
         assert res <= SYMMETRY_TOL
 

@@ -18,19 +18,22 @@ def test_registry_contents():
 
 
 def test_generator_lookup(toda):
-    assert toda.generator(4).gen.name == "v4"
-    with pytest.raises(ExprError):
-        toda.generator(9)
+    assert toda.generator(4).name == "v4"
+    assert toda.generator(4).note == "alternating translation; original-form law only"
 
 
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
 def test_action_generators_are_the_actions_own(name):
-    # the one copy a bundle keeps: a generator of the frame action, named by its index
+    # one index r: the action's generators come first, held once by the action
     b = get_example(name)
-    entries = [e for e in b.generators if e.action_index]
-    assert entries
-    for entry in entries:
-        assert entry.gen is b.action.generators[entry.action_index - 1]
+    for r in range(1, b.action.group_dim + 1):
+        assert b.generator(r) is b.action.generators[r - 1]
+    n = len(b.generators)
+    for r in (0, -1, n + 1):
+        with pytest.raises(ExprError) as err:
+            b.generator(r)
+        assert str(err.value) == (f"example {name!r} has no generator r={r} "
+                                  f"(valid: {list(range(1, n + 1))})")
 
 
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])

@@ -80,7 +80,9 @@ def _drawn(check_id, points):
     n = int(points)
     if check_id == "ex81-scale:right-equivariance":
         return n // 3
-    # fixed shares of --points: 20 or 10 of every 50
+    # fixed shares of --points: 20, 10 or 6 (the equivariant rewrite's probe) of every 50
+    if check_id == "equivariant-laws":
+        return n * 6 // 50
     if check_id.startswith(("maurer-cartan-invariance:", "negative-control:noninvariant")):
         return n * 10 // 50
     if check_id.startswith(("iota-", "replacement-rule:", "dcal-shift-commutation")):
@@ -98,16 +100,16 @@ def _assert_each_sampling_check_fails(doc, message, points):
     assert all(c["check_id"].endswith(":error") and c["note"].startswith(message.replace(
         points, str(_drawn(c["check_id"].removesuffix(":error"), points)))) for c in failed)
     # each check of the first two suites; the noether suite's shared classification;
-    # each of the frame's checks and the equivariant-match checks of the last
+    # each of the frame's checks and the equivariant rewrite of the last
     assert {"syzygy:shifted-k1:error", "negative-control:shifted-k1+1e-3:error",
             "syzygy-operator:k1:error", "syzygy-operator:k2:error",
             "divergence-equivalence:error", "negative-control:el+1e-3:error", "noether:error",
             "ex81-scale:normalization-0:error", "ex81-scale:normalization-1:error",
             "ex81-scale:right-equivariance:error",
-            "equivariant-match:r2:error", "iota-invariance:error",
+            "equivariant-laws:error", "iota-invariance:error",
             "maurer-cartan-invariance:1:error", "dcal-shift-commutation:error",
             "negative-control:noninvariant:error"} <= {c["check_id"] for c in failed}
-    assert len(failed) == 31
+    assert len(failed) == 30
 
 
 class TestVerify:
@@ -267,6 +269,18 @@ class TestNoether:
     def test_out_of_range_usage_error(self):
         r = run_cli("noether", "toda", "--r", "9")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_non_positive_r_usage_error(self, r):
+        # -1 names no generator, not the last one
+        got = run_cli("noether", "toda", "--r", r)
+        assert got.returncode == 2
+        assert got.stderr == f"example 'toda' has no generator r={r} (valid: [1, 2, 3, 4])\n"
+
+    def test_tolerance_override(self):
+        # the residuals are about 1e-15: they pass the default 1e-8, not 1e-30
+        assert run_cli("noether", "toda", "--r", "2", "--tol", "1e-30").returncode == 1
+        assert run_cli("noether", "toda", "--r", "2", "--tol", "1e-8").returncode == 0
 
     def test_failed_construction_check_is_one_line(self, monkeypatch, capsys):
         # the equivariant rewrite raises when a coefficient is not invariant

@@ -380,8 +380,7 @@ def _builder_calls(b):
         for r in range(b.action.group_dim):
             yield lambda e=e, r=r: noether._expand_adj(mul(e, adj), b.frame, r)
     plan = b.plan(n_points=6)
-    laws = noether.noether_invariant(b.lagrangian, generators=[
-        g.action_index for g in b.generators if g.action_index])
+    laws = noether.noether_invariant(b)
     for law in laws:
         yield lambda law=law: _law_exprs(noether.equivariant_form(law, plan))
 

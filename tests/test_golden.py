@@ -25,6 +25,9 @@ CASES = [
     ("verify-nls.json", ["verify", "nls", "--suite", "all", "--json", "--seed", "31337"], 0),
     ("noether-toda-r2.json", ["noether", "toda", "--r", "2", "--json"], 0),
     ("noether-ex81-r2.json", ["noether", "ex81", "--r", "2", "--json"], 0),
+    ("noether-nls-r1.json", ["noether", "nls", "--r", "1", "--json"], 0),
+    ("noether-toda-r4.txt", ["noether", "toda", "--r", "4"], 0),
+    ("syzygy-toda.json", ["syzygy", "toda", "--json"], 0),
     ("integrate-nls.json", ["integrate", "nls", "--json"], 0),
 ]
 

@@ -203,7 +203,7 @@ def test_only_the_suites_and_the_cli_name_reports():
 
 
 # what a parameter of these names holds: the action holds the signature, a
-# frame its action, and an invariant Lagrangian's invset the frame and H
+# frame its action, and the invset of a bundle passed as IL the frame and H
 HELD_BY = {"action": {"sig"}, "frame": {"sig"}, "IL": {"H", "action", "frame"}}
 
 

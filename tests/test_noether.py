@@ -63,7 +63,7 @@ def divergence_equivalence_check(IL, plan, tol):
 
 class TestEulerKappa:
     def test_toda(self, toda, toda_plan):
-        IL = toda.lagrangian
+        IL = toda
         ksig = toda.invset.kappa_sig
         for beta, s in toda.expected["euler_kappa"].items():
             got = toda.invset.expand(euler_kappa(IL, beta))
@@ -72,12 +72,12 @@ class TestEulerKappa:
             assert r.passed, beta
 
     def test_independent_invariant_gives_zero(self, toda):
-        IL = toda.lagrangian
+        IL = toda
         e = euler_kappa(IL, "kappa_t")
         assert e == Const(0)
 
     def test_ex81(self, ex81, ex81_plan):
-        IL = ex81.lagrangian
+        IL = ex81
         ksig = ex81.invset.kappa_sig
         for beta, s in ex81.expected["euler_kappa"].items():
             got = ex81.invset.expand(euler_kappa(IL, beta))
@@ -88,7 +88,7 @@ class TestEulerKappa:
 
 class TestInvariantEulerLagrange:
     def test_toda_matches_stored_and_iota(self, toda, toda_plan):
-        IL = toda.lagrangian
+        IL = toda
         el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert all(r.passed for r in reports)
@@ -98,7 +98,7 @@ class TestInvariantEulerLagrange:
         assert r.passed, r.max_residual
 
     def test_ex81_display(self, ex81, ex81_plan):
-        IL = ex81.lagrangian
+        IL = ex81
         el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, ex81_plan) for f in el]
         assert all(r.passed for r in reports)
@@ -109,7 +109,7 @@ class TestInvariantEulerLagrange:
 
     def test_nls_pair(self, nls, nls_plan):
         from lattice_frames.catalog.nls import K1, phi_at
-        IL = nls.lagrangian
+        IL = nls
         inv = nls.invset
         el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, nls_plan) for f in el]
@@ -123,7 +123,7 @@ class TestInvariantEulerLagrange:
             assert r.passed, (f, r.max_residual)
 
     def test_verification_failure_reported(self, broken_toda, toda_plan):
-        IL = broken_toda.lagrangian
+        IL = broken_toda
         el = invariant_euler_lagrange(IL)
         reports = [invariant_el_check(IL, el, f, toda_plan) for f in el]
         assert set(el) == {"u"}
@@ -139,7 +139,7 @@ class TestInvariantEulerLagrange:
 
 class TestNoetherOriginal:
     def test_ex81_r1_components(self, ex81, ex81_plan):
-        law = noether_original(ex81.L, ex81.generator(1).gen, 1, ex81.sig)
+        law = noether_original(ex81.L, ex81.generator(1), 1, ex81.sig)
         want = ex81.expected["laws_original"][1]
         r0 = identity_check(law.components.a0, parse(want["A0"], ex81.sig),
                             ex81_plan, ex81.sig, tol=1e-9)
@@ -148,8 +148,8 @@ class TestNoetherOriginal:
         assert r0.passed and r1.passed
 
     def test_ex81_r2_includes_L_xi(self, ex81, ex81_plan):
-        entry = ex81.generator(2)
-        law = noether_original(ex81.L, entry.gen, 2, ex81.sig)
+        gen = ex81.generator(2)
+        law = noether_original(ex81.L, gen, 2, ex81.sig)
         want = ex81.expected["laws_original"][2]
         r0 = identity_check(law.components.a0, parse(want["A0"], ex81.sig),
                             ex81_plan, ex81.sig, tol=1e-9)
@@ -160,17 +160,17 @@ class TestNoetherOriginal:
         EL = {"u": euler_lagrange(ex81.L, "u", ex81.sig)}
         broken = ConservationLaw(2, "original",
                                  DivergenceTuple(add(law.components.a0,
-                                                     mul(Const(-1), mul(ex81.L, entry.gen.xi))),
-                                                 law.components.comps), measure="dx")
-        res = offshell_residual(broken, EL, entry.gen, ex81.sig, ex81_plan)
+                                                     mul(Const(-1), mul(ex81.L, gen.xi))),
+                                                 law.components.comps))
+        res = offshell_residual(broken, EL, gen, ex81.sig, ex81_plan)
         assert res > 1e-3
 
     def test_toda_all_three_characteristics(self, toda, toda_plan):
         EL = {"u": euler_lagrange(toda.L, "u", toda.sig)}
         for idx in (1, 2, 4):
-            entry = toda.generator(idx)
-            law = noether_original(toda.L, entry.gen, idx, toda.sig)
-            res = offshell_residual(law, EL, entry.gen, toda.sig, toda_plan)
+            gen = toda.generator(idx)
+            law = noether_original(toda.L, gen, idx, toda.sig)
+            res = offshell_residual(law, EL, gen, toda.sig, toda_plan)
             assert res <= 1e-10, (idx, res)
 
     def test_non_symmetry_reported(self, toda):
@@ -185,13 +185,13 @@ class TestNoetherOriginal:
 class TestNoetherInvariant:
     def test_toda_forms_agree(self, toda, toda_plan):
         EL = {"u": euler_lagrange(toda.L, "u", toda.sig)}
-        IL = toda.lagrangian
-        originals = {i: noether_original(toda.L, toda.generator(i).gen, i, toda.sig)
+        IL = toda
+        originals = {i: noether_original(toda.L, toda.generator(i), i, toda.sig)
                      for i in (1, 2)}
         laws = noether_invariant(IL)
         for law in laws:
             idx = law.generator_index
-            res = offshell_residual(law, EL, toda.generator(idx).gen, toda.sig, toda_plan)
+            res = offshell_residual(law, EL, toda.generator(idx), toda.sig, toda_plan)
             assert res <= 1e-9
             dv, comps = compare_laws(originals[idx], law, toda_plan, toda.sig)
             assert dv <= 1e-9
@@ -199,7 +199,7 @@ class TestNoetherInvariant:
 
     def test_nls_r2_norm_law(self, nls, nls_plan):
         from lattice_frames.catalog.nls import phi_at
-        IL = nls.lagrangian
+        IL = nls
         inv = nls.invset
         laws = noether_invariant(IL, generators=[2])
         law = laws[0]
@@ -221,7 +221,7 @@ class TestNoetherInvariant:
             adjoint_rep=toda.action.adjoint_rep, chart_fn=toda.action.chart_fn,
             sample_fn=toda.action.sample_fn)
         frame = replace(toda.frame, action=trivial)
-        IL = replace(toda.lagrangian, invset=replace(toda.invset, frame=frame))
+        IL = replace(toda, invset=replace(toda.invset, frame=frame))
         laws = noether_invariant(IL, generators=[1])
         for comp in laws[0].components.comps:
             r = identity_check(comp, Const(0), toda_plan, toda.sig, tol=1e-12)
@@ -230,26 +230,26 @@ class TestNoetherInvariant:
     def test_invariant_law_needs_L_xi_term(self, ex81, ex81_plan):
         # dropping L^kappa iota(xi_s) a^s_2 from the invariant r=2 law must
         # break the off-shell identity by much more than the tolerance
-        IL = ex81.lagrangian
+        IL = ex81
         inv = ex81.invset
         laws = noether_invariant(IL, generators=[2])
         law = laws[0]
-        entry = ex81.generator(2)
+        gen = ex81.generator(2)
         EL = {"u": euler_lagrange(ex81.L, "u", ex81.sig)}
-        assert offshell_residual(law, EL, entry.gen, ex81.sig, ex81_plan) <= 1e-9
+        assert offshell_residual(law, EL, gen, ex81.sig, ex81_plan) <= 1e-9
         lk = inv.expand(IL.L_kappa)
-        xi_term = mul(lk, invariantize(ex81.frame, entry.gen.xi))
+        xi_term = mul(lk, invariantize(ex81.frame, gen.xi))
         broken = ConservationLaw(
             2, "invariant",
             DivergenceTuple(add(law.components.a0, mul(Const(-1), xi_term)),
                             law.components.comps),
-            measure=law.measure, frame=law.frame)
-        res = offshell_residual(broken, EL, entry.gen, ex81.sig, ex81_plan)
+            frame=law.frame)
+        res = offshell_residual(broken, EL, gen, ex81.sig, ex81_plan)
         assert res > 1e-3, res
 
     def test_measure_conversion(self, ex81, ex81_plan):
         # invariant components carry iota-dx; dx components gain the factor J
-        IL = ex81.lagrangian
+        IL = ex81
         laws = noether_invariant(IL, generators=[1])
         law = laws[0]
         assert law.measure == "iota-dx"
@@ -261,7 +261,7 @@ class TestNoetherInvariant:
 
 class TestEquivariantForm:
     def test_toda_r2_coefficients(self, toda, toda_plan):
-        IL = toda.lagrangian
+        IL = toda
         inv = toda.invset
         laws = noether_invariant(IL, generators=[2])
         eq = equivariant_form(laws[0], toda_plan)
@@ -277,7 +277,7 @@ class TestEquivariantForm:
                 assert r.passed, (comp_name, sym, r.max_residual)
 
     def test_abelian_equivariant_equals_invariant(self, nls, nls_plan):
-        IL = nls.lagrangian
+        IL = nls
         laws = noether_invariant(IL)
         for law in laws:
             eq = equivariant_form(law, nls_plan)
@@ -286,7 +286,7 @@ class TestEquivariantForm:
 
     def test_unshifted_symbols_unchanged(self, toda, toda_plan):
         # a law whose display has no shifted adjoint symbols rewrites to itself
-        IL = toda.lagrangian
+        IL = toda
         laws = noether_invariant(IL, generators=[1])
         eq = equivariant_form(laws[0], toda_plan)
         assert eq.form == "equivariant"
@@ -323,12 +323,11 @@ class TestFormalInvariantDerivative:
 class TestDivergenceEquivalence:
     def test_all_examples(self, toda, ex81, nls):
         for b in (toda, ex81, nls):
-            r = divergence_equivalence_check(b.lagrangian, b.plan(), tol=1e-9)
+            r = divergence_equivalence_check(b, b.plan(), tol=1e-9)
             assert r.passed, (b.name, r.max_residual)
 
     def test_constant_kappa_lagrangian(self, toda, toda_plan):
-        from lattice_frames.noether import InvariantLagrangian
-        IL = InvariantLagrangian(Const(3), Const(3), toda.invset)
+        IL = replace(toda, L=Const(3), L_kappa=Const(3))
         r = divergence_equivalence_check(IL, toda_plan, tol=1e-14)
         assert r.passed and r.max_residual == 0.0
 
@@ -343,11 +342,11 @@ class TestNlsFlowConservesDerivedLaws:
         """A^0 of each generator's law, with u_{1;K}, v_{1;K} replaced by S_K of the flow."""
         rhs = nls.integrate_config["rhs"]
         out = {}
-        for entry in nls.generators:
-            a0 = noether_original(nls.L, entry.gen, entry.index, nls.sig).components.a0
+        for r, gen in enumerate(nls.generators, 1):
+            a0 = noether_original(nls.L, gen, r, nls.sig).components.a0
             assert max(v.deriv for v in fieldvars(a0)) <= 1
             rules = {v: shift(rhs[v.name], v.shift, nls.sig) for v in fieldvars(a0) if v.deriv}
-            out[entry.index] = substitute(a0, rules)
+            out[r] = substitute(a0, rules)
         return out
 
     @staticmethod

@@ -1,12 +1,11 @@
 """Suite-level reporting: every check runs once, and no check aborts its suite."""
 
-import dataclasses
 import math
 from collections import Counter
 
 import pytest
 
-from lattice_frames import suites
+from lattice_frames import noether, suites
 from lattice_frames.actions import SYMMETRY_TOL, invariance_residual
 from lattice_frames.expr import Const, ExprError, SingularEvaluationError
 from lattice_frames.frames import invariantize
@@ -196,12 +195,23 @@ def test_noether_suite_runs_each_check_once(toda, monkeypatch):
     assert calls == {"check_variational_symmetry": 4, "offshell_residual": 6}
 
 
-def test_perturbed_law_control_skips_a_leading_non_symmetry(toda):
-    gens = [toda.generator(3)] + [e for e in toda.generators if e.index != 3]
-    b = dataclasses.replace(toda, generators=gens)
-    reports = {r.check_id: r for r in run_suite(b, "noether", b.plan(n_points=10))}
-    assert reports["non-symmetry:v3"].passed
+def test_perturbed_law_control_skips_a_leading_non_symmetry(toda, monkeypatch):
+    # v1 is classified as no symmetry, so the control perturbs the law of v2
+    check = suites.check_variational_symmetry
+    monkeypatch.setattr(suites, "check_variational_symmetry", lambda L, gen, *args: (
+        1.0 if gen is toda.generator(1) else check(L, gen, *args)))
+    reports = {r.check_id: r for r in run_suite(toda, "noether", toda.plan(n_points=10))}
+    assert reports["non-symmetry:v1"].passed and "offshell-original:v1" not in reports
     assert reports["negative-control:perturbed-law"].passed
+
+
+def test_perturbed_law_control_without_a_symmetry_fails_closed(toda, monkeypatch):
+    monkeypatch.setattr(suites, "check_variational_symmetry", lambda *args: math.nan)
+    reports = {r.check_id: r for r in run_suite(toda, "noether", toda.plan(n_points=10))}
+    err = reports["negative-control:perturbed-law:error"]
+    assert (err.status, err.note) == (
+        "fail", "no generator of 'toda' is a variational symmetry")
+    assert "negative-control:perturbed-law" not in reports
 
 
 def _nan_nc(identity_check):
@@ -269,3 +279,18 @@ def test_equivariance_checks_report_the_points_they_draw(toda, monkeypatch):
 def test_equivariance_samples_scale_with_points(toda, monkeypatch):
     # never fewer than one point; the 10 pairs of the adjoint property are not a sample
     _assert_equivariance_draws(toda, monkeypatch, 5, 2, 1, 1, 2)
+
+
+@pytest.mark.parametrize("points, probe", [(50, 6), (5, 1)])
+def test_equivariant_rewrite_probe_scales_with_points(toda, monkeypatch, points, probe):
+    # the invariance probe of each equivariant coefficient: 6 points of every 50
+    drawn = {}
+    for module in (suites, noether):
+        def recording(e, action, plan, rng, _module=module, **kw):
+            drawn.setdefault(_module, []).append(plan.n_points)
+            return invariance_residual(e, action, plan, rng, **kw)
+
+        monkeypatch.setattr(module, "invariance_residual", recording)
+    run_suite(toda, "equivariance", toda.plan(n_points=points))
+    assert set(drawn[noether]) == {probe}
+    assert max(drawn[suites] + drawn[noether]) <= points
