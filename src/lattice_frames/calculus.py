@@ -1,8 +1,7 @@
 """Difference and differential-difference operator algebra.
 
 A linear operator is a finite sum of terms ``coeff * S_K * D^j`` acting on
-expressions.  The module provides application, composition, formal adjoints
-(standard, or relative to an invariant volume factor when one is given),
+expressions.  The module provides application, composition, formal adjoints,
 Euler-Lagrange operators, divergences, and summation/integration by parts.
 
 The divergence split of ``(S_K - id) f`` for m > 1 is not unique; this
@@ -116,12 +115,11 @@ def op_compose(op1, op2, sig):
     return LinDiffOp.from_terms(out)
 
 
-def op_adjoint(op, sig, dcal_inv=None):
+def op_adjoint(op, sig):
     """Formal adjoint: term (c,K,j) maps f to (-D)^j S_{-K}(c f).
 
-    With ``dcal_inv`` the derivative is the invariant one (D replaced by
-    dcal_inv * D), giving the adjoint relative to the invariant volume
-    factor; shifts are self-adjoint-free either way.
+    The invariant adjoint is this one taken in kappa space, whose formal D
+    already is the invariant derivative.
     """
     out = []
     for coeff, K, j in op.terms:
@@ -129,7 +127,7 @@ def op_adjoint(op, sig, dcal_inv=None):
         c = shift(coeff, negK, sig)
         sign = -1 if j % 2 else 1
         for l in range(j + 1):
-            out.append((mul(sign * comb(j, l), deriv_op(c, sig, dcal_inv, times=l)), negK, j - l))
+            out.append((mul(sign * comb(j, l), deriv_op(c, sig, times=l)), negK, j - l))
     return LinDiffOp.from_terms(out)
 
 

@@ -12,18 +12,48 @@ index of the paper's Noether laws and adjoint components a^s_r, and the
 other generators follow as r = R+1, ....  Expected formulas are stored as
 grammar strings and are never trusted blindly: the verification suites
 re-derive everything and compare numerically.
+
+Each catalog object is written once.  The examples take their coordinates
+from :func:`coordinates`, and toda and ex81 share the one declaration of the
+group u -> b u + a, :data:`AFFINE_GROUP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..expr import ExprError
+from ..expr import Const, ExprError, FieldVar, Param, Var, neg
 from ..sampling import SamplePlan
 
-__all__ = ["ExampleBundle", "EXAMPLES", "register_example", "get_example"]
+__all__ = ["AFFINE_GROUP", "ExampleBundle", "EXAMPLES", "coordinates", "get_example",
+           "register_example"]
 
 DEFAULT_SEED = 2024
+
+
+def coordinates(sig, *names):
+    """One constructor per field of ``sig``, each giving the coordinate
+    ``Var(FieldVar(name, j, K))``: ``F(*K)`` with j = 0 on a pure-difference
+    signature, ``F(j, *K)`` on a differential-difference one."""
+    undeclared = [n for n in names if n not in sig.fields]
+    if undeclared:
+        raise ValueError(f"not fields of the signature: {undeclared}")
+    if sig.differential:
+        return tuple(lambda j, *K, n=n: Var(FieldVar(n, j, K)) for n in names)
+    return tuple(lambda *K, n=n: Var(FieldVar(n, 0, K)) for n in names)
+
+
+# The group u -> b u + a on the chart b > 0, as GroupAction arguments; an
+# example adds its name, signature, u_maps, x_map and generators.
+AFFINE_GROUP = dict(
+    param_names=("a", "b"),
+    identity_values=(0.0, 1.0),
+    compose_fn=lambda g1, g2: (g1[1] * g2[0] + g1[0], g1[1] * g2[1]),
+    inverse_fn=lambda g: ((-g[0]) / g[1], 1 / g[1]),
+    adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
+    chart_fn=lambda g: g[1] > 0,
+    sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
+)
 
 
 @dataclass

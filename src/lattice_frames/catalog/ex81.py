@@ -10,67 +10,35 @@ from __future__ import annotations
 
 from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
-from ..expr import (
-    Const,
-    FieldVar,
-    Param,
-    ProblemSignature,
-    Var,
-    XVar,
-    neg,
-)
+from ..expr import Const, Param, ProblemSignature, XVar, neg
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, register_example
-
-
-def U(j, k):
-    return Var(FieldVar("u", j, (k,)))
-
-
-def UT(j, k):
-    return Var(FieldVar("u_t", j, (k,)))
-
-
-def K1(j, k):
-    return Var(FieldVar("k1", j, (k,)))
-
-
-def K2(j, k):
-    return Var(FieldVar("k2", j, (k,)))
-
-
-def SG(j, k):
-    return Var(FieldVar("sigma", j, (k,)))
+from . import AFFINE_GROUP, ExampleBundle, coordinates, register_example
 
 
 X = XVar()
 
-base_sig = ProblemSignature(("u",), 1, differential=True, has_x=True)
-sig = base_sig.with_variations()
-
+sig = ProblemSignature(("u", "u_t"), 1, differential=True, has_x=True,
+                       variations={"u": "u_t"})
 kappa_sig = ProblemSignature(
     ("k1", "k2", "sigma", "k1_t", "k2_t"), 1, differential=True,
     variations={"k1": "k1_t", "k2": "k2_t"})
+
+U, UT = coordinates(sig, "u", "u_t")
+K1, K2, SG = coordinates(kappa_sig, "k1", "k2", "sigma")
 
 L = U(1, 0) ** 2 / (U(0, 1) - U(0, 0))
 
 scaling = GroupAction(
     name="scale-x-affine-u",
     sig=sig,
-    param_names=("a", "b"),
-    identity_values=(0.0, 1.0),
     u_maps={"u": Param("b") * U(0, 0) + Param("a")},
     x_map=Param("b") * X,
-    compose_fn=lambda g1, g2: (g1[1] * g2[0] + g1[0], g1[1] * g2[1]),
-    inverse_fn=lambda g: ((-g[0]) / g[1], 1 / g[1]),
     generators=(
         Generator({"u": Const(1)}, name="v1"),
         Generator({"u": U(0, 0) - X * U(1, 0)}, xi=X, name="v2"),
     ),
-    adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
-    chart_fn=lambda g: g[1] > 0,
-    sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
+    **AFFINE_GROUP,
 )
 
 frame = Frame(

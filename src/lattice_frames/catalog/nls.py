@@ -14,69 +14,25 @@ import numpy as np
 
 from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
-from ..expr import (
-    Const,
-    FieldVar,
-    Param,
-    ProblemSignature,
-    Var,
-    XVar,
-    neg,
-    shift,
-    sqrt,
-)
+from ..expr import Const, Param, ProblemSignature, XVar, neg, shift, sqrt
 from ..flows import LatticeState
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, register_example
-
-
-def U(j, k):
-    return Var(FieldVar("u", j, (k,)))
-
-
-def VV(j, k):
-    return Var(FieldVar("v", j, (k,)))
-
-
-def UT(j, k):
-    return Var(FieldVar("u_t", j, (k,)))
-
-
-def VT(j, k):
-    return Var(FieldVar("v_t", j, (k,)))
-
-
-def K1(j, k):
-    return Var(FieldVar("k1", j, (k,)))
-
-
-def K2(j, k):
-    return Var(FieldVar("k2", j, (k,)))
-
-
-def K3(j, k):
-    return Var(FieldVar("k3", j, (k,)))
-
-
-def SU(j, k):
-    return Var(FieldVar("sigma_u", j, (k,)))
-
-
-def SV(j, k):
-    return Var(FieldVar("sigma_v", j, (k,)))
+from . import ExampleBundle, coordinates, register_example
 
 
 X = XVar()
 H = Param("h")
 
-base_sig = ProblemSignature(("u", "v"), 1, differential=True, has_x=True, params=("h",))
-sig = base_sig.with_variations()
-
+sig = ProblemSignature(("u", "v", "u_t", "v_t"), 1, differential=True, has_x=True,
+                       params=("h",), variations={"u": "u_t", "v": "v_t"})
 kappa_sig = ProblemSignature(
     ("k1", "k2", "k3", "sigma_u", "sigma_v", "k1_t", "k2_t", "k3_t"), 1,
     differential=True, params=("h",),
     variations={"k1": "k1_t", "k2": "k2_t", "k3": "k3_t"})
+
+U, VV, UT, VT = coordinates(sig, "u", "v", "u_t", "v_t")
+K1, K2, K3, SU, SV = coordinates(kappa_sig, "k1", "k2", "k3", "sigma_u", "sigma_v")
 
 L = ((VV(0, 0) * U(1, 0) - U(0, 0) * VV(1, 0)) / 2
      + (U(0, 0) ** 2 + VV(0, 0) ** 2) ** 2 / 4

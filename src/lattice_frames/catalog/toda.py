@@ -14,66 +14,31 @@ from itertools import product
 
 from ..actions import Generator, GroupAction
 from ..calculus import LinDiffOp
-from ..expr import (
-    Alt,
-    Const,
-    FieldVar,
-    Param,
-    ProblemSignature,
-    Var,
-    ln_abs,
-    neg,
-    shift,
-)
+from ..expr import Alt, Const, Param, ProblemSignature, ln_abs, neg, shift
 from ..frames import Frame, InvariantSet
 from ..sampling import Guard
-from . import ExampleBundle, register_example
+from . import AFFINE_GROUP, ExampleBundle, coordinates, register_example
 
 
-def U(i, j, d=0):
-    return Var(FieldVar("u", d, (i, j)))
-
-
-def UT(i, j):
-    return Var(FieldVar("u_t", 0, (i, j)))
-
-
-def KP(i, j):
-    return Var(FieldVar("kappa", 0, (i, j)))
-
-
-def LM(i, j):
-    return Var(FieldVar("lambda", 0, (i, j)))
-
-
-def SG(i, j):
-    return Var(FieldVar("sigma", 0, (i, j)))
-
-
-base_sig = ProblemSignature(("u",), 2)
-sig = base_sig.with_variations()
-
+sig = ProblemSignature(("u", "u_t"), 2, variations={"u": "u_t"})
 kappa_sig = ProblemSignature(
     ("kappa", "lambda", "sigma", "kappa_t", "lambda_t"), 2,
     variations={"kappa": "kappa_t", "lambda": "lambda_t"})
+
+U, UT = coordinates(sig, "u", "u_t")
+KP, LM, SG = coordinates(kappa_sig, "kappa", "lambda", "sigma")
 
 L = ln_abs((U(1, 0) - U(0, 1)) / (U(1, 1) - U(0, 0)))
 
 affine = GroupAction(
     name="affine-u",
     sig=sig,
-    param_names=("a", "b"),
-    identity_values=(0.0, 1.0),
     u_maps={"u": Param("b") * U(0, 0) + Param("a")},
-    compose_fn=lambda g1, g2: (g1[1] * g2[0] + g1[0], g1[1] * g2[1]),
-    inverse_fn=lambda g: ((-g[0]) / g[1], 1 / g[1]),
     generators=(
         Generator({"u": Const(1)}, name="v1"),
         Generator({"u": U(0, 0)}, name="v2"),
     ),
-    adjoint_rep=((Param("b"), Const(0)), (neg(Param("a")), Const(1))),
-    chart_fn=lambda g: g[1] > 0,
-    sample_fn=lambda rng: (float(rng.uniform(-1, 1)), float(rng.uniform(0.4, 2.0))),
+    **AFFINE_GROUP,
 )
 
 frame = Frame(

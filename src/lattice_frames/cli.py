@@ -23,9 +23,12 @@ from .expr import (
     ExprError,
     ProblemSignature,
     SingularEvaluationError,
+    XVar,
     evaluate,
     fieldvars,
+    nodes,
     run_memo,
+    substitute,
     to_string,
 )
 from .flows import (
@@ -223,7 +226,7 @@ def _forms_for(b, r, plan):
     EL = {f: euler_lagrange(b.L, f, sig) for f in sig.base_fields}
     laws = [noether_original(b.L, gen, r, sig)]
     if r <= b.action.group_dim:  # the action's own generator: invariant forms too
-        (inv_law,) = noether_invariant(b, generators=[r])
+        inv_law = noether_invariant(b)[r - 1]
         laws += [inv_law, equivariant_form(inv_law, plan)]
     residuals = {law.form: offshell_residual(law, EL, gen, sig, plan) for law in laws}
     return laws, residuals
@@ -329,12 +332,13 @@ def cmd_invariantize(args):
     b = _get_example_or_exit(args.example)
     e = parse(args.expression, b.sig)
     out = invariantize(b.frame, e)
+    # iota moves the coordinates and x alone: without x, the expression with each
+    # coordinate replaced by its recurrence is iota(e) in the generating invariants
+    recurrence = b.invset.recurrence or (lambda fv: None)
+    images = {fv: recurrence(fv) for fv in fieldvars(e)}
     kappa_form = None
-    vs = fieldvars(e)
-    if len(vs) == 1 and b.invset.recurrence is not None:
-        kexpr = b.invset.recurrence(next(iter(vs)))
-        if kexpr is not None:
-            kappa_form = to_string(kexpr)
+    if None not in images.values() and not any(isinstance(n, XVar) for n in nodes(e)):
+        kappa_form = to_string(substitute(e, images))
     if args.json:
         print(_json({"input": args.expression, "iota": to_string(out),
                      "kappa_form": kappa_form}))

@@ -150,9 +150,10 @@ class ProblemSignature:
 
     ``fields`` are the dependent variable names; ``variations`` maps a field
     name to the name of its reserved variation slot (the field standing for
-    d(field)/dt), used by :func:`t_derivative`.  ``differential`` enables the
-    derivative index ``j`` (differential-difference flavor); ``has_x`` adds
-    the continuous independent variable ``x``.
+    d(field)/dt), used by :func:`t_derivative`; both names must be among
+    ``fields``.  ``differential`` enables the derivative index ``j``
+    (differential-difference flavor); ``has_x`` adds the continuous
+    independent variable ``x``.
     """
 
     fields: tuple[str, ...]
@@ -171,6 +172,9 @@ class ProblemSignature:
         dup = {n for n in names if names.count(n) > 1}
         if dup:
             raise ValueError(f"names declared more than once: {sorted(dup)}")
+        undeclared = {n for pair in self.variations.items() for n in pair} - set(self.fields)
+        if undeclared:
+            raise ValueError(f"variation names not among the fields: {sorted(undeclared)}")
 
     def check_var(self, fv):
         if fv.deriv and not self.differential:
@@ -181,21 +185,6 @@ class ProblemSignature:
             raise ExprError(f"{fv}: shift length != lattice dimension {self.lattice_dim}")
         if any(abs(k) > self.shift_radius for k in fv.shift):
             raise CapExceededError(f"{fv}: shift outside radius {self.shift_radius}")
-
-    def with_variations(self):
-        """Extended signature adding one variation slot field ``<field>_t`` per field."""
-        vmap = dict(self.variations)
-        new_fields = list(self.fields)
-        for f in self.fields:
-            if f in vmap or f in vmap.values():
-                continue
-            w = f + "_t"
-            vmap[f] = w
-            new_fields.append(w)
-        return ProblemSignature(
-            tuple(new_fields), self.lattice_dim, self.differential, self.has_x,
-            self.params, vmap, self.deriv_cap, self.shift_radius,
-        )
 
     @property
     def base_fields(self):

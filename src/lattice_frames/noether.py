@@ -271,8 +271,8 @@ def invariant_boundary(IL):
     return A_H.plus(A_k)
 
 
-def noether_invariant(IL, generators=None):
-    """Noether laws with invariant components, one per group generator.
+def noether_invariant(IL):
+    """Noether laws with invariant components, one per group generator: law r is ``[r - 1]``.
 
     The boundary operators come from summation/integration by parts of the
     invariant variation: the sigma slots are then filled with
@@ -319,8 +319,7 @@ def noether_invariant(IL, generators=None):
             add(symbolic.a0, mul(inv.expand(IL.L_kappa), xi_sum)), symbolic.comps)
 
     laws = []
-    indices = generators if generators is not None else range(1, len(action.generators) + 1)
-    for r in indices:
+    for r in range(1, action.group_dim + 1):
         expanded = symbolic.map(lambda e: _expand_adj(e, frame, r - 1))
         laws.append(ConservationLaw(r, "invariant", expanded, display=symbolic, frame=frame))
     return laws

@@ -7,7 +7,6 @@ from lattice_frames.calculus import (
     DivergenceTuple,
     LinDiffOp,
     apply_op,
-    deriv_op,
     divergence,
     euler_lagrange,
     linear_by_parts,
@@ -33,7 +32,7 @@ from lattice_frames.sampling import (
 )
 from oracles import finite_lattice_pairing, op_json, random_lindiffop, sum_by_parts
 
-SIG2 = ProblemSignature(("u",), 2).with_variations()
+SIG2 = ProblemSignature(("u", "u_t"), 2, variations={"u": "u_t"})
 PLAN = SamplePlan(n_points=25, seed=77)
 
 
@@ -127,24 +126,6 @@ class TestAdjoint:
     def test_serialization(self):
         op = LinDiffOp.from_terms([(Const(1), (1, 0), 0)])
         assert op_json(op) == '[{"coeff": "1", "K": [1, 0], "j": 0}]'
-
-    def test_relative_adjoint_term_rule(self, ex81, ex81_plan):
-        # (c S Dcal)^bolddagger f = -Dcal(S^{-1}(c f)), with Dcal = dcal_inv D
-        sig = ex81.sig
-        dc = ex81.frame.dcal_inv
-        c = V("u", 0)
-        op = LinDiffOp.from_terms([(c, (1,), 1)])
-        adj = op_adjoint(op, sig, dc)
-        f = V("u", 0) + V("u", 1)
-        got = apply_op(adj, f, sig, dcal_inv=dc)
-        want = -deriv_op(shift(mul(c, f), (-1,), sig), sig, dc)
-        r = identity_check(got, want, ex81_plan, sig, tol=1e-10)
-        assert r.passed, r.max_residual
-
-    def test_relative_adjoint_matches_standard_for_differences(self, toda):
-        op = toda.invset.H["kappa"]["sigma"]
-        ksig = toda.invset.kappa_sig
-        assert op_adjoint(op, ksig, Const(1)).terms == op_adjoint(op, ksig).terms
 
 
 class TestEulerLagrange:

@@ -6,8 +6,11 @@ exactly what serves the expected formulas as regression baselines.
 
 import pytest
 
-from lattice_frames.catalog import EXAMPLES, get_example
-from lattice_frames.expr import ExprError
+from lattice_frames.catalog import EXAMPLES, coordinates, get_example
+from lattice_frames.catalog.nls import K1
+from lattice_frames.expr import ExprError, FieldVar, Var
+from lattice_frames.parser import parse
+from lattice_frames.sampling import identity_check
 from lattice_frames.suites import run_suite, suite_names
 
 
@@ -34,6 +37,27 @@ def test_action_generators_are_the_actions_own(name):
             b.generator(r)
         assert str(err.value) == (f"example {name!r} has no generator r={r} "
                                   f"(valid: {list(range(1, n + 1))})")
+
+
+def test_coordinates_are_the_interned_vars(toda, nls):
+    # F(*K) on a pure-difference signature, F(j, *K) on a differential-difference one
+    U, UT = coordinates(toda.sig, "u", "u_t")
+    assert U(1, -2) is Var(FieldVar("u", 0, (1, -2)))
+    assert UT(0, 0) is Var(FieldVar("u_t", 0, (0, 0)))
+    (SV,) = coordinates(nls.invset.kappa_sig, "sigma_v")
+    assert SV(2, -1) is Var(FieldVar("sigma_v", 2, (-1,)))
+    assert K1(1, 3) is Var(FieldVar("k1", 1, (3,)))
+    with pytest.raises(ValueError, match=r"not fields of the signature: \['k1'\]"):
+        coordinates(toda.sig, "u", "k1")
+
+
+@pytest.mark.parametrize("name", ["toda", "ex81"])
+def test_stored_lagrangian_is_L(name):
+    b = get_example(name)
+    stored = parse(b.expected["lagrangian"], b.sig)
+    assert identity_check(stored, b.L, b.plan(), b.sig, tol=1e-12).passed
+    # a control: the check tells a different Lagrangian apart
+    assert not identity_check(stored * 2, b.L, b.plan(), b.sig, tol=1e-12).passed
 
 
 @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])

@@ -441,6 +441,24 @@ class TestOther:
                               invariantize(toda.frame, Var(fv)),
                               toda.plan(), toda.sig).passed
 
+    def test_invariantize_kappa_form_of_an_expression(self, toda):
+        # each coordinate goes to its recurrence, not the whole input to one of them
+        r = run_cli("invariantize", "toda", "u[1,0]^2", "--json")
+        assert r.returncode == 0 and r.stderr == ""
+        doc = strict_json(r.stdout)
+        assert doc["kappa_form"] == "kappa[0,0]^2"
+        inv = toda.invset
+        assert identity_check(inv.expand(parse(doc["kappa_form"], inv.kappa_sig)),
+                              parse(doc["iota"], toda.sig), toda.plan(), toda.sig).passed
+
+    def test_invariantize_prints_no_kappa_form_when_x_is_read(self):
+        # iota(x) = x - x on the nls frame has no recurrence: no form, in either output
+        r = run_cli("invariantize", "nls", "x*u[0]", "--json")
+        assert r.returncode == 0 and strict_json(r.stdout)["kappa_form"] is None
+        text = run_cli("invariantize", "nls", "x*u[0]")
+        assert text.returncode == 0
+        assert [line.split(" = ")[0] for line in text.stdout.splitlines()] == ["iota"]
+
     def test_syzygy(self):
         r = run_cli("syzygy", "nls", "--points", "25")
         assert r.returncode == 0

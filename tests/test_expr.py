@@ -250,6 +250,17 @@ class TestTDerivative:
         rhs = t_derivative(f, toda.sig) + t_derivative(g, toda.sig)
         assert residual_stats(lhs, rhs, plan.assignments([lhs, rhs], toda.sig)) <= 1e-12
 
+    def test_declared_slots(self):
+        sig = ProblemSignature(("u", "u_t"), 1, variations={"u": "u_t"})
+        assert sig.base_fields == ("u",)
+
+    @pytest.mark.parametrize("variations", [{"u": "u_t"}, {"w": "u"}, {"u": "h"}],
+                             ids=["slot", "field", "param"])
+    def test_undeclared_slot_raises(self, variations):
+        # every name of a variation pair must be a field of the signature
+        with pytest.raises(ValueError, match="variation names not among the fields"):
+            ProblemSignature(("u",), 1, params=("h",), variations=variations)
+
 
 class TestSubstitute:
     def test_kappa_inversion(self, toda, toda_plan):

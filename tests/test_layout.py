@@ -7,8 +7,8 @@ name reports; that no
 function takes the signature, H, the frame or the action next to an
 argument that holds it; that no dataclass keeps a field its constructor
 cannot set; that the layer tracer
-of the benchmark still finds what it wraps; and that every expression node
-class is interned."""
+of the benchmark still finds what it wraps; that every expression node
+class is interned; and that every stored formula of the catalog is read."""
 
 import ast
 import dataclasses
@@ -25,6 +25,7 @@ import pytest
 import lattice_frames
 from lattice_frames import expr
 from lattice_frames.calculus import deriv_op
+from lattice_frames.catalog import EXAMPLES
 
 PACKAGE_DIR = Path(lattice_frames.__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.rglob("*.py"))
@@ -329,7 +330,7 @@ REGULAR_FIELDS = {
 # The image of each leaf the builders' leaf rules do not name, under
 # partial, total D and the t-derivative: its row's derive, 0 but for D x = 1.
 LEAF_IMAGES = {"Const": (0, 0, 0), "Param": (0, 0, 0), "XVar": (0, 1, 0), "Alt": (0, 0, 0)}
-LEAF_SIG = expr.ProblemSignature(("u",), 1, differential=True, has_x=True, params=("a",),
+LEAF_SIG = expr.ProblemSignature(("u", "w"), 1, differential=True, has_x=True, params=("a",),
                                  variations={"u": "w"})
 
 
@@ -362,3 +363,17 @@ def test_every_node_class_has_a_rule(cls):
                   expr.total_derivative(node, LEAF_SIG), expr.t_derivative(node, LEAF_SIG))
         assert images == tuple(map(expr.Const, LEAF_IMAGES[cls.__name__]))
     assert deriv_op(node, LEAF_SIG, times=0) is node
+
+
+def _strings(path):
+    return {n.value for n in ast.walk(_parse(path))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_stored_formula_is_read():
+    # a key of a bundle's expected formulas that no suite or test names is checked by nothing
+    readers = [PACKAGE_DIR / "suites.py", *sorted(Path(__file__).resolve().parent.glob("*.py"))]
+    named = set().union(*map(_strings, readers))
+    unread = [f"{b.name}: {key}" for b in EXAMPLES.values() for key in b.expected
+              if key not in named]
+    assert unread == []

@@ -201,8 +201,7 @@ class TestNoetherInvariant:
         from lattice_frames.catalog.nls import phi_at
         IL = nls
         inv = nls.invset
-        laws = noether_invariant(IL, generators=[2])
-        law = laws[0]
+        law = noether_invariant(IL)[1]
         H = parse("h", inv.kappa_sig)
         want_a0 = inv.expand(parse("k1[0;0]^2/2", inv.kappa_sig))
         want_a1 = inv.expand(phi_at(-1) / H ** 2)
@@ -222,8 +221,8 @@ class TestNoetherInvariant:
             sample_fn=toda.action.sample_fn)
         frame = replace(toda.frame, action=trivial)
         IL = replace(toda, invset=replace(toda.invset, frame=frame))
-        laws = noether_invariant(IL, generators=[1])
-        for comp in laws[0].components.comps:
+        law = noether_invariant(IL)[0]
+        for comp in law.components.comps:
             r = identity_check(comp, Const(0), toda_plan, toda.sig, tol=1e-12)
             assert r.passed
 
@@ -232,8 +231,7 @@ class TestNoetherInvariant:
         # break the off-shell identity by much more than the tolerance
         IL = ex81
         inv = ex81.invset
-        laws = noether_invariant(IL, generators=[2])
-        law = laws[0]
+        law = noether_invariant(IL)[1]
         gen = ex81.generator(2)
         EL = {"u": euler_lagrange(ex81.L, "u", ex81.sig)}
         assert offshell_residual(law, EL, gen, ex81.sig, ex81_plan) <= 1e-9
@@ -250,8 +248,7 @@ class TestNoetherInvariant:
     def test_measure_conversion(self, ex81, ex81_plan):
         # invariant components carry iota-dx; dx components gain the factor J
         IL = ex81
-        laws = noether_invariant(IL, generators=[1])
-        law = laws[0]
+        law = noether_invariant(IL)[0]
         assert law.measure == "iota-dx"
         dx = law_dx_components(law)
         want = parse(ex81.expected["laws_original"][1]["A1"], ex81.sig)
@@ -263,9 +260,9 @@ class TestEquivariantForm:
     def test_toda_r2_coefficients(self, toda, toda_plan):
         IL = toda
         inv = toda.invset
-        laws = noether_invariant(IL, generators=[2])
-        eq = equivariant_form(laws[0], toda_plan)
-        dv, comps = compare_laws(laws[0], eq, toda_plan, toda.sig)
+        law = noether_invariant(IL)[1]
+        eq = equivariant_form(law, toda_plan)
+        dv, comps = compare_laws(law, eq, toda_plan, toda.sig)
         assert max([dv] + comps) <= 1e-9
         expected = toda.expected["equivariant_coeffs"][2]
         found = dict(equivariant_coefficients(eq))
@@ -287,10 +284,10 @@ class TestEquivariantForm:
     def test_unshifted_symbols_unchanged(self, toda, toda_plan):
         # a law whose display has no shifted adjoint symbols rewrites to itself
         IL = toda
-        laws = noether_invariant(IL, generators=[1])
-        eq = equivariant_form(laws[0], toda_plan)
+        law = noether_invariant(IL)[0]
+        eq = equivariant_form(law, toda_plan)
         assert eq.form == "equivariant"
-        dv, comps = compare_laws(laws[0], eq, toda_plan, toda.sig)
+        dv, comps = compare_laws(law, eq, toda_plan, toda.sig)
         assert max([dv] + comps) <= 1e-10
 
 
