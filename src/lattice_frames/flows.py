@@ -5,36 +5,29 @@ problem's fields (derivative order 0, shifts only); a field shifted by k is
 read through the index array (n + k) mod N, built once per integration.
 
 :func:`integrate_lattice_flow` lowers the right-hand side and the monitors
-together, once per integration, by :class:`~lattice_frames.expr.Lowering`,
-and binds the parameters once, so nodes of constants and parameters alone,
-such as ``h^2``, are computed and tested once, not at every step.  From the
-node lines it builds one function whose loop body is a whole classical
-fourth-order Runge-Kutta step as straight-line numpy code: the four stages,
-the combination, the norm check, and the monitor densities at the new
-state.  That last call is also the first stage of the next step, so the
-nodes the monitors share with the right-hand side are computed once.  All steps run
+together by :class:`~lattice_frames.expr.Lowering` and binds the
+parameters, once per integration, so nodes of constants and parameters
+alone, such as ``h^2``, are computed and tested once.  One function runs
+whole classical fourth-order Runge-Kutta steps as straight-line numpy code
+(the four stages, the combination, the norm check, and the monitors and
+the right-hand side at the new state, the first stage of the next step),
 in one numpy error state that raises on overflow, division by zero and
-invalid values.
+invalid values; its numbers are 0-d float64 arrays, and ``x`` a Python
+float.  The monitor densities go to the rows of a block of at most
+``BLOCK_VALUES`` values, and one ``np.sum(axis=1)`` per monitor, with
+overflow quiet, sums them when the block fills and at the last state, each
+row bit for bit as its own ``sum()``.
 
-A step costs per numpy call, not per element, at the CLI's 16 sites, and
-numpy converts a Python or numpy scalar operand to float64 on every call
-(200-350 ns of a call of about 400 ns, numpy 2.4).  So the stage factors
-and the 2 of the combination are 0-d float64 arrays, as are the numbers
-of the lowered nodes (see :class:`~lattice_frames.expr.Lowering`): the
-float64 loop, and the trajectory, are the same bit for bit.  ``x`` stays
-a Python float.
-
-A step that raises there, or at which a node is singular or the field norm
-fails, is redone stage by stage on the reference path, which takes every
-later step too once a monitor's lattice sum has overflowed from finite
-densities.  That path is the loop as it was before lowering: each
-right-hand side and monitor call evaluates its expressions by
-:func:`~lattice_frames.expr.evaluate` at one assignment of periodically
-shifted columns, and ``evaluate`` raises the error of the first singular
-node.  So only that path raises, with the same messages in the same
-order; it computes no right-hand side at the final state, and its
-arithmetic and lattice sums are quiet: a value they make non-finite fails
-the norm check or shows in the drift, with no numpy warning.
+A step that raises, or at which a node is singular or the field norm
+fails, is taken again, as is the initial state, by a function of the same
+lines with overflow quiet and the tests of powers that overflow on.  Where
+a stage, or a state, is singular, it evaluates the right-hand side there,
+or the monitors and then the right-hand side (not at the last state), by
+:func:`~lattice_frames.expr.evaluate`, which raises its error, or that of
+a parameter without a value, in the order of the stage-by-stage loop; a
+failed norm raises :class:`BlowUpError`.  Otherwise the fast steps resume,
+and a value that overflowed fails the norm check or shows in the drift,
+with no numpy warning.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Assignment, ExprError, Lowering, _array, evaluate, fieldvars
+from .expr import Assignment, ExprError, Lowering, _array, _quiet_overflow, evaluate, fieldvars
 
 __all__ = [
     "LatticeState",
@@ -58,6 +51,8 @@ __all__ = [
 ]
 
 STABILITY_C = 0.2
+# a block of monitor densities holds this many values, or one row of them
+BLOCK_VALUES = 4096
 
 
 class BlowUpError(ExprError):
@@ -87,8 +82,7 @@ class LatticeState:
 
 def _reads(variables, n_sites):
     """``(name, k)`` for each FieldVar, and the index array (n + k) mod N of each shift k != 0."""
-    index = {}
-    reads = []
+    index, reads = {}, []
     for fv in variables:
         if fv.deriv:
             raise ExprError(f"lattice evaluation needs derivative order 0, got {fv}")
@@ -102,34 +96,26 @@ def _reads(variables, n_sites):
     return reads, index
 
 
-def _broadcast(v, n_sites):
-    """A value at every site: a constant is broadcast."""
-    return v if np.ndim(v) else np.full(n_sites, float(v))
+def _on_lattice(exprs, state):
+    """The value of each of ``exprs`` at every site of ``state``, by :func:`evaluate`.
 
-
-def _on_lattice(exprs, n_sites, params):
-    """``fn(fields, x)`` -> the value of each of ``exprs`` at every one of ``n_sites`` sites.
-
-    Shifts are periodic, and a constant value is broadcast.  Each call
-    evaluates the expressions by :func:`evaluate` at one assignment of the
-    shifted columns, so a singular node raises :func:`evaluate`'s error.
+    Shifts are periodic, and a constant value is broadcast.  The expressions
+    are evaluated in order at one assignment of the shifted columns, so the
+    first singular node raises :func:`evaluate`'s error.
     """
+    n_sites = state.n_sites
     variables = sorted(set().union(*map(fieldvars, exprs)))
     reads, index = _reads(variables, n_sites)
-    alt = (-1.0) ** np.arange(n_sites)
-
-    def fn(fields, x):
-        values = {fv: fields[name][index[k]] if k else fields[name]
-                  for fv, (name, k) in zip(variables, reads)}
-        a = Assignment(values, x=x, params=params, alt=alt)
-        return [_broadcast(evaluate(e, a), n_sites) for e in exprs]
-
-    return fn
+    values = {fv: state.fields[name][index[k]] if k else state.fields[name]
+              for fv, (name, k) in zip(variables, reads)}
+    a = Assignment(values, x=state.x, params=state.params, alt=(-1.0) ** np.arange(n_sites))
+    out = [evaluate(e, a) for e in exprs]
+    return [v if np.ndim(v) else np.full(n_sites, float(v)) for v in out]
 
 
 def eval_on_lattice(e, state):
     """Evaluate ``e`` at every lattice site (periodic shifts)."""
-    return _on_lattice([e], state.n_sites, state.params)(state.fields, state.x)[0]
+    return _on_lattice([e], state)[0]
 
 
 def step_count(x_span, dt):
@@ -161,119 +147,116 @@ class Trajectory:
     stability_ok: bool
 
 
-def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums):
-    """``advance(done, k)``, which runs lowered RK4 steps of one integration; or None.
+def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks):
+    """``(start, fast, checked)``, the lowered RK4 functions of one integration.
 
-    ``done`` is the last step whose state ``state`` holds and is recorded
-    (-1 before the initial state is), and ``k`` the right-hand side there,
-    or None when the lowered code has not computed it.  ``advance`` takes
-    steps while they succeed and returns the new ``(done, k)``; a step that
-    raises ``FloatingPointError``, or at which a node is singular or the
-    field norm fails, is left for the reference path, with ``state`` before
-    it.  None instead when a parameter has no value, so that the reference
-    path raises :func:`evaluate`'s error.
+    ``start(Y..., x, 0)`` records the initial state and returns its
+    right-hand side ``K``.  From state ``i``, ``fast(Y..., K..., X, i)``
+    takes steps while they succeed, and ``checked`` takes one or raises its
+    error; each returns ``(i, Y, K, X)`` at its last state.
     """
-    names = list(rhs)
-    exprs = [*rhs.values(), *monitors.values()]
-    lowering = Lowering(exprs, n_first=len(names))
-    n_sites = state.n_sites
+    lowering = Lowering([*rhs.values(), *monitors.values()], n_first=len(rhs))
+    n_sites, rows = state.n_sites, blocks.shape[1]
     reads, index = _reads(lowering.variables, n_sites)
 
-    x0 = state.x
-    # a stage factor is a Python float for x and a 0-d array, suffixed _a, for the fields
-    glob = {"alt": (-1.0) ** np.arange(n_sites), "_N": n_sites, "_broadcast": _broadcast,
-            "_xs": xs, "_half": 0.5 * dt, "_dt": dt, "_half_a": _array(0.5 * dt),
-            "_dt_a": _array(dt), "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0),
-            "_x0": x0, "_blow_up": blow_up}
-    shifted = {}
-    for k, idx in index.items():
-        shifted[k] = f"_i{len(shifted)}"
-        glob[shifted[k]] = idx
-    held = {}       # a field the flow reads but does not evolve -> its global name
-    for name, _ in reads:
-        if name not in rhs and name not in held:
-            held[name] = glob_name = f"_F{len(held)}"
-            glob[glob_name] = state.fields[name]
-    for j, label in enumerate(monitors):
-        glob[f"_s{j}"] = sums[label]
+    def fail(exprs, x, *ys):
+        _on_lattice(exprs, LatticeState({**state.fields, **dict(zip(rhs, ys))}, x, state.params))
 
-    F = range(len(names))
-    # a value that reads no field may be a scalar: broadcast, as the reference does
-    values = [r if fieldvars(e) else f"_broadcast({r}, _N)"
-              for r, e in zip(lowering.results, exprs)]
-    ks, densities = values[:len(names)], values[len(names):]
+    @np.errstate(over="ignore", invalid="ignore")
+    def flush(i):
+        # the lattice sums of the block's rows up to state i: finite densities may overflow
+        first = i - i % rows
+        for block, series in zip(blocks, sums.values()):
+            series[first:i + 1] = np.sum(block[:i + 1 - first], axis=1)
+
+    at_state = [*monitors.values(), *rhs.values()]     # as the stage-by-stage loop has them
+    shifted = {k: f"_i{j}" for j, k in enumerate(index)}
+    # a field the flow reads but does not evolve -> its global name
+    held = {name: f"_F{j}" for j, name in enumerate(dict.fromkeys(
+        name for name, _ in reads if name not in rhs))}
+    # a stage factor is a Python float for x and a 0-d array, suffixed _a, for the fields
+    glob = {"alt": (-1.0) ** np.arange(n_sites), "_xs": xs, "_n": n_steps, "_rows": rows,
+            "_last": rows - 1, "_flush": flush, "_fail": fail, "_blown": _blown,
+            "_rhs": list(rhs.values()), "_monitors": list(monitors.values()),
+            "_at_state": at_state, "_half": 0.5 * dt, "_dt": dt, "_half_a": _array(0.5 * dt),
+            "_dt_a": _array(dt), "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0),
+            "_x0": state.x, "_blow_up": blow_up, **{shifted[k]: idx for k, idx in index.items()},
+            **{g: state.fields[name] for name, g in held.items()},
+            **{f"_d{j}": block for j, block in enumerate(blocks)}}
+
+    F = range(len(rhs))
+    ks, densities = lowering.results[:len(rhs)], lowering.results[len(rhs):]
+
+    def args(prefix):
+        return "".join(f"{prefix}{f}, " for f in F)
 
     def inputs(prefix):
-        arrays = {**{name: f"{prefix}{f}" for f, name in zip(F, names)}, **held}
+        arrays = {**{name: f"{prefix}{f}" for f, name in enumerate(rhs)}, **held}
         return "V = (" + "".join(f"{arrays[name]}{f'[{shifted[k]}]' if k else ''}, "
                                  for name, k in reads) + ")"
 
-    def stage(factor, k, out):
-        # the right-hand side at y + factor * k, x + factor, as the reference loop computes it
-        return [f"x = X + {factor}", *(f"A{f} = Y{f} + {factor}_a * {k}{f}" for f in F),
-                inputs("A"), *lowering.lines(end=lowering.first_end),
-                *(f"{out}{f} = {ks[f]}" for f in F)]
+    def singular(exprs, prefix, checked):
+        # where the fast step stops, the checked one evaluates exprs: evaluate raises
+        stop = f"_fail({exprs}, x, {args(prefix)})" if checked else "break"
+        return f"if m is not False and _any(m): {stop}"
 
-    def at_state(prefix, fail):
+    def stage(factor, k, out, checked):
+        # the right-hand side at y + factor * k, x + factor, as the stage-by-stage loop computes
+        # it; the fast step tests its mask once, at the new state
+        lines = [f"x = X + {factor}", *(f"A{f} = Y{f} + {factor}_a * {k}{f}" for f in F),
+                 inputs("A"), *lowering.lines(end=lowering.first_end, checked=checked),
+                 *(f"{out}{f} = {ks[f]}" for f in F)]
+        return [*lines, singular("_rhs", "A", checked)] if checked else lines
+
+    def at(prefix, exprs, checked):
         # the monitors and the right-hand side at the state held in prefix0, ...
-        return [inputs(prefix), *lowering.lines(), f"if m is not False and _any(m): {fail}"]
+        return [inputs(prefix), *lowering.lines(checked=checked), singular(exprs, prefix, checked)]
 
-    def record(i):
-        return [f"_xs[{i}] = x", *(f"_s{j}[{i}] = {d}.sum()" for j, d in enumerate(densities))]
+    record = ["_xs[i] = x", "r = i % _rows", *(f"_d{j}[r] = {d}" for j, d in enumerate(densities)),
+              "if r == _last or i == _n: _flush(i)"]
 
-    ys, k1s = "".join(f"Y{f}, " for f in F), "".join(f"K{f}, " for f in F)
-    functions = {
-        # records state i and returns its right-hand side; None where a node is singular
-        "_at_state": (f"{ys}x, i", ["m = bad", *at_state("Y", "return None"), *record("i"),
-                                    f"return ({''.join(f'{k}, ' for k in ks)})"]),
-        # steps i + 1, ... from state i and its right-hand side K, while they succeed
-        "_steps": (f"{ys}{k1s}X, i", [
-            "try:",
-            "    while i < _n:",
-            *("        " + line for line in [
-                "m = bad",
-                *stage("_half", "K", "B"), *stage("_half", "B", "C"), *stage("_dt", "C", "D"),
+    def step(checked):
+        # from state i to i + 1; the right-hand side at the last state may be singular
+        blown = f"_blown(x, {args('Z')})" if checked else "break"
+        return ["m = bad", *stage("_half", "K", "B", checked), *stage("_half", "B", "C", checked),
+                *stage("_dt", "C", "D", checked),
                 *(f"Z{f} = Y{f} + _sixth_a * (K{f} + _two_a * B{f} + _two_a * C{f} + D{f})"
                   for f in F),
-                *(f"if not _abs(Z{f}).max() <= _blow_up: break" for f in F),
-                # a record that raises leaves i, Y, K and X at the step before
-                "x = _x0 + (i + 1) * _dt", *at_state("Z", "break"), *record("i + 1"),
-                f"i, {ys}{k1s}X = i + 1, {''.join(f'Z{f}, ' for f in F)}"
-                f"{''.join(f'{k}, ' for k in ks)}x"]),
-            "except FloatingPointError:",
-            "    pass",
-            f"return i, ({ys}), ({k1s}), X"]),
+                "x = _x0 + (i + 1) * _dt",
+                *(f"if not _abs(Z{f}).max() <= _blow_up: {blown}" for f in F),
+                *at("Z", "_at_state if i + 1 < _n else _monitors", checked),
+                f"i, {args('Y')}{args('K')}X = i + 1, {args('Z')}{''.join(f'{k}, ' for k in ks)}x",
+                *record]
+
+    from_state = f"{args('Y')}{args('K')}X, i"
+    returned = f"return i, ({args('Y')}), ({args('K')}), X"
+    functions = {
+        "_start": (f"{args('Y')}x, i", ["m = bad", *at("Y", "_at_state", True), *record,
+                                        f"return ({''.join(f'{k}, ' for k in ks)})"]),
+        "_fast": (from_state, ["try:", "    while i < _n:",
+                               *("        " + line for line in step(False)),
+                               "except FloatingPointError:", "    pass", returned]),
+        "_checked": (from_state, [*step(True), returned]),
     }
     try:
-        at_state_fn, steps_fn = lowering.compile(functions, _n=n_steps, **glob)(state.params)
+        return lowering.compile(functions, **glob)(state.params)
     except KeyError:
-        return None
+        fail(at_state, state.x)
+        raise
 
-    def advance(done, k):
-        i = max(done, 0)        # the step whose state ``state`` holds
-        y, x = [state.fields[name] for name in names], state.x
-        if k is None:
-            try:
-                k = at_state_fn(*y, x, i)
-            except FloatingPointError:
-                pass
-            if k is None:
-                return done, None
-        done, y, k, x = steps_fn(*y, *k, x, i)
-        state.fields.update(zip(names, y))
-        state.x = x
-        return done, k
 
-    return advance
+def _blown(x, *fields):
+    """Raise the :class:`BlowUpError` of the largest norm of ``fields`` at ``x``."""
+    norms = [float(np.abs(y).max()) for y in fields]
+    raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {x:.6g}")
 
 
 def _check_fields(rhs, monitors, fields):
     """Raise an ExprError naming a field the flow reads or evolves but cannot have."""
     for name in sorted({fv.name for e in rhs.values() for fv in fieldvars(e)} - set(rhs)):
         raise ExprError(f"the right-hand side reads field {name!r}, which it does not evolve")
-    for name in rhs:
-        if name not in fields:
-            raise ExprError(f"the right-hand side evolves field {name!r}, which the state lacks")
+    for name in [name for name in rhs if name not in fields]:
+        raise ExprError(f"the right-hand side evolves field {name!r}, which the state lacks")
     for label, e in monitors.items():
         for name in sorted({fv.name for fv in fieldvars(e)} - set(fields)):
             raise ExprError(f"monitor {label!r} reads field {name!r}, which the state lacks")
@@ -295,73 +278,34 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
     monitors = monitors or {}
     _check_fields(rhs, monitors, state0.fields)
     state = state0.copy()
-    x0 = x_span[0]
-    state.x = x0
+    state.x = x_span[0]
     n_steps = step_count(x_span, dt)
     h = state.params.get("h")
-    stability_ok = True
-    if h is not None and dt > STABILITY_C * h * h + 1e-15:
-        stability_ok = False
+    stability_ok = h is None or not dt > STABILITY_C * h * h + 1e-15
 
+    rows = max(1, min(BLOCK_VALUES // state.n_sites, n_steps + 1))
     try:
         xs = np.empty(n_steps + 1)
         sums = {label: np.empty(n_steps + 1) for label in monitors}
+        blocks = np.empty((len(monitors), rows, state.n_sites))
     except (MemoryError, ValueError, OverflowError) as err:
         # a tiny dt gives a count of hundreds of digits: print it in short form
         count = f"{n_steps:.3e}" if n_steps >= 10**12 else n_steps
         raise DenseOutputError(f"cannot allocate the dense output of {count} steps: "
                                f"{err}") from None
 
-    names = list(rhs)
-    advance = _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums)
-
-    # the stage-by-stage reference: the monitor and right-hand-side functions
-    monitor_fn, rhs_fn = (_on_lattice(list(exprs.values()), state.n_sites, state.params)
-                          for exprs in (monitors, rhs))
-
-    def f(fields_dict, x):
-        return dict(zip(names, rhs_fn(fields_dict, x)))
-
-    def record(i):
-        """Record state i; True when a monitor's lattice sum overflows from finite densities."""
-        xs[i] = state.x
-        overflowed = False
-        for label, dens in zip(monitors, monitor_fn(state.fields, state.x)):
-            total = sums[label][i] = float(dens.sum())
-            overflowed = overflowed or (not math.isfinite(total) and bool(np.isfinite(dens).all()))
-        return overflowed
-
-    def reference_step(i):
-        y = state.fields
-        k1 = f(y, state.x)
-        k2 = f({n: y[n] + 0.5 * dt * k1[n] for n in names}, state.x + 0.5 * dt)
-        k3 = f({n: y[n] + 0.5 * dt * k2[n] for n in names}, state.x + 0.5 * dt)
-        k4 = f({n: y[n] + dt * k3[n] for n in names}, state.x + dt)
-        for n in names:
-            y[n] = y[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
-        state.x = x0 + i * dt
-        norms = [float(np.abs(y[n]).max()) for n in names]
-        if not all(v <= blow_up for v in norms):  # a NaN norm fails too
-            raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {state.x:.6g}")
-        return record(i)
-
-    done, k = -1, None      # the last recorded step, and the right-hand side there
-    while done < n_steps:
-        if advance is not None:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                done, k = advance(done, k)
-            if done == n_steps:
-                break
-        # the lowered code cannot take the next step: the reference takes it, quietly
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            overflowed = record(0) if done < 0 else reference_step(done + 1)
-        done, k = done + 1, None
-        if overflowed:
-            # a sum that overflowed will most likely overflow again, and the
-            # lowered step raises at every record that does: the reference
-            # takes the remaining steps
-            advance = None
-
+    start, fast, checked = _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up,
+                                          xs, sums, blocks)
+    y, i, x = [state.fields[name] for name in rhs], 0, x_span[0]
+    k = _quiet_overflow(start, *y, x, i)
+    while i < n_steps:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            i, y, k, x = fast(*y, *k, x, i)
+        if i < n_steps:
+            # step i + 1 failed: taken again, it raises its error or is recorded
+            i, y, k, x = _quiet_overflow(checked, *y, *k, x, i)
+    state.fields.update(zip(rhs, y))
+    state.x = x
     return Trajectory(xs, sums, state, stability_ok)
 
 
@@ -371,9 +315,5 @@ def monitor_conserved(traj):
 
     A sum that is not finite gives a drift that is not finite, quietly.
     """
-    out = {}
-    for label, series in traj.monitor_sums.items():
-        s0 = series[0]
-        drift = float(np.max(np.abs(series - s0))) / max(1.0, abs(s0))
-        out[label] = drift
-    return out
+    return {label: float(np.max(np.abs(series - series[0]))) / max(1.0, abs(series[0]))
+            for label, series in traj.monitor_sums.items()}

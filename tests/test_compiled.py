@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from lattice_frames import expr, flows
 from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
@@ -24,6 +25,7 @@ from lattice_frames.expr import (
     FieldVar,
     Lowering,
     Param,
+    ProblemSignature,
     Prod,
     SingularEvaluationError,
     Sum,
@@ -48,8 +50,12 @@ def var(name, k=0):
     return Var(FieldVar(name, 0, (k,)))
 
 
-def reference_flow(rhs, state0, x_span, dt, monitors):
-    """The per-step loop before lowering: ``evaluate`` on ``np.roll``-shifted arrays."""
+def reference_flow(rhs, state0, x_span, dt, monitors, blow_up=1e6):
+    """The per-step loop before lowering: ``evaluate`` on ``np.roll``-shifted arrays.
+
+    A field norm above ``blow_up``, or one that is not finite, raises the
+    flow's :class:`BlowUpError`, before the state is recorded.
+    """
     params = state0.params
 
     def on_lattice(e, fields, x):
@@ -86,6 +92,9 @@ def reference_flow(rhs, state0, x_span, dt, monitors):
         for n in names:
             y[n] = y[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
         x = x0 + i * dt
+        norms = [float(np.abs(y[n]).max()) for n in names]
+        if not all(v <= blow_up for v in norms):
+            raise BlowUpError(f"field norm {np.max(norms):.3e} at x = {x:.6g}")
         record(i)
     return xs, sums, y
 
@@ -102,7 +111,9 @@ def assert_same_trajectory(rhs, state0, x_span, dt, monitors):
         assert (traj.final.fields[name] == values).all(), name
 
 
-@pytest.mark.parametrize("n_sites", [1, 2, 16, 33])
+# 129 and 1000 sites: numpy's pairwise summation of a row recurses, and a
+# block of monitor densities holds fewer rows than the trajectory has states
+@pytest.mark.parametrize("n_sites", [1, 2, 16, 33, 129, 1000])
 def test_nls_flow_matches_reference(nls, n_sites):
     cfg = nls.integrate_config
     state0 = cfg["initial_state"](n_sites, 0.5)
@@ -132,32 +143,42 @@ def test_rhs_singular_only_at_the_final_state_integrates():
         eval_on_lattice(rhs["u"], traj.final)
 
 
-def test_lowered_steps_resume_after_a_reference_step(monkeypatch):
-    # the monitor's product overflows quietly while u[0] > 1.341e4, so the lowered
-    # steps raise and those steps are taken stage by stage; then they resume
-    calls = []
-    on_lattice = flows._on_lattice
+def counted_calls(monkeypatch):
+    """The calls of each integration's lowered functions, and of ``flows._on_lattice``."""
+    calls = Counter()
+    lowered_steps, on_lattice = flows._lowered_steps, flows._on_lattice
 
-    def counting(exprs, n_sites, params):
-        fn = on_lattice(exprs, n_sites, params)
-        return lambda fields, x: calls.append(x) or fn(fields, x)
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
 
-    monkeypatch.setattr(flows, "_on_lattice", counting)
+    monkeypatch.setattr(flows, "_lowered_steps", lambda *args: [
+        counted(name, fn) for name, fn in zip(("start", "fast", "checked"), lowered_steps(*args))])
+    monkeypatch.setattr(flows, "_on_lattice", counted("_on_lattice", on_lattice))
+    return calls
+
+
+def test_steps_that_overflow_are_taken_again_without_evaluate(monkeypatch):
+    # the monitor's product overflows quietly while u[0] > 1.341e4, so those
+    # fast steps raise and are taken again by the checked step; then the fast
+    # steps resume, and nothing is evaluated through evaluate
+    calls = counted_calls(monkeypatch)
     u = var("u")
     rhs = {"u": Const(-1000.0)}
     monitors = {"big": u * u * Const(1e300), "u": u}
     state0 = LatticeState({"u": np.array([1.36e4, 1.0])}, 0.0, {})
     assert_same_trajectory(rhs, state0, (0.0, 1.0), 0.05, monitors)
+    calls.clear()
     traj = integrate_lattice_flow(rhs, state0, (0.0, 1.0), 0.05, monitors=monitors)
     assert np.isinf(traj.monitor_sums["big"][:3]).all()
     assert np.isfinite(traj.monitor_sums["big"][-3:]).all()
-    assert 0 < len(calls) < 5 * 20 / 2
+    # each checked step is followed by fast ones, and fewer than half the 20 steps are taken twice
+    assert calls["_on_lattice"] == 0 and calls["start"] == 1
+    assert 0 < calls["checked"] == calls["fast"] - 1 < 20 / 2
 
 
 def test_monitor_sum_that_overflows_is_recorded_as_the_reference_does():
     # each density stays finite (u^2 * 1e300 < 1.8e308) while their lattice sum
-    # overflows from u = 9482 on, about step 10: that step's record raises, and
-    # the step is redone stage by stage from the state before it
+    # overflows from u = 9482 on, about step 10, quietly, in the block sums
     u = var("u")
     rhs = {"u": Const(1000.0)}
     monitors = {"big": u * u * Const(1e300)}
@@ -169,25 +190,18 @@ def test_monitor_sum_that_overflows_is_recorded_as_the_reference_does():
     assert np.isfinite(big[:9]).all() and np.isinf(big[11:]).all()
 
 
-def test_overflowed_monitor_sum_leaves_the_rest_to_the_reference(nls, monkeypatch):
-    # every lattice sum of 1e308 overflows while each density is finite: after
-    # the first record, whose lowered form raises, no lowered step is tried
-    attempts = []
-    lowered_steps = flows._lowered_steps
-
-    def counting(*args):
-        advance = lowered_steps(*args)
-        return lambda done, k: attempts.append(done) or advance(done, k)
-
-    monkeypatch.setattr(flows, "_lowered_steps", counting)
+def test_overflowed_monitor_sum_stays_on_the_lowered_path(nls, monkeypatch):
+    # every lattice sum of 1e308 overflows while each density is finite: the
+    # block sums overflow quietly, and every step is a fast one
+    calls = counted_calls(monkeypatch)
     cfg = nls.integrate_config
     state0 = cfg["initial_state"](16, 0.5)
     monitors = {**cfg["monitors"], "big": Const(1e308)}
     for x1 in (0.01, 0.03):
-        attempts.clear()
+        calls.clear()
         with pytest.warns(RuntimeWarning, match="overflow"):   # from the test's reference
             assert_same_trajectory(cfg["rhs"], state0, (0.0, x1), 1e-3, monitors)
-        assert attempts == [-1]
+        assert calls == {"start": 1, "fast": 1}
 
 
 @pytest.mark.parametrize("monitor, message", [
@@ -228,14 +242,80 @@ def test_flow_reading_x_alt_and_a_parameter_matches_reference(n_sites):
      "the right-hand side evolves field 'v', which the state lacks"),
     ({"u": var("u")}, ("u",), {"m": var("u") * var("w")},
      "monitor 'm' reads field 'w', which the state lacks"),
-    # the lowered steps are not built; the reference raises evaluate's error
+    # binding fails, and evaluate raises its error, the monitors' first
     ({"u": Param("b") * var("u")}, ("u",), {}, "parameter 'b' has no value"),
+    ({"u": Param("b") * var("u")}, ("u",), {"m": Param("c") * var("u")},
+     "parameter 'c' has no value"),
 ])
 def test_ill_formed_flow_raises_naming_the_field(rhs, fields, monitors, message):
     state0 = LatticeState({name: np.ones(3) for name in fields}, 0.0, {})
     with pytest.raises(ExprError) as err:
         integrate_lattice_flow(rhs, state0, (0.0, 0.1), 0.05, monitors=monitors)
     assert str(err.value) == message
+
+
+def test_trajectory_longer_than_a_block_matches_reference():
+    # 601 states at 16 sites fill two blocks of monitor densities and part of a third
+    u, w = var("u"), var("u", 1)
+    rhs = {"u": w - Const(2) * u + var("u", -1) + Const(0.5) * u * w}
+    monitors = {"square": u * u, "product": Alt() * u * w + XVar(), "const": Const(0.1)}
+    state0 = LatticeState({"u": np.sin(0.4 * np.arange(16)) + 0.3}, 0.0, {})
+    assert 2 * (flows.BLOCK_VALUES // 16) < 601 < 3 * (flows.BLOCK_VALUES // 16)
+    assert_same_trajectory(rhs, state0, (0.0, 0.6), 1e-3, monitors)
+
+
+# a difference signature of lattice dimension 1 that reads x: the flow's fields
+FLOW_SIG = ProblemSignature(("u", "v"), 1, has_x=True, params=("a",))
+
+
+def outcome(run):
+    """``("value", result)`` of ``run()``, or ``("error", type, message, subexpr)``."""
+    try:
+        return "value", run()
+    except ExprError as err:
+        return "error", type(err), str(err), getattr(err, "subexpr", None)
+
+
+def test_generated_flows_match_the_reference_or_raise_alike():
+    # generated right-hand sides and monitor: the same trajectory bit for bit,
+    # or the same error in the reference's order; a has no value in one draw in
+    # three, and one draw in two has a blow-up bound of 2.0, which a growing field passes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    trees = oracles.expr_trees(FLOW_SIG, max_leaves=8)
+    n = np.arange(5)
+    fields = {"u": 1.5 + 0.5 * np.cos(n + 0.3), "v": 1.2 - 0.4 * np.sin(2.0 * n + 1.0)}
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(ru=trees, rv=trees, monitor=trees,
+                      params=st.sampled_from([{"a": 0.7}, {"a": -1.3}, {}]),
+                      blow_up=st.sampled_from([1e6, 2.0]))
+    def check(ru, rv, monitor, params, blow_up):
+        rhs, monitors = {"u": ru, "v": rv}, {"m": monitor}
+        state0 = LatticeState(fields, 0.0, params)
+        got = outcome(lambda: integrate_lattice_flow(rhs, state0, (0.0, 0.2), 0.05,
+                                                     monitors=monitors, blow_up=blow_up))
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: reference_flow(rhs, state0, (0.0, 0.2), 0.05, monitors,
+                                                  blow_up))
+        if want[0] == "error":
+            assert got[:3] == want[:3] and got[3] is want[3]
+            return
+        assert got[0] == "value", got
+        traj, (xs, sums, final) = got[1], want[1]
+        assert traj.xs.tobytes() == xs.tobytes()
+        assert traj.monitor_sums["m"].tobytes() == sums["m"].tobytes()
+        for name in fields:
+            assert traj.final.fields[name].tobytes() == final[name].tobytes(), name
+
+    check()
+
+
+def test_flow_that_evolves_no_field_records_its_monitors():
+    # no field norm to check: the fields stay, and the monitors are recorded at every step
+    u = var("u")
+    state0 = LatticeState({"u": np.arange(3.0)}, 0.0, {})
+    assert_same_trajectory({}, state0, (0.0, 0.03), 0.01, {"square": u * u, "x": XVar()})
 
 
 def test_constant_monitor_and_parameter_rhs_broadcast():
@@ -292,7 +372,7 @@ def test_singular_nodes_match_evaluate(message, e, values):
     arr = np.array(values)
     with pytest.raises(SingularEvaluationError) as want:
         evaluate(e, Assignment({U.fv: arr}, params=PARAMS))
-    # the flow is the caller that raises: its reference path calls evaluate
+    # the flow raises through evaluate at the lattice, as eval_on_lattice does
     with pytest.raises(SingularEvaluationError) as got:
         eval_on_lattice(e, LatticeState({"u": arr}, 0.0, PARAMS))
     assert str(want.value) == message
@@ -445,6 +525,8 @@ def test_error_state_and_step_builder_once_per_integration(nls, monkeypatch):
     for name in ("_raising_overflow", "_quiet_overflow", "_two_passes"):
         assert name in vars(expr)
         monkeypatch.setattr(expr, name, counting(name, getattr(expr, name)))
+    # the flow enters the quiet state of expr for its first state and each checked step
+    monkeypatch.setattr(flows, "_quiet_overflow", counting("flows_quiet", flows._quiet_overflow))
     monkeypatch.setattr(flows, "_lowered_steps", counting("build", flows._lowered_steps))
     cfg = nls.integrate_config
     state0 = cfg["initial_state"](16, 0.5)
@@ -456,7 +538,7 @@ def test_error_state_and_step_builder_once_per_integration(nls, monkeypatch):
 
     short = count((0.0, 0.01))
     assert short == count((0.0, 0.1))
-    assert short["build"] == 1 and short["with"] == 1
+    assert short["build"] == 1 and short["with"] == 1 and short["flows_quiet"] == 1
 
 
 def test_equal_mask_tests_are_one_line():

@@ -8,7 +8,8 @@ function takes the signature, H, the frame or the action next to an
 argument that holds it; that no dataclass keeps a field its constructor
 cannot set; that the layer tracer
 of the benchmark still finds what it wraps; that every expression node
-class is interned; and that every stored formula of the catalog is read."""
+class is interned; that every stored formula of the catalog is read; and
+that the flow calls ``evaluate`` only in ``_on_lattice``."""
 
 import ast
 import dataclasses
@@ -377,3 +378,17 @@ def test_every_stored_formula_is_read():
     unread = [f"{b.name}: {key}" for b in EXAMPLES.values() for key in b.expected
               if key not in named]
     assert unread == []
+
+
+def test_the_flow_evaluates_only_through_on_lattice():
+    # _on_lattice is the one call that raises evaluate's errors in the flow: a
+    # second stage-by-stage loop would name evaluate somewhere else
+    tree = _parse(PACKAGE_DIR / "flows.py")
+    on_lattice = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                      and n.name == "_on_lattice")
+    inside = {id(n) for n in ast.walk(on_lattice)}
+    uses = [n for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and _name(n) == "evaluate"]
+    renamed = [a for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               for a in n.names if a.name == "evaluate" and a.asname]
+    assert uses and [n.lineno for n in uses if id(n) not in inside] == [] and renamed == []
