@@ -148,12 +148,13 @@ class FieldVar:
 class ProblemSignature:
     """Declares the variables of one problem.
 
-    ``fields`` are the dependent variable names; ``variations`` maps a field
-    name to the name of its reserved variation slot (the field standing for
-    d(field)/dt), used by :func:`t_derivative`; both names must be among
-    ``fields``.  ``differential`` enables the derivative index ``j``
-    (differential-difference flavor); ``has_x`` adds the continuous
-    independent variable ``x``.
+    ``fields`` are the dependent variable names and ``params`` the parameter
+    names, none of them ``x``, ``alt``, ``ln``, ``abs`` or ``sqrt``, which
+    the grammar reserves; ``variations`` maps a field name to the name of its
+    variation slot (the field standing for d(field)/dt), used by
+    :func:`t_derivative`; both names must be among ``fields``.
+    ``differential`` enables the derivative index ``j`` (differential-difference
+    flavor); ``has_x`` adds the continuous independent variable ``x``.
     """
 
     fields: tuple[str, ...]
@@ -172,6 +173,9 @@ class ProblemSignature:
         dup = {n for n in names if names.count(n) > 1}
         if dup:
             raise ValueError(f"names declared more than once: {sorted(dup)}")
+        reserved = sorted(set(names) & {"x", "alt", "ln", "abs", "sqrt"})
+        if reserved:
+            raise ValueError(f"names reserved by the expression grammar: {reserved}")
         undeclared = {n for pair in self.variations.items() for n in pair} - set(self.fields)
         if undeclared:
             raise ValueError(f"variation names not among the fields: {sorted(undeclared)}")
@@ -507,8 +511,9 @@ class _Rule:
     value reading the last three varies per point.  ``test`` is true where a
     node for which ``when`` holds is singular, its ``{0}`` being child
     ``tested``, computed first and named by the error, and ``{zero}`` the
-    number 0.  ``overflow``, tested only after an overflow, is true where the
-    value ``{v}`` is non-finite from a finite ``{0}``.  ``missing`` is the error when an input has no value.
+    number 0.  ``overflow`` is true where the value ``{v}`` is non-finite
+    from a finite ``{0}``: there a power overflowed, and :func:`evaluate`
+    raises.  ``missing`` is the error when an input has no value.
     ``derive(node, d)`` is the node's derivative under a derivation, ``d``
     giving a child's: 0 for a constant, a parameter, ``x`` and ``alt``, and
     none for a field variable, whose derivative is the derivation's own.
@@ -529,8 +534,8 @@ class _Rule:
         self.when = _function("node", [f"return {when}"])
         kids = [f"node.{f}" for f in fields]
         self.children = _function("node", [f"return ({''.join('*' * fold + k + ', ' for k in kids)})"])
-        # step(rec, a, node, checked): the node's value at the assignment a, or
-        # the error of evaluate(); rec gives a child's value
+        # step(rec, a, node): the node's value at the assignment a, or the
+        # error of evaluate(); rec gives a child's value
         if fold:
             lines = [f"v = rec({kids[0]}[0])", f"for w in {kids[0]}[1:]:",
                      f"    v = {value.format('v', 'rec(w)')}"]
@@ -546,9 +551,9 @@ class _Rule:
             lines += ([f"try: {v}", f"except KeyError: raise _missing({missing!r}, {datum})"]
                       if missing else [v])
         if overflow is not None:
-            lines.append(f"if checked and _any({overflow.format('c0', v='v')}): "
+            lines.append(f"if _any({overflow.format('c0', v='v')}): "
                          "raise _Singular('non-finite value of ' + _to_string(node), node)")
-        self.step = _function("rec, a, node, checked", [*lines, "return v"],
+        self.step = _function("rec, a, node", [*lines, "return v"],
                               _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
                               _missing=lambda message, k: MissingVariableError(message.format(k)))
 
@@ -682,21 +687,20 @@ def evaluate(e, a):
     Values in ``a`` may be scalars or numpy arrays (all of one shape), so the
     same walker serves pointwise checks and whole-lattice evaluation.
     Structurally equal subtrees are one object, hence evaluated once.  Each
-    node follows its rule in ``_RULES``.  The first singular node raises
-    :class:`SingularEvaluationError`, as does a power that overflows from a
-    finite base; any other overflow gives inf quietly.  This is the only
-    code that raises for a singular node; the functions of
-    :func:`compile_exprs` and :class:`Lowering` return a mask instead, set
-    exactly where this raises.
+    node follows its rule in ``_RULES``, in one pass with overflow quiet.
+    The first singular node raises :class:`SingularEvaluationError`, as does
+    a power that overflows from a finite base; any other overflow gives inf
+    quietly.  This is the only code that raises for a singular node; the
+    functions of :func:`compile_exprs` and :class:`Lowering` return a mask
+    instead, set exactly where this raises.
 
     The values of the nodes go to a table from ``id(node)`` to the node and
     its value.  For a point set the run memo holds (``a.held``) that is the
     run's table for ``a`` (see :func:`run_memo`), so every node is computed
     once per run at those points, and its array is made read-only; for any
     other assignment, or outside a run, it is new on every call.  A node
-    that raised is never stored, and a node stored before an overflow was
-    computed without one, so a shared table gives the values and the errors
-    of a new one.
+    that raised is never stored, so a shared table gives the values and the
+    errors of a new one.
     """
     held = a.held
     memo = _table(("evaluate", id(a)), a) if held else {}
@@ -704,20 +708,17 @@ def evaluate(e, a):
     if hit is not None:
         return hit[1]
 
-    def walk(checked=False):
-        def rec(node):
-            hit = memo.get(id(node))
-            if hit is not None:
-                return hit[1]
-            v = _RULES[type(node)].step(rec, a, node, checked)
-            if held and type(v) is np.ndarray:
-                v.flags.writeable = False
-            memo[id(node)] = node, v
-            return v
+    def rec(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        v = _RULES[type(node)].step(rec, a, node)
+        if held and type(v) is np.ndarray:
+            v.flags.writeable = False
+        memo[id(node)] = node, v
+        return v
 
-        return rec(e)
-
-    return _two_passes(walk, functools.partial(walk, True))
+    return _quiet_overflow(rec, e)
 
 
 def compile_exprs(exprs):
@@ -734,9 +735,9 @@ def compile_exprs(exprs):
     Every node follows its rule in ``_RULES``, as in :func:`evaluate`, so the
     values are the same bit for bit and the mask is set exactly where
     :func:`evaluate` raises.  ``bad`` is ``False`` when nothing is singular in
-    the prelude and no other node has a test: such a call does no mask
-    arithmetic.  A binding or call that overflows runs again with overflow
-    quiet and the powers' overflow tests added.  ``bind`` raises
+    the prelude and no other node has a test, a power's overflow test among
+    them: such a call does no mask arithmetic.  Binding and calls run with
+    overflow quiet, as :func:`evaluate` does.  ``bind`` raises
     :class:`MissingVariableError` when a parameter has no value.  Nothing
     here raises where a node is singular: a caller that must raise calls
     :func:`evaluate`.  Structurally equal subtrees are one object, computed
@@ -744,23 +745,15 @@ def compile_exprs(exprs):
     scalar: numbers are 0-d arrays (see :class:`Lowering`).
     """
     lowering = Lowering(exprs)
-
-    def call(checked):
-        return ("V, x, alt", ["m = bad", *lowering.lines(checked=checked),
-                              f"return [{', '.join(lowering.results)}], m"])
-
-    functions = {"_lowered": call(False)}
-    if any(overflow for _, overflow in lowering.body):
-        functions["_checked"] = call(True)
-    bind_functions = lowering.compile(functions)
+    bind_call = lowering.compile({"_lowered": ("V, x, alt", [
+        "m = bad", *lowering.lines(checked=True), f"return [{', '.join(lowering.results)}], m"])})
 
     def bind(params):
         try:
-            fns = bind_functions(params)
+            fn, = bind_call(params)
         except KeyError as err:
             raise MissingVariableError(f"parameter {err.args[0]!r} has no value") from None
-        # the second pass is _checked, or _lowered when no body line has an overflow test
-        return functools.partial(_two_passes, fns[0], fns[-1])
+        return functools.partial(_quiet_overflow, fn)
 
     return bind, lowering.variables
 
@@ -771,8 +764,9 @@ class Lowering:
     Every node follows its rule in ``_RULES``.  ``prelude`` holds the lines
     of the nodes of constants and parameters alone, ``body`` those of the
     other nodes, which read the inputs ``V``, ``x`` and ``alt``: each a
-    ``(line, overflow)`` pair, ``overflow`` marking a test that only the pass
-    after an overflow runs.  A test ORs the points where a node is singular
+    ``(line, overflow)`` pair, ``overflow`` marking a power's overflow test,
+    which :meth:`lines` leaves out of the flow's fast step, where overflow
+    raises.  A test ORs the points where a node is singular
     into the mask ``m``; nodes that test one child alike share one line.
     ``results`` names each expression's value, and the body lines of the
     first ``n_first`` expressions are ``body[:first_end]``.  ``variables`` are the
@@ -861,9 +855,9 @@ class Lowering:
         # own returns False and its caller need not reduce it
         return "".join([
             f"def _make({', '.join(self.bound)}):\n",
-            "    def _prelude(P, checked=False):\n",
+            "    def _prelude(P):\n",
             "        m = False\n",
-            *(f"        {'if checked: ' * overflow}{line}\n" for line, overflow in self.prelude),
+            *(f"        {line}\n" for line, _ in self.prelude),
             "        bad = m if _any(m) else False\n",
             *(f"        def {name}({params}):\n"
               + "".join(f"            {line}\n" for line in lines)
@@ -877,39 +871,23 @@ class Lowering:
 
         ``functions`` maps a name to the parameters and body lines of a
         function defined inside the prelude, in that order; the lines read
-        the prelude's values, its mask ``bad``, and ``names`` as globals.  A
-        binding that overflows runs the prelude again with overflow quiet and
-        its overflow tests added.  ``bind`` raises ``KeyError`` when a
-        parameter has no value.
+        the prelude's values, its mask ``bad``, and ``names`` as globals.  The
+        prelude runs with overflow quiet and its overflow tests on.  ``bind``
+        raises ``KeyError`` when a parameter has no value.
         """
         namespace = {**_LOWERED_GLOBALS, **names}
         exec(self.source(functions), namespace)
         prelude = namespace["_make"](**self.bound)
-        return functools.partial(_two_passes, prelude, functools.partial(prelude, checked=True))
+        return functools.partial(_quiet_overflow, prelude)
 
 
-# Decorators, so that each error state is built once rather than per call.
-# Lowered code computes the singular points it masks: it divides by zero quietly.
-@np.errstate(over="raise", invalid="ignore", divide="ignore")
-def _raising_overflow(fn, *args):
-    return fn(*args)
-
-
+# A decorator, so that the error state is built once rather than per call.  It
+# lets inf and NaN through, as Python float arithmetic does: evaluate() and the
+# lowered code test where a power overflowed from a finite base, lowered code
+# masks the singular points it computes, and callers fail on inf and NaN.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _quiet_overflow(fn, *args):
     return fn(*args)
-
-
-def _two_passes(fast, checked, *args):
-    """``fast(*args)``; after an overflow, which is rare, ``checked(*args)`` with overflow quiet.
-
-    The second pass lets inf through, as Python float arithmetic does, and
-    tests where a power overflowed from a finite base; callers fail on inf and NaN.
-    """
-    try:
-        return _raising_overflow(fast, *args)
-    except FloatingPointError:
-        return _quiet_overflow(checked, *args)
 
 
 # The tables of the run in progress: (builder, argument) -> (node table, the

@@ -73,7 +73,9 @@ class LatticeState:
 
     @property
     def n_sites(self):
-        return len(next(iter(self.fields.values())))
+        for values in self.fields.values():
+            return len(values)
+        raise ExprError("a lattice state with no field has no number of sites")
 
     def copy(self):
         return LatticeState({k: v.copy() for k, v in self.fields.items()},

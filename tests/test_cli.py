@@ -219,6 +219,19 @@ class TestEulerLagrange:
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.splitlines() == [f"singular evaluation: {message}"]
 
+    @pytest.mark.parametrize("args", [
+        ["alt*u[0]^2", "--params", "alt"], ["u[0]^2", "--params", "x"],
+        ["u[0]^2", "--params", "sqrt"], ["x[0]^2", "--fields", "x"],
+        ["ln[0]^2", "--fields", "ln"], ["u[0]^2", "--fields", "u,abs"],
+    ], ids=lambda args: f"{args[1]}={args[2]}")
+    def test_grammar_name_is_a_usage_error(self, args):
+        # a field or parameter the grammar would read as its own x, alt or function
+        r = run_cli("euler-lagrange", *args)
+        name = args[2].split(",")[-1]
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (f"invalid signature: names reserved by the expression grammar: "
+                            f"['{name}']\n")
+
     def test_power_overflow_one_line_failure(self):
         r = run_process("euler-lagrange", "u[0]^100000")
         assert r.returncode == 1

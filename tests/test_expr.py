@@ -261,6 +261,15 @@ class TestTDerivative:
         with pytest.raises(ValueError, match="variation names not among the fields"):
             ProblemSignature(("u",), 1, params=("h",), variations=variations)
 
+    @pytest.mark.parametrize("name", ["x", "alt", "ln", "abs", "sqrt"])
+    @pytest.mark.parametrize("kind", ["field", "param"])
+    def test_grammar_names_are_reserved(self, name, kind):
+        # the parser reads these names as x, alt or a function, never as a field or parameter
+        fields, params = ((name,), ()) if kind == "field" else (("u",), (name,))
+        with pytest.raises(ValueError, match=rf"^names reserved by the expression grammar: "
+                                             rf"\['{name}'\]$"):
+            ProblemSignature(fields, 1, params=params)
+
 
 class TestSubstitute:
     def test_kappa_inversion(self, toda, toda_plan):
@@ -667,7 +676,7 @@ class TestRunMemo:
         with expr.run_memo():
             points = SamplePlan(n_points=8, seed=5).assignments([u, w], SIG2)
             outcomes = [_evaluated(e, points)[1] for e in exprs]
-        assert quiet   # the first call fell back to the quiet pass
+        assert quiet   # every call computes in the quiet error state
         fresh = dataclasses.replace(points)
         assert outcomes == [_evaluated(e, fresh)[1] for e in exprs]
         assert outcomes[2][0] is SingularEvaluationError and outcomes[2][1] is power(big, 2)
