@@ -47,12 +47,10 @@ __all__ = [
 ]
 
 
-def deriv_op(e, sig, dcal_inv=None, times=1):
-    """Apply D (or the invariant derivative ``dcal_inv * D``) ``times`` times."""
+def deriv_op(e, sig, times=1, deriv=total_derivative):
+    """Apply ``deriv(e, sig)`` ``times`` times: D unless given, or ``Frame.dcal``."""
     for _ in range(times):
-        e = total_derivative(e, sig)
-        if dcal_inv is not None:
-            e = mul(dcal_inv, e)
+        e = deriv(e, sig)
     return e
 
 
@@ -60,12 +58,10 @@ def prolong(base, fv, sig, deriv=total_derivative):
     """S_K d^j ``base``: the image of u_{j;K} = ``fv`` under a map whose image of u is ``base``.
 
     ``deriv(e, sig)`` is one step of d: D unless given, D/D(x~) for a map
-    that moves x, or the invariant derivative, which commutes with the
-    shifts on a projectable frame.
+    that moves x, or ``Frame.dcal``, which commutes with the shifts on a
+    projectable frame.
     """
-    for _ in range(fv.deriv):
-        base = deriv(base, sig)
-    return shift(base, fv.shift, sig)
+    return shift(deriv_op(base, sig, fv.deriv, deriv), fv.shift, sig)
 
 
 def unit_step(direction, m):
@@ -92,9 +88,9 @@ class LinDiffOp:
         return LinDiffOp(tuple(out))
 
 
-def apply_op(op, e, sig, dcal_inv=None):
-    """Sum of coeff * S_K D^j e over the operator terms."""
-    return add(*[mul(coeff, shift(deriv_op(e, sig, dcal_inv, times=j), K, sig))
+def apply_op(op, e, sig, deriv=total_derivative):
+    """Sum of coeff * S_K d^j e over the operator terms, d = ``deriv`` as for :func:`deriv_op`."""
+    return add(*[mul(coeff, shift(deriv_op(e, sig, j, deriv), K, sig))
                  for coeff, K, j in op.terms])
 
 

@@ -306,16 +306,20 @@ def cmd_integrate(args):
         "drift": {k: drifts[k] for k in sorted(drifts)},
         "note": cfg.get("note", ""),
     }
-    if args.out_csv:
-        labels = sorted(traj.monitor_sums)
-        with open(args.out_csv, "w") as fh:
-            fh.write("x," + ",".join(labels) + "\n")
-            for i, x in enumerate(traj.xs):
-                row = [repr(float(x))] + [repr(float(traj.monitor_sums[k][i])) for k in labels]
-                fh.write(",".join(row) + "\n")
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(_json(report) + "\n")
+    try:
+        if args.out_csv:
+            labels = sorted(traj.monitor_sums)
+            with open(args.out_csv, "w") as fh:
+                fh.write("x," + ",".join(labels) + "\n")
+                for i, x in enumerate(traj.xs):
+                    row = [repr(float(x))] + [repr(float(traj.monitor_sums[k][i])) for k in labels]
+                    fh.write(",".join(row) + "\n")
+        if args.out_json:
+            with open(args.out_json, "w") as fh:
+                fh.write(_json(report) + "\n")
+    except OSError as err:  # open() names its path in the error; a failed write, fh
+        print(f"error: cannot write {err.filename or fh.name}: {err.strerror or err}", file=sys.stderr)
+        return CHECK_FAILURE
     if args.json:
         print(_json(report))
     else:

@@ -20,9 +20,10 @@ holds weak references only: a node lives exactly as long as without it.
 
 Every builder -- :func:`shift`, :func:`substitute`, :func:`partial`,
 :func:`total_derivative`, :func:`t_derivative`, ``_substitute_fields``, and
-outside this module ``actions.transform`` and ``noether._formal_dcal`` -- is
-one walker, ``_rebuild``, with a leaf rule that names only the leaves it
-maps; any other node follows its row of ``_RULES``.  Every map of field
+outside this module ``actions.transform`` -- is one walker, ``_rebuild``,
+with a leaf rule that names only the leaves it maps; any other node follows
+its row of ``_RULES``.  The invariant derivative ``frames.Frame.dcal`` is
+:func:`total_derivative` times the frame's ``dcal_inv``.  Every map of field
 coordinates (``actions.transform``, ``InvariantSet.expand``, the adjoint
 symbols of ``noether``) takes the image of u_{j;K} from
 ``calculus.prolong``: S_K d^j of the image of u.  The walker rebuilds a
@@ -900,8 +901,8 @@ def run_memo():
     """Share the node tables of the builders across every call in the block.
 
     Within the block, :func:`shift`, :func:`partial`, :func:`total_derivative`,
-    :func:`t_derivative`, :func:`substitute`, ``actions.transform``,
-    ``noether._formal_dcal`` and the callers of ``_substitute_fields``
+    :func:`t_derivative`, :func:`substitute`, ``actions.transform`` and the
+    callers of ``_substitute_fields``
     (``InvariantSet.expand``, ``noether._expand_adj`` and the rewrite of
     ``noether.equivariant_form``) hand back what they built before for the
     same node and argument; ``sampling.SamplePlan.assignments`` hands back
@@ -1016,23 +1017,19 @@ def shift(e, offset, sig):
     return _rebuild(e, leaf, _table(("shift", offset, id(sig)), sig))
 
 
-def _total_leaf(node, sig):
-    """Leaf rule of the total derivative: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
-    if isinstance(node, Var):
-        fv = FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift)
-        sig.check_var(fv)
-        return Var(fv)
-    if isinstance(node, XVar):
-        return ONE
-    return None
-
-
 def total_derivative(e, sig):
     """Total derivative D: x -> 1, u^alpha_{j;K} -> u^alpha_{j+1;K}."""
     if not sig.differential:
         raise ExprError("total derivative on a pure-difference problem")
-    return _rebuild(e, lambda node: _total_leaf(node, sig), _table(("total", id(sig)), sig),
-                    derive=True)
+
+    def leaf(node):
+        if isinstance(node, Var):
+            fv = FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift)
+            sig.check_var(fv)
+            return Var(fv)
+        return ONE if isinstance(node, XVar) else None
+
+    return _rebuild(e, leaf, _table(("total", id(sig)), sig), derive=True)
 
 
 def t_derivative(e, sig):

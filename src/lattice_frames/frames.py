@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import transform
-from .calculus import LinDiffOp, apply_op, deriv_op, prolong, unit_step
+from .calculus import LinDiffOp, apply_op, prolong, unit_step
 from .expr import (
     ONE,
     ExprError,
@@ -27,9 +27,11 @@ from .expr import (
     add,
     evaluate,
     fieldvars,
+    mul,
     nodes,
     shift,
     t_derivative,
+    total_derivative,
 )
 from .sampling import relative_residual
 
@@ -51,8 +53,8 @@ class Frame:
 
     ``normalization`` lists (coordinate expression, constant) pairs; the
     ``param_exprs`` solve them in closed form on the chart.  ``dcal_inv`` is
-    the reciprocal invariant volume factor: the invariant derivative is
-    dcal_inv * D (pure-difference frames keep the default 1).
+    the reciprocal invariant volume factor, read by :meth:`dcal` and
+    :attr:`jacobian_factor` (pure-difference frames keep the default 1).
     """
 
     name: str
@@ -64,7 +66,7 @@ class Frame:
     @property
     def jacobian_factor(self):
         """iota(dx) = J dx; J is 1/dcal_inv for projectable frames."""
-        return ONE / self.dcal_inv if self.dcal_inv != ONE else ONE
+        return ONE / self.dcal_inv
 
     @property
     def projectable(self):
@@ -78,8 +80,9 @@ class Frame:
         return True
 
     def dcal(self, e, sig):
-        """One step of the invariant derivative dcal_inv * D."""
-        return deriv_op(e, sig, self.dcal_inv)
+        """One step of Dcal = dcal_inv * D, the one invariant derivative: the
+        ``deriv`` that ``calculus.prolong``, ``deriv_op`` and ``apply_op`` take for Dcal."""
+        return mul(self.dcal_inv, total_derivative(e, sig))
 
 
 def invariantize(frame, e):
@@ -208,6 +211,6 @@ def syzygy_operator_sides(invset, beta):
     sig = invset.orig_sig
     lhs = t_derivative(invset.kappa_defs[beta], sig)
     parts = [apply_op(LinDiffOp(tuple((invset.expand(c), K, j) for c, K, j in op.terms)),
-                      invset.sigma_defs[alpha], sig, dcal_inv=invset.frame.dcal_inv)
+                      invset.sigma_defs[alpha], sig, invset.frame.dcal)
              for alpha, op in invset.H[beta].items() if op is not None]
     return lhs, add(*parts)

@@ -48,22 +48,17 @@ from .calculus import (
     substitute_slots,
 )
 from .expr import (
-    ONE,
     ExprError,
     FieldVar,
     Var,
     ZERO,
-    _rebuild,
     _substitute_fields,
-    _table,
-    _total_leaf,
     add,
     evaluate,
     fieldvars,
     mul,
     neg,
     partial,
-    quot,
     substitute,
     t_derivative,
     to_string,
@@ -221,30 +216,16 @@ def _adj_entry(action, r, s, params):
 
 
 def _expand_adj(e, frame, r):
-    """Replace adj symbols by the adjoint components on the frame, prolonged by Dcal."""
+    """Replace each adj<s>_{j;K} by S_K D^j of a^s_r on the frame: :func:`prolong` with D."""
     sig = frame.action.sig
 
     def image(fv):
         s = _adj_index(fv.name)
         if s is None:
             return None
-        return prolong(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv, sig, frame.dcal)
+        return prolong(_adj_entry(frame.action, r, s - 1, frame.param_exprs), fv, sig)
 
     return _substitute_fields(e, image, ("adj", id(frame), r), frame)
-
-
-def _formal_dcal(e, sig, dcal_inv):
-    """Invariant derivative that treats adj symbols as formal jet variables."""
-
-    def leaf(node):
-        if isinstance(node, Var) and _adj_index(node.fv.name) is not None:
-            raised = Var(FieldVar(node.fv.name, node.fv.deriv + 1, node.fv.shift))
-            return raised if dcal_inv == ONE else quot(raised, dcal_inv)
-        return _total_leaf(node, sig)
-
-    d = _rebuild(e, leaf, _table(("dcal", id(sig), id(dcal_inv)), sig, dcal_inv),
-                 derive=True)
-    return d if dcal_inv == ONE else mul(dcal_inv, d)
 
 
 def invariant_boundary(IL):
@@ -297,7 +278,8 @@ def noether_invariant(IL):
                for g in action.generators]
 
     # the symbolic components are generator-independent: the adjoint symbols
-    # adj_s stand for a^s_r(rho) with r fixed only at expansion time
+    # adj_s stand for a^s_r(rho) with r fixed only at expansion time, and
+    # adj<s>_{j;K} for S_K D^j of it, so Dcal derives them like any field
     args = {}
     for alpha in inv.sigma_names:
         args[alpha] = add(*[mul(q, _adj_var(s + 1, m))
@@ -310,10 +292,8 @@ def noether_invariant(IL):
         # t = epsilon^r makes every (kappa^beta)' vanish (kappa is invariant)
         for kdot in kdots:
             args[kdot] = ZERO
-    def dcal(e, sig):  # treats the adj symbols of the arguments formally
-        return _formal_dcal(e, sig, frame.dcal_inv)
 
-    symbolic = boundary.map(lambda e: inv.expand(substitute_slots(e, args, sig, dcal)))
+    symbolic = boundary.map(lambda e: inv.expand(substitute_slots(e, args, sig, frame.dcal)))
     if has_xi:
         symbolic = DivergenceTuple(
             add(symbolic.a0, mul(inv.expand(IL.L_kappa), xi_sum)), symbolic.comps)

@@ -318,6 +318,22 @@ class TestIntegrate:
         assert report["drift"]["norm"] <= 1e-8
         assert "artifact choice" in report["note"]
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json"])
+    def test_unwritable_output_is_one_line(self, tmp_path, flag):
+        # a directory, and a file in a directory that does not exist
+        for path, reason in ((tmp_path, "Is a directory"),
+                             (tmp_path / "missing" / "out", "No such file or directory")):
+            r = run_cli("integrate", "nls", "--x-span", "0,0.01", flag, str(path))
+            assert r.returncode == 1 and r.stdout == ""
+            assert r.stderr == f"error: cannot write {path}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is full")
+    def test_failed_write_names_its_path(self):
+        # open() succeeds and the write fails, with no path in the error
+        r = run_cli("integrate", "nls", "--x-span", "0,0.01", "--out-json", "/dev/full")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == "error: cannot write /dev/full: No space left on device\n"
+
     def test_stability_warning(self):
         r = run_cli("integrate", "nls", "--dt", "0.1", "--x-span", "0,0.2")
         assert "stability bound" in r.stderr

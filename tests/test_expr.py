@@ -395,7 +395,8 @@ def _builder_calls(b):
                                      param_rules={p: Const(2) for p in sig.params})
         yield lambda e=e: transform(e, b.action, [Param(p) for p in b.action.param_names])
         yield lambda e=e: transform(e, b.action, b.frame.param_exprs)
-        yield lambda e=e: noether._formal_dcal(e, sig, b.frame.dcal_inv)
+        if sig.differential:
+            yield lambda e=e: b.frame.dcal(e, sig)
         yield lambda e=e: b.invset.expand(e)
         for r in range(b.action.group_dim):
             yield lambda e=e, r=r: noether._expand_adj(mul(e, adj), b.frame, r)
@@ -533,7 +534,7 @@ class TestRunMemo:
                 assert all([a is c and b is c for a, b, c in zip(m, r, f, strict=True)])
             else:
                 assert m == r == f
-        assert {"shift", "partial", "t", "substitute", "transform", "dcal", "expand", "adj",
+        assert {"shift", "partial", "t", "substitute", "transform", "expand", "adj",
                 "equivariant"} <= kinds
 
     def test_a_field_transform_cannot_map_raises_alike_in_a_run(self, toda):

@@ -33,7 +33,7 @@ from lattice_frames.frames import (
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check, residual_stats
 from lattice_frames.suites import SUITES, run_suite
-from oracles import non_projectable_frame
+from oracles import expr_trees, non_projectable_frame
 
 
 def fv(name, *K, d=0):
@@ -205,7 +205,7 @@ class TestInvariantize:
         # Dcal of an invariant stays invariant
         rng = np.random.default_rng(30)
         ie = invariantize(ex81.frame, ex81.L)
-        de = deriv_op(ie, ex81.sig, ex81.frame.dcal_inv)
+        de = ex81.frame.dcal(ie, ex81.sig)
         pts = replace(ex81_plan, n_points=15).assignments([de], ex81.sig)
         for a in pts:
             g = ex81.action.random_element(rng)
@@ -217,8 +217,8 @@ class TestInvariantize:
         for b in (ex81, nls):
             plan = b.plan(n_points=20, seed=9)
             ie = invariantize(b.frame, b.L)
-            lhs = deriv_op(shift(ie, (1,), b.sig), b.sig, b.frame.dcal_inv)
-            rhs = shift(deriv_op(ie, b.sig, b.frame.dcal_inv), (1,), b.sig)
+            lhs = b.frame.dcal(shift(ie, (1,), b.sig), b.sig)
+            rhs = shift(b.frame.dcal(ie, b.sig), (1,), b.sig)
             r = identity_check(lhs, rhs, plan, b.sig, tol=1e-8)
             assert r.passed, b.name
 
@@ -236,8 +236,8 @@ class TestInvariantize:
         assert reports and all(r.passed for r in reports) and residual <= 1e-8
         assert not frame.projectable
         ie = invariantize(frame, ex81.L)
-        lhs = deriv_op(shift(ie, (1,), sig), sig, frame.dcal_inv)
-        rhs = shift(deriv_op(ie, sig, frame.dcal_inv), (1,), sig)
+        lhs = frame.dcal(shift(ie, (1,), sig), sig)
+        rhs = shift(frame.dcal(ie, sig), (1,), sig)
         r = identity_check(lhs, rhs, ex81.plan(n_points=20, seed=31337), sig, tol=1e-8)
         assert not r.passed and np.isfinite(r.max_residual) and r.max_residual > 1e-2
 
@@ -423,10 +423,52 @@ class TestProlongation:
             for j in range(3 if sig.differential else 1):
                 for K in itertools.product(range(-2, 3), repeat=m):
                     got = inv.expand_var(FieldVar(kname, j, K))
-                    assert got is deriv_op(shift(base, K, sig), sig, inv.frame.dcal_inv,
-                                           times=j), (kname, j, K)
+                    assert got is deriv_op(shift(base, K, sig), sig, j,
+                                           inv.frame.dcal), (kname, j, K)
                     n += 1
         assert n == {"toda": 75, "ex81": 45, "nls": 75}[name]
+
+
+def _commutation_reports(frame, plan):
+    """Dcal S_k iota(e) against S_k Dcal iota(e) for 25 generated trees e, k = +-1.
+
+    A draw that raises an ``ExprError`` (a tree singular on the whole chart,
+    or a shift past the signature's radius) is skipped.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sig = frame.action.sig
+    reports = []
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @hypothesis.given(e=expr_trees(sig, max_leaves=8), k=st.sampled_from([1, -1]))
+    def check(e, k):
+        try:
+            ie = invariantize(frame, e)
+            lhs = frame.dcal(shift(ie, (k,), sig), sig)
+            rhs = shift(frame.dcal(ie, sig), (k,), sig)
+            reports.append(identity_check(lhs, rhs, plan, sig, tol=1e-8))
+        except ExprError:
+            hypothesis.assume(False)
+
+    check()
+    return reports
+
+
+class TestProjectableFrameOnGeneratedTrees:
+    """The paper's projectable-frame theorem: Dcal commutes with the shifts."""
+
+    @pytest.mark.parametrize("name", ["ex81", "nls"])
+    def test_dcal_commutes_with_the_shifts(self, name):
+        b = get_example(name)
+        reports = _commutation_reports(b.frame, b.plan(n_points=20, seed=9))
+        assert len(reports) >= 10
+        assert all(r.passed for r in reports), [r.max_residual for r in reports]
+
+    def test_non_projectable_frame_fails_on_a_draw(self, ex81):
+        frame = non_projectable_frame(ex81.action)
+        reports = _commutation_reports(frame, ex81.plan(n_points=20, seed=9))
+        assert any(not r.passed and 1e-2 < r.max_residual < np.inf for r in reports)
 
 
 class TestSyzygies:

@@ -1,12 +1,12 @@
 """Static checks on the package source: import placement and ``__all__``;
 that every function, class and method is named somewhere it is not
 defined; that every rebuild, and ``evaluate``, takes its node table from
-``expr._table``; that ``run_suite`` alone catches a suite's errors and
-records one report per check; that only the suites and the CLI build and
-name reports; that no
-function takes the signature, H, the frame or the action next to an
-argument that holds it; that no dataclass keeps a field its constructor
-cannot set; that the layer tracer
+``expr._table``; that no function takes ``dcal_inv`` and only ``expr.py``
+and ``actions.py`` call ``_rebuild``; that ``run_suite`` alone catches a
+suite's errors and records one report per check; that only the suites and
+the CLI build and name reports; that no function takes the signature, H,
+the frame or the action next to an argument that holds it; that no
+dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; that every expression node
 class is interned; that every stored formula of the catalog is read; and
 that the flow calls ``evaluate`` only in ``_on_lattice``."""
@@ -147,6 +147,21 @@ def test_every_rebuild_takes_its_table_from_the_run_memo():
             if not (isinstance(memo, ast.Call) and _name(memo.func) == "_table"):
                 offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
     assert calls and offenders == []
+
+
+def test_one_invariant_derivative_and_no_walker_outside_expr_and_transform():
+    # Frame.dcal is the one Dcal, so no function takes dcal_inv to build another,
+    # and a second derivation walker would call _rebuild from a third module
+    takes, callers = [], set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, FUNCTION_NODES):
+                a = node.args
+                if "dcal_inv" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    takes.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
+            elif isinstance(node, ast.Call) and _name(node.func) == "_rebuild":
+                callers.add(str(path.relative_to(PACKAGE_DIR)))
+    assert takes == [] and callers <= {"expr.py", "actions.py"}
 
 
 def test_evaluate_takes_its_table_from_the_run_memo():

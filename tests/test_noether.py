@@ -7,6 +7,7 @@ from lattice_frames.actions import Generator, GroupAction
 from lattice_frames.calculus import DivergenceTuple, euler_lagrange
 from lattice_frames.expr import (
     Const,
+    ExprError,
     FieldVar,
     Var,
     add,
@@ -21,7 +22,6 @@ from lattice_frames.frames import invariantize
 from lattice_frames.noether import (
     ConservationLaw,
     _expand_adj,
-    _formal_dcal,
     compare_laws,
     equivariant_coefficients,
     equivariant_form,
@@ -36,6 +36,7 @@ from lattice_frames.noether import (
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check
 from lattice_frames.suites import DRIFT_TOLS, run_suite
+from oracles import expr_trees
 
 
 def fv(name, *K, d=0):
@@ -292,7 +293,8 @@ class TestEquivariantForm:
 
 
 class TestFormalInvariantDerivative:
-    """The invariant derivative of adjoint symbols, taken formally, commutes with their expansion."""
+    """Dcal of a tree with adjoint symbols, taken with the symbols as jet variables, commutes
+    with their expansion: adj<s>_{j;K} stands for S_K D^j a^s_r(rho), like any field."""
 
     @staticmethod
     def _e():
@@ -303,15 +305,42 @@ class TestFormalInvariantDerivative:
     @pytest.mark.parametrize("r", [0, 1])
     def test_formal_dcal_then_expand_is_dcal_of_the_expansion(self, ex81, ex81_plan, r):
         sig, frame = ex81.sig, ex81.frame
-        got = _expand_adj(_formal_dcal(self._e(), sig, frame.dcal_inv), frame, r)
+        got = _expand_adj(frame.dcal(self._e(), sig), frame, r)
         want = frame.dcal(_expand_adj(self._e(), frame, r), sig)
         rep = identity_check(got, want, ex81_plan, sig, tol=1e-12)
         assert rep.passed, rep.max_residual
 
+    @pytest.mark.parametrize("name", ["ex81", "nls"])
+    def test_dcal_commutes_with_the_expansion_on_generated_trees(self, name, request):
+        # a generated tree times one shifted and differentiated adjoint symbol
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        b = request.getfixturevalue(name)
+        sig, frame, R = b.sig, b.frame, b.action.group_dim
+        plan = b.plan(n_points=8)
+        evaluated = []
+
+        @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+        @hypothesis.given(tree=expr_trees(sig, max_leaves=6), s=st.integers(1, R),
+                          j=st.integers(0, 2), k=st.integers(-1, 1), r=st.integers(0, R - 1))
+        def check(tree, s, j, k, r):
+            e = mul(tree, V(f"adj{s}", k, d=j))
+            try:
+                got = _expand_adj(frame.dcal(e, sig), frame, r)
+                want = frame.dcal(_expand_adj(e, frame, r), sig)
+                rep = identity_check(got, want, plan, sig, tol=1e-9)
+            except ExprError:
+                hypothesis.assume(False)
+            evaluated.append(rep.max_residual)
+            assert rep.passed, (e, s, j, k, r, rep.max_residual)
+
+        check()
+        assert len(evaluated) >= 20, len(evaluated)
+
     def test_plain_derivative_of_the_symbols_fails(self, ex81, ex81_plan):
-        # negative control: dcal_inv * D raises adj_j to adj_{j+1} as if that were D adj_j
+        # negative control: the plain D of the symbols is not Dcal of the expansion (dcal_inv = x)
         sig, frame = ex81.sig, ex81.frame
-        bad = _expand_adj(mul(frame.dcal_inv, total_derivative(self._e(), sig)), frame, 1)
+        bad = _expand_adj(total_derivative(self._e(), sig), frame, 1)
         want = frame.dcal(_expand_adj(self._e(), frame, 1), sig)
         rep = identity_check(bad, want, ex81_plan, sig, tol=1e-12)
         assert rep.max_residual > 1e-2
