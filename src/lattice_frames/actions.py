@@ -51,7 +51,7 @@ __all__ = [
 SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Generator:
     """Infinitesimal generator xi(x) d/dx + Q^alpha d/du^alpha in characteristic form."""
 
@@ -64,8 +64,10 @@ class Generator:
         return self.Q.get(fname, ZERO)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GroupAction:
+    """A group action in parameter coordinates: the maps of u and x, its law and generators."""
+
     name: str
     sig: object
     param_names: tuple

@@ -69,7 +69,7 @@ def unit_step(direction, m):
     return tuple(int(k == direction) for k in range(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinDiffOp:
     """Finite sum of terms (coeff, K, j) representing coeff * S_K * D^j."""
 
@@ -139,7 +139,7 @@ def euler_lagrange(L, field_name, sig):
                  for fv in sorted(fieldvars(L)) if fv.name == field_name])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DivergenceTuple:
     """(A^0; A^1,...,A^m): A^0 feeds the total x-derivative, absent for pure
     difference problems."""

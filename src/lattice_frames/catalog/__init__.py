@@ -56,8 +56,10 @@ AFFINE_GROUP = dict(
 )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExampleBundle:
+    """One catalog example: its Lagrangian in both expression spaces, its invariant set and plan."""
+
     name: str
     L: object
     invset: object

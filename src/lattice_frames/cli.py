@@ -343,6 +343,9 @@ def cmd_invariantize(args):
     kappa_form = None
     if None not in images.values() and not any(isinstance(n, XVar) for n in nodes(e)):
         kappa_form = to_string(substitute(e, images))
+    # a formula singular on the chart is no invariantization: evaluate() at
+    # the example's admissible points raises where iota(e) is singular
+    evaluate(out, b.plan(seed=args.seed, n_points=args.points).assignments([out], b.sig))
     if args.json:
         print(_json({"input": args.expression, "iota": to_string(out),
                      "kappa_form": kappa_form}))

@@ -54,7 +54,8 @@ import math
 import operator
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,12 +124,12 @@ class SingularEvaluationError(ExprError):
         self.subexpr = subexpr
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class FieldVar:
+class FieldVar(NamedTuple):
     """Reference to u^alpha with derivative order ``deriv`` and shift ``shift``.
 
-    FieldVars sort by (name, deriv, shift): the one order of sampled
-    coordinates, lattice reads and by-parts sums.
+    A FieldVar is the tuple ``(name, deriv, shift)``: it compares, hashes
+    and sorts as that tuple, so FieldVars sort by (name, deriv, shift), the
+    one order of sampled coordinates, lattice reads and by-parts sums.
     """
 
     name: str
@@ -145,7 +146,7 @@ class FieldVar:
         return f"{self.name}[{idx}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProblemSignature:
     """Declares the variables of one problem.
 
@@ -223,6 +224,12 @@ class Expr:
     which must then all be nodes, unless the class sets ``_key`` to a
     function of its fields: a class with other fields keys each of them on
     its value and type.
+
+    Each node class is a dataclass for its field list alone
+    (``dataclasses.fields`` gives its children's fields in order) and
+    declares its fields in ``__slots__``; this class gives every node its
+    one ``__repr__``, and the ``__setattr__`` and ``__delattr__`` that raise
+    ``FrozenInstanceError``.
     """
 
     __slots__ = ("_fvs", "__weakref__")
@@ -244,6 +251,16 @@ class Expr:
         ref = _INTERNED[key] = _InternRef(node, _forget)
         ref.key = key
         return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -283,79 +300,115 @@ def _items_key(cls, items):
     return (cls, *map(id, items))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+# The node classes: dataclasses for their field lists, with no generated
+# method (see Expr)
+_node = dataclass(init=False, eq=False, repr=False)
+
+
+@_node
 class Const(Expr):
+    """A number; constants alone compare and hash by value."""
+    __slots__ = ("value",)
     value: float
 
     # the bit pattern keeps 0.0 and -0.0 apart, the type 2 and 2.0
     _key = staticmethod(lambda value: (Const, type(value), _DOUBLE.pack(value)
                                        if isinstance(value, float) else value))
 
+    def __eq__(self, other):
+        # as 1-tuples, so that a NaN constant equals itself
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+    def __hash__(self):
+        return hash((self.value,))
+
+
+@_node
 class Param(Expr):
+    """A named parameter of the problem or of the group."""
+    __slots__ = ("name",)
     name: str
 
     _key = staticmethod(lambda name: (Param, name))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class XVar(Expr):
     """The continuous independent variable x."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Alt(Expr):
     """(-1)^(n^1+...+n^m); shifting by I multiplies by (-1)^(I^1+...+I^m)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Var(Expr):
+    """The field coordinate ``fv``."""
+    __slots__ = ("fv",)
     fv: FieldVar
 
     _key = staticmethod(lambda fv: (Var, fv.name, fv.deriv, fv.shift))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Sum(Expr):
+    """terms[0] + terms[1] + ..."""
+    __slots__ = ("terms",)
     terms: tuple
 
     _key = classmethod(_items_key)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Prod(Expr):
+    """factors[0] * factors[1] * ..."""
+    __slots__ = ("factors",)
     factors: tuple
 
     _key = classmethod(_items_key)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Pow(Expr):
+    """base^exponent, for an integer exponent."""
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
     _key = staticmethod(lambda base, exponent: (Pow, id(base), type(exponent), exponent))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Quot(Expr):
+    """num / den"""
+    __slots__ = ("num", "den")
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Neg(Expr):
+    """-arg"""
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class LnAbs(Expr):
+    """ln|arg|"""
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_node
 class Sqrt(Expr):
+    """sqrt(arg)"""
+    __slots__ = ("arg",)
     arg: Expr
 
 
@@ -492,11 +545,15 @@ _LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_lo
                     "_zero": _array(0.0)}
 
 
-def _function(signature, lines, **names):
-    """A function built once from source lines, with the lowered globals and ``names``."""
+def _functions(defs, **names):
+    """Functions built once from source, in one ``exec``, with the lowered globals and ``names``.
+
+    ``defs`` maps each function's name to its parameters and body lines.
+    """
     namespace = {**_LOWERED_GLOBALS, **names}
-    exec(f"def _f({signature}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace["_f"]
+    exec("".join(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+                 for name, (params, lines) in defs.items()), namespace)
+    return [namespace[name] for name in defs]
 
 
 class _Rule:
@@ -531,10 +588,7 @@ class _Rule:
         self.minus = minus
         self.test, self.tested, self.overflow = test, tested, overflow
         self.varying = any(f"{{{name}}}" in value for name in ("V", "x", "alt"))
-        self.datum = _function("node", [f"return {datum}"])
-        self.when = _function("node", [f"return {when}"])
         kids = [f"node.{f}" for f in fields]
-        self.children = _function("node", [f"return ({''.join('*' * fold + k + ', ' for k in kids)})"])
         # step(rec, a, node): the node's value at the assignment a, or the
         # error of evaluate(); rec gives a child's value
         if fold:
@@ -554,9 +608,12 @@ class _Rule:
         if overflow is not None:
             lines.append(f"if _any({overflow.format('c0', v='v')}): "
                          "raise _Singular('non-finite value of ' + _to_string(node), node)")
-        self.step = _function("rec, a, node", [*lines, "return v"],
-                              _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
-                              _missing=lambda message, k: MissingVariableError(message.format(k)))
+        self.datum, self.when, self.children, self.step = _functions(
+            {"datum": ("node", [f"return {datum}"]), "when": ("node", [f"return {when}"]),
+             "children": ("node", [f"return ({''.join('*' * fold + k + ', ' for k in kids)})"]),
+             "step": ("rec, a, node", [*lines, "return v"])},
+            _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
+            _missing=lambda message, k: MissingVariableError(message.format(k)))
 
 
 def _derive_zero(node, d):
@@ -657,7 +714,7 @@ def _varset(node):
     return out
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Assignment:
     """A point of the prolongation space: values for every variable in play.
 

@@ -63,7 +63,7 @@ class DenseOutputError(ExprError):
     """The dense-output arrays of a trajectory cannot be allocated."""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LatticeState:
     """Periodic lattice state: one value array per field, plus x and parameters."""
 
@@ -141,8 +141,10 @@ def step_count(x_span, dt):
     return n_steps
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Trajectory:
+    """The monitor sums of an integration at the times ``xs``, and its final state."""
+
     xs: np.ndarray
     monitor_sums: dict
     final: LatticeState

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Frame:
     """Right moving frame in parameter coordinates.
 
@@ -133,7 +133,7 @@ def right_equivariance_residual(frame, plan, n_group=10):
     return relative_residual(plan.assignments(list(frame.param_exprs), action.sig), residual)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class InvariantSet:
     """Generating invariants of a frame plus the machinery linking the two
     expression spaces.

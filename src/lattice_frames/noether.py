@@ -107,7 +107,7 @@ def invariant_euler_lagrange(IL):
     return out
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ConservationLaw:
     """Component tuple of one Noether law with bookkeeping metadata."""
 

@@ -13,8 +13,10 @@ the stream where drawing its candidates one at a time leaves it; a block
 in which that draw would retry a rejected integer is drawn one call at a
 time instead (see :func:`_draw_block`).  The guard tuple, lowered once per
 run by :func:`~lattice_frames.expr.compile_exprs`, tests a block in one
-call with its parameter columns bound, and rejects the candidates of the
-call's mask, at which a guard is singular.  The accepted points, the
+call with its parameter columns bound, its inputs read from the block's
+columns by position, and rejects the candidates of the call's mask, at
+which a guard is singular; the draw's one :class:`PointSet` is made from
+the accepted rows alone.  The accepted points, the
 rejection count and the point where sampling gives up are those of testing
 one candidate at a time with :meth:`Guard.ok`.
 
@@ -84,7 +86,7 @@ class SamplingExhaustedError(ExprError):
     """Guards rejected too many candidate points."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Guard:
     """``expr`` must stay >= margin ('pos') or |expr| >= margin ('abs')."""
 
@@ -208,7 +210,12 @@ def _draw_block(rng, lows, highs, size, m, b_lo, b_hi):
     return rows, bases
 
 
-@dataclass(frozen=True)
+def _alt(bases):
+    """(-1)^(n^1+...+n^m) at each base point, a row of ``bases``."""
+    return np.where(bases.sum(axis=1) % 2, -1.0, 1.0)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SamplePlan:
     """Deterministic admissible-point generator.
 
@@ -258,11 +265,15 @@ class SamplePlan:
             lowered["abs"] = np.array([g.kind != "pos" for g in self.guards], dtype=bool)[:, None]
             lowered["margins"] = np.array([g.margin for g in self.guards], dtype=float)[:, None]
         guard_bind, guard_vars = lowered["guards"]
-        # the variables outside the guards' find the one sorted tuple of the set
+        # the variables outside the guards' find the one sorted tuple of the
+        # set, and the position in it of each input of the lowered guards
         extra = frozenset().union(*[_varset(e) - lowered["vars"] for e in exprs])
-        names = lowered["names"].get(extra)
-        if names is None:
-            names = lowered["names"][extra] = tuple(sorted(lowered["vars"] | extra))
+        found = lowered["names"].get(extra)
+        if found is None:
+            names = tuple(sorted(lowered["vars"] | extra))
+            position = {fv: i for i, fv in enumerate(names)}
+            found = lowered["names"][extra] = names, [position[fv] for fv in guard_vars]
+        names, guard_cols = found
         variation_names = set(sig.variations.values())
         # the sets of one candidate stream, by size
         held = _table(("points", id(names), self.seed, tuple(self.value_range),
@@ -289,14 +300,11 @@ class SamplePlan:
         k, m = len(names), sig.lattice_dim
         b_lo, b_hi = BASE_RANGE
 
-        def points(rows, bases):
+        def columns(rows):
             # contiguous columns: coordinates, then x, then the parameters
             cols = rows.T.copy()
             cols[:k] += offsets[:, None]
-            return PointSet(dict(zip(names, cols[:k])), x=cols[k],
-                            params=dict(zip(sig.params, cols[k + 1:])),
-                            base=tuple(bases.T.copy()),
-                            alt=np.where(bases.sum(axis=1) % 2, -1.0, 1.0))
+            return cols, dict(zip(sig.params, cols[k + 1:]))
 
         rng = np.random.default_rng(np.random.PCG64(self.seed))
         kept = [(np.empty((0, len(lows))), np.empty((0, m), dtype=np.int64))]
@@ -312,10 +320,10 @@ class SamplePlan:
                     rows, bases = _draw_block(rng, lows, highs, size, m, b_lo, b_hi)
                 except ValueError as err:   # a dimension past numpy's largest
                     raise MemoryError(err) from None
-                block = points(rows, bases)
+                cols, params = columns(rows)
                 # the parameters are columns of the block, so they are bound per block
-                values, bad = guard_bind(block.params)([block.values[fv] for fv in guard_vars],
-                                                       block.x, block.alt)
+                values, bad = guard_bind(params)([cols[i] for i in guard_cols], cols[k],
+                                                 _alt(bases))
                 try:
                     stacked = np.array(values, dtype=float).reshape(len(values), size)
                 except ValueError:  # a guard that reads no input has one value: broadcast it
@@ -339,7 +347,10 @@ class SamplePlan:
                 else:
                     rejected += 1
             kept.append((rows[take], bases[take]))
-        out = points(*map(np.concatenate, zip(*kept)))
+        rows, bases = map(np.concatenate, zip(*kept))
+        cols, params = columns(rows)
+        out = PointSet(dict(zip(names, cols[:k])), x=cols[k], params=params,
+                       base=tuple(bases.T.copy()), alt=_alt(bases))
         for col in [*out.values.values(), out.x, *out.params.values(), *out.base, out.alt]:
             col.flags.writeable = False
         if _RUN.get() is not None:
@@ -347,7 +358,7 @@ class SamplePlan:
         return out
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CheckReport:
     """One verification result; serializes to the report JSON schema."""
 

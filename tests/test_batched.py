@@ -299,8 +299,8 @@ def test_point_set_columns_are_contiguous_arrays(name):
 
 @pytest.mark.parametrize("n_points", [10, 50])
 def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
-    # one point set per candidate block and one for the accepted points;
-    # toda's first block is accepted whole at either size
+    # one point set, of the accepted points: a candidate block is tested on
+    # its columns, read by position
     b = get_example("toda")
     built = []
     post_init = Assignment.__post_init__
@@ -312,7 +312,7 @@ def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
     monkeypatch.setattr(Assignment, "__post_init__", counting)
     pts = b.plan(n_points=n_points).assignments([b.L], b.sig)
     assert len(pts) == n_points
-    assert built == [PointSet, PointSet]
+    assert built == [PointSet]
 
 
 def columns(pts):

@@ -488,6 +488,17 @@ class TestOther:
         assert text.returncode == 0
         assert [line.split(" = ")[0] for line in text.stdout.splitlines()] == ["iota"]
 
+    @pytest.mark.parametrize("expression, error", [
+        # the frame sends u[0] to 0: a denominator 0 at every point, folded or not
+        ("x*u[1;0]/u[0]", "division by zero"),
+        ("u[1;0]*u[1]/u[0]", "constant division by zero"),
+    ])
+    def test_invariantize_singular_everywhere_fails(self, expression, error):
+        for args in (["invariantize", "ex81", expression],
+                     ["invariantize", "ex81", expression, "--json"]):
+            r = run_cli(*args)
+            assert (r.returncode, r.stdout, r.stderr) == (1, "", f"singular evaluation: {error}\n")
+
     def test_syzygy(self):
         r = run_cli("syzygy", "nls", "--points", "25")
         assert r.returncode == 0

@@ -8,8 +8,10 @@ the CLI build and name reports; that no function takes the signature, H,
 the frame or the action next to an argument that holds it; that no
 dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; that every expression node
-class is interned; that every stored formula of the catalog is read; and
-that the flow calls ``evaluate`` only in ``_on_lattice``."""
+class is interned, frozen and a dataclass with no generated method; that
+a FieldVar is the tuple of its fields; that every stored formula of the
+catalog is read; and that the flow calls ``evaluate`` only in
+``_on_lattice``."""
 
 import ast
 import dataclasses
@@ -289,11 +291,9 @@ def test_benchmark_tracer_installs_and_uninstalls():
 
 
 def _node_classes(cls=expr.Expr):
-    """Every concrete node class a module defines, however deep below ``cls``."""
+    """Every concrete node class, however deep below ``cls``."""
     for sub in cls.__subclasses__():
-        # dataclass(slots=True) replaces the class it decorates: skip the stale one
-        if dataclasses.is_dataclass(sub) and getattr(
-                sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+        if dataclasses.is_dataclass(sub):
             yield sub
         yield from _node_classes(sub)
 
@@ -319,6 +319,44 @@ def test_every_node_class_is_interned(cls):
 
     first = build()
     assert build() is first
+
+
+@pytest.mark.parametrize("cls", sorted(_node_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_node_classes_carry_no_generated_methods(cls):
+    # a node class is a dataclass for its field list alone: Expr.__new__ sets
+    # the fields, and Expr gives every node one repr and the frozen setattr
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == list(cls.__slots__) == list(cls.__match_args__)
+    params = cls.__dataclass_params__
+    assert not (params.init or params.eq or params.repr or params.order or params.frozen)
+    own = vars(cls)
+    assert "__init__" not in own and "__repr__" not in own
+    # constants alone compare by value, written by hand
+    assert ("__eq__" in own) == ("__hash__" in own) == (cls is expr.Const)
+    generated = [name for name, v in own.items() if getattr(getattr(
+        getattr(v, "__func__", v), "__code__", None), "co_filename", None) == "<string>"]
+    assert generated == []
+    node = cls(*[FRESH_FIELDS[f.type]() for f in dataclasses.fields(cls)])
+    for name in [*names, "_fvs", "other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert repr(node) == f"{cls.__name__}({', '.join(f'{n}={getattr(node, n)!r}' for n in names)})"
+
+
+def test_fieldvar_is_the_tuple_of_its_fields():
+    # a dict key and a sort key on every sampler request: tuple order and hashing
+    fvs = [expr.FieldVar(n, d, k) for n in ("v", "u") for d in (1, 0)
+           for k in ((1, -1), (0, 2), (-1, 0), (0, -2))]
+    assert sorted(fvs) == sorted(fvs, key=lambda fv: (fv.name, fv.deriv, fv.shift))
+    twin = expr.FieldVar("".join(["u", "v"]), int("2"), tuple([0, int("1000003")]))
+    again = expr.FieldVar("uv", 2, (0, 1000003))
+    assert twin is not again and twin == again and hash(twin) == hash(again)
+    assert hash(twin) == hash(("uv", 2, (0, 1000003)))
+    assert (twin.name, twin.deriv, twin.shift) == tuple(twin)
+    assert str(twin) == "uv[2;0,1000003]" and str(twin.shifted((1, -3))) == "uv[2;1,1000000]"
 
 
 def _expr_fields(node):
