@@ -64,7 +64,7 @@ class Generator:
         return self.Q.get(fname, ZERO)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GroupAction:
     """A group action in parameter coordinates: the maps of u and x, its law and generators."""
 

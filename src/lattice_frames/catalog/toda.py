@@ -118,15 +118,16 @@ L_kappa = ln_abs(KP(0, 0) - LM(0, 0))
 
 
 def _guards():
-    out = []
-    for i, j in product(range(-2, 3), repeat=2):
-        out.append(Guard(U(1 + i, 1 + j) - U(i, j), "pos"))
-        out.append(Guard(U(1 + i, j) - U(i, 1 + j), "abs"))
-        out.append(Guard(U(1 + i, j) - U(i, j), "abs"))
-        out.append(Guard(U(i, 1 + j) - U(i, j), "abs"))
-        out.append(Guard(U(1 + i, 1 + j) - U(1 + i, j), "abs"))
-        out.append(Guard(U(1 + i, 1 + j) - U(i, 1 + j), "abs"))
-    return tuple(out)
+    # neighbouring cells share edges: each (difference, kind) is guarded once
+    pairs = dict.fromkeys(
+        pair for i, j in product(range(-2, 3), repeat=2)
+        for pair in ((U(1 + i, 1 + j) - U(i, j), "pos"),
+                     (U(1 + i, j) - U(i, 1 + j), "abs"),
+                     (U(1 + i, j) - U(i, j), "abs"),
+                     (U(i, 1 + j) - U(i, j), "abs"),
+                     (U(1 + i, 1 + j) - U(1 + i, j), "abs"),
+                     (U(1 + i, 1 + j) - U(i, 1 + j), "abs")))
+    return tuple(Guard(diff, kind) for diff, kind in pairs)
 
 
 def _offsets(fv):

@@ -1204,7 +1204,7 @@ def to_string(e):
         if isinstance(node, Pow):
             b = rec(node.base, _PREC_ATOM)
             n = node.exponent if node.exponent >= 0 else f"({node.exponent})"
-            return f"{b}^{n}"
+            return f"({b}^{n})" if ctx > _PREC_POW else f"{b}^{n}"
         if isinstance(node, LnAbs):
             return f"ln({rec(node.arg, _PREC_SUM)})"
         return f"sqrt({rec(node.arg, _PREC_SUM)})"  # Sqrt, the one class left

@@ -51,31 +51,25 @@ class ParseError(ExprError):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^()\[\],;]))"
+    r"|(?P<sym>[-+*/^()\[\],;])"
+    r"|(?P<bad>\S))"
 )
 
 _DPREFIX_RE = re.compile(r"^d(\d+)$")
+_FUNCTIONS = {"ln": ln_abs, "abs": lambda e: sqrt(power(e, 2)), "sqrt": sqrt}
+# the binary operators by precedence level, the loosest first
+_BINARY = ({"+": add, "-": lambda a, b: add(a, neg(b))}, {"*": mul, "/": quot})
 
 
 class _Tokens:
     def __init__(self, text):
         self.text = text
         self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos, text)
-            if m.group("num") is not None:
-                self.toks.append(("num", m.group("num"), m.start()))
-            elif m.group("name") is not None:
-                self.toks.append(("name", m.group("name"), m.start()))
-            else:
-                self.toks.append(("sym", m.group("sym"), m.start()))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(), text)
+            self.toks.append((kind, m[kind], m.start()))
         self.i = 0
 
     def peek(self, offset=0):
@@ -153,13 +147,11 @@ def _parse_field(toks, sig, name, extra_deriv):
     toks.expect("]")
     fv = FieldVar(name, deriv + extra_deriv, tuple(shift))
     if len(fv.shift) != sig.lattice_dim:
-        raise ParseError(
-            f"field {name!r} takes {sig.lattice_dim} shift indices, got {len(fv.shift)}",
-            toks.peek()[2], toks.text)
+        toks.error(f"field {name!r} takes {sig.lattice_dim} shift indices, got {len(fv.shift)}")
     try:
         sig.check_var(fv)
     except ExprError as err:
-        raise ParseError(str(err), toks.peek()[2], toks.text)
+        toks.error(str(err))
     return Var(fv)
 
 
@@ -175,15 +167,11 @@ def _atom(toks, sig):
         return e
     if kind == "name":
         toks.next()
-        if val in ("ln", "abs", "sqrt"):
+        if val in _FUNCTIONS:
             toks.expect("(")
             inner = _expr(toks, sig)
             toks.expect(")")
-            if val == "ln":
-                return ln_abs(inner)
-            if val == "sqrt":
-                return sqrt(inner)
-            return sqrt(power(inner, 2))
+            return _FUNCTIONS[val](inner)
         m = _DPREFIX_RE.match(val)
         if m and toks.peek()[0] == "name" and toks.peek()[1] in sig.fields:
             _, fname, _ = toks.next()
@@ -225,21 +213,15 @@ def _factor(toks, sig):
     return _power(toks, sig)
 
 
-def _term(toks, sig):
-    e = _factor(toks, sig)
-    while toks.peek()[1] in ("*", "/"):
+def _expr(toks, sig, level=0):
+    """The operands of ``_BINARY[level]`` and up, folded left to right."""
+    if level == len(_BINARY):
+        return _factor(toks, sig)
+    ops = _BINARY[level]
+    e = _expr(toks, sig, level + 1)
+    while toks.peek()[1] in ops:
         _, op, pos = toks.next()
-        rhs = _factor(toks, sig)
-        e = _folded(mul(e, rhs) if op == "*" else quot(e, rhs), toks, pos)
-    return e
-
-
-def _expr(toks, sig):
-    e = _term(toks, sig)
-    while toks.peek()[1] in ("+", "-"):
-        _, op, pos = toks.next()
-        rhs = _term(toks, sig)
-        e = _folded(add(e, rhs) if op == "+" else add(e, neg(rhs)), toks, pos)
+        e = _folded(ops[op](e, _expr(toks, sig, level + 1)), toks, pos)
     return e
 
 

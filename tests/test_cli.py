@@ -195,6 +195,13 @@ class TestEulerLagrange:
         assert r.returncode == 0
         assert json.loads(r.stdout)["u"] == "0"
 
+    def test_power_of_a_power_prints_in_the_grammar(self):
+        r = run_cli("euler-lagrange", "(u[0]^2)^3")
+        assert r.returncode == 0
+        assert r.stdout.splitlines()[0] == "E_u(L) = 6*(u[0]^2)^2*u[0]"
+        again = run_cli("euler-lagrange", r.stdout.splitlines()[0].split(" = ")[1])
+        assert again.returncode == 0, again.stderr
+
     def test_parse_error_exit_2(self):
         r = run_cli("euler-lagrange", "u[0,0]*+", "--fields", "u", "--dim", "2")
         assert r.returncode == 2

@@ -107,6 +107,20 @@ class TestRoundTrip:
                     lv, rv = evaluate(e, a), evaluate(back, a)
                     assert abs(lv - rv) <= 1e-12 * (1 + abs(lv))
 
+    @pytest.mark.parametrize("inner, outer", [(2, 3), (-2, 3), (2, -3), (-1, -2)])
+    def test_power_of_a_power(self, inner, outer):
+        u = V("u", 0, 0)
+        e = power(power(u, inner), outer)
+        for tree in (e, mul(3, e, V("u", 1, 0)), -e, power(add(u, power(e, 2)), 2)):
+            assert parse(to_string(tree), SIG2) is tree
+        assert to_string(e).startswith(f"(u[0,0]^{inner if inner > 0 else f'({inner})'})^")
+
+    def test_substituted_power(self):
+        u = V("u", 0, 0)
+        e = substitute(power(u, 3), {u.fv: power(u, 2)})
+        assert to_string(e) == "(u[0,0]^2)^3"
+        assert parse(to_string(e), SIG2) is e
+
 
 class TestEvaluate:
     def test_toda_point(self, toda):

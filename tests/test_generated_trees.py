@@ -5,30 +5,38 @@ signatures of lattice dimension 1 and 2, difference and
 differential-difference.  On each tree :func:`partial`, :func:`shift` and
 :func:`substitute` must give the very node that ``oracles.reference_rebuild``
 builds by visiting every node, inside a run and outside one, and the printed
-tree must parse back to the same node.
+tree must parse back to the same node.  The Euler-Lagrange operator must
+annihilate the divergence of every tuple of generated components.
 """
 
 import contextlib
+from dataclasses import replace
 
 import pytest
 
 import oracles
 from lattice_frames import expr
+from lattice_frames.calculus import DivergenceTuple, divergence, euler_lagrange
 from lattice_frames.expr import (
     Const,
     ExprError,
     FieldVar,
     Param,
     ProblemSignature,
+    Sum,
     Var,
     XVar,
+    add,
+    evaluate,
     fieldvars,
     partial,
+    power,
     shift,
     substitute,
     to_string,
 )
 from lattice_frames.parser import parse
+from lattice_frames.sampling import SamplePlan, relative_residual
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -78,5 +86,43 @@ def test_pruned_builders_are_the_unpruned_walk(sig):
             assert moved is want if isinstance(want, expr.Expr) else moved == want
             assert substitute(e, rules, x_repl, param_rules) is oracles.reference_substitute(
                 e, rules, x_repl, param_rules)
+
+    check()
+
+
+def cancellation(e, points):
+    """Max of |e| over the largest of 1 and |t| for each term t of ``e``.
+
+    The rounding error of a sum that is 0 in exact arithmetic scales with
+    its largest term, which can be large where a generated tree is near a
+    singularity.
+    """
+    terms = e.terms if isinstance(e, Sum) else (e,)
+    return relative_residual(points, lambda a: (evaluate(e, a), [evaluate(t, a) for t in terms]))
+
+
+@pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
+def test_euler_lagrange_annihilates_divergences(sig):
+    # E(Div F) = 0: exactness of the variational complex (Hydon & Mansfield 2004)
+    sig = replace(sig, deriv_cap=8)   # room for the derivatives E takes of D A^0
+    trees = oracles.expr_trees(sig, max_leaves=6)
+    plan = SamplePlan(n_points=20, seed=5)
+    u0 = Var(FieldVar(sig.fields[0], 0, (0,) * sig.lattice_dim))
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @hypothesis.given(a0=trees if sig.differential else st.none(),
+                      comps=st.tuples(*[trees] * sig.lattice_dim))
+    def check(a0, comps):
+        try:
+            div = divergence(DivergenceTuple(a0, comps), sig)
+            els = [euler_lagrange(div, f, sig) for f in sig.fields]
+            control = euler_lagrange(add(div, power(u0, 2)), u0.fv.name, sig)
+            points = plan.assignments(els + [control], sig)
+            residuals = [cancellation(el, points) for el in els]
+            control_residual = cancellation(control, points)
+        except ExprError:
+            hypothesis.assume(False)
+        assert max(residuals) <= 1e-9, residuals
+        assert control_residual > 1e-9
 
     check()
