@@ -541,6 +541,8 @@ def _any(mask):
 # the code compile_exprs() generates; _zero is the 0 of the body's mask tests.
 _LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_log": np.log,
                     "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
+                    "_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
+                    "_negative": np.negative,
                     "_asarray": functools.partial(np.asarray, dtype=np.float64),
                     "_zero": _array(0.0)}
 
@@ -831,6 +833,16 @@ class Lowering:
     FieldVars read from ``V``, in slot order; ``bound`` maps a closure name
     to its datum.
 
+    A body node whose value is an array over the sites (it reads ``V`` or
+    ``alt``) and that is not a leaf also has a line that computes it into a
+    buffer of its own, the array its name holds when the line runs:
+    ``in_place`` maps the body position of the node's line to it,
+    ``buffers`` names these nodes in order, and :meth:`lines` prints them
+    when asked.  The line makes the calls of the node's value in the same
+    order, each with the buffer as its positional ``out`` (``IN_PLACE``),
+    so the values are the same bit for bit and no call allocates its
+    result.
+
     A number bound as a datum, a constant or an exponent, is a read-only 0-d
     float64 array; a prelude value that a body line reads is converted to a
     float64 array once per binding, by one prelude line; and a body line's
@@ -841,12 +853,26 @@ class Lowering:
     same bit for bit.
     """
 
+    # the value of each rule that calls a ufunc, as the calls that write the node's buffer
+    # {out}; a fold applies its template to the buffer and the next child
+    IN_PLACE = {
+        "{0} + {1}": "_add({0}, {1}, {out})",
+        "{0} - {1}": "_subtract({0}, {1}, {out})",
+        "{0} * {1}": "_multiply({0}, {1}, {out})",
+        "-{0}": "_negative({0}, {out})",
+        "_power({0}, {k})": "_power({0}, {k}, {out})",
+        "_divide({0}, {1})": "_divide({0}, {1}, {out})",
+        "_log(_abs({0}))": "_log(_abs({0}, {out}), {out})",
+        "_sqrt({0})": "_sqrt({0}, {out})",
+    }
+
     def __init__(self, exprs, n_first=0):
         names = {}          # id(node) -> (name holding its value, whether it varies per point)
         slots = {}          # FieldVar -> its index in the values sequence
         tests = set()       # the mask tests emitted
         arrays = set()      # the prelude names converted to float64 arrays
         self.prelude, self.body, self.bound = [], [], {}
+        self._computed = []  # (body position, name, rule, children, minus flags, datum)
 
         def as_array(name):
             # a prelude value a body line reads: converted once per binding
@@ -891,6 +917,8 @@ class Lowering:
                 value = rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt")
             name = f"t{len(names)}"
             lines = self.body if varying else self.prelude
+            if varying:
+                self._computed.append((len(lines), name, rule, kids, minus, k))
             lines.append((f"{name} = {value}", False))
             if rule.overflow is not None:
                 lines.append((f"m = m | ({rule.overflow.format(args[0][0], v=name)})", True))
@@ -903,9 +931,39 @@ class Lowering:
         self.results += [rec(e)[0] for e in exprs[n_first:]]
         self.variables = tuple(slots)
 
-    def lines(self, end=None, checked=False):
-        """The body lines up to ``end``, with the overflow tests when ``checked``."""
-        return [line for line, overflow in self.body[:end] if checked or not overflow]
+    @functools.cached_property
+    def in_place(self):
+        """Body position -> the line that computes the node of ``buffers`` there into its buffer.
+
+        Printed on first use, for the flow alone.
+        """
+        sited, lines = set(), {}    # sited: the names of the values that are arrays over the sites
+        for j, name, rule, kids, minus, k in self._computed:
+            if "{V}" in rule.value or "{alt}" in rule.value or sited.intersection(kids):
+                sited.add(name)
+                if rule.fold and len(kids) > 1:
+                    into = kids[0]
+                    for kid, m in zip(kids[1:], minus[1:]):
+                        into = self.IN_PLACE[rule.minus if m else rule.value].format(
+                            into, kid, out=name)
+                    lines[j] = into
+                elif rule.value in self.IN_PLACE:
+                    lines[j] = self.IN_PLACE[rule.value].format(*kids, k=k, out=name)
+        return lines
+
+    @functools.cached_property
+    def buffers(self):
+        """The names of the nodes that :attr:`in_place` computes into their buffers, in order."""
+        return [name for j, name, *_ in self._computed if j in self.in_place]
+
+    def lines(self, end=None, checked=False, in_place=False):
+        """The body lines up to ``end``, with the overflow tests when ``checked``.
+
+        With ``in_place``, each node of ``buffers`` is computed into its buffer.
+        """
+        put = self.in_place if in_place else {}
+        return [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
+                if checked or not overflow]
 
     def source(self, functions):
         """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""

@@ -2,21 +2,36 @@
 
 The right-hand sides and the monitored densities are expressions over the
 problem's fields (derivative order 0, shifts only); a field shifted by k is
-read through the index array (n + k) mod N, built once per integration.
+read at the sites (n + k) mod N, through index arrays built once per
+integration.
 
 :func:`integrate_lattice_flow` lowers the right-hand side and the monitors
 together by :class:`~lattice_frames.expr.Lowering` and binds the
 parameters, once per integration, so nodes of constants and parameters
 alone, such as ``h^2``, are computed and tested once.  One function runs
-whole classical fourth-order Runge-Kutta steps as straight-line numpy code
-(the four stages, the combination, the norm check, and the monitors and
-the right-hand side at the new state, the first stage of the next step),
-in one numpy error state that raises on overflow, division by zero and
+whole classical fourth-order Runge-Kutta steps as numpy code (the three
+stages, the combination, the norm check, and the monitors and the
+right-hand side at the new state, the first stage of the next step), in
+one numpy error state that raises on overflow, division by zero and
 invalid values; its numbers are 0-d float64 arrays, and ``x`` a Python
-float.  The monitor densities go to the rows of a block of at most
-``BLOCK_VALUES`` values, and one ``np.sum(axis=1)`` per monitor, with
-overflow quiet, sums them when the block fills and at the last state, each
-row bit for bit as its own ``sum()``.
+float.  The lines of a stage are printed once and run in a loop over the
+stages' factors, sources and destinations.
+
+A step computes in place.  The evolved fields are the rows of one ``(F,
+N)`` array, as is each right-hand side, so a stage input ``Y + f K``, the
+combination and the norm test are each one call per operation for all the
+fields, and one ``take`` gathers every read of them, shifted or not.
+Every node whose value is an array over the sites writes into a buffer of
+its own through the ufunc's positional ``out``, and the right-hand side of
+a field straight into its row of the stage's destination; only a mask
+test of a node that can be singular at a site makes a new array.  All
+buffers are allocated once per integration.  A step writes the state and
+right-hand side it ends at into the other of two arrays each, so a step
+that stops leaves the state it started from whole.  The monitor densities
+go to the rows of a block of at most ``BLOCK_VALUES`` values, and one
+``np.sum(axis=1)`` per monitor, with overflow quiet, sums them when the
+block fills and at the last state, each row bit for bit as its own
+``sum()``.
 
 A step that raises, or at which a node is singular or the field norm
 fails, is taken again, as is the initial state, by a function of the same
@@ -154,10 +169,15 @@ class Trajectory:
 def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks):
     """``(start, fast, checked)``, the lowered RK4 functions of one integration.
 
-    ``start(Y..., x, 0)`` records the initial state and returns its
-    right-hand side ``K``.  From state ``i``, ``fast(Y..., K..., X, i)``
-    takes steps while they succeed, and ``checked`` takes one or raises its
-    error; each returns ``(i, Y, K, X)`` at its last state.
+    The evolved fields of a state, and each right-hand side, are the rows
+    of an ``(F, N)`` array, in the order of ``rhs``.  ``start(x, 0)``
+    records the initial state and returns it and its right-hand side
+    ``K``.  From state ``i``, ``fast(Y, K, X, i)`` takes steps while they
+    succeed, and ``checked`` takes one or raises its error; each returns
+    ``(i, Y, K, X)`` at its last state.  All of them compute in buffers
+    allocated here: a state and its ``K`` are one of two each, and a step
+    writes the other two, so the arrays of the state it started from are
+    whole when it stops.
     """
     lowering = Lowering([*rhs.values(), *monitors.values()], n_first=len(rhs))
     n_sites, rows = state.n_sites, blocks.shape[1]
@@ -173,74 +193,93 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         for block, series in zip(blocks, sums.values()):
             series[first:i + 1] = np.sum(block[:i + 1 - first], axis=1)
 
+    # the two states and right-hand sides, the stage input, the stages' right-hand
+    # sides B, C and D, and the combination's two scratch arrays
+    Ya, Yb, Ka, Kb, A, B, C, D, S, T = np.empty((10, len(rhs), n_sites))
+    for f, name in enumerate(rhs):
+        Ya[f] = state.fields[name]
+    # the values of V: a read of an evolved field is a row of G, which one take
+    # fills from the input fields; a field the flow only reads is read once
+    sites, position = np.arange(n_sites), {name: f for f, name in enumerate(rhs)}
+    evolved = [(position[name], k) for name, k in reads if name in rhs]
+    G = np.empty((len(evolved), n_sites))
+    gather = np.array([f * n_sites + (index[k] if k else sites) for f, k in evolved],
+                      dtype=np.intp)
+    values, g = [], iter(G)
+    for name, k in reads:
+        values.append(next(g) if name in rhs else
+                      state.fields[name][index[k]] if k else state.fields[name])
+    ks, densities = lowering.results[:len(rhs)], lowering.results[len(rhs):]
+    # a right-hand side that has a buffer is computed straight into the destination
+    # row of the first field it is the right-hand side of; any other is copied there
+    owner = {k: f for f, k in reversed(list(enumerate(ks))) if k in lowering.buffers}
+    targets = "(" + "".join(f"{k}, " if owner.get(k) == f else f"_R{f}, "
+                            for f, k in enumerate(ks)) + ")"
+    copies = [f"_R{f}[...] = {k}" for f, k in enumerate(ks) if owner.get(k) != f]
+    nodes = [name for name in lowering.buffers if name not in owner]
+    buffers = np.empty((len(nodes), n_sites))
+
     at_state = [*monitors.values(), *rhs.values()]     # as the stage-by-stage loop has them
-    shifted = {k: f"_i{j}" for j, k in enumerate(index)}
-    # a field the flow reads but does not evolve -> its global name
-    held = {name: f"_F{j}" for j, name in enumerate(dict.fromkeys(
-        name for name, _ in reads if name not in rhs))}
     # a stage factor is a Python float for x and a 0-d array, suffixed _a, for the fields
-    glob = {"alt": (-1.0) ** np.arange(n_sites), "_xs": xs, "_n": n_steps, "_rows": rows,
+    half_a = _array(0.5 * dt)
+    glob = {"alt": (-1.0) ** sites, "_xs": xs, "_n": n_steps, "_rows": rows,
             "_last": rows - 1, "_flush": flush, "_fail": fail, "_blown": _blown,
             "_rhs": list(rhs.values()), "_monitors": list(monitors.values()),
-            "_at_state": at_state, "_half": 0.5 * dt, "_dt": dt, "_half_a": _array(0.5 * dt),
-            "_dt_a": _array(dt), "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0),
-            "_x0": state.x, "_blow_up": blow_up, **{shifted[k]: idx for k, idx in index.items()},
-            **{g: state.fields[name] for name, g in held.items()},
+            "_at_state": at_state, "_half": 0.5 * dt, "_half_a": half_a, "_dt": dt,
+            "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0), "_x0": state.x,
+            "_blow_up": blow_up, "_take": np.ndarray.take, "_max": np.maximum.reduce,
+            "_gather": gather, "_V": tuple(values), "_nodes": tuple(buffers),
+            "_Ya": Ya, "_Yb": Yb, "_Ka": Ka, "_Kb": Kb, "_Kat": tuple(Ka), "_Kbt": tuple(Kb),
+            "_A": A, "_B": B, "_C": C, "_D": D, "_S": S, "_T": T, "_G": G, "_Bt": tuple(B),
+            # the second and third stages: x and field factors, source, destination rows
+            "_stages": ((0.5 * dt, half_a, B, tuple(C)), (dt, _array(dt), C, tuple(D))),
             **{f"_d{j}": block for j, block in enumerate(blocks)}}
 
-    F = range(len(rhs))
-    ks, densities = lowering.results[:len(rhs)], lowering.results[len(rhs):]
-
-    def args(prefix):
-        return "".join(f"{prefix}{f}, " for f in F)
-
-    def inputs(prefix):
-        arrays = {**{name: f"{prefix}{f}" for f, name in enumerate(rhs)}, **held}
-        return "V = (" + "".join(f"{arrays[name]}{f'[{shifted[k]}]' if k else ''}, "
-                                 for name, k in reads) + ")"
-
-    def singular(exprs, prefix, checked):
+    def singular(exprs, fields, checked):
         # where the fast step stops, the checked one evaluates exprs: evaluate raises
-        stop = f"_fail({exprs}, x, {args(prefix)})" if checked else "break"
+        stop = f"_fail({exprs}, x, *{fields})" if checked else "break"
         return f"if m is not False and _any(m): {stop}"
 
-    def stage(factor, k, out, checked):
-        # the right-hand side at y + factor * k, x + factor, as the stage-by-stage loop computes
-        # it; the fast step tests its mask once, at the new state
-        lines = [f"x = X + {factor}", *(f"A{f} = Y{f} + {factor}_a * {k}{f}" for f in F),
-                 inputs("A"), *lowering.lines(end=lowering.first_end, checked=checked),
-                 *(f"{out}{f} = {ks[f]}" for f in F)]
-        return [*lines, singular("_rhs", "A", checked)] if checked else lines
-
-    def at(prefix, exprs, checked):
-        # the monitors and the right-hand side at the state held in prefix0, ...
-        return [inputs(prefix), *lowering.lines(checked=checked), singular(exprs, prefix, checked)]
+    def at(fields, destination, end=None, checked=True):
+        # the nodes at the fields' values, the right-hand side into the destination rows
+        take = [f"_take({fields}, _gather, None, _G, 'clip')"] if evolved else []
+        return [*take, f"{targets} = {destination}",
+                *lowering.lines(end=end, checked=checked, in_place=True), *copies]
 
     record = ["_xs[i] = x", "r = i % _rows", *(f"_d{j}[r] = {d}" for j, d in enumerate(densities)),
               "if r == _last or i == _n: _flush(i)"]
 
     def step(checked):
         # from state i to i + 1; the right-hand side at the last state may be singular
-        blown = f"_blown(x, {args('Z')})" if checked else "break"
-        return ["m = bad", *stage("_half", "K", "B", checked), *stage("_half", "B", "C", checked),
-                *stage("_dt", "C", "D", checked),
-                *(f"Z{f} = Y{f} + _sixth_a * (K{f} + _two_a * B{f} + _two_a * C{f} + D{f})"
-                  for f in F),
+        blown = "_blown(x, *Z)" if checked else "break"
+        # the right-hand side at Y + factor * source, X + dx, into the destination rows, as
+        # the stage-by-stage loop computes it; the fast step tests its mask once, at the new state
+        stage = ["x = X + dx", "_add(Y, _multiply(factor, source, _A), _A)",
+                 *at("_A", "destination", lowering.first_end, checked),
+                 *([singular("_rhs", "_A", True)] if checked else [])]
+        return ["m = bad", "Z = _Yb if Y is _Ya else _Ya",
+                "Kn, Knt = (_Kb, _Kbt) if K is _Ka else (_Ka, _Kat)",
+                "for dx, factor, source, destination in ((_half, _half_a, K, _Bt), *_stages):",
+                *("    " + line for line in stage),
+                "_add(K, _multiply(_two_a, _B, _T), _S)",
+                "_add(_S, _multiply(_two_a, _C, _T), _S)",
+                "_add(_S, _D, _S)",
+                "_add(Y, _multiply(_sixth_a, _S, _S), Z)",
                 "x = _x0 + (i + 1) * _dt",
-                *(f"if not _abs(Z{f}).max() <= _blow_up: {blown}" for f in F),
-                *at("Z", "_at_state if i + 1 < _n else _monitors", checked),
-                f"i, {args('Y')}{args('K')}X = i + 1, {args('Z')}{''.join(f'{k}, ' for k in ks)}x",
-                *record]
+                *([f"if not _max(_abs(Z, _S), None) <= _blow_up: {blown}"] if rhs else []),
+                *at("Z", "Knt", checked=checked),
+                singular("_at_state if i + 1 < _n else _monitors", "Z", checked),
+                "i, Y, K, X = i + 1, Z, Kn, x", *record]
 
-    from_state = f"{args('Y')}{args('K')}X, i"
-    returned = f"return i, ({args('Y')}), ({args('K')}), X"
+    prologue = ["V = _V", f"({''.join(name + ', ' for name in nodes)}) = _nodes"]
+    returned = "return i, Y, K, X"
     functions = {
-        "_start": (f"{args('Y')}x, i", ["m = bad", *at("Y", "_at_state", True), *record,
-                                        f"return ({''.join(f'{k}, ' for k in ks)})"]),
-        "_fast": (from_state, ["try:", "    while i < _n:",
-                               *("        " + line for line in step(False)),
-                               "except FloatingPointError:", "    pass", returned]),
-        "_checked": (from_state, [*step(True), returned]),
+        "_start": ("x, i", [*prologue, "m = bad", *at("_Ya", "_Kat"),
+                            singular("_at_state", "_Ya", True), *record, "return _Ya, _Ka"]),
+        "_fast": ("Y, K, X, i", [*prologue, "try:", "    while i < _n:",
+                                 *("        " + line for line in step(False)),
+                                 "except FloatingPointError:", "    pass", returned]),
+        "_checked": ("Y, K, X, i", [*prologue, *step(True), returned]),
     }
     try:
         return lowering.compile(functions, **glob)(state.params)
@@ -300,15 +339,16 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
 
     start, fast, checked = _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up,
                                           xs, sums, blocks)
-    y, i, x = [state.fields[name] for name in rhs], 0, x_span[0]
-    k = _quiet_overflow(start, *y, x, i)
+    i, x = 0, x_span[0]
+    y, k = _quiet_overflow(start, x, i)
     while i < n_steps:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            i, y, k, x = fast(*y, *k, x, i)
+            i, y, k, x = fast(y, k, x, i)
         if i < n_steps:
             # step i + 1 failed: taken again, it raises its error or is recorded
-            i, y, k, x = _quiet_overflow(checked, *y, *k, x, i)
-    state.fields.update(zip(rhs, y))
+            i, y, k, x = _quiet_overflow(checked, y, k, x, i)
+    # the final fields own their values: y is a step buffer
+    state.fields.update(zip(rhs, [row.copy() for row in y]))
     state.x = x
     return Trajectory(xs, sums, state, stability_ok)
 

@@ -13,7 +13,9 @@ Grammar (UTF-8 text)::
 ``u[k1,k2]`` is the field value shifted by the multi-index (k1,k2);
 ``u[j;k]`` carries j x-derivatives; ``dJ u[...]`` applies J further
 x-derivatives.  ``ln`` always means ln|.|; ``abs(e)`` is encoded as
-sqrt(e^2); ``alt`` is the lattice coefficient (-1)^(n^1+...+n^m).
+sqrt(e^2); ``alt`` is the lattice coefficient (-1)^(n^1+...+n^m).  Numbers
+and indices are written in the ASCII digits 0-9: any other character that is
+not a name, an operator or whitespace is an error.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class ParseError(ExprError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<sym>[-+*/^()\[\],;])"
     r"|(?P<bad>\S))"

@@ -221,6 +221,19 @@ def test_singular_monitor_raises_the_reference_error(monitor, message):
     assert got.value.subexpr is want.value.subexpr
 
 
+def test_singular_stage_raises_the_reference_error(nls):
+    # at h = 1e-150, u[0]^2 overflows in the second stage of the first step:
+    # the step taken again tests each stage, and evaluate raises at the second
+    cfg = nls.integrate_config
+    state0 = cfg["initial_state"](16, 1e-150)
+    with pytest.raises(SingularEvaluationError) as want:
+        reference_flow(cfg["rhs"], state0, (0.0, 0.01), 1e-3, cfg["monitors"])
+    with pytest.raises(SingularEvaluationError) as got:
+        integrate_lattice_flow(cfg["rhs"], state0, (0.0, 0.01), 1e-3, monitors=cfg["monitors"])
+    assert str(got.value) == str(want.value) == "non-finite value of u[0]^2"
+    assert got.value.subexpr is want.value.subexpr
+
+
 @pytest.mark.parametrize("n_sites", [1, 5])
 def test_flow_reading_x_alt_and_a_parameter_matches_reference(n_sites):
     u, w, a = var("u"), var("w"), Param("a")
@@ -324,6 +337,84 @@ def test_constant_monitor_and_parameter_rhs_broadcast():
     state0 = LatticeState({"u": np.linspace(0.0, 1.0, 7), "c": np.zeros(7)},
                           0.0, {"a": 0.7})
     assert_same_trajectory(rhs, state0, (0.0, 0.1), 0.01, monitors)
+
+
+def interned_rhs():
+    # two right-hand sides built apart are one node
+    rhs = {"u": var("u") * var("v", 1), "v": var("u") * var("v", 1)}
+    assert rhs["u"] is rhs["v"]
+    return rhs
+
+
+# right-hand sides whose values alias an input or each other, or are no array at all
+ALIASING_FLOWS = {
+    "bare-field": lambda: {"u": var("v"), "v": -var("u")},
+    "constant": lambda: {"u": Const(1.5), "v": var("u", 1) - var("v")},
+    "interned": interned_rhs,
+    "three-field": lambda: {"u": var("v", 1) - var("w", -1),
+                            "v": var("w") * var("u") + Const(0.25),
+                            "w": -(var("u", 1) * var("v"))},
+}
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 16, 1000])
+@pytest.mark.parametrize("case", list(ALIASING_FLOWS))
+def test_aliasing_right_hand_sides_match_reference(case, n_sites):
+    rhs = ALIASING_FLOWS[case]()
+    n = np.arange(n_sites)
+    state0 = LatticeState({"u": np.cos(0.3 * n + 0.1), "v": np.sin(0.7 * n + 0.2),
+                           "w": 0.5 + 0.1 * np.cos(n)}, 0.0, {})
+    before = {name: values.copy() for name, values in state0.fields.items()}
+    monitors = {"square": var("u") * var("u") + var("v") * var("v"), "v": var("v")}
+    assert_same_trajectory(rhs, state0, (0.0, 0.05), 1e-2, monitors)
+    first = integrate_lattice_flow(rhs, state0, (0.0, 0.05), 1e-2, monitors=monitors)
+    second = integrate_lattice_flow(rhs, state0, (0.0, 0.05), 1e-2, monitors=monitors)
+    # the initial state is read, never written, and each integration starts from it
+    for name, values in before.items():
+        assert state0.fields[name].tobytes() == values.tobytes(), name
+    for name in state0.fields:
+        assert first.final.fields[name].tobytes() == second.final.fields[name].tobytes(), name
+    for label in monitors:
+        assert first.monitor_sums[label].tobytes() == second.monitor_sums[label].tobytes()
+    # the final fields own their values, so no later integration writes them
+    for values in first.final.fields.values():
+        assert values.base is None and values.flags.owndata
+
+
+@pytest.mark.parametrize("where", ["third stage", "new state"])
+def test_overflow_late_in_a_step_resumes_from_the_last_good_state(where, monkeypatch):
+    # u*u*s overflows where s = 1e298 / ((x - 0.5)^2 + 1e-10) is near 1e308: at
+    # x = 0.5 only (dt = 1/8 keeps every x exact), in the step from x = 0.375.
+    # In the right-hand side it overflows in the third stage, after the first
+    # two stages and the third's first nodes wrote their buffers; in a monitor,
+    # at the new state, after the right-hand side there was written.  Taken
+    # again with overflow quiet, 1 / (1 + inf) is 0, and a monitor sum inf.
+    u = var("u")
+    big = u * u * (Const(1e298) / (power(XVar() - Const(0.5), 2) + Const(1e-10)))
+    rhs = -u + Const(0.1) * var("u", 1)
+    if where == "third stage":
+        rhs, monitors = {"u": rhs + Const(1) / (Const(1) + big)}, {"u": u}
+    else:
+        rhs, monitors = {"u": rhs}, {"u": u, "big": big}
+    state0 = LatticeState({"u": np.array([3.0, 2.5, 3.5])}, 0.0, {})
+    retaken = []
+    lowered_steps = flows._lowered_steps
+
+    def recording(*args):
+        start, fast, checked = lowered_steps(*args)
+
+        def checked_(y, k, x, i):
+            retaken.append((i, x, y.copy()))
+            return checked(y, k, x, i)
+        return start, fast, checked_
+
+    monkeypatch.setattr(flows, "_lowered_steps", recording)
+    assert_same_trajectory(rhs, state0, (0.0, 1.0), 0.125, monitors)
+    # one step is taken again, from the state the fast step started it from, whole
+    [(i, x, y)] = retaken
+    assert (i, x) == (3, 0.375)
+    _, _, want = reference_flow(rhs, state0, (0.0, 0.375), 0.125, {})
+    assert y[0].tobytes() == want["u"].tobytes()
 
 
 U = var("u")
@@ -770,7 +861,8 @@ def test_lowered_code_takes_no_scalar_operand(nls, monkeypatch):
     cfg = nls.integrate_config
     integrate_lattice_flow(cfg["rhs"], cfg["initial_state"](16, 0.5), (0.0, 0.01), 1e-3,
                            monitors=cfg["monitors"])
-    assert len(calls) == 1 and "A0 = Y0 + _half_a * K0" in calls[0][0]
+    assert len(calls) == 1 and "_add(Y, _multiply(factor, source, _A), _A)" in calls[0][0]
+    assert type(calls[0][2]["_half_a"]) is np.ndarray
     for name in ("toda", "ex81", "nls"):
         b = get_example(name)
         b.plan(n_points=5).assignments([b.L], b.sig)
@@ -799,3 +891,65 @@ def test_scalar_operands_are_found():
     assert unconverted_reads(source) == []
     unconverted = source.replace("t3 = _asarray(t3)", "pass")
     assert unconverted != source and unconverted_reads(unconverted) == ["t3"]
+
+
+UFUNCS = {name: ufunc for name, ufunc in expr._LOWERED_GLOBALS.items()
+          if isinstance(ufunc, np.ufunc)}
+
+
+def test_fast_step_computes_into_buffers_and_prints_its_stage_once(nls, monkeypatch):
+    calls = recorded_compiles(monkeypatch)
+    cfg = nls.integrate_config
+    integrate_lattice_flow(cfg["rhs"], cfg["initial_state"](16, 0.5), (0.0, 0.01), 1e-3,
+                           monitors=cfg["monitors"])
+    [(source, _, _)] = calls
+    prelude = ast.parse(source).body[0].body[0]
+    functions = {fn.name: fn for fn in prelude.body if isinstance(fn, ast.FunctionDef)}
+    [loop] = [node for node in ast.walk(functions["_fast"]) if isinstance(node, ast.While)]
+    ufunc_calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id in UFUNCS]
+    assert len(ufunc_calls) > 50
+    for node in ufunc_calls:
+        # every ufunc call passes its output buffer, positionally
+        assert len(node.args) == UFUNCS[node.func.id].nin + 1, ast.unparse(node)
+    for node in ast.walk(loop):
+        # an assignment computes nothing but x and the step and row counters:
+        # every other value is a name, a read of V, a choice of buffer, or a reduction
+        if isinstance(node, ast.Assign):
+            computed = [n for n in ast.walk(node.value) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
+            if computed:
+                assert ast.unparse(node.targets[0]) in ("x", "r", "(i, Y, K, X)"), \
+                    ast.unparse(node)
+    # the stage lines are printed once, in a loop over the three stages, and the
+    # right-hand side's nodes twice: in the stage and at the new state
+    fast = ast.unparse(functions["_fast"])
+    [stages] = [node for node in ast.walk(loop) if isinstance(node, ast.For)]
+    assert fast.count("_add(Y, _multiply(factor, source, _A), _A)") == 1
+    assert "_add(Y, _multiply(factor, source, _A), _A)" in ast.unparse(stages)
+    lowering = Lowering([*cfg["rhs"].values(), *cfg["monitors"].values()], n_first=2)
+    rhs_lines = lowering.lines(end=lowering.first_end, in_place=True)
+    assert all(fast.count(line) == 2 for line in rhs_lines)
+    assert source.count(rhs_lines[-1]) == 2 + 2 + 1    # fast, checked, start
+
+
+@pytest.mark.parametrize("template", sorted(Lowering.IN_PLACE))
+def test_in_place_forms_match_the_rule_values_bit_for_bit(template):
+    # each rule's in-place form gives its value's bits, specials included, and
+    # writes them into the buffer it is given
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e-310, 5e-324]
+    a = np.concatenate([specials, rng.normal(scale=1e3, size=22)])
+    b = np.concatenate([specials[::-1], rng.normal(scale=1e-2, size=22)])
+    names = {**expr._LOWERED_GLOBALS, "a": a, "b": b, "k": np.array(3.0)}
+    with np.errstate(all="ignore"):
+        want = eval(template.format("a", "b", k="k"), names)
+        out = names["out"] = np.empty_like(a)
+        got = eval(Lowering.IN_PLACE[template].format("a", "b", k="k", out="out"), names)
+    assert got is out and out.tobytes() == want.tobytes()
+
+
+def test_every_rule_that_computes_has_an_in_place_form():
+    leaves = {Const, Param, XVar, Alt, Var}
+    templates = {rule.value for cls, rule in expr._RULES.items() if cls not in leaves}
+    templates |= {rule.minus for rule in expr._RULES.values() if rule.minus is not None}
+    assert templates == set(Lowering.IN_PLACE)

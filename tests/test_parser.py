@@ -70,7 +70,8 @@ CASES = [
     ('1.5e3 + .5 - 3.', '1497.5'),
     ('u[- 1]\t+\n2', 'u[-1] + 2'),
     ("u[0]\xa0+ 1   ", 'u[0] + 1'),
-    ('u[0]*٣', '3*u[0]'),
+    ('u[0]*٣', "ParseError: unexpected character '٣' at position 5: u[0]*>>>٣"),
+    ('u[٣]', "ParseError: unexpected character '٣' at position 2: u[>>>٣]"),
 ]
 
 
