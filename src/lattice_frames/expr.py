@@ -539,6 +539,7 @@ def _any(mask):
 
 # Names the sources of the node rules read as globals, in evaluate() and in
 # the code compile_exprs() generates; _zero is the 0 of the body's mask tests.
+# evaluate() takes _add, _subtract, _multiply and _negative from operator.
 _LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_log": np.log,
                     "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
                     "_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
@@ -558,6 +559,22 @@ def _functions(defs, **names):
     return [namespace[name] for name in defs]
 
 
+def _printed(rule, kids, minus=None, out="", **inputs):
+    """The source of a node's value under ``rule``, from its children's sources ``kids``.
+
+    ``out`` fills the templates' ``{out}`` slots: ``""`` to return a new value,
+    ``", name"`` to write it into the buffer ``name``.  A fold prints ``minus``
+    in place of ``value`` for a child that ``minus`` flags.
+    """
+    if not rule.fold:
+        return rule.value.format(*kids, out=out, **inputs)
+    printed = kids[0]
+    for i in range(1, len(kids)):
+        template = rule.minus if minus and minus[i] else rule.value
+        printed = template.format(printed, kids[i], out=out)
+    return printed
+
+
 class _Rule:
     """How the nodes of one class are walked, rebuilt, computed and found singular.
 
@@ -568,7 +585,11 @@ class _Rule:
     function built here.  In ``value``, ``{0}``, ``{1}``, ... are the
     children's values (with ``fold``, the value so far and the next child's),
     ``{k}`` the datum, and ``{P}``, ``{V}``, ``{x}``, ``{alt}`` the inputs; a
-    value reading the last three varies per point.  ``test`` is true where a
+    value reading the last three varies per point.  A value that computes is
+    ufunc calls with an ``{out}`` slot, filled by :func:`_printed`, the one
+    printer; in :func:`evaluate`, ``_add``, ``_subtract``, ``_multiply`` and
+    ``_negative`` are ``operator``'s, which ``+``, ``-``, ``*`` and unary
+    ``-`` call, so that Python ints stay exact.  ``test`` is true where a
     node for which ``when`` holds is singular, its ``{0}`` being child
     ``tested``, computed first and named by the error, and ``{zero}`` the
     number 0.  ``overflow`` is true where the value ``{v}`` is non-finite
@@ -587,15 +608,14 @@ class _Rule:
                  datum="None", missing=None, test=None, message=None, tested=0,
                  when="True", overflow=None, derive=None, minus=None):
         self.build, self.value, self.fold, self.derive = build, value, fold, derive
-        self.minus = minus
-        self.test, self.tested, self.overflow = test, tested, overflow
+        self.test, self.tested, self.overflow, self.minus = test, tested, overflow, minus
         self.varying = any(f"{{{name}}}" in value for name in ("V", "x", "alt"))
         kids = [f"node.{f}" for f in fields]
         # step(rec, a, node): the node's value at the assignment a, or the
         # error of evaluate(); rec gives a child's value
         if fold:
             lines = [f"v = rec({kids[0]}[0])", f"for w in {kids[0]}[1:]:",
-                     f"    v = {value.format('v', 'rec(w)')}"]
+                     f"    v = {_printed(self, ['v', 'rec(w)'])}"]
         else:
             lines = []
             for i in sorted(range(len(kids)), key=lambda i: i != tested):
@@ -603,8 +623,8 @@ class _Rule:
                 if test is not None and i == tested:
                     lines.append(f"if {when} and _any({test.format(f'c{i}', zero='0')}): "
                                  f"raise _Singular({message!r}, {kids[i]})")
-            v = "v = " + value.format(*[f"c{i}" for i in range(len(kids))], k=datum,
-                                      P="a.params", V="a.values", x="a.x", alt="a.alt")
+            v = "v = " + _printed(self, [f"c{i}" for i in range(len(kids))], k=datum,
+                                  P="a.params", V="a.values", x="a.x", alt="a.alt")
             lines += ([f"try: {v}", f"except KeyError: raise _missing({missing!r}, {datum})"]
                       if missing else [v])
         if overflow is not None:
@@ -615,6 +635,8 @@ class _Rule:
              "children": ("node", [f"return ({''.join('*' * fold + k + ', ' for k in kids)})"]),
              "step": ("rec, a, node", [*lines, "return v"])},
             _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
+            _add=operator.add, _subtract=operator.sub, _multiply=operator.mul,
+            _negative=operator.neg,
             _missing=lambda message, k: MissingVariableError(message.format(k)))
 
 
@@ -646,13 +668,14 @@ _RULES = {
     XVar: _Rule(value="{x}", derive=_derive_zero),
     Alt: _Rule(value="{alt}", derive=_derive_zero),
     Var: _Rule(value="{V}[{k}]", datum="node.fv", missing="variable {} has no value"),
-    Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "{0} + {1}", fold=True,
-               minus="{0} - {1}", derive=lambda node, d: add(*[d(t) for t in node.terms])),
-    Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "{0} * {1}", fold=True,
-                derive=_derive_prod),
+    Sum: _Rule(("terms",), lambda node, *terms: add(*terms), "_add({0}, {1}{out})",
+               fold=True, minus="_subtract({0}, {1}{out})",
+               derive=lambda node, d: add(*[d(t) for t in node.terms])),
+    Prod: _Rule(("factors",), lambda node, *factors: mul(*factors), "_multiply({0}, {1}{out})",
+                fold=True, derive=_derive_prod),
     # np.power for scalars too: Python's float ** n rounds differently in the
     # last bit and raises OverflowError where arrays give inf
-    Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k})",
+    Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k}{out})",
                datum="float(node.exponent)",
                test="{0} == {zero}", message="zero base with negative exponent",
                when="node.exponent < 0",
@@ -661,15 +684,15 @@ _RULES = {
                    node.exponent, power(node.base, node.exponent - 1), db)),
     # np.divide, the ufunc of / on arrays, since Python floats raise at a zero
     # denominator, and lowered code computes the singular points it masks
-    Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1})",
+    Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1}{out})",
                 test="{0} == {zero}", message="division by zero", tested=1, derive=_derive_quot),
-    Neg: _Rule(("arg",), lambda node, arg: neg(arg), "-{0}",
+    Neg: _Rule(("arg",), lambda node, arg: neg(arg), "_negative({0}{out})",
                derive=lambda node, d: neg(d(node.arg))),
-    LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}))",
+    LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}{out}){out})",
                  test="{0} == {zero}", message="ln of zero",
                  derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                      da, node.arg)),
-    Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0})",
+    Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0}{out})",
                 test="{0} < {zero}", message="sqrt of a negative value",
                 derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                     da, mul(2, node))),
@@ -821,50 +844,36 @@ def compile_exprs(exprs):
 class Lowering:
     """The straight-line numpy lines of a list of expressions, one per node.
 
-    Every node follows its rule in ``_RULES``.  ``prelude`` holds the lines
-    of the nodes of constants and parameters alone, ``body`` those of the
-    other nodes, which read the inputs ``V``, ``x`` and ``alt``: each a
-    ``(line, overflow)`` pair, ``overflow`` marking a power's overflow test,
-    which :meth:`lines` leaves out of the flow's fast step, where overflow
-    raises.  A test ORs the points where a node is singular
-    into the mask ``m``; nodes that test one child alike share one line.
-    ``results`` names each expression's value, and the body lines of the
-    first ``n_first`` expressions are ``body[:first_end]``.  ``variables`` are the
-    FieldVars read from ``V``, in slot order; ``bound`` maps a closure name
-    to its datum.
+    Every node follows its rule in ``_RULES``, its value printed by
+    :func:`_printed`.  ``prelude`` holds the lines of the nodes of constants
+    and parameters alone, ``body`` those of the other nodes, which read the
+    inputs ``V``, ``x`` and ``alt``: each a ``(line, overflow)`` pair,
+    ``overflow`` marking a power's overflow test, which :meth:`lines` leaves
+    out of the flow's fast step, where overflow raises.  A test ORs the
+    points where a node is singular into the mask ``m``; nodes that test one
+    child alike share one line.  ``results`` names each expression's value,
+    and the body lines of the first ``n_first`` expressions are
+    ``body[:first_end]``.  ``variables`` are the FieldVars read from ``V``,
+    in slot order; ``bound`` maps a closure name to its datum.
 
     A body node whose value is an array over the sites (it reads ``V`` or
-    ``alt``) and that is not a leaf also has a line that computes it into a
-    buffer of its own, the array its name holds when the line runs:
-    ``in_place`` maps the body position of the node's line to it,
-    ``buffers`` names these nodes in order, and :meth:`lines` prints them
-    when asked.  The line makes the calls of the node's value in the same
-    order, each with the buffer as its positional ``out`` (``IN_PLACE``),
-    so the values are the same bit for bit and no call allocates its
-    result.
+    ``alt``) and computes also has a line that computes it into a buffer of
+    its own, the array its name holds when the line runs: ``in_place`` maps
+    the body position of the node's line to it, ``buffers`` names these
+    nodes in order, and :meth:`lines` prints them when asked.  That line is
+    the node's value with the buffer in its ``{out}`` slots: the same calls,
+    so the same bits, and no call allocates its result.
 
     A number bound as a datum, a constant or an exponent, is a read-only 0-d
-    float64 array; a prelude value that a body line reads is converted to a
-    float64 array once per binding, by one prelude line; and a body line's
-    mask test compares with the 0-d array ``_zero``.  A ufunc converts a
-    Python or numpy scalar operand on every call, which on 16-element
-    arrays (numpy 2.4) takes 200-350 ns of a call of about 400 ns, and takes
-    a 0-d array as it is, running the same float64 loop: the values are the
-    same bit for bit.
+    float64 array; a parameter and a prelude value that a body line reads
+    are each converted to a float64 array once per binding, by one prelude
+    line, so that no ufunc takes a Python int, which int64 would wrap; and a body
+    line's mask test compares with the 0-d array ``_zero``.  A ufunc
+    converts a Python or numpy scalar operand on every call, which on
+    16-element arrays (numpy 2.4) takes 200-350 ns of a call of about 400
+    ns, and takes a 0-d array as it is, running the same float64 loop: the
+    values are the same bit for bit.
     """
-
-    # the value of each rule that calls a ufunc, as the calls that write the node's buffer
-    # {out}; a fold applies its template to the buffer and the next child
-    IN_PLACE = {
-        "{0} + {1}": "_add({0}, {1}, {out})",
-        "{0} - {1}": "_subtract({0}, {1}, {out})",
-        "{0} * {1}": "_multiply({0}, {1}, {out})",
-        "-{0}": "_negative({0}, {out})",
-        "_power({0}, {k})": "_power({0}, {k}, {out})",
-        "_divide({0}, {1})": "_divide({0}, {1}, {out})",
-        "_log(_abs({0}))": "_log(_abs({0}, {out}), {out})",
-        "_sqrt({0})": "_sqrt({0}, {out})",
-    }
 
     def __init__(self, exprs, n_first=0):
         names = {}          # id(node) -> (name holding its value, whether it varies per point)
@@ -901,25 +910,21 @@ class Lowering:
                     tests.add(test)
                     (self.body if arg_varying else self.prelude).append((test, False))
             k = rule.datum(node)
+            param = type(k) is str
             if type(k) is FieldVar:   # a field is read from its slot of the values
                 k = slots.setdefault(k, len(slots))
-            elif k is not None:
-                if type(k) is not str:  # a number, not a parameter's name
-                    k = _array(k)
-                self.bound[f"c{len(self.bound)}"] = k
+            elif k is not None:     # a parameter's name, or a number
+                self.bound[f"c{len(self.bound)}"] = k if param else _array(k)
                 k = f"c{len(self.bound) - 1}"
             kids = [arg for arg, _ in args]
-            if rule.fold:
-                value = kids[0]
-                for kid, m in zip(kids[1:], minus[1:]):
-                    value = (rule.minus if m else rule.value).format(value, kid)
-            else:
-                value = rule.value.format(*kids, k=k, P="P", V="V", x="x", alt="alt")
+            value = _printed(rule, kids, minus, k=k, P="P", V="V", x="x", alt="alt")
             name = f"t{len(names)}"
             lines = self.body if varying else self.prelude
             if varying:
                 self._computed.append((len(lines), name, rule, kids, minus, k))
             lines.append((f"{name} = {value}", False))
+            if param:
+                as_array(name)
             if rule.overflow is not None:
                 lines.append((f"m = m | ({rule.overflow.format(args[0][0], v=name)})", True))
             out = names[key] = name, varying
@@ -941,14 +946,8 @@ class Lowering:
         for j, name, rule, kids, minus, k in self._computed:
             if "{V}" in rule.value or "{alt}" in rule.value or sited.intersection(kids):
                 sited.add(name)
-                if rule.fold and len(kids) > 1:
-                    into = kids[0]
-                    for kid, m in zip(kids[1:], minus[1:]):
-                        into = self.IN_PLACE[rule.minus if m else rule.value].format(
-                            into, kid, out=name)
-                    lines[j] = into
-                elif rule.value in self.IN_PLACE:
-                    lines[j] = self.IN_PLACE[rule.value].format(*kids, k=k, out=name)
+                if "{out}" in rule.value and (not rule.fold or len(kids) > 1):
+                    lines[j] = _printed(rule, kids, minus, out=", " + name, k=k)
         return lines
 
     @functools.cached_property

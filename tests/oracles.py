@@ -246,16 +246,36 @@ def sympy_values(s, points, fvs):
 
 
 def non_projectable_frame(action):
-    """A frame for (x, u) -> (b x, b u + a) that is not projectable.
+    """A frame for ex81's or nls's action that is not projectable.
 
-    It normalizes u_{0;0} to 0 and u_{0;1} - u_{0;0} to 1.  With
-    d = u_{0;1} - u_{0;0} that gives (a, b) = (-u_{0;0}/d, 1/d) on the chart
-    |d| > 0, and the frozen-parameter invariant derivative (1/b) D = d D.
-    Its b, which scales x, depends on u, and d is moved by the shift in n,
-    so d D does not commute with that shift.
+    For ex81's (x, u) -> (b x, b u + a) it normalizes u_{0;0} to 0 and
+    u_{0;1} - u_{0;0} to 1.  With d = u_{0;1} - u_{0;0} that gives
+    (a, b) = (-u_{0;0}/d, 1/d) on the chart |d| > 0, and the
+    frozen-parameter invariant derivative (1/b) D = d D.  Its b, which
+    scales x, depends on u, and d is moved by the shift in n, so d D does
+    not commute with that shift.
+
+    For nls's (x, u, v) -> (x + a, c u + s v, c v - s u) it normalizes
+    x - u_{0;0} and v_{0;0} to 0.  With r = sqrt(u_{0;0}^2 + v_{0;0}^2) that
+    gives (a, c, s) = (r - x, u_{0;0}/r, v_{0;0}/r) on the chart
+    u_{0;0} > 0.  Its a, which moves x, depends on u and v, so the frozen
+    derivative D is not the invariant one: that is D/D(x + a) = D/D r =
+    (r / (u_{0;0} u_{1;0} + v_{0;0} v_{1;0})) D, whose factor the shift in n
+    moves.
     """
-    u0, u1 = (Var(FieldVar("u", 0, (k,))) for k in (0, 1))
-    d = u1 - u0
+    u0 = Var(FieldVar("u", 0, (0,)))
+    if len(action.param_names) == 3:
+        v0 = Var(FieldVar("v", 0, (0,)))
+        r = sqrt(u0 * u0 + v0 * v0)
+        ux, vx = (Var(FieldVar(name, 1, (0,))) for name in ("u", "v"))
+        return Frame(
+            name="nls-non-projectable",
+            action=action,
+            normalization=((XVar() - u0, 0.0), (v0, 0.0)),
+            param_exprs=(r - XVar(), u0 / r, v0 / r),
+            dcal_inv=r / (u0 * ux + v0 * vx),
+        )
+    d = Var(FieldVar("u", 0, (1,))) - u0
     return Frame(
         name="ex81-non-projectable",
         action=action,

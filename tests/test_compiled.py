@@ -616,10 +616,10 @@ def test_later_negated_terms_are_subtracted():
     e = -a + b - c
     lowering = Lowering([e, b - a])
     lines = [line for line, _ in lowering.body]
-    negations = [line for line in lines if " = -" in line]
-    assert len(negations) == 1 and sum(" - " in line for line in lines) == 2
+    negations = [line for line in lines if "_negative(" in line]
+    assert len(negations) == 1 and sum("_subtract(" in line for line in lines) == 2
     # a Neg term that another node reads keeps its line
-    assert sum(" = -" in line for line, _ in Lowering([b - c, (-c) * a]).body) == 1
+    assert sum("_negative(" in line for line, _ in Lowering([b - c, (-c) * a]).body) == 1
     # every sign of zero at every input: the values equal evaluate's bit for bit
     columns = np.array(list(itertools.product([0.0, -0.0, 1.5], repeat=3))).T
     values = dict(zip((a.fv, b.fv, c.fv), columns))
@@ -932,24 +932,36 @@ def test_fast_step_computes_into_buffers_and_prints_its_stage_once(nls, monkeypa
     assert source.count(rhs_lines[-1]) == 2 + 2 + 1    # fast, checked, start
 
 
-@pytest.mark.parametrize("template", sorted(Lowering.IN_PLACE))
+# the template of every rule that computes, and the subtraction a sum prints for a Neg term
+COMPUTING = sorted({rule.value for cls, rule in expr._RULES.items()
+                    if cls not in (Const, Param, XVar, Alt, Var)} | {expr._RULES[Sum].minus})
+
+
+@pytest.mark.parametrize("template", COMPUTING)
 def test_in_place_forms_match_the_rule_values_bit_for_bit(template):
-    # each rule's in-place form gives its value's bits, specials included, and
-    # writes them into the buffer it is given
+    # each template, given a buffer in its {out} slot, gives the bits it gives
+    # without one, specials included, and writes them into that buffer
     rng = np.random.default_rng(5)
     specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e-310, 5e-324]
     a = np.concatenate([specials, rng.normal(scale=1e3, size=22)])
     b = np.concatenate([specials[::-1], rng.normal(scale=1e-2, size=22)])
     names = {**expr._LOWERED_GLOBALS, "a": a, "b": b, "k": np.array(3.0)}
     with np.errstate(all="ignore"):
-        want = eval(template.format("a", "b", k="k"), names)
+        want = eval(template.format("a", "b", k="k", out=""), names)
         out = names["out"] = np.empty_like(a)
-        got = eval(Lowering.IN_PLACE[template].format("a", "b", k="k", out="out"), names)
+        got = eval(template.format("a", "b", k="k", out=", out"), names)
     assert got is out and out.tobytes() == want.tobytes()
 
 
-def test_every_rule_that_computes_has_an_in_place_form():
-    leaves = {Const, Param, XVar, Alt, Var}
-    templates = {rule.value for cls, rule in expr._RULES.items() if cls not in leaves}
-    templates |= {rule.minus for rule in expr._RULES.values() if rule.minus is not None}
-    assert templates == set(Lowering.IN_PLACE)
+def test_python_int_parameters_keep_their_values():
+    # evaluate keeps Python's exact int arithmetic; the lowered prelude converts
+    # each parameter to float64, where int64 would wrap the product silently
+    a, b = Param("a"), Param("b")
+    params = {"a": 2**40 + 1, "b": 2**40 + 1}
+    exprs = [a * b, -a + b, a * b - a]
+    got = [evaluate(e, Assignment({}, params=params)) for e in exprs]
+    assert got == [(2**40 + 1) ** 2, 0, (2**40 + 1) ** 2 - (2**40 + 1)]
+    assert all(type(v) is int for v in got)
+    bind, _ = compile_exprs(exprs)
+    bound, _ = bind(params)([], 0.0, 1.0)
+    assert [float(v) for v in bound] == [float(v) for v in got]

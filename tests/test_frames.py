@@ -466,9 +466,12 @@ class TestProjectableFrameOnGeneratedTrees:
         assert len(reports) >= 10
         assert all(r.passed for r in reports), [r.max_residual for r in reports]
 
-    def test_non_projectable_frame_fails_on_a_draw(self, ex81):
-        frame = non_projectable_frame(ex81.action)
-        reports = _commutation_reports(frame, ex81.plan(n_points=20, seed=9))
+    @pytest.mark.parametrize("name", ["ex81", "nls"])
+    def test_non_projectable_frame_fails_on_a_draw(self, name):
+        b = get_example(name)
+        frame = non_projectable_frame(b.action)
+        assert not frame.projectable
+        reports = _commutation_reports(frame, b.plan(n_points=20, seed=9))
         assert any(not r.passed and 1e-2 < r.max_residual < np.inf for r in reports)
 
 

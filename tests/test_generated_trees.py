@@ -7,17 +7,30 @@ differential-difference.  On each tree :func:`partial`, :func:`shift` and
 builds by visiting every node, inside a run and outside one, and the printed
 tree must parse back to the same node.  The Euler-Lagrange operator must
 annihilate the divergence of every tuple of generated components.
+Summation and integration by parts must leave exactly a divergence, and
+the adjoint of a composition of operators must be the composition of the
+adjoints in the reverse order.
 """
 
 import contextlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
 from lattice_frames import expr
-from lattice_frames.calculus import DivergenceTuple, divergence, euler_lagrange
+from lattice_frames.calculus import (
+    DivergenceTuple,
+    apply_op,
+    divergence,
+    euler_lagrange,
+    linear_by_parts,
+    op_adjoint,
+    op_compose,
+)
 from lattice_frames.expr import (
+    ZERO,
     Const,
     ExprError,
     FieldVar,
@@ -29,6 +42,8 @@ from lattice_frames.expr import (
     add,
     evaluate,
     fieldvars,
+    mul,
+    neg,
     partial,
     power,
     shift,
@@ -97,8 +112,16 @@ def cancellation(e, points):
     its largest term, which can be large where a generated tree is near a
     singularity.
     """
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    return relative_residual(points, lambda a: (evaluate(e, a), [evaluate(t, a) for t in terms]))
+    return relative_residual(points, lambda a: (evaluate(e, a), [evaluate(t, a) for t in terms(e)]))
+
+
+def terms(e):
+    return e.terms if isinstance(e, Sum) else (e,)
+
+
+def difference(e, *subtracted):
+    """``e`` minus each of ``subtracted`` term by term, so :func:`cancellation` scales by each."""
+    return add(e, *[neg(t) for s in subtracted for t in terms(s)])
 
 
 @pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
@@ -126,3 +149,67 @@ def test_euler_lagrange_annihilates_divergences(sig):
         assert control_residual > 1e-9
 
     check()
+
+
+@pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
+def test_by_parts_leaves_exactly_a_divergence(sig):
+    # e = sum_i c_i w_{j_i;K_i} with no w in the c_i:
+    # e - coeff_w * w_{0;0} = Div(boundary), the Div-exactness of linear_by_parts
+    wsig = replace(sig, fields=sig.fields + ("w",), deriv_cap=8)
+    plan = SamplePlan(n_points=20, seed=5)
+    slots = st.builds(FieldVar, st.just("w"), st.integers(0, 2 if sig.differential else 0),
+                      st.tuples(*[st.integers(-2, 2)] * sig.lattice_dim))
+    w0 = Var(FieldVar("w", 0, (0,) * sig.lattice_dim))
+    controls = []
+
+    @hypothesis.settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @hypothesis.given(pairs=st.lists(st.tuples(oracles.expr_trees(sig, max_leaves=6), slots),
+                                     min_size=1, max_size=3))
+    def check(pairs):
+        e = add(*[mul(c, Var(w)) for c, w in pairs])
+        try:
+            coeffs, boundary = linear_by_parts(e, ("w",), wsig)
+            left = difference(e, mul(coeffs.get("w", ZERO), w0))
+            residual = difference(left, divergence(boundary, wsig))
+            points = plan.assignments([residual], wsig)
+            exact, control = cancellation(residual, points), cancellation(left, points)
+        except ExprError:
+            hypothesis.assume(False)
+        assert exact <= 1e-9, exact
+        controls.append(control)
+
+    check()
+    # the control: without its divergence, the by-parts form is not e
+    assert sum(control > 1e-9 for control in controls) >= 5, controls
+
+
+@pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
+def test_adjoint_of_a_composition_is_the_reversed_composition(sig):
+    # (AB)^dagger = B^dagger A^dagger, both sides through op_compose, applied to a tree
+    sig = replace(sig, deriv_cap=8)
+    plan = SamplePlan(n_points=20, seed=5)
+    controls = []
+
+    @hypothesis.settings(derandomize=True, max_examples=15, deadline=None, database=None)
+    @hypothesis.given(e=oracles.expr_trees(sig, max_leaves=6), seed=st.integers(0, 2**32 - 1))
+    def check(e, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (oracles.random_lindiffop(rng, sig, radius=1, n_terms=2,
+                                         max_deriv=2 if sig.differential else 0,
+                                         with_x_coeff=sig.has_x) for _ in range(2))
+        try:
+            lhs = apply_op(op_adjoint(op_compose(a, b, sig), sig), e, sig)
+            adjoints = op_adjoint(a, sig), op_adjoint(b, sig)
+            rhs = apply_op(op_compose(adjoints[1], adjoints[0], sig), e, sig)
+            unreversed = apply_op(op_compose(*adjoints, sig), e, sig)
+            points = plan.assignments([lhs, rhs, unreversed], sig)
+            exact = cancellation(difference(lhs, rhs), points)
+            control = cancellation(difference(lhs, unreversed), points)
+        except ExprError:
+            hypothesis.assume(False)
+        assert exact <= 1e-9, exact
+        controls.append(control)
+
+    check()
+    # the control: the adjoints composed in the order of A and B give another operator
+    assert sum(control > 1e-9 for control in controls) >= 5, controls
