@@ -50,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -543,7 +544,8 @@ def _any(mask):
 _LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_log": np.log,
                     "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
                     "_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
-                    "_negative": np.negative,
+                    "_negative": np.negative, "_equal": np.equal, "_less": np.less,
+                    "_logical_or": np.logical_or,
                     "_asarray": functools.partial(np.asarray, dtype=np.float64),
                     "_zero": _array(0.0)}
 
@@ -587,12 +589,13 @@ class _Rule:
     ``{k}`` the datum, and ``{P}``, ``{V}``, ``{x}``, ``{alt}`` the inputs; a
     value reading the last three varies per point.  A value that computes is
     ufunc calls with an ``{out}`` slot, filled by :func:`_printed`, the one
-    printer; in :func:`evaluate`, ``_add``, ``_subtract``, ``_multiply`` and
-    ``_negative`` are ``operator``'s, which ``+``, ``-``, ``*`` and unary
-    ``-`` call, so that Python ints stay exact.  ``test`` is true where a
-    node for which ``when`` holds is singular, its ``{0}`` being child
-    ``tested``, computed first and named by the error, and ``{zero}`` the
-    number 0.  ``overflow`` is true where the value ``{v}`` is non-finite
+    printer; in :func:`evaluate`, ``_add``, ``_subtract``, ``_multiply``,
+    ``_negative``, ``_equal`` and ``_less`` are ``operator``'s, which ``+``,
+    ``-``, ``*``, unary ``-``, ``==`` and ``<`` call, so that Python ints
+    stay exact.  ``test``, a ufunc call with an ``{out}`` slot too, is true
+    where a node for which ``when`` holds is singular, its ``{0}`` being
+    child ``tested``, computed first and named by the error, and ``{zero}``
+    the number 0.  ``overflow`` is true where the value ``{v}`` is non-finite
     from a finite ``{0}``: there a power overflowed, and :func:`evaluate`
     raises.  ``missing`` is the error when an input has no value.
     ``derive(node, d)`` is the node's derivative under a derivation, ``d``
@@ -621,7 +624,7 @@ class _Rule:
             for i in sorted(range(len(kids)), key=lambda i: i != tested):
                 lines.append(f"c{i} = rec({kids[i]})")
                 if test is not None and i == tested:
-                    lines.append(f"if {when} and _any({test.format(f'c{i}', zero='0')}): "
+                    lines.append(f"if {when} and _any({test.format(f'c{i}', zero='0', out='')}): "
                                  f"raise _Singular({message!r}, {kids[i]})")
             v = "v = " + _printed(self, [f"c{i}" for i in range(len(kids))], k=datum,
                                   P="a.params", V="a.values", x="a.x", alt="a.alt")
@@ -636,7 +639,7 @@ class _Rule:
              "step": ("rec, a, node", [*lines, "return v"])},
             _Singular=SingularEvaluationError, _to_string=lambda n: to_string(n),
             _add=operator.add, _subtract=operator.sub, _multiply=operator.mul,
-            _negative=operator.neg,
+            _negative=operator.neg, _equal=operator.eq, _less=operator.lt,
             _missing=lambda message, k: MissingVariableError(message.format(k)))
 
 
@@ -677,7 +680,7 @@ _RULES = {
     # last bit and raises OverflowError where arrays give inf
     Pow: _Rule(("base",), lambda node, base: power(base, node.exponent), "_power({0}, {k}{out})",
                datum="float(node.exponent)",
-               test="{0} == {zero}", message="zero base with negative exponent",
+               test="_equal({0}, {zero}{out})", message="zero base with negative exponent",
                when="node.exponent < 0",
                overflow="_isfinite({0}) & ~_isfinite({v})",
                derive=lambda node, d: ZERO if (db := d(node.base)) == ZERO else mul(
@@ -685,15 +688,16 @@ _RULES = {
     # np.divide, the ufunc of / on arrays, since Python floats raise at a zero
     # denominator, and lowered code computes the singular points it masks
     Quot: _Rule(("num", "den"), lambda node, num, den: quot(num, den), "_divide({0}, {1}{out})",
-                test="{0} == {zero}", message="division by zero", tested=1, derive=_derive_quot),
+                test="_equal({0}, {zero}{out})", message="division by zero", tested=1,
+                derive=_derive_quot),
     Neg: _Rule(("arg",), lambda node, arg: neg(arg), "_negative({0}{out})",
                derive=lambda node, d: neg(d(node.arg))),
     LnAbs: _Rule(("arg",), lambda node, arg: ln_abs(arg), "_log(_abs({0}{out}){out})",
-                 test="{0} == {zero}", message="ln of zero",
+                 test="_equal({0}, {zero}{out})", message="ln of zero",
                  derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                      da, node.arg)),
     Sqrt: _Rule(("arg",), lambda node, arg: sqrt(arg), "_sqrt({0}{out})",
-                test="{0} < {zero}", message="sqrt of a negative value",
+                test="_less({0}, {zero}{out})", message="sqrt of a negative value",
                 derive=lambda node, d: ZERO if (da := d(node.arg)) == ZERO else quot(
                     da, mul(2, node))),
 }
@@ -851,18 +855,23 @@ class Lowering:
     ``overflow`` marking a power's overflow test, which :meth:`lines` leaves
     out of the flow's fast step, where overflow raises.  A test ORs the
     points where a node is singular into the mask ``m``; nodes that test one
-    child alike share one line.  ``results`` names each expression's value,
-    and the body lines of the first ``n_first`` expressions are
-    ``body[:first_end]``.  ``variables`` are the FieldVars read from ``V``,
-    in slot order; ``bound`` maps a closure name to its datum.
+    child alike share one line.  ``results`` names each expression's value.
+    The body lines of the first ``n_first`` expressions are
+    ``body[:first_end]``, and those of the others, ``body[first_end:]``,
+    compute every value they read but the prelude's, so that each part runs
+    alone.  ``variables`` are the FieldVars read from ``V``, in slot order;
+    ``bound`` maps a closure name to its datum.
 
     A body node whose value is an array over the sites (it reads ``V`` or
     ``alt``) and computes also has a line that computes it into a buffer of
     its own, the array its name holds when the line runs: ``in_place`` maps
-    the body position of the node's line to it, ``buffers`` names these
-    nodes in order, and :meth:`lines` prints them when asked.  That line is
-    the node's value with the buffer in its ``{out}`` slots: the same calls,
-    so the same bits, and no call allocates its result.
+    the body position of the node's line to it, ``buffers`` maps these
+    nodes' names to their positions, in order, and :meth:`lines` prints
+    them when asked.  That line is the node's value with the buffer in its
+    ``{out}`` slots: the same calls, so the same bits, and no call allocates
+    its result.  In place, a body mask test also writes its test into the
+    boolean buffer ``mt`` and ORs it into ``mm``, which ``m`` then names, so
+    that it never writes the mask it starts from; the caller binds both.
 
     A number bound as a datum, a constant or an exponent, is a read-only 0-d
     float64 array; a parameter and a prelude value that a body line reads
@@ -880,8 +889,11 @@ class Lowering:
         slots = {}          # FieldVar -> its index in the values sequence
         tests = set()       # the mask tests emitted
         arrays = set()      # the prelude names converted to float64 arrays
+        data = {}           # id(node) -> the closure name of its datum
+        count = itertools.count()
         self.prelude, self.body, self.bound = [], [], {}
         self._computed = []  # (body position, name, rule, children, minus flags, datum)
+        self._tests = {}     # body position -> its mask test, the {out} slot kept
 
         def as_array(name):
             # a prelude value a body line reads: converted once per binding
@@ -905,20 +917,25 @@ class Lowering:
                 args = [(arg if v else as_array(arg), v) for arg, v in args]
             if rule.test is not None and rule.when(node):
                 arg, arg_varying = args[rule.tested]
-                test = f"m = m | ({rule.test.format(arg, zero='_zero' if arg_varying else '0')})"
+                test = rule.test.format(arg, zero="_zero" if arg_varying else "0", out="{out}")
                 if test not in tests:
                     tests.add(test)
-                    (self.body if arg_varying else self.prelude).append((test, False))
+                    lines = self.body if arg_varying else self.prelude
+                    if arg_varying:
+                        self._tests[len(lines)] = test
+                    lines.append((f"m = _logical_or(m, {test.format(out='')})", False))
             k = rule.datum(node)
             param = type(k) is str
             if type(k) is FieldVar:   # a field is read from its slot of the values
                 k = slots.setdefault(k, len(slots))
-            elif k is not None:     # a parameter's name, or a number
-                self.bound[f"c{len(self.bound)}"] = k if param else _array(k)
-                k = f"c{len(self.bound) - 1}"
+            elif k is not None:     # a parameter's name, or a number: bound once per node
+                if key not in data:
+                    data[key] = f"c{len(self.bound)}"
+                    self.bound[data[key]] = k if param else _array(k)
+                k = data[key]
             kids = [arg for arg, _ in args]
             value = _printed(rule, kids, minus, k=k, P="P", V="V", x="x", alt="alt")
-            name = f"t{len(names)}"
+            name = f"t{next(count)}"
             lines = self.body if varying else self.prelude
             if varying:
                 self._computed.append((len(lines), name, rule, kids, minus, k))
@@ -933,12 +950,16 @@ class Lowering:
         exprs = list(exprs)
         self.results = [rec(e)[0] for e in exprs[:n_first]]
         self.first_end = len(self.body)
+        # the later expressions compute every body value again, and test it again
+        for key in [key for key, (_, varying) in names.items() if varying]:
+            del names[key]
+        tests.difference_update(self._tests.values())
         self.results += [rec(e)[0] for e in exprs[n_first:]]
         self.variables = tuple(slots)
 
     @functools.cached_property
     def in_place(self):
-        """Body position -> the line that computes the node of ``buffers`` there into its buffer.
+        """Body position -> the line there that computes into buffers: a node's or a mask test's.
 
         Printed on first use, for the flow alone.
         """
@@ -948,21 +969,25 @@ class Lowering:
                 sited.add(name)
                 if "{out}" in rule.value and (not rule.fold or len(kids) > 1):
                     lines[j] = _printed(rule, kids, minus, out=", " + name, k=k)
+        for j, test in self._tests.items():
+            lines[j] = f"m = _logical_or(m, {test.format(out=', mt')}, mm)"
         return lines
 
     @functools.cached_property
     def buffers(self):
-        """The names of the nodes that :attr:`in_place` computes into their buffers, in order."""
-        return [name for j, name, *_ in self._computed if j in self.in_place]
+        """The names of the nodes that :attr:`in_place` computes into their buffers, in order,
+        each mapped to its body position."""
+        return {name: j for j, name, *_ in self._computed if j in self.in_place}
 
-    def lines(self, end=None, checked=False, in_place=False):
-        """The body lines up to ``end``, with the overflow tests when ``checked``.
+    def lines(self, start=0, end=None, checked=False, in_place=False):
+        """The body lines from ``start`` up to ``end``, with the overflow tests when ``checked``.
 
-        With ``in_place``, each node of ``buffers`` is computed into its buffer.
+        With ``in_place``, each node of ``buffers`` is computed into its
+        buffer, and each mask test into ``mt`` and ``mm``.
         """
         put = self.in_place if in_place else {}
         return [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
-                if checked or not overflow]
+                if j >= start and (checked or not overflow)]
 
     def source(self, functions):
         """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""

@@ -6,48 +6,60 @@ read at the sites (n + k) mod N, through index arrays built once per
 integration.
 
 :func:`integrate_lattice_flow` lowers the right-hand side and the monitors
-together by :class:`~lattice_frames.expr.Lowering` and binds the
-parameters, once per integration, so nodes of constants and parameters
-alone, such as ``h^2``, are computed and tested once.  One function runs
-whole classical fourth-order Runge-Kutta steps as numpy code (the three
-stages, the combination, the norm check, and the monitors and the
-right-hand side at the new state, the first stage of the next step), in
-one numpy error state that raises on overflow, division by zero and
-invalid values; its numbers are 0-d float64 arrays, and ``x`` a Python
-float.  The lines of a stage are printed once and run in a loop over the
-stages' factors, sources and destinations.
+together by :class:`~lattice_frames.expr.Lowering`, the monitors' lines
+apart, and binds the parameters, once per integration, so nodes of
+constants and parameters alone, such as ``h^2``, are computed and tested
+once.  One function runs whole classical fourth-order Runge-Kutta steps as
+numpy code (the three stages, the combination, and the right-hand side at
+the new state, the first stage of the next step), in one numpy error state
+that raises on overflow, division by zero and invalid values; its numbers
+are 0-d float64 arrays, and ``x`` a Python float.  The lines of a stage are
+printed once and run in a loop over the stages' factors, sources and
+destinations.
 
-A step computes in place.  The evolved fields are the rows of one ``(F,
-N)`` array, as is each right-hand side, so a stage input ``Y + f K``, the
-combination and the norm test are each one call per operation for all the
-fields, and one ``take`` gathers every read of them, shifted or not.
-Every node whose value is an array over the sites writes into a buffer of
-its own through the ufunc's positional ``out``, and the right-hand side of
-a field straight into its row of the stage's destination; only a mask
-test of a node that can be singular at a site makes a new array.  All
-buffers are allocated once per integration.  A step writes the state and
-right-hand side it ends at into the other of two arrays each, so a step
-that stops leaves the state it started from whole.  The monitor densities
-go to the rows of a block of at most ``BLOCK_VALUES`` values, and one
-``np.sum(axis=1)`` per monitor, with overflow quiet, sums them when the
-block fills and at the last state, each row bit for bit as its own
-``sum()``.
+A step computes in place.  The evolved fields are the rows of an ``(F,
+N)`` array, as is each right-hand side, so a stage input ``Y + f K`` and
+the combination are each one call per operation for all the fields, and
+one ``take`` gathers every read of them, shifted or not.  Every node whose
+value is an array over the sites writes into a buffer of its own through
+the ufunc's positional ``out``, and the right-hand side of a field straight
+into its row of the stage's destination; a mask test writes into two
+boolean buffers.  All buffers are allocated once per integration.  State
+``i`` is row ``i % rows`` of a block of states, where ``rows`` is
+``BLOCK_VALUES // N``, at least two and at most the number of states, and a
+step writes the next row, and the other of two right-hand-side arrays, so a
+step that stops leaves the state it started from whole.
 
-A step that raises, or at which a node is singular or the field norm
-fails, is taken again, as is the initial state, by a function of the same
-lines with overflow quiet and the tests of powers that overflow on.  Where
-a stage, or a state, is singular, it evaluates the right-hand side there,
-or the monitors and then the right-hand side (not at the last state), by
-:func:`~lattice_frames.expr.evaluate`, which raises its error, or that of
-a parameter without a value, in the order of the stage-by-stage loop; a
-failed norm raises :class:`BlowUpError`.  Otherwise the fast steps resume,
-and a value that overflowed fails the norm check or shows in the drift,
-with no numpy warning.
+The step neither computes the monitors nor tests the field norm.  An audit
+does both once per block of states, when the block fills, at the last state
+and where a fast step stops, quietly and with the tests of powers that
+overflow on: one ``take`` gathers the block's reads, the monitors' lines
+compute each density over all the block's rows at once, into a block of
+its own, their nodes sharing buffers where their values are not needed at
+once, one ``np.sum(axis=1)`` per monitor sums them, each row bit for bit
+as its own ``sum()``, and the largest and smallest value of each state but
+the initial one give its norm.  The first state whose norm fails raises
+:class:`BlowUpError`, and the first at which a monitor is singular, if none
+failed before it, raises :func:`~lattice_frames.expr.evaluate`'s error for
+the monitors there.
+
+A step that raises, or at which a node is singular, is taken again, as is
+the initial state, by a function of the same lines with overflow quiet and
+the tests of powers that overflow on, after the audit of the states before
+it.  Where a stage is singular, it evaluates the right-hand side there by
+:func:`~lattice_frames.expr.evaluate`, which raises its error, or that of a
+parameter without a value; where the field norm at the new state fails, it
+raises :class:`BlowUpError`; and where the new state is singular, it
+evaluates the monitors and then the right-hand side there (not at the last
+state), in the order of the stage-by-stage loop.  Otherwise the fast steps
+resume, and a value that overflowed fails the norm test or shows in the
+drift, with no numpy warning.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +78,7 @@ __all__ = [
 ]
 
 STABILITY_C = 0.2
-# a block of monitor densities holds this many values, or one row of them
+# a block of states has this many sites over all its rows, or two rows
 BLOCK_VALUES = 4096
 
 
@@ -170,69 +182,117 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     """``(start, fast, checked)``, the lowered RK4 functions of one integration.
 
     The evolved fields of a state, and each right-hand side, are the rows
-    of an ``(F, N)`` array, in the order of ``rhs``.  ``start(x, 0)``
-    records the initial state and returns it and its right-hand side
-    ``K``.  From state ``i``, ``fast(Y, K, X, i)`` takes steps while they
-    succeed, and ``checked`` takes one or raises its error; each returns
-    ``(i, Y, K, X)`` at its last state.  All of them compute in buffers
-    allocated here: a state and its ``K`` are one of two each, and a step
-    writes the other two, so the arrays of the state it started from are
-    whole when it stops.
+    of an ``(F, N)`` array, in the order of ``rhs``; state ``i`` is row ``i
+    % rows`` of a ``(rows, F, N)`` block.  ``start(x, 0)`` records the
+    initial state and returns it and its right-hand side ``K``.  From state
+    ``i``, ``fast(Y, K, X, i)`` takes steps while they succeed, and
+    ``checked`` takes one or raises its error; each returns ``(i, Y, K,
+    X)`` at its last state.  All of them compute in buffers allocated here:
+    a step writes the next row of the block and the other of two ``K``
+    arrays, so the arrays of the state it started from are whole when it
+    stops.  The block's states are audited when it fills, at the last
+    state, and when ``fast`` stops.
     """
     lowering = Lowering([*rhs.values(), *monitors.values()], n_first=len(rhs))
-    n_sites, rows = state.n_sites, blocks.shape[1]
+    n_sites, rows, first_end = state.n_sites, blocks.shape[1], lowering.first_end
     reads, index = _reads(lowering.variables, n_sites)
 
     def fail(exprs, x, *ys):
         _on_lattice(exprs, LatticeState({**state.fields, **dict(zip(rhs, ys))}, x, state.params))
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def flush(i):
-        # the lattice sums of the block's rows up to state i: finite densities may overflow
-        first = i - i % rows
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def audit(i):
+        # the states of the block up to state i: the lattice sums of their monitor
+        # densities, which may overflow, and the first state that blew up or at which
+        # a monitor is singular raises its error
+        first, n = i - i % rows, i % rows + 1
+        column[:n, 0] = xs[first:i + 1]
+        m = densities()
         for block, series in zip(blocks, sums.values()):
-            series[first:i + 1] = np.sum(block[:i + 1 - first], axis=1)
+            series[first:i + 1] = np.sum(block[:n], axis=1)
+        faults = np.logical_or.reduce(np.broadcast_to(m, (rows, n_sites))[:n], axis=1)
+        if rhs:
+            # each state's norm, max |y|, from its largest and smallest values
+            states = W[:n].reshape(n, -1)
+            blown = ~(np.maximum(states.max(axis=1), -states.min(axis=1)) <= blow_up)
+            blown[0] &= first > 0      # the initial state's norm is not tested
+            faults |= blown
+        for j in np.flatnonzero(faults):
+            x = float(xs[first + j])
+            if rhs and blown[j]:
+                _blown(x, *W[j])
+            fail(list(monitors.values()), x, *W[j])
 
-    # the two states and right-hand sides, the stage input, the stages' right-hand
-    # sides B, C and D, and the combination's two scratch arrays
-    Ya, Yb, Ka, Kb, A, B, C, D, S, T = np.empty((10, len(rhs), n_sites))
+    # the block of states, the other right-hand side, the stage input, the stages'
+    # right-hand sides B, C and D, and the combination's two scratch arrays
+    W = np.empty((rows, len(rhs), n_sites))
+    Ka, Kb, A, B, C, D, S, T = np.empty((8, len(rhs), n_sites))
     for f, name in enumerate(rhs):
-        Ya[f] = state.fields[name]
+        W[0, f] = state.fields[name]
     # the values of V: a read of an evolved field is a row of G, which one take
-    # fills from the input fields; a field the flow only reads is read once
+    # fills from the input fields; a field the flow only reads is read once.  The
+    # audit's V reads an evolved field that a monitor reads from a row of AG, over
+    # the block's rows and sites
     sites, position = np.arange(n_sites), {name: f for f, name in enumerate(rhs)}
-    evolved = [(position[name], k) for name, k in reads if name in rhs]
-    G = np.empty((len(evolved), n_sites))
-    gather = np.array([f * n_sites + (index[k] if k else sites) for f, k in evolved],
-                      dtype=np.intp)
-    values, g = [], iter(G)
-    for name, k in reads:
-        values.append(next(g) if name in rhs else
-                      state.fields[name][index[k]] if k else state.fields[name])
-    ks, densities = lowering.results[:len(rhs)], lowering.results[len(rhs):]
+    evolved = {fv: (position[name], k) for fv, (name, k) in zip(lowering.variables, reads)
+               if name in rhs}
+    audited = set(evolved) & set().union(*map(fieldvars, monitors.values()))
+    G, AG = np.empty((len(evolved), n_sites)), np.empty((len(audited), rows, n_sites))
+    gather = np.array([f * n_sites + (index[k] if k else sites) for f, k in evolved.values()],
+                      dtype=np.intp).reshape(len(evolved), n_sites)
+    audit_gather = (gather[[fv in audited for fv in evolved]][:, None]
+                    + W[0].size * np.arange(rows)[:, None])
+
+    def inputs(gathered, wanted):
+        # each read of an evolved field that is wanted is the next row of gathered
+        rows_of = iter(gathered)
+        return tuple((next(rows_of) if fv in wanted else None) if fv in evolved else
+                     state.fields[name][index[k]] if k else state.fields[name]
+                     for fv, (name, k) in zip(lowering.variables, reads))
+
+    column = np.empty((rows, 1))   # the x of each of the block's states
+    ks, ds = lowering.results[:len(rhs)], lowering.results[len(rhs):]
     # a right-hand side that has a buffer is computed straight into the destination
-    # row of the first field it is the right-hand side of; any other is copied there
-    owner = {k: f for f, k in reversed(list(enumerate(ks))) if k in lowering.buffers}
+    # row of the first field it is the right-hand side of, and a monitor density into
+    # its block; any other is copied there
+    step_buffers = [name for name, j in lowering.buffers.items() if j < first_end]
+    audit_buffers = [name for name, j in lowering.buffers.items() if j >= first_end]
+    owner = {k: f for f, k in reversed(list(enumerate(ks))) if k in step_buffers}
     targets = "(" + "".join(f"{k}, " if owner.get(k) == f else f"_R{f}, "
                             for f, k in enumerate(ks)) + ")"
     copies = [f"_R{f}[...] = {k}" for f, k in enumerate(ks) if owner.get(k) != f]
-    nodes = [name for name in lowering.buffers if name not in owner]
-    buffers = np.empty((len(nodes), n_sites))
+    nodes = [name for name in step_buffers if name not in owner]
+    block_of = {d: j for j, d in reversed(list(enumerate(ds))) if d in audit_buffers}
+    audit_nodes = [name for name in audit_buffers if name not in block_of]
+    densities_at = [*lowering.lines(start=first_end, checked=True, in_place=True),
+                    *(f"_d{j}[...] = {d}" for j, d in enumerate(ds) if block_of.get(d) != j)]
+    # the audit's nodes share buffers, each over the block's rows and sites, where their
+    # values are not needed at once
+    slots = _pooled(densities_at, audit_nodes)
+    pool = np.empty((len(set(slots.values())), rows, n_sites))
 
     at_state = [*monitors.values(), *rhs.values()]     # as the stage-by-stage loop has them
     # a stage factor is a Python float for x and a 0-d array, suffixed _a, for the fields
     half_a = _array(0.5 * dt)
+    rows_of = tuple(W)
     glob = {"alt": (-1.0) ** sites, "_xs": xs, "_n": n_steps, "_rows": rows,
-            "_last": rows - 1, "_flush": flush, "_fail": fail, "_blown": _blown,
+            "_last": rows - 1, "_audit": audit, "_fail": fail, "_blown": _blown,
             "_rhs": list(rhs.values()), "_monitors": list(monitors.values()),
             "_at_state": at_state, "_half": 0.5 * dt, "_half_a": half_a, "_dt": dt,
             "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0), "_x0": state.x,
             "_blow_up": blow_up, "_take": np.ndarray.take, "_max": np.maximum.reduce,
-            "_gather": gather, "_V": tuple(values), "_nodes": tuple(buffers),
-            "_Ya": Ya, "_Yb": Yb, "_Ka": Ka, "_Kb": Kb, "_Kat": tuple(Ka), "_Kbt": tuple(Kb),
-            "_A": A, "_B": B, "_C": C, "_D": D, "_S": S, "_T": T, "_G": G, "_Bt": tuple(B),
+            "_gather": gather, "_V": inputs(G, evolved), "_G": G,
+            "_nodes": tuple(np.empty((len(nodes), n_sites))),
+            "_masks": tuple(np.empty((2, n_sites), dtype=bool)),
+            "_W": W, "_Y0": rows_of[0], "_next": rows_of[1:] + rows_of[:1],
+            "_Ka": Ka, "_Kb": Kb, "_Kat": tuple(Ka), "_Kbt": tuple(Kb),
+            "_A": A, "_B": B, "_C": C, "_D": D, "_S": S, "_T": T, "_Bt": tuple(B),
             # the second and third stages: x and field factors, source, destination rows
             "_stages": ((0.5 * dt, half_a, B, tuple(C)), (dt, _array(dt), C, tuple(D))),
+            "_audit_gather": audit_gather, "_AG": AG, "_AV": inputs(AG, audited),
+            "_audit_nodes": tuple(pool[slots[name]] for name in audit_nodes),
+            "_audit_masks": tuple(np.empty((2, rows, n_sites), dtype=bool)),
+            "_blocks": tuple(blocks[j] for j in block_of.values()), "_column": column,
             **{f"_d{j}": block for j, block in enumerate(blocks)}}
 
     def singular(exprs, fields, checked):
@@ -240,24 +300,22 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         stop = f"_fail({exprs}, x, *{fields})" if checked else "break"
         return f"if m is not False and _any(m): {stop}"
 
-    def at(fields, destination, end=None, checked=True):
-        # the nodes at the fields' values, the right-hand side into the destination rows
+    def at(fields, destination, checked=True):
+        # the right-hand side at the fields' values, into the destination rows
         take = [f"_take({fields}, _gather, None, _G, 'clip')"] if evolved else []
         return [*take, f"{targets} = {destination}",
-                *lowering.lines(end=end, checked=checked, in_place=True), *copies]
-
-    record = ["_xs[i] = x", "r = i % _rows", *(f"_d{j}[r] = {d}" for j, d in enumerate(densities)),
-              "if r == _last or i == _n: _flush(i)"]
+                *lowering.lines(end=first_end, checked=checked, in_place=True), *copies]
 
     def step(checked):
-        # from state i to i + 1; the right-hand side at the last state may be singular
-        blown = "_blown(x, *Z)" if checked else "break"
-        # the right-hand side at Y + factor * source, X + dx, into the destination rows, as
-        # the stage-by-stage loop computes it; the fast step tests its mask once, at the new state
+        # from state i to i + 1, into the next row of the block; the right-hand side
+        # at the last state may be singular
         stage = ["x = X + dx", "_add(Y, _multiply(factor, source, _A), _A)",
-                 *at("_A", "destination", lowering.first_end, checked),
+                 *at("_A", "destination", checked),
                  *([singular("_rhs", "_A", True)] if checked else [])]
-        return ["m = bad", "Z = _Yb if Y is _Ya else _Ya",
+        # the fast step tests its mask once, at the new state, and leaves the norm
+        # and the monitors to the audit
+        norm = "if not _max(_abs(Z, _S), None) <= _blow_up: _blown(x, *Z)"
+        return ["m = bad", "Z = _next[r]",
                 "Kn, Knt = (_Kb, _Kbt) if K is _Ka else (_Ka, _Kat)",
                 "for dx, factor, source, destination in ((_half, _half_a, K, _Bt), *_stages):",
                 *("    " + line for line in stage),
@@ -265,27 +323,62 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
                 "_add(_S, _multiply(_two_a, _C, _T), _S)",
                 "_add(_S, _D, _S)",
                 "_add(Y, _multiply(_sixth_a, _S, _S), Z)",
-                "x = _x0 + (i + 1) * _dt",
-                *([f"if not _max(_abs(Z, _S), None) <= _blow_up: {blown}"] if rhs else []),
-                *at("Z", "Knt", checked=checked),
+                "x = _x0 + (i + 1) * _dt", *([norm] if checked and rhs else []),
+                *at("Z", "Knt", checked),
                 singular("_at_state if i + 1 < _n else _monitors", "Z", checked),
-                "i, Y, K, X = i + 1, Z, Kn, x", *record]
+                "i, Y, K, X = i + 1, Z, Kn, x", "_xs[i] = x", "r = i % _rows",
+                "if r == _last or i == _n: _audit(i)"]
 
-    prologue = ["V = _V", f"({''.join(name + ', ' for name in nodes)}) = _nodes"]
+    def names(nodes):
+        return f"({''.join(name + ', ' for name in nodes)})"
+
+    prologue = ["V = _V", f"{names(nodes)} = _nodes", "mt, mm = _masks"]
     returned = "return i, Y, K, X"
     functions = {
-        "_start": ("x, i", [*prologue, "m = bad", *at("_Ya", "_Kat"),
-                            singular("_at_state", "_Ya", True), *record, "return _Ya, _Ka"]),
-        "_fast": ("Y, K, X, i", [*prologue, "try:", "    while i < _n:",
+        "_start": ("x, i", [*prologue, "m = bad", *at("_Y0", "_Kat"),
+                            singular("_at_state", "_Y0", True), "_xs[i] = x", "return _Y0, _Ka"]),
+        "_fast": ("Y, K, X, i", [*prologue, "r = i % _rows", "try:", "    while i < _n:",
                                  *("        " + line for line in step(False)),
-                                 "except FloatingPointError:", "    pass", returned]),
-        "_checked": ("Y, K, X, i", [*prologue, *step(True), returned]),
+                                 "except FloatingPointError:", "    pass",
+                                 # where a step stops, the states before it are audited first
+                                 "if i < _n and r != _last: _audit(i)", returned]),
+        "_checked": ("Y, K, X, i", [*prologue, "r = i % _rows", *step(True), returned]),
+        # the monitor densities of every row of the block, into their blocks, and their mask
+        "_densities": ("", ["V = _AV", f"{names(audit_nodes)} = _audit_nodes",
+                            f"{names(block_of)} = _blocks",
+                            "mt, mm = _audit_masks", "x = _column", "m = bad",
+                            *(["_take(_W, _audit_gather, None, _AG, 'clip')"] if audited else []),
+                            *densities_at, "return m"]),
     }
     try:
-        return lowering.compile(functions, **glob)(state.params)
+        start, fast, checked, densities = lowering.compile(functions, **glob)(state.params)
     except KeyError:
         fail(at_state, state.x)
         raise
+    return start, fast, checked
+
+
+def _pooled(lines, names):
+    """A buffer slot for each of ``names``, as few as the straight-line ``lines`` allow.
+
+    A name takes a free slot at the first line that names it, and gives it
+    back after the last line that reads it, or a name that copies it (``a =
+    b``), so two values that are both to be read never share a slot, and a
+    line never writes a slot it reads.
+    """
+    copied, last = {}, {}
+    for j, line in enumerate(lines):
+        if copy := re.fullmatch(r"(t\d+) = (t\d+)", line):
+            copied[copy[1]] = copied.get(copy[2], copy[2])
+        for name in re.findall(r"\bt\d+\b", line):
+            last[copied.get(name, name)] = j
+    slots, free = {}, []
+    for j, line in enumerate(lines):
+        for name in re.findall(r"\bt\d+\b", line):
+            if name in names and name not in slots:
+                slots[name] = free.pop() if free else len(set(slots.values()))
+        free += [slots[name] for name in slots if last[name] == j]
+    return slots
 
 
 def _blown(x, *fields):
@@ -326,7 +419,8 @@ def integrate_lattice_flow(rhs, state0, x_span, dt, monitors=None, blow_up=1e6):
     h = state.params.get("h")
     stability_ok = h is None or not dt > STABILITY_C * h * h + 1e-15
 
-    rows = max(1, min(BLOCK_VALUES // state.n_sites, n_steps + 1))
+    # at least two rows, so that a step leaves the state it started from whole
+    rows = max(2, min(BLOCK_VALUES // state.n_sites, n_steps + 1))
     try:
         xs = np.empty(n_steps + 1)
         sums = {label: np.empty(n_steps + 1) for label in monitors}

@@ -34,7 +34,7 @@ from lattice_frames.frames import (
 from lattice_frames.parser import parse
 from lattice_frames.sampling import identity_check, residual_stats
 from lattice_frames.suites import SUITES, run_suite
-from oracles import expr_trees, non_projectable_frame
+from oracles import expr_trees, non_projectable_frame, reference_substitute
 
 
 def fv(name, *K, d=0):
@@ -524,6 +524,20 @@ class TestInvariantizationOnGeneratedTrees:
         assert all(r.passed for r in again), [r.max_residual for r in again]
         assert max(moved) <= 1e-8, moved
         assert any(r > 1e-2 for r in raw), raw
+
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_iota_of_each_coordinate_substituted_is_iota(self, name):
+        # iota e by transform is e with iota of each coordinate substituted, built
+        # by the package's walker and by the reference's unpruned walk alike
+        b = get_example(name)
+        with run_memo():
+            _, trees = _invariantized_trees(b)
+            for e, ie in trees:
+                rules = {fv: invariantize(b.frame, Var(fv)) for fv in fieldvars(e)}
+                x_repl = invariantize(b.frame, XVar()) if b.sig.has_x else None
+                assert reference_substitute(e, rules, x_repl) is ie, e
+                assert substitute(e, rules, x_repl) is ie, e
 
 
 class TestSyzygies:

@@ -7,9 +7,10 @@ differential-difference.  On each tree :func:`partial`, :func:`shift` and
 builds by visiting every node, inside a run and outside one, and the printed
 tree must parse back to the same node.  The Euler-Lagrange operator must
 annihilate the divergence of every tuple of generated components.
-Summation and integration by parts must leave exactly a divergence, and
-the adjoint of a composition of operators must be the composition of the
-adjoints in the reverse order.
+Summation and integration by parts must leave exactly a divergence, the
+adjoint of a composition of operators must be the composition of the
+adjoints in the reverse order, and the adjoint of an adjoint must be the
+operator.
 """
 
 import contextlib
@@ -212,4 +213,34 @@ def test_adjoint_of_a_composition_is_the_reversed_composition(sig):
 
     check()
     # the control: the adjoints composed in the order of A and B give another operator
+    assert sum(control > 1e-9 for control in controls) >= 5, controls
+
+
+@pytest.mark.parametrize("sig", SIGS.values(), ids=SIGS)
+def test_adjoint_of_the_adjoint_is_the_operator(sig):
+    # (A^dagger)^dagger = A, both sides applied to a tree
+    sig = replace(sig, deriv_cap=8)
+    plan = SamplePlan(n_points=20, seed=5)
+    controls = []
+
+    @hypothesis.settings(derandomize=True, max_examples=15, deadline=None, database=None)
+    @hypothesis.given(e=oracles.expr_trees(sig, max_leaves=6), seed=st.integers(0, 2**32 - 1))
+    def check(e, seed):
+        a = oracles.random_lindiffop(np.random.default_rng(seed), sig, radius=1, n_terms=2,
+                                     max_deriv=2 if sig.differential else 0,
+                                     with_x_coeff=sig.has_x)
+        try:
+            adjoint = op_adjoint(a, sig)
+            twice, once = (apply_op(op, e, sig) for op in (op_adjoint(adjoint, sig), adjoint))
+            applied = apply_op(a, e, sig)
+            points = plan.assignments([twice, once, applied], sig)
+            exact = cancellation(difference(twice, applied), points)
+            control = cancellation(difference(once, applied), points)
+        except ExprError:
+            hypothesis.assume(False)
+        assert exact <= 1e-9, exact
+        controls.append(control)
+
+    check()
+    # the control: a generated operator is not self-adjoint, A^dagger != A
     assert sum(control > 1e-9 for control in controls) >= 5, controls
