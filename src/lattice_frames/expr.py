@@ -845,6 +845,16 @@ def compile_exprs(exprs):
     return bind, lowering.variables
 
 
+class InPlace(NamedTuple):
+    """The body lines of a :class:`Lowering` in place, and the buffers they compute into."""
+
+    lines: dict     # body position -> its line in place; None at a pack's later member
+    buffers: dict   # name -> body position, of each node computed into a buffer of its own
+    packs: dict     # pack name -> its members' names, the rows of its (P, N) buffer
+    views: dict     # name -> (pack name, first row, end row), some rows of a pack
+    windows: dict   # name -> the slots of V whose values are its rows, in order
+
+
 class Lowering:
     """The straight-line numpy lines of a list of expressions, one per node.
 
@@ -864,14 +874,32 @@ class Lowering:
 
     A body node whose value is an array over the sites (it reads ``V`` or
     ``alt``) and computes also has a line that computes it into a buffer of
-    its own, the array its name holds when the line runs: ``in_place`` maps
-    the body position of the node's line to it, ``buffers`` maps these
-    nodes' names to their positions, in order, and :meth:`lines` prints
-    them when asked.  That line is the node's value with the buffer in its
-    ``{out}`` slots: the same calls, so the same bits, and no call allocates
-    its result.  In place, a body mask test also writes its test into the
-    boolean buffer ``mt`` and ORs it into ``mm``, which ``m`` then names, so
-    that it never writes the mask it starts from; the caller binds both.
+    its own, the array its name holds when the line runs: the ``lines`` of
+    :attr:`in_place` map the body position of the node's line to it, its
+    ``buffers`` map these nodes' names to their positions, in order, and
+    :meth:`lines` prints them when asked.  That line is the node's value
+    with the buffer in its ``{out}`` slots: the same calls, so the same
+    bits, and no call allocates its result.  In place, a body mask test
+    also writes its test into the boolean buffer ``mt`` and ORs it into
+    ``mm``, which ``m`` then names, so that it never writes the mask it
+    starts from; the caller binds both.
+
+    In place, the right-hand sides' nodes (``body[:first_end]``, but their
+    results) are also packed: two or more nodes of one rule, datum value
+    and minus flags, whose operands match position by position, are
+    computed by one line, the rule's template with a ``(P, N)`` buffer as
+    its output, a row per member in body order.  At each position the
+    members read one name, which broadcasts; or each a read of ``V``, the
+    rows of a *window*, which the caller gathers; or consecutive rows, in
+    member order, of a pack computed before, the whole pack or a *view*.
+    The ``packs``, ``views`` and ``windows`` of :attr:`in_place` name them
+    for the caller, which allocates and binds them.  A class of such nodes
+    packs whole or not at all.  The line is printed at the first member's
+    position, where every operand is computed, and the other members' lines
+    are dropped; every reader of a member comes after that member's own
+    position, so the members' names, bound to their rows, serve the mask
+    tests and readers as they are.  Every element goes through the same
+    ufunc loop with the same operands: the same bits.
 
     A number bound as a datum, a constant or an exponent, is a read-only 0-d
     float64 array; a parameter and a prelude value that a body line reads
@@ -892,7 +920,8 @@ class Lowering:
         data = {}           # id(node) -> the closure name of its datum
         count = itertools.count()
         self.prelude, self.body, self.bound = [], [], {}
-        self._computed = []  # (body position, name, rule, children, minus flags, datum)
+        # (body position, name, rule, children, minus flags, datum's closure name, datum)
+        self._computed = []
         self._tests = {}     # body position -> its mask test, the {out} slot kept
 
         def as_array(name):
@@ -924,7 +953,7 @@ class Lowering:
                     if arg_varying:
                         self._tests[len(lines)] = test
                     lines.append((f"m = _logical_or(m, {test.format(out='')})", False))
-            k = rule.datum(node)
+            k = datum = rule.datum(node)
             param = type(k) is str
             if type(k) is FieldVar:   # a field is read from its slot of the values
                 k = slots.setdefault(k, len(slots))
@@ -938,7 +967,7 @@ class Lowering:
             name = f"t{next(count)}"
             lines = self.body if varying else self.prelude
             if varying:
-                self._computed.append((len(lines), name, rule, kids, minus, k))
+                self._computed.append((len(lines), name, rule, kids, minus, k, datum))
             lines.append((f"{name} = {value}", False))
             if param:
                 as_array(name)
@@ -949,7 +978,7 @@ class Lowering:
 
         exprs = list(exprs)
         self.results = [rec(e)[0] for e in exprs[:n_first]]
-        self.first_end = len(self.body)
+        self.first_end, self._first_results = len(self.body), set(self.results)
         # the later expressions compute every body value again, and test it again
         for key in [key for key, (_, varying) in names.items() if varying]:
             del names[key]
@@ -959,35 +988,72 @@ class Lowering:
 
     @functools.cached_property
     def in_place(self):
-        """Body position -> the line there that computes into buffers: a node's or a mask test's.
+        """The body lines in place, and what they compute into: an :class:`InPlace`.
 
         Printed on first use, for the flow alone.
         """
         sited, lines = set(), {}    # sited: the names of the values that are arrays over the sites
-        for j, name, rule, kids, minus, k in self._computed:
+        for j, name, rule, kids, minus, k, _ in self._computed:
             if "{V}" in rule.value or "{alt}" in rule.value or sited.intersection(kids):
                 sited.add(name)
                 if "{out}" in rule.value and (not rule.fold or len(kids) > 1):
                     lines[j] = _printed(rule, kids, minus, out=", " + name, k=k)
         for j, test in self._tests.items():
             lines[j] = f"m = _logical_or(m, {test.format(out=', mt')}, mm)"
-        return lines
-
-    @functools.cached_property
-    def buffers(self):
-        """The names of the nodes that :attr:`in_place` computes into their buffers, in order,
-        each mapped to its body position."""
-        return {name: j for j, name, *_ in self._computed if j in self.in_place}
+        # the right-hand sides' nodes in place, but their results, by class: the rule, the
+        # datum's value, the minus flags, and per operand a read of V, the class of an
+        # operand that is in one, or else the operand's name
+        reads = {name: k for _, name, rule, _, _, k, _ in self._computed if rule is _RULES[Var]}
+        classes, class_of = {}, {}
+        for entry in self._computed:
+            j, name, rule, kids, minus, _, datum = entry
+            if j < self.first_end and j in lines and name not in self._first_results:
+                shape = tuple("V" if kid in reads else class_of.get(kid, kid) for kid in kids)
+                members = classes.setdefault((rule, datum, tuple(minus), shape), [])
+                class_of[name] = id(members)
+                members.append(entry)
+        # a class packs whole, where each operand is one name, a window, or consecutive
+        # rows of a pack, in member order
+        packs, row_of, named = {}, {}, {}
+        for members in [members for members in classes.values() if len(members) > 1]:
+            operands = []
+            for kids in zip(*[kids for _, _, _, kids, *_ in members]):
+                rows = [row_of.get(kid) for kid in kids]
+                if len(set(kids)) == 1:
+                    operands.append(kids[0])
+                elif kids[0] in reads:
+                    operands.append(("V", tuple(reads[kid] for kid in kids)))
+                elif rows[0] and rows == [(rows[0][0], rows[0][1] + i) for i in range(len(kids))]:
+                    pack, first = rows[0]
+                    whole = first == 0 and len(kids) == len(packs[pack])
+                    operands.append(pack if whole else (pack, first, first + len(kids)))
+                else:
+                    break
+            else:
+                pack = f"p{len(packs)}"
+                packs[pack] = [name for _, name, *_ in members]
+                row_of.update((name, (pack, i)) for i, name in enumerate(packs[pack]))
+                operands = [o if type(o) is str else named.setdefault(o, f"w{len(named)}")
+                            for o in operands]
+                j, _, rule, _, minus, k, _ = members[0]
+                lines[j] = _printed(rule, operands, minus, out=", " + pack, k=k)
+                lines.update((j, None) for j, *_ in members[1:])
+        return InPlace(lines, {name: j for j, name, *_ in self._computed
+                               if j in lines and name not in row_of}, packs,
+                       {name: key for key, name in named.items() if key[0] != "V"},
+                       {name: key[1] for key, name in named.items() if key[0] == "V"})
 
     def lines(self, start=0, end=None, checked=False, in_place=False):
         """The body lines from ``start`` up to ``end``, with the overflow tests when ``checked``.
 
-        With ``in_place``, each node of ``buffers`` is computed into its
-        buffer, and each mask test into ``mt`` and ``mm``.
+        With ``in_place``, the lines of :attr:`in_place`: each node of its
+        ``buffers`` is computed into its buffer, each pack into its buffer
+        at its first member, and each mask test into ``mt`` and ``mm``.
         """
-        put = self.in_place if in_place else {}
-        return [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
-                if j >= start and (checked or not overflow)]
+        put = self.in_place.lines if in_place else {}
+        printed = [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
+                   if j >= start and (checked or not overflow)]
+        return [line for line in printed if line is not None]
 
     def source(self, functions):
         """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""

@@ -24,7 +24,12 @@ one ``take`` gathers every read of them, shifted or not.  Every node whose
 value is an array over the sites writes into a buffer of its own through
 the ufunc's positional ``out``, and the right-hand side of a field straight
 into its row of the stage's destination; a mask test writes into two
-boolean buffers.  All buffers are allocated once per integration.  State
+boolean buffers.  Like nodes of the right-hand sides, such as u^2 and v^2 of
+the method-of-lines NLS, are computed as a pack, in one call over the rows
+of one buffer, a row per node (see :class:`~lattice_frames.expr.Lowering`):
+an operand that differs between them is a window, reads of the fields
+gathered into consecutive rows by the same ``take``, or rows of a pack
+computed before.  All buffers are allocated once per integration.  State
 ``i`` is row ``i % rows`` of a block of states, where ``rows`` is
 ``BLOCK_VALUES // N``, at least two and at most the number of states, and a
 step writes the next row, and the other of two right-hand-side arrays, so a
@@ -190,8 +195,12 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     X)`` at its last state.  All of them compute in buffers allocated here:
     a step writes the next row of the block and the other of two ``K``
     arrays, so the arrays of the state it started from are whole when it
-    stops.  The block's states are audited when it fills, at the last
-    state, and when ``fast`` stops.
+    stops.  Each pack of :attr:`Lowering.in_place` has a ``(P, N)`` buffer,
+    whose rows its members' names are bound to, and a view of some of them
+    is a slice; the reads of each window are gathered after those of
+    ``V``, as a slice of ``G``, so a stage still makes one ``take``.  The
+    block's states are audited when it fills, at the last state, and when
+    ``fast`` stops.
     """
     lowering = Lowering([*rhs.values(), *monitors.values()], n_first=len(rhs))
     n_sites, rows, first_end = state.n_sites, blocks.shape[1], lowering.first_end
@@ -230,18 +239,23 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     for f, name in enumerate(rhs):
         W[0, f] = state.fields[name]
     # the values of V: a read of an evolved field is a row of G, which one take
-    # fills from the input fields; a field the flow only reads is read once.  The
-    # audit's V reads an evolved field that a monitor reads from a row of AG, over
-    # the block's rows and sites
+    # fills from the input fields, as are the rows of each window after them; a field
+    # the flow only reads is read once.  The audit's V reads an evolved field that a
+    # monitor reads from a row of AG, over the block's rows and sites
+    placed = lowering.in_place
     sites, position = np.arange(n_sites), {name: f for f, name in enumerate(rhs)}
-    evolved = {fv: (position[name], k) for fv, (name, k) in zip(lowering.variables, reads)
-               if name in rhs}
+    evolved = {fv: position[name] * n_sites + (index[k] if k else sites)
+               for fv, (name, k) in zip(lowering.variables, reads) if name in rhs}
     audited = set(evolved) & set().union(*map(fieldvars, monitors.values()))
-    G, AG = np.empty((len(evolved), n_sites)), np.empty((len(audited), rows, n_sites))
-    gather = np.array([f * n_sites + (index[k] if k else sites) for f, k in evolved.values()],
-                      dtype=np.intp).reshape(len(evolved), n_sites)
-    audit_gather = (gather[[fv in audited for fv in evolved]][:, None]
+    windowed = [lowering.variables[s] for slots in placed.windows.values() for s in slots]
+    gather = np.array([*evolved.values(), *map(evolved.get, windowed)],
+                      dtype=np.intp).reshape(len(evolved) + len(windowed), n_sites)
+    G, AG = np.empty(gather.shape), np.empty((len(audited), rows, n_sites))
+    audit_gather = (gather[:len(evolved)][[fv in audited for fv in evolved]][:, None]
                     + W[0].size * np.arange(rows)[:, None])
+    windows, end = {}, len(evolved)
+    for name, slots in placed.windows.items():
+        windows[name], end = G[end:end + len(slots)], end + len(slots)
 
     def inputs(gathered, wanted):
         # each read of an evolved field that is wanted is the next row of gathered
@@ -255,13 +269,19 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     # a right-hand side that has a buffer is computed straight into the destination
     # row of the first field it is the right-hand side of, and a monitor density into
     # its block; any other is copied there
-    step_buffers = [name for name, j in lowering.buffers.items() if j < first_end]
-    audit_buffers = [name for name, j in lowering.buffers.items() if j >= first_end]
+    step_buffers = [name for name, j in placed.buffers.items() if j < first_end]
+    audit_buffers = [name for name, j in placed.buffers.items() if j >= first_end]
     owner = {k: f for f, k in reversed(list(enumerate(ks))) if k in step_buffers}
     targets = "(" + "".join(f"{k}, " if owner.get(k) == f else f"_R{f}, "
                             for f, k in enumerate(ks)) + ")"
     copies = [f"_R{f}[...] = {k}" for f, k in enumerate(ks) if owner.get(k) != f]
+    # the step's other nodes each have a buffer, and each pack a row per member, which
+    # its member's name is bound to; a view is some of a pack's rows
     nodes = [name for name in step_buffers if name not in owner]
+    packs = {name: np.empty((len(members), n_sites)) for name, members in placed.packs.items()}
+    bound = {**dict(zip(nodes, np.empty((len(nodes), n_sites)))), **packs, **windows,
+             **{m: packs[p][i] for p, ms in placed.packs.items() for i, m in enumerate(ms)},
+             **{name: packs[p][a:b] for name, (p, a, b) in placed.views.items()}}
     block_of = {d: j for j, d in reversed(list(enumerate(ds))) if d in audit_buffers}
     audit_nodes = [name for name in audit_buffers if name not in block_of]
     densities_at = [*lowering.lines(start=first_end, checked=True, in_place=True),
@@ -282,7 +302,7 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
             "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0), "_x0": state.x,
             "_blow_up": blow_up, "_take": np.ndarray.take, "_max": np.maximum.reduce,
             "_gather": gather, "_V": inputs(G, evolved), "_G": G,
-            "_nodes": tuple(np.empty((len(nodes), n_sites))),
+            "_nodes": tuple(bound.values()),
             "_masks": tuple(np.empty((2, n_sites), dtype=bool)),
             "_W": W, "_Y0": rows_of[0], "_next": rows_of[1:] + rows_of[:1],
             "_Ka": Ka, "_Kb": Kb, "_Kat": tuple(Ka), "_Kbt": tuple(Kb),
@@ -332,7 +352,7 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     def names(nodes):
         return f"({''.join(name + ', ' for name in nodes)})"
 
-    prologue = ["V = _V", f"{names(nodes)} = _nodes", "mt, mm = _masks"]
+    prologue = ["V = _V", f"{names(bound)} = _nodes", "mt, mm = _masks"]
     returned = "return i, Y, K, X"
     functions = {
         "_start": ("x, i", [*prologue, "m = bad", *at("_Y0", "_Kat"),
