@@ -38,11 +38,11 @@ A leaf rule that can raise maps every ``Var``, so none is skipped.  Outside
 table per builder and argument for the whole run, so a repeated call is one
 lookup and a subtree that two expressions share is rebuilt once; the tables
 hold their nodes alive until the outermost :func:`run_memo` exits, and no
-longer.  The sampler keeps its point sets and lowered guards in tables of
+longer.  The sampler keeps its point sets and guard tuples in tables of
 the same run, and :func:`evaluate` keeps the node values at each point set
 the run holds in a table from ``id(node)`` to the node and its value; at
-any other assignment it keeps a per-call table, as :func:`nodes` and
-:class:`Lowering` do.
+any other assignment it keeps a per-call table, as :func:`evaluate_all`,
+:func:`nodes` and :class:`Lowering` do.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import struct
 import weakref
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -93,7 +94,7 @@ __all__ = [
     "nodes",
     "fieldvars",
     "evaluate",
-    "compile_exprs",
+    "evaluate_all",
     "Lowering",
     "run_memo",
     "partial",
@@ -539,7 +540,7 @@ def _any(mask):
 
 
 # Names the sources of the node rules read as globals, in evaluate() and in
-# the code compile_exprs() generates; _zero is the 0 of the body's mask tests.
+# the code Lowering generates; _zero is the 0 of the body's mask tests.
 # evaluate() takes _add, _subtract, _multiply and _negative from operator.
 _LOWERED_GLOBALS = {"_any": _any, "_power": np.power, "_divide": np.divide, "_log": np.log,
                     "_abs": np.abs, "_sqrt": np.sqrt, "_isfinite": np.isfinite,
@@ -583,7 +584,7 @@ class _Rule:
     ``fields`` names the children's fields in order (with ``fold``, one tuple);
     ``build(node, *children)`` rebuilds through the smart constructor.  The
     sources ``datum``, ``when``, ``value``, ``test`` and ``overflow`` are
-    printed inline by :func:`compile_exprs` and run by :func:`evaluate` in a
+    printed inline by :class:`Lowering` and run by :func:`evaluate` in a
     function built here.  In ``value``, ``{0}``, ``{1}``, ... are the
     children's values (with ``fold``, the value so far and the next child's),
     ``{k}`` the datum, and ``{P}``, ``{V}``, ``{x}``, ``{alt}`` the inputs; a
@@ -777,9 +778,9 @@ def evaluate(e, a):
     node follows its rule in ``_RULES``, in one pass with overflow quiet.
     The first singular node raises :class:`SingularEvaluationError`, as does
     a power that overflows from a finite base; any other overflow gives inf
-    quietly.  This is the only code that raises for a singular node; the
-    functions of :func:`compile_exprs` and :class:`Lowering` return a mask
-    instead, set exactly where this raises.
+    quietly.  This walk, shared with :func:`evaluate_all`, is the only code
+    that raises for a singular node; the functions of :class:`Lowering`
+    return a mask instead, set exactly where this raises.
 
     The values of the nodes go to a table from ``id(node)`` to the node and
     its value.  For a point set the run memo holds (``a.held``) that is the
@@ -789,11 +790,30 @@ def evaluate(e, a):
     that raised is never stored, so a shared table gives the values and the
     errors of a new one.
     """
-    held = a.held
-    memo = _table(("evaluate", id(a)), a) if held else {}
+    memo = _table(("evaluate", id(a)), a) if a.held else {}
     hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
+    return _quiet_overflow(_walker(a, memo), e)
+
+
+def evaluate_all(exprs, a):
+    """The value of each of ``exprs`` at ``a``, in one walk with one new node table.
+
+    The walk is :func:`evaluate`'s, in its error state, so each value is
+    the one :func:`evaluate` gives, bit for bit, and the first singular
+    node raises its error; a node that several of ``exprs`` share is
+    computed once.
+    """
+    return _quiet_overflow(list, map(_walker(a, {}), exprs))
+
+
+def _walker(a, memo):
+    """``rec(node)``: ``node``'s value at ``a`` by its row of ``_RULES``, kept in ``memo``.
+
+    At a held point set each array kept is made read-only.
+    """
+    held = a.held
 
     def rec(node):
         hit = memo.get(id(node))
@@ -805,44 +825,11 @@ def evaluate(e, a):
         memo[id(node)] = node, v
         return v
 
-    return _quiet_overflow(rec, e)
+    return rec
 
 
-def compile_exprs(exprs):
-    """Lower a list of expressions once into straight-line numpy functions.
-
-    Returns ``(bind, variables)``.  ``bind(params)`` runs the prelude, the
-    nodes of constants and parameters alone, and returns ``fn(values, x,
-    alt)``, which computes the other nodes and returns ``(results, bad)``:
-    the value of each expression and the mask of the points where a node is
-    singular.  ``values`` holds one value per FieldVar of ``variables``, in
-    that order.  Bind once per parameter binding, then call as often as the
-    fields change.
-
-    Every node follows its rule in ``_RULES``, as in :func:`evaluate`, so the
-    values are the same bit for bit and the mask is set exactly where
-    :func:`evaluate` raises.  ``bad`` is ``False`` when nothing is singular in
-    the prelude and no other node has a test, a power's overflow test among
-    them: such a call does no mask arithmetic.  Binding and calls run with
-    overflow quiet, as :func:`evaluate` does.  ``bind`` raises
-    :class:`MissingVariableError` when a parameter has no value.  Nothing
-    here raises where a node is singular: a caller that must raise calls
-    :func:`evaluate`.  Structurally equal subtrees are one object, computed
-    once for the whole list.  No call passes a ufunc a Python or numpy
-    scalar: numbers are 0-d arrays (see :class:`Lowering`).
-    """
-    lowering = Lowering(exprs)
-    bind_call = lowering.compile({"_lowered": ("V, x, alt", [
-        "m = bad", *lowering.lines(checked=True), f"return [{', '.join(lowering.results)}], m"])})
-
-    def bind(params):
-        try:
-            fn, = bind_call(params)
-        except KeyError as err:
-            raise MissingVariableError(f"parameter {err.args[0]!r} has no value") from None
-        return functools.partial(_quiet_overflow, fn)
-
-    return bind, lowering.variables
+# a body line that reads a value of V
+_READ = re.compile(r"(t\d+) = V\[\d+\]")
 
 
 class InPlace(NamedTuple):
@@ -856,7 +843,7 @@ class InPlace(NamedTuple):
 
 
 class Lowering:
-    """The straight-line numpy lines of a list of expressions, one per node.
+    """The straight-line numpy lines of a list of expressions, one per node: the flow's RK4 step.
 
     Every node follows its rule in ``_RULES``, its value printed by
     :func:`_printed`.  ``prelude`` holds the lines of the nodes of constants
@@ -1049,11 +1036,20 @@ class Lowering:
         With ``in_place``, the lines of :attr:`in_place`: each node of its
         ``buffers`` is computed into its buffer, each pack into its buffer
         at its first member, and each mask test into ``mt`` and ``mm``.
+        Without the overflow tests, a read of ``V`` that no other line
+        printed and no result reads, since a pack's window took its place,
+        is left out.
         """
         put = self.in_place.lines if in_place else {}
         printed = [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
                    if j >= start and (checked or not overflow)]
-        return [line for line in printed if line is not None]
+        printed = [line for line in printed if line is not None]
+        if in_place and not checked:
+            named = set(self.results).union(*[re.findall(r"\bt\d+\b", line)
+                                              for line in printed if not _READ.fullmatch(line)])
+            printed = [line for line in printed
+                       if (read := _READ.fullmatch(line)) is None or read[1] in named]
+        return printed
 
     def source(self, functions):
         """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""
@@ -1113,10 +1109,10 @@ def run_memo():
     same node and argument; ``sampling.SamplePlan.assignments`` hands back
     the point set it gave before for the same request, answers a request
     for fewer points with the first points of a set of the same candidate
-    stream, and lowers each guard tuple once; :func:`evaluate` at such a
-    point set hands back the value it computed before for the same node.  A nested entry shares the outer
-    tables; the outermost exit drops them, and with them every node, point
-    set and value they held.
+    stream, and reads each guard tuple's variables once; :func:`evaluate`
+    at such a point set hands back the value it computed before for the
+    same node.  A nested entry shares the outer tables; the outermost exit
+    drops them, and with them every node, point set and value they held.
     """
     if _RUN.get() is not None:
         yield

@@ -20,7 +20,7 @@ destinations.
 A step computes in place.  The evolved fields are the rows of an ``(F,
 N)`` array, as is each right-hand side, so a stage input ``Y + f K`` and
 the combination are each one call per operation for all the fields, and
-one ``take`` gathers every read of them, shifted or not.  Every node whose
+one ``take`` gathers every read of them that the step uses.  Every node whose
 value is an array over the sites writes into a buffer of its own through
 the ufunc's positional ``out``, and the right-hand side of a field straight
 into its row of the stage's destination; a mask test writes into two
@@ -199,6 +199,8 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     whose rows its members' names are bound to, and a view of some of them
     is a slice; the reads of each window are gathered after those of
     ``V``, as a slice of ``G``, so a stage still makes one ``take``.  The
+    fast step prints no read that only a window or an overflow test reads,
+    and its ``take`` fills only the rows of ``G`` it reads, the last.  The
     block's states are audited when it fills, at the last state, and when
     ``fast`` stops.
     """
@@ -240,12 +242,19 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         W[0, f] = state.fields[name]
     # the values of V: a read of an evolved field is a row of G, which one take
     # fills from the input fields, as are the rows of each window after them; a field
-    # the flow only reads is read once.  The audit's V reads an evolved field that a
-    # monitor reads from a row of AG, over the block's rows and sites
+    # the flow only reads is read once.  The reads that the fast step's lines print
+    # come last, before the windows, so that its take fills the tail of G it reads.
+    # The audit's V reads an evolved field that a monitor reads from a row of AG,
+    # over the block's rows and sites
     placed = lowering.in_place
+    fast_reads = {lowering.variables[int(slot)]
+                  for line in lowering.lines(end=first_end, in_place=True)
+                  for slot in re.findall(r"\bV\[(\d+)\]", line)}
     sites, position = np.arange(n_sites), {name: f for f, name in enumerate(rhs)}
     evolved = {fv: position[name] * n_sites + (index[k] if k else sites)
                for fv, (name, k) in zip(lowering.variables, reads) if name in rhs}
+    evolved = dict(sorted(evolved.items(), key=lambda item: item[0] in fast_reads))
+    unread = len(set(evolved) - fast_reads)
     audited = set(evolved) & set().union(*map(fieldvars, monitors.values()))
     windowed = [lowering.variables[s] for slots in placed.windows.values() for s in slots]
     gather = np.array([*evolved.values(), *map(evolved.get, windowed)],
@@ -258,9 +267,9 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         windows[name], end = G[end:end + len(slots)], end + len(slots)
 
     def inputs(gathered, wanted):
-        # each read of an evolved field that is wanted is the next row of gathered
-        rows_of = iter(gathered)
-        return tuple((next(rows_of) if fv in wanted else None) if fv in evolved else
+        # the reads of evolved fields that are wanted are the rows of gathered, in turn
+        row = dict(zip([fv for fv in evolved if fv in wanted], gathered))
+        return tuple(row.get(fv) if fv in evolved else
                      state.fields[name][index[k]] if k else state.fields[name]
                      for fv, (name, k) in zip(lowering.variables, reads))
 
@@ -302,6 +311,7 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
             "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0), "_x0": state.x,
             "_blow_up": blow_up, "_take": np.ndarray.take, "_max": np.maximum.reduce,
             "_gather": gather, "_V": inputs(G, evolved), "_G": G,
+            "_fast_gather": gather[unread:], "_fast_G": G[unread:],
             "_nodes": tuple(bound.values()),
             "_masks": tuple(np.empty((2, n_sites), dtype=bool)),
             "_W": W, "_Y0": rows_of[0], "_next": rows_of[1:] + rows_of[:1],
@@ -321,8 +331,10 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         return f"if m is not False and _any(m): {stop}"
 
     def at(fields, destination, checked=True):
-        # the right-hand side at the fields' values, into the destination rows
-        take = [f"_take({fields}, _gather, None, _G, 'clip')"] if evolved else []
+        # the right-hand side at the fields' values, into the destination rows; the
+        # fast step gathers only the rows it reads, the last of G
+        first, fast = (0, "") if checked else (unread, "_fast")
+        take = [f"_take({fields}, {fast}_gather, None, {fast}_G, 'clip')"] if len(G) > first else []
         return [*take, f"{targets} = {destination}",
                 *lowering.lines(end=first_end, checked=checked, in_place=True), *copies]
 

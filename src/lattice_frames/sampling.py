@@ -11,24 +11,26 @@ evaluated once at all of its points.  Candidates are drawn in blocks of
 that form, each block from one raw read of the plan's PCG64 that leaves
 the stream where drawing its candidates one at a time leaves it; a block
 in which that draw would retry a rejected integer is drawn one call at a
-time instead (see :func:`_draw_block`).  The guard tuple, lowered once per
-run by :func:`~lattice_frames.expr.compile_exprs`, tests a block in one
-call with its parameter columns bound, its inputs read from the block's
-columns by position, and rejects the candidates of the call's mask, at
-which a guard is singular; the draw's one :class:`PointSet` is made from
-the accepted rows alone.  The accepted points, the
-rejection count and the point where sampling gives up are those of testing
-one candidate at a time with :meth:`Guard.ok`.
+time instead (see :func:`_draw_block`).  A block's columns are one
+:class:`PointSet`, at which :func:`~lattice_frames.expr.evaluate_all`
+evaluates the whole guard tuple in one walk with one node table, so a
+node that guards share is computed once per block and nothing is
+lowered; a block at which a guard is singular is tested one candidate at
+a time with :meth:`Guard.ok`.  The candidates accepted, the rejections
+and the candidate where sampling gives up follow from cumulative counts
+over the block's mask, and are those of testing one candidate at a time
+with :meth:`Guard.ok`; the draw's one :class:`PointSet` is made from the
+accepted rows alone.
 
-Inside :func:`~lattice_frames.expr.run_memo` the lowered guard tuple and
-every point set are kept in the run's tables, as the builders' nodes are.
-A guard tuple's entry maps the variables of a request outside the guards'
-to one sorted tuple of the whole set, sorted on the set's first request.
-A candidate stream is fixed by the identity of that tuple, the plan's
-seed, ranges and ``max_rejections``, the signature's params, variation
-fields and lattice dimension, and the identities of the guard tuple and
-``offsets``; its table maps ``n_points`` to the set held of that size.  A
-repeated request in the run, from any plan, returns the very
+Inside :func:`~lattice_frames.expr.run_memo` each guard tuple's variables
+and every point set are kept in the run's tables, as the builders' nodes
+are.  A guard tuple's entry maps the variables of a request outside the
+guards' to one sorted tuple of the whole set, sorted on the set's first
+request.  A candidate stream is fixed by the identity of that tuple, the
+plan's seed, ranges and ``max_rejections``, the signature's params,
+variation fields and lattice dimension, and the identities of the guard
+tuple and ``offsets``; its table maps ``n_points`` to the set held of
+that size.  A repeated request in the run, from any plan, returns the very
 :class:`PointSet` drawn the first time, and sorts and hashes no
 :class:`FieldVar`.  A request for fewer points than a set of its stream
 is that set's first points (:meth:`PointSet.prefix`), drawing nothing: a
@@ -58,8 +60,8 @@ from .expr import (
     _RUN,
     _table,
     _varset,
-    compile_exprs,
     evaluate,
+    evaluate_all,
 )
 
 __all__ = [
@@ -257,23 +259,18 @@ class SamplePlan:
         :class:`ExprError`.
         """
         # each table holds the objects whose ids its key holds, so no id is reused
-        lowered = _table(("guards", id(self.guards)), self.guards)
-        if not lowered:
-            lowered["guards"] = compile_exprs([g.expr for g in self.guards])
-            lowered["vars"], lowered["names"] = frozenset(lowered["guards"][1]), {}
+        guards = _table(("guards", id(self.guards)), self.guards)
+        if not guards:
+            guards["exprs"] = [g.expr for g in self.guards]
+            guards["vars"], guards["names"] = frozenset().union(*map(_varset, guards["exprs"])), {}
             # one row per guard: which rows are tested by absolute value, and their margins
-            lowered["abs"] = np.array([g.kind != "pos" for g in self.guards], dtype=bool)[:, None]
-            lowered["margins"] = np.array([g.margin for g in self.guards], dtype=float)[:, None]
-        guard_bind, guard_vars = lowered["guards"]
-        # the variables outside the guards' find the one sorted tuple of the
-        # set, and the position in it of each input of the lowered guards
-        extra = frozenset().union(*[_varset(e) - lowered["vars"] for e in exprs])
-        found = lowered["names"].get(extra)
-        if found is None:
-            names = tuple(sorted(lowered["vars"] | extra))
-            position = {fv: i for i, fv in enumerate(names)}
-            found = lowered["names"][extra] = names, [position[fv] for fv in guard_vars]
-        names, guard_cols = found
+            guards["abs"] = np.array([g.kind != "pos" for g in self.guards], dtype=bool)[:, None]
+            guards["margins"] = np.array([g.margin for g in self.guards], dtype=float)[:, None]
+        # the variables outside the guards' find the one sorted tuple of the set
+        extra = frozenset().union(*[_varset(e) - guards["vars"] for e in exprs])
+        names = guards["names"].get(extra)
+        if names is None:
+            names = guards["names"][extra] = tuple(sorted(guards["vars"] | extra))
         variation_names = set(sig.variations.values())
         # the sets of one candidate stream, by size
         held = _table(("points", id(names), self.seed, tuple(self.value_range),
@@ -321,32 +318,39 @@ class SamplePlan:
                 except ValueError as err:   # a dimension past numpy's largest
                     raise MemoryError(err) from None
                 cols, params = columns(rows)
-                # the parameters are columns of the block, so they are bound per block
-                values, bad = guard_bind(params)([cols[i] for i in guard_cols], cols[k],
-                                                 _alt(bases))
+                block = PointSet(dict(zip(names, cols[:k])), x=cols[k], params=params,
+                                 base=tuple(bases.T), alt=_alt(bases))
                 try:
-                    stacked = np.array(values, dtype=float).reshape(len(values), size)
-                except ValueError:  # a guard that reads no input has one value: broadcast it
-                    stacked = np.array([np.broadcast_to(v, size) for v in values])
-                np.abs(stacked, out=stacked, where=lowered["abs"])
-                ok = ~np.broadcast_to(bad, size) & (stacked >= lowered["margins"]).all(axis=0)
+                    values = evaluate_all(guards["exprs"], block)
+                except SingularEvaluationError:
+                    # a guard is singular at some candidate: each is tested on its own
+                    ok = np.array([all(g.ok(a) for g in self.guards) for a in block], dtype=bool)
+                else:
+                    try:
+                        stacked = np.array(values, dtype=float).reshape(len(values), size)
+                    except ValueError:  # a guard that reads no input has one value: broadcast it
+                        stacked = np.array([np.broadcast_to(v, size) for v in values])
+                    np.abs(stacked, out=stacked, where=guards["abs"])
+                    ok = (stacked >= guards["margins"]).all(axis=0)
             except MemoryError as err:
                 raise ExprError(f"cannot allocate a block of {size} candidate points: "
                                 f"{err}") from None
             drawn += size
-            take = []
-            for i in range(size):
-                if rejected > self.max_rejections:
-                    raise SamplingExhaustedError(
-                        f"guards rejected {rejected} candidates (accepted {accepted}/{self.n_points})")
-                if ok[i]:
-                    take.append(i)
-                    accepted += 1
-                    if accepted == self.n_points:
-                        break
-                else:
-                    rejected += 1
-            kept.append((rows[take], bases[take]))
+            # the candidates are examined in order up to the one that completes the
+            # set, each after as many rejections as the count so far and those of its
+            # predecessors; sampling gives up at the first examined after too many
+            accepted_by = np.cumsum(ok)
+            end = min(int(np.searchsorted(accepted_by, need)) + 1, size)
+            ok, accepted_by = ok[:end], accepted_by[:end]
+            before = rejected + np.arange(end) - accepted_by + ok
+            i = int(np.searchsorted(before, self.max_rejections, side="right"))
+            if i < end:
+                over = int(before[i])
+                raise SamplingExhaustedError(f"guards rejected {over} candidates (accepted "
+                                             f"{accepted + i - over + rejected}/{self.n_points})")
+            kept.append((rows[:end][ok], bases[:end][ok]))
+            taken = int(accepted_by[-1])
+            accepted, rejected = accepted + taken, rejected + end - taken
         rows, bases = map(np.concatenate, zip(*kept))
         cols, params = columns(rows)
         out = PointSet(dict(zip(names, cols[:k])), x=cols[k], params=params,

@@ -17,8 +17,12 @@ frame's invariant derivative commutes with the shifts.
 :func:`reference_partial`, :func:`reference_shift` and
 :func:`reference_substitute` the builders on it; :func:`expr_trees` is a
 Hypothesis strategy for grammar-valid trees over a signature.
+:func:`compile_exprs` lowers a list of expressions by
+:meth:`Lowering.compile` into one function of the inputs, so that the
+lowered lines the flow prints are compared with ``evaluate`` bit for bit.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -32,6 +36,8 @@ from lattice_frames.expr import (
     ExprError,
     FieldVar,
     LnAbs,
+    Lowering,
+    MissingVariableError,
     Neg,
     Param,
     Pow,
@@ -42,6 +48,7 @@ from lattice_frames.expr import (
     Var,
     XVar,
     _RULES,
+    _quiet_overflow,
     add,
     children,
     evaluate,
@@ -401,3 +408,30 @@ def expr_trees(sig, max_leaves=25):
         )
 
     return st.recursive(st.one_of(leaves), extend, max_leaves=max_leaves)
+
+
+def compile_exprs(exprs):
+    """Lower a list of expressions once into straight-line numpy functions.
+
+    Returns ``(bind, variables)``.  ``bind(params)`` runs the prelude, the
+    nodes of constants and parameters alone, and returns ``fn(values, x,
+    alt)``, which computes the other nodes and returns ``(results, bad)``:
+    the value of each expression and the mask of the points where a node is
+    singular.  ``values`` holds one value per FieldVar of ``variables``, in
+    that order.  ``bad`` is ``False`` when nothing is singular in the
+    prelude and no other node has a test.  Binding and calls run with
+    overflow quiet, as ``evaluate`` does; ``bind`` raises
+    :class:`MissingVariableError` when a parameter has no value.
+    """
+    lowering = Lowering(exprs)
+    bind_call = lowering.compile({"_lowered": ("V, x, alt", [
+        "m = bad", *lowering.lines(checked=True), f"return [{', '.join(lowering.results)}], m"])})
+
+    def bind(params):
+        try:
+            fn, = bind_call(params)
+        except KeyError as err:
+            raise MissingVariableError(f"parameter {err.args[0]!r} has no value") from None
+        return functools.partial(_quiet_overflow, fn)
+
+    return bind, lowering.variables

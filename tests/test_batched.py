@@ -1,12 +1,15 @@
 """Batched sampling and evaluation against their point-by-point definitions."""
 
+import builtins
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
-from lattice_frames import expr, sampling
+from lattice_frames import cli, expr, sampling
 from lattice_frames.calculus import euler_lagrange
 from lattice_frames.catalog import get_example
 from lattice_frames.expr import (
@@ -21,6 +24,7 @@ from lattice_frames.expr import (
     children,
     evaluate,
     fieldvars,
+    nodes,
     power,
     sqrt,
 )
@@ -208,7 +212,7 @@ U1 = Var(FieldVar("u", 0, (1,)))
 
 def singular_plan(**kw):
     # sqrt(u[0]) is singular for about half the candidates, so every block
-    # has candidates that the mask of the lowered guard call rejects
+    # is tested one candidate at a time
     guards = (Guard(sqrt(U0), "pos", 0.3), Guard(U1 - U0, "abs", 0.1))
     return SamplePlan(guards=guards, **kw)
 
@@ -223,7 +227,7 @@ def test_singular_guard_fallback_matches_reference(seed):
 
 
 def test_singular_parameter_guard_falls_back_to_reference():
-    # sqrt(a - 1) is singular when binding a block whose a column dips below 1
+    # sqrt(a - 1) is singular at a block whose a column dips below 1
     sig = ProblemSignature(("u",), 1, params=("a",))
     guards = (Guard(sqrt(Param("a") - 1), "pos", 0.2), Guard(U1 - U0, "abs", 0.1))
     plan = SamplePlan(n_points=30, seed=11, guards=guards)
@@ -231,6 +235,76 @@ def test_singular_parameter_guard_falls_back_to_reference():
     want = reference_assignments(plan, [U0 * U1], sig)
     assert as_tuples(got) == as_tuples(want)
     assert all(a.params["a"] >= 1.04 for a in got)
+
+
+# |u|^1200 overflows from a finite base for |u| > 1.81, and sqrt(u) is singular
+# for u < 0: each is singular at some candidates of most blocks, and such a
+# block is tested one candidate at a time
+@pytest.mark.parametrize("guards", [
+    (Guard(power(U0, 1200), "abs", 0.1), Guard(U1 - U0, "abs", 0.1)),
+    (Guard(U1 - U0, "abs", 0.1), Guard(sqrt(U1), "pos", 0.3), Guard(power(U0, 1200), "pos", 0.1)),
+])
+@pytest.mark.parametrize("max_rejections", [3, 20000])
+def test_guards_singular_at_part_of_a_block_match_reference(guards, max_rejections, monkeypatch):
+    plan = SamplePlan(n_points=40, seed=19, guards=guards, max_rejections=max_rejections)
+    ok, tested = [], Guard.ok
+    monkeypatch.setattr(Guard, "ok", lambda g, a: ok.append(1) or tested(g, a))
+    try:
+        want = as_tuples(reference_assignments(plan, [U0 * U1], SIG1))
+    except SamplingExhaustedError as err:
+        want = str(err)
+    del ok[:]
+    try:
+        got = as_tuples(plan.assignments([U0 * U1], SIG1))
+    except SamplingExhaustedError as err:
+        got = str(err)
+    assert got == want and ok    # some block was tested one candidate at a time
+    assert isinstance(want, str) == (max_rejections == 3)
+
+
+@pytest.mark.parametrize("max_rejections", [0, 1, 2, 7, 30, 31, 32, 33, 60, 20000])
+@pytest.mark.parametrize("n_points", [1, 5, 30])
+def test_acceptance_and_exhaustion_by_counts_match_reference(n_points, max_rejections):
+    # about one candidate in six is accepted, so a set takes several blocks
+    plan = SamplePlan(n_points=n_points, seed=23, max_rejections=max_rejections,
+                      guards=(Guard(U0, "pos", 1.35), Guard(U1 - U0, "abs", 0.1)))
+
+    def outcome(draw):
+        try:
+            return as_tuples(draw(plan, [U0], SIG1))
+        except SamplingExhaustedError as err:
+            return str(err)
+
+    assert outcome(SamplePlan.assignments) == outcome(reference_assignments)
+
+
+def test_each_guard_node_is_stepped_once_per_block(monkeypatch):
+    # one walk of the whole guard tuple per block: a node that guards share,
+    # such as a read of u or -u, is computed once
+    b = get_example("toda")
+    guards = [g.expr for g in b.plan_kw["guards"]]
+    assert len({id(node) for g in guards for node in nodes(g)}) == 181
+    steps = []
+    for rule in expr._RULES.values():
+        monkeypatch.setattr(rule, "step", lambda rec, a, node, step=rule.step: (
+            steps.append(node), step(rec, a, node))[1])
+    blocks = counting_blocks(monkeypatch)
+    for seed in (7, 2024, 31337):
+        b.plan(n_points=50, seed=seed).assignments(guards, b.sig)
+    assert blocks[0] >= 3 and len(steps) == 181 * blocks[0]
+    assert len({id(node) for node in steps}) == 181
+
+
+@pytest.mark.parametrize("name", ["toda", "ex81"])
+def test_verify_lowers_nothing(name, monkeypatch):
+    # the guards are tested where they are drawn: no source is generated
+    executed, run = [], builtins.exec
+    monkeypatch.setattr(builtins, "exec", lambda *args: executed.append(args) or run(*args))
+    lowered = counting_lowerings(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", name, "--suite", "all", "--seed", "31337"])
+    assert exit_.value.code == 0
+    assert executed == [] and lowered == []
 
 
 @pytest.mark.parametrize("max_rejections", [0, 5, 17])
@@ -297,10 +371,22 @@ def test_point_set_columns_are_contiguous_arrays(name):
     assert len(SamplePlan(n_points=0).assignments([U0], SIG1)) == 0
 
 
+def counting_blocks(monkeypatch):
+    """The number of candidate blocks drawn while the test runs, in a one-item list."""
+    blocks, draw_block = [0], sampling._draw_block
+
+    def counting(*args):
+        blocks[0] += 1
+        return draw_block(*args)
+
+    monkeypatch.setattr(sampling, "_draw_block", counting)
+    return blocks
+
+
 @pytest.mark.parametrize("n_points", [10, 50])
 def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
-    # one point set, of the accepted points: a candidate block is tested on
-    # its columns, read by position
+    # one point set per candidate block, its columns, at which the guards are
+    # tested, and one of the accepted points
     b = get_example("toda")
     built = []
     post_init = Assignment.__post_init__
@@ -310,9 +396,10 @@ def test_sampling_builds_no_assignment_per_point(n_points, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Assignment, "__post_init__", counting)
+    blocks = counting_blocks(monkeypatch)
     pts = b.plan(n_points=n_points).assignments([b.L], b.sig)
     assert len(pts) == n_points
-    assert built == [PointSet]
+    assert blocks[0] >= 1 and built == [PointSet] * (blocks[0] + 1)
 
 
 def columns(pts):
@@ -341,6 +428,19 @@ def counting_sorts(monkeypatch):
 
     monkeypatch.setattr(FieldVar, "__lt__", counting)
     return compared
+
+
+def counting_lowerings(monkeypatch):
+    """The expression list of every :class:`~lattice_frames.expr.Lowering` built after this."""
+    lowered, init = [], expr.Lowering.__init__
+
+    def counting(self, exprs, n_first=0):
+        exprs = list(exprs)
+        lowered.append(exprs)
+        init(self, exprs, n_first)
+
+    monkeypatch.setattr(expr.Lowering, "__init__", counting)
+    return lowered
 
 
 def run_tables(kind):
@@ -377,7 +477,7 @@ class TestMemo:
             hit = dataclasses.replace(plan, seed=plan.seed).assignments([b.L], b.sig)
             assert seeds == [plan.seed]  # the hit seeded no generator
             assert hit is first and hit.held
-            # the lowered guards and one point set
+            # the guard tuple's entry and one point set
             assert len(run_tables("guards")) == len(run_tables("points")) == 1
             fv = next(iter(hit.values))
             for mapping, key in ((hit.values, fv), (hit.params, "p")):
@@ -409,21 +509,17 @@ class TestMemo:
     # a request smaller than a set of its stream the run holds draws nothing
     @pytest.mark.parametrize("name, draws", [("toda", 4), ("ex81", 12), ("nls", 11)])
     def test_each_point_set_is_drawn_once_per_run(self, name, draws, monkeypatch):
-        lowered, compile_exprs = [], sampling.compile_exprs
-
-        def counting_compile(exprs):
-            lowered.append(exprs)
-            return compile_exprs(exprs)
-
         seeds = counting_pcg64(monkeypatch)
-        monkeypatch.setattr(sampling, "compile_exprs", counting_compile)
+        lowered = counting_lowerings(monkeypatch)
         b = get_example(name)
         reports = run_suite(b, "all", b.plan(seed=2024))
         assert reports and all(r.passed for r in reports)
         # every draw seeds its generator with the plan's seed; the group
         # elements and probes of the suites use seed + k for some k > 0
         assert seeds.count(2024) == draws
-        assert lowered == [[g.expr for g in b.plan_kw["guards"]]]
+        # the guards are lowered nowhere: the one lowering is nls's flow
+        cfg = b.integrate_config
+        assert lowered == ([[*cfg["rhs"].values(), *cfg["monitors"].values()]] if cfg else [])
 
     @pytest.mark.parametrize("name", ["toda", "ex81", "nls"])
     @pytest.mark.parametrize("n, larger", [(1, 50), (6, 50), (49, 50)])
@@ -539,20 +635,14 @@ class TestMemo:
         assert [c.tobytes() for c in columns(drawn)] == [c.tobytes() for c in columns(cold)]
 
     def test_outside_a_run_nothing_is_kept(self, monkeypatch):
-        lowered, compile_exprs = [], sampling.compile_exprs
-
-        def counting_compile(exprs):
-            lowered.append(exprs)
-            return compile_exprs(exprs)
-
-        monkeypatch.setattr(sampling, "compile_exprs", counting_compile)
+        lowered = counting_lowerings(monkeypatch)
         b = get_example("toda")
         plan = b.plan(n_points=12)
         first = plan.assignments([b.L], b.sig)
         compared = counting_sorts(monkeypatch)
         again = plan.assignments([b.L], b.sig)
-        # the guards are lowered and the variables sorted again
-        assert len(lowered) == 2 and compared
+        # the variables are sorted again, and the guards lowered by neither request
+        assert lowered == [] and compared
         assert again is not first and not again.held and expr._RUN.get() is None
 
     def test_fieldvars_is_a_new_set_each_call(self):

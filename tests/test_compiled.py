@@ -8,6 +8,7 @@ bit for bit.
 
 import ast
 import itertools
+import re
 import sys
 from collections import Counter
 
@@ -32,7 +33,6 @@ from lattice_frames.expr import (
     Var,
     XVar,
     add,
-    compile_exprs,
     evaluate,
     fieldvars,
     ln_abs,
@@ -47,6 +47,7 @@ from lattice_frames.flows import (
     eval_on_lattice,
     integrate_lattice_flow,
 )
+from oracles import compile_exprs
 
 
 def var(name, k=0):
@@ -990,8 +991,7 @@ def test_lowered_code_takes_no_scalar_operand(nls, monkeypatch):
     assert len(calls) == 1 and "_add(Y, _multiply(factor, source, _A), _A)" in calls[0][0]
     assert type(calls[0][2]["_half_a"]) is np.ndarray
     for name in ("toda", "ex81", "nls"):
-        b = get_example(name)
-        b.plan(n_points=5).assignments([b.L], b.sig)
+        compile_exprs([g.expr for g in get_example(name).plan_kw["guards"]])
     # a mask test of every rule, of per-point values
     compile_exprs([Const(1) / U, ln_abs(U), sqrt(U), power(U, -2) * A])
     assert len(calls) == 5
@@ -1110,6 +1110,27 @@ def test_fast_step_numpy_call_budget(nls, monkeypatch):
         return total
 
     assert count(loop.body, 1) == 58
+
+
+def test_fast_step_reads_and_gathers_only_what_it_uses(nls, monkeypatch):
+    # nls reads u and v only through the windows of its packs in the fast step:
+    # its take fills the 8 window rows of G, not the 6 reads before them, which
+    # the start and the checked step still read for their overflow tests
+    calls = recorded_compiles(monkeypatch)
+    cfg = nls.integrate_config
+    integrate_lattice_flow(cfg["rhs"], cfg["initial_state"](16, 0.5), (0.0, 0.01), 1e-3,
+                           monitors=cfg["monitors"])
+    [(source, _, names)] = calls
+    prelude = ast.parse(source).body[0].body[0]
+    functions = {fn.name: ast.unparse(fn) for fn in prelude.body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert "V[" not in functions["_fast"] and "_fast_gather, None, _fast_G" in functions["_fast"]
+    for name in ("_start", "_checked"):
+        assert len(set(re.findall(r"\bt\d+ = V\[\d+\]", functions[name]))) == 6
+        assert "_fast_gather" not in functions[name]
+    assert len(names["_gather"]) == len(names["_G"]) == 14
+    assert len(names["_fast_gather"]) == len(names["_fast_G"]) == 8
+    np.testing.assert_array_equal(names["_fast_gather"], names["_gather"][6:])
 
 
 def packs(rhs):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lattice_frames import cli, expr, noether, suites
+from lattice_frames import cli, expr, noether, sampling, suites
 from lattice_frames.actions import transform
 from lattice_frames.catalog import EXAMPLES
 from lattice_frames.expr import (
@@ -447,12 +447,24 @@ def _evaluated(e, a):
 
 
 def _count_steps(monkeypatch):
-    """A counter of the node steps of every evaluate() while the test runs."""
+    """A counter of the node steps of every evaluate() while the test runs.
+
+    The steps of the sampler's guard tuple at its candidate blocks are
+    counted apart, under ``"block"``.
+    """
     steps = collections.Counter()
+    blocks = {}     # id -> block, held so that no id is reused
+    evaluate_all = sampling.evaluate_all
+
+    def recording(exprs, a):
+        blocks[id(a)] = a
+        return evaluate_all(exprs, a)
+
+    monkeypatch.setattr(sampling, "evaluate_all", recording)
     for rule in expr._RULES.values():
-        def counted(*args, step=rule.step):
-            steps["node"] += 1
-            return step(*args)
+        def counted(rec, a, node, step=rule.step):
+            steps["block" if blocks.get(id(a)) is a else "node"] += 1
+            return step(rec, a, node)
 
         monkeypatch.setattr(rule, "step", counted)
     return steps
@@ -655,7 +667,8 @@ class TestRunMemo:
     @pytest.mark.parametrize("name, bound", [("toda", 2000), ("ex81", 1300)])
     def test_each_node_is_evaluated_once_per_point_set_per_run(self, name, bound, monkeypatch):
         # node steps per verify <ex> --suite all --seed 31337, toda/ex81: 5,559/2,780
-        # with a table per call; with one table per point set for the run, 1,825/1,140
+        # with a table per call; with one table per point set for the run, 1,825/1,140.
+        # The guard tuple's steps at the candidate blocks, 4 of 181 and 12 of 19, apart
         steps = _count_steps(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
             cli.main(["verify", name, "--suite", "all", "--seed", "31337"])

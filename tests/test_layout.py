@@ -10,8 +10,9 @@ dataclass keeps a field its constructor cannot set; that the layer tracer
 of the benchmark still finds what it wraps; that every expression node
 class is interned, frozen and a dataclass with no generated method; that
 a FieldVar is the tuple of its fields; that every stored formula of the
-catalog is read; and that the flow calls ``evaluate`` only in
-``_on_lattice``."""
+catalog is read; that the flow calls ``evaluate`` only in
+``_on_lattice``; and that only the node rules and the flow generate
+code."""
 
 import ast
 import dataclasses
@@ -445,3 +446,34 @@ def test_the_flow_evaluates_only_through_on_lattice():
     renamed = [a for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                for a in n.names if a.name == "evaluate" and a.asname]
     assert uses and [n.lineno for n in uses if id(n) not in inside] == [] and renamed == []
+
+
+def _scoped_calls(tree, name):
+    """The dotted name of the definition around each call of ``name``; "" at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and _name(child.func) == name:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_node_rules_and_the_flow_generate_code():
+    # exec builds the functions of the node rules once, and the lowered RK4
+    # step once per integration; the sampler tests its guards by evaluate's
+    # walk, so a per-run lowering would build a Lowering outside flows.py
+    executed, lowered = set(), set()
+    for path in MODULES:
+        tree, module = _parse(path), path.relative_to(PACKAGE_DIR).with_suffix("")
+        executed.update(f"{module}.{scope}" for scope in _scoped_calls(tree, "exec"))
+        lowered.update(str(path.relative_to(PACKAGE_DIR))
+                       for _ in _scoped_calls(tree, "Lowering"))
+    assert executed == {"expr._functions", "expr.Lowering.compile"}
+    assert lowered == {"flows.py"}

@@ -28,7 +28,6 @@ from lattice_frames.expr import (
     FieldVar,
     ProblemSignature,
     Var,
-    compile_exprs,
     evaluate,
     fieldvars,
     partial,
@@ -38,7 +37,7 @@ from lattice_frames.expr import (
 from lattice_frames.frames import invariantize
 from lattice_frames.sampling import SamplePlan
 
-from oracles import expr_trees, sympy_symbol, sympy_values, to_sympy
+from oracles import compile_exprs, expr_trees, sympy_symbol, sympy_values, to_sympy
 
 sympy = pytest.importorskip("sympy")
 
