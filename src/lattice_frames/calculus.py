@@ -1,7 +1,7 @@
 """Difference and differential-difference operator algebra.
 
 A linear operator is a finite sum of terms ``coeff * S_K * D^j`` acting on
-expressions.  The module provides application, composition, formal adjoints,
+expressions.  The module provides application, formal adjoints,
 Euler-Lagrange operators, divergences, and summation/integration by parts.
 
 The divergence split of ``(S_K - id) f`` for m > 1 is not unique; this
@@ -35,7 +35,6 @@ __all__ = [
     "DivergenceTuple",
     "deriv_op",
     "apply_op",
-    "op_compose",
     "op_adjoint",
     "euler_lagrange",
     "divergence",
@@ -92,23 +91,6 @@ def apply_op(op, e, sig, deriv=total_derivative):
     """Sum of coeff * S_K d^j e over the operator terms, d = ``deriv`` as for :func:`deriv_op`."""
     return add(*[mul(coeff, shift(deriv_op(e, sig, j, deriv), K, sig))
                  for coeff, K, j in op.terms])
-
-
-def op_compose(op1, op2, sig):
-    """The operator op1 . op2 in normal form.
-
-    Moving the derivatives of op1 across the coefficients of op2 uses the
-    Leibniz rule, so each term pair contributes j1+1 terms.
-    """
-    out = []
-    for c1, K1, j1 in op1.terms:
-        for c2, K2, j2 in op2.terms:
-            K = tuple(a + b for a, b in zip(K1, K2))
-            sc2 = shift(c2, K1, sig)
-            for l in range(j1 + 1):
-                dc2 = deriv_op(sc2, sig, times=l)
-                out.append((mul(comb(j1, l), c1, dc2), K, j1 - l + j2))
-    return LinDiffOp.from_terms(out)
 
 
 def op_adjoint(op, sig):

@@ -53,7 +53,6 @@ import functools
 import itertools
 import math
 import operator
-import re
 import struct
 import weakref
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -828,18 +827,15 @@ def _walker(a, memo):
     return rec
 
 
-# a body line that reads a value of V
-_READ = re.compile(r"(t\d+) = V\[\d+\]")
-
-
 class InPlace(NamedTuple):
     """The body lines of a :class:`Lowering` in place, and the buffers they compute into."""
 
-    lines: dict     # body position -> its line in place; None at a pack's later member
+    lines: dict     # body position -> its line in place; None at a read or a pack's later member
     buffers: dict   # name -> body position, of each node computed into a buffer of its own
     packs: dict     # pack name -> its members' names, the rows of its (P, N) buffer
     views: dict     # name -> (pack name, first row, end row), some rows of a pack
-    windows: dict   # name -> the slots of V whose values are its rows, in order
+    windows: dict   # name -> the names of the reads whose values are its rows, in order
+    reads: dict     # name -> (body position, FieldVar), of each read of V, bound by the caller
 
 
 class Lowering:
@@ -852,11 +848,13 @@ class Lowering:
     ``overflow`` marking a power's overflow test, which :meth:`lines` leaves
     out of the flow's fast step, where overflow raises.  A test ORs the
     points where a node is singular into the mask ``m``; nodes that test one
-    child alike share one line.  ``results`` names each expression's value.
-    The body lines of the first ``n_first`` expressions are
-    ``body[:first_end]``, and those of the others, ``body[first_end:]``,
-    compute every value they read but the prelude's, so that each part runs
-    alone.  ``variables`` are the FieldVars read from ``V``, in slot order;
+    child alike share one line; a one-term sum or product is its term, with
+    no line.  ``results`` names each expression's value, and ``records``
+    hold each body node's position, name, rule, children's names, minus
+    flags, datum's closure name and datum.  The body lines of the first
+    ``n_first`` expressions are ``body[:first_end]``, and those of the
+    others, ``body[first_end:]``, compute every value they read but the
+    prelude's, so that each part runs alone.  ``variables`` are the FieldVars read from ``V``, in slot order;
     ``bound`` maps a closure name to its datum.
 
     A body node whose value is an array over the sites (it reads ``V`` or
@@ -869,7 +867,10 @@ class Lowering:
     bits, and no call allocates its result.  In place, a body mask test
     also writes its test into the boolean buffer ``mt`` and ORs it into
     ``mm``, which ``m`` then names, so that it never writes the mask it
-    starts from; the caller binds both.
+    starts from; the caller binds both.  In place, a read of ``V`` prints
+    no line: the ``reads`` of :attr:`in_place` give each read's body
+    position and FieldVar, and the caller binds its name to its values once
+    per call.
 
     In place, the right-hand sides' nodes (``body[:first_end]``, but their
     results) are also packed: two or more nodes of one rule, datum value
@@ -907,8 +908,7 @@ class Lowering:
         data = {}           # id(node) -> the closure name of its datum
         count = itertools.count()
         self.prelude, self.body, self.bound = [], [], {}
-        # (body position, name, rule, children, minus flags, datum's closure name, datum)
-        self._computed = []
+        self.records = []
         self._tests = {}     # body position -> its mask test, the {out} slot kept
 
         def as_array(name):
@@ -928,6 +928,9 @@ class Lowering:
             minus = [bool(i) and rule.minus is not None and type(c) is Neg
                      for i, c in enumerate(subs)]
             args = [rec(c.arg if m else c) for c, m in zip(subs, minus)]
+            if rule.fold and len(args) == 1:    # a one-term fold is its term: no line
+                names[key] = args[0]
+                return args[0]
             varying = rule.varying or any([v for _, v in args])
             if varying:
                 args = [(arg if v else as_array(arg), v) for arg, v in args]
@@ -954,7 +957,7 @@ class Lowering:
             name = f"t{next(count)}"
             lines = self.body if varying else self.prelude
             if varying:
-                self._computed.append((len(lines), name, rule, kids, minus, k, datum))
+                self.records.append((len(lines), name, rule, kids, minus, k, datum))
             lines.append((f"{name} = {value}", False))
             if param:
                 as_array(name)
@@ -980,19 +983,19 @@ class Lowering:
         Printed on first use, for the flow alone.
         """
         sited, lines = set(), {}    # sited: the names of the values that are arrays over the sites
-        for j, name, rule, kids, minus, k, _ in self._computed:
+        for j, name, rule, kids, minus, k, _ in self.records:
             if "{V}" in rule.value or "{alt}" in rule.value or sited.intersection(kids):
                 sited.add(name)
-                if "{out}" in rule.value and (not rule.fold or len(kids) > 1):
+                if "{out}" in rule.value:
                     lines[j] = _printed(rule, kids, minus, out=", " + name, k=k)
         for j, test in self._tests.items():
             lines[j] = f"m = _logical_or(m, {test.format(out=', mt')}, mm)"
         # the right-hand sides' nodes in place, but their results, by class: the rule, the
         # datum's value, the minus flags, and per operand a read of V, the class of an
         # operand that is in one, or else the operand's name
-        reads = {name: k for _, name, rule, _, _, k, _ in self._computed if rule is _RULES[Var]}
+        reads = {name: (j, fv) for j, name, rule, *_, fv in self.records if rule is _RULES[Var]}
         classes, class_of = {}, {}
-        for entry in self._computed:
+        for entry in self.records:
             j, name, rule, kids, minus, _, datum = entry
             if j < self.first_end and j in lines and name not in self._first_results:
                 shape = tuple("V" if kid in reads else class_of.get(kid, kid) for kid in kids)
@@ -1009,7 +1012,7 @@ class Lowering:
                 if len(set(kids)) == 1:
                     operands.append(kids[0])
                 elif kids[0] in reads:
-                    operands.append(("V", tuple(reads[kid] for kid in kids)))
+                    operands.append(("V", kids))
                 elif rows[0] and rows == [(rows[0][0], rows[0][1] + i) for i in range(len(kids))]:
                     pack, first = rows[0]
                     whole = first == 0 and len(kids) == len(packs[pack])
@@ -1025,31 +1028,24 @@ class Lowering:
                 j, _, rule, _, minus, k, _ = members[0]
                 lines[j] = _printed(rule, operands, minus, out=", " + pack, k=k)
                 lines.update((j, None) for j, *_ in members[1:])
-        return InPlace(lines, {name: j for j, name, *_ in self._computed
-                               if j in lines and name not in row_of}, packs,
+        buffers = {name: j for j, name, *_ in self.records if j in lines and name not in row_of}
+        lines.update((j, None) for j, _ in reads.values())
+        return InPlace(lines, buffers, packs,
                        {name: key for key, name in named.items() if key[0] != "V"},
-                       {name: key[1] for key, name in named.items() if key[0] == "V"})
+                       {name: key[1] for key, name in named.items() if key[0] == "V"}, reads)
 
     def lines(self, start=0, end=None, checked=False, in_place=False):
         """The body lines from ``start`` up to ``end``, with the overflow tests when ``checked``.
 
         With ``in_place``, the lines of :attr:`in_place`: each node of its
         ``buffers`` is computed into its buffer, each pack into its buffer
-        at its first member, and each mask test into ``mt`` and ``mm``.
-        Without the overflow tests, a read of ``V`` that no other line
-        printed and no result reads, since a pack's window took its place,
-        is left out.
+        at its first member, and each mask test into ``mt`` and ``mm``; a
+        read of ``V`` prints no line, since the caller binds its name.
         """
         put = self.in_place.lines if in_place else {}
         printed = [put.get(j, line) for j, (line, overflow) in enumerate(self.body[:end])
                    if j >= start and (checked or not overflow)]
-        printed = [line for line in printed if line is not None]
-        if in_place and not checked:
-            named = set(self.results).union(*[re.findall(r"\bt\d+\b", line)
-                                              for line in printed if not _READ.fullmatch(line)])
-            printed = [line for line in printed
-                       if (read := _READ.fullmatch(line)) is None or read[1] in named]
-        return printed
+        return [line for line in printed if line is not None]
 
     def source(self, functions):
         """The source of ``_make(*bound)``, which returns the prelude of :meth:`compile`."""

@@ -19,21 +19,24 @@ destinations.
 
 A step computes in place.  The evolved fields are the rows of an ``(F,
 N)`` array, as is each right-hand side, so a stage input ``Y + f K`` and
-the combination are each one call per operation for all the fields, and
-one ``take`` gathers every read of them that the step uses.  Every node whose
-value is an array over the sites writes into a buffer of its own through
-the ufunc's positional ``out``, and the right-hand side of a field straight
-into its row of the stage's destination; a mask test writes into two
-boolean buffers.  Like nodes of the right-hand sides, such as u^2 and v^2 of
+the combination are each one call per operation for all the fields.  A
+read of a field prints no line: its name is bound once per call to a row
+of one array, which one ``take`` fills from the stage's fields, the same
+rows at every step, or to the values of a field the flow only reads.
+Every node whose value is an array over the sites writes into a buffer of
+its own through the ufunc's positional ``out``, and the right-hand side of
+a field straight into its row of the stage's destination; a mask test
+writes into two boolean buffers.  Like nodes of the right-hand sides, such as u^2 and v^2 of
 the method-of-lines NLS, are computed as a pack, in one call over the rows
 of one buffer, a row per node (see :class:`~lattice_frames.expr.Lowering`):
 an operand that differs between them is a window, reads of the fields
-gathered into consecutive rows by the same ``take``, or rows of a pack
-computed before.  All buffers are allocated once per integration.  State
-``i`` is row ``i % rows`` of a block of states, where ``rows`` is
-``BLOCK_VALUES // N``, at least two and at most the number of states, and a
-step writes the next row, and the other of two right-hand-side arrays, so a
-step that stops leaves the state it started from whole.
+gathered into consecutive rows by the same ``take``, each read's name bound
+to its row, or rows of a pack computed before.  All buffers are allocated
+once per integration.  State ``i`` is row ``i % rows`` of a block of
+states, where ``rows`` is ``BLOCK_VALUES // N``, at least two and at most
+the number of states, and a step writes the next row, and the other of two
+right-hand-side arrays, so a step that stops leaves the state it started
+from whole.
 
 The step neither computes the monitors nor tests the field norm.  An audit
 does both once per block of states, when the block fills, at the last state
@@ -64,7 +67,6 @@ drift, with no numpy warning.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,16 +199,18 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     arrays, so the arrays of the state it started from are whole when it
     stops.  Each pack of :attr:`Lowering.in_place` has a ``(P, N)`` buffer,
     whose rows its members' names are bound to, and a view of some of them
-    is a slice; the reads of each window are gathered after those of
-    ``V``, as a slice of ``G``, so a stage still makes one ``take``.  The
-    fast step prints no read that only a window or an overflow test reads,
-    and its ``take`` fills only the rows of ``G`` it reads, the last.  The
-    block's states are audited when it fills, at the last state, and when
-    ``fast`` stops.
+    is a slice.  Every read of ``V`` is a name bound once per call, beside
+    the pack members: a read that a window holds to that window's row of
+    ``G``, any other read of the step to its own row before the windows', so
+    that one ``take`` fills every row that ``start``, ``fast`` and
+    ``checked`` read, the same for all three; a read of the audit to its
+    row of ``AG``; and a read of a field the flow only reads to its values.
+    The block's states are audited when it fills, at the last state, and
+    when ``fast`` stops.
     """
     lowering = Lowering([*rhs.values(), *monitors.values()], n_first=len(rhs))
     n_sites, rows, first_end = state.n_sites, blocks.shape[1], lowering.first_end
-    reads, index = _reads(lowering.variables, n_sites)
+    index = _reads(lowering.variables, n_sites)[1]
 
     def fail(exprs, x, *ys):
         _on_lattice(exprs, LatticeState({**state.fields, **dict(zip(rhs, ys))}, x, state.params))
@@ -240,38 +244,30 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     Ka, Kb, A, B, C, D, S, T = np.empty((8, len(rhs), n_sites))
     for f, name in enumerate(rhs):
         W[0, f] = state.fields[name]
-    # the values of V: a read of an evolved field is a row of G, which one take
-    # fills from the input fields, as are the rows of each window after them; a field
-    # the flow only reads is read once.  The reads that the fast step's lines print
-    # come last, before the windows, so that its take fills the tail of G it reads.
-    # The audit's V reads an evolved field that a monitor reads from a row of AG,
-    # over the block's rows and sites
+    # the values each read of V is bound to: the step's rows of G, which one take fills
+    # from the stage's input fields, the windows' rows after those of its other reads;
+    # the audit's rows of AG, over the block's rows and sites, or the values of a field
+    # the flow only reads, which only a monitor reads
     placed = lowering.in_place
-    fast_reads = {lowering.variables[int(slot)]
-                  for line in lowering.lines(end=first_end, in_place=True)
-                  for slot in re.findall(r"\bV\[(\d+)\]", line)}
     sites, position = np.arange(n_sites), {name: f for f, name in enumerate(rhs)}
-    evolved = {fv: position[name] * n_sites + (index[k] if k else sites)
-               for fv, (name, k) in zip(lowering.variables, reads) if name in rhs}
-    evolved = dict(sorted(evolved.items(), key=lambda item: item[0] in fast_reads))
-    unread = len(set(evolved) - fast_reads)
-    audited = set(evolved) & set().union(*map(fieldvars, monitors.values()))
-    windowed = [lowering.variables[s] for slots in placed.windows.values() for s in slots]
-    gather = np.array([*evolved.values(), *map(evolved.get, windowed)],
-                      dtype=np.intp).reshape(len(evolved) + len(windowed), n_sites)
-    G, AG = np.empty(gather.shape), np.empty((len(audited), rows, n_sites))
-    audit_gather = (gather[:len(evolved)][[fv in audited for fv in evolved]][:, None]
-                    + W[0].size * np.arange(rows)[:, None])
-    windows, end = {}, len(evolved)
-    for name, slots in placed.windows.items():
-        windows[name], end = G[end:end + len(slots)], end + len(slots)
 
-    def inputs(gathered, wanted):
-        # the reads of evolved fields that are wanted are the rows of gathered, in turn
-        row = dict(zip([fv for fv in evolved if fv in wanted], gathered))
-        return tuple(row.get(fv) if fv in evolved else
-                     state.fields[name][index[k]] if k else state.fields[name]
-                     for fv, (name, k) in zip(lowering.variables, reads))
+    def gathered(names):
+        # a row per read of names: the flat indices of its values in an (F, N) state
+        return np.array([position[fv.name] * n_sites + (index[k] if (k := fv.shift[0]) else sites)
+                         for fv in (placed.reads[name][1] for name in names)],
+                        dtype=np.intp).reshape(len(names), n_sites)
+
+    held = [read for reads in placed.windows.values() for read in reads]
+    step_reads = [*(name for name, (j, _) in placed.reads.items()
+                    if j < first_end and name not in held), *held]
+    audited = [name for name, (j, fv) in placed.reads.items()
+               if j >= first_end and fv.name in rhs]
+    gather = gathered(step_reads)
+    G, AG = np.empty(gather.shape), np.empty((len(audited), rows, n_sites))
+    audit_gather = gathered(audited)[:, None] + W[0].size * np.arange(rows)[:, None]
+    windows, end = {}, len(step_reads) - len(held)
+    for name, reads in placed.windows.items():
+        windows[name], end = G[end:end + len(reads)], end + len(reads)
 
     column = np.empty((rows, 1))   # the x of each of the block's states
     ks, ds = lowering.results[:len(rhs)], lowering.results[len(rhs):]
@@ -290,15 +286,17 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     packs = {name: np.empty((len(members), n_sites)) for name, members in placed.packs.items()}
     bound = {**dict(zip(nodes, np.empty((len(nodes), n_sites)))), **packs, **windows,
              **{m: packs[p][i] for p, ms in placed.packs.items() for i, m in enumerate(ms)},
-             **{name: packs[p][a:b] for name, (p, a, b) in placed.views.items()}}
+             **{name: packs[p][a:b] for name, (p, a, b) in placed.views.items()},
+             **dict(zip(step_reads, G))}
     block_of = {d: j for j, d in reversed(list(enumerate(ds))) if d in audit_buffers}
-    audit_nodes = [name for name in audit_buffers if name not in block_of]
-    densities_at = [*lowering.lines(start=first_end, checked=True, in_place=True),
-                    *(f"_d{j}[...] = {d}" for j, d in enumerate(ds) if block_of.get(d) != j)]
     # the audit's nodes share buffers, each over the block's rows and sites, where their
     # values are not needed at once
-    slots = _pooled(densities_at, audit_nodes)
+    slots = _pooled(lowering, [name for name in audit_buffers if name not in block_of])
     pool = np.empty((len(set(slots.values())), rows, n_sites))
+    audit_bound = {**{name: pool[slot] for name, slot in slots.items()}, **dict(zip(audited, AG)),
+                   **{name: state.fields[fv.name][index[k]] if (k := fv.shift[0])
+                      else state.fields[fv.name]
+                      for name, (_, fv) in placed.reads.items() if fv.name not in rhs}}
 
     at_state = [*monitors.values(), *rhs.values()]     # as the stage-by-stage loop has them
     # a stage factor is a Python float for x and a 0-d array, suffixed _a, for the fields
@@ -310,17 +308,14 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
             "_at_state": at_state, "_half": 0.5 * dt, "_half_a": half_a, "_dt": dt,
             "_sixth_a": _array(dt / 6.0), "_two_a": _array(2.0), "_x0": state.x,
             "_blow_up": blow_up, "_take": np.ndarray.take, "_max": np.maximum.reduce,
-            "_gather": gather, "_V": inputs(G, evolved), "_G": G,
-            "_fast_gather": gather[unread:], "_fast_G": G[unread:],
-            "_nodes": tuple(bound.values()),
+            "_gather": gather, "_G": G, "_nodes": tuple(bound.values()),
             "_masks": tuple(np.empty((2, n_sites), dtype=bool)),
             "_W": W, "_Y0": rows_of[0], "_next": rows_of[1:] + rows_of[:1],
             "_Ka": Ka, "_Kb": Kb, "_Kat": tuple(Ka), "_Kbt": tuple(Kb),
             "_A": A, "_B": B, "_C": C, "_D": D, "_S": S, "_T": T, "_Bt": tuple(B),
             # the second and third stages: x and field factors, source, destination rows
             "_stages": ((0.5 * dt, half_a, B, tuple(C)), (dt, _array(dt), C, tuple(D))),
-            "_audit_gather": audit_gather, "_AG": AG, "_AV": inputs(AG, audited),
-            "_audit_nodes": tuple(pool[slots[name]] for name in audit_nodes),
+            "_audit_gather": audit_gather, "_AG": AG, "_audit_nodes": tuple(audit_bound.values()),
             "_audit_masks": tuple(np.empty((2, rows, n_sites), dtype=bool)),
             "_blocks": tuple(blocks[j] for j in block_of.values()), "_column": column,
             **{f"_d{j}": block for j, block in enumerate(blocks)}}
@@ -331,10 +326,8 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
         return f"if m is not False and _any(m): {stop}"
 
     def at(fields, destination, checked=True):
-        # the right-hand side at the fields' values, into the destination rows; the
-        # fast step gathers only the rows it reads, the last of G
-        first, fast = (0, "") if checked else (unread, "_fast")
-        take = [f"_take({fields}, {fast}_gather, None, {fast}_G, 'clip')"] if len(G) > first else []
+        # the right-hand side at the fields' values, into the destination rows
+        take = [f"_take({fields}, _gather, None, _G, 'clip')"] if len(G) else []
         return [*take, f"{targets} = {destination}",
                 *lowering.lines(end=first_end, checked=checked, in_place=True), *copies]
 
@@ -364,7 +357,7 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     def names(nodes):
         return f"({''.join(name + ', ' for name in nodes)})"
 
-    prologue = ["V = _V", f"{names(bound)} = _nodes", "mt, mm = _masks"]
+    prologue = [f"{names(bound)} = _nodes", "mt, mm = _masks"]
     returned = "return i, Y, K, X"
     functions = {
         "_start": ("x, i", [*prologue, "m = bad", *at("_Y0", "_Kat"),
@@ -376,11 +369,13 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
                                  "if i < _n and r != _last: _audit(i)", returned]),
         "_checked": ("Y, K, X, i", [*prologue, "r = i % _rows", *step(True), returned]),
         # the monitor densities of every row of the block, into their blocks, and their mask
-        "_densities": ("", ["V = _AV", f"{names(audit_nodes)} = _audit_nodes",
+        "_densities": ("", [f"{names(audit_bound)} = _audit_nodes",
                             f"{names(block_of)} = _blocks",
                             "mt, mm = _audit_masks", "x = _column", "m = bad",
                             *(["_take(_W, _audit_gather, None, _AG, 'clip')"] if audited else []),
-                            *densities_at, "return m"]),
+                            *lowering.lines(start=first_end, checked=True, in_place=True),
+                            *(f"_d{j}[...] = {d}" for j, d in enumerate(ds)
+                              if block_of.get(d) != j), "return m"]),
     }
     try:
         start, fast, checked, densities = lowering.compile(functions, **glob)(state.params)
@@ -390,25 +385,23 @@ def _lowered_steps(rhs, monitors, state, n_steps, dt, blow_up, xs, sums, blocks)
     return start, fast, checked
 
 
-def _pooled(lines, names):
-    """A buffer slot for each of ``names``, as few as the straight-line ``lines`` allow.
+def _pooled(lowering, names):
+    """A buffer slot for each of ``names``, nodes of ``lowering``, as few as its lines allow.
 
-    A name takes a free slot at the first line that names it, and gives it
-    back after the last line that reads it, or a name that copies it (``a =
-    b``), so two values that are both to be read never share a slot, and a
-    line never writes a slot it reads.
+    A node takes a free slot at its line, and gives it back after the last
+    node's line that reads it, a result never, so two values that are both
+    to be read never share a slot, and a line never writes a slot it reads.
+    The overflow test after a power's line reads its base too, and writes no
+    slot.
     """
-    copied, last = {}, {}
-    for j, line in enumerate(lines):
-        if copy := re.fullmatch(r"(t\d+) = (t\d+)", line):
-            copied[copy[1]] = copied.get(copy[2], copy[2])
-        for name in re.findall(r"\bt\d+\b", line):
-            last[copied.get(name, name)] = j
+    last = {}
+    for j, name, _, kids, *_ in lowering.records:
+        last.update(dict.fromkeys([name, *kids], j))
+    last.update(dict.fromkeys(lowering.results, math.inf))
     slots, free = {}, []
-    for j, line in enumerate(lines):
-        for name in re.findall(r"\bt\d+\b", line):
-            if name in names and name not in slots:
-                slots[name] = free.pop() if free else len(set(slots.values()))
+    for j, name, *_ in lowering.records:
+        if name in names:
+            slots[name] = free.pop() if free else len(set(slots.values()))
         free += [slots[name] for name in slots if last[name] == j]
     return slots
 

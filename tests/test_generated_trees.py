@@ -28,7 +28,6 @@ from lattice_frames.calculus import (
     euler_lagrange,
     linear_by_parts,
     op_adjoint,
-    op_compose,
 )
 from lattice_frames.expr import (
     ZERO,
@@ -199,10 +198,10 @@ def test_adjoint_of_a_composition_is_the_reversed_composition(sig):
                                          max_deriv=2 if sig.differential else 0,
                                          with_x_coeff=sig.has_x) for _ in range(2))
         try:
-            lhs = apply_op(op_adjoint(op_compose(a, b, sig), sig), e, sig)
+            lhs = apply_op(op_adjoint(oracles.op_compose(a, b, sig), sig), e, sig)
             adjoints = op_adjoint(a, sig), op_adjoint(b, sig)
-            rhs = apply_op(op_compose(adjoints[1], adjoints[0], sig), e, sig)
-            unreversed = apply_op(op_compose(*adjoints, sig), e, sig)
+            rhs = apply_op(oracles.op_compose(adjoints[1], adjoints[0], sig), e, sig)
+            unreversed = apply_op(oracles.op_compose(*adjoints, sig), e, sig)
             points = plan.assignments([lhs, rhs, unreversed], sig)
             exact = cancellation(difference(lhs, rhs), points)
             control = cancellation(difference(lhs, unreversed), points)

@@ -11,8 +11,8 @@ of the benchmark still finds what it wraps; that every expression node
 class is interned, frozen and a dataclass with no generated method; that
 a FieldVar is the tuple of its fields; that every stored formula of the
 catalog is read; that the flow calls ``evaluate`` only in
-``_on_lattice``; and that only the node rules and the flow generate
-code."""
+``_on_lattice``; that only the node rules and the flow generate code;
+and that only the parser imports ``re``."""
 
 import ast
 import dataclasses
@@ -94,9 +94,7 @@ def test_every_exported_name_is_defined():
 
 
 BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
-# defined for a check that tests make and nothing in the package needs:
-# the composition law (AB)^dagger = B^dagger A^dagger of the formal adjoint
-UNREAD_ALLOWED = {"op_compose"}
+UNREAD_ALLOWED = set()
 
 
 def _definitions_and_names(path):
@@ -477,3 +475,16 @@ def test_only_the_node_rules_and_the_flow_generate_code():
                        for _ in _scoped_calls(tree, "Lowering"))
     assert executed == {"expr._functions", "expr.Lowering.compile"}
     assert lowered == {"flows.py"}
+
+
+def test_only_the_parser_imports_re():
+    # the parser reads text; the flow's code generator reads its own records, never
+    # the lines it printed
+    importing = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "re" in names:
+                importing.add(str(path.relative_to(PACKAGE_DIR)))
+    assert importing == {"parser.py"}
